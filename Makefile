@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race regress chaos chaos-restart chaos-failover fuzz check bench bench-backends bench-batch bench-checkpoint bench-formats bench-repl bench-service clean
+.PHONY: all build vet lint test race regress chaos chaos-restart chaos-failover fuzz check bench bench-backends bench-batch bench-checkpoint bench-formats bench-repl bench-service benchmark clean
 
 all: check
 
@@ -28,11 +28,14 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # stream-buffer retirement bound (and its unchanged timings) and the
 # lock-free metrics histograms — plus the execution-backend seam: sim
 # timings byte-identical to pre-refactor, and the goroutine-parallel
-# native backend producing bit-identical results under -race.
+# native backend producing bit-identical results under -race — and the
+# one-lane accounting: a lane that runs its kernel alone (a batch of
+# one, or a lane whose decision diverged in a fused round) books
+# exactly what a solo run books.
 regress:
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms' ./internal/service
-	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .
@@ -89,13 +92,19 @@ bench:
 bench-backends:
 	GOMAXPROCS=1 BENCH_BACKENDS=1 $(GO) test -count=1 -run TestBenchBackends -v .
 
-# bench-batch measures multi-source job fusion end to end: 64
-# concurrent clients submit the same-graph native workload to a batched
-# and an unbatched service; results land in BENCH_batch.json and the
-# run fails if fusion is not >= 2x jobs/sec. Part of the race tier, but
-# the benchmark binary itself is built without -race: tsan's shadow
-# memory skews the fused/solo ratio into noise, and the coalescer's
-# rendezvous is already race-tested by regress and the chaos suites.
+# bench-batch measures what fusing same-graph jobs buys end to end: 64
+# concurrent clients submit the same native PPR workload to a service
+# with the coalescer off, with groups of up to 8 lanes, and of up to 32
+# — 5 repetitions per leg. Solo and fused jobs run the same loop and
+# the same native kernel, so the ratio is lane amortization net of the
+# gather window, against unbatched jobs serialized on the per-engine
+# run lock. BENCH_batch.json records per-leg median and IQR jobs/sec
+# with host metadata; there is no speedup gate — the run fails only on
+# a failed job or a lane whose answer differs from the unbatched run.
+# Part of the race tier, but the benchmark binary itself is built
+# without -race: tsan's shadow memory skews the ratio into noise, and
+# the coalescer's rendezvous is already race-tested by regress and the
+# chaos suites.
 bench-batch:
 	BENCH_BATCH=1 $(GO) test -count=1 -run TestBenchBatch -v -timeout 600s ./internal/service
 
@@ -135,6 +144,13 @@ bench-service:
 # the async p50 on localhost.
 bench-repl:
 	BENCH_REPL=1 $(GO) test -count=1 -run TestBenchRepl -v -timeout 600s ./internal/service
+
+# benchmark is the repository's one benchmark (BENCHMARK.json): six
+# workloads, end-to-end and per-layer metrics, results in
+# benchmark/out/result.json. `$(GO) run ./benchmark compare A.json
+# B.json` judges two result files metric by metric.
+benchmark:
+	$(GO) run ./benchmark
 
 clean:
 	$(GO) clean ./...

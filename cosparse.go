@@ -22,6 +22,7 @@
 package cosparse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -639,7 +640,12 @@ func (r *Report) Trace() string {
 	return sb.String()
 }
 
+// report converts a runtime report; nil (a run refused before its
+// first iteration) stays nil.
 func (e *Engine) report(rep *runtime.Report) *Report {
+	if rep == nil {
+		return nil
+	}
 	out := &Report{
 		Algorithm:   rep.Algorithm,
 		System:      e.sys,
@@ -718,42 +724,29 @@ type BFSResult struct {
 	Level  []int32
 }
 
+// The context-free entry points below are their Context forms under
+// context.Background() — see engine_context.go.
+
 // BFS runs breadth-first search from src.
 func (e *Engine) BFS(src int32) (*BFSResult, *Report, error) {
-	res, rep, err := e.fw.BFS(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &BFSResult{Parent: res.Parent, Level: res.Level}, e.report(rep), nil
+	return e.BFSContext(context.Background(), src)
 }
 
 // SSSP runs single-source shortest paths from src over the stored edge
 // weights; unreachable vertices get +Inf.
 func (e *Engine) SSSP(src int32) ([]float32, *Report, error) {
-	dist, rep, err := e.fw.SSSP(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dist, e.report(rep), nil
+	return e.SSSPContext(context.Background(), src)
 }
 
 // PageRank runs the damped power iteration for iters iterations.
 func (e *Engine) PageRank(iters int, alpha float32) ([]float32, *Report, error) {
-	pr, rep, err := e.fw.PageRank(iters, alpha)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pr, e.report(rep), nil
+	return e.PageRankContext(context.Background(), iters, alpha)
 }
 
 // CF runs collaborative-filtering gradient descent (one latent factor
 // per vertex) with learning rate beta and regularization lambda.
 func (e *Engine) CF(iters int, beta, lambda float32) ([]float32, *Report, error) {
-	v, rep, err := e.fw.CF(iters, beta, lambda)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, e.report(rep), nil
+	return e.CFContext(context.Background(), iters, beta, lambda)
 }
 
 // PersonalizedPageRank runs personalized PageRank (random walk with
@@ -763,25 +756,13 @@ func (e *Engine) CF(iters int, beta, lambda float32) ([]float32, *Report, error)
 // shared graph — are the canonical multi-source fusion workload; see
 // PersonalizedPageRankBatch.
 func (e *Engine) PersonalizedPageRank(seed int32, iters int, alpha float32) ([]float32, *Report, error) {
-	pr, rep, err := e.fw.PPR(seed, iters, alpha)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pr, e.report(rep), nil
+	return e.PersonalizedPageRankContext(context.Background(), seed, iters, alpha)
 }
 
 // SpMV computes one y = G.T·x for a sparse input vector given as
 // (indices, values) pairs, through the full reconfigurable path.
 func (e *Engine) SpMV(idx []int32, val []float32) ([]float32, *Report, error) {
-	sv, err := matrix.NewSparseVec(e.fw.N(), idx, val)
-	if err != nil {
-		return nil, nil, err
-	}
-	y, rep, err := e.fw.SpMV(sv)
-	if err != nil {
-		return nil, nil, err
-	}
-	return y, e.report(rep), nil
+	return e.SpMVContext(context.Background(), idx, val)
 }
 
 // Decide exposes the decision tree: the configuration the engine would
@@ -865,9 +846,5 @@ func (r *Report) DensityTrace() string {
 // four map onto the same reconfigurable machinery. BC[v] is zero for
 // the source and for unreachable vertices.
 func (e *Engine) Betweenness(src int32) ([]float32, *Report, error) {
-	bc, rep, err := e.fw.BC(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bc, e.report(rep), nil
+	return e.BetweennessContext(context.Background(), src)
 }

@@ -149,11 +149,7 @@ func (e *Engine) Run(ops Operators, initial []float32, frontier []int32, maxIter
 
 	vals := make(matrix.Dense, len(initial))
 	copy(vals, initial)
-	out, rep, err := e.fw.RunCustom(ring, semiring.Ctx{}, vals, sv, maxIters)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, e.report(rep), nil
+	return e.result(e.fw.RunCustom(ring, semiring.Ctx{}, vals, sv, maxIters))
 }
 
 // ConnectedComponents labels each vertex with the smallest vertex id

@@ -1,10 +1,6 @@
 package cosparse
 
-import (
-	"context"
-
-	"cosparse/internal/runtime"
-)
+import "context"
 
 // Batched entry points: k compatible jobs of the same algorithm run as
 // one fused multi-vector (SpMM) pass over the shared graph. Slot i of
@@ -19,62 +15,30 @@ func (e *Engine) BFSBatch(ctxs []context.Context, srcs []int32) ([]*BFSResult, [
 	res, reps, errs := e.fw.BFSBatch(ctxs, srcs)
 	out := make([]*BFSResult, len(res))
 	for i, r := range res {
-		if r != nil {
-			out[i] = &BFSResult{Parent: r.Parent, Level: r.Level}
-		}
+		out[i] = (*BFSResult)(r)
 	}
-	return out, e.batchReports(reps), errs
+	return out, e.reports(reps), errs
 }
 
 // SSSPBatch runs one SSSP lane per source as a fused run.
 func (e *Engine) SSSPBatch(ctxs []context.Context, srcs []int32) ([][]float32, []*Report, []error) {
-	dists, reps, errs := e.fw.SSSPBatch(ctxs, srcs)
-	out := make([][]float32, len(dists))
-	for i, d := range dists {
-		out[i] = d
-	}
-	return out, e.batchReports(reps), errs
+	return e.results(e.fw.SSSPBatch(ctxs, srcs))
 }
 
 // PageRankBatch runs k PageRank lanes as a fused run (k concurrent
 // requests served for one amortized matrix pass).
 func (e *Engine) PageRankBatch(ctxs []context.Context, k, iters int, alpha float32) ([][]float32, []*Report, []error) {
-	ranks, reps, errs := e.fw.PageRankBatch(ctxs, k, iters, alpha)
-	out := make([][]float32, len(ranks))
-	for i, r := range ranks {
-		out[i] = r
-	}
-	return out, e.batchReports(reps), errs
+	return e.results(e.fw.PageRankBatch(ctxs, k, iters, alpha))
 }
 
 // PersonalizedPageRankBatch runs one PPR lane per seed as a fused run
 // — the canonical multi-source workload (one personalization vector
 // per user over one shared graph).
 func (e *Engine) PersonalizedPageRankBatch(ctxs []context.Context, seeds []int32, iters int, alpha float32) ([][]float32, []*Report, []error) {
-	ranks, reps, errs := e.fw.PPRBatch(ctxs, seeds, iters, alpha)
-	out := make([][]float32, len(ranks))
-	for i, r := range ranks {
-		out[i] = r
-	}
-	return out, e.batchReports(reps), errs
+	return e.results(e.fw.PPRBatch(ctxs, seeds, iters, alpha))
 }
 
 // CFBatch runs k collaborative-filtering lanes as a fused run.
 func (e *Engine) CFBatch(ctxs []context.Context, k, iters int, beta, lambda float32) ([][]float32, []*Report, []error) {
-	vs, reps, errs := e.fw.CFBatch(ctxs, k, iters, beta, lambda)
-	out := make([][]float32, len(vs))
-	for i, v := range vs {
-		out[i] = v
-	}
-	return out, e.batchReports(reps), errs
-}
-
-// batchReports converts per-lane runtime reports (nil entries stay
-// nil — lanes that failed validation before running).
-func (e *Engine) batchReports(reps []*runtime.Report) []*Report {
-	out := make([]*Report, len(reps))
-	for i, rep := range reps {
-		out[i] = e.partialReport(rep)
-	}
-	return out
+	return e.results(e.fw.CFBatch(ctxs, k, iters, beta, lambda))
 }

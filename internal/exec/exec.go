@@ -4,10 +4,12 @@
 // the cycle model it was evaluated on: the same IP/OP kernel bodies can
 // execute under the trace-driven timing simulator (the paper
 // reproduction) or goroutine-parallel on the host (a serving path that
-// is as fast as the hardware allows). Both backends call the identical
-// generic pass bodies in internal/kernels, so their functional results
-// are bit-identical; only the cost accounting differs — simulated
-// cycles and energy versus wall-clock duration.
+// is as fast as the hardware allows). Both backends apply the same
+// operations in the same order (the generic pass bodies in
+// internal/kernels; on the host, IP is a probe-free loop replaying
+// them), so their functional results are bit-identical; only the cost
+// accounting differs — simulated cycles and energy versus wall-clock
+// duration.
 package exec
 
 import (
@@ -49,7 +51,9 @@ type Backend interface {
 	// crossover thresholds.
 	Simulated() bool
 
-	// IP runs the inner-product kernel over the dense frontier x.
+	// IP runs the inner-product kernel over the dense frontier x. IP
+	// and OP are the one-lane forms of IPMulti and OPMulti, which is
+	// what the runtime's iteration loop calls.
 	IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result)
 
 	// OP runs the outer-product kernel over the sparse frontier f.
@@ -59,7 +63,8 @@ type Backend interface {
 	// traversal (SpMV → SpMM with LaneBlock-wide vector blocks). Each
 	// lane's output is bit-identical to a solo IP call with the same
 	// frontier and operand; the Result is the fused run's aggregate
-	// cost, which the caller apportions across lanes.
+	// cost, which the caller apportions across lanes (a single lane's
+	// Result is that lane's solo cost, Stats included).
 	IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result)
 
 	// OPMulti runs k outer-product kernels in one batched invocation

@@ -22,16 +22,16 @@ func Native() Backend { return nativeBackend{} }
 func (nativeBackend) Name() string    { return "native" }
 func (nativeBackend) Simulated() bool { return false }
 
-func (nativeBackend) IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result) {
-	t0 := time.Now()
-	out := kernels.NativeIP(part, x, op)
-	return out, Result{Wall: time.Since(t0)}
+// IP and OP are one-lane calls of the multi-vector kernels: the host
+// has one body per dataflow.
+func (b nativeBackend) IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result) {
+	outs, res := b.IPMulti(cfg, part, []matrix.Dense{x}, []kernels.Operand{op})
+	return outs[0], res
 }
 
-func (nativeBackend) OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.SparseVec, op kernels.Operand) (*matrix.SparseVec, Result) {
-	t0 := time.Now()
-	out := kernels.NativeOP(part, f, op, cfg.Geometry.PEsPerTile)
-	return out, Result{Wall: time.Since(t0)}
+func (b nativeBackend) OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.SparseVec, op kernels.Operand) (*matrix.SparseVec, Result) {
+	outs, res := b.OPMulti(cfg, part, []*matrix.SparseVec{f}, []kernels.Operand{op})
+	return outs[0], res
 }
 
 func (nativeBackend) IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result) {

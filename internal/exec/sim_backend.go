@@ -33,7 +33,14 @@ func (simBackend) OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.Sparse
 	return out, fromSim(res)
 }
 
-func (simBackend) IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result) {
+// IPMulti with one lane is the solo pass: the blocked multi-vector pass
+// reads frontiers from cacheable memory only, so it cannot model SCS's
+// scratchpad staging — which only a lone vector can use.
+func (b simBackend) IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result) {
+	if len(xs) == 1 {
+		out, res := b.IP(cfg, part, xs[0], ops[0])
+		return []matrix.Dense{out}, res
+	}
 	outs, res := kernels.RunIPMulti(cfg, part, xs, ops)
 	return outs, fromSim(res)
 }
@@ -43,8 +50,12 @@ func (simBackend) IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix
 // matrix, so there is no shared stream to amortize in the timing model
 // — fusion's win is on the IP side, which dense/high-activity batch
 // workloads use. Keeping lanes on solo RunOP also keeps per-lane cost
-// accounting exact.
-func (simBackend) OPMulti(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, ops []kernels.Operand) ([]*matrix.SparseVec, Result) {
+// accounting exact, and a single lane keeps its whole Result.
+func (b simBackend) OPMulti(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, ops []kernels.Operand) ([]*matrix.SparseVec, Result) {
+	if len(fs) == 1 {
+		out, res := b.OP(cfg, part, fs[0], ops[0])
+		return []*matrix.SparseVec{out}, res
+	}
 	outs := make([]*matrix.SparseVec, len(fs))
 	var agg Result
 	for l := range fs {

@@ -7,9 +7,11 @@ import (
 	"cosparse/internal/matrix"
 )
 
-// This file is the native execution backend's functional layer: the
-// same generic pass bodies the simulator walks (ip.go, op.go,
-// passes.go), instantiated with NopProbe and driven goroutine-parallel
+// This file and native_multi.go are the native execution backend's
+// functional layer: the OP, merge and conversion passes are the same
+// generic bodies the simulator walks (op.go, passes.go), instantiated
+// with NopProbe; the IP pass is a probe-free loop replaying ipPEPass's
+// operation order (nativeIPPELanes). All are driven goroutine-parallel
 // across GOMAXPROCS workers — the chunking pattern of
 // baseline.RunCSRSpMV. Parallel units are always disjoint in their
 // writes (PE row partitions for IP, tiles for OP, contiguous element
@@ -45,66 +47,6 @@ func parallelChunks(n int, fn func(c int, lo, hi int32)) int {
 	}
 	wg.Wait()
 	return w
-}
-
-// NativeIP runs the inner-product pass on the host, parallel over PE
-// row partitions (disjoint output rows → race-free). The SPM path is
-// disabled: the native frontier always reads straight from the slice,
-// which is the same functional value the cooperative fill would stage.
-func NativeIP(part *IPPartition, x matrix.Dense, op Operand) matrix.Dense {
-	if len(x) != part.C {
-		panic("kernels: NativeIP frontier length mismatch")
-	}
-	part.Materialize()
-	out := make(matrix.Dense, part.R)
-	for i := range out {
-		out[i] = op.Ring.Identity
-	}
-	parallelChunks(part.NumPEs, func(_ int, lo, hi int32) {
-		for pe := int(lo); pe < int(hi); pe++ {
-			ipPEPass(NopProbe{}, part, pe, x, out, op, false, 0, 1, ipAddrs{})
-		}
-	})
-	return out
-}
-
-// NativeOP runs the outer-product pass on the host, parallel over tiles
-// (disjoint output row ranges). Within a tile the PE column passes and
-// the LCP merge run sequentially, preserving the simulator's reduce
-// order; pesPerTile must match the sim geometry so the frontier split
-// (and hence the merge order) is identical across backends.
-func NativeOP(part *OPPartition, f *matrix.SparseVec, op Operand, pesPerTile int) *matrix.SparseVec {
-	if f.N != part.C {
-		panic("kernels: NativeOP frontier length mismatch")
-	}
-	part.Materialize()
-	if pesPerTile < 1 {
-		pesPerTile = 1
-	}
-	peCols := splitEven(f.NNZ(), pesPerTile)
-	tileOut := make([][]opPair, part.Tiles)
-	parallelChunks(part.Tiles, func(_ int, tlo, thi int32) {
-		stagingAddr := make([]uint64, pesPerTile)
-		for t := int(tlo); t < int(thi); t++ {
-			staged := make([][]opPair, pesPerTile)
-			for pe := 0; pe < pesPerTile; pe++ {
-				lo, hi := peCols[pe], peCols[pe+1]
-				if lo >= hi {
-					continue
-				}
-				staged[pe] = opPEPass(NopProbe{}, part, t, f, op, lo, hi, 0, opPEAddrs{})
-			}
-			tileOut[t] = opLCPPass(NopProbe{}, staged, op, stagingAddr, 0)
-		}
-	})
-	out := &matrix.SparseVec{N: part.R}
-	for t := 0; t < part.Tiles; t++ {
-		for _, e := range tileOut[t] {
-			out.Idx = append(out.Idx, e.row)
-			out.Val = append(out.Val, e.val)
-		}
-	}
-	return out
 }
 
 // NativeMergeDense is the host post-IP merge, parallel over contiguous

@@ -2,12 +2,14 @@ package kernels
 
 import "cosparse/internal/matrix"
 
-// Host-side fused kernels. The IP side uses a specialized probe-free
-// inner loop (nativeIPPELanes) that keeps each PE's COO share
-// cache-resident across lanes; the OP side reuses the shared pass
+// Host-side SpMV kernels, the native backend's one body per dataflow:
+// a solo run is a one-lane call. The IP side uses a specialized
+// probe-free inner loop (nativeIPPELanes) that keeps each PE's COO
+// share cache-resident across lanes; the OP side reuses the shared pass
 // bodies with NopProbe, lanes sequential per tile. Both preserve the
-// solo passes' per-lane float operation order exactly, so fused
-// results stay bit-identical to solo runs on every lane.
+// simulated passes' per-lane float operation order exactly, so every
+// lane's result is bit-identical to the simulator's and independent of
+// how many lanes ride along.
 
 // NativeIPMulti runs k fused inner-product passes on the host,
 // parallel over PE row partitions. Each PE's COO share is traversed
@@ -101,9 +103,10 @@ func nativeIPPELanes(part *IPPartition, pe int, xs, outs []matrix.Dense, ops []O
 // NativeOPMulti runs k outer-product passes on the host, parallel over
 // tiles with the lanes sequential within each tile — the tile's CSC
 // slice is traversed back to back for all k frontiers while it is
-// cache-resident. Each lane's column split and merge order match
-// NativeOP (and hence RunOP) exactly, so per-lane results are
-// bit-identical to solo runs.
+// cache-resident. Within a tile the PE column passes and the LCP merge
+// run sequentially, and pesPerTile must match the sim geometry, so each
+// lane's frontier split and merge order match RunOP exactly and
+// per-lane results are bit-identical across backends and lane counts.
 func NativeOPMulti(part *OPPartition, fs []*matrix.SparseVec, ops []Operand, pesPerTile int) []*matrix.SparseVec {
 	k := len(fs)
 	if k == 0 {

@@ -19,6 +19,16 @@ type BFSResult struct {
 	Level []int32
 }
 
+// setParents fills Parent from the converged label vector: every
+// reached vertex's value is the label of the vertex that claimed it.
+func (r *BFSResult) setParents(vals matrix.Dense) {
+	for i, v := range vals {
+		if !math.IsInf(float64(v), 1) {
+			r.Parent[i] = int32(v)
+		}
+	}
+}
+
 // BFS runs breadth-first search from src using the Table I mapping:
 // frontier values carry vertex labels and destinations adopt the
 // minimum proposing label as their parent.
@@ -30,6 +40,18 @@ func (f *Framework) BFS(src int32) (*BFSResult, *Report, error) {
 // deadline-expired ctx stops the traversal between SpMV iterations,
 // returning ctx's error.
 func (f *Framework) BFSContext(ctx context.Context, src int32) (*BFSResult, *Report, error) {
+	l, res, err := f.bfsLane(ctx, src)
+	vals, rep, err := f.runSolo(l, err)
+	if err != nil {
+		return nil, rep, err
+	}
+	res.setParents(vals)
+	return res, rep, nil
+}
+
+// bfsLane builds the BFS lane for src and the result its iteration
+// observer fills in.
+func (f *Framework) bfsLane(ctx context.Context, src int32) (*laneState, *BFSResult, error) {
 	n := f.N()
 	if src < 0 || int(src) >= n {
 		return nil, nil, fmt.Errorf("runtime: BFS source %d out of range [0,%d)", src, n)
@@ -50,7 +72,7 @@ func (f *Framework) BFSContext(ctx context.Context, src int32) (*BFSResult, *Rep
 	res.Parent[src] = src
 	res.Level[src] = 0
 
-	// The level array is incremental state the driver cannot see (it
+	// The level array is incremental state the loop cannot see (it
 	// lives outside vals), so it rides in each checkpoint's AuxInt and
 	// is restored before the resumed loop observes new frontiers.
 	if cc := CheckpointFromContext(ctx); cc != nil && cc.Resume != nil &&
@@ -59,7 +81,7 @@ func (f *Framework) BFSContext(ctx context.Context, src int32) (*BFSResult, *Rep
 	}
 
 	// Levels fall out of the iteration at which each vertex first joins
-	// the frontier, observed through the driver's iteration hook.
+	// the frontier, observed through the lane's iteration hook.
 	onIter := func(st IterStat, next *matrix.SparseVec) {
 		if next != nil {
 			for _, v := range next.Idx {
@@ -72,17 +94,7 @@ func (f *Framework) BFSContext(ctx context.Context, src int32) (*BFSResult, *Rep
 	aux := func(cp *Checkpoint) {
 		cp.AuxInt = append([]int32(nil), res.Level...)
 	}
-	vals, rep, err := f.driver(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, onIter, aux)
-	if err != nil {
-		return nil, rep, err
-	}
-
-	for i := range vals {
-		if !math.IsInf(float64(vals[i]), 1) {
-			res.Parent[i] = int32(vals[i])
-		}
-	}
-	return res, rep, nil
+	return f.newLane(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, onIter, aux), res, nil
 }
 
 // SSSP runs single-source shortest paths (frontier-based Bellman–Ford,
@@ -94,9 +106,13 @@ func (f *Framework) SSSP(src int32) (matrix.Dense, *Report, error) {
 
 // SSSPContext is SSSP with per-iteration cancellation.
 func (f *Framework) SSSPContext(ctx context.Context, src int32) (matrix.Dense, *Report, error) {
+	return f.runSolo(f.ssspLane(ctx, src))
+}
+
+func (f *Framework) ssspLane(ctx context.Context, src int32) (*laneState, error) {
 	n := f.N()
 	if src < 0 || int(src) >= n {
-		return nil, nil, fmt.Errorf("runtime: SSSP source %d out of range [0,%d)", src, n)
+		return nil, fmt.Errorf("runtime: SSSP source %d out of range [0,%d)", src, n)
 	}
 	ring := semiring.SSSP()
 	vals := make(matrix.Dense, n)
@@ -105,7 +121,7 @@ func (f *Framework) SSSPContext(ctx context.Context, src int32) (matrix.Dense, *
 	}
 	vals[src] = 0
 	frontier := &matrix.SparseVec{N: n, Idx: []int32{src}, Val: []float32{0}}
-	return f.driver(ctx, "SSSP", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, nil, nil)
+	return f.newLane(ctx, "SSSP", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, nil, nil), nil
 }
 
 // PageRank runs the damped power iteration of Table I for the given
@@ -116,16 +132,23 @@ func (f *Framework) PageRank(iters int, alpha float32) (matrix.Dense, *Report, e
 
 // PageRankContext is PageRank with per-iteration cancellation.
 func (f *Framework) PageRankContext(ctx context.Context, iters int, alpha float32) (matrix.Dense, *Report, error) {
+	return f.runSolo(f.prLane(ctx, iters, alpha))
+}
+
+func (f *Framework) prLane(ctx context.Context, iters int, alpha float32) (*laneState, error) {
 	if iters <= 0 {
-		return nil, nil, fmt.Errorf("runtime: PageRank iterations must be positive, got %d", iters)
+		return nil, fmt.Errorf("runtime: PageRank iterations must be positive, got %d", iters)
 	}
-	n := f.N()
-	ring := semiring.PR()
+	return f.newLane(ctx, "PR", semiring.PR(), semiring.Ctx{Alpha: alpha}, uniformRanks(f.N()), nil, iters, nil, nil), nil
+}
+
+// uniformRanks is PageRank's starting vector.
+func uniformRanks(n int) matrix.Dense {
 	vals := make(matrix.Dense, n)
 	for i := range vals {
 		vals[i] = 1 / float32(n)
 	}
-	return f.driver(ctx, "PR", ring, semiring.Ctx{Alpha: alpha}, vals, nil, iters, nil, nil)
+	return vals
 }
 
 // PPR runs personalized PageRank from the given seed vertex: the rank
@@ -139,17 +162,20 @@ func (f *Framework) PPR(src int32, iters int, alpha float32) (matrix.Dense, *Rep
 
 // PPRContext is PPR with per-iteration cancellation.
 func (f *Framework) PPRContext(ctx context.Context, src int32, iters int, alpha float32) (matrix.Dense, *Report, error) {
+	return f.runSolo(f.pprLane(ctx, src, iters, alpha))
+}
+
+func (f *Framework) pprLane(ctx context.Context, src int32, iters int, alpha float32) (*laneState, error) {
 	n := f.N()
 	if src < 0 || int(src) >= n {
-		return nil, nil, fmt.Errorf("runtime: PPR seed %d out of range [0,%d)", src, n)
+		return nil, fmt.Errorf("runtime: PPR seed %d out of range [0,%d)", src, n)
 	}
 	if iters <= 0 {
-		return nil, nil, fmt.Errorf("runtime: PPR iterations must be positive, got %d", iters)
+		return nil, fmt.Errorf("runtime: PPR iterations must be positive, got %d", iters)
 	}
-	ring := semiring.PPR()
 	vals := make(matrix.Dense, n)
 	vals[src] = 1
-	return f.driver(ctx, "PPR", ring, semiring.Ctx{Alpha: alpha, Seed: src}, vals, nil, iters, nil, nil)
+	return f.newLane(ctx, "PPR", semiring.PPR(), semiring.Ctx{Alpha: alpha, Seed: src}, vals, nil, iters, nil, nil), nil
 }
 
 // CF runs collaborative-filtering gradient descent (one latent factor,
@@ -161,17 +187,19 @@ func (f *Framework) CF(iters int, beta, lambda float32) (matrix.Dense, *Report, 
 
 // CFContext is CF with per-iteration cancellation.
 func (f *Framework) CFContext(ctx context.Context, iters int, beta, lambda float32) (matrix.Dense, *Report, error) {
+	return f.runSolo(f.cfLane(ctx, iters, beta, lambda))
+}
+
+func (f *Framework) cfLane(ctx context.Context, iters int, beta, lambda float32) (*laneState, error) {
 	if iters <= 0 {
-		return nil, nil, fmt.Errorf("runtime: CF iterations must be positive, got %d", iters)
+		return nil, fmt.Errorf("runtime: CF iterations must be positive, got %d", iters)
 	}
-	n := f.N()
-	ring := semiring.CF()
-	vals := make(matrix.Dense, n)
+	vals := make(matrix.Dense, f.N())
 	for i := range vals {
 		// Deterministic small positive init, spread across vertices.
 		vals[i] = 0.1 + 0.01*float32(i%17)
 	}
-	return f.driver(ctx, "CF", ring, semiring.Ctx{Beta: beta, Lambda: lambda}, vals, nil, iters, nil, nil)
+	return f.newLane(ctx, "CF", semiring.CF(), semiring.Ctx{Beta: beta, Lambda: lambda}, vals, nil, iters, nil, nil), nil
 }
 
 // SpMV runs one plain (+,×) sparse matrix–vector product through the
@@ -188,9 +216,8 @@ func (f *Framework) SpMVContext(ctx context.Context, frontier *matrix.SparseVec)
 	if frontier.N != f.N() {
 		return nil, nil, fmt.Errorf("runtime: SpMV frontier length %d, graph has %d vertices", frontier.N, f.N())
 	}
-	ring := semiring.SpMV()
 	vals := make(matrix.Dense, f.N())
-	return f.driver(ctx, "SpMV", ring, semiring.Ctx{}, vals, frontier.Clone(), 1, nil, nil)
+	return f.runSolo(f.newLane(ctx, "SpMV", semiring.SpMV(), semiring.Ctx{}, vals, frontier.Clone(), 1, nil, nil), nil)
 }
 
 // RunCustom drives a user-defined algorithm (a custom Table I row)
@@ -235,7 +262,7 @@ func (f *Framework) RunCustomContext(ctx context.Context, ring semiring.Semiring
 	if name == "" {
 		name = "custom"
 	}
-	return f.driver(ctx, name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil)
+	return f.runSolo(f.newLane(ctx, name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil)
 }
 
 // PageRankTol runs the damped power iteration until the relative L1
@@ -258,24 +285,17 @@ func (f *Framework) PageRankTolContext(ctx context.Context, tol float32, maxIter
 		maxIters = 100
 	}
 	n := f.N()
-	ring := semiring.PR()
-	vals := make(matrix.Dense, n)
-	for i := range vals {
-		vals[i] = 1 / float32(n)
-	}
+	vals := uniformRanks(n)
 
-	total := &Report{Algorithm: "PR(tol)", Geometry: f.opts.Geometry}
-	if f.opts.Backend != nil {
-		total.Backend = f.opts.Backend.Name()
-	}
+	total := &Report{Algorithm: "PR(tol)", Geometry: f.opts.Geometry, Backend: f.opts.Backend.Name()}
 	prev := vals.Clone()
 	iters := 0
 
 	// Checkpoints happen at this loop's granularity — one snapshot per
 	// K converged-checked power iterations, with the previous rank
-	// vector (the convergence state) in Aux. The inner driver calls run
-	// with the config stripped so they don't snapshot their own
-	// one-iteration world.
+	// vector (the convergence state) in Aux. The inner one-iteration
+	// lanes run with the config stripped so they don't snapshot their
+	// own one-iteration world.
 	cc := CheckpointFromContext(ctx)
 	runCtx := ctx
 	if cc != nil {
@@ -306,9 +326,9 @@ func (f *Framework) PageRankTolContext(ctx context.Context, tol float32, maxIter
 	for iters < maxIters {
 		var rep *Report
 		var err error
-		vals, rep, err = f.driver(runCtx, "PR", ring, semiring.Ctx{Alpha: alpha}, vals, nil, 1, nil, nil)
+		vals, rep, err = f.runSolo(f.newLane(runCtx, "PR", semiring.PR(), semiring.Ctx{Alpha: alpha}, vals, nil, 1, nil, nil), nil)
 		if rep != nil {
-			// Each driver call restarts numbering at 0; renumber so the
+			// Each lane restarts numbering at 0; renumber so the
 			// stitched trace reads as one run in the Fig. 9 layout.
 			for i := range rep.Iters {
 				rep.Iters[i].Iter += iters

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"cosparse/internal/exec"
@@ -13,18 +12,18 @@ import (
 	"cosparse/internal/sim"
 )
 
-// Multi-source fused execution: k lanes of the same algorithm over the
-// same graph advance in lockstep rounds, and every round's SpMV kernels
-// are issued through the backend's batched entry points (IPMulti /
-// OPMulti) so the matrix traversal is amortized across lanes (SpMV →
-// SpMM). Everything outside the kernel — convergence checks, frontier
-// conversion, merges, reconfiguration decisions, trace rings and
-// checkpoints — stays per lane and reuses the exact solo code paths, so
-// each lane's result is bit-identical to a solo run and each lane
+// The iteration loop. Every algorithm run is k ≥ 1 lanes advancing in
+// lockstep rounds through runLanes; a solo run is a one-lane batch.
+// Every round's SpMV kernels are issued through the backend's batched
+// entry points (IPMulti / OPMulti) so the matrix traversal is amortized
+// across lanes (SpMV → SpMM). Everything outside the kernel —
+// convergence checks, frontier conversion, merges, reconfiguration
+// decisions, trace rings and checkpoints — stays per lane, so each
+// lane's result is bit-identical to running it alone and each lane
 // finishes, fails, cancels and checkpoints independently.
 
-// laneState is one lane's full driver state — the per-run locals of
-// Framework.driver, lifted into a struct so k lanes can interleave.
+// laneState is one run's full iteration state, held in a struct so k
+// lanes can interleave.
 type laneState struct {
 	ctx      context.Context
 	op       kernels.Operand
@@ -49,8 +48,8 @@ func (l *laneState) fail(err error) {
 	l.done = true
 }
 
-// materialize mirrors driver's deferred trace flattening: the bounded
-// ring becomes the report's Iters on every exit path, including lanes
+// materialize flattens the bounded trace ring into the report's Iters;
+// runLanes defers it so it happens on every exit path, including lanes
 // that failed or were cancelled mid-batch.
 func (l *laneState) materialize() {
 	l.rep.Iters = l.trace.slice()
@@ -58,24 +57,30 @@ func (l *laneState) materialize() {
 	l.rep.DroppedIters = l.trace.dropped
 }
 
-// newLane builds one lane, including the same checkpoint-resume
-// handling as driver — each lane's context carries its own
-// CheckpointConfig, so lanes in one fused run may resume at different
-// iterations.
+// newLane builds one lane.
+//
+// vals is the persistent per-vertex value array; frontier the initial
+// active set (ignored for DenseFrontier semirings, whose every vertex
+// stays active for maxIters iterations). ctx is consulted once per
+// iteration, before the SpMV is issued: a cancelled or deadline-expired
+// context stops the lane between iterations with the partial report
+// and ctx's error. onIter, if non-nil, observes each completed
+// iteration in addition to Options.OnIteration (same contract: do not
+// retain or mutate the frontier). aux, if non-nil, lets the algorithm
+// stow its own convergence state (e.g. BFS levels) into each checkpoint
+// the loop takes. A checkpoint to resume from rides on ctx, so lanes in
+// one fused run may resume at different iterations; a checkpoint that
+// does not fit the run fails the lane before its first iteration.
 func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semiring, sctx semiring.Ctx,
 	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int,
 	onIter func(IterStat, *matrix.SparseVec), aux func(*Checkpoint)) *laneState {
 
-	be := f.opts.Backend
-	if be == nil {
-		be = exec.Sim()
-	}
 	l := &laneState{
 		ctx:      ctx,
 		vals:     vals,
 		frontier: frontier,
 		maxIters: maxIters,
-		rep:      &Report{Algorithm: name, Geometry: f.opts.Geometry, Backend: be.Name()},
+		rep:      &Report{Algorithm: name, Geometry: f.opts.Geometry, Backend: f.opts.Backend.Name()},
 		trace:    newIterRing(f.opts.ringCap()),
 		onIter:   onIter,
 		aux:      aux,
@@ -101,6 +106,9 @@ func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semi
 		l.frontier = cloneSparse(cp.Frontier)
 		l.lastSet = cloneSparse(cp.LastSet)
 		if l.lastSet != nil {
+			// Rebuild the dense IP buffer functionally (no cycles
+			// charged): it holds identity everywhere except the last
+			// scattered set, exactly what FrontierDense left behind.
 			l.fDense = make(matrix.Dense, n)
 			for i := range l.fDense {
 				l.fDense[i] = ring.Identity
@@ -125,15 +133,15 @@ func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semi
 
 // splitResult apportions a fused kernel Result across k lanes: cycles
 // divide evenly with the integer remainder charged to the first lane,
-// wall time and energy likewise. Microarchitectural Stats describe the
-// fused run as a whole and are not split — fused kernel passes leave
-// per-lane Stats zero (the conv and merge passes, which run per lane,
-// still attribute exactly).
+// wall time and energy likewise. Microarchitectural Stats and Balance
+// describe the run as a whole, so only a one-lane group — which owns
+// the whole run — keeps them (the conv and merge passes, which run per
+// lane, always attribute exactly).
 func splitResult(r exec.Result, k int) []exec.Result {
-	out := make([]exec.Result, k)
-	if k == 0 {
-		return out
+	if k == 1 {
+		return []exec.Result{r}
 	}
+	out := make([]exec.Result, k)
 	per := r.Cycles / int64(k)
 	wall := r.Wall / time.Duration(k)
 	energy := r.EnergyJ / float64(k)
@@ -155,23 +163,17 @@ type pendIter struct {
 	contribSparse *matrix.SparseVec
 }
 
-// hwOrder fixes the execution order of per-HW kernel sub-groups so
-// fused rounds are deterministic.
-var hwOrder = [...]sim.HWConfig{sim.SC, sim.SCS, sim.PC, sim.PS}
-
-// runLanes advances all lanes round by round until every lane has
-// converged, exhausted its iteration budget, failed or been cancelled.
-// Per round, each active lane runs the same pre-kernel phases as the
-// solo driver (context/hook checks, convergence test, decision tree,
-// frontier conversion); lanes that agree on a kernel and hardware
-// configuration then share one fused IPMulti/OPMulti invocation, and
-// the merge phase runs per lane. Lane results and errors land in the
-// laneState structs.
-func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneState) {
+// runLanes is the iteration loop: it advances all lanes round by round
+// until every lane has converged, exhausted its iteration budget,
+// failed or been cancelled. Per round, each active lane runs its
+// pre-kernel phases (context/hook checks, convergence test, decision
+// tree, frontier conversion); lanes that agree on a kernel and hardware
+// configuration then share one IPMulti/OPMulti invocation, and the
+// merge, reconfiguration charge, trace and checkpoint run per lane.
+// Lane results and errors land in the laneState structs; nil entries
+// (lanes that failed validation before being built) are skipped.
+func (f *Framework) runLanes(lanes []*laneState) {
 	be := f.opts.Backend
-	if be == nil {
-		be = exec.Sim()
-	}
 	defer func() {
 		for _, l := range lanes {
 			if l != nil {
@@ -191,6 +193,7 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 				l.done = true
 				continue
 			}
+			name := l.rep.Algorithm
 			if err := l.ctx.Err(); err != nil {
 				l.fail(fmt.Errorf("runtime: %s stopped after %d iterations: %w", name, l.trace.total, err))
 				continue
@@ -202,7 +205,7 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 				}
 			}
 			var nnzF int
-			if ring.DenseFrontier {
+			if l.op.Ring.DenseFrontier {
 				nnzF = n
 			} else {
 				if l.frontier == nil || l.frontier.NNZ() == 0 {
@@ -230,11 +233,13 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 
 		// Pre-kernel phase, per lane in lane order: operand refresh and —
 		// for sparse-frontier IP iterations — the dense frontier
-		// conversion (solo code path, exact per-lane attribution).
-		ipG := map[sim.HWConfig][]*pendIter{}
-		opG := map[sim.HWConfig][]*pendIter{}
+		// conversion, attributed exactly to its lane. Sub-groups are
+		// indexed by hardware configuration, which fixes the kernel
+		// phase's execution order (SC, SCS, PC, PS).
+		var ipG, opG [sim.PS + 1][]*pendIter
 		for _, p := range round {
 			l := p.lane
+			ring := &l.op.Ring
 			if ring.NeedsDstVal {
 				l.op.Prev = l.vals
 			}
@@ -263,11 +268,11 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 			}
 		}
 
-		// Fused kernel phase: one batched invocation per (kernel, HW)
+		// Kernel phase: one batched invocation per (kernel, HW)
 		// sub-group. Lanes whose decision tree picked different hardware
 		// configurations run in separate sub-batches so each lane's
 		// recorded decision matches what actually executed.
-		for _, hw := range hwOrder {
+		for hw := sim.SC; hw <= sim.PS; hw++ {
 			if group := ipG[hw]; len(group) > 0 {
 				xs := make([]matrix.Dense, len(group))
 				ops := make([]kernels.Operand, len(group))
@@ -276,13 +281,10 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 					ops[i] = p.lane.op
 				}
 				contribs, res := be.IPMulti(f.cfg(hw), f.ipPart, xs, ops)
-				shares := splitResult(res, len(group))
 				for i, p := range group {
 					p.contribDense = contribs[i]
-					p.st.KernelCycles = shares[i].Cycles
-					p.st.KernelWall = shares[i].Wall
-					p.st.EnergyJ += shares[i].EnergyJ
 				}
+				chargeKernel(group, res)
 			}
 			if group := opG[hw]; len(group) > 0 {
 				fs := make([]*matrix.SparseVec, len(group))
@@ -292,18 +294,14 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 					ops[i] = p.lane.op
 				}
 				contribs, res := be.OPMulti(f.cfg(hw), f.opPart, fs, ops)
-				shares := splitResult(res, len(group))
 				for i, p := range group {
 					p.contribSparse = contribs[i]
-					p.st.KernelCycles = shares[i].Cycles
-					p.st.KernelWall = shares[i].Wall
-					p.st.EnergyJ += shares[i].EnergyJ
 				}
+				chargeKernel(group, res)
 			}
 		}
 
-		// Merge + bookkeeping phase, per lane in lane order — identical
-		// structure to the solo driver's iteration tail.
+		// Merge + bookkeeping phase, per lane in lane order.
 		for _, p := range round {
 			l := p.lane
 			var mres exec.Result
@@ -342,6 +340,7 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 			l.frontier = next
 			done := l.iter + 1
 			if l.cc != nil && l.cc.Sink != nil && l.cc.Every > 0 && done%l.cc.Every == 0 && done < l.maxIters {
+				name := l.rep.Algorithm
 				cp := f.snapshot(name, done, l.vals, l.frontier, l.lastSet, true, l.prev, l.rep, l.trace)
 				if l.aux != nil {
 					l.aux(cp)
@@ -356,6 +355,18 @@ func (f *Framework) runLanes(name string, ring semiring.Semiring, lanes []*laneS
 	}
 }
 
+// chargeKernel books one kernel invocation's cost to the lanes that
+// shared it.
+func chargeKernel(group []*pendIter, res exec.Result) {
+	for i, share := range splitResult(res, len(group)) {
+		st := &group[i].st
+		st.KernelCycles = share.Cycles
+		st.KernelWall = share.Wall
+		st.EnergyJ += share.EnergyJ
+		st.Stats.Add(share.Stats)
+	}
+}
+
 // laneCtx returns the i-th per-lane context, defaulting to Background
 // when the caller passed fewer contexts than lanes (or nil entries).
 func laneCtx(ctxs []context.Context, i int) context.Context {
@@ -365,124 +376,71 @@ func laneCtx(ctxs []context.Context, i int) context.Context {
 	return context.Background()
 }
 
+// runSolo runs one lane alone — a solo run is a one-lane batch. It
+// takes a lane builder's (lane, error) pair so entry points can pass
+// the builder call straight through; a lane that stopped early returns
+// its partial values and report alongside the error.
+func (f *Framework) runSolo(l *laneState, err error) (matrix.Dense, *Report, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	f.runLanes([]*laneState{l})
+	return l.vals, l.rep, l.err
+}
+
+// runBatch builds lane i with mk, runs the lanes as one fused run and
+// returns each lane's values, report and error. A lane mk refuses
+// (errs[i] set, no report) or that stops early (errs[i] set, partial
+// report) has nil values and does not disturb the others.
+func (f *Framework) runBatch(k int, mk func(i int) (*laneState, error)) ([]matrix.Dense, []*Report, []error) {
+	lanes := make([]*laneState, k)
+	vals := make([]matrix.Dense, k)
+	reps := make([]*Report, k)
+	errs := make([]error, k)
+	for i := range lanes {
+		lanes[i], errs[i] = mk(i)
+	}
+	f.runLanes(lanes)
+	for i, l := range lanes {
+		if l == nil {
+			continue
+		}
+		reps[i], errs[i] = l.rep, l.err
+		if l.err == nil {
+			vals[i] = l.vals
+		}
+	}
+	return vals, reps, errs
+}
+
 // BFSBatch runs k breadth-first searches (one per source) as one fused
 // run. Slot i of the returned slices corresponds to srcs[i]; each
 // lane's result is bit-identical to BFSContext(ctxs[i], srcs[i]) run
 // alone, and lanes converge, fail and cancel independently (errs[i] is
 // non-nil only for lane i).
 func (f *Framework) BFSBatch(ctxs []context.Context, srcs []int32) ([]*BFSResult, []*Report, []error) {
-	k := len(srcs)
-	results := make([]*BFSResult, k)
-	reps := make([]*Report, k)
-	errs := make([]error, k)
-	ress := make([]*BFSResult, k)
-	lanes := make([]*laneState, k)
-	ring := semiring.BFS()
-	n := f.N()
-
-	for i, src := range srcs {
-		if src < 0 || int(src) >= n {
-			errs[i] = fmt.Errorf("runtime: BFS source %d out of range [0,%d)", src, n)
+	ress := make([]*BFSResult, len(srcs))
+	vals, reps, errs := f.runBatch(len(srcs), func(i int) (l *laneState, err error) {
+		l, ress[i], err = f.bfsLane(laneCtx(ctxs, i), srcs[i])
+		return l, err
+	})
+	for i := range ress {
+		if errs[i] != nil {
+			ress[i] = nil
 			continue
 		}
-		vals := make(matrix.Dense, n)
-		for j := range vals {
-			vals[j] = ring.Identity
-		}
-		vals[src] = float32(src)
-		frontier := &matrix.SparseVec{N: n, Idx: []int32{src}, Val: []float32{float32(src)}}
-
-		res := &BFSResult{Parent: make([]int32, n), Level: make([]int32, n)}
-		for j := range res.Parent {
-			res.Parent[j] = -1
-			res.Level[j] = -1
-		}
-		res.Parent[src] = src
-		res.Level[src] = 0
-
-		ctx := laneCtx(ctxs, i)
-		if cc := CheckpointFromContext(ctx); cc != nil && cc.Resume != nil &&
-			cc.Resume.Algo == "BFS" && len(cc.Resume.AuxInt) == n {
-			copy(res.Level, cc.Resume.AuxInt)
-		}
-		onIter := func(st IterStat, next *matrix.SparseVec) {
-			if next != nil {
-				for _, v := range next.Idx {
-					if res.Level[v] < 0 {
-						res.Level[v] = int32(st.Iter) + 1
-					}
-				}
-			}
-		}
-		aux := func(cp *Checkpoint) {
-			cp.AuxInt = append([]int32(nil), res.Level...)
-		}
-		lanes[i] = f.newLane(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, onIter, aux)
-		ress[i] = res
+		ress[i].setParents(vals[i])
 	}
-
-	f.runLanes("BFS", ring, lanes)
-
-	for i, l := range lanes {
-		if l == nil {
-			continue
-		}
-		reps[i] = l.rep
-		if l.err != nil {
-			errs[i] = l.err
-			continue
-		}
-		res := ress[i]
-		for j := range l.vals {
-			if !math.IsInf(float64(l.vals[j]), 1) {
-				res.Parent[j] = int32(l.vals[j])
-			}
-		}
-		results[i] = res
-	}
-	return results, reps, errs
+	return ress, reps, errs
 }
 
 // SSSPBatch runs k single-source shortest-path computations as one
 // fused run; slot i corresponds to srcs[i] and is bit-identical to
 // SSSPContext(ctxs[i], srcs[i]) run alone.
 func (f *Framework) SSSPBatch(ctxs []context.Context, srcs []int32) ([]matrix.Dense, []*Report, []error) {
-	k := len(srcs)
-	dists := make([]matrix.Dense, k)
-	reps := make([]*Report, k)
-	errs := make([]error, k)
-	lanes := make([]*laneState, k)
-	ring := semiring.SSSP()
-	n := f.N()
-
-	for i, src := range srcs {
-		if src < 0 || int(src) >= n {
-			errs[i] = fmt.Errorf("runtime: SSSP source %d out of range [0,%d)", src, n)
-			continue
-		}
-		vals := make(matrix.Dense, n)
-		for j := range vals {
-			vals[j] = ring.Identity
-		}
-		vals[src] = 0
-		frontier := &matrix.SparseVec{N: n, Idx: []int32{src}, Val: []float32{0}}
-		lanes[i] = f.newLane(laneCtx(ctxs, i), "SSSP", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, nil, nil)
-	}
-
-	f.runLanes("SSSP", ring, lanes)
-
-	for i, l := range lanes {
-		if l == nil {
-			continue
-		}
-		reps[i] = l.rep
-		if l.err != nil {
-			errs[i] = l.err
-			continue
-		}
-		dists[i] = l.vals
-	}
-	return dists, reps, errs
+	return f.runBatch(len(srcs), func(i int) (*laneState, error) {
+		return f.ssspLane(laneCtx(ctxs, i), srcs[i])
+	})
 }
 
 // PageRankBatch runs k PageRank lanes as one fused run. Lanes start
@@ -490,39 +448,9 @@ func (f *Framework) SSSPBatch(ctxs []context.Context, srcs []int32) ([]matrix.De
 // serving k concurrent requests for the cost of one amortized pass,
 // with per-lane contexts, checkpoints and reports intact.
 func (f *Framework) PageRankBatch(ctxs []context.Context, k, iters int, alpha float32) ([]matrix.Dense, []*Report, []error) {
-	ranks := make([]matrix.Dense, k)
-	reps := make([]*Report, k)
-	errs := make([]error, k)
-	lanes := make([]*laneState, k)
-	ring := semiring.PR()
-	n := f.N()
-
-	for i := 0; i < k; i++ {
-		if iters <= 0 {
-			errs[i] = fmt.Errorf("runtime: PageRank iterations must be positive, got %d", iters)
-			continue
-		}
-		vals := make(matrix.Dense, n)
-		for j := range vals {
-			vals[j] = 1 / float32(n)
-		}
-		lanes[i] = f.newLane(laneCtx(ctxs, i), "PR", ring, semiring.Ctx{Alpha: alpha}, vals, nil, iters, nil, nil)
-	}
-
-	f.runLanes("PR", ring, lanes)
-
-	for i, l := range lanes {
-		if l == nil {
-			continue
-		}
-		reps[i] = l.rep
-		if l.err != nil {
-			errs[i] = l.err
-			continue
-		}
-		ranks[i] = l.vals
-	}
-	return ranks, reps, errs
+	return f.runBatch(k, func(i int) (*laneState, error) {
+		return f.prLane(laneCtx(ctxs, i), iters, alpha)
+	})
 }
 
 // PPRBatch runs k personalized-PageRank lanes — one seed vertex per
@@ -530,78 +458,15 @@ func (f *Framework) PageRankBatch(ctxs []context.Context, k, iters int, alpha fl
 // (k users' personalization vectors over one shared graph). Slot i is
 // bit-identical to PPRContext(ctxs[i], srcs[i], iters, alpha) alone.
 func (f *Framework) PPRBatch(ctxs []context.Context, srcs []int32, iters int, alpha float32) ([]matrix.Dense, []*Report, []error) {
-	k := len(srcs)
-	ranks := make([]matrix.Dense, k)
-	reps := make([]*Report, k)
-	errs := make([]error, k)
-	lanes := make([]*laneState, k)
-	ring := semiring.PPR()
-	n := f.N()
-
-	for i, src := range srcs {
-		if src < 0 || int(src) >= n {
-			errs[i] = fmt.Errorf("runtime: PPR seed %d out of range [0,%d)", src, n)
-			continue
-		}
-		if iters <= 0 {
-			errs[i] = fmt.Errorf("runtime: PPR iterations must be positive, got %d", iters)
-			continue
-		}
-		vals := make(matrix.Dense, n)
-		vals[src] = 1
-		lanes[i] = f.newLane(laneCtx(ctxs, i), "PPR", ring, semiring.Ctx{Alpha: alpha, Seed: src}, vals, nil, iters, nil, nil)
-	}
-
-	f.runLanes("PPR", ring, lanes)
-
-	for i, l := range lanes {
-		if l == nil {
-			continue
-		}
-		reps[i] = l.rep
-		if l.err != nil {
-			errs[i] = l.err
-			continue
-		}
-		ranks[i] = l.vals
-	}
-	return ranks, reps, errs
+	return f.runBatch(len(srcs), func(i int) (*laneState, error) {
+		return f.pprLane(laneCtx(ctxs, i), srcs[i], iters, alpha)
+	})
 }
 
 // CFBatch runs k collaborative-filtering lanes as one fused run (same
 // deterministic init per lane; per-lane contexts and reports).
 func (f *Framework) CFBatch(ctxs []context.Context, k, iters int, beta, lambda float32) ([]matrix.Dense, []*Report, []error) {
-	factors := make([]matrix.Dense, k)
-	reps := make([]*Report, k)
-	errs := make([]error, k)
-	lanes := make([]*laneState, k)
-	ring := semiring.CF()
-	n := f.N()
-
-	for i := 0; i < k; i++ {
-		if iters <= 0 {
-			errs[i] = fmt.Errorf("runtime: CF iterations must be positive, got %d", iters)
-			continue
-		}
-		vals := make(matrix.Dense, n)
-		for j := range vals {
-			vals[j] = 0.1 + 0.01*float32(j%17)
-		}
-		lanes[i] = f.newLane(laneCtx(ctxs, i), "CF", ring, semiring.Ctx{Beta: beta, Lambda: lambda}, vals, nil, iters, nil, nil)
-	}
-
-	f.runLanes("CF", ring, lanes)
-
-	for i, l := range lanes {
-		if l == nil {
-			continue
-		}
-		reps[i] = l.rep
-		if l.err != nil {
-			errs[i] = l.err
-			continue
-		}
-		factors[i] = l.vals
-	}
-	return factors, reps, errs
+	return f.runBatch(k, func(i int) (*laneState, error) {
+		return f.cfLane(laneCtx(ctxs, i), iters, beta, lambda)
+	})
 }

@@ -51,9 +51,9 @@ func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Re
 
 	// BC checkpoints at SpMV-pass granularity across its sweeps, with
 	// Phase/PhaseLevel locating the next pass and the level array (the
-	// phase-1 output both sweeps index by) in AuxInt. The inner
-	// driver calls run with the checkpoint config stripped — a
-	// one-iteration sub-run must not snapshot itself.
+	// phase-1 output both sweeps index by) in AuxInt. The inner runs
+	// get the checkpoint config stripped — a one-iteration sub-run
+	// must not snapshot itself.
 	cc := CheckpointFromContext(ctx)
 	inner := ctx
 	var resume *Checkpoint

@@ -8,7 +8,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"cosparse/internal/exec"
 	"cosparse/internal/kernels"
 	"cosparse/internal/matrix"
-	"cosparse/internal/semiring"
 	"cosparse/internal/sim"
 )
 
@@ -272,7 +270,7 @@ func (d Decision) String() string {
 // shape (dense frontier → IP, sparse → OP) but swaps the
 // simulator-calibrated CVD for host thresholds; see decideNative.
 func (f *Framework) Decide(nnzF int) Decision {
-	if f.opts.Backend != nil && !f.opts.Backend.Simulated() {
+	if !f.opts.Backend.Simulated() {
 		return f.decideNative(nnzF)
 	}
 	g := f.opts.Geometry
@@ -429,197 +427,4 @@ func (r *Report) AvgPowerW() float64 {
 
 func (f *Framework) cfg(hw sim.HWConfig) sim.Config {
 	return sim.Config{Geometry: f.opts.Geometry, HW: hw, Params: f.opts.Params}
-}
-
-// driver runs the iterative frontier loop shared by every algorithm.
-//
-// vals is the persistent per-vertex value array; frontier the initial
-// active set. For DenseFrontier semirings the frontier argument is
-// ignored and every vertex stays active for maxIters iterations.
-//
-// ctx is consulted once per iteration, before the SpMV is issued: a
-// cancelled or deadline-expired context stops the run between
-// iterations, returning the partial report alongside ctx's error.
-// onIter, if non-nil, observes each completed iteration in addition to
-// Options.OnIteration (same contract: do not retain or mutate the
-// frontier). aux, if non-nil, lets the algorithm stow its own
-// convergence state (e.g. BFS levels) into each checkpoint the driver
-// takes.
-func (f *Framework) driver(ctx context.Context, name string, ring semiring.Semiring, sctx semiring.Ctx,
-	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int,
-	onIter func(IterStat, *matrix.SparseVec), aux func(*Checkpoint)) (matrix.Dense, *Report, error) {
-
-	be := f.opts.Backend
-	if be == nil {
-		be = exec.Sim()
-	}
-	rep := &Report{Algorithm: name, Geometry: f.opts.Geometry, Backend: be.Name()}
-	trace := newIterRing(f.opts.ringCap())
-	// Materialize the bounded trace on every return path — including
-	// the partial reports handed back on cancellation and hook errors.
-	defer func() {
-		rep.Iters = trace.slice()
-		rep.TotalIters = trace.total
-		rep.DroppedIters = trace.dropped
-	}()
-	op := kernels.Operand{Ring: ring, Ctx: sctx}
-	if ring.NeedsSrcDeg {
-		op.Deg = f.deg
-	}
-
-	n := f.n
-	var fDense matrix.Dense                             // persistent IP frontier buffer
-	var lastSet *matrix.SparseVec                       // what is currently scattered into fDense
-	prev := Decision{UseIP: true, HW: sim.HWConfig(-1)} // sentinel: first iteration always "reconfigures" freely
-
-	cc := CheckpointFromContext(ctx)
-	startIter := 0
-	if cc != nil && cc.Resume != nil {
-		cp := cc.Resume
-		if cp.Algo != name {
-			return vals, rep, fmt.Errorf("runtime: checkpoint was taken by %q, cannot resume %s", cp.Algo, name)
-		}
-		if int(cp.N) != n {
-			return vals, rep, fmt.Errorf("runtime: checkpoint covers %d vertices, graph has %d", cp.N, n)
-		}
-		vals = cp.Vals.Clone()
-		frontier = cloneSparse(cp.Frontier)
-		lastSet = cloneSparse(cp.LastSet)
-		if lastSet != nil {
-			// Rebuild the dense IP buffer functionally (no cycles
-			// charged): it holds identity everywhere except the last
-			// scattered set, exactly what FrontierDense left behind.
-			fDense = make(matrix.Dense, n)
-			for i := range fDense {
-				fDense[i] = ring.Identity
-			}
-			for k, ix := range lastSet.Idx {
-				fDense[ix] = lastSet.Val[k]
-			}
-		}
-		if cp.HavePrev {
-			prev = Decision{UseIP: cp.PrevUseIP, HW: sim.HWConfig(cp.PrevHW)}
-		}
-		trace.preload(cp.Trace, int(cp.TotalIters), int(cp.DroppedIters))
-		rep.TotalCycles = cp.TotalCycles
-		rep.TotalWall = time.Duration(cp.TotalWallNs)
-		rep.EnergyJ = cp.EnergyJ
-		rep.Stats = cp.Stats
-		rep.Resumed, rep.ResumedIter = true, int(cp.Iter)
-		startIter = int(cp.Iter)
-	}
-
-	for iter := startIter; iter < maxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return vals, rep, fmt.Errorf("runtime: %s stopped after %d iterations: %w", name, trace.total, err)
-		}
-		if f.opts.IterHook != nil {
-			if err := f.opts.IterHook(iter); err != nil {
-				return vals, rep, fmt.Errorf("runtime: %s stopped after %d iterations: %w", name, trace.total, err)
-			}
-		}
-		var nnzF int
-		if ring.DenseFrontier {
-			nnzF = n
-		} else {
-			if frontier == nil || frontier.NNZ() == 0 {
-				break
-			}
-			nnzF = frontier.NNZ()
-		}
-		dec := f.Decide(nnzF)
-		st := IterStat{
-			Iter:        iter,
-			FrontierNNZ: nnzF,
-			Density:     float64(nnzF) / float64(n),
-			Decision:    dec,
-			Reconfig:    iter > 0 && dec != prev,
-		}
-		cfg := f.cfg(dec.HW)
-		if ring.NeedsDstVal {
-			op.Prev = vals
-		}
-
-		var contribDense matrix.Dense
-		var contribSparse *matrix.SparseVec
-		if dec.UseIP {
-			var x matrix.Dense
-			if ring.DenseFrontier {
-				x = vals // PR/CF: the frontier is the value vector itself
-			} else {
-				if fDense == nil {
-					fDense = make(matrix.Dense, n)
-					for i := range fDense {
-						fDense[i] = ring.Identity
-					}
-				}
-				var convRes exec.Result
-				fDense, convRes = be.FrontierDense(cfg, fDense, lastSet, frontier, op)
-				lastSet = frontier
-				st.ConvCycles = convRes.Cycles
-				st.ConvWall = convRes.Wall
-				st.EnergyJ += convRes.EnergyJ
-				st.Stats.Add(convRes.Stats)
-				x = fDense
-			}
-			var kres exec.Result
-			contribDense, kres = be.IP(cfg, f.ipPart, x, op)
-			st.KernelCycles = kres.Cycles
-			st.KernelWall = kres.Wall
-			st.EnergyJ += kres.EnergyJ
-			st.Stats.Add(kres.Stats)
-		} else {
-			var kres exec.Result
-			contribSparse, kres = be.OP(cfg, f.opPart, frontier, op)
-			st.KernelCycles = kres.Cycles
-			st.KernelWall = kres.Wall
-			st.EnergyJ += kres.EnergyJ
-			st.Stats.Add(kres.Stats)
-		}
-
-		var mres exec.Result
-		var next *matrix.SparseVec
-		if dec.UseIP {
-			vals, next, mres = be.MergeDense(cfg, contribDense, vals, op)
-		} else {
-			vals, next, mres = be.ScatterMerge(cfg, contribSparse, vals, op)
-		}
-		st.MergeCycles = mres.Cycles
-		st.MergeWall = mres.Wall
-		st.EnergyJ += mres.EnergyJ
-		st.Stats.Add(mres.Stats)
-
-		st.TotalCycles = st.ConvCycles + st.KernelCycles + st.MergeCycles
-		st.TotalWall = st.ConvWall + st.KernelWall + st.MergeWall
-		if st.Reconfig {
-			rc := be.ReconfigCycles(f.opts.Params)
-			st.TotalCycles += rc
-			st.Stats.ReconfigCycles += rc
-		}
-		prev = dec
-
-		trace.push(st)
-		rep.TotalCycles += st.TotalCycles
-		rep.TotalWall += st.TotalWall
-		rep.EnergyJ += st.EnergyJ
-		rep.Stats.Add(st.Stats)
-		if f.opts.OnIteration != nil {
-			f.opts.OnIteration(st, next)
-		}
-		if onIter != nil {
-			onIter(st, next)
-		}
-
-		frontier = next
-		if cc != nil && cc.Sink != nil && cc.Every > 0 && (iter+1)%cc.Every == 0 && iter+1 < maxIters {
-			cp := f.snapshot(name, iter+1, vals, frontier, lastSet, true, prev, rep, trace)
-			if aux != nil {
-				aux(cp)
-			}
-			if err := cc.Sink(cp); err != nil {
-				return vals, rep, fmt.Errorf("runtime: %s checkpoint at iteration %d failed: %w", name, iter+1, err)
-			}
-		}
-	}
-	return vals, rep, nil
 }

@@ -146,3 +146,61 @@ func TestBatchPPRJob(t *testing.T) {
 		t.Fatalf("ppr result: %+v", st.Result)
 	}
 }
+
+// TestBatchLoneJobIsSolo: with batching on, a job nobody joins runs as
+// a group of one — not marked fused, counted under mode="solo", and
+// (being the only lane) its simulated memory stats are observed.
+func TestBatchLoneJobIsSolo(t *testing.T) {
+	svc, ts := newTestService(t, Config{
+		Workers: 2, QueueDepth: 8,
+		BatchWindow: time.Millisecond, BatchMaxLanes: 4,
+	})
+	gid := registerGraph(t, ts.URL, 5)
+	var st JobStatus
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{
+		GraphID: gid, Algo: "pr", Iterations: 3,
+	}, &st); code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	waitJob(t, svc, st.ID)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
+	if st.State != JobDone || st.Fused || st.BatchLanes != 0 {
+		t.Fatalf("lone job: state %q fused=%v batch_lanes=%d, want a done solo run", st.State, st.Fused, st.BatchLanes)
+	}
+	text := scrapeMetrics(t, ts.URL)
+	if !strings.Contains(text, `cosparsed_job_seconds_count{algo="pr",backend="sim",mode="solo"} 1`) {
+		t.Fatalf("mode=solo job_seconds series did not advance:\n%s", text)
+	}
+	if svc.m.SimHBMReadLines.Load() == 0 {
+		t.Fatal("sim HBM counters did not advance for a one-lane group")
+	}
+}
+
+// TestBatchFusedLanesLogSlowJob: every lane of a fused group goes
+// through the same tail as a solo job, slow-job decision log included.
+func TestBatchFusedLanesLogSlowJob(t *testing.T) {
+	logBuf := &syncBuffer{}
+	svc := newServiceWithLog(t, Config{
+		Workers: 2, QueueDepth: 8, SlowJob: time.Nanosecond, // everything is slow
+		BatchWindow: time.Second, BatchMaxLanes: 2,
+	}, logBuf)
+	ts := newHTTPServer(t, svc)
+	gid := registerWeightedGraph(t, ts.URL)
+
+	var resp BatchJobResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs/batch", BatchJobRequest{
+		GraphID: gid, Algo: "sssp", Sources: []int32{0, 7},
+	}, &resp); code != http.StatusAccepted {
+		t.Fatalf("batch submit: %d", code)
+	}
+	for _, st := range resp.Jobs {
+		waitJob(t, svc, st.ID)
+		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
+		if st.State != JobDone || !st.Fused {
+			t.Fatalf("job %s: state %q fused=%v, want a done fused lane", st.ID, st.State, st.Fused)
+		}
+		if !strings.Contains(logBuf.String(), `msg="slow job" job=`+st.ID+" ") {
+			t.Fatalf("no slow-job log for fused lane %s:\n%s", st.ID, logBuf.String())
+		}
+	}
+}

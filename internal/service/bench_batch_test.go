@@ -1,13 +1,16 @@
 package service
 
-// Multi-source fusion throughput (the `make bench-batch` target): 64
+// Fused-vs-unbatched throughput (the `make bench-batch` target): 64
 // concurrent clients hammer one service with the same-graph native PPR
-// workload, once with the coalescer enabled and once without. The
-// unbatched service serializes same-engine jobs on runMu; the batched
-// one fuses up to 32 compatible jobs into each multi-vector run, so
-// the shared matrix is streamed once per lane block instead of once
-// per job. Gated behind BENCH_BATCH; results land in BENCH_batch.json
-// at the repo root and the run fails below 2x jobs/sec.
+// workload in three legs — coalescer off, on with groups of up to 8
+// lanes, and on with groups of up to 32 — each repeated benchReps
+// times. Every job runs the same loop and the same native kernel (a
+// solo run is a one-lane batch), so the ratio measures what fusing
+// lanes amortizes, net of the gather window, against unbatched jobs
+// serialized on runMu. Gated behind BENCH_BATCH; per-leg median and
+// IQR plus host metadata land in BENCH_batch.json at the repo root.
+// There is no speedup gate: the run fails only on a failed job or a
+// lane whose answer differs from the unbatched run's.
 
 import (
 	"bytes"
@@ -15,10 +18,45 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"os/exec"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+const benchReps = 5
+
+// quartiles returns the median and interquartile range of xs (linear
+// interpolation between order statistics).
+func quartiles(xs []float64) (median, iqr float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.5), at(0.75) - at(0.25)
+}
+
+// headCommit names the tree the numbers were taken on.
+func headCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
+}
 
 func TestBenchBatch(t *testing.T) {
 	if os.Getenv("BENCH_BATCH") == "" {
@@ -38,10 +76,14 @@ func TestBenchBatch(t *testing.T) {
 		Fused   bool
 	}
 
-	runSide := func(window time.Duration) (time.Duration, map[int32]string, int) {
-		cfg := Config{
-			Workers: clients, QueueDepth: jobs + 8,
-			BatchWindow: window, BatchMaxLanes: 32,
+	const window = 5 * time.Millisecond
+
+	// runSide measures one repetition of one leg on a fresh service;
+	// maxLanes 0 turns the coalescer off.
+	runSide := func(t *testing.T, maxLanes int) (time.Duration, map[int32]string, int) {
+		cfg := Config{Workers: clients, QueueDepth: jobs + 8}
+		if maxLanes > 0 {
+			cfg.BatchWindow, cfg.BatchMaxLanes = window, maxLanes
 		}
 		svc, ts := newTestService(t, cfg)
 		gid := func() string {
@@ -138,22 +180,60 @@ func TestBenchBatch(t *testing.T) {
 		return wall, summaries, fusedJobs
 	}
 
-	fusedWall, fusedSums, fusedCount := runSide(5 * time.Millisecond)
-	soloWall, soloSums, soloFused := runSide(0)
-
-	if soloFused != 0 {
-		t.Fatalf("unbatched service fused %d jobs", soloFused)
+	type leg struct {
+		Name          string    `json:"name"`
+		MaxLanes      int       `json:"max_lanes"` // 0 = coalescer off
+		JobsPerSec    []float64 `json:"jobs_per_sec"`
+		MedianJobsSec float64   `json:"jobs_per_sec_median"`
+		IQRJobsSec    float64   `json:"jobs_per_sec_iqr"`
+		FusedJobs     []int     `json:"fused_jobs"`
+		VsUnbatched   float64   `json:"median_vs_unbatched"`
 	}
-	// Fused answers must match unbatched ones source for source.
-	for src, want := range soloSums {
-		if got := fusedSums[src]; got != want {
-			t.Errorf("source %d: fused %q, unbatched %q", src, got, want)
+	legs := []*leg{
+		{Name: "unbatched"},
+		{Name: "max_lanes_8", MaxLanes: 8},
+		{Name: "max_lanes_32", MaxLanes: 32},
+	}
+	// Repetitions interleave the legs so a slow minute on a shared host
+	// lands on all three.
+	var want map[int32]string
+	for rep := 0; rep < benchReps; rep++ {
+		for _, l := range legs {
+			var (
+				wall  time.Duration
+				sums  map[int32]string
+				fused int
+			)
+			// A subtest per repetition, so each service is torn down
+			// before the next one starts.
+			if !t.Run(fmt.Sprintf("%s/rep%d", l.Name, rep), func(t *testing.T) {
+				wall, sums, fused = runSide(t, l.MaxLanes)
+			}) {
+				t.FailNow()
+			}
+			if l.MaxLanes == 0 && fused != 0 {
+				t.Fatalf("unbatched service fused %d jobs", fused)
+			}
+			if want == nil {
+				want = sums
+			}
+			// Every lane's answer must match the first unbatched run's,
+			// source for source.
+			for src, w := range want {
+				if got := sums[src]; got != w {
+					t.Errorf("%s rep %d source %d: %q, unbatched %q", l.Name, rep, src, got, w)
+				}
+			}
+			l.JobsPerSec = append(l.JobsPerSec, jobs/wall.Seconds())
+			l.FusedJobs = append(l.FusedJobs, fused)
 		}
 	}
-
-	fusedJPS := jobs / fusedWall.Seconds()
-	soloJPS := jobs / soloWall.Seconds()
-	speedup := fusedJPS / soloJPS
+	for _, l := range legs {
+		l.MedianJobsSec, l.IQRJobsSec = quartiles(l.JobsPerSec)
+		l.VsUnbatched = l.MedianJobsSec / legs[0].MedianJobsSec
+		t.Logf("%-13s %.1f jobs/s median (IQR %.1f, %d reps), %.2fx unbatched, fused jobs %v",
+			l.Name, l.MedianJobsSec, l.IQRJobsSec, benchReps, l.VsUnbatched, l.FusedJobs)
+	}
 
 	out := struct {
 		Graph        string  `json:"graph"`
@@ -165,21 +245,19 @@ func TestBenchBatch(t *testing.T) {
 		Clients      int     `json:"clients"`
 		Backend      string  `json:"backend"`
 		BatchWindowS float64 `json:"batch_window_s"`
-		MaxLanes     int     `json:"max_lanes"`
-		FusedJobs    int     `json:"fused_jobs"`
-		FusedWallS   float64 `json:"fused_wall_s"`
-		FusedJobsSec float64 `json:"fused_jobs_per_sec"`
-		SoloWallS    float64 `json:"unbatched_wall_s"`
-		SoloJobsSec  float64 `json:"unbatched_jobs_per_sec"`
-		Speedup      float64 `json:"speedup"`
+		Reps         int     `json:"reps"`
+		NumCPU       int     `json:"num_cpu"`
+		GOMAXPROCS   int     `json:"gomaxprocs"`
+		GoVersion    string  `json:"go_version"`
+		Commit       string  `json:"commit"`
+		Legs         []*leg  `json:"legs"`
 	}{
 		Graph: "powerlaw-scale14", Vertices: n, Edges: edges,
 		Algo: "ppr", Iters: iters, Jobs: jobs, Clients: clients,
-		Backend: "native", BatchWindowS: 0.005, MaxLanes: 32,
-		FusedJobs:  fusedCount,
-		FusedWallS: fusedWall.Seconds(), FusedJobsSec: fusedJPS,
-		SoloWallS: soloWall.Seconds(), SoloJobsSec: soloJPS,
-		Speedup: speedup,
+		Backend: "native", BatchWindowS: window.Seconds(), Reps: benchReps,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Commit: headCommit(),
+		Legs: legs,
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -187,11 +265,5 @@ func TestBenchBatch(t *testing.T) {
 	}
 	if err := os.WriteFile("../../BENCH_batch.json", append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	t.Logf("fused %v (%.1f jobs/s, %d/%d fused), unbatched %v (%.1f jobs/s): %.2fx",
-		fusedWall, fusedJPS, fusedCount, jobs, soloWall, soloJPS, speedup)
-
-	if speedup < 2 {
-		t.Errorf("fusion speedup %.2fx, want >= 2x jobs/sec", speedup)
 	}
 }

@@ -987,7 +987,8 @@ func (s *Service) buildJob(req JobRequest) (*Job, error) {
 // its error into the job's terminal state. With batching enabled the
 // job first rendezvouses in the coalescer: compatible jobs arriving
 // within the gather window run as lanes of one fused multi-vector
-// pass; a group of one falls through to a plain solo run.
+// pass. Either way the job runs as a member of a group — alone in it
+// when batching is off or nobody joined.
 func (s *Service) runJob(j *Job) (*JobResult, error) {
 	if err := s.cfg.Faults.Check(fault.JobRun); err != nil {
 		return nil, err
@@ -1000,7 +1001,8 @@ func (s *Service) runJob(j *Job) (*JobResult, error) {
 		res, _ := v.(*JobResult)
 		return res, nil
 	}
-	return s.executeSolo(j)
+	results, errs := s.runGroup([]*Job{j})
+	return results[0], errs[0]
 }
 
 // batchKey groups jobs that may fuse: everything that shapes the run
@@ -1017,36 +1019,106 @@ func (s *Service) batchKey(j *Job) string {
 // the coalescer until their lane's result is delivered.
 func (s *Service) runBatch(key string, lanes []*batch.Lane) {
 	s.m.ObserveBatch(len(lanes))
-	if len(lanes) == 1 {
-		j := lanes[0].Payload.(*Job)
-		res, err := s.executeSolo(j)
-		lanes[0].Deliver(res, err)
-		return
-	}
 	jobs := make([]*Job, len(lanes))
 	for i, l := range lanes {
 		jobs[i] = l.Payload.(*Job)
 	}
-	// The compatibility key guarantees one shared engine for the group.
+	results, errs := s.runGroup(jobs)
+	for i, l := range lanes {
+		l.Deliver(results[i], errs[i])
+	}
+}
+
+// runGroup is the one run path: k ≥ 1 compatible jobs (same graph,
+// algorithm, backend, geometry and numeric parameters — batchKey)
+// execute as the lanes of one engine run. Slot i of both returned
+// slices belongs to jobs[i]; a failed lane has a nil result. A group of
+// one is a solo run (fused unset, mode="solo"); larger groups mark
+// every lane fused.
+func (s *Service) runGroup(jobs []*Job) ([]*JobResult, []error) {
+	k := len(jobs)
+	results := make([]*JobResult, k)
+	errs := make([]error, k)
 	j0 := jobs[0]
 	ee, err := s.reg.Engine(j0.graph, j0.sys, j0.backend)
 	if err != nil {
-		for _, l := range lanes {
-			l.Deliver(nil, err)
+		for i := range errs {
+			errs[i] = err
 		}
-		return
+		return results, errs
 	}
+	// One run at a time per engine; jobs on other engines proceed in
+	// parallel on the remaining workers.
 	ee.runMu.Lock()
 	defer ee.runMu.Unlock()
-	ctxs := make([]context.Context, len(jobs))
-	for i, j := range jobs {
-		j.markFused(len(lanes))
-		ctxs[i] = s.checkpointContext(j)
+
+	fused, mode := k > 1, "solo"
+	if fused {
+		mode = "fused"
 	}
-	t0 := time.Now()
-	results, reps, errs := s.runFused(ee, j0, ctxs, jobs)
-	wall := time.Since(t0)
+	// expired[i] is set for a job whose context ended while it waited
+	// for the engine: it is settled with the bare context error and no
+	// trace, as a job that never ran.
+	expired := make([]error, k)
+	ctxs := make([]context.Context, k)
+	srcs := make([]int32, k)
 	for i, j := range jobs {
+		expired[i] = j.ctx.Err()
+		if fused {
+			j.markFused(k)
+		}
+		// With a data dir the run context carries the checkpoint
+		// config: periodic snapshots through the store, and the resume
+		// point for journal-recovered jobs. Without one this is j.ctx
+		// unchanged.
+		ctxs[i] = s.checkpointContext(j)
+		srcs[i] = j.req.Source
+	}
+
+	t0 := time.Now()
+	var reps []*cosparse.Report
+	var fill func(res *JobResult, i int) // derives lane i's headline numbers
+	switch j0.algo {
+	case cosparse.AlgoBFS:
+		outs, r, e := ee.eng.BFSBatch(ctxs, srcs)
+		reps, errs = r, e
+		fill = func(res *JobResult, i int) { fillBFS(res, jobs[i], outs[i]) }
+	case cosparse.AlgoSSSP:
+		outs, r, e := ee.eng.SSSPBatch(ctxs, srcs)
+		reps, errs = r, e
+		fill = func(res *JobResult, i int) { fillSSSP(res, jobs[i], outs[i]) }
+	case cosparse.AlgoPageRank:
+		outs, r, e := ee.eng.PageRankBatch(ctxs, k, j0.req.Iterations, float32(j0.req.Alpha))
+		reps, errs = r, e
+		fill = func(res *JobResult, i int) { fillPR(res, jobs[i], outs[i]) }
+	case cosparse.AlgoPPR:
+		outs, r, e := ee.eng.PersonalizedPageRankBatch(ctxs, srcs, j0.req.Iterations, float32(j0.req.Alpha))
+		reps, errs = r, e
+		fill = func(res *JobResult, i int) { fillPPR(res, jobs[i], outs[i]) }
+	case cosparse.AlgoCF:
+		_, r, e := ee.eng.CFBatch(ctxs, k, j0.req.Iterations, float32(j0.req.Beta), float32(j0.req.Lambda))
+		reps, errs = r, e
+		fill = func(res *JobResult, i int) { fillCF(res, jobs[i]) }
+	default:
+		reps = make([]*cosparse.Report, k)
+		for i := range errs {
+			errs[i] = fmt.Errorf("algorithm %q not runnable as a job", j0.algo)
+		}
+	}
+	// Every lane waited for the whole pass, so the group's wall is each
+	// job's honest latency. The amortized per-lane cycle and energy
+	// shares are already apportioned inside the reports.
+	wall := time.Since(t0)
+
+	for i, j := range jobs {
+		if expired[i] != nil {
+			errs[i] = expired[i]
+			continue
+		}
+		// Keep the trace even when the run stopped early: the partial
+		// report covers the iterations that did complete, which is
+		// exactly what an operator debugging a timeout or fault wants
+		// to see.
 		rep := reps[i]
 		j.setTrace(rep)
 		s.sinkTrace(j, errs[i])
@@ -1054,219 +1126,63 @@ func (s *Service) runBatch(key string, lanes []*batch.Lane) {
 			s.log.Warn("job stopped",
 				slog.String("job", j.id),
 				slog.String("algo", j.algo.String()),
-				slog.Bool("fused", true),
+				slog.Bool("fused", fused),
 				slog.Duration("wall", wall),
 				slog.String("err", errs[i].Error()),
 			)
-			lanes[i].Deliver(nil, errs[i])
 			continue
 		}
-		res := results[i]
+		res := &JobResult{Algo: j.algo.String(), Backend: j.backend.String()}
+		fill(res, i)
 		res.Iterations = rep.TotalIterations
 		res.TotalCycles = rep.TotalCycles
 		res.SimSeconds = rep.Seconds
 		res.EnergyJ = rep.EnergyJ
-		// Every lane waited for the whole fused pass, so the batch wall
-		// is each job's honest latency. The amortized per-lane cycle and
-		// energy shares are already apportioned inside the report.
 		res.WallMs = float64(wall) / float64(time.Millisecond)
 		if j.req.IncludeTrace {
 			res.Report = rep
 		}
-		// Memory-system stats are whole-batch figures, not attributable
-		// per lane, so fused lanes skip ObserveSim.
-		s.m.ObserveJob(j.algo.String(), j.backend.String(), "fused", rep.TotalCycles, wall.Seconds())
+		s.m.ObserveJob(j.algo.String(), j.backend.String(), mode, rep.TotalCycles, wall.Seconds())
+		// Memory-system stats of a shared kernel pass describe the whole
+		// group, so they are attributable — and observed — only when the
+		// group is one lane.
+		if mem := rep.Memory; mem != nil && !fused {
+			reconfigs := int64(0)
+			for _, it := range rep.Iterations {
+				if it.Reconfigured {
+					reconfigs++
+				}
+			}
+			s.m.ObserveSim(mem.HBMReadLines, mem.HBMWriteLines,
+				mem.HBMReadQueuedCycles, mem.HBMWriteQueuedCycles,
+				mem.StallCycles, reconfigs)
+		}
+		if s.cfg.SlowJob > 0 && wall >= s.cfg.SlowJob {
+			s.log.Warn("slow job",
+				slog.String("job", j.id),
+				slog.String("algo", j.algo.String()),
+				slog.Duration("wall", wall),
+				slog.Duration("threshold", s.cfg.SlowJob),
+				slog.Int64("cycles", rep.TotalCycles),
+				slog.Int("iterations", rep.TotalIterations),
+				slog.String("decisions", decisionTrace(rep)),
+			)
+		}
 		s.log.Info("job done",
 			slog.String("job", j.id),
 			slog.String("algo", j.algo.String()),
-			slog.Bool("fused", true),
-			slog.Int("lanes", len(lanes)),
+			slog.Bool("fused", fused),
+			slog.Int("lanes", k),
 			slog.Int64("cycles", rep.TotalCycles),
 			slog.Duration("wall", wall),
 		)
-		lanes[i].Deliver(res, nil)
+		results[i] = res
 	}
-}
-
-// runFused dispatches the group's algorithm as one fused multi-lane
-// run and fills per-lane headline results. Slot i of every returned
-// slice belongs to jobs[i].
-func (s *Service) runFused(ee *engineEntry, j0 *Job, ctxs []context.Context, jobs []*Job) ([]*JobResult, []*cosparse.Report, []error) {
-	k := len(jobs)
-	results := make([]*JobResult, k)
-	srcs := make([]int32, k)
-	for i, j := range jobs {
-		results[i] = &JobResult{Algo: j.algo.String(), Backend: j.backend.String()}
-		srcs[i] = j.req.Source
-	}
-	var reps []*cosparse.Report
-	var errs []error
-	switch j0.algo {
-	case cosparse.AlgoBFS:
-		outs, r, e := ee.eng.BFSBatch(ctxs, srcs)
-		reps, errs = r, e
-		for i := range jobs {
-			if errs[i] == nil {
-				fillBFS(results[i], jobs[i], outs[i])
-			}
-		}
-	case cosparse.AlgoSSSP:
-		outs, r, e := ee.eng.SSSPBatch(ctxs, srcs)
-		reps, errs = r, e
-		for i := range jobs {
-			if errs[i] == nil {
-				fillSSSP(results[i], jobs[i], outs[i])
-			}
-		}
-	case cosparse.AlgoPageRank:
-		outs, r, e := ee.eng.PageRankBatch(ctxs, k, j0.req.Iterations, float32(j0.req.Alpha))
-		reps, errs = r, e
-		for i := range jobs {
-			if errs[i] == nil {
-				fillPR(results[i], jobs[i], outs[i])
-			}
-		}
-	case cosparse.AlgoPPR:
-		outs, r, e := ee.eng.PersonalizedPageRankBatch(ctxs, srcs, j0.req.Iterations, float32(j0.req.Alpha))
-		reps, errs = r, e
-		for i := range jobs {
-			if errs[i] == nil {
-				fillPPR(results[i], jobs[i], outs[i])
-			}
-		}
-	case cosparse.AlgoCF:
-		_, r, e := ee.eng.CFBatch(ctxs, k, j0.req.Iterations, float32(j0.req.Beta), float32(j0.req.Lambda))
-		reps, errs = r, e
-		for i := range jobs {
-			if errs[i] == nil {
-				fillCF(results[i], jobs[i])
-			}
-		}
-	default:
-		reps = make([]*cosparse.Report, k)
-		errs = make([]error, k)
-		for i := range errs {
-			errs[i] = fmt.Errorf("algorithm %q not runnable as a job", j0.algo)
-		}
-	}
-	return results, reps, errs
-}
-
-// executeSolo runs one job alone on its engine (the only path when
-// batching is disabled, and the single-lane fast path when enabled).
-func (s *Service) executeSolo(j *Job) (*JobResult, error) {
-	ee, err := s.reg.Engine(j.graph, j.sys, j.backend)
-	if err != nil {
-		return nil, err
-	}
-	// One run at a time per engine; jobs on other engines proceed in
-	// parallel on the remaining workers.
-	ee.runMu.Lock()
-	defer ee.runMu.Unlock()
-	if err := j.ctx.Err(); err != nil {
-		return nil, err
-	}
-	// With a data dir the run context carries the checkpoint config:
-	// periodic snapshots through the store, and the resume point for
-	// journal-recovered jobs. Without one this is j.ctx unchanged.
-	ctx := s.checkpointContext(j)
-
-	t0 := time.Now()
-	res := &JobResult{Algo: j.algo.String(), Backend: j.backend.String()}
-	var rep *cosparse.Report
-	switch j.algo {
-	case cosparse.AlgoBFS:
-		var out *cosparse.BFSResult
-		out, rep, err = ee.eng.BFSContext(ctx, j.req.Source)
-		if err == nil {
-			fillBFS(res, j, out)
-		}
-	case cosparse.AlgoSSSP:
-		var dist []float32
-		dist, rep, err = ee.eng.SSSPContext(ctx, j.req.Source)
-		if err == nil {
-			fillSSSP(res, j, dist)
-		}
-	case cosparse.AlgoPageRank:
-		var pr []float32
-		pr, rep, err = ee.eng.PageRankContext(ctx, j.req.Iterations, float32(j.req.Alpha))
-		if err == nil {
-			fillPR(res, j, pr)
-		}
-	case cosparse.AlgoPPR:
-		var pr []float32
-		pr, rep, err = ee.eng.PersonalizedPageRankContext(ctx, j.req.Source, j.req.Iterations, float32(j.req.Alpha))
-		if err == nil {
-			fillPPR(res, j, pr)
-		}
-	case cosparse.AlgoCF:
-		_, rep, err = ee.eng.CFContext(ctx, j.req.Iterations, float32(j.req.Beta), float32(j.req.Lambda))
-		if err == nil {
-			fillCF(res, j)
-		}
-	default:
-		err = fmt.Errorf("algorithm %q not runnable as a job", j.algo)
-	}
-	wall := time.Since(t0)
-	// Keep the trace even when the run stopped early: the Context entry
-	// points return a partial report covering the iterations that did
-	// complete, which is exactly what an operator debugging a timeout
-	// or fault wants to see.
-	j.setTrace(rep)
-	s.sinkTrace(j, err)
-	if err != nil {
-		s.log.Warn("job stopped",
-			slog.String("job", j.id),
-			slog.String("algo", j.algo.String()),
-			slog.Duration("wall", wall),
-			slog.String("err", err.Error()),
-		)
-		return nil, err
-	}
-
-	res.Iterations = rep.TotalIterations
-	res.TotalCycles = rep.TotalCycles
-	res.SimSeconds = rep.Seconds
-	res.EnergyJ = rep.EnergyJ
-	res.WallMs = float64(wall) / float64(time.Millisecond)
-	if j.req.IncludeTrace {
-		res.Report = rep
-	}
-	s.m.ObserveJob(j.algo.String(), j.backend.String(), "solo", rep.TotalCycles, wall.Seconds())
-	if mem := rep.Memory; mem != nil {
-		reconfigs := int64(0)
-		for _, it := range rep.Iterations {
-			if it.Reconfigured {
-				reconfigs++
-			}
-		}
-		s.m.ObserveSim(mem.HBMReadLines, mem.HBMWriteLines,
-			mem.HBMReadQueuedCycles, mem.HBMWriteQueuedCycles,
-			mem.StallCycles, reconfigs)
-	}
-	if s.cfg.SlowJob > 0 && wall >= s.cfg.SlowJob {
-		s.log.Warn("slow job",
-			slog.String("job", j.id),
-			slog.String("algo", j.algo.String()),
-			slog.Duration("wall", wall),
-			slog.Duration("threshold", s.cfg.SlowJob),
-			slog.Int64("cycles", rep.TotalCycles),
-			slog.Int("iterations", rep.TotalIterations),
-			slog.String("decisions", decisionTrace(rep)),
-		)
-	}
-	s.log.Info("job done",
-		slog.String("job", j.id),
-		slog.String("algo", j.algo.String()),
-		slog.Int64("cycles", rep.TotalCycles),
-		slog.Duration("wall", wall),
-	)
-	return res, nil
+	return results, errs
 }
 
 // The fill helpers derive each algorithm's headline numbers and
-// summary line from its raw output; shared by the solo and fused
-// paths so a fused lane's JobResult reads exactly like a solo one.
+// summary line from its raw output.
 
 func fillBFS(res *JobResult, j *Job, out *cosparse.BFSResult) {
 	for _, l := range out.Level {
