@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race regress chaos chaos-restart chaos-failover fuzz check bench bench-backends bench-batch bench-checkpoint bench-formats bench-repl bench-service benchmark clean
+.PHONY: all build vet lint test race regress chaos chaos-restart chaos-failover fuzz check bench bench-kernels bench-backends bench-batch bench-checkpoint bench-formats bench-repl bench-service benchmark clean
 
 all: check
 
@@ -31,11 +31,15 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # native backend producing bit-identical results under -race — and the
 # one-lane accounting: a lane that runs its kernel alone (a batch of
 # one, or a lane whose decision diverged in a fused round) books
-# exactly what a solo run books.
+# exactly what a solo run books — and the native pull kernels: each
+# hand-specialised Table I loop bit-identical to the closure loop it
+# replaces, dispatched on the ring's Kind, with the lane-owned scratch
+# keeping steady-state PageRank under 1 MB of allocation.
 regress:
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName' ./internal/kernels
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms' ./internal/service
-	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .
@@ -82,6 +86,13 @@ check: lint build race
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# bench-kernels runs the native pull side's layer benchmarks on the
+# scale-16 power-law graph: one IP pass per Table I row and the closure
+# fallback (ns/edge), eight fused PPR lanes (ns/edge/lane) and the dense
+# merge (ns/vertex), with allocation counts.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'BenchmarkNative' -benchmem -count=5 ./internal/kernels
 
 # bench-backends times the same PageRank run through the sim and native
 # execution backends on a scale-16 power-law graph and writes

@@ -13,10 +13,25 @@ package cosparse
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
+
+// headCommit names the tree the numbers were taken on.
+func headCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
+}
 
 func TestBenchBackends(t *testing.T) {
 	if os.Getenv("BENCH_BACKENDS") == "" {
@@ -74,6 +89,9 @@ func TestBenchBackends(t *testing.T) {
 		NativeWallMP float64 `json:"native_wall_mp_s"`
 		Speedup      float64 `json:"speedup"`
 		Scaling      float64 `json:"native_scaling"`
+		NumCPU       int     `json:"num_cpu"`
+		GoVersion    string  `json:"go_version"`
+		Commit       string  `json:"commit"`
 	}{
 		Graph:        "powerlaw-scale16",
 		Vertices:     n,
@@ -87,6 +105,9 @@ func TestBenchBackends(t *testing.T) {
 		NativeWallMP: natMP.Seconds(),
 		Speedup:      speedup,
 		Scaling:      scaling,
+		NumCPU:       mp,
+		GoVersion:    runtime.Version(),
+		Commit:       headCommit(),
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -6,10 +6,11 @@
 // reproduction) or goroutine-parallel on the host (a serving path that
 // is as fast as the hardware allows). Both backends apply the same
 // operations in the same order (the generic pass bodies in
-// internal/kernels; on the host, IP is a probe-free loop replaying
-// them), so their functional results are bit-identical; only the cost
-// accounting differs — simulated cycles and energy versus wall-clock
-// duration.
+// internal/kernels; on the host, IP is one probe-free loop per Table I
+// row replaying them, with the semiring closures as the fallback for
+// custom rings), so their functional results are bit-identical; only
+// the cost accounting differs — simulated cycles and energy versus
+// wall-clock duration.
 package exec
 
 import (

@@ -19,7 +19,7 @@ type ipAddrs struct {
 // read-modify-write the output vector on row changes (paper Fig. 3,
 // top). All timing-relevant events go through the probe; the pass body
 // is shared verbatim by the sim and native backends.
-func ipPEPass[P Probe](p P, part *IPPartition, pe int, x, out matrix.Dense, op Operand, spm bool, peInTile, pesPerTile int, a ipAddrs) {
+func ipPEPass[P Probe](p P, part *IPPartition, pe int, x, out matrix.Dense, op *Operand, spm bool, peInTile, pesPerTile int, a ipAddrs) {
 	// Frontier-masked algorithms skip inactive sources; dense-frontier
 	// rings (PR, CF) treat every vertex as active, and their operators
 	// may produce nonzero contributions even from zero-valued sources.
@@ -142,7 +142,7 @@ func RunIP(cfg sim.Config, part *IPPartition, x matrix.Dense, op Operand) (matri
 			return
 		}
 		spm := cfg.HW == sim.SCS && part.VBlockWords > 0
-		ipPEPass(p, part, pe, x, out, op, spm, p.PE(), cfg.Geometry.PEsPerTile, addrs)
+		ipPEPass(p, part, pe, x, out, &op, spm, p.PE(), cfg.Geometry.PEsPerTile, addrs)
 	}}
 
 	res := m.Run(prog)

@@ -8,10 +8,12 @@ import (
 )
 
 // This file and native_multi.go are the native execution backend's
-// functional layer: the OP, merge and conversion passes are the same
-// generic bodies the simulator walks (op.go, passes.go), instantiated
-// with NopProbe; the IP pass is a probe-free loop replaying ipPEPass's
-// operation order (nativeIPPELanes). All are driven goroutine-parallel
+// functional layer: the OP, scatter-merge and conversion passes are the
+// same generic bodies the simulator walks (op.go, passes.go),
+// instantiated with NopProbe; the IP pass and the dense merge that
+// follows it are probe-free loops replaying the generic bodies'
+// operation order (nativeIPPELanes: one loop per Table I row, closures
+// for custom rings). All are driven goroutine-parallel
 // across GOMAXPROCS workers — the chunking pattern of
 // baseline.RunCSRSpMV. Parallel units are always disjoint in their
 // writes (PE row partitions for IP, tiles for OP, contiguous element
@@ -55,14 +57,23 @@ func parallelChunks(n int, fn func(c int, lo, hi int32)) int {
 // dense-frontier rings).
 func NativeMergeDense(contrib, vals matrix.Dense, op Operand) (matrix.Dense, *matrix.SparseVec) {
 	n := len(vals)
-	cost := mergeCost(op)
 	extract := !op.Ring.DenseFrontier
-	merged := make(matrix.Dense, n)
 	perChunk := make([][]int32, runtime.GOMAXPROCS(0)+1)
 	used := parallelChunks(n, func(c int, lo, hi int32) {
-		perChunk[c] = mergeDenseRange(NopProbe{}, lo, hi, contrib, vals, merged, op, cost, extract, mergeAddrs{})
+		// mergeDenseRange without the probe: a generic body calls even
+		// NopProbe's methods through its dictionary, four indirect
+		// calls per element on the pass every pull iteration ends with.
+		var changed []int32
+		for i := lo; i < hi; i++ {
+			old := vals[i]
+			nv := mergeValue(&op, i, contrib[i], old)
+			vals[i] = nv
+			if extract && op.Ring.Improving(nv, old) {
+				changed = append(changed, i)
+			}
+		}
+		perChunk[c] = changed
 	})
-	copy(vals, merged)
 	var frontier *matrix.SparseVec
 	if extract {
 		frontier = assembleFrontier(n, perChunk[:used], vals)
@@ -74,16 +85,12 @@ func NativeMergeDense(contrib, vals matrix.Dense, op Operand) (matrix.Dense, *ma
 // contiguous ranges of the sparse contribution (contrib.Idx is sorted
 // and unique, so ranges write disjoint destinations).
 func NativeScatterMerge(contrib *matrix.SparseVec, vals matrix.Dense, op Operand) (matrix.Dense, *matrix.SparseVec) {
-	cost := mergeCost(op)
+	cost := mergeCost(&op)
 	extract := !op.Ring.DenseFrontier
-	newVals := make([]float32, contrib.NNZ())
 	perChunk := make([][]int32, runtime.GOMAXPROCS(0)+1)
 	used := parallelChunks(contrib.NNZ(), func(c int, lo, hi int32) {
-		perChunk[c] = scatterMergeRange(NopProbe{}, lo, hi, contrib, vals, newVals, op, cost, extract, scatterAddrs{})
+		perChunk[c] = scatterMergeRange(NopProbe{}, lo, hi, contrib, vals, &op, cost, extract, scatterAddrs{})
 	})
-	for k, i := range contrib.Idx {
-		vals[i] = newVals[k]
-	}
 	var frontier *matrix.SparseVec
 	if extract {
 		frontier = assembleScatterFrontier(contrib, perChunk[:used], vals)

@@ -28,7 +28,7 @@ type opPEAddrs struct {
 // streaming (row, value) pairs into the staging buffer. Returns the
 // sorted staged stream. The pass body is shared verbatim by the sim and
 // native backends.
-func opPEPass[P Probe](p P, part *OPPartition, t int, f *matrix.SparseVec, op Operand, lo, hi int32, spmEntries int, a opPEAddrs) []opPair {
+func opPEPass[P Probe](p P, part *OPPartition, t int, f *matrix.SparseVec, op *Operand, lo, hi int32, spmEntries int, a opPEAddrs) []opPair {
 	colPtr := part.ColPtr[t]
 	rows := part.Row[t]
 	vals := part.Val[t]
@@ -105,7 +105,7 @@ func opPEPass[P Probe](p P, part *OPPartition, t int, f *matrix.SparseVec, op Op
 // output to main memory. staged and stagingAddr hold the tile's
 // pesPerTile streams and their simulated base addresses. Returns the
 // tile's sorted output.
-func opLCPPass[P Probe](p P, staged [][]opPair, op Operand, stagingAddr []uint64, outAddr uint64) []opPair {
+func opLCPPass[P Probe](p P, staged [][]opPair, op *Operand, stagingAddr []uint64, outAddr uint64) []opPair {
 	pesPerTile := len(staged)
 	cursors := make([]int, pesPerTile)
 	logP := 1
@@ -260,7 +260,7 @@ func RunOP(cfg sim.Config, part *OPPartition, f *matrix.SparseVec, op Operand) (
 			if cfg.HW != sim.PS {
 				spmEntries = 0
 			}
-			staged[g] = opPEPass(p, part, t, f, op, lo, hi, spmEntries, opPEAddrs{
+			staged[g] = opPEPass(p, part, t, f, &op, lo, hi, spmEntries, opPEAddrs{
 				colPtr:  colPtrBase[t],
 				row:     rowBase[t],
 				val:     valBase[t],
@@ -275,7 +275,7 @@ func RunOP(cfg sim.Config, part *OPPartition, f *matrix.SparseVec, op Operand) (
 		LCP: func(p *sim.Proc) {
 			t := p.Tile()
 			tileOut[t] = opLCPPass(p,
-				staged[t*pesPerTile:(t+1)*pesPerTile], op,
+				staged[t*pesPerTile:(t+1)*pesPerTile], &op,
 				stagingBase[t*pesPerTile:(t+1)*pesPerTile], outBase[t])
 		},
 	}

@@ -15,8 +15,8 @@ import (
 //   - Vector_Op (PR, PPR, CF): applied last, per Table I, with the
 //     destination id in Ctx.Dst (PPR's teleport term restarts at the
 //     seed vertex only).
-func mergeValue(op Operand, dst int32, contrib, prev float32) float32 {
-	r := op.Ring
+func mergeValue(op *Operand, dst int32, contrib, prev float32) float32 {
+	r := &op.Ring
 	if r.OnceOnly && prev != r.Identity {
 		return prev
 	}
@@ -34,7 +34,7 @@ func mergeValue(op Operand, dst int32, contrib, prev float32) float32 {
 
 // mergeCost is the PE cycles charged per merged element (compare +
 // reduce/vecop).
-func mergeCost(op Operand) int {
+func mergeCost(op *Operand) int {
 	c := 1 + op.Ring.ReduceCost
 	if op.Ring.VecOp != nil {
 		c += 2
@@ -47,22 +47,23 @@ type mergeAddrs struct {
 	contrib, vals, frontIdx, frontVal uint64
 }
 
-// mergeDenseRange merges contrib[lo:hi] into vals, staging new values
-// in merged (applied by the caller after every range finishes) and
-// returning the indices whose merge improved the old value — the range
-// slice of the next sparse frontier. Shared by both backends.
-func mergeDenseRange[P Probe](p P, lo, hi int32, contrib, vals, merged matrix.Dense, op Operand, cost int, extract bool, a mergeAddrs) []int32 {
+// mergeDenseRange merges contrib[lo:hi] into vals in place (element i's
+// merge reads only element i, and ranges are disjoint) and returns the
+// indices whose merge improved the old value — the range slice of the
+// next sparse frontier. Shared by both backends.
+func mergeDenseRange[P Probe](p P, lo, hi int32, contrib, vals matrix.Dense, op *Operand, cost int, extract bool, a mergeAddrs) []int32 {
 	var changed []int32
 	for i := lo; i < hi; i++ {
 		p.LoadStream(a.contrib + uint64(i)*4)
 		p.LoadStream(a.vals + uint64(i)*4)
 		p.Compute(cost)
-		nv := mergeValue(op, i, contrib[i], vals[i])
-		merged[i] = nv
-		if nv != vals[i] {
+		old := vals[i]
+		nv := mergeValue(op, i, contrib[i], old)
+		vals[i] = nv
+		if nv != old {
 			p.Store(a.vals + uint64(i)*4)
 		}
-		if extract && op.Ring.Improving(nv, vals[i]) {
+		if extract && op.Ring.Improving(nv, old) {
 			p.Store(a.frontIdx + uint64(i)*4)
 			p.Store(a.frontVal + uint64(i)*4)
 			changed = append(changed, i)
@@ -78,11 +79,10 @@ type scatterAddrs struct {
 }
 
 // scatterMergeRange merges the sparse contributions contrib[lo:hi] into
-// vals, staging new values in newVals (applied by the caller) and
-// returning the contribution positions whose merge improved the old
-// value. contrib.Idx is sorted and unique, so ranges touch disjoint
-// destinations. Shared by both backends.
-func scatterMergeRange[P Probe](p P, lo, hi int32, contrib *matrix.SparseVec, vals matrix.Dense, newVals []float32, op Operand, cost int, extract bool, a scatterAddrs) []int32 {
+// vals in place and returns the contribution positions whose merge
+// improved the old value. contrib.Idx is sorted and unique, so ranges
+// touch disjoint destinations. Shared by both backends.
+func scatterMergeRange[P Probe](p P, lo, hi int32, contrib *matrix.SparseVec, vals matrix.Dense, op *Operand, cost int, extract bool, a scatterAddrs) []int32 {
 	var changed []int32
 	for k := lo; k < hi; k++ {
 		p.LoadStream(a.idx + uint64(k)*4)
@@ -90,12 +90,13 @@ func scatterMergeRange[P Probe](p P, lo, hi int32, contrib *matrix.SparseVec, va
 		i := contrib.Idx[k]
 		p.Load(a.vals + uint64(i)*4) // random gather of the old value
 		p.Compute(cost)
-		nv := mergeValue(op, i, contrib.Val[k], vals[i])
-		newVals[k] = nv
-		if nv != vals[i] {
+		old := vals[i]
+		nv := mergeValue(op, i, contrib.Val[k], old)
+		vals[i] = nv
+		if nv != old {
 			p.Store(a.vals + uint64(i)*4)
 		}
-		if extract && op.Ring.Improving(nv, vals[i]) {
+		if extract && op.Ring.Improving(nv, old) {
 			p.Store(a.frontIdx + uint64(k)*4)
 			p.Store(a.frontVal + uint64(k)*4)
 			changed = append(changed, k)
@@ -111,7 +112,7 @@ type frontierAddrs struct {
 }
 
 // frontierClearRange resets buf at clear.Idx[lo:hi] to the identity.
-func frontierClearRange[P Probe](p P, lo, hi int32, buf matrix.Dense, clear *matrix.SparseVec, op Operand, a frontierAddrs) {
+func frontierClearRange[P Probe](p P, lo, hi int32, buf matrix.Dense, clear *matrix.SparseVec, op *Operand, a frontierAddrs) {
 	for k := lo; k < hi; k++ {
 		p.LoadStream(a.clrIdx + uint64(k)*4)
 		p.Store(a.buf + uint64(clear.Idx[k])*4)
@@ -151,17 +152,15 @@ func RunMergeDense(cfg sim.Config, contrib, vals matrix.Dense, op Operand) (matr
 	totalPEs := cfg.Geometry.TotalPEs()
 	bounds := splitEven(n, totalPEs)
 	perPE := make([][]int32, totalPEs)
-	cost := mergeCost(op)
+	cost := mergeCost(&op)
 	extract := !op.Ring.DenseFrontier
 
-	merged := make(matrix.Dense, n)
 	prog := sim.Program{PE: func(p *sim.Proc) {
 		g := p.GlobalPE()
-		perPE[g] = mergeDenseRange(p, bounds[g], bounds[g+1], contrib, vals, merged, op, cost, extract, addrs)
+		perPE[g] = mergeDenseRange(p, bounds[g], bounds[g+1], contrib, vals, &op, cost, extract, addrs)
 	}}
 	res := m.Run(prog)
 
-	copy(vals, merged)
 	var frontier *matrix.SparseVec
 	if extract {
 		frontier = assembleFrontier(n, perPE, vals)
@@ -201,19 +200,15 @@ func RunScatterMerge(cfg sim.Config, contrib *matrix.SparseVec, vals matrix.Dens
 	totalPEs := cfg.Geometry.TotalPEs()
 	bounds := splitEven(contrib.NNZ(), totalPEs)
 	perPE := make([][]int32, totalPEs)
-	cost := mergeCost(op)
+	cost := mergeCost(&op)
 	extract := !op.Ring.DenseFrontier
 
-	newVals := make([]float32, contrib.NNZ())
 	prog := sim.Program{PE: func(p *sim.Proc) {
 		g := p.GlobalPE()
-		perPE[g] = scatterMergeRange(p, bounds[g], bounds[g+1], contrib, vals, newVals, op, cost, extract, addrs)
+		perPE[g] = scatterMergeRange(p, bounds[g], bounds[g+1], contrib, vals, &op, cost, extract, addrs)
 	}}
 	res := m.Run(prog)
 
-	for k, i := range contrib.Idx {
-		vals[i] = newVals[k]
-	}
 	var frontier *matrix.SparseVec
 	if extract {
 		frontier = assembleScatterFrontier(contrib, perPE, vals)
@@ -262,7 +257,7 @@ func RunFrontierDense(cfg sim.Config, buf matrix.Dense, clear, set *matrix.Spars
 
 	prog := sim.Program{PE: func(p *sim.Proc) {
 		g := p.GlobalPE()
-		frontierClearRange(p, cb[g], cb[g+1], buf, clear, op, addrs)
+		frontierClearRange(p, cb[g], cb[g+1], buf, clear, &op, addrs)
 		frontierSetRange(p, sb[g], sb[g+1], buf, set, addrs)
 	}}
 	res := m.Run(prog)

@@ -86,7 +86,9 @@ func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semi
 		aux:      aux,
 		prev:     Decision{UseIP: true, HW: sim.HWConfig(-1)}, // sentinel: first iteration reconfigures freely
 	}
-	l.op = kernels.Operand{Ring: ring, Ctx: sctx}
+	// The lane owns its IP buffers across iterations (native backend;
+	// the simulator ignores the scratch).
+	l.op = kernels.Operand{Ring: ring, Ctx: sctx, Scratch: new(kernels.Scratch)}
 	if ring.NeedsSrcDeg {
 		l.op.Deg = f.deg
 	}

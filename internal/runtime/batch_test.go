@@ -3,8 +3,10 @@ package runtime
 import (
 	"context"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
+	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/matrix"
 	"cosparse/internal/sim"
@@ -130,5 +132,32 @@ func TestDivergedLaneKeepsSoloAccounting(t *testing.T) {
 	}
 	if diverged == 0 {
 		t.Fatal("no round diverged: pick sources whose frontiers grow out of step")
+	}
+}
+
+// TestNativePageRankSteadyStateAllocs guards the lane-owned kernel
+// scratch: once the partition is decoded, a native PageRank(10) on a
+// 65536-vertex graph may allocate its rank vector, one contribution
+// buffer and one pre-pass buffer (0.75 MB) plus bookkeeping — not a
+// fresh pair of vectors per iteration (5.5 MB before the scratch).
+func TestNativePageRankSteadyStateAllocs(t *testing.T) {
+	const n = 1 << 16
+	m := gen.PowerLaw(n, 4*n, 0.55, gen.Pattern, 5)
+	f, err := New(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: 4}, Backend: exec.Native()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, _, err := f.PageRank(10, 0.15); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: decodes the partition
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	run()
+	goruntime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 1<<20 {
+		t.Fatalf("steady-state native PageRank(10) allocated %d bytes, want <= 1 MiB", got)
 	}
 }

@@ -36,10 +36,30 @@ type Ctx struct {
 	Seed int32
 }
 
+// Kind tags the built-in Table I rows. The native backend selects its
+// hand-specialised inner loop by this tag, never by Name (a custom ring
+// may call itself "PR"). Only the constructors in this package set it;
+// a ring assembled from a literal is KindCustom and runs through its
+// closures, and code that replaces MatOp or Reduce on a built-in ring
+// must reset Kind to KindCustom.
+type Kind uint8
+
+const (
+	KindCustom Kind = iota
+	KindSpMV
+	KindBFS
+	KindSSSP
+	KindPR // PR and PPR: same Matrix_Op and Reduce, they differ in Vector_Op only
+	KindCF
+)
+
 // Semiring is one row of Table I.
 type Semiring struct {
 	// Name identifies the algorithm ("SpMV", "BFS", ...).
 	Name string
+
+	// Kind is the built-in row this ring is, or KindCustom.
+	Kind Kind
 
 	// Identity is the value of an untouched destination: 0 for (+,×),
 	// +Inf for (min,+). It doubles as the dense fill value when
@@ -98,6 +118,7 @@ var inf = float32(math.Inf(1))
 func SpMV() Semiring {
 	return Semiring{
 		Name:       "SpMV",
+		Kind:       KindSpMV,
 		Identity:   0,
 		MatOp:      func(spv, vsrc float32, _ Ctx) float32 { return spv * vsrc },
 		Reduce:     func(a, b float32) float32 { return a + b },
@@ -114,6 +135,7 @@ func SpMV() Semiring {
 func BFS() Semiring {
 	return Semiring{
 		Name:     "BFS",
+		Kind:     KindBFS,
 		Identity: inf,
 		MatOp: func(_, vsrc float32, ctx Ctx) float32 {
 			if math.IsInf(float64(vsrc), 1) {
@@ -140,6 +162,7 @@ func BFS() Semiring {
 func SSSP() Semiring {
 	return Semiring{
 		Name:     "SSSP",
+		Kind:     KindSSSP,
 		Identity: inf,
 		MatOp: func(spv, vsrc float32, ctx Ctx) float32 {
 			cand := vsrc + spv
@@ -167,6 +190,7 @@ func SSSP() Semiring {
 func PR() Semiring {
 	return Semiring{
 		Name:     "PR",
+		Kind:     KindPR,
 		Identity: 0,
 		MatOp: func(_, vsrc float32, ctx Ctx) float32 {
 			if ctx.SrcDeg == 0 {
@@ -196,6 +220,7 @@ func PR() Semiring {
 func PPR() Semiring {
 	return Semiring{
 		Name:     "PPR",
+		Kind:     KindPR,
 		Identity: 0,
 		MatOp: func(_, vsrc float32, ctx Ctx) float32 {
 			if ctx.SrcDeg == 0 {
@@ -225,6 +250,7 @@ func PPR() Semiring {
 func CF() Semiring {
 	return Semiring{
 		Name:     "CF",
+		Kind:     KindCF,
 		Identity: 0,
 		MatOp: func(spv, vsrc float32, ctx Ctx) float32 {
 			err := spv - vsrc*ctx.DstVal
