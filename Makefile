@@ -34,9 +34,14 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # exactly what a solo run books — and the native pull kernels: each
 # hand-specialised Table I loop bit-identical to the closure loop it
 # replaces, dispatched on the ring's Kind, with the lane-owned scratch
-# keeping steady-state PageRank under 1 MB of allocation.
+# keeping steady-state PageRank under 1 MB of allocation — and the
+# partition builds: every OP tile cut from the row store equal to the
+# column store filtered by row range, both layouts independent of
+# GOMAXPROCS, Materialize raced by eight kernels — and the Ligra
+# baseline's counts a function of the input alone (Jacobi pull).
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
+	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms' ./internal/service
 	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs' ./internal/runtime
@@ -90,9 +95,12 @@ bench:
 # bench-kernels runs the native pull side's layer benchmarks on the
 # scale-16 power-law graph: one IP pass per Table I row and the closure
 # fallback (ns/edge), eight fused PPR lanes (ns/edge/lane) and the dense
-# merge (ns/vertex), with allocation counts.
+# merge (ns/vertex), with allocation counts — then the cold engine
+# build (New + first IP call + first OP call) per resident format, in
+# ms/op and MB allocated/op.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkNative' -benchmem -count=5 ./internal/kernels
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineColdBuild' -benchtime 10x -count=5 .
 
 # bench-backends times the same PageRank run through the sim and native
 # execution backends on a scale-16 power-law graph and writes

@@ -5,6 +5,7 @@
 package cosparse
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"cosparse/internal/bench"
@@ -82,13 +83,12 @@ func BenchmarkFig10(b *testing.B) {
 // ---- kernel micro-benchmarks (simulated-cycle cost is the figure of
 // merit; these measure host throughput of the simulator itself) ----
 
-func benchMatrix() (*matrix.COO, *matrix.CSC) {
-	m := gen.Uniform(16384, 62500, gen.Pattern, 42)
-	return m, m.ToCSC()
+func benchMatrix() *matrix.COO {
+	return gen.Uniform(16384, 62500, gen.Pattern, 42)
 }
 
 func BenchmarkSimIPKernel(b *testing.B) {
-	coo, _ := benchMatrix()
+	coo := benchMatrix()
 	g := sim.Geometry{Tiles: 4, PEsPerTile: 8}
 	cfg := sim.NewConfig(g, sim.SC)
 	part := kernels.NewIPPartition(coo, g.TotalPEs(), 0, kernels.BalanceNNZ)
@@ -105,11 +105,11 @@ func BenchmarkSimIPKernel(b *testing.B) {
 }
 
 func BenchmarkSimOPKernel(b *testing.B) {
-	_, csc := benchMatrix()
+	coo := benchMatrix()
 	g := sim.Geometry{Tiles: 4, PEsPerTile: 8}
 	cfg := sim.NewConfig(g, sim.PS)
-	part := kernels.NewOPPartitionCSC(csc, g.Tiles, kernels.BalanceNNZ)
-	f := gen.Frontier(csc.C, 0.02, 9)
+	part := kernels.NewOPPartition(coo, g.Tiles, kernels.BalanceNNZ)
+	f := gen.Frontier(coo.C, 0.02, 9)
 	op := kernels.Operand{Ring: semiring.SpMV()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,23 +121,60 @@ func BenchmarkSimOPKernel(b *testing.B) {
 }
 
 func BenchmarkIPPartitionBuild(b *testing.B) {
-	coo, _ := benchMatrix()
+	coo := benchMatrix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = kernels.NewIPPartition(coo, 32, 2048, kernels.BalanceNNZ)
+		kernels.NewIPPartition(coo, 32, 2048, kernels.BalanceNNZ).Materialize()
 	}
 }
 
 func BenchmarkOPPartitionBuild(b *testing.B) {
-	_, csc := benchMatrix()
+	coo := benchMatrix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = kernels.NewOPPartitionCSC(csc, 8, kernels.BalanceNNZ)
+		kernels.NewOPPartition(coo, 8, kernels.BalanceNNZ).Materialize()
+	}
+}
+
+// BenchmarkEngineColdBuild is the engine-cache-miss path (`make
+// bench-kernels`): New, the first IP call and the first OP call on the
+// scale-16 power-law graph, per resident format. MB/op is everything
+// the build allocates — partitions plus whatever scratch it burns.
+func BenchmarkEngineColdBuild(b *testing.B) {
+	const n = 1 << 16
+	csr, err := GeneratePowerLaw(n, 16*n, Unweighted, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range []Format{CSRFormat, DVCSRFormat} {
+		g, err := csr.InFormat(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(g.Format(), func(b *testing.B) {
+			var m0, m1 goruntime.MemStats
+			goruntime.ReadMemStats(&m0)
+			for i := 0; i < b.N; i++ {
+				eng, err := New(g, System{Tiles: 16, PEsPerTile: 16}, WithBackend(NativeBackend))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := eng.PageRank(1, 0.15); err != nil { // dense frontier: IP
+					b.Fatal(err)
+				}
+				if _, _, err := eng.BFS(0); err != nil { // one-vertex frontier: OP first
+					b.Fatal(err)
+				}
+			}
+			goruntime.ReadMemStats(&m1)
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/(1<<20), "MB/op")
+		})
 	}
 }
 
 func BenchmarkCOOToCSC(b *testing.B) {
-	coo, _ := benchMatrix()
+	coo := benchMatrix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = coo.ToCSC()
@@ -190,7 +227,7 @@ func BenchmarkPublicAPIPageRank(b *testing.B) {
 // ---- ablation benchmarks for the design choices DESIGN.md calls out ----
 
 func ablationRun(b *testing.B, mutate func(*sim.Params)) int64 {
-	coo, _ := benchMatrix()
+	coo := benchMatrix()
 	g := sim.Geometry{Tiles: 4, PEsPerTile: 8}
 	cfg := sim.NewConfig(g, sim.SC)
 	mutate(&cfg.Params)

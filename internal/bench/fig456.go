@@ -13,7 +13,7 @@ import (
 // spmvCycles runs one plain-semiring SpMV kernel under the given
 // configuration and returns its cycle count (kernel only, like the
 // paper's per-invocation measurements).
-func spmvCycles(cfg sim.Config, coo *matrix.COO, csc *matrix.CSC, f *matrix.SparseVec, useIP bool) int64 {
+func spmvCycles(cfg sim.Config, coo *matrix.COO, f *matrix.SparseVec, useIP bool) int64 {
 	op := kernels.Operand{Ring: semiring.SpMV()}
 	if useIP {
 		// Both SC and SCS traverse the vblocked layout sized to the SCS
@@ -23,7 +23,7 @@ func spmvCycles(cfg sim.Config, coo *matrix.COO, csc *matrix.CSC, f *matrix.Spar
 		_, res := kernels.RunIP(cfg, part, f.ToDense(0), op)
 		return res.Cycles
 	}
-	part := kernels.NewOPPartitionCSC(csc, cfg.Geometry.Tiles, kernels.BalanceNNZ)
+	part := kernels.NewOPPartition(coo, cfg.Geometry.Tiles, kernels.BalanceNNZ)
 	_, res := kernels.RunOP(cfg, part, f, op)
 	return res.Cycles
 }
@@ -87,14 +87,9 @@ func Fig4(s Scale) (*SweepResult, *Table) {
 			"value = cycles(IP on SC) / cycles(OP on PC); >1 means OP faster",
 		},
 	}
-	type input struct {
-		coo *matrix.COO
-		csc *matrix.CSC
-	}
-	inputs := make([]input, len(res.Matrices))
+	coos := make([]*matrix.COO, len(res.Matrices))
 	parallelCells(len(res.Matrices), func(mi int) {
-		coo := gen.Uniform(res.Matrices[mi].N, res.Matrices[mi].NNZ, gen.Pattern, 401)
-		inputs[mi] = input{coo, coo.ToCSC()}
+		coos[mi] = gen.Uniform(res.Matrices[mi].N, res.Matrices[mi].NNZ, gen.Pattern, 401)
 	})
 	nG, nD := len(res.Systems), len(res.Densities)
 	vals := make([]float64, len(res.Matrices)*nG*nD)
@@ -103,8 +98,8 @@ func Fig4(s Scale) (*SweepResult, *Table) {
 		gi, di := rest/nD, rest%nD
 		g, d := res.Systems[gi], res.Densities[di]
 		f := gen.Frontier(res.Matrices[mi].N, d, 402)
-		ip := spmvCycles(sim.Config{Geometry: g, HW: sim.SC, Params: par}, inputs[mi].coo, inputs[mi].csc, f, true)
-		op := spmvCycles(sim.Config{Geometry: g, HW: sim.PC, Params: par}, inputs[mi].coo, inputs[mi].csc, f, false)
+		ip := spmvCycles(sim.Config{Geometry: g, HW: sim.SC, Params: par}, coos[mi], f, true)
+		op := spmvCycles(sim.Config{Geometry: g, HW: sim.PC, Params: par}, coos[mi], f, false)
 		vals[i] = float64(ip) / float64(op)
 	})
 	for mi, mspec := range res.Matrices {
@@ -151,8 +146,8 @@ func Fig5(s Scale) (*SweepResult, *Table) {
 		gi, di := rest/nD, rest%nD
 		g, d := res.Systems[gi], res.Densities[di]
 		f := gen.Frontier(res.Matrices[mi].N, d, 502)
-		sc := spmvCycles(sim.Config{Geometry: g, HW: sim.SC, Params: par}, coos[mi], nil, f, true)
-		scs := spmvCycles(sim.Config{Geometry: g, HW: sim.SCS, Params: par}, coos[mi], nil, f, true)
+		sc := spmvCycles(sim.Config{Geometry: g, HW: sim.SC, Params: par}, coos[mi], f, true)
+		scs := spmvCycles(sim.Config{Geometry: g, HW: sim.SCS, Params: par}, coos[mi], f, true)
 		vals[i] = float64(sc)/float64(scs) - 1
 	})
 	for mi, mspec := range res.Matrices {
@@ -188,14 +183,9 @@ func Fig6(s Scale) (*SweepResult, *Table) {
 			"value = cycles(PC)/cycles(PS) − 1; positive means PS faster",
 		},
 	}
-	type input struct {
-		coo *matrix.COO
-		csc *matrix.CSC
-	}
-	inputs := make([]input, len(res.Matrices))
+	coos := make([]*matrix.COO, len(res.Matrices))
 	parallelCells(len(res.Matrices), func(mi int) {
-		coo := gen.Uniform(res.Matrices[mi].N, res.Matrices[mi].NNZ, gen.Pattern, 601)
-		inputs[mi] = input{coo, coo.ToCSC()}
+		coos[mi] = gen.Uniform(res.Matrices[mi].N, res.Matrices[mi].NNZ, gen.Pattern, 601)
 	})
 	nG, nD := len(res.Systems), len(res.Densities)
 	vals := make([]float64, len(res.Matrices)*nG*nD)
@@ -204,8 +194,8 @@ func Fig6(s Scale) (*SweepResult, *Table) {
 		gi, di := rest/nD, rest%nD
 		g, d := res.Systems[gi], res.Densities[di]
 		f := gen.Frontier(res.Matrices[mi].N, d, 602)
-		pc := spmvCycles(sim.Config{Geometry: g, HW: sim.PC, Params: par}, inputs[mi].coo, inputs[mi].csc, f, false)
-		ps := spmvCycles(sim.Config{Geometry: g, HW: sim.PS, Params: par}, inputs[mi].coo, inputs[mi].csc, f, false)
+		pc := spmvCycles(sim.Config{Geometry: g, HW: sim.PC, Params: par}, coos[mi], f, false)
+		ps := spmvCycles(sim.Config{Geometry: g, HW: sim.PS, Params: par}, coos[mi], f, false)
 		vals[i] = float64(pc)/float64(ps) - 1
 	})
 	for mi, mspec := range res.Matrices {

@@ -118,14 +118,12 @@ func Fig7(s Scale) (*Fig7Result, *Table) {
 
 		// ---- OP panel (vector density 0.1) ----
 		fOP := gen.Frontier(mspec.N, 0.1, 704)
-		uniCSC := uni.ToCSC()
-		plCSC := pl.ToCSC()
 		for _, hw := range []sim.HWConfig{sim.PC, sim.PS} {
 			cfg := sim.Config{Geometry: g, HW: hw, Params: par}
-			uniPart := kernels.NewOPPartitionCSC(uniCSC, g.Tiles, kernels.BalanceNNZ)
+			uniPart := kernels.NewOPPartition(uni, g.Tiles, kernels.BalanceNNZ)
 			_, uniRes := kernels.RunOP(cfg, uniPart, fOP, op)
 			for _, b := range []kernels.Balancing{kernels.BalanceRows, kernels.BalanceNNZ} {
-				plPart := kernels.NewOPPartitionCSC(plCSC, g.Tiles, b)
+				plPart := kernels.NewOPPartition(pl, g.Tiles, b)
 				_, plRes := kernels.RunOP(cfg, plPart, fOP, op)
 				cell := Fig7Cell{
 					Matrix: mspec.Name, Config: hw, Balancing: b,

@@ -39,13 +39,12 @@ func ScalingStudy(s Scale) (*ScalingResult, *Table) {
 	n := 0
 	for _, mspec := range sweepMatrices(s) {
 		coo := gen.Uniform(mspec.N, mspec.NNZ, gen.Pattern, 1101)
-		csc := coo.ToCSC()
 		for _, d := range vecDensities {
 			f := gen.Frontier(mspec.N, d, 1102)
-			pcSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PC, Params: par}, coo, csc, f, false)
-			pcBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PC, Params: par}, coo, csc, f, false)
-			psSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PS, Params: par}, coo, csc, f, false)
-			psBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PS, Params: par}, coo, csc, f, false)
+			pcSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PC, Params: par}, coo, f, false)
+			pcBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PC, Params: par}, coo, f, false)
+			psSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PS, Params: par}, coo, f, false)
+			psBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PS, Params: par}, coo, f, false)
 
 			spPC := float64(pcSmall) / float64(pcBig)
 			spPS := float64(psSmall) / float64(psBig)

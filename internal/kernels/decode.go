@@ -38,11 +38,13 @@ type decodeUnit struct {
 
 // applyDecodePEs folds the decode-unit model into a run result.
 // passes scales every unit (the fused IP kernel re-streams the matrix
-// once per lane block). No-op unless cfg enables the model and the
-// partition was cut from a compressed store (units non-nil).
+// once per lane block). Callers invoke it — and build units, a walk
+// over every PE's stream — only when cfg.Params.DecodePEs is set; it is
+// a no-op when the partition was cut from an uncompressed store (units
+// nil).
 func applyDecodePEs(cfg sim.Config, units []decodeUnit, passes int64, res *sim.Result) {
 	par := cfg.Params
-	if !par.DecodePEs || len(units) == 0 || passes <= 0 {
+	if len(units) == 0 || passes <= 0 {
 		return
 	}
 	block := int64(par.BlockBytes)
@@ -103,7 +105,8 @@ func ipDecodeUnits(part *IPPartition) []decodeUnit {
 // partitions the per-tile re-fetch can cost more lines than the raw
 // slices, and HBMSavedLines goes negative.
 func opDecodeUnits(part *OPPartition, f *matrix.SparseVec, peCols []int32) []decodeUnit {
-	if part.ColBytes == nil {
+	colBytes := part.colStreamBytes()
+	if colBytes == nil {
 		return nil
 	}
 	units := make([]decodeUnit, 0, part.Tiles*(len(peCols)-1))
@@ -113,7 +116,7 @@ func opDecodeUnits(part *OPPartition, f *matrix.SparseVec, peCols []int32) []dec
 			var u decodeUnit
 			for k := peCols[pe]; k < peCols[pe+1]; k++ {
 				j := f.Idx[k]
-				u.comp += int64(part.ColBytes[j])
+				u.comp += int64(colBytes[j])
 				u.raw += 8 * int64(colPtr[j+1]-colPtr[j])
 			}
 			if u.comp > 0 || u.raw > 0 {

@@ -20,7 +20,7 @@ func TestOPCorrectUnderAllHWConfigs(t *testing.T) {
 	want := matrix.RefSpMVSparse(csc, f).ToDense(0)
 	for _, hw := range []sim.HWConfig{sim.SC, sim.SCS, sim.PC, sim.PS} {
 		c := cfg(2, 4, hw)
-		part := NewOPPartitionCSC(csc, c.Geometry.Tiles, BalanceNNZ)
+		part := NewOPPartition(m, c.Geometry.Tiles, BalanceNNZ)
 		got, res := RunOP(c, part, f, op)
 		if res.Cycles <= 0 {
 			t.Fatalf("%v: no cycles", hw)
@@ -58,9 +58,8 @@ func TestIPCorrectUnderAllHWConfigs(t *testing.T) {
 
 func TestOPEmptyFrontier(t *testing.T) {
 	m := gen.Uniform(100, 500, gen.Pattern, 65)
-	csc := m.ToCSC()
 	c := cfg(2, 4, sim.PC)
-	part := NewOPPartitionCSC(csc, c.Geometry.Tiles, BalanceNNZ)
+	part := NewOPPartition(m, c.Geometry.Tiles, BalanceNNZ)
 	out, res := RunOP(c, part, &matrix.SparseVec{N: 100}, Operand{Ring: semiring.SpMV()})
 	if out.NNZ() != 0 {
 		t.Fatalf("empty frontier produced %d outputs", out.NNZ())
@@ -74,7 +73,7 @@ func TestOPSingletonFrontier(t *testing.T) {
 	m := gen.Uniform(100, 800, gen.Pattern, 66)
 	csc := m.ToCSC()
 	c := cfg(2, 4, sim.PS)
-	part := NewOPPartitionCSC(csc, c.Geometry.Tiles, BalanceNNZ)
+	part := NewOPPartition(m, c.Geometry.Tiles, BalanceNNZ)
 	f, err := matrix.NewSparseVec(100, []int32{42}, []float32{2})
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +134,8 @@ func TestOPDuplicateRowsAcrossPEs(t *testing.T) {
 		elems = append(elems, matrix.Coord{Row: 3, Col: col, Val: 1})
 	}
 	m := matrix.MustCOO(8, 16, elems)
-	csc := m.ToCSC()
 	c := cfg(1, 4, sim.PC)
-	part := NewOPPartitionCSC(csc, 1, BalanceNNZ)
+	part := NewOPPartition(m, 1, BalanceNNZ)
 	idx := make([]int32, 16)
 	val := make([]float32, 16)
 	for i := range idx {
@@ -173,6 +171,6 @@ func TestRunOPPanicsOnWrongTileCount(t *testing.T) {
 		}
 	}()
 	m := gen.Uniform(50, 100, gen.Pattern, 68)
-	part := NewOPPartitionCSC(m.ToCSC(), 4, BalanceNNZ)
+	part := NewOPPartition(m, 4, BalanceNNZ)
 	RunOP(cfg(2, 2, sim.PC), part, &matrix.SparseVec{N: 50}, Operand{Ring: semiring.SpMV()})
 }

@@ -146,6 +146,8 @@ func RunIP(cfg sim.Config, part *IPPartition, x matrix.Dense, op Operand) (matri
 	}}
 
 	res := m.Run(prog)
-	applyDecodePEs(cfg, ipDecodeUnits(part), 1, &res)
+	if cfg.Params.DecodePEs {
+		applyDecodePEs(cfg, ipDecodeUnits(part), 1, &res)
+	}
 	return out, res
 }

@@ -81,7 +81,7 @@ func TestOPPartitionValid(t *testing.T) {
 	m := gen.PowerLaw(400, 5000, 0.5, gen.UniformWeight, 4)
 	csc := m.ToCSC()
 	for _, b := range []Balancing{BalanceNNZ, BalanceRows} {
-		p := NewOPPartitionCSC(csc, 4, b)
+		p := NewOPPartition(m, 4, b)
 		if err := p.Validate(csc); err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -90,9 +90,8 @@ func TestOPPartitionValid(t *testing.T) {
 
 func TestOPPartitionBalance(t *testing.T) {
 	m := gen.PowerLaw(1000, 20000, 0.6, gen.Pattern, 5)
-	csc := m.ToCSC()
-	bal := NewOPPartitionCSC(csc, 8, BalanceNNZ)
-	naive := NewOPPartitionCSC(csc, 8, BalanceRows)
+	bal := NewOPPartition(m, 8, BalanceNNZ)
+	naive := NewOPPartition(m, 8, BalanceRows)
 	maxOf := func(p *OPPartition) int {
 		mx := 0
 		for t := 0; t < p.Tiles; t++ {
@@ -215,7 +214,6 @@ func TestIPSCSMatchesSC(t *testing.T) {
 
 func TestOPMatchesReferenceAllSemirings(t *testing.T) {
 	m := gen.PowerLaw(200, 2000, 0.5, gen.UniformWeight, 11)
-	csc := m.ToCSC()
 	prev := make(matrix.Dense, m.R)
 	for i := range prev {
 		prev[i] = float32(i%5) + 2
@@ -226,7 +224,7 @@ func TestOPMatchesReferenceAllSemirings(t *testing.T) {
 		want := refContrib(m, f, op)
 		for _, hw := range []sim.HWConfig{sim.PC, sim.PS} {
 			c := cfg(2, 4, hw)
-			part := NewOPPartitionCSC(csc, c.Geometry.Tiles, BalanceNNZ)
+			part := NewOPPartition(m, c.Geometry.Tiles, BalanceNNZ)
 			got, res := RunOP(c, part, f, op)
 			if res.Cycles <= 0 {
 				t.Fatalf("%s/%v: no cycles", ring.Name, hw)
@@ -246,11 +244,10 @@ func TestOPMatchesReferenceAllSemirings(t *testing.T) {
 
 func TestOPSkipsWorkAtLowDensity(t *testing.T) {
 	m := gen.Uniform(2000, 40000, gen.Pattern, 13)
-	csc := m.ToCSC()
 	ring := semiring.SpMV()
 	op := opFor(ring, m, nil)
 	c := cfg(2, 8, sim.PC)
-	part := NewOPPartitionCSC(csc, c.Geometry.Tiles, BalanceNNZ)
+	part := NewOPPartition(m, c.Geometry.Tiles, BalanceNNZ)
 
 	_, sparse := RunOP(c, part, gen.Frontier(m.C, 0.01, 14), op)
 	_, denser := RunOP(c, part, gen.Frontier(m.C, 0.2, 14), op)
@@ -461,7 +458,7 @@ func TestQuickIPOPAgree(t *testing.T) {
 		ipOut, _ := RunIP(c, part, fr.ToDense(0), op)
 
 		co := cfg(2, 2, sim.PC)
-		opart := NewOPPartitionCSC(m.ToCSC(), co.Geometry.Tiles, BalanceNNZ)
+		opart := NewOPPartition(m, co.Geometry.Tiles, BalanceNNZ)
 		opOut, _ := RunOP(co, opart, fr, op)
 		opDense := opOut.ToDense(0)
 
@@ -491,7 +488,7 @@ func TestOPBeatsIPOnVerySparseFrontier(t *testing.T) {
 	_, rIP := RunIP(cIP, part, f.ToDense(0), op)
 
 	cOP := cfg(2, 8, sim.PC)
-	opart := NewOPPartitionCSC(m.ToCSC(), cOP.Geometry.Tiles, BalanceNNZ)
+	opart := NewOPPartition(m, cOP.Geometry.Tiles, BalanceNNZ)
 	_, rOP := RunOP(cOP, opart, f, op)
 
 	if rOP.Cycles >= rIP.Cycles {
@@ -510,7 +507,7 @@ func TestIPBeatsOPOnDenseFrontier(t *testing.T) {
 	_, rIP := RunIP(cIP, part, f.ToDense(0), op)
 
 	cOP := cfg(2, 8, sim.PC)
-	opart := NewOPPartitionCSC(m.ToCSC(), cOP.Geometry.Tiles, BalanceNNZ)
+	opart := NewOPPartition(m, cOP.Geometry.Tiles, BalanceNNZ)
 	_, rOP := RunOP(cOP, opart, f, op)
 
 	if rIP.Cycles >= rOP.Cycles {
@@ -555,7 +552,7 @@ func TestQuickIPOPAgreeMinPlus(t *testing.T) {
 		ipOut, _ := RunIP(c, part, fr.ToDense(ring.Identity), op)
 
 		co := cfg(2, 2, sim.PS)
-		opart := NewOPPartitionCSC(m.ToCSC(), co.Geometry.Tiles, BalanceNNZ)
+		opart := NewOPPartition(m, co.Geometry.Tiles, BalanceNNZ)
 		opOut, _ := RunOP(co, opart, fr, op)
 		opDense := opOut.ToDense(ring.Identity)
 

@@ -150,6 +150,8 @@ func RunIPMulti(cfg sim.Config, part *IPPartition, xs []matrix.Dense, ops []Oper
 	}}
 
 	res := m.Run(prog)
-	applyDecodePEs(cfg, ipDecodeUnits(part), int64((k+LaneBlock-1)/LaneBlock), &res)
+	if cfg.Params.DecodePEs {
+		applyDecodePEs(cfg, ipDecodeUnits(part), int64((k+LaneBlock-1)/LaneBlock), &res)
+	}
 	return outs, res
 }

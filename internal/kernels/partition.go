@@ -96,7 +96,6 @@ type IPPartition struct {
 	PEStreamBytes []int64
 
 	src matrix.Store
-	ptr []int32 // the source's row prefix, for lazy decode
 	mat sync.Once
 }
 
@@ -130,7 +129,6 @@ func NewIPPartition(m matrix.Store, totalPEs, vblockWords int, b Balancing) *IPP
 		RowBounds:   bounds,
 		SrcFormat:   m.Format(),
 		src:         m,
-		ptr:         ptr,
 	}
 	if vblockWords > 0 {
 		p.NumVBlocks = (cols + vblockWords - 1) / vblockWords
@@ -146,12 +144,16 @@ func NewIPPartition(m matrix.Store, totalPEs, vblockWords int, b Balancing) *IPP
 // calls it; it is idempotent and safe for concurrent use.
 func (p *IPPartition) Materialize() { p.mat.Do(p.materialize) }
 
+// materialize builds the PEs in parallel: a PE's elements land at the
+// offset PEPtr already fixes, so workers share nothing but the
+// destination arrays, and the layout does not depend on how many
+// workers ran.
 func (p *IPPartition) materialize() {
-	m, ptr := p.src, p.ptr
-	nnz := int(ptr[p.RowBounds[p.NumPEs]])
-	p.Row = make([]int32, 0, nnz)
-	p.Col = make([]int32, 0, nnz)
-	p.Val = make([]float32, 0, nnz)
+	m := p.src
+	nnz := int(p.PEPtr[p.NumPEs])
+	p.Row = make([]int32, nnz)
+	p.Col = make([]int32, nnz)
+	p.Val = make([]float32, nnz)
 	sizer, _ := m.(interface{ EncodedRowBytes(lo, hi int32) int64 })
 	if sizer != nil && p.SrcFormat != matrix.FormatCSR {
 		p.PEStreamBytes = make([]int64, p.NumPEs)
@@ -162,53 +164,49 @@ func (p *IPPartition) materialize() {
 		}
 		return col / int32(p.VBlockWords)
 	}
-	// Scratch for one PE's decoded row chunk, reused across PEs.
-	var cRow, cCol []int32
-	var cVal []float32
-	for pe := 0; pe < p.NumPEs; pe++ {
-		lo, hi := p.RowBounds[pe], p.RowBounds[pe+1]
-		n := int(ptr[hi] - ptr[lo])
-		cRow, cCol, cVal = cRow[:0], cCol[:0], cVal[:0]
-		m.DecodeRows(lo, hi, func(row, col int32, val float32) {
-			cRow = append(cRow, row)
-			cCol = append(cCol, col)
-			cVal = append(cVal, val)
-		})
-		if len(cVal) != n {
-			panic(fmt.Sprintf("kernels: PE %d decoded %d elements, RowPtr promises %d", pe, len(cVal), n))
-		}
-		if p.PEStreamBytes != nil {
-			p.PEStreamBytes[pe] = sizer.EncodedRowBytes(lo, hi)
-		}
-		// Bucket the PE's (already row-major) element range by vblock,
-		// preserving row-major order inside each bucket.
+	parallelChunks(p.NumPEs, func(_ int, peLo, peHi int32) {
+		// Scratch for one PE's decoded row chunk, reused across the
+		// worker's PEs.
+		var cRow, cCol []int32
+		var cVal []float32
 		counts := make([]int32, p.NumVBlocks+1)
-		for k := 0; k < n; k++ {
-			counts[vbOf(cCol[k])+1]++
-		}
-		for v := 0; v < p.NumVBlocks; v++ {
-			counts[v+1] += counts[v]
-		}
-		base := int32(len(p.Row))
-		p.Row = append(p.Row, make([]int32, n)...)
-		p.Col = append(p.Col, make([]int32, n)...)
-		p.Val = append(p.Val, make([]float32, n)...)
 		next := make([]int32, p.NumVBlocks)
-		copy(next, counts[:p.NumVBlocks])
-		for k := 0; k < n; k++ {
-			v := vbOf(cCol[k])
-			at := base + next[v]
-			next[v]++
-			p.Row[at] = cRow[k]
-			p.Col[at] = cCol[k]
-			p.Val[at] = cVal[k]
-		}
-		for v := 0; v < p.NumVBlocks; v++ {
-			if counts[v+1] > counts[v] {
-				p.Segs[pe] = append(p.Segs[pe], Seg{VB: int32(v), Lo: base + counts[v], Hi: base + counts[v+1]})
+		for pe := peLo; pe < peHi; pe++ {
+			lo, hi := p.RowBounds[pe], p.RowBounds[pe+1]
+			base, n := p.PEPtr[pe], p.NNZOfPE(int(pe))
+			cRow, cCol, cVal = cRow[:0], cCol[:0], cVal[:0]
+			clear(counts)
+			m.DecodeRows(lo, hi, func(row, col int32, val float32) {
+				cRow = append(cRow, row)
+				cCol = append(cCol, col)
+				cVal = append(cVal, val)
+				counts[vbOf(col)+1]++
+			})
+			if len(cVal) != n {
+				panic(fmt.Sprintf("kernels: PE %d decoded %d elements, RowPtr promises %d", pe, len(cVal), n))
+			}
+			if p.PEStreamBytes != nil {
+				p.PEStreamBytes[pe] = sizer.EncodedRowBytes(lo, hi)
+			}
+			// Bucket the PE's (already row-major) element range by vblock,
+			// preserving row-major order inside each bucket.
+			for v := 0; v < p.NumVBlocks; v++ {
+				counts[v+1] += counts[v]
+				if counts[v+1] > counts[v] {
+					p.Segs[pe] = append(p.Segs[pe], Seg{VB: int32(v), Lo: base + counts[v], Hi: base + counts[v+1]})
+				}
+			}
+			copy(next, counts)
+			for k := 0; k < n; k++ {
+				v := vbOf(cCol[k])
+				at := base + next[v]
+				next[v]++
+				p.Row[at] = cRow[k]
+				p.Col[at] = cCol[k]
+				p.Val[at] = cVal[k]
 			}
 		}
-	}
+	})
 }
 
 // Validate checks the partition invariants: every source element
@@ -271,115 +269,100 @@ type OPPartition struct {
 	Row       [][]int32
 	Val       [][]float32
 	// SrcFormat is the resident format of the row store the partition
-	// was cut from. ColBytes, present only when the column store is
-	// compressed (DVCCSC), is the encoded byte length of every column —
-	// the per-column fetch sizes the decode-PE sim model charges when
-	// the OP kernel gathers frontier columns.
+	// was cut from.
 	SrcFormat matrix.Format
-	ColBytes  []int32
 
-	cs  matrix.ColStore
+	src matrix.Store
 	mat sync.Once
+
+	colBytes     []int32 // see colStreamBytes
+	colBytesOnce sync.Once
 }
 
 // NewOPPartition builds per-tile CSC slices for the OP kernel from any
-// matrix.Store. Uncompressed stores convert to plain CSC; compressed
-// ones re-encode into the compressed column store (DVCCSC) so no
-// uncompressed whole-graph CSC is ever materialized. Only the row cuts
-// are computed here; the tile slices decode lazily on first kernel
-// use, column by column, into exactly the layout the eager builder
-// produced — results and sim timings are byte-identical whatever the
-// resident format was.
+// matrix.Store. Only the row cuts are computed here; the tile slices
+// are cut lazily on first kernel use, each straight from its own row
+// range of the store — no whole-graph column store, compressed or not,
+// is ever built or held. The layout (and therefore results and sim
+// timings) is byte-identical whatever the resident format was.
 func NewOPPartition(m matrix.Store, tiles int, b Balancing) *OPPartition {
 	if tiles < 1 {
 		panic("kernels: tiles must be >= 1")
 	}
 	rows, cols := m.Dims()
-	bounds := cutRows(m.RowPtr(), rows, tiles, b)
 	return &OPPartition{
 		R: rows, C: cols,
 		Tiles:     tiles,
-		RowBounds: bounds,
+		RowBounds: cutRows(m.RowPtr(), rows, tiles, b),
 		SrcFormat: m.Format(),
-		cs:        matrix.ColStoreOf(m),
+		src:       m,
 	}
 }
 
-// NewOPPartitionCSC builds the partition directly from an existing CSC
-// matrix (benchmark drivers that already hold one).
-func NewOPPartitionCSC(m *matrix.CSC, tiles int, b Balancing) *OPPartition {
-	if tiles < 1 {
-		panic("kernels: tiles must be >= 1")
-	}
-	// Row population for the balanced cut.
-	ptr := make([]int32, m.R+1)
-	for _, r := range m.Row {
-		ptr[r+1]++
-	}
-	for i := 0; i < m.R; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	bounds := cutRows(ptr, m.R, tiles, b)
-	return &OPPartition{
-		R: m.R, C: m.C,
-		Tiles:     tiles,
-		RowBounds: bounds,
-		SrcFormat: matrix.FormatCSR,
-		cs:        m,
-	}
-}
-
-// Materialize decodes the per-tile CSC slices from the column store if
-// they have not been decoded yet. Every kernel entry point calls it;
-// it is idempotent and safe for concurrent use.
+// Materialize cuts the per-tile CSC slices from the row store if that
+// has not happened yet. Every kernel entry point calls it; it is
+// idempotent and safe for concurrent use.
 func (p *OPPartition) Materialize() { p.mat.Do(p.materialize) }
 
+// materialize builds the tiles in parallel. A tile owns a row range, so
+// its CSC slice is that range of the row store transposed: one
+// DecodeRows pass and a stable counting sort by column. Rows decode
+// ascending, so they ascend within each column.
 func (p *OPPartition) materialize() {
-	cs := p.cs
 	p.ColPtr = make([][]int32, p.Tiles)
 	p.Row = make([][]int32, p.Tiles)
 	p.Val = make([][]float32, p.Tiles)
-	for t := 0; t < p.Tiles; t++ {
-		p.ColPtr[t] = make([]int32, p.C+1)
-	}
-	// One streaming pass over the column store: each element lands in
-	// the tile owning its row (column-major order is preserved per
-	// tile), and per-tile column boundaries close as the stream
-	// advances to a new column — the same slices the old per-tile
-	// column-filter loop built, in one pass instead of Tiles.
-	cur := int32(-1) // highest ColPtr index already closed
-	closeTo := func(j int32) {
-		for x := cur + 1; x <= j; x++ {
-			for t := 0; t < p.Tiles; t++ {
-				p.ColPtr[t][x] = int32(len(p.Row[t]))
+	parallelChunks(p.Tiles, func(_ int, tLo, tHi int32) {
+		// Scratch for one tile's decoded row range and its per-column
+		// fill cursors, reused across the worker's tiles.
+		var cRow, cCol []int32
+		var cVal []float32
+		next := make([]int32, p.C)
+		for t := tLo; t < tHi; t++ {
+			colPtr := make([]int32, p.C+1)
+			cRow, cCol, cVal = cRow[:0], cCol[:0], cVal[:0]
+			p.src.DecodeRows(p.RowBounds[t], p.RowBounds[t+1], func(row, col int32, val float32) {
+				cRow = append(cRow, row)
+				cCol = append(cCol, col)
+				cVal = append(cVal, val)
+				colPtr[col+1]++
+			})
+			for j := 0; j < p.C; j++ {
+				colPtr[j+1] += colPtr[j]
 			}
+			copy(next, colPtr)
+			row, val := make([]int32, len(cRow)), make([]float32, len(cRow))
+			for k, col := range cCol {
+				at := next[col]
+				next[col]++
+				row[at] = cRow[k]
+				val[at] = cVal[k]
+			}
+			p.ColPtr[t], p.Row[t], p.Val[t] = colPtr, row, val
 		}
-		cur = j
-	}
-	if d, ok := cs.(*matrix.DVCCSC); ok {
-		p.ColBytes = d.ColStreamBytes()
-	}
-	bounds := p.RowBounds
-	lastT := 0
-	cs.DecodeCols(0, int32(p.C), func(row, col int32, val float32) {
-		if col > cur {
-			// ColPtr[t][x] for x <= col counts only complete columns, so
-			// close them before this column's first element lands.
-			closeTo(col)
-		}
-		// Rows ascend within a column, so the owning tile only moves
-		// forward from the previous element's; empty tiles (duplicate
-		// bounds) are skipped because their half-open range is empty.
-		if row < bounds[lastT] {
-			lastT = 0
-		}
-		for row >= bounds[lastT+1] {
-			lastT++
-		}
-		p.Row[lastT] = append(p.Row[lastT], row)
-		p.Val[lastT] = append(p.Val[lastT], val)
 	})
-	closeTo(int32(p.C))
+}
+
+// colStreamBytes returns the encoded byte length of every column of the
+// compressed column store (DVCCSC) a compressed source would stream
+// from — the per-column fetch sizes the decode-PE sim model charges
+// when the OP kernel gathers frontier columns; nil for an uncompressed
+// source. Nothing else needs that store, so it is encoded on the first
+// ask, sized, and dropped.
+func (p *OPPartition) colStreamBytes() []int32 {
+	p.colBytesOnce.Do(func() {
+		if p.SrcFormat == matrix.FormatCSR {
+			return
+		}
+		cs, err := matrix.EncodeDVCCSC(p.src)
+		if err != nil {
+			// Impossible for a trusted store: dimensions and element counts
+			// were 32-bit-screened when the store was built.
+			panic(err)
+		}
+		p.colBytes = cs.ColStreamBytes()
+	})
+	return p.colBytes
 }
 
 // Validate checks that the tile slices exactly tile the matrix.

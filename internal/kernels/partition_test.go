@@ -1,0 +1,145 @@
+package kernels
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"cosparse/internal/gen"
+	"cosparse/internal/matrix"
+	"cosparse/internal/semiring"
+)
+
+// storesOf returns m in every resident format.
+func storesOf(t *testing.T, m *matrix.COO) []matrix.Store {
+	t.Helper()
+	dv, err := matrix.EncodeDVCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := matrix.EncodeBBCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []matrix.Store{m, dv, bb}
+}
+
+// Every tile cut from the row store must equal, element for element,
+// the whole-graph column store filtered to the tile's row range — the
+// slices the column-streaming build used to produce.
+func TestOPTilesFromRowsMatchColumnStream(t *testing.T) {
+	// One row holds most of the elements, so the nnz-balanced cuts
+	// repeat (empty tiles); columns 40.. are empty.
+	var hot []matrix.Coord
+	for c := int32(0); c < 40; c++ {
+		hot = append(hot, matrix.Coord{Row: 5, Col: c, Val: 1})
+	}
+	hot = append(hot, matrix.Coord{Row: 0, Col: 3, Val: 1}, matrix.Coord{Row: 11, Col: 39, Val: 1})
+	graphs := map[string]*matrix.COO{
+		"powerlaw": gen.PowerLaw(300, 3000, 0.6, gen.Pattern, 21),
+		"weighted": gen.PowerLaw(200, 1500, 0.5, gen.UniformWeight, 22),
+		"hotrow":   matrix.MustCOO(12, 64, hot),
+		"empty":    matrix.MustCOO(9, 9, nil),
+	}
+	for name, m := range graphs {
+		want := matrix.CSCOf(m)
+		for _, st := range storesOf(t, m) {
+			for _, b := range []Balancing{BalanceNNZ, BalanceRows} {
+				for _, tiles := range []int{1, 4, 16, m.R + 3} {
+					p := NewOPPartition(st, tiles, b)
+					p.Materialize()
+					what := fmt.Sprintf("%s/%s/%v/%d tiles", name, st.Format(), b, tiles)
+					total := 0
+					for tl := 0; tl < tiles; tl++ {
+						lo, hi := p.RowBounds[tl], p.RowBounds[tl+1]
+						colPtr := make([]int32, m.C+1)
+						var row []int32
+						var val []float32
+						for j := 0; j < m.C; j++ {
+							for q := want.ColPtr[j]; q < want.ColPtr[j+1]; q++ {
+								if r := want.Row[q]; r >= lo && r < hi {
+									row = append(row, r)
+									val = append(val, want.Val[q])
+								}
+							}
+							colPtr[j+1] = int32(len(row))
+						}
+						if !slices.Equal(p.ColPtr[tl], colPtr) || !slices.Equal(p.Row[tl], row) || !slices.Equal(p.Val[tl], val) {
+							t.Fatalf("%s: tile %d differs from the filtered column store", what, tl)
+						}
+						total += len(row)
+					}
+					if total != m.NNZ() {
+						t.Fatalf("%s: tiles hold %d elements, matrix %d", what, total, m.NNZ())
+					}
+				}
+			}
+		}
+	}
+}
+
+// Both builds run one worker per GOMAXPROCS; the layout must not depend
+// on how many there were.
+func TestPartitionsIndependentOfGOMAXPROCS(t *testing.T) {
+	m := gen.PowerLaw(500, 6000, 0.6, gen.UniformWeight, 23)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, st := range storesOf(t, m) {
+		build := func(procs int) (*IPPartition, *OPPartition) {
+			runtime.GOMAXPROCS(procs)
+			ip := NewIPPartition(st, 32, 64, BalanceNNZ)
+			ip.Materialize()
+			op := NewOPPartition(st, 8, BalanceNNZ)
+			op.Materialize()
+			return ip, op
+		}
+		ip1, op1 := build(1)
+		ip4, op4 := build(4)
+		if !reflect.DeepEqual(ip1.Row, ip4.Row) || !reflect.DeepEqual(ip1.Col, ip4.Col) || !reflect.DeepEqual(ip1.Val, ip4.Val) ||
+			!reflect.DeepEqual(ip1.Segs, ip4.Segs) || !reflect.DeepEqual(ip1.PEStreamBytes, ip4.PEStreamBytes) {
+			t.Fatalf("%s: IP partition differs between GOMAXPROCS 1 and 4", st.Format())
+		}
+		if !reflect.DeepEqual(op1.ColPtr, op4.ColPtr) || !reflect.DeepEqual(op1.Row, op4.Row) || !reflect.DeepEqual(op1.Val, op4.Val) {
+			t.Fatalf("%s: OP partition differs between GOMAXPROCS 1 and 4", st.Format())
+		}
+	}
+}
+
+// Engines share partitions across jobs, so the first kernels to arrive
+// race to materialise: exactly one build may happen and every racer
+// must see it complete.
+func TestMaterializeConcurrent(t *testing.T) {
+	m := gen.PowerLaw(400, 5000, 0.6, gen.UniformWeight, 24)
+	dv, err := matrix.EncodeDVCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := NewIPPartition(dv, 16, 64, BalanceNNZ)
+	op := NewOPPartition(dv, 4, BalanceNNZ)
+	ops := []Operand{{Ring: semiring.SpMV()}}
+	f := gen.Frontier(m.C, 0.05, 25)
+	x := gen.Frontier(m.C, 1, 26).ToDense(0)
+	wantIP := NativeIPMulti(NewIPPartition(m, 16, 64, BalanceNNZ), []matrix.Dense{x}, ops)[0]
+	wantOP := NativeOPMulti(NewOPPartition(m, 4, BalanceNNZ), []*matrix.SparseVec{f}, ops, 4)[0]
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ip.Materialize()
+			op.Materialize()
+			gotIP := NativeIPMulti(ip, []matrix.Dense{x}, ops)[0]
+			gotOP := NativeOPMulti(op, []*matrix.SparseVec{f}, ops, 4)[0]
+			if !slices.Equal(gotIP, wantIP) {
+				t.Error("IP result differs after a raced Materialize")
+			}
+			if !slices.Equal(gotOP.Idx, wantOP.Idx) || !slices.Equal(gotOP.Val, wantOP.Val) {
+				t.Error("OP result differs after a raced Materialize")
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -193,7 +193,11 @@ func EdgeMap(g *Graph, f *Frontier, vals []float32, args EdgeMapArgs) (*Frontier
 
 // edgeMapDense is the pull direction: every (eligible) destination
 // scans its in-neighbors for active sources. Workers own disjoint
-// destination ranges, so it is race-free and deterministic.
+// destination ranges, and the step is Jacobi: an Update may read any
+// vertex's value (SSSP reads vals[s]), so winners go to a second buffer
+// and reach vals only after every worker has finished — values and
+// counts are then a function of the input alone, not of how many
+// workers ran or how they interleaved.
 func edgeMapDense(g *Graph, f *Frontier, vals []float32, args EdgeMapArgs, c *Counts) *Frontier {
 	active := f.bits
 	if !f.dense {
@@ -205,6 +209,7 @@ func edgeMapDense(g *Graph, f *Frontier, vals []float32, args EdgeMapArgs, c *Co
 	c.VertexScans += int64(g.N) // frontier bitmap scan
 
 	outBits := make([]bool, g.N)
+	next := make([]float32, g.N) // meaningful where outBits is set
 	w := nworkers()
 	var wg sync.WaitGroup
 	edgeCounts := make([]int64, w)
@@ -242,7 +247,7 @@ func edgeMapDense(g *Graph, f *Frontier, vals []float32, args EdgeMapArgs, c *Co
 				if have {
 					nv, changed := args.Apply(int32(d), best, cur)
 					if changed {
-						vals[d] = nv
+						next[d] = nv
 						outBits[d] = true
 					}
 				}
@@ -250,6 +255,11 @@ func edgeMapDense(g *Graph, f *Frontier, vals []float32, args EdgeMapArgs, c *Co
 		}(wk)
 	}
 	wg.Wait()
+	for d, changed := range outBits {
+		if changed {
+			vals[d] = next[d]
+		}
+	}
 	for wk := 0; wk < w; wk++ {
 		c.EdgesPulled += edgeCounts[wk]
 		c.EdgesScanned += scanCounts[wk]

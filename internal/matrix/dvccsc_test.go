@@ -131,10 +131,10 @@ func TestDVCCSCDecodeColsMatchesCSC(t *testing.T) {
 	}
 }
 
-// ColStoreOf must produce the identical column traversal whichever
-// store backs the graph — uncompressed CSR scratch or the compressed
-// column stream.
-func TestColStoreOfAgreesAcrossFormats(t *testing.T) {
+// The compressed column store must produce the identical column
+// traversal whichever row store it was encoded from, and that traversal
+// is the uncompressed CSC's.
+func TestColumnStoresAgreeAcrossFormats(t *testing.T) {
 	r := rng.New(107)
 	m := MustCOO(400, 400, randomCoords(r, 400, 400, 3000))
 	dv, err := EncodeDVCSR(m)
@@ -154,9 +154,13 @@ func TestColStoreOfAgreesAcrossFormats(t *testing.T) {
 		})
 		return out
 	}
-	want := collect(ColStoreOf(m))
-	for name, st := range map[string]Store{"dvcsr": dv, "bbcsr": bb} {
-		got := collect(ColStoreOf(st))
+	want := collect(CSCOf(m))
+	for name, st := range map[string]Store{"csr": m, "dvcsr": dv, "bbcsr": bb} {
+		cs, err := EncodeDVCCSC(st)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := collect(cs)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
 		}

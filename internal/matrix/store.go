@@ -182,10 +182,11 @@ func CSCOf(st Store) *CSC {
 	return out
 }
 
-// ColStore is the column-major side of the format seam: the resident
-// storage the OP (pull) kernel's partition builder consumes, streaming
-// elements in column-major, row-ascending order. The uncompressed CSC
-// and the compressed DVCCSC both implement it.
+// ColStore is the column-major side of the format seam: a store that
+// streams elements in column-major, row-ascending order. The
+// uncompressed CSC and the compressed DVCCSC both implement it. No
+// engine holds one — OP tiles are cut from the row store — but DVCCSC's
+// per-column stream lengths are what the decode-PE sim model charges.
 type ColStore interface {
 	// Dims returns the matrix dimensions (rows, cols).
 	Dims() (r, c int)
@@ -228,24 +229,6 @@ func (m *CSC) DecodeCols(lo, hi int32, emit func(row, col int32, val float32)) {
 			emit(m.Row[p], j, m.Val[p])
 		}
 	}
-}
-
-// ColStoreOf builds the column-major store the OP kernel partitions
-// from: uncompressed row stores convert to plain CSC, compressed ones
-// re-encode into DVCCSC so the column side stays in the compressed
-// domain end to end (no uncompressed CSC scratch for a compressed
-// resident graph).
-func ColStoreOf(st Store) ColStore {
-	if st.Format() == FormatCSR {
-		return CSCOf(st)
-	}
-	cs, err := EncodeDVCCSC(st)
-	if err != nil {
-		// Impossible for a trusted store: dimensions and element counts
-		// were 32-bit-screened when the store was built.
-		panic(err)
-	}
-	return cs
 }
 
 // TransposeOf returns the transposed matrix in canonical COO form,

@@ -237,9 +237,9 @@ func NewFromStore(st matrix.Store, opts Options) (*Framework, error) {
 	// baseline that reproduces Fig. 5's gain envelope.
 	scs := sim.Config{Geometry: opts.Geometry, HW: sim.SCS, Params: opts.Params}
 	f.ipPart = kernels.NewIPPartition(st, opts.Geometry.TotalPEs(), scs.SPMWordsPerTile(), opts.Balancing)
-	// The OP layout is cut straight from the store: compressed stores
-	// re-encode column-major (DVCCSC) and the per-tile slices decode
-	// lazily on first use — no uncompressed whole-graph CSC scratch.
+	// The OP layout is cut straight from the store too: each tile
+	// transposes its own row range on first use, so the engine holds no
+	// whole-graph column store of either kind.
 	f.opPart = kernels.NewOPPartition(st, opts.Geometry.Tiles, opts.Balancing)
 	return f, nil
 }

@@ -254,9 +254,22 @@ func TestDurableRestartResumesInterruptedJob(t *testing.T) {
 		t.Error("metrics missing resumed recovery count")
 	}
 
-	// Settled now: the snapshot files are gone.
-	if snaps, _ := svc3.Store().LoadSnapshots(st.ID); len(snaps) != 0 {
-		t.Errorf("%d snapshot generations survive job completion", len(snaps))
+	// Settled: the snapshot files go. Done is signalled before the
+	// worker journals the finish and deletes them, so wait for the
+	// deletion rather than assume it has already happened.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		snaps, err := svc3.Store().LoadSnapshots(st.ID)
+		if err != nil {
+			t.Fatalf("LoadSnapshots: %v", err)
+		}
+		if len(snaps) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d snapshot generations survive job completion", len(snaps))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
