@@ -35,7 +35,7 @@ func main() {
 	lambda := flag.Float64("lambda", 0.01, "CF regularization")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	backend := flag.String("backend", "sim", "execution backend: sim (cycle-accurate timing model) or native (goroutine-parallel host run)")
-	format := flag.String("format", "auto", "graph storage format: auto, csr, dvcsr (delta-varint), or bbcsr (bitmap-block)")
+	format := flag.String("format", "auto", "graph storage format: auto, csr, or dvcsr (delta-varint)")
 	sw := flag.String("sw", "auto", "software configuration: auto, ip, op")
 	hw := flag.String("hw", "auto", "hardware configuration: auto, sc, scs, pc, ps")
 	printTrace := flag.Bool("print-trace", true, "print the per-iteration reconfiguration trace")

@@ -52,7 +52,7 @@ func main() {
 	tiles := flag.Int("tiles", 16, "default simulated tiles for jobs that name no geometry")
 	pes := flag.Int("pes", 16, "default simulated PEs per tile")
 	backend := flag.String("backend", "sim", "default execution backend for jobs that name none: sim or native")
-	format := flag.String("format", "auto", "default storage format for graphs registered without one: auto, csr, dvcsr, or bbcsr")
+	format := flag.String("format", "auto", "default storage format for graphs registered without one: auto, csr, or dvcsr")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-job deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "ceiling on client-requested job deadlines")
 	memBudget := flag.Int64("mem-budget", 2<<30, "estimated-resident-bytes budget for registered graphs; loads beyond it get 413 (0 = unlimited)")

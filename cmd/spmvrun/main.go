@@ -32,8 +32,7 @@ func main() {
 	tiles := flag.Int("tiles", 4, "tiles")
 	pes := flag.Int("pes", 16, "PEs per tile")
 	backend := flag.String("backend", "sim", "execution backend: sim (trace-driven timing) or native (goroutine-parallel host run)")
-	format := flag.String("format", "auto", "matrix storage format: auto, csr, dvcsr (delta-varint), or bbcsr (bitmap-block)")
-	decodePE := flag.Bool("decode-pe", false, "model per-PE decode units on the sim backend: charge decode cycles and HBM traffic at compressed line counts (compressed formats only)")
+	format := flag.String("format", "auto", "matrix storage format: auto, csr, or dvcsr (delta-varint)")
 	sw := flag.String("sw", "ip", "software: ip or op")
 	hw := flag.String("hw", "", "hardware: sc, scs, pc, ps (default: sc for ip, pc for op)")
 	balance := flag.Bool("balance", true, "use nnz-balanced partitioning")
@@ -72,21 +71,14 @@ func main() {
 	case strings.ToLower(*format) == "auto":
 		mf = matrix.AutoSelect(coo)
 	case err != nil:
-		fail(fmt.Errorf("unknown -format %q (want auto, csr, dvcsr, or bbcsr)", *format))
+		fail(fmt.Errorf("unknown -format %q (want auto, csr, or dvcsr)", *format))
 	}
-	switch mf {
-	case matrix.FormatDVCSR:
+	if mf == matrix.FormatDVCSR {
 		d, err := matrix.EncodeDVCSR(coo)
 		if err != nil {
 			fail(err)
 		}
 		st = d
-	case matrix.FormatBBCSR:
-		b, err := matrix.EncodeBBCSR(coo)
-		if err != nil {
-			fail(err)
-		}
-		st = b
 	}
 
 	useIP := strings.ToLower(*sw) == "ip"
@@ -118,7 +110,6 @@ func main() {
 	}
 	g := sim.Geometry{Tiles: *tiles, PEsPerTile: *pes}
 	cfg := sim.NewConfig(g, hwc)
-	cfg.Params.DecodePEs = *decodePE
 	op := kernels.Operand{Ring: semiring.SpMV()}
 
 	be, err := exec.ByName(*backend)
@@ -156,10 +147,6 @@ func main() {
 	fmt.Printf("  SPM %d reads / %d writes, xbar %d hops, %d prefetches, %d writebacks\n",
 		s.SPMReads, s.SPMWrites, s.XbarHops, s.Prefetches, s.Writebacks)
 	fmt.Printf("  stall cycles (all PEs): %d\n", s.StallCycles)
-	if s.DecodeCycles > 0 || s.HBMCompressedLines > 0 {
-		fmt.Printf("  decode PEs: %d cycles, %d compressed lines (%+d lines saved vs raw)\n",
-			s.DecodeCycles, s.HBMCompressedLines, s.HBMSavedLines)
-	}
 	fmt.Printf("  L1 hit rate %.1f%%, L2 hit rate %.1f%%, HBM bandwidth %.2f GB/s, PE balance %.2f\n",
 		100*s.L1HitRate(), 100*s.L2HitRate(), s.HBMBandwidthGBs(cfg.Params.BlockBytes), res.Balance)
 	b := sim.EnergyBreakdown(cfg, s)

@@ -75,11 +75,6 @@ const (
 	// DVCSRFormat is delta-varint compressed sparse row: column gaps as
 	// varints, values elided on unit-weight graphs.
 	DVCSRFormat
-	// BBCSRFormat is bitmap-block compressed sparse row: each row's
-	// populated 64-column blocks as (gap varint, 64-bit bitmap) pairs —
-	// the win on graphs with near-dense tiles, where DVCSR's one varint
-	// per element costs more than one bit per element.
-	BBCSRFormat
 )
 
 // String returns the format's flag/metric spelling.
@@ -89,8 +84,6 @@ func (f Format) String() string {
 		return "csr"
 	case DVCSRFormat:
 		return "dvcsr"
-	case BBCSRFormat:
-		return "bbcsr"
 	}
 	return "auto"
 }
@@ -105,10 +98,8 @@ func ParseFormat(s string) (Format, error) {
 		return CSRFormat, nil
 	case "dvcsr":
 		return DVCSRFormat, nil
-	case "bbcsr":
-		return BBCSRFormat, nil
 	}
-	return 0, fmt.Errorf("cosparse: unknown format %q (want \"auto\", \"csr\", \"dvcsr\" or \"bbcsr\")", s)
+	return 0, fmt.Errorf("cosparse: unknown format %q (want \"auto\", \"csr\" or \"dvcsr\")", s)
 }
 
 // Graph is an immutable graph bound to the CoSPARSE storage convention
@@ -133,8 +124,7 @@ func (g *Graph) Density() float64 {
 	return float64(g.st.NNZ()) / (float64(r) * float64(c))
 }
 
-// Format returns the resident storage format ("csr", "dvcsr" or
-// "bbcsr").
+// Format returns the resident storage format ("csr" or "dvcsr").
 func (g *Graph) Format() string { return g.st.Format().String() }
 
 // ResidentBytes returns the measured footprint of the resident matrix
@@ -143,49 +133,29 @@ func (g *Graph) ResidentBytes() int64 { return g.st.ResidentBytes() }
 
 // InFormat returns the same graph re-encoded in the requested resident
 // format (the graph itself when the format already matches).
-// AutoFormat applies the exact-size selection over all candidate
-// formats. The re-encode streams directly from the resident store —
-// converting a compressed graph never materializes an intermediate
-// uncompressed copy, so peak memory stays at source + destination.
+// AutoFormat applies the exact-size selection: DVCSR when it saves
+// enough over CSR, CSR otherwise.
 func (g *Graph) InFormat(f Format) (*Graph, error) {
-	if f == AutoFormat {
-		switch matrix.AutoSelectStore(g.st) {
-		case matrix.FormatDVCSR:
-			f = DVCSRFormat
-		case matrix.FormatBBCSR:
-			f = BBCSRFormat
-		default:
-			f = CSRFormat
-		}
+	want := matrix.FormatCSR
+	if f == DVCSRFormat || (f == AutoFormat && matrix.AutoSelectStore(g.st) == matrix.FormatDVCSR) {
+		want = matrix.FormatDVCSR
 	}
-	switch f {
-	case DVCSRFormat:
-		if g.st.Format() == matrix.FormatDVCSR {
-			return g, nil
-		}
-		d, err := matrix.EncodeDVCSRStore(g.st)
-		if err != nil {
-			return nil, fmt.Errorf("cosparse: %w", err)
-		}
-		return &Graph{st: d}, nil
-	case BBCSRFormat:
-		if g.st.Format() == matrix.FormatBBCSR {
-			return g, nil
-		}
-		b, err := matrix.EncodeBBCSR(g.st)
-		if err != nil {
-			return nil, fmt.Errorf("cosparse: %w", err)
-		}
-		return &Graph{st: b}, nil
-	}
-	if g.st.Format() == matrix.FormatCSR {
+	if g.st.Format() == want {
 		return g, nil
 	}
+	// The formats differ, so exactly one side is the COO baseline.
 	m, err := g.st.ToCOO()
 	if err != nil {
 		return nil, fmt.Errorf("cosparse: %w", err)
 	}
-	return &Graph{st: m}, nil
+	if want == matrix.FormatCSR {
+		return &Graph{st: m}, nil
+	}
+	d, err := matrix.EncodeDVCSR(m)
+	if err != nil {
+		return nil, fmt.Errorf("cosparse: %w", err)
+	}
+	return &Graph{st: d}, nil
 }
 
 // OutDegree returns the out-degree of vertex v.
@@ -390,17 +360,6 @@ func WithoutBalancing() Option {
 	return func(o *runtime.Options) { o.Balancing = kernels.BalanceRows }
 }
 
-// WithDecodePEs models per-PE decode units on the sim backend: when
-// the resident format is compressed, matrix streams are charged from
-// HBM at their compressed line counts plus decode-pipe cycles, instead
-// of pretending the raw operand arrays were resident (§III-B's
-// bandwidth argument carried into the compressed domain). A no-op on
-// uncompressed graphs and on the native backend; with the option
-// absent, sim timings are bit-identical to an engine without it.
-func WithDecodePEs() Option {
-	return func(o *runtime.Options) { o.DecodePEs = true }
-}
-
 // WithMaxIterations bounds traversal algorithms.
 func WithMaxIterations(n int) Option {
 	return func(o *runtime.Options) { o.MaxIters = n }
@@ -513,12 +472,6 @@ type IterationStat struct {
 	// stalled on memory and HBM lines read.
 	StallCycles int64 `json:",omitempty"`
 	HBMLines    int64 `json:",omitempty"`
-	// Compressed-domain signals (WithDecodePEs on a compressed graph):
-	// decode-pipe cycles charged and HBM lines saved versus streaming
-	// the raw operand arrays (negative when the compressed gather cost
-	// more than the raw slices).
-	DecodeCycles  int64 `json:",omitempty"`
-	HBMSavedLines int64 `json:",omitempty"`
 
 	// Wall-clock durations (nanoseconds in JSON), filled by the native
 	// backend instead of the cycle fields above; Wall is the iteration
@@ -548,12 +501,6 @@ type MemoryStats struct {
 	Writebacks           int64
 	StallCycles          int64
 	ReconfigCycles       int64
-
-	// Compressed-domain rollup (zero unless WithDecodePEs ran against a
-	// compressed graph on the sim backend).
-	DecodeCycles       int64 `json:",omitempty"`
-	HBMCompressedLines int64 `json:",omitempty"`
-	HBMSavedLines      int64 `json:",omitempty"`
 }
 
 // Report summarizes an algorithm run on the simulated hardware.
@@ -683,9 +630,6 @@ func (e *Engine) report(rep *runtime.Report) *Report {
 			Writebacks:           b.Writebacks,
 			StallCycles:          b.StallCycles,
 			ReconfigCycles:       b.ReconfigCycles,
-			DecodeCycles:         b.DecodeCycles,
-			HBMCompressedLines:   b.HBMCompressedLines,
-			HBMSavedLines:        b.HBMSavedLines,
 		}
 	}
 	for _, it := range rep.Iters {
@@ -694,25 +638,23 @@ func (e *Engine) report(rep *runtime.Report) *Report {
 			sw = "IP"
 		}
 		out.Iterations = append(out.Iterations, IterationStat{
-			Iter:          it.Iter,
-			FrontierSize:  it.FrontierNNZ,
-			Density:       it.Density,
-			Software:      sw,
-			Hardware:      it.Decision.HW.String(),
-			Reconfigured:  it.Reconfig,
-			Cycles:        it.TotalCycles,
-			EnergyJ:       it.EnergyJ,
-			KernelCycles:  it.KernelCycles,
-			MergeCycles:   it.MergeCycles,
-			ConvCycles:    it.ConvCycles,
-			StallCycles:   it.Stats.StallCycles,
-			HBMLines:      it.Stats.HBMLines,
-			DecodeCycles:  it.Stats.DecodeCycles,
-			HBMSavedLines: it.Stats.HBMSavedLines,
-			Wall:          it.TotalWall,
-			KernelWall:    it.KernelWall,
-			MergeWall:     it.MergeWall,
-			ConvWall:      it.ConvWall,
+			Iter:         it.Iter,
+			FrontierSize: it.FrontierNNZ,
+			Density:      it.Density,
+			Software:     sw,
+			Hardware:     it.Decision.HW.String(),
+			Reconfigured: it.Reconfig,
+			Cycles:       it.TotalCycles,
+			EnergyJ:      it.EnergyJ,
+			KernelCycles: it.KernelCycles,
+			MergeCycles:  it.MergeCycles,
+			ConvCycles:   it.ConvCycles,
+			StallCycles:  it.Stats.StallCycles,
+			HBMLines:     it.Stats.HBMLines,
+			Wall:         it.TotalWall,
+			KernelWall:   it.KernelWall,
+			MergeWall:    it.MergeWall,
+			ConvWall:     it.ConvWall,
 		})
 	}
 	return out

@@ -1,12 +1,12 @@
 package cosparse
 
-// Cross-format equivalence: a graph stored compressed (DVCSR or BBCSR)
-// must be indistinguishable from its CSR twin everywhere above the
-// storage seam. Engine builds decode compressed rows into the same
-// per-PE operand stream, so every algorithm's values are bit-identical
-// across formats on both backends — and the sim backend's cycle counts
-// match exactly too, because the partitions (and hence the traces) are
-// the same bytes.
+// Cross-format equivalence: a graph stored compressed (DVCSR) must be
+// indistinguishable from its CSR twin everywhere above the storage
+// seam. Engine builds decode compressed rows into the same per-PE
+// operand stream, so every algorithm's values are bit-identical across
+// formats on both backends — and the sim backend's cycle counts match
+// exactly too, because the partitions (and hence the traces) are the
+// same bytes.
 
 import (
 	"math"
@@ -29,12 +29,8 @@ func formatQuad(t *testing.T, mode ValueMode) map[string]*Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := g.InFormat(BBCSRFormat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc.Format() != "csr" || gd.Format() != "dvcsr" || gb.Format() != "bbcsr" {
-		t.Fatalf("formats: %s / %s / %s", gc.Format(), gd.Format(), gb.Format())
+	if gc.Format() != "csr" || gd.Format() != "dvcsr" {
+		t.Fatalf("formats: %s / %s", gc.Format(), gd.Format())
 	}
 	if gd.ResidentBytes() >= gc.ResidentBytes() {
 		t.Fatalf("dvcsr %d bytes not smaller than csr %d", gd.ResidentBytes(), gc.ResidentBytes())
@@ -44,7 +40,7 @@ func formatQuad(t *testing.T, mode ValueMode) map[string]*Engine {
 	for _, fg := range []struct {
 		name string
 		g    *Graph
-	}{{"csr", gc}, {"dvcsr", gd}, {"bbcsr", gb}} {
+	}{{"csr", gc}, {"dvcsr", gd}} {
 		for _, be := range []Backend{SimBackend, NativeBackend} {
 			eng, err := New(fg.g, sys, WithBackend(be))
 			if err != nil {
@@ -95,110 +91,6 @@ func formatAlgos() []formatAlgo {
 	}
 }
 
-// TestDecodePEModel pins the compressed-domain execution model's
-// contract: WithDecodePEs never changes algorithm values, is a strict
-// no-op on uncompressed graphs, and on compressed graphs charges
-// decode cycles while re-pricing HBM matrix traffic at compressed
-// line counts — for the IP path and the forced-OP path (which gathers
-// frontier columns from the compressed column store).
-func TestDecodePEModel(t *testing.T) {
-	g, err := GeneratePowerLaw(1100, 14000, Unweighted, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, err := g.InFormat(CSRFormat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd, err := g.InFormat(DVCSRFormat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := System{Tiles: 4, PEsPerTile: 4}
-	build := func(g *Graph, opts ...Option) *Engine {
-		t.Helper()
-		eng, err := New(g, sys, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	runPR := func(eng *Engine) ([]float32, *Report) {
-		t.Helper()
-		v, rep, err := eng.PageRank(10, 0.15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v, rep
-	}
-
-	baseVals, baseRep := runPR(build(gd))
-	decVals, decRep := runPR(build(gd, WithDecodePEs()))
-	for v := range baseVals {
-		if decVals[v] != baseVals[v] {
-			t.Fatalf("vertex %d: decode-PE run changed the value %g -> %g", v, baseVals[v], decVals[v])
-		}
-	}
-	if decRep.Memory.DecodeCycles <= 0 || decRep.Memory.HBMCompressedLines <= 0 {
-		t.Fatalf("decode-PE run charged no decode work: %+v", decRep.Memory)
-	}
-	if decRep.Memory.HBMSavedLines <= 0 {
-		t.Fatalf("compressed streams saved no HBM lines: %d", decRep.Memory.HBMSavedLines)
-	}
-	if want := baseRep.Memory.HBMReadLines - decRep.Memory.HBMSavedLines; decRep.Memory.HBMReadLines != want {
-		t.Fatalf("HBM read lines %d, want base %d - saved %d = %d",
-			decRep.Memory.HBMReadLines, baseRep.Memory.HBMReadLines, decRep.Memory.HBMSavedLines, want)
-	}
-	sawIter := false
-	for _, it := range decRep.Iterations {
-		if it.DecodeCycles > 0 {
-			sawIter = true
-		}
-	}
-	if !sawIter {
-		t.Fatal("no iteration surfaced decode cycles in the trace")
-	}
-
-	// On an uncompressed graph the flag is a strict no-op: identical
-	// cycles, zero decode counters.
-	csrBase, csrBaseRep := runPR(build(gc))
-	csrDec, csrDecRep := runPR(build(gc, WithDecodePEs()))
-	for v := range csrBase {
-		if csrDec[v] != csrBase[v] {
-			t.Fatalf("vertex %d: decode-PE flag changed a csr value", v)
-		}
-	}
-	if csrDecRep.TotalCycles != csrBaseRep.TotalCycles {
-		t.Fatalf("decode-PE flag moved csr cycles %d -> %d", csrBaseRep.TotalCycles, csrDecRep.TotalCycles)
-	}
-	if csrDecRep.Memory.DecodeCycles != 0 || csrDecRep.Memory.HBMCompressedLines != 0 {
-		t.Fatalf("csr run charged decode work: %+v", csrDecRep.Memory)
-	}
-
-	// Forced-OP BFS exercises the compressed column store (DVCCSC)
-	// gather path — every kernel invocation fetches frontier columns
-	// from the compressed stream: values still bit-identical to the csr
-	// forced-OP run, decode work still charged.
-	runBFS := func(eng *Engine) ([]int32, *Report) {
-		t.Helper()
-		res, rep, err := eng.BFS(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Level, rep
-	}
-	opRef, _ := runBFS(build(gc, WithSoftware(OuterProduct)))
-	opDec, opDecRep := runBFS(build(gd, WithSoftware(OuterProduct), WithDecodePEs()))
-	for v := range opRef {
-		if opDec[v] != opRef[v] {
-			t.Fatalf("vertex %d: forced-OP decode-PE run differs from csr: %d vs %d", v, opDec[v], opRef[v])
-		}
-	}
-	if opDecRep.Memory.DecodeCycles <= 0 || opDecRep.Memory.HBMCompressedLines <= 0 {
-		t.Fatalf("forced-OP decode-PE run charged no decode work: %+v", opDecRep.Memory)
-	}
-}
-
 // TestFormatEquivalence holds the seam contract for all six algorithms
 // on both backends: values bit-identical between csr and dvcsr storage,
 // and identical simulated cycle counts (the compressed store decodes
@@ -218,26 +110,24 @@ func TestFormatEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, format := range []string{"dvcsr", "bbcsr"} {
-					got, gotRep, err := a.run(engines[format+"/"+be])
-					if err != nil {
-						t.Fatal(err)
+				got, gotRep, err := a.run(engines["dvcsr/"+be])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(ref) {
+					t.Fatalf("%s: length %d vs %d", be, len(got), len(ref))
+				}
+				for v := range ref {
+					same := got[v] == ref[v] ||
+						(math.IsInf(float64(got[v]), 1) && math.IsInf(float64(ref[v]), 1))
+					if !same {
+						t.Fatalf("%s: vertex %d differs across formats: csr %g, dvcsr %g",
+							be, v, ref[v], got[v])
 					}
-					if len(got) != len(ref) {
-						t.Fatalf("%s/%s: length %d vs %d", format, be, len(got), len(ref))
-					}
-					for v := range ref {
-						same := got[v] == ref[v] ||
-							(math.IsInf(float64(got[v]), 1) && math.IsInf(float64(ref[v]), 1))
-						if !same {
-							t.Fatalf("%s: vertex %d differs across formats: csr %g, %s %g",
-								be, v, ref[v], format, got[v])
-						}
-					}
-					if be == "sim" && gotRep.TotalCycles != refRep.TotalCycles {
-						t.Fatalf("sim cycles differ across formats: csr %d, %s %d",
-							refRep.TotalCycles, format, gotRep.TotalCycles)
-					}
+				}
+				if be == "sim" && gotRep.TotalCycles != refRep.TotalCycles {
+					t.Fatalf("sim cycles differ across formats: csr %d, dvcsr %d",
+						refRep.TotalCycles, gotRep.TotalCycles)
 				}
 			}
 		})

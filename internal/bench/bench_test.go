@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	goruntime "runtime"
 	"strings"
 	"sync"
@@ -10,16 +11,27 @@ import (
 	"cosparse/internal/sim"
 )
 
-// The bench tests run every figure at ScaleTiny and assert the
-// qualitative shapes the paper reports. Magnitudes are asserted only
-// loosely — tiny-scale runs trade fidelity for speed; the committed
-// quantitative results in EXPERIMENTS.md come from ScaleSmall.
+// The bench tests run every figure at ScaleTiny (the three longest at
+// figureScale) and assert the qualitative shapes the paper reports.
+// Magnitudes are asserted only loosely — tiny-scale runs trade fidelity
+// for speed; the committed quantitative results in EXPERIMENTS.md come
+// from ScaleSmall.
+
+// figureScale is where the three long sweeps run: ScaleTiny under
+// BENCH_FIGURES (set by `make regress`), the smallest scale at which
+// their shapes still hold otherwise.
+func figureScale() Scale {
+	if os.Getenv("BENCH_FIGURES") != "" {
+		return ScaleTiny
+	}
+	return ScaleMicro
+}
 
 func TestScaleDivisors(t *testing.T) {
 	if ScaleFull.Div() != 1 || ScaleSmall.Div() != 16 || ScaleTiny.Div() != 64 {
 		t.Fatal("scale divisors wrong")
 	}
-	if ScaleTiny.EdgeBudget() >= ScaleSmall.EdgeBudget() {
+	if ScaleMicro.EdgeBudget() >= ScaleTiny.EdgeBudget() || ScaleTiny.EdgeBudget() >= ScaleSmall.EdgeBudget() {
 		t.Fatal("edge budgets not ordered")
 	}
 	p := ScaleTiny.Params()
@@ -231,7 +243,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res, _ := Fig9(ScaleTiny)
+	res, _ := Fig9(figureScale())
 	if len(res.Rows) < 5 {
 		t.Fatalf("only %d iterations", len(res.Rows))
 	}
@@ -263,7 +275,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res, _ := Fig10(ScaleTiny)
+	res, _ := Fig10(figureScale())
 	want := 0
 	for _, wl := range fig10Workloads {
 		want += len(wl.Graphs)
@@ -350,7 +362,7 @@ func TestAutoVsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res, tbl := AutoVsStatic(ScaleTiny)
+	res, tbl := AutoVsStatic(figureScale())
 	if len(res.Rows) != 4 || len(tbl.Rows) != 4 {
 		t.Fatalf("rows %d", len(res.Rows))
 	}

@@ -146,8 +146,5 @@ func RunIP(cfg sim.Config, part *IPPartition, x matrix.Dense, op Operand) (matri
 	}}
 
 	res := m.Run(prog)
-	if cfg.Params.DecodePEs {
-		applyDecodePEs(cfg, ipDecodeUnits(part), 1, &res)
-	}
 	return out, res
 }

@@ -150,8 +150,5 @@ func RunIPMulti(cfg sim.Config, part *IPPartition, xs []matrix.Dense, ops []Oper
 	}}
 
 	res := m.Run(prog)
-	if cfg.Params.DecodePEs {
-		applyDecodePEs(cfg, ipDecodeUnits(part), int64((k+LaneBlock-1)/LaneBlock), &res)
-	}
 	return outs, res
 }

@@ -281,9 +281,6 @@ func RunOP(cfg sim.Config, part *OPPartition, f *matrix.SparseVec, op Operand) (
 	}
 
 	res := m.Run(prog)
-	if cfg.Params.DecodePEs {
-		applyDecodePEs(cfg, opDecodeUnits(part, f, peCols), 1, &res)
-	}
 
 	// Tiles own ascending disjoint row ranges, so concatenation is the
 	// sorted sparse result.

@@ -88,12 +88,6 @@ type IPPartition struct {
 	PEPtr       []int32 // per-PE element range: elements of PE p are [PEPtr[p], PEPtr[p+1])
 	Segs        [][]Seg // per PE, ordered by vblock
 	RowBounds   []int32 // the row cuts, exposed for tests
-	// SrcFormat is the resident format of the store the partition was
-	// cut from, and PEStreamBytes the encoded byte length of each PE's
-	// row chunk in that store (nil for uncompressed sources) — the
-	// per-stream fetch sizes the decode-PE sim model charges.
-	SrcFormat     matrix.Format
-	PEStreamBytes []int64
 
 	src matrix.Store
 	mat sync.Once
@@ -127,7 +121,6 @@ func NewIPPartition(m matrix.Store, totalPEs, vblockWords int, b Balancing) *IPP
 		PEPtr:       make([]int32, totalPEs+1),
 		Segs:        make([][]Seg, totalPEs),
 		RowBounds:   bounds,
-		SrcFormat:   m.Format(),
 		src:         m,
 	}
 	if vblockWords > 0 {
@@ -154,10 +147,6 @@ func (p *IPPartition) materialize() {
 	p.Row = make([]int32, nnz)
 	p.Col = make([]int32, nnz)
 	p.Val = make([]float32, nnz)
-	sizer, _ := m.(interface{ EncodedRowBytes(lo, hi int32) int64 })
-	if sizer != nil && p.SrcFormat != matrix.FormatCSR {
-		p.PEStreamBytes = make([]int64, p.NumPEs)
-	}
 	vbOf := func(col int32) int32 {
 		if p.VBlockWords <= 0 {
 			return 0
@@ -184,9 +173,6 @@ func (p *IPPartition) materialize() {
 			})
 			if len(cVal) != n {
 				panic(fmt.Sprintf("kernels: PE %d decoded %d elements, RowPtr promises %d", pe, len(cVal), n))
-			}
-			if p.PEStreamBytes != nil {
-				p.PEStreamBytes[pe] = sizer.EncodedRowBytes(lo, hi)
 			}
 			// Bucket the PE's (already row-major) element range by vblock,
 			// preserving row-major order inside each bucket.
@@ -268,15 +254,9 @@ type OPPartition struct {
 	ColPtr    [][]int32 // per tile, length C+1
 	Row       [][]int32
 	Val       [][]float32
-	// SrcFormat is the resident format of the row store the partition
-	// was cut from.
-	SrcFormat matrix.Format
 
 	src matrix.Store
 	mat sync.Once
-
-	colBytes     []int32 // see colStreamBytes
-	colBytesOnce sync.Once
 }
 
 // NewOPPartition builds per-tile CSC slices for the OP kernel from any
@@ -294,7 +274,6 @@ func NewOPPartition(m matrix.Store, tiles int, b Balancing) *OPPartition {
 		R: rows, C: cols,
 		Tiles:     tiles,
 		RowBounds: cutRows(m.RowPtr(), rows, tiles, b),
-		SrcFormat: m.Format(),
 		src:       m,
 	}
 }
@@ -341,28 +320,6 @@ func (p *OPPartition) materialize() {
 			p.ColPtr[t], p.Row[t], p.Val[t] = colPtr, row, val
 		}
 	})
-}
-
-// colStreamBytes returns the encoded byte length of every column of the
-// compressed column store (DVCCSC) a compressed source would stream
-// from — the per-column fetch sizes the decode-PE sim model charges
-// when the OP kernel gathers frontier columns; nil for an uncompressed
-// source. Nothing else needs that store, so it is encoded on the first
-// ask, sized, and dropped.
-func (p *OPPartition) colStreamBytes() []int32 {
-	p.colBytesOnce.Do(func() {
-		if p.SrcFormat == matrix.FormatCSR {
-			return
-		}
-		cs, err := matrix.EncodeDVCCSC(p.src)
-		if err != nil {
-			// Impossible for a trusted store: dimensions and element counts
-			// were 32-bit-screened when the store was built.
-			panic(err)
-		}
-		p.colBytes = cs.ColStreamBytes()
-	})
-	return p.colBytes
 }
 
 // Validate checks that the tile slices exactly tile the matrix.

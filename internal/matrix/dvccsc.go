@@ -44,9 +44,6 @@ func (d *DVCCSC) ResidentBytes() int64 {
 	return int64(len(d.Data)) + 4*int64(len(d.Ptr)) + 8*int64(len(d.ChunkOff)) + 4*int64(len(d.Val))
 }
 
-// ColPrefix implements ColStore (the prefix is stored, not recomputed).
-func (d *DVCCSC) ColPrefix() []int32 { return d.Ptr }
-
 // EncodeDVCCSC builds the compressed column store directly from any
 // row-major store in two streaming passes — counting pass for the
 // per-column element and byte totals, placement pass writing each
@@ -294,31 +291,13 @@ func (d *DVCCSC) decodeRange(lo, hi int32, emit func(row, col int32, val float32
 	return nil
 }
 
-// DecodeCols implements ColStore, streaming columns [lo, hi) in
-// column-major, row-ascending order — the traversal the OP partition
-// builder consumes. The store must be trusted (built by EncodeDVCCSC)
-// or have passed Validate; corruption discovered mid-stream panics.
+// DecodeCols streams columns [lo, hi) in column-major, row-ascending
+// order. The store must be trusted (built by EncodeDVCCSC) or have
+// passed Validate; corruption discovered mid-stream panics.
 func (d *DVCCSC) DecodeCols(lo, hi int32, emit func(row, col int32, val float32)) {
 	if err := d.decodeRange(lo, hi, emit); err != nil {
 		panic(err)
 	}
-}
-
-// ColStreamBytes returns the encoded byte length of every column — the
-// per-column fetch sizes the decode-PE model charges when the OP
-// kernel gathers frontier columns from the compressed stream.
-func (d *DVCCSC) ColStreamBytes() []int32 {
-	out := make([]int32, d.C)
-	pos := 0
-	for j := 0; j < d.C; j++ {
-		next, err := d.scanCol(j, pos, nil)
-		if err != nil {
-			panic(err)
-		}
-		out[j] = int32(next - pos)
-		pos = next
-	}
-	return out
 }
 
 // ToCSC materializes the uncompressed CSC, enforcing the stream

@@ -139,120 +139,6 @@ func estimateDVCSRDataBytes(m *COO) int {
 	return bytes
 }
 
-// EncodeDVCSRStore compresses any store's element stream to DVCSR
-// without materializing an intermediate COO — one streaming pass, the
-// format seam's conversion path for already-compressed sources.
-func EncodeDVCSRStore(st Store) (*DVCSR, error) {
-	if m, ok := st.(*COO); ok {
-		return EncodeDVCSR(m)
-	}
-	r, c := st.Dims()
-	if r < 0 || c < 0 || r > math.MaxInt32 || c > math.MaxInt32 {
-		return nil, fmt.Errorf("matrix: dvcsr: dimensions %dx%d outside 32-bit index space", r, c)
-	}
-	if st.NNZ() > math.MaxInt32 {
-		return nil, fmt.Errorf("matrix: dvcsr: %d elements exceed 32-bit index space", st.NNZ())
-	}
-	d := &DVCSR{
-		R:         r,
-		C:         c,
-		Ptr:       st.RowPtr(),
-		ChunkRows: DefaultChunkRows,
-	}
-	nchunks := (r + d.ChunkRows - 1) / d.ChunkRows
-	d.ChunkOff = make([]int64, nchunks)
-	d.Data = make([]byte, 0, estimateDVCSRDataBytesStore(st))
-	vals := make([]float32, 0, st.NNZ())
-	cur, prevCol := int32(-1), int32(-1)
-	var encErr error
-	st.DecodeRows(0, int32(r), func(row, col int32, val float32) {
-		if encErr != nil {
-			return
-		}
-		if row < cur || col < 0 || int(col) >= c {
-			encErr = fmt.Errorf("matrix: dvcsr: stream not canonical at (%d,%d)", row, col)
-			return
-		}
-		if row != cur {
-			for rr := cur + 1; rr <= row; rr++ {
-				if rr%int32(d.ChunkRows) == 0 {
-					d.ChunkOff[rr/int32(d.ChunkRows)] = int64(len(d.Data))
-				}
-			}
-			cur, prevCol = row, -1
-		} else if col <= prevCol {
-			encErr = fmt.Errorf("matrix: dvcsr: row %d not canonical at column %d", row, col)
-			return
-		}
-		if prevCol < 0 {
-			d.Data = binary.AppendUvarint(d.Data, uint64(col))
-		} else {
-			d.Data = binary.AppendUvarint(d.Data, uint64(col-prevCol))
-		}
-		prevCol = col
-		if val != 1 {
-			d.Weighted = true
-		}
-		vals = append(vals, val)
-	})
-	if encErr != nil {
-		return nil, encErr
-	}
-	for rr := cur + 1; int(rr) < r; rr++ {
-		if rr%int32(d.ChunkRows) == 0 {
-			d.ChunkOff[rr/int32(d.ChunkRows)] = int64(len(d.Data))
-		}
-	}
-	if d.Weighted {
-		d.Val = vals
-	}
-	return d, nil
-}
-
-// estimateDVCSRDataBytesStore is estimateDVCSRDataBytes over the
-// format seam: the exact Data stream size from one decode pass.
-func estimateDVCSRDataBytesStore(st Store) int64 {
-	if m, ok := st.(*COO); ok {
-		return int64(estimateDVCSRDataBytes(m))
-	}
-	var bytes int64
-	prevRow, prevCol := int32(-1), int32(-1)
-	r, _ := st.Dims()
-	st.DecodeRows(0, int32(r), func(row, col int32, _ float32) {
-		if row != prevRow {
-			prevRow, prevCol = row, -1
-		}
-		if prevCol < 0 {
-			bytes += int64(uvarintLen(uint64(col)))
-		} else {
-			bytes += int64(uvarintLen(uint64(col - prevCol)))
-		}
-		prevCol = col
-	})
-	return bytes
-}
-
-// EstimateDVCSRBytesStore returns the exact resident footprint
-// EncodeDVCSRStore would produce, without building it.
-func EstimateDVCSRBytesStore(st Store) int64 {
-	if m, ok := st.(*COO); ok {
-		return EstimateDVCSRBytes(m)
-	}
-	if d, ok := st.(*DVCSR); ok {
-		return d.ResidentBytes()
-	}
-	r, _ := st.Dims()
-	valBytes := int64(0)
-	if weightedOf(st) {
-		valBytes = 4 * int64(st.NNZ())
-	}
-	nchunks := int64(0)
-	if r > 0 {
-		nchunks = int64((r + DefaultChunkRows - 1) / DefaultChunkRows)
-	}
-	return estimateDVCSRDataBytesStore(st) + 4*int64(r+1) + 8*nchunks + valBytes
-}
-
 // EstimateDVCSRBytes returns the exact resident footprint EncodeDVCSR
 // would produce for m, without building it.
 func EstimateDVCSRBytes(m *COO) int64 {
@@ -282,28 +168,29 @@ const AutoSelectThreshold = 1.25
 // AutoSelect picks the storage format for a graph at registration
 // time. The decision is driven by the matrix's density and degree
 // skew through the gap distribution: delta-varint columns shrink with
-// small gaps and elide values for unit weights; bitmap blocks amortize
-// near-dense tiles to one bit per element where gap varints cost a
-// full byte. Both encoded sizes are exact and computable in one cheap
-// pass each; the smaller wins, but only when it saves at least
-// AutoSelectThreshold× over the baseline.
+// small gaps and elide values for unit weights. The encoded size is
+// exact and computable in one cheap pass; DVCSR wins only when it
+// saves at least AutoSelectThreshold× over the baseline.
 func AutoSelect(m *COO) Format {
 	return AutoSelectStore(m)
 }
 
 // AutoSelectStore is AutoSelect over the format seam, so re-selection
-// works from any resident representation.
+// works from either resident representation.
 func AutoSelectStore(st Store) Format {
-	enc, pick := EstimateDVCSRBytesStore(st), FormatDVCSR
-	if bb := EstimateBBCSRBytes(st); bb < enc {
-		enc, pick = bb, FormatBBCSR
+	var enc int64
+	switch s := st.(type) {
+	case *COO:
+		enc = EstimateDVCSRBytes(s)
+	case *DVCSR:
+		enc = s.ResidentBytes()
 	}
 	if enc <= 0 {
 		return FormatCSR
 	}
 	base := int64(st.NNZ()) * 12
 	if float64(base)/float64(enc) >= AutoSelectThreshold {
-		return pick
+		return FormatDVCSR
 	}
 	return FormatCSR
 }
@@ -510,42 +397,3 @@ func (d *DVCSR) ToCOO() (*COO, error) {
 
 // RowPtr implements Store (the prefix is stored, not recomputed).
 func (d *DVCSR) RowPtr() []int32 { return d.Ptr }
-
-// EncodedRowBytes returns the length in bytes of the compressed stream
-// holding rows [lo, hi) — what a decode PE would fetch to produce that
-// row range. The store must be trusted or validated.
-func (d *DVCSR) EncodedRowBytes(lo, hi int32) int64 {
-	start, err := d.rowOffset(lo)
-	if err != nil {
-		panic(err)
-	}
-	end, err := d.rowOffset(hi)
-	if err != nil {
-		panic(err)
-	}
-	return int64(end - start)
-}
-
-// rowOffset returns the byte offset of row i's stream (len(Data) for
-// i >= R), seeking via the chunk index.
-func (d *DVCSR) rowOffset(i int32) (int, error) {
-	if i < 0 {
-		i = 0
-	}
-	if int(i) >= d.R {
-		return len(d.Data), nil
-	}
-	chunk := int(i) / d.ChunkRows
-	if chunk >= len(d.ChunkOff) {
-		return 0, fmt.Errorf("matrix: dvcsr: row %d beyond the chunk index", i)
-	}
-	pos := int(d.ChunkOff[chunk])
-	for r := chunk * d.ChunkRows; r < int(i); r++ {
-		var err error
-		pos, err = d.scanRow(r, pos, nil)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return pos, nil
-}

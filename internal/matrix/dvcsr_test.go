@@ -124,26 +124,6 @@ func TestDVCSRDecodeRowsMatchesCOO(t *testing.T) {
 	}
 }
 
-// The selector must pick DVCSR for the shapes the paper's graphs have
-// (skewed degrees, unit weights) and stay on CSR when compression
-// cannot pay — sparse rows with huge gaps and random weights.
-func TestAutoSelect(t *testing.T) {
-	r := rng.New(53)
-	clustered := MustCOO(500, 500, unitCoords(r, 500, 500, 8000))
-	if got := AutoSelect(clustered); got != FormatDVCSR {
-		t.Fatalf("clustered unit-weight matrix selected %v", got)
-	}
-	// A handful of weighted elements scattered across a wide row space:
-	// every column needs a multi-byte varint and the value array stays,
-	// so compression is under threshold.
-	wide := MustCOO(4, 1<<30, []Coord{
-		{0, 1 << 29, 0.5}, {1, 1<<29 + 7, 0.25}, {2, 1 << 28, 0.125}, {3, 1<<30 - 1, 0.75},
-	})
-	if got := AutoSelect(wide); got != FormatCSR {
-		t.Fatalf("incompressible matrix selected %v", got)
-	}
-}
-
 func TestEncodeDVCSRRejectsNonCanonical(t *testing.T) {
 	// Bypass NewCOO to build broken streams a hostile caller could hold.
 	dup := &COO{R: 2, C: 4, Row: []int32{0, 0}, Col: []int32{2, 2}, Val: []float32{1, 1}}
@@ -246,7 +226,6 @@ func TestParseFormat(t *testing.T) {
 		{"", FormatCSR, false},
 		{"csr", FormatCSR, false},
 		{" DVCSR ", FormatDVCSR, false},
-		{"bbcsr", FormatBBCSR, false},
 		{"zstd", FormatCSR, true},
 	} {
 		got, err := ParseFormat(tc.in)

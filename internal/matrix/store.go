@@ -19,20 +19,12 @@ const (
 	// unsigned varints, values elided entirely for unit-weight graphs —
 	// typically 1–3 bytes per edge on graph-shaped matrices.
 	FormatDVCSR
-	// FormatBBCSR is bitmap-block CSR: per-row populated 64-column
-	// blocks as a varint block gap plus an occupancy bitmap — one bit
-	// per element where DVCSR's gap varints cost a byte, so it wins on
-	// near-dense tiles and loses on sparse scattered rows.
-	FormatBBCSR
 )
 
 // String returns the format's flag/metric/JSON spelling.
 func (f Format) String() string {
-	switch f {
-	case FormatDVCSR:
+	if f == FormatDVCSR {
 		return "dvcsr"
-	case FormatBBCSR:
-		return "bbcsr"
 	}
 	return "csr"
 }
@@ -46,10 +38,8 @@ func ParseFormat(s string) (Format, error) {
 		return FormatCSR, nil
 	case "dvcsr":
 		return FormatDVCSR, nil
-	case "bbcsr":
-		return FormatBBCSR, nil
 	}
-	return 0, fmt.Errorf("matrix: unknown format %q (want \"csr\", \"dvcsr\", or \"bbcsr\")", s)
+	return 0, fmt.Errorf("matrix: unknown format %q (want \"csr\" or \"dvcsr\")", s)
 }
 
 // Store is the format seam: the resident storage of one sparse matrix,
@@ -182,55 +172,6 @@ func CSCOf(st Store) *CSC {
 	return out
 }
 
-// ColStore is the column-major side of the format seam: a store that
-// streams elements in column-major, row-ascending order. The
-// uncompressed CSC and the compressed DVCCSC both implement it. No
-// engine holds one — OP tiles are cut from the row store — but DVCCSC's
-// per-column stream lengths are what the decode-PE sim model charges.
-type ColStore interface {
-	// Dims returns the matrix dimensions (rows, cols).
-	Dims() (r, c int)
-	// NNZ returns the number of stored elements.
-	NNZ() int
-	// ResidentBytes is the measured steady-state footprint of this
-	// store's backing arrays.
-	ResidentBytes() int64
-	// ColPrefix returns the CSC-style column prefix (length C+1). The
-	// slice may be shared with the store; callers must not mutate it.
-	ColPrefix() []int32
-	// DecodeCols streams the stored elements of columns [lo, hi) in
-	// column-major, row-ascending order. Trusted-store corruption
-	// panics, exactly like Store.DecodeRows.
-	DecodeCols(lo, hi int32, emit func(row, col int32, val float32))
-}
-
-// Dims implements ColStore.
-func (m *CSC) Dims() (int, int) { return m.R, m.C }
-
-// ResidentBytes implements ColStore: 8 bytes per stored element plus
-// the column prefix.
-func (m *CSC) ResidentBytes() int64 {
-	return 4*int64(len(m.ColPtr)) + 4*int64(len(m.Row)) + 4*int64(len(m.Val))
-}
-
-// ColPrefix implements ColStore.
-func (m *CSC) ColPrefix() []int32 { return m.ColPtr }
-
-// DecodeCols implements ColStore by walking the stored column slices.
-func (m *CSC) DecodeCols(lo, hi int32, emit func(row, col int32, val float32)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if int(hi) > m.C {
-		hi = int32(m.C)
-	}
-	for j := lo; j < hi; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			emit(m.Row[p], j, m.Val[p])
-		}
-	}
-}
-
 // TransposeOf returns the transposed matrix in canonical COO form,
 // streaming two decode passes (count, place) instead of materializing
 // the source as COO first — the counting placement is stable and the
@@ -268,33 +209,6 @@ func TransposeOf(st Store) *COO {
 	})
 	putInt32Scratch(next)
 	return out
-}
-
-// weightedOf reports whether any stored value differs from 1 (i.e.
-// whether a compressed encoding must carry the value array). The
-// compressed stores answer from their header without decoding.
-func weightedOf(st Store) bool {
-	switch s := st.(type) {
-	case *COO:
-		for _, v := range s.Val {
-			if v != 1 {
-				return true
-			}
-		}
-		return false
-	case *DVCSR:
-		return s.Weighted
-	case *BBCSR:
-		return s.Weighted
-	}
-	r, _ := st.Dims()
-	weighted := false
-	st.DecodeRows(0, int32(r), func(_, _ int32, v float32) {
-		if v != 1 {
-			weighted = true
-		}
-	})
-	return weighted
 }
 
 // int32Scratch and int64Scratch pool the per-column fill cursors the

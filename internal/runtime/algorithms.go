@@ -328,19 +328,7 @@ func (f *Framework) PageRankTolContext(ctx context.Context, tol float32, maxIter
 		var err error
 		vals, rep, err = f.runSolo(f.newLane(runCtx, "PR", semiring.PR(), semiring.Ctx{Alpha: alpha}, vals, nil, 1, nil, nil), nil)
 		if rep != nil {
-			// Each lane restarts numbering at 0; renumber so the
-			// stitched trace reads as one run in the Fig. 9 layout.
-			for i := range rep.Iters {
-				rep.Iters[i].Iter += iters
-			}
-			total.Iters = append(total.Iters, rep.Iters...)
-			total.TotalIters += rep.TotalIters
-			total.DroppedIters += rep.DroppedIters
-			boundIters(total, f.opts.ringCap())
-			total.TotalCycles += rep.TotalCycles
-			total.TotalWall += rep.TotalWall
-			total.EnergyJ += rep.EnergyJ
-			total.Stats.Add(rep.Stats)
+			total.absorb(rep, iters, f.opts.ringCap())
 		}
 		if err != nil {
 			return vals, iters, total, err

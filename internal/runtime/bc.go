@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"cosparse/internal/matrix"
 	"cosparse/internal/semiring"
@@ -41,13 +42,8 @@ func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Re
 		return nil, nil, fmt.Errorf("runtime: BC source %d out of range [0,%d)", src, n)
 	}
 
-	total := &Report{Algorithm: "BC", Geometry: f.opts.Geometry}
-	acc := func(rep *Report) {
-		total.Iters = append(total.Iters, rep.Iters...)
-		total.TotalCycles += rep.TotalCycles
-		total.EnergyJ += rep.EnergyJ
-		total.Stats.Add(rep.Stats)
-	}
+	total := &Report{Algorithm: "BC", Geometry: f.opts.Geometry, Backend: f.opts.Backend.Name()}
+	acc := func(rep *Report) { total.absorb(rep, total.TotalIters, f.opts.ringCap()) }
 
 	// BC checkpoints at SpMV-pass granularity across its sweeps, with
 	// Phase/PhaseLevel locating the next pass and the level array (the
@@ -80,8 +76,11 @@ func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Re
 		cp.Iter = int32(passes)
 		cp.AuxInt = append([]int32(nil), level...)
 		cp.TotalCycles = total.TotalCycles
+		cp.TotalWallNs = int64(total.TotalWall)
 		cp.EnergyJ = total.EnergyJ
 		cp.Stats = total.Stats
+		cp.TotalIters = int32(total.TotalIters)
+		cp.DroppedIters = int32(total.DroppedIters)
 		cp.Trace = append([]IterStat(nil), total.Iters...)
 		return cc.Sink(cp)
 	}
@@ -94,7 +93,10 @@ func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Re
 		level = append([]int32(nil), resume.AuxInt...)
 		passes = int(resume.Iter)
 		total.Iters = append([]IterStat(nil), resume.Trace...)
+		total.TotalIters = int(resume.TotalIters)
+		total.DroppedIters = int(resume.DroppedIters)
 		total.TotalCycles = resume.TotalCycles
+		total.TotalWall = time.Duration(resume.TotalWallNs)
 		total.EnergyJ = resume.EnergyJ
 		total.Stats = resume.Stats
 		total.Resumed, total.ResumedIter = true, passes

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/matrix"
 	"cosparse/internal/sim"
@@ -51,26 +52,50 @@ func refBC(m *matrix.COO, src int32) []float64 {
 	return delta
 }
 
+// BC against serial Brandes on both backends, under a trace cap smaller
+// than the run: the stitched report must read like any other run's —
+// the backend named, cost in that backend's unit, every pass counted,
+// the trace one renumbered run bounded by the cap.
 func TestBCMatchesBrandes(t *testing.T) {
-	for _, seed := range []uint64{201, 202, 203} {
-		m := gen.PowerLaw(250, 2200, 0.5, gen.Pattern, seed)
-		f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
-		got, rep, err := f.BC(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refBC(m, 0)
-		for v := range want {
-			g := float64(got[v])
-			if math.Abs(g-want[v]) > 1e-2*math.Max(want[v], 1) {
-				t.Fatalf("seed %d vertex %d: BC %g, want %g", seed, v, g, want[v])
+	const traceCap = 4
+	for _, be := range []exec.Backend{exec.Sim(), exec.Native()} {
+		for _, seed := range []uint64{201, 202, 203} {
+			m := gen.PowerLaw(250, 2200, 0.5, gen.Pattern, seed)
+			f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, Backend: be, TraceCap: traceCap})
+			got, rep, err := f.BC(0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if rep.TotalCycles <= 0 {
-			t.Fatal("BC charged no cycles")
-		}
-		if len(rep.Iters) < 3 {
-			t.Fatalf("BC ran only %d SpMV passes", len(rep.Iters))
+			want := refBC(m, 0)
+			for v := range want {
+				g := float64(got[v])
+				if math.Abs(g-want[v]) > 1e-2*math.Max(want[v], 1) {
+					t.Fatalf("%s seed %d vertex %d: BC %g, want %g", be.Name(), seed, v, g, want[v])
+				}
+			}
+			if rep.Backend != be.Name() {
+				t.Errorf("%s: report names backend %q", be.Name(), rep.Backend)
+			}
+			if be.Simulated() && rep.TotalCycles <= 0 {
+				t.Errorf("%s: BC charged no cycles", be.Name())
+			}
+			if !be.Simulated() && rep.TotalWall <= 0 {
+				t.Errorf("%s: BC reports no wall time", be.Name())
+			}
+			// A BFS of at least two levels, then one pass per level in
+			// each sweep.
+			if rep.TotalIters <= traceCap {
+				t.Fatalf("%s: BC counted %d SpMV passes, test wants more than the cap %d", be.Name(), rep.TotalIters, traceCap)
+			}
+			if len(rep.Iters) != traceCap || rep.DroppedIters != rep.TotalIters-traceCap {
+				t.Errorf("%s: %d passes under cap %d: trace holds %d, %d dropped",
+					be.Name(), rep.TotalIters, traceCap, len(rep.Iters), rep.DroppedIters)
+			}
+			for i, it := range rep.Iters {
+				if want := rep.TotalIters - len(rep.Iters) + i; it.Iter != want {
+					t.Errorf("%s: trace[%d] is numbered %d, want %d", be.Name(), i, it.Iter, want)
+				}
+			}
 		}
 	}
 }

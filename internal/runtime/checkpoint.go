@@ -44,9 +44,10 @@ import (
 
 // Checkpoint magic/version. Bump checkpointVersion on any layout
 // change: decode rejects mismatches cleanly instead of misreading.
+// Version 2: sim.Stats is three int64 counters shorter than in version 1.
 const (
 	checkpointMagic   uint32 = 0x43534b31 // "CSK1"
-	checkpointVersion uint16 = 1
+	checkpointVersion uint16 = 2
 )
 
 // Checkpoint is a restorable snapshot of a run at an iteration

@@ -315,6 +315,7 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		{"short", valid[:10], "too short"},
 		{"bad-magic", mutate(func(b []byte) { b[0] ^= 0xFF }), "not a checkpoint"},
 		{"version-skew", mutate(func(b []byte) { b[4]++ }), "version"},
+		{"version-1", mutate(func(b []byte) { b[4], b[5] = 1, 0 }), "checkpoint version 1, this build reads version 2"},
 		{"length-mismatch", valid[:len(valid)-4], "length"},
 		{"crc", mutate(func(b []byte) { b[len(b)-1] ^= 0x01 }), "CRC"},
 		{"trailing", append(append([]byte(nil), mutate(func(b []byte) {})...), 0xAA), "length"},

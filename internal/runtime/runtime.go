@@ -142,14 +142,6 @@ type Options struct {
 	// goroutine-parallel on the host and reports wall-clock durations.
 	Backend exec.Backend
 
-	// DecodePEs turns on the sim backend's compressed-domain execution
-	// model (sim.Params.DecodePEs) without the caller having to build a
-	// full Params: decode cycles are charged per compressed line and
-	// matrix HBM traffic is re-charged at compressed line counts. It
-	// only changes reported timings — never values — and only when the
-	// resident store is compressed.
-	DecodePEs bool
-
 	// TraceCap bounds Report.Iters: runs longer than the cap keep only
 	// the most recent entries (Report.DroppedIters counts the rest).
 	// 0 means DefaultTraceCap; negative means unbounded.
@@ -206,15 +198,6 @@ func NewFromStore(st matrix.Store, opts Options) (*Framework, error) {
 	}
 	if opts.Params.WordBytes == 0 {
 		opts.Params = sim.DefaultParams()
-	}
-	if opts.DecodePEs {
-		opts.Params.DecodePEs = true
-		if opts.Params.DecodeCyclesPerLine == 0 {
-			opts.Params.DecodeCyclesPerLine = sim.DefaultParams().DecodeCyclesPerLine
-		}
-		if opts.Params.DecodeFillCycles == 0 {
-			opts.Params.DecodeFillCycles = sim.DefaultParams().DecodeFillCycles
-		}
 	}
 	if opts.Policy == (Policy{}) {
 		opts.Policy = DefaultPolicy()

@@ -78,15 +78,25 @@ func (r *iterRing) slice() []IterStat {
 	return out
 }
 
-// boundIters applies the trace cap to a report assembled outside driver
-// (PageRankTolContext stitches one-iteration sub-reports together), so
-// a caller-composed report obeys the same bound as a driver-produced
-// one.
-func boundIters(rep *Report, capN int) {
-	if capN <= 0 || len(rep.Iters) <= capN {
-		return
+// absorb folds a sub-run's report into r, the way PageRankTolContext and
+// BCContext stitch their one-iteration sub-runs into one logical run:
+// sub's trace entries are renumbered from iterOffset (every sub-run
+// restarts at 0) so the stitched trace reads in the Fig. 9 layout, the
+// counters and totals add up, and the trace obeys ringCap like a
+// loop-produced one (ringCap <= 0 keeps everything).
+func (r *Report) absorb(sub *Report, iterOffset, ringCap int) {
+	for i := range sub.Iters {
+		sub.Iters[i].Iter += iterOffset
 	}
-	drop := len(rep.Iters) - capN
-	rep.DroppedIters += drop
-	rep.Iters = append(rep.Iters[:0], rep.Iters[drop:]...)
+	r.Iters = append(r.Iters, sub.Iters...)
+	r.TotalIters += sub.TotalIters
+	r.DroppedIters += sub.DroppedIters
+	if drop := len(r.Iters) - ringCap; ringCap > 0 && drop > 0 {
+		r.DroppedIters += drop
+		r.Iters = append(r.Iters[:0], r.Iters[drop:]...)
+	}
+	r.TotalCycles += sub.TotalCycles
+	r.TotalWall += sub.TotalWall
+	r.EnergyJ += sub.EnergyJ
+	r.Stats.Add(sub.Stats)
 }

@@ -22,7 +22,9 @@ import (
 // the tests fast; the fsync path itself is covered in internal/store.
 func newDurableService(t *testing.T, dir string, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
-	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	cfg.DataDir = dir
 	cfg.StoreNoSync = true
 	svc, err := Open(cfg)
@@ -239,11 +241,11 @@ func TestDurableRestartResumesInterruptedJob(t *testing.T) {
 	if final.Result == nil || refSt.Result == nil {
 		t.Fatal("missing results")
 	}
-	if final.Result.TotalCycles != refSt.Result.TotalCycles ||
-		final.Result.EnergyJ != refSt.Result.EnergyJ ||
-		final.Result.Iterations != refSt.Result.Iterations ||
-		final.Result.TopVertex != refSt.Result.TopVertex ||
-		final.Result.TopScore != refSt.Result.TopScore {
+	sameAnswer := func(a, b *JobResult) bool {
+		return a.TotalCycles == b.TotalCycles && a.EnergyJ == b.EnergyJ && a.Iterations == b.Iterations &&
+			a.TopVertex == b.TopVertex && a.TopScore == b.TopScore
+	}
+	if !sameAnswer(final.Result, refSt.Result) {
 		t.Errorf("resumed result diverges from uninterrupted run:\n  ref %+v\n  got %+v",
 			refSt.Result, final.Result)
 	}
@@ -270,6 +272,83 @@ func TestDurableRestartResumesInterruptedJob(t *testing.T) {
 			t.Fatalf("%d snapshot generations survive job completion", len(snaps))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A data dir left by an earlier build: the journaled graph spec names
+	// a storage format this build dropped, and the interrupted job's only
+	// snapshot is a version-1 image. Neither may take the graph or the
+	// job down: the graph comes back under auto-selection, the job
+	// re-runs from iteration 0 to the reference answer, and each
+	// fallback logs exactly one warning.
+	oldDir := t.TempDir()
+	db, err := store.Open(oldDir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(store.Record{Type: store.RecGraph, GraphID: refGid,
+		GraphSpec: json.RawMessage(`{"kind":"powerlaw","vertices":300,"edges":1500,"seed":7,"format":"bbcsr"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const formatWarning = "storage format this build does not have"
+	withLog := func() (Config, *syncBuffer) {
+		cfg, buf := slowCfg(1), &syncBuffer{}
+		cfg.Logger = slog.New(slog.NewTextHandler(buf, nil))
+		return cfg, buf
+	}
+	cfg4, log4 := withLog()
+	svc4, ts4 := newDurableService(t, oldDir, cfg4)
+	var info GraphInfo
+	if code := doJSON(t, http.MethodGet, ts4.URL+"/v1/graphs/"+refGid, nil, &info); code != http.StatusOK || info.Format != "dvcsr" {
+		t.Fatalf("graph with a dropped format: status %d, restored as %q, want dvcsr", code, info.Format)
+	}
+	if n := strings.Count(log4.String(), formatWarning); n != 1 {
+		t.Errorf("%d format warnings on replay, want 1:\n%s", n, log4.String())
+	}
+	// The same name on a new registration is a client error that lists
+	// what this build accepts.
+	var refused errorBody
+	if code := doJSON(t, http.MethodPost, ts4.URL+"/v1/graphs", GraphSpec{
+		Kind: "powerlaw", Vertices: 300, Edges: 1500, Seed: 7, Format: "bbcsr",
+	}, &refused); code != http.StatusBadRequest || !strings.Contains(refused.Error, `"auto", "csr" or "dvcsr"`) {
+		t.Errorf("registering a dropped format: status %d, error %q", code, refused.Error)
+	}
+	var oldSt JobStatus
+	doJSON(t, http.MethodPost, ts4.URL+"/v1/jobs", JobRequest{GraphID: refGid, Algo: "pr", Iterations: 40}, &oldSt)
+	waitForCheckpoint(t, svc4, oldSt.ID)
+	drainAndClose(t, svc4, ts4)
+	snap := filepath.Join(oldDir, "snap-"+oldSt.ID+".ckpt")
+	if err := os.Remove(snap + ".prev"); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(image[4:6], 1)
+	if err := os.WriteFile(snap, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg5, log5 := withLog()
+	svc5, ts5 := newDurableService(t, oldDir, cfg5)
+	waitJob(t, svc5, oldSt.ID)
+	doJSON(t, http.MethodGet, ts5.URL+"/v1/jobs/"+oldSt.ID, nil, &oldSt)
+	if oldSt.State != JobDone || oldSt.Resumed {
+		t.Fatalf("job behind a version-1 snapshot: state %q (%s), resumed %t; want a fresh run to done",
+			oldSt.State, oldSt.Error, oldSt.Resumed)
+	}
+	if !sameAnswer(oldSt.Result, refSt.Result) {
+		t.Errorf("re-run result diverges from uninterrupted run:\n  ref %+v\n  got %+v", refSt.Result, oldSt.Result)
+	}
+	logs := log5.String()
+	if n := strings.Count(logs, formatWarning); n != 1 {
+		t.Errorf("%d format warnings on the second replay, want 1", n)
+	}
+	if n := strings.Count(logs, "discarding invalid checkpoint"); n != 1 || !strings.Contains(logs, "checkpoint version 1") {
+		t.Errorf("%d checkpoint discards (want 1, naming version 1):\n%s", n, logs)
 	}
 }
 

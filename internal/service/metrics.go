@@ -178,7 +178,6 @@ type Metrics struct {
 	// (the cosparsed_graph_bytes{format=...} series).
 	GraphBytesCSR   atomic.Int64
 	GraphBytesDVCSR atomic.Int64
-	GraphBytesBBCSR atomic.Int64
 
 	// Graph registry.
 	GraphsRegistered atomic.Int64 // gauge: graphs currently held
@@ -417,7 +416,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP cosparsed_graph_bytes Measured resident bytes of registered graphs, by storage format.\n# TYPE cosparsed_graph_bytes gauge\n")
 	fmt.Fprintf(w, "cosparsed_graph_bytes{format=\"csr\"} %d\n", m.GraphBytesCSR.Load())
 	fmt.Fprintf(w, "cosparsed_graph_bytes{format=\"dvcsr\"} %d\n", m.GraphBytesDVCSR.Load())
-	fmt.Fprintf(w, "cosparsed_graph_bytes{format=\"bbcsr\"} %d\n", m.GraphBytesBBCSR.Load())
 	gauge("cosparsed_graphs_registered", "Graphs currently held in the registry.", m.GraphsRegistered.Load())
 	counter("cosparsed_graphs_created_total", "Graph registrations ever accepted.", m.GraphsCreated.Load())
 	counter("cosparsed_engine_cache_hits_total", "Prepared-engine cache hits.", m.EngineCacheHits.Load())

@@ -234,6 +234,14 @@ func (s *Service) recover() error {
 			badGraphs[id] = true
 			continue
 		}
+		if _, err := cosparse.ParseFormat(spec.Format); err != nil {
+			// A journal written by a build that had more storage formats
+			// ("bbcsr"). Answers are format-independent; only the bytes
+			// charged change, so the graph and its jobs survive as auto.
+			s.log.Warn("recovery: graph spec names a storage format this build does not have; rebuilding as auto",
+				slog.String("graph", id), slog.String("format", spec.Format))
+			spec.Format = "auto"
+		}
 		if err := s.reg.Restore(id, spec); err != nil {
 			s.log.Error("recovery: graph rebuild failed", slog.String("graph", id), slog.String("err", err.Error()))
 			badGraphs[id] = true

@@ -33,9 +33,9 @@ type GraphSpec struct {
 	// kind=edgelist; Undirected mirrors every edge.
 	EdgeList   string `json:"edge_list,omitempty"`
 	Undirected bool   `json:"undirected,omitempty"`
-	// Format selects the resident storage format: "csr", "dvcsr",
-	// "bbcsr", or "auto" (the default) to pick per graph by exact
-	// encoded-size comparison. Results are bit-identical whatever the
+	// Format selects the resident storage format: "csr", "dvcsr", or
+	// "auto" (the default) to pick per graph by exact encoded-size
+	// comparison. Results are bit-identical whatever the
 	// format; only the resident footprint charged to the memory budget
 	// changes.
 	Format string `json:"format,omitempty"`
@@ -147,8 +147,8 @@ func EstimateGraphBytes(vertices, edges int) int64 {
 // MinGraphBytes is the floor of GraphBytes across storage formats for
 // the declared dimensions: no format stores an edge in under one byte
 // (the delta-varint lower bound), and the per-vertex serving state is
-// format-independent. Registrations that may compress ("auto",
-// "dvcsr" or "bbcsr") reserve this floor — reserving the uncompressed model
+// format-independent. Registrations that may compress ("auto" or
+// "dvcsr") reserve this floor — reserving the uncompressed model
 // instead would refuse builds that their measured footprint admits.
 func MinGraphBytes(vertices, edges int) int64 {
 	return int64(edges) + int64(vertices)*16
@@ -190,7 +190,7 @@ type GraphInfo struct {
 	Edges    int    `json:"edges"`
 	Weighted bool   `json:"weighted"`
 	Refs     int    `json:"active_jobs"`
-	// Format is the resident storage format ("csr", "dvcsr" or "bbcsr") and
+	// Format is the resident storage format ("csr" or "dvcsr") and
 	// ResidentBytes the measured footprint charged to the memory budget.
 	Format        string `json:"format"`
 	ResidentBytes int64  `json:"resident_bytes"`
@@ -330,7 +330,6 @@ func (r *Registry) admitLocked(est int64) error {
 func (r *Registry) publishBytesLocked() {
 	r.m.GraphBytesCSR.Store(r.usedByFormat["csr"])
 	r.m.GraphBytesDVCSR.Store(r.usedByFormat["dvcsr"])
-	r.m.GraphBytesBBCSR.Store(r.usedByFormat["bbcsr"])
 }
 
 // Register materializes spec and stores it under a fresh id ("g1",

@@ -33,7 +33,7 @@ func (r *Registry) usage(t *testing.T) (used int64, byFormat map[string]int64) {
 // release exactly that figure: after a register/delete cycle the books
 // read zero even though declared and parsed edge counts disagree.
 func TestRegisterAccountingReconciled(t *testing.T) {
-	for _, format := range []string{"csr", "dvcsr", "bbcsr", "auto", ""} {
+	for _, format := range []string{"csr", "dvcsr", "auto", ""} {
 		r := testRegistry(t, 1<<30)
 		spec := GraphSpec{Kind: "powerlaw", Vertices: 300, Edges: 1500, Seed: 7, Format: format}
 		e, err := r.Register(spec)
@@ -54,9 +54,9 @@ func TestRegisterAccountingReconciled(t *testing.T) {
 		if byFormat[e.Graph.Format()] != want {
 			t.Errorf("format %q: usedByFormat[%s] = %d, want %d", format, e.Graph.Format(), byFormat[e.Graph.Format()], want)
 		}
-		if format == "bbcsr" {
-			if got := r.m.GraphBytesBBCSR.Load(); got != want {
-				t.Errorf("bbcsr gauge reads %d while registered, want %d", got, want)
+		if format == "dvcsr" {
+			if got := r.m.GraphBytesDVCSR.Load(); got != want {
+				t.Errorf("dvcsr gauge reads %d while registered, want %d", got, want)
 			}
 		}
 		if err := r.Delete(e.ID); err != nil {
@@ -71,8 +71,8 @@ func TestRegisterAccountingReconciled(t *testing.T) {
 				t.Errorf("format %q: usedByFormat[%s] = %d after delete, want 0", format, f, v)
 			}
 		}
-		if got := r.m.GraphBytesBBCSR.Load(); got != 0 {
-			t.Errorf("format %q: bbcsr gauge reads %d after delete, want 0", format, got)
+		if got := r.m.GraphBytesDVCSR.Load(); got != 0 {
+			t.Errorf("format %q: dvcsr gauge reads %d after delete, want 0", format, got)
 		}
 	}
 }

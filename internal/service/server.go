@@ -48,8 +48,7 @@ type Config struct {
 	// none: "sim" (the default) or "native".
 	DefaultBackend string
 	// DefaultFormat is the graph storage format used when a register
-	// request names none: "auto" (the default), "csr", "dvcsr", or
-	// "bbcsr".
+	// request names none: "auto" (the default), "csr" or "dvcsr".
 	DefaultFormat string
 	// DefaultTimeout / MaxTimeout bound per-job deadlines
 	// (defaults 30s / 5m).

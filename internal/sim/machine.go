@@ -79,12 +79,6 @@ type Stats struct {
 	Prefetches     int64
 	Writebacks     int64
 	ReconfigCycles int64 // charged by the runtime, included in Cycles there
-
-	// Compressed-domain execution (Params.DecodePEs; all zero when the
-	// model is off or the matrix store is uncompressed).
-	DecodeCycles       int64 // decode-unit cycles charged for compressed lines
-	HBMCompressedLines int64 // matrix-stream lines fetched at compressed size
-	HBMSavedLines      int64 // raw-minus-compressed lines (negative = compression lost)
 }
 
 // L1HitRate returns hits/(hits+misses) at L1, or 0 with no accesses.
@@ -135,9 +129,6 @@ func (s *Stats) Add(o Stats) {
 	s.Prefetches += o.Prefetches
 	s.Writebacks += o.Writebacks
 	s.ReconfigCycles += o.ReconfigCycles
-	s.DecodeCycles += o.DecodeCycles
-	s.HBMCompressedLines += o.HBMCompressedLines
-	s.HBMSavedLines += o.HBMSavedLines
 }
 
 // Result of one Machine.Run.

@@ -116,17 +116,6 @@ type Params struct {
 
 	ReconfigCycles int64 // runtime reconfiguration cost (paper: ≤10)
 
-	// DecodePEs enables the compressed-domain execution model: when the
-	// resident matrix store is compressed, per-PE decode units are
-	// charged DecodeCyclesPerLine per compressed HBM line fetched, and
-	// matrix-stream HBM traffic is re-charged at compressed line counts
-	// instead of raw operand lines (SMASH's hardware-side decode
-	// co-design as a reconfiguration). Off by default: with the flag
-	// off, timings are bit-identical to the pre-decode-model machine.
-	DecodePEs           bool
-	DecodeCyclesPerLine int64 // decode-unit cycles per compressed 64 B line
-	DecodeFillCycles    int64 // decode pipeline fill/drain per stream pass
-
 	// SchedulerWindow is the interleaving slack of the event scheduler:
 	// the running PE may get at most this many cycles ahead of the
 	// globally-earliest PE before yielding. Smaller = finer-grained
@@ -155,12 +144,7 @@ func DefaultParams() Params {
 		HBMLineOccupied: 8,
 		StoreBufDepth:   4,
 		ReconfigCycles:  10,
-		// Decode-PE modeling stays opt-in; the rates apply only when
-		// DecodePEs is set. 32 cycles per 64 B line models a 2 B/cycle
-		// varint/bitmap decode pipe; the fill covers ramp-up per pass.
-		DecodeCyclesPerLine: 32,
-		DecodeFillCycles:    24,
-		SchedulerWindow:     32,
+		SchedulerWindow: 32,
 	}
 }
 

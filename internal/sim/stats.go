@@ -33,12 +33,6 @@ type MemoryBreakdown struct {
 	StallCycles    int64 `json:"stall_cycles"`
 	ReconfigCycles int64 `json:"reconfig_cycles"`
 
-	// Compressed-domain execution counters (zero — and omitted from
-	// JSON — unless decode-PE modeling ran against a compressed store).
-	DecodeCycles       int64 `json:"decode_cycles,omitempty"`
-	HBMCompressedLines int64 `json:"hbm_compressed_lines,omitempty"`
-	HBMSavedLines      int64 `json:"hbm_saved_lines,omitempty"`
-
 	// AvgReadQueueCycles / AvgWriteQueueCycles are the mean channel
 	// queueing delay per line in each direction — the first number to
 	// look at when a run is slower than its miss count predicts.
@@ -49,28 +43,25 @@ type MemoryBreakdown struct {
 // MemoryBreakdown derives the structured rollup from raw counters.
 func (s Stats) MemoryBreakdown() MemoryBreakdown {
 	b := MemoryBreakdown{
-		L1Hits:             s.L1Hits,
-		L1Misses:           s.L1Misses,
-		L1HitRate:          s.L1HitRate(),
-		L2Hits:             s.L2Hits,
-		L2Misses:           s.L2Misses,
-		L2HitRate:          s.L2HitRate(),
-		HBMReadLines:       s.HBMLines,
-		HBMWriteLines:      s.HBMWriteLines,
-		HBMReadQueued:      s.HBMQueued,
-		HBMWriteQueued:     s.HBMWriteQueued,
-		Loads:              s.Loads,
-		Stores:             s.Stores,
-		StreamLoads:        s.StreamLoads,
-		SPMReads:           s.SPMReads,
-		SPMWrites:          s.SPMWrites,
-		Prefetches:         s.Prefetches,
-		Writebacks:         s.Writebacks,
-		StallCycles:        s.StallCycles,
-		ReconfigCycles:     s.ReconfigCycles,
-		DecodeCycles:       s.DecodeCycles,
-		HBMCompressedLines: s.HBMCompressedLines,
-		HBMSavedLines:      s.HBMSavedLines,
+		L1Hits:         s.L1Hits,
+		L1Misses:       s.L1Misses,
+		L1HitRate:      s.L1HitRate(),
+		L2Hits:         s.L2Hits,
+		L2Misses:       s.L2Misses,
+		L2HitRate:      s.L2HitRate(),
+		HBMReadLines:   s.HBMLines,
+		HBMWriteLines:  s.HBMWriteLines,
+		HBMReadQueued:  s.HBMQueued,
+		HBMWriteQueued: s.HBMWriteQueued,
+		Loads:          s.Loads,
+		Stores:         s.Stores,
+		StreamLoads:    s.StreamLoads,
+		SPMReads:       s.SPMReads,
+		SPMWrites:      s.SPMWrites,
+		Prefetches:     s.Prefetches,
+		Writebacks:     s.Writebacks,
+		StallCycles:    s.StallCycles,
+		ReconfigCycles: s.ReconfigCycles,
 	}
 	if s.HBMLines > 0 {
 		b.AvgReadQueueCycles = float64(s.HBMQueued) / float64(s.HBMLines)
