@@ -39,16 +39,18 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # column store filtered by row range, both layouts independent of
 # GOMAXPROCS, Materialize raced by eight kernels — and the Ligra
 # baseline's counts a function of the input alone (Jacobi pull) — and
-# the three long figure sweeps (Fig. 9, Fig. 10, auto vs static) at
-# ScaleTiny, which plain `go test` runs at the smallest scale whose
-# shapes still hold.
+# concurrent runs: mixed algorithms sharing one engine answer exactly
+# what they answer alone, and same-graph service jobs overlap inside
+# one engine — and the three long figure sweeps (Fig. 9, Fig. 10, auto
+# vs static) at ScaleTiny, which plain `go test` runs at the smallest
+# scale whose shapes still hold.
 regress:
 	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines' ./internal/sim
-	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms' ./internal/service
+	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
 	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs' ./internal/runtime
-	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV' .
+	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV|TestEngineConcurrentRunsMatchSolo' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .
 	BENCH_FIGURES=1 $(GO) test -count=1 -run 'TestFig9Shape|TestFig10Shape|TestAutoVsStatic' ./internal/bench
@@ -56,8 +58,8 @@ regress:
 # chaos runs the fault-injection suite under the race detector: hundreds
 # of jobs against an armed injector (panics, transient errors, latency),
 # the graceful-drain paths, and the overload suite (CoDel shedding,
-# tenant fairness/eviction, retry budget, brownout, and a four-tenant
-# flood with one hostile tenant under injected faults).
+# tenant fairness/eviction, retry budget, and a four-tenant flood with
+# one hostile tenant under injected faults).
 chaos:
 	$(GO) test -race -run 'TestChaos|TestDrain|TestOverload' -count=1 ./internal/service
 
@@ -119,10 +121,11 @@ bench-backends:
 # with the coalescer off, with groups of up to 8 lanes, and of up to 32
 # — 5 repetitions per leg. Solo and fused jobs run the same loop and
 # the same native kernel, so the ratio is lane amortization net of the
-# gather window, against unbatched jobs serialized on the per-engine
-# run lock. BENCH_batch.json records per-leg median and IQR jobs/sec
-# with host metadata; there is no speedup gate — the run fails only on
-# a failed job or a lane whose answer differs from the unbatched run.
+# gather window, against unbatched jobs running concurrently on the
+# shared engine. BENCH_batch.json records per-leg median and IQR
+# jobs/sec with host metadata; there is no speedup gate — the run fails
+# only on a failed job or a lane whose answer differs from the
+# unbatched run.
 # Part of the race tier, but the benchmark binary itself is built
 # without -race: tsan's shadow memory skews the ratio into noise, and
 # the coalescer's rendezvous is already race-tested by regress and the

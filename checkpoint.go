@@ -20,7 +20,7 @@ type Checkpoint struct {
 }
 
 // Algorithm names the run the checkpoint belongs to ("BFS", "SSSP",
-// "PR", "PR(tol)", "CF", "BC", ...). Resume validates it against the
+// "PR", "CF", "BC", ...). Resume validates it against the
 // algorithm being resumed.
 func (c *Checkpoint) Algorithm() string { return c.cp.Algo }
 

@@ -75,16 +75,11 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL this node is reachable at, sent to the leader when following (default derived from -addr)")
 	replMode := flag.String("repl-mode", "async", "leader submit-ack coupling: async (ack on local durability) or semisync (hold acks for the follower's journal ack)")
 	semisyncTimeout := flag.Duration("semisync-timeout", 2*time.Second, "cap on the semisync ack wait before falling back to async (counted in metrics)")
-	replBuffer := flag.Int64("repl-buffer", 8<<20, "leader in-memory replication ship-buffer bytes; overflow forces a full resync")
 	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "leader-to-follower heartbeat cadence")
 	promoteAfter := flag.Duration("promote-after", 0, "auto-promote a synced standby when no leader heartbeat arrives for this long (0 = manual promotion only via POST /v1/admin/promote)")
 	shedTarget := flag.Duration("shed-target", 0, "queue-delay shedding target: submissions are shed with 429 while dequeue delays stay above it (0 = default 1s, negative = disable)")
 	shedInterval := flag.Duration("shed-interval", 0, "how long queue delays must exceed -shed-target before shedding arms (0 = default 100ms)")
-	tenantQueue := flag.Int("tenant-queue", 0, "absolute per-tenant queued-job cap (0 = dynamic fair share of -queue across active tenants)")
 	retryBudget := flag.Float64("retry-budget", 0, "retry tokens earned per admitted job, capping automatic retries as a fraction of admitted work (0 = default 0.1, negative = unlimited)")
-	brownoutAfter := flag.Duration("brownout-after", 0, "sustained overload span before the service degrades (wider batch window, stretched checkpoints, 'degraded' in /readyz); 0 = default 2s, negative = disable")
-	breakerAfter := flag.Int("semisync-breaker", 3, "consecutive semisync ack timeouts that open the replication ack circuit breaker (pure-async until a cooldown probe succeeds)")
-	breakerCooldown := flag.Duration("semisync-breaker-cooldown", 10*time.Second, "open-breaker probe interval")
 	flag.Parse()
 
 	if *workers <= 0 || *queue <= 0 || *cache <= 0 {
@@ -119,14 +114,8 @@ func main() {
 			*advertise = "http://" + host
 		}
 	}
-	if *semisyncTimeout <= 0 || *replBuffer <= 0 || *replHeartbeat <= 0 {
-		fail(fmt.Errorf("need -semisync-timeout, -repl-buffer and -repl-heartbeat > 0"))
-	}
-	if *breakerAfter <= 0 || *breakerCooldown <= 0 {
-		fail(fmt.Errorf("need -semisync-breaker and -semisync-breaker-cooldown > 0"))
-	}
-	if *tenantQueue < 0 || *tenantQueue > *queue {
-		fail(fmt.Errorf("-tenant-queue must be in [0, -queue], got %d", *tenantQueue))
+	if *semisyncTimeout <= 0 || *replHeartbeat <= 0 {
+		fail(fmt.Errorf("need -semisync-timeout and -repl-heartbeat > 0"))
 	}
 
 	if *retries == 0 {
@@ -188,17 +177,11 @@ func main() {
 		AdvertiseURL:       *advertise,
 		ReplMode:           *replMode,
 		SemisyncTimeout:    *semisyncTimeout,
-		ReplBufferBytes:    *replBuffer,
 		ReplHeartbeatEvery: *replHeartbeat,
 		PromoteAfter:       *promoteAfter,
 		ShedTarget:         *shedTarget,
 		ShedInterval:       *shedInterval,
-		TenantQueueDepth:   *tenantQueue,
 		RetryBudget:        *retryBudget,
-		BrownoutAfter:      *brownoutAfter,
-
-		SemisyncBreakerAfter:    *breakerAfter,
-		SemisyncBreakerCooldown: *breakerCooldown,
 	})
 	if err != nil {
 		fail(fmt.Errorf("open service: %w", err))

@@ -429,7 +429,10 @@ func WithThresholds(t Thresholds) Option {
 }
 
 // Engine binds a Graph to a simulated machine and drives the
-// reconfigurable SpMV runtime.
+// reconfigurable SpMV runtime. An Engine is safe for concurrent use:
+// it is read-only after New, and every run — any algorithm, solo or
+// batched, on either backend — owns its own working state, so
+// concurrent runs return exactly what they would return alone.
 type Engine struct {
 	fw        *runtime.Framework
 	sys       System

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -61,19 +60,11 @@ type Runner func(key string, lanes []*Lane)
 type group struct {
 	lanes []*Lane
 	full  chan struct{} // closed when len(lanes) reaches maxLanes
-	// window is the gather window sampled when the leader opened the
-	// group, so a concurrent SetWindow cannot desynchronize the
-	// leader's registration decision from its wait.
-	window time.Duration
 }
 
 // Coalescer groups compatible submissions into fused batches.
 type Coalescer struct {
-	// windowNs is the gather window in nanoseconds, atomic so a
-	// brownout controller can widen it under load (more fusion per
-	// traversal) without stopping traffic. A window adjusted from <= 0
-	// to positive (or back) takes effect for new groups only.
-	windowNs atomic.Int64
+	window   time.Duration
 	maxLanes int
 	run      Runner
 
@@ -89,24 +80,12 @@ func New(window time.Duration, maxLanes int, run Runner) *Coalescer {
 	if maxLanes < 1 {
 		maxLanes = 1
 	}
-	c := &Coalescer{
+	return &Coalescer{
+		window:   window,
 		maxLanes: maxLanes,
 		run:      run,
 		pending:  map[string]*group{},
 	}
-	c.windowNs.Store(int64(window))
-	return c
-}
-
-// Window returns the current gather window.
-func (c *Coalescer) Window() time.Duration {
-	return time.Duration(c.windowNs.Load())
-}
-
-// SetWindow adjusts the gather window for groups opened from now on;
-// in-flight groups keep the window they opened with.
-func (c *Coalescer) SetWindow(window time.Duration) {
-	c.windowNs.Store(int64(window))
 }
 
 // errNotDelivered backstops runners that return without delivering a
@@ -124,8 +103,8 @@ func (c *Coalescer) Run(ctx context.Context, key string, payload any) (any, erro
 	g := c.pending[key]
 	leader := g == nil
 	if leader {
-		g = &group{full: make(chan struct{}), window: c.Window()}
-		if c.maxLanes > 1 && g.window > 0 {
+		g = &group{full: make(chan struct{})}
+		if c.maxLanes > 1 && c.window > 0 {
 			c.pending[key] = g
 		}
 	}
@@ -156,8 +135,8 @@ func (c *Coalescer) Run(ctx context.Context, key string, payload any) (any, erro
 // it. Runs on the leader's goroutine: the leader pays the window wait,
 // followers only wait for delivery.
 func (c *Coalescer) lead(ctx context.Context, key string, g *group) {
-	if c.maxLanes > 1 && g.window > 0 {
-		timer := time.NewTimer(g.window)
+	if c.maxLanes > 1 && c.window > 0 {
+		timer := time.NewTimer(c.window)
 		select {
 		case <-timer.C:
 		case <-g.full:

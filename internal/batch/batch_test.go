@@ -171,53 +171,3 @@ func TestCancelledFollowerReturnsEarly(t *testing.T) {
 	}
 	close(block)
 }
-
-// TestSetWindowAppliesToNewGroups: the brownout controller widens the
-// gather window at runtime; groups opened after the change use the new
-// window, and a zero window degrades back to solo runs.
-func TestSetWindowAppliesToNewGroups(t *testing.T) {
-	var mu sync.Mutex
-	var sizes []int
-	c := New(0, 2, echoRunner(&mu, &sizes))
-
-	// Window 0: every run is solo even under the fused path.
-	if res, err := c.Run(context.Background(), "k", 1); err != nil || res != 1 {
-		t.Fatalf("solo run: %v %v", res, err)
-	}
-
-	c.SetWindow(time.Hour)
-	if got := c.Window(); got != time.Hour {
-		t.Fatalf("Window() = %v after SetWindow, want 1h", got)
-	}
-	// With the widened window two concurrent submissions fuse (the
-	// group fills at maxLanes=2, so the hour-long window never waits).
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if res, err := c.Run(context.Background(), "k", i); err != nil || res != i {
-				t.Errorf("fused lane %d: %v %v", i, res, err)
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("widened-window group did not detach when full")
-	}
-
-	// Back to 0: solo again.
-	c.SetWindow(0)
-	if res, err := c.Run(context.Background(), "k", 7); err != nil || res != 7 {
-		t.Fatalf("post-reset solo run: %v %v", res, err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 1 {
-		t.Fatalf("batch sizes = %v, want [1 2 1]", sizes)
-	}
-}

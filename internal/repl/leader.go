@@ -33,13 +33,6 @@ type LeaderConfig struct {
 	// SemisyncTimeout caps how long a submit ack waits for the
 	// follower before falling back to async (default 2s).
 	SemisyncTimeout time.Duration
-	// BreakerThreshold is how many consecutive semisync fallbacks open
-	// the ack circuit breaker (default 3); BreakerCooldown is how long
-	// the breaker stays open before admitting a probe wait (default
-	// 10s). While open, submits skip the ack wait entirely — pure
-	// async — instead of each stalling for the full SemisyncTimeout.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// BufferBytes bounds the in-memory ship buffer; overflow drops
 	// the buffered tail and forces a full resync on the next connect
 	// (default 8 MiB).
@@ -124,11 +117,12 @@ func NewReplicator(cfg LeaderConfig) *Replicator {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
 	r := &Replicator{cfg: cfg, client: client, snaps: make(map[string][]byte)}
-	r.ackBreaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Stats)
+	// Three consecutive semisync fallbacks open the ack breaker; it stays
+	// open 10s before admitting a probe wait. While open, submits skip
+	// the ack wait entirely — pure async — instead of each stalling for
+	// the full SemisyncTimeout.
+	r.ackBreaker = NewBreaker(3, 10*time.Second, cfg.Stats)
 	r.cond = sync.NewCond(&r.mu)
 	r.cfg.Stats.State.Store(StateIdle)
 	if url, err := LoadFollowerURL(cfg.DataDir); err == nil && url != "" {

@@ -228,36 +228,6 @@ func TestDeadEndSource(t *testing.T) {
 	}
 }
 
-func TestPageRankTolConverges(t *testing.T) {
-	m := gen.PowerLaw(400, 4000, 0.5, gen.Pattern, 86)
-	f := newFW(t, m, Options{})
-	pr, iters, rep, err := f.PageRankTol(1e-3, 60, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters <= 1 || iters >= 60 {
-		t.Fatalf("converged in %d iterations; expected an interior stop", iters)
-	}
-	if len(rep.Iters) != iters {
-		t.Fatalf("report has %d iterations, ran %d", len(rep.Iters), iters)
-	}
-	// Must agree with the fixed-iteration variant run for the same count.
-	f2 := newFW(t, m, Options{})
-	want, _, err := f2.PageRank(iters, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		d := pr[v] - want[v]
-		if d > 1e-4 || d < -1e-4 {
-			t.Fatalf("vertex %d: tol variant %g vs fixed %g", v, pr[v], want[v])
-		}
-	}
-	if _, _, _, err := f.PageRankTol(0, 10, 0.15); err == nil {
-		t.Error("accepted zero tolerance")
-	}
-}
-
 func TestOnIterationHookObservesFrontiers(t *testing.T) {
 	m := gen.PowerLaw(500, 8000, 0.55, gen.UniformWeight, 87)
 	var sizes []int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"cosparse/internal/matrix"
 	"cosparse/internal/semiring"
@@ -263,115 +262,4 @@ func (f *Framework) RunCustomContext(ctx context.Context, ring semiring.Semiring
 		name = "custom"
 	}
 	return f.runSolo(f.newLane(ctx, name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil)
-}
-
-// PageRankTol runs the damped power iteration until the relative L1
-// change of the rank vector (Σ|Δ| / Σ|rank|) drops below tol, or
-// maxIters is hit, returning the ranks and the number of iterations
-// executed — the convergence-driven variant real deployments use on top
-// of the paper's fixed-iteration evaluation. The change contracts by
-// roughly (1−α) per iteration, so tol=1e-3 with α=0.15 converges in
-// ~45 iterations.
-func (f *Framework) PageRankTol(tol float32, maxIters int, alpha float32) (matrix.Dense, int, *Report, error) {
-	return f.PageRankTolContext(context.Background(), tol, maxIters, alpha)
-}
-
-// PageRankTolContext is PageRankTol with per-iteration cancellation.
-func (f *Framework) PageRankTolContext(ctx context.Context, tol float32, maxIters int, alpha float32) (matrix.Dense, int, *Report, error) {
-	if tol <= 0 {
-		return nil, 0, nil, fmt.Errorf("runtime: PageRankTol tolerance must be positive, got %g", tol)
-	}
-	if maxIters <= 0 {
-		maxIters = 100
-	}
-	n := f.N()
-	vals := uniformRanks(n)
-
-	total := &Report{Algorithm: "PR(tol)", Geometry: f.opts.Geometry, Backend: f.opts.Backend.Name()}
-	prev := vals.Clone()
-	iters := 0
-
-	// Checkpoints happen at this loop's granularity — one snapshot per
-	// K converged-checked power iterations, with the previous rank
-	// vector (the convergence state) in Aux. The inner one-iteration
-	// lanes run with the config stripped so they don't snapshot their
-	// own one-iteration world.
-	cc := CheckpointFromContext(ctx)
-	runCtx := ctx
-	if cc != nil {
-		runCtx = ContextWithCheckpoint(ctx, nil)
-		if cp := cc.Resume; cp != nil {
-			if cp.Algo != "PR(tol)" {
-				return nil, 0, total, fmt.Errorf("runtime: checkpoint was taken by %q, cannot resume PR(tol)", cp.Algo)
-			}
-			if int(cp.N) != n {
-				return nil, 0, total, fmt.Errorf("runtime: checkpoint covers %d vertices, graph has %d", cp.N, n)
-			}
-			vals = cp.Vals.Clone()
-			if len(cp.Aux) == n {
-				prev = cp.Aux.Clone()
-			}
-			iters = int(cp.Iter)
-			total.Iters = append([]IterStat(nil), cp.Trace...)
-			total.TotalIters = int(cp.TotalIters)
-			total.DroppedIters = int(cp.DroppedIters)
-			total.TotalCycles = cp.TotalCycles
-			total.TotalWall = time.Duration(cp.TotalWallNs)
-			total.EnergyJ = cp.EnergyJ
-			total.Stats = cp.Stats
-			total.Resumed, total.ResumedIter = true, iters
-		}
-	}
-
-	for iters < maxIters {
-		var rep *Report
-		var err error
-		vals, rep, err = f.runSolo(f.newLane(runCtx, "PR", semiring.PR(), semiring.Ctx{Alpha: alpha}, vals, nil, 1, nil, nil), nil)
-		if rep != nil {
-			total.absorb(rep, iters, f.opts.ringCap())
-		}
-		if err != nil {
-			return vals, iters, total, err
-		}
-		iters++
-
-		var delta, norm float64
-		for i := range vals {
-			d := float64(vals[i] - prev[i])
-			if d < 0 {
-				d = -d
-			}
-			delta += d
-			v := float64(vals[i])
-			if v < 0 {
-				v = -v
-			}
-			norm += v
-		}
-		if norm > 0 && delta/norm < float64(tol) {
-			break
-		}
-		copy(prev, vals)
-
-		if cc != nil && cc.Sink != nil && cc.Every > 0 && iters%cc.Every == 0 && iters < maxIters {
-			cp := &Checkpoint{
-				Algo:         "PR(tol)",
-				N:            int32(n),
-				Iter:         int32(iters),
-				Vals:         vals.Clone(),
-				Aux:          prev.Clone(),
-				TotalCycles:  total.TotalCycles,
-				TotalWallNs:  int64(total.TotalWall),
-				EnergyJ:      total.EnergyJ,
-				Stats:        total.Stats,
-				TotalIters:   int32(total.TotalIters),
-				DroppedIters: int32(total.DroppedIters),
-				Trace:        append([]IterStat(nil), total.Iters...),
-			}
-			if err := cc.Sink(cp); err != nil {
-				return vals, iters, total, fmt.Errorf("runtime: PR(tol) checkpoint at iteration %d failed: %w", iters, err)
-			}
-		}
-	}
-	return vals, iters, total, nil
 }

@@ -188,19 +188,9 @@ func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Re
 	}
 
 	// ---- Phase 3: dependencies δ (backward, reversed graph) ----
-	if f.rev == nil {
-		// Stream-transpose the store (two DecodeRows passes, counting
-		// placement) instead of materializing it as COO first: same
-		// bit-identical reversed matrix, without holding compressed +
-		// full COO + transposed COO simultaneously at the peak. The
-		// transposed framework is transient scratch for the backward
-		// sweep, so it stays in the uncompressed baseline regardless of
-		// f's format.
-		rev, err := New(matrix.TransposeOf(f.st), f.opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.rev = rev
+	rev, err := f.reversed()
+	if err != nil {
+		return nil, nil, err
 	}
 	delta := make(matrix.Dense, n)
 	startBwd := maxLevel - 1
@@ -224,7 +214,7 @@ func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Re
 			return nil, nil, err
 		}
 		before := delta.Clone()
-		out, rep, err := f.rev.RunCustomContext(inner, ring, semiring.Ctx{}, delta, fr, 1)
+		out, rep, err := rev.RunCustomContext(inner, ring, semiring.Ctx{}, delta, fr, 1)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -22,7 +22,7 @@ package runtime
 //     addition order of the uninterrupted run.
 //
 // Algorithm-specific convergence state rides in Aux/AuxInt: BFS levels,
-// PageRankTol's previous rank vector, BC's σ array and level map.
+// BC's σ array and level map.
 //
 // The wire format is defensive: magic + version header, a CRC32 over
 // the body, and a bounds-checked decoder that returns errors (never
@@ -54,7 +54,7 @@ const (
 // boundary: everything the driver needs to continue from Iter as if it
 // had never stopped.
 type Checkpoint struct {
-	// Algo is the driver's run name ("BFS", "PR", "PR(tol)", "BC", ...);
+	// Algo is the run's algorithm name ("BFS", "PR", "BC", ...);
 	// resume refuses a checkpoint taken by a different algorithm.
 	Algo string
 	// Tag is caller-owned run identity (the service stores its job id);
@@ -79,8 +79,8 @@ type Checkpoint struct {
 	// LastSet is the sparse vector currently scattered into the IP
 	// dense-frontier buffer (nil if no IP iteration has run).
 	LastSet *matrix.SparseVec
-	// Aux / AuxInt carry algorithm convergence state: PageRankTol's
-	// previous rank vector, BC's σ; BFS levels, BC's level array.
+	// Aux / AuxInt carry algorithm convergence state: BC's σ; BFS
+	// levels, BC's level array.
 	Aux    matrix.Dense
 	AuxInt []int32
 

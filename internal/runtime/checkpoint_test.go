@@ -47,13 +47,6 @@ var ckptRuns = []ckptRun{
 		}
 		return rep, pr
 	}},
-	{"PR-tol", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
-		pr, iters, rep, err := f.PageRankTolContext(ctx, 1e-4, 50, 0.15)
-		if err != nil {
-			t.Fatalf("PR(tol): %v", err)
-		}
-		return rep, append([]float32{float32(iters)}, pr...)
-	}},
 	{"CF", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
 		lat, rep, err := f.CFContext(ctx, 8, 0.01, 0.05)
 		if err != nil {

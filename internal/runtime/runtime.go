@@ -10,6 +10,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"cosparse/internal/exec"
@@ -165,7 +166,11 @@ type Options struct {
 // resident store (any matrix.Format behind the format seam), the IP/OP
 // partitions decoded from it (§III-D2 keeps both dataflows' layouts
 // resident so reconfiguration never pays a conversion), and the
-// decision policy.
+// decision policy. It is read-only after construction — every buffer a
+// run writes belongs to that run's lanes, and the lazily built pieces
+// (partition layouts, the reversed graph) are built once under a
+// sync.Once — so any number of runs may share one Framework
+// concurrently.
 type Framework struct {
 	st   matrix.Store
 	n    int // vertices (the adjacency matrix is square)
@@ -176,9 +181,24 @@ type Framework struct {
 	ipPart *kernels.IPPartition // vblocked to the SPM capacity (used by SC and SCS)
 	opPart *kernels.OPPartition
 
-	// rev is the lazily-built framework over the reversed graph,
-	// needed by algorithms with backward sweeps (BC).
-	rev *Framework
+	// The framework over the reversed graph, for BC's backward sweep;
+	// see reversed.
+	revOnce sync.Once
+	rev     *Framework
+	revErr  error
+}
+
+// reversed returns the framework over the reversed graph, building it
+// on the first call. The store is stream-transposed (two DecodeRows
+// passes, counting placement) rather than materialised as COO first:
+// the same bit-identical reversed matrix without holding compressed +
+// full COO + transposed COO at once. It stays in the uncompressed
+// baseline whatever f's format.
+func (f *Framework) reversed() (*Framework, error) {
+	f.revOnce.Do(func() {
+		f.rev, f.revErr = New(matrix.TransposeOf(f.st), f.opts)
+	})
+	return f.rev, f.revErr
 }
 
 // New builds a Framework for the transposed adjacency matrix m

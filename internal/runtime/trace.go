@@ -1,8 +1,8 @@
 package runtime
 
 // Bounded per-iteration tracing. Every run records its IterStats into a
-// ring buffer sized by Options.TraceCap, so long-running jobs (PR to
-// tolerance on a big graph, multi-source BC) keep the most recent
+// ring buffer sized by Options.TraceCap, so long-running jobs (many
+// PageRank iterations on a big graph, BC's sweeps) keep the most recent
 // window of the Fig. 9 decision trace without letting Report.Iters grow
 // with the iteration count. The Report still carries exact totals
 // (TotalIters, DroppedIters), so consumers can tell a complete trace
@@ -12,7 +12,7 @@ package runtime
 // Options.TraceCap is zero. 4096 iterations × ~200 B/entry keeps the
 // worst case under a megabyte while covering every algorithm in the
 // suite end to end (the longest calibrated run is ~4·|V| BFS levels on
-// the small graphs, and PR(tol) converges in well under a thousand).
+// the small graphs).
 const DefaultTraceCap = 4096
 
 // ringCap normalizes Options.TraceCap: 0 means DefaultTraceCap,
@@ -78,8 +78,8 @@ func (r *iterRing) slice() []IterStat {
 	return out
 }
 
-// absorb folds a sub-run's report into r, the way PageRankTolContext and
-// BCContext stitch their one-iteration sub-runs into one logical run:
+// absorb folds a sub-run's report into r, the way BCContext stitches
+// its one-iteration sub-runs into one logical run:
 // sub's trace entries are renumbered from iterOffset (every sub-run
 // restarts at 0) so the stitched trace reads in the Fig. 9 layout, the
 // counters and totals add up, and the trace obeys ringCap like a

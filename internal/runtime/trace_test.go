@@ -67,27 +67,3 @@ func TestTraceCapBoundsReportWithExactTotals(t *testing.T) {
 			capped.TotalCycles, full.TotalCycles, capped.EnergyJ, full.EnergyJ)
 	}
 }
-
-func TestPageRankTolTraceStitchedAndBounded(t *testing.T) {
-	// PR(tol) stitches one-iteration driver reports; the stitched trace
-	// must be renumbered as one run and obey the same cap.
-	m := gen.Uniform(500, 5000, gen.Pattern, 7)
-	f := newFW(t, m, Options{TraceCap: 5})
-	_, iters, rep, err := f.PageRankTol(1e-4, 40, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalIters != iters {
-		t.Fatalf("TotalIters=%d, want %d", rep.TotalIters, iters)
-	}
-	if iters > 5 {
-		if len(rep.Iters) != 5 || rep.DroppedIters != iters-5 {
-			t.Fatalf("len=%d dropped=%d, want 5/%d", len(rep.Iters), rep.DroppedIters, iters-5)
-		}
-	}
-	for i, st := range rep.Iters {
-		if want := iters - len(rep.Iters) + i; st.Iter != want {
-			t.Fatalf("stitched trace entry %d has Iter=%d, want %d", i, st.Iter, want)
-		}
-	}
-}

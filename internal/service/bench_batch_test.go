@@ -7,7 +7,8 @@ package service
 // times. Every job runs the same loop and the same native kernel (a
 // solo run is a one-lane batch), so the ratio measures what fusing
 // lanes amortizes, net of the gather window, against unbatched jobs
-// serialized on runMu. Gated behind BENCH_BATCH; per-leg median and
+// running concurrently on the shared engine, one per worker. Gated
+// behind BENCH_BATCH; per-leg median and
 // IQR plus host metadata land in BENCH_batch.json at the repo root.
 // There is no speedup gate: the run fails only on a failed job or a
 // lane whose answer differs from the unbatched run's.

@@ -169,6 +169,39 @@ func waitForCheckpoint(t *testing.T, svc *Service, id string) {
 	t.Fatalf("job %s never wrote a checkpoint", id)
 }
 
+// TestDurableCloseKeepsInterruptedJob: a plain Close (no Drain first)
+// cancels the running job, but that cancellation is the shutdown's, not
+// the client's — it must not be journaled as the job's end. The
+// reopened service runs the job to done under its original id.
+func TestDurableCloseKeepsInterruptedJob(t *testing.T) {
+	dir := t.TempDir()
+	svc, ts := newDurableService(t, dir, slowCfg(1))
+	gid := registerGraph(t, ts.URL, 7)
+	var st JobStatus
+	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{
+		GraphID: gid, Algo: "pr", Iterations: 200, Backend: "native",
+	}, &st)
+	// A checkpoint on disk means the job is running, with ~1 s of
+	// injected iteration latency still ahead of it.
+	waitForCheckpoint(t, svc, st.ID)
+	ts.Close()
+	svc.Close()
+
+	svc2, ts2 := newDurableService(t, dir, slowCfg(1))
+	if rec := svc2.Recovered(); rec.JobsResumed+rec.JobsRestarted != 1 {
+		t.Fatalf("recovery = %+v, want the interrupted job back", rec)
+	}
+	if svc2.sched.Get(st.ID) == nil {
+		t.Fatalf("job %s did not survive Close", st.ID)
+	}
+	waitJob(t, svc2, st.ID)
+	var final JobStatus
+	doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+st.ID, nil, &final)
+	if final.State != JobDone {
+		t.Fatalf("re-run job: %q (%s)", final.State, final.Error)
+	}
+}
+
 // TestDurableRestartResumesInterruptedJob is the heart of the tentpole
 // at the service layer: a running job interrupted by shutdown comes
 // back on the next open, resumes from its checkpoint, and produces the
@@ -414,17 +447,25 @@ func TestDurableStaleSnapshotsSwept(t *testing.T) {
 	var st JobStatus
 	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{GraphID: gid, Algo: "pr", Iterations: 3}, &st)
 	waitJob(t, svc, st.ID)
+	// Done closes before the worker journals the finish and sweeps the
+	// job's snapshots; Close waits for the worker, so the orphans below
+	// cannot race that sweep.
+	ts.Close()
+	svc.Close()
 	// Orphan snapshots: one for the settled job (as if a crash hit
 	// between journal-finish and snapshot delete), one for a job the
 	// journal has never heard of.
-	if err := svc.Store().WriteSnapshot(st.ID, []byte("stale")); err != nil {
+	db, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Store().WriteSnapshot("j999", []byte("orphan")); err != nil {
+	if err := db.WriteSnapshot(st.ID, []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
-	ts.Close()
-	svc.Close()
+	if err := db.WriteSnapshot("j999", []byte("orphan")); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
 
 	svc2, _ := newDurableService(t, dir, Config{Workers: 1, QueueDepth: 4})
 	rec := svc2.Recovered()

@@ -160,10 +160,6 @@ type Metrics struct {
 	// RetryBudgetExhausted counts retries refused by the global retry
 	// token bucket (the job failed instead of re-running).
 	RetryBudgetExhausted atomic.Int64
-	// BrownoutActive is 1 while the service is in degraded (brownout)
-	// mode; Brownouts counts entries into it.
-	BrownoutActive atomic.Int64
-	Brownouts      atomic.Int64
 
 	// Resilience.
 	Panics            atomic.Int64 // recovered panics (workers + HTTP handlers)
@@ -405,8 +401,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "cosparsed_jobs_shed_total{reason=%q} %d\n", ShedExpired, m.ShedExpired.Load())
 	gauge("cosparsed_shedding", "1 while the queue-delay controller is shedding new submissions.", m.ShedActive.Load())
 	counter("cosparsed_retry_budget_exhausted_total", "Retries refused by the global retry token bucket.", m.RetryBudgetExhausted.Load())
-	gauge("cosparsed_brownout_active", "1 while the service is running degraded (brownout).", m.BrownoutActive.Load())
-	counter("cosparsed_brownouts_total", "Times the service entered brownout (degraded) mode.", m.Brownouts.Load())
 	counter("cosparsed_panics_total", "Panics recovered in workers and HTTP handlers.", m.Panics.Load())
 	counter("cosparsed_admission_rejected_total", "Graph registrations refused by the memory budget.", m.AdmissionRejected.Load())
 	counter("cosparsed_engine_pressure_total", "Engine builds refused because the build-concurrency limit was reached.", m.EnginePressure.Load())

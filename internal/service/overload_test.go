@@ -372,82 +372,6 @@ func TestOverloadRetryBudget(t *testing.T) {
 	}
 }
 
-// TestOverloadBrownout: sustained queue pressure flips the service into
-// degraded mode — wider batch window, stretched checkpoints, "degraded"
-// in /readyz (still 200) — and calm reverts it.
-func TestOverloadBrownout(t *testing.T) {
-	svc, ts := newTestService(t, Config{
-		Workers: 1, QueueDepth: 4, ShedTarget: -1,
-		BrownoutAfter: 40 * time.Millisecond,
-		BatchWindow:   time.Millisecond, BatchMaxLanes: 2,
-	})
-	gid := registerGraph(t, ts.URL, 233)
-	entered, release, _ := holdFirstWorker(svc)
-
-	readyStatus := func() (int, string) {
-		resp, err := http.Get(ts.URL + "/readyz")
-		if err != nil {
-			t.Fatalf("readyz: %v", err)
-		}
-		defer resp.Body.Close()
-		var body struct {
-			Status string `json:"status"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatalf("readyz decode: %v", err)
-		}
-		return resp.StatusCode, body.Status
-	}
-
-	postJob(t, ts.URL, JobRequest{GraphID: gid, Algo: "pr", Iterations: 1})
-	<-entered
-	var ids []string
-	for i := 0; i < 4; i++ {
-		_, _, st := postJob(t, ts.URL, JobRequest{GraphID: gid, Algo: "pr", Iterations: 1})
-		ids = append(ids, st.ID)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for !svc.degraded.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("brownout never engaged under full queue")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if code, status := readyStatus(); code != http.StatusOK || status != "degraded" {
-		t.Fatalf("readyz under brownout = %d %q, want 200 degraded", code, status)
-	}
-	if got := svc.batcher.Window(); got != brownoutBatchFactor*time.Millisecond {
-		t.Fatalf("batch window = %v, want %v under brownout", got, brownoutBatchFactor*time.Millisecond)
-	}
-	if got := svc.ckptStretch.Load(); got != brownoutCkptFactor {
-		t.Fatalf("ckpt stretch = %d, want %d", got, brownoutCkptFactor)
-	}
-	if svc.m.BrownoutActive.Load() != 1 || svc.m.Brownouts.Load() != 1 {
-		t.Fatalf("brownout metrics = %d/%d, want 1/1",
-			svc.m.BrownoutActive.Load(), svc.m.Brownouts.Load())
-	}
-
-	close(release)
-	svc.sched.beforeRun = nil
-	for _, id := range ids {
-		waitJob(t, svc, id)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for svc.degraded.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("brownout never released after the queue drained")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := svc.batcher.Window(); got != time.Millisecond {
-		t.Fatalf("batch window = %v after brownout, want 1ms restored", got)
-	}
-	if code, status := readyStatus(); code != http.StatusOK || status != "ready" {
-		t.Fatalf("readyz after brownout = %d %q, want 200 ready", code, status)
-	}
-}
-
 // TestOverloadChaosTenantFlood is the overload chaos suite: four
 // tenants — one hostile, flooding at ~10x the polite rate — hammer a
 // small pool while the injector fires transient faults and latency.

@@ -25,9 +25,9 @@ import (
 // a crash between transition and append replays the job at its
 // previous stage, which recovery handles (re-running a job that had
 // started is exactly what resume-from-checkpoint is for). Cancelled
-// terminal states reached while draining are deliberately NOT
-// journaled: a drain is a restart in progress, and those jobs must
-// come back.
+// terminal states reached while draining or closing are deliberately
+// NOT journaled: a shutdown is a restart in progress, and those jobs
+// must come back.
 
 func nowNs() int64 { return time.Now().UnixNano() }
 
@@ -80,8 +80,8 @@ func (s *Service) journalFinish(j *Job, state JobState, errMsg string) {
 		return
 	}
 	if state == JobCancelled && s.draining.Load() {
-		// A drain-time cancellation is a restart in progress, not a
-		// client decision: leave the job's journal records live so the
+		// A cancellation by Drain or Close is a restart in progress, not
+		// a client decision: leave the job's journal records live so the
 		// next startup resumes it.
 		return
 	}
@@ -423,12 +423,6 @@ func (s *Service) checkpointContext(j *Job) context.Context {
 	cfg := &cosparse.CheckpointConfig{}
 	if s.cfg.CheckpointEvery > 0 {
 		cfg.Every = s.cfg.CheckpointEvery
-		// Under brownout the interval stretches: fewer snapshot fsyncs
-		// per job, at the cost of a longer recompute window on crash.
-		// Sampled at run start; an in-flight run keeps its interval.
-		if stretch := s.ckptStretch.Load(); stretch > 1 {
-			cfg.Every = s.cfg.CheckpointEvery * int(stretch)
-		}
 		cfg.Sink = func(cp *cosparse.Checkpoint) error {
 			data := cp.Encode()
 			if err := s.db.WriteSnapshot(j.id, data); err != nil {

@@ -196,16 +196,13 @@ type GraphInfo struct {
 	ResidentBytes int64  `json:"resident_bytes"`
 }
 
-// engineEntry is one prepared engine in the LRU cache. runMu serializes
-// algorithm runs on the engine: a Framework is cheap to share but its
-// run loop is single-threaded by design (lazy reverse-graph init,
-// per-run scratch reuse), so concurrent jobs against the same cached
-// engine take turns while jobs on other engines proceed in parallel.
+// engineEntry is one prepared engine in the LRU cache. The engine is
+// safe for concurrent use, so any number of jobs run on one entry at
+// once; the worker pool is what bounds them.
 type engineEntry struct {
-	key   string
-	eng   *cosparse.Engine
-	runMu sync.Mutex
-	elem  *list.Element
+	key  string
+	eng  *cosparse.Engine
+	elem *list.Element
 }
 
 // Registry holds registered graphs (ref-counted by active jobs) and an
@@ -532,8 +529,7 @@ func engineKey(id string, sys cosparse.System, backend cosparse.Backend, format 
 
 // Engine returns a prepared engine for (graph, system, backend),
 // building and caching it on a miss and evicting the
-// least-recently-used engine beyond the cache bound. The returned
-// entry's runMu must be held for the duration of an algorithm run.
+// least-recently-used engine beyond the cache bound.
 //
 // Misses take a build slot first; when buildLimit slots are already in
 // flight the miss fails with a transient cache-pressure error instead

@@ -38,18 +38,15 @@ func (s *Service) guardStandby(h http.HandlerFunc) http.HandlerFunc {
 // newReplicator builds the leader-side replicator at the given epoch.
 func (s *Service) newReplicator(epoch uint64) *repl.Replicator {
 	return repl.NewReplicator(repl.LeaderConfig{
-		Store:            s.db,
-		DataDir:          s.cfg.DataDir,
-		Epoch:            epoch,
-		Mode:             s.replMode,
-		SemisyncTimeout:  s.cfg.SemisyncTimeout,
-		BreakerThreshold: s.cfg.SemisyncBreakerAfter,
-		BreakerCooldown:  s.cfg.SemisyncBreakerCooldown,
-		BufferBytes:      s.cfg.ReplBufferBytes,
-		HeartbeatEvery:   s.cfg.ReplHeartbeatEvery,
-		Faults:           s.cfg.Faults,
-		Stats:            s.replStats,
-		Logger:           s.replLog(),
+		Store:           s.db,
+		DataDir:         s.cfg.DataDir,
+		Epoch:           epoch,
+		Mode:            s.replMode,
+		SemisyncTimeout: s.cfg.SemisyncTimeout,
+		HeartbeatEvery:  s.cfg.ReplHeartbeatEvery,
+		Faults:          s.cfg.Faults,
+		Stats:           s.replStats,
+		Logger:          s.replLog(),
 	})
 }
 

@@ -32,8 +32,8 @@ const (
 	// ShedDeadline: the estimated queue wait already exceeds the job's
 	// deadline budget, so running it could only waste a worker.
 	ShedDeadline = "deadline_unmeetable"
-	// ShedTenantQuota: the tenant is over its (fair-share or
-	// configured) queue cap while the queue is under pressure.
+	// ShedTenantQuota: the tenant is over its fair share of the queue
+	// while the queue is under pressure.
 	ShedTenantQuota = "tenant_quota"
 	// ShedFairnessEvict: a queued job of an over-share tenant was
 	// evicted to admit a job from an under-share tenant at full queue.
@@ -179,11 +179,6 @@ type Scheduler struct {
 	// deadline-based shedding entirely.
 	shedTarget   time.Duration
 	shedInterval time.Duration
-	// tenantCap, when > 0, is an absolute per-tenant queue cap. At 0
-	// the cap is the dynamic fair share depth/activeTenants, enforced
-	// only once the queue is at least half full (so a lone tenant on an
-	// idle service still gets the whole queue).
-	tenantCap int
 	// retryRatio earns that fraction of a retry token per admitted job
 	// (capped at retryBurst); each transient re-run spends one token.
 	// <= 0 disables the budget.
@@ -229,8 +224,8 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler with the given worker count and
 // queue depth (both floored to 1) around run, the job executor.
-// Overload controls (shedding, tenant caps, retry budget) default to
-// off; the service layer arms them from its config.
+// Overload controls (shedding, retry budget) default to off; the
+// service layer arms them from its config.
 func NewScheduler(workers, depth int, run func(*Job) (*JobResult, error), m *Metrics) *Scheduler {
 	if workers <= 0 {
 		workers = 1
@@ -259,13 +254,12 @@ func NewScheduler(workers, depth int, run func(*Job) (*JobResult, error), m *Met
 	return s
 }
 
-// fairShareLocked is the per-tenant queue cap: the configured absolute
-// cap when set, otherwise depth divided by the number of tenants that
-// would have queued jobs (including the asking tenant), floored to 1.
+// fairShareLocked is the per-tenant queue cap: depth divided by the
+// number of tenants that would have queued jobs (including the asking
+// tenant), floored to 1. Admission enforces it only once the queue is
+// at least half full, so a lone tenant on an idle service still gets
+// the whole queue.
 func (s *Scheduler) fairShareLocked(asking *tenantQueue) int {
-	if s.tenantCap > 0 {
-		return s.tenantCap
-	}
 	active := len(s.rr)
 	if asking == nil || len(asking.jobs) == 0 {
 		active++ // the asking tenant is not in rr yet
@@ -548,8 +542,7 @@ func (s *Scheduler) admitLocked(j *Job, timeout time.Duration, now time.Time) *S
 	tq := s.tenants[j.tenant]
 	if tq != nil && len(tq.jobs) > 0 {
 		share := s.fairShareLocked(tq)
-		pressured := s.tenantCap > 0 || s.queued*2 >= s.depth
-		if pressured && len(tq.jobs) >= share {
+		if s.queued*2 >= s.depth && len(tq.jobs) >= share {
 			s.m.ShedQuota.Add(1)
 			return &ShedError{
 				Reason:     ShedTenantQuota,
@@ -657,15 +650,6 @@ func (s *Scheduler) List() []JobStatus {
 		out = append(out, j.Status())
 	}
 	return out
-}
-
-// OverloadState reports whether the shedding controller is active and
-// the current queue occupancy in [0, 1]; the service's brownout
-// monitor polls it for its pressure signal.
-func (s *Scheduler) OverloadState() (shedding bool, occupancy float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shedding, float64(s.queued) / float64(s.depth)
 }
 
 // Cancel stops the job: a queued job terminates immediately, a running

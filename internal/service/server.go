@@ -92,8 +92,6 @@ type Config struct {
 	// snapshots of running jobs when DataDir is set (default 16;
 	// negative disables snapshotting while keeping the journal).
 	CheckpointEvery int
-	// JournalSegmentBytes rotates journal segments (default 4 MiB).
-	JournalSegmentBytes int64
 	// StoreNoSync skips fsync in the durability store (tests only; it
 	// voids the crash-consistency contract).
 	StoreNoSync bool
@@ -124,9 +122,6 @@ type Config struct {
 	ReplMode string
 	// SemisyncTimeout caps the semisync ack wait (default 2s).
 	SemisyncTimeout time.Duration
-	// ReplBufferBytes bounds the leader's in-memory ship buffer
-	// (default 8 MiB); overflow forces a full resync.
-	ReplBufferBytes int64
 	// ReplHeartbeatEvery is the leader→follower heartbeat cadence
 	// (default 1s).
 	ReplHeartbeatEvery time.Duration
@@ -141,11 +136,6 @@ type Config struct {
 	// ShedInterval is how long sojourns must stay above ShedTarget
 	// before shedding arms (default 100ms).
 	ShedInterval time.Duration
-	// TenantQueueDepth caps how many jobs one tenant may hold queued.
-	// 0 (the default) uses a dynamic fair share (QueueDepth divided by
-	// the number of active tenants, enforced only under pressure);
-	// positive values are an absolute per-tenant cap.
-	TenantQueueDepth int
 	// RetryBudget is the global retry token-bucket earn rate: each
 	// admitted job earns this many retry tokens, and each automatic
 	// retry spends one, so retries cannot exceed this fraction of
@@ -156,21 +146,6 @@ type Config struct {
 	// RetryBurst caps the retry token bucket (default 32), bounding how
 	// large a retry storm an idle period can bank.
 	RetryBurst float64
-	// BrownoutAfter is how long overload pressure (shedding active, or
-	// the estimated queue-drain backlog beyond it) must persist before
-	// the service enters brownout — widening the batch gather window and
-	// stretching the checkpoint interval to shed per-job overhead, and
-	// surfacing "degraded" in /readyz. The same period of calm exits.
-	// 0 means the default (2s); negative disables brownout.
-	BrownoutAfter time.Duration
-	// SemisyncBreakerAfter is how many consecutive semisync ack
-	// timeouts open the replication ack circuit breaker (default 3;
-	// the breaker then skips ack waits entirely until a cooldown probe
-	// finds the follower acking again).
-	SemisyncBreakerAfter int
-	// SemisyncBreakerCooldown is the open-breaker probe interval
-	// (default 10s).
-	SemisyncBreakerCooldown time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -238,12 +213,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBurst <= 0 {
 		c.RetryBurst = 32
 	}
-	switch {
-	case c.BrownoutAfter == 0:
-		c.BrownoutAfter = 2 * time.Second
-	case c.BrownoutAfter < 0:
-		c.BrownoutAfter = 0 // disabled
-	}
 	return c
 }
 
@@ -256,7 +225,7 @@ type Service struct {
 	sched    *Scheduler
 	log      *slog.Logger
 	start    time.Time
-	draining atomic.Bool
+	draining atomic.Bool // set by Drain and Close: shutdown has begun
 	// traceMu serializes JSONL writes to cfg.TraceSink (jobs finish on
 	// concurrent workers).
 	traceMu sync.Mutex
@@ -292,14 +261,6 @@ type Service struct {
 	replMode repl.Mode
 	// promoteMu serializes Promote (manual + heartbeat-timeout callers).
 	promoteMu sync.Mutex
-
-	// Brownout state (see overload.go). degraded is surfaced in /readyz
-	// and /healthz; ckptStretch multiplies the checkpoint interval while
-	// degraded (read on the worker hot path, hence atomic).
-	degraded     atomic.Bool
-	ckptStretch  atomic.Int64
-	brownoutStop chan struct{}
-	brownoutOnce sync.Once
 }
 
 // New assembles a Service (call Close when done).
@@ -330,15 +291,9 @@ func New(cfg Config) *Service {
 	// negative = off" into concrete values (0 meaning off here).
 	s.sched.shedTarget = cfg.ShedTarget
 	s.sched.shedInterval = cfg.ShedInterval
-	s.sched.tenantCap = cfg.TenantQueueDepth
 	s.sched.retryRatio = cfg.RetryBudget
 	s.sched.retryBurst = cfg.RetryBurst
 	s.sched.retryTokens = cfg.RetryBurst // start with a full bucket
-	s.ckptStretch.Store(1)
-	s.brownoutStop = make(chan struct{})
-	if cfg.BrownoutAfter > 0 {
-		go s.brownoutMonitor()
-	}
 	return s
 }
 
@@ -364,10 +319,9 @@ func Open(cfg Config) (*Service, error) {
 		return s, nil
 	}
 	db, err := store.Open(s.cfg.DataDir, store.Options{
-		MaxSegmentBytes: s.cfg.JournalSegmentBytes,
-		NoSync:          s.cfg.StoreNoSync,
-		Faults:          s.cfg.Faults,
-		OnAppend:        func(n int) { s.m.JournalBytes.Add(int64(n)) },
+		NoSync:   s.cfg.StoreNoSync,
+		Faults:   s.cfg.Faults,
+		OnAppend: func(n int) { s.m.JournalBytes.Add(int64(n)) },
 		// Every committed journal frame is offered to the replicator.
 		// The closure re-reads the atomic pointer so frames flow to the
 		// replicator a promotion installs later; while it is nil (e.g.
@@ -448,9 +402,11 @@ func (s *Service) Store() *store.Store { return s.db }
 func (s *Service) Recovered() RecoveryStats { return s.recovered }
 
 // Close drains the worker pool, cancelling live jobs, and closes the
-// durability store.
+// durability store. Like a drain it is a restart in progress: the jobs
+// it interrupts are not journaled as cancelled, so a durable service
+// reopened on the same data dir runs them again.
 func (s *Service) Close() {
-	s.brownoutOnce.Do(func() { close(s.brownoutStop) })
+	s.draining.Store(true)
 	s.sched.Close()
 	if s.followerStop != nil {
 		s.followerStop()
@@ -1046,18 +1002,15 @@ func (s *Service) runGroup(jobs []*Job) ([]*JobResult, []error) {
 		}
 		return results, errs
 	}
-	// One run at a time per engine; jobs on other engines proceed in
-	// parallel on the remaining workers.
-	ee.runMu.Lock()
-	defer ee.runMu.Unlock()
 
 	fused, mode := k > 1, "solo"
 	if fused {
 		mode = "fused"
 	}
-	// expired[i] is set for a job whose context ended while it waited
-	// for the engine: it is settled with the bare context error and no
-	// trace, as a job that never ran.
+	// expired[i] is set for a job whose context ended before its run
+	// began — in the gather window or while the engine was built: it is
+	// settled with the bare context error and no trace, as a job that
+	// never ran.
 	expired := make([]error, k)
 	ctxs := make([]context.Context, k)
 	srcs := make([]int32, k)
@@ -1334,12 +1287,8 @@ func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	if s.degraded.Load() {
-		status = "degraded"
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":       status,
+		"status":       "ok",
 		"uptime_ms":    time.Since(s.start).Milliseconds(),
 		"graphs":       s.m.GraphsRegistered.Load(),
 		"jobs_running": s.m.JobsRunning.Load(),
@@ -1351,19 +1300,13 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 // drain has started so load balancers stop routing new work here. It
 // also reports the replication role: a standby is 503 until its first
 // resync commits ("syncing"), then 200 with "caught-up" — usable for
-// reads, while mutations still 503 until promotion. Under brownout the
-// status reads "degraded" but stays 200: the node is still serving,
-// just with throughput-over-latency settings, and pulling it out of
-// rotation would only deepen the overload on its peers.
+// reads, while mutations still 503 until promotion.
 func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	role := "leader"
 	if s.isStandby() {
 		role = "follower"
 	}
 	resp := map[string]any{"status": "ready", "role": role}
-	if s.degraded.Load() {
-		resp["status"] = "degraded"
-	}
 	if s.draining.Load() {
 		resp["status"] = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, resp)

@@ -357,6 +357,47 @@ func TestEngineCacheHitAndEviction(t *testing.T) {
 	}
 }
 
+// TestSameEngineJobsRunConcurrently: with batching off, two jobs on one
+// graph run inside the same cached engine at the same time — the
+// worker pool is the only thing that bounds them. Each job writes a
+// checkpoint every two iterations and sleeps 5 ms per iteration, so a
+// checkpoint proves its run is under way; both must hold one while
+// neither has finished.
+func TestSameEngineJobsRunConcurrently(t *testing.T) {
+	svc, ts := newDurableService(t, t.TempDir(), slowCfg(2))
+	gid := registerGraph(t, ts.URL, 41)
+	submit := func(iters int) string {
+		var st JobStatus
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{GraphID: gid, Algo: "pr", Iterations: iters}, &st); code != http.StatusAccepted {
+			t.Fatalf("submit: %d", code)
+		}
+		return st.ID
+	}
+	// Build the engine first, so both jobs below hit one cache entry.
+	waitJob(t, svc, submit(1))
+	a, b := svc.sched.Get(submit(400)), svc.sched.Get(submit(400))
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sa, sb := a.Status(), b.Status()
+		if sa.State != JobRunning || sb.State != JobRunning {
+			if sa.State != JobQueued && sb.State != JobQueued {
+				t.Fatalf("a job left running before both had checkpointed: %s %q (iter %d), %s %q (iter %d)",
+					sa.ID, sa.State, sa.CheckpointIter, sb.ID, sb.State, sb.CheckpointIter)
+			}
+		} else if sa.CheckpointIter > 0 && sb.CheckpointIter > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("runs never overlapped: %s at iter %d, %s at iter %d", sa.ID, sa.CheckpointIter, sb.ID, sb.CheckpointIter)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if hits, misses := svc.m.EngineCacheHits.Load(), svc.m.EngineCacheMisses.Load(); misses != 1 || hits != 2 {
+		t.Fatalf("engine cache hits/misses = %d/%d, want 2/1 (one shared engine)", hits, misses)
+	}
+}
+
 // TestGraphDeleteProtection refuses to delete a graph with an active
 // job and allows it afterwards.
 func TestGraphDeleteProtection(t *testing.T) {
