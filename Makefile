@@ -41,15 +41,19 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # baseline's counts a function of the input alone (Jacobi pull) — and
 # concurrent runs: mixed algorithms sharing one engine answer exactly
 # what they answer alone, and same-graph service jobs overlap inside
-# one engine — and the three long figure sweeps (Fig. 9, Fig. 10, auto
+# one engine — and the native min-ring kernels: the heap-free push and
+# the branch-free pull bit-identical to the simulator's passes, and
+# native BFS/SSSP equal to a plain BFS/Bellman–Ford oracle across
+# policies, geometries, sources, formats and weights that must take the
+# generic passes — and the three long figure sweeps (Fig. 9, Fig. 10, auto
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
-	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs|TestTraversalOracleNative' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV|TestEngineConcurrentRunsMatchSolo' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .
@@ -97,10 +101,12 @@ check: lint build race
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-kernels runs the native pull side's layer benchmarks on the
+# bench-kernels runs the native kernels' layer benchmarks on the
 # scale-16 power-law graph: one IP pass per Table I row and the closure
-# fallback (ns/edge), eight fused PPR lanes (ns/edge/lane) and the dense
-# merge (ns/vertex), with allocation counts — then the cold engine
+# fallback (ns/edge), eight fused PPR lanes (ns/edge/lane), BFS and SSSP
+# pull and push swept over frontier density (BenchmarkNativeTraverse,
+# ns/edge and ns/op) and the dense merge (ns/vertex), with allocation
+# counts — then the cold engine
 # build (New + first IP call + first OP call) per resident format, in
 # ms/op and MB allocated/op.
 bench-kernels:
@@ -112,9 +118,11 @@ bench-kernels:
 # BENCH_backends.json; it fails if native is not >= 10x faster.
 # GOMAXPROCS is pinned to 1 so the headline numbers are
 # scheduling-stable; the test adds a full-parallelism native leg
-# internally.
+# internally. It then fits the native min-ring crossover (BFS+SSSP job
+# time at six candidate densities on three graphs, at full parallelism)
+# into the same file's native_min_crossover_fit key.
 bench-backends:
-	GOMAXPROCS=1 BENCH_BACKENDS=1 $(GO) test -count=1 -run TestBenchBackends -v .
+	GOMAXPROCS=1 BENCH_BACKENDS=1 $(GO) test -count=1 -run 'TestBenchBackends|TestBenchCrossoverFit' -v .
 
 # bench-batch measures what fusing same-graph jobs buys end to end: 64
 # concurrent clients submit the same native PPR workload to a service

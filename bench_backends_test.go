@@ -11,7 +11,6 @@ package cosparse
 // for trend tracking.
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"runtime"
@@ -109,13 +108,7 @@ func TestBenchBackends(t *testing.T) {
 		GoVersion:    runtime.Version(),
 		Commit:       headCommit(),
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_backends.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_backends.json", out)
 	t.Logf("sim %v, native %v (%d procs) / %v (%d procs), speedup %.1fx, native scaling %.1fx",
 		simWall, nat1p, pinned, natMP, mp, speedup, scaling)
 

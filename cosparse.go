@@ -711,7 +711,11 @@ func (e *Engine) SpMV(idx []int32, val []float32) ([]float32, *Report, error) {
 }
 
 // Decide exposes the decision tree: the configuration the engine would
-// pick for a frontier with the given number of active vertices.
+// pick for a frontier with the given number of active vertices, on the
+// generic OP pass. On the native backend, BFS and SSSP (on weights that
+// are finite and non-negative) run a heap-free push and switch to IP at
+// a higher, separately fitted density, so their runs can pick OP where
+// Decide answers IP.
 func (e *Engine) Decide(frontierSize int) (software, hardware string) {
 	d := e.fw.Decide(frontierSize)
 	sw := "OP"

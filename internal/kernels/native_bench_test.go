@@ -1,11 +1,14 @@
 package kernels
 
-// Layer benchmarks for the native backend's pull side (`make
+// Layer benchmarks for the native backend's kernels (`make
 // bench-kernels`): one IP pass per Table I row, the closure fallback,
-// eight fused lanes, and the dense merge, all on the scale-16 power-law
-// graph the backend comparison uses, reported per edge (or per vertex).
+// eight fused lanes, a density sweep of both dataflows for the min
+// rings, and the dense merge, all on the scale-16 power-law graph the
+// backend comparison uses, reported per edge (or per vertex).
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cosparse/internal/gen"
@@ -93,6 +96,55 @@ func BenchmarkNativeIPMulti8(b *testing.B) {
 		NativeIPMulti(g.part, xs, ops)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.m.NNZ())/lanes, "ns/edge/lane")
+}
+
+// BenchmarkNativeTraverse sweeps frontier density for the two min
+// rings through both dataflows: the pull reports ns per stored edge
+// (it sweeps every one), the push ns per edge of the active columns
+// (all it touches), and ns/op is the call either way — where the two
+// ns/op curves cross is the dataflow crossover the runtime's
+// NativeMinCrossover is fitted to on whole jobs.
+func BenchmarkNativeTraverse(b *testing.B) {
+	g := newBenchGraph(b)
+	const tiles, pesPerTile = 16, 16
+	op := NewOPPartition(g.m, tiles, BalanceNNZ)
+	op.Materialize()
+	deg := g.m.OutDegrees()
+	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+		for _, density := range []float64{0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9} {
+			f := gen.Frontier(g.m.C, density, 17)
+			for k, i := range f.Idx {
+				f.Val[k] = float32(i%13) * 0.25
+			}
+			active := 0
+			for _, v := range f.Idx {
+				active += int(deg[v])
+			}
+			operand := opFor(ring, g.m, g.prev)
+			operand.Scratch = new(Scratch)
+			name := fmt.Sprintf("%s/%g%%", strings.ToLower(ring.Name), 100*density)
+			b.Run(name+"/pull", func(b *testing.B) {
+				xs, ops := []matrix.Dense{f.ToDense(ring.Identity)}, []Operand{operand}
+				NativeIPMulti(g.part, xs, ops)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					NativeIPMulti(g.part, xs, ops)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.m.NNZ()), "ns/edge")
+			})
+			b.Run(name+"/push", func(b *testing.B) {
+				fs, ops := []*matrix.SparseVec{f}, []Operand{operand}
+				NativeOPMulti(op, fs, ops, pesPerTile)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					NativeOPMulti(op, fs, ops, pesPerTile)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(active, 1)), "ns/edge")
+			})
+		}
+	}
 }
 
 func BenchmarkNativeMergeDense(b *testing.B) {

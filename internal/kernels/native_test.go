@@ -57,7 +57,8 @@ func TestNativeIPSpecialisedMatchesClosure(t *testing.T) {
 		m := lay.m
 		// An infinite weight on an edge whose source the first frontier
 		// leaves inactive: a loop that failed to skip it would turn
-		// 0·Inf into a NaN.
+		// 0·Inf into a NaN. It also puts the graph outside minPlusSafe,
+		// so SSSP runs the closure loop on both sides.
 		for k, col := range m.Col {
 			if col%3 != 0 {
 				m.Val[k] = float32(math.Inf(1))
@@ -65,6 +66,9 @@ func TestNativeIPSpecialisedMatchesClosure(t *testing.T) {
 			}
 		}
 		part := NewIPPartition(m, lay.pes, lay.vblock, BalanceNNZ)
+		if part.Materialize(); part.minPlusSafe {
+			t.Fatalf("%s: an +Inf weight passed minPlusSafe", lay.name)
+		}
 		prev := make(matrix.Dense, m.R)
 		for i := range prev {
 			prev[i] = float32(i%7) + 0.5

@@ -282,14 +282,5 @@ func RunOP(cfg sim.Config, part *OPPartition, f *matrix.SparseVec, op Operand) (
 
 	res := m.Run(prog)
 
-	// Tiles own ascending disjoint row ranges, so concatenation is the
-	// sorted sparse result.
-	out := &matrix.SparseVec{N: part.R}
-	for t := 0; t < tiles; t++ {
-		for _, e := range tileOut[t] {
-			out.Idx = append(out.Idx, e.row)
-			out.Val = append(out.Val, e.val)
-		}
-	}
-	return out, res
+	return concatTiles(part.R, tileOut), res
 }

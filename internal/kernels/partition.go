@@ -14,9 +14,12 @@ package kernels
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"cosparse/internal/matrix"
+	"cosparse/internal/semiring"
 )
 
 // Balancing selects the static partitioning strategy, the knob
@@ -89,8 +92,9 @@ type IPPartition struct {
 	Segs        [][]Seg // per PE, ordered by vblock
 	RowBounds   []int32 // the row cuts, exposed for tests
 
-	src matrix.Store
-	mat sync.Once
+	src         matrix.Store
+	mat         sync.Once
+	minPlusSafe bool // set by materialize; see minPlusSafe
 }
 
 // NewIPPartition builds the IP layout for a machine with totalPEs
@@ -153,11 +157,13 @@ func (p *IPPartition) materialize() {
 		}
 		return col / int32(p.VBlockWords)
 	}
-	parallelChunks(p.NumPEs, func(_ int, peLo, peHi int32) {
+	maxBits := make([]uint32, p.NumPEs) // per worker chunk
+	chunks := parallelChunks(p.NumPEs, func(c int, peLo, peHi int32) {
 		// Scratch for one PE's decoded row chunk, reused across the
 		// worker's PEs.
 		var cRow, cCol []int32
 		var cVal []float32
+		var mx uint32
 		counts := make([]int32, p.NumVBlocks+1)
 		next := make([]int32, p.NumVBlocks)
 		for pe := peLo; pe < peHi; pe++ {
@@ -170,6 +176,7 @@ func (p *IPPartition) materialize() {
 				cCol = append(cCol, col)
 				cVal = append(cVal, val)
 				counts[vbOf(col)+1]++
+				mx = max(mx, math.Float32bits(val))
 			})
 			if len(cVal) != n {
 				panic(fmt.Sprintf("kernels: PE %d decoded %d elements, RowPtr promises %d", pe, len(cVal), n))
@@ -192,7 +199,9 @@ func (p *IPPartition) materialize() {
 				p.Val[at] = cVal[k]
 			}
 		}
+		maxBits[c] = mx
 	})
+	p.minPlusSafe = minPlusSafe(slices.Max(maxBits[:chunks]), p.R)
 }
 
 // Validate checks the partition invariants: every source element
@@ -255,8 +264,9 @@ type OPPartition struct {
 	Row       [][]int32
 	Val       [][]float32
 
-	src matrix.Store
-	mat sync.Once
+	src         matrix.Store
+	mat         sync.Once
+	minPlusSafe bool // set by materialize; see minPlusSafe
 }
 
 // NewOPPartition builds per-tile CSC slices for the OP kernel from any
@@ -291,11 +301,13 @@ func (p *OPPartition) materialize() {
 	p.ColPtr = make([][]int32, p.Tiles)
 	p.Row = make([][]int32, p.Tiles)
 	p.Val = make([][]float32, p.Tiles)
-	parallelChunks(p.Tiles, func(_ int, tLo, tHi int32) {
+	maxBits := make([]uint32, p.Tiles) // per worker chunk
+	chunks := parallelChunks(p.Tiles, func(c int, tLo, tHi int32) {
 		// Scratch for one tile's decoded row range and its per-column
 		// fill cursors, reused across the worker's tiles.
 		var cRow, cCol []int32
 		var cVal []float32
+		var mx uint32
 		next := make([]int32, p.C)
 		for t := tLo; t < tHi; t++ {
 			colPtr := make([]int32, p.C+1)
@@ -305,6 +317,7 @@ func (p *OPPartition) materialize() {
 				cCol = append(cCol, col)
 				cVal = append(cVal, val)
 				colPtr[col+1]++
+				mx = max(mx, math.Float32bits(val))
 			})
 			for j := 0; j < p.C; j++ {
 				colPtr[j+1] += colPtr[j]
@@ -319,7 +332,37 @@ func (p *OPPartition) materialize() {
 			}
 			p.ColPtr[t], p.Row[t], p.Val[t] = colPtr, row, val
 		}
+		maxBits[c] = mx
 	})
+	p.minPlusSafe = minPlusSafe(slices.Max(maxBits[:chunks]), p.R)
+}
+
+// minPlusSafe reports whether a graph whose stored values have maxBits
+// as their largest float32 bit pattern keeps SSSP inside the range
+// where the native min-ring kernels may run (see MinRingFast): every
+// value finite with no sign bit — so no NaN, no ±Inf, no negative and
+// no −0 — and n·max finite, so no path sum over at most n edges
+// overflows. On that range float32 min is the unsigned min of the bit
+// patterns and does not depend on operand order.
+func minPlusSafe(maxBits uint32, n int) bool {
+	return maxBits < infBits && float64(math.Float32frombits(maxBits))*float64(n) <= math.MaxFloat32
+}
+
+// MinRingFast reports whether the native kernels run ring's lanes
+// through the min-ring forms — the dense-accumulator push and the
+// branch-free pull — on this graph: BFS always (it never reads a
+// stored value), SSSP when minPlusSafe holds. Every other ring, and
+// SSSP on a graph that fails the check, takes the generic passes. It
+// materialises the partition if that has not happened yet.
+func (p *OPPartition) MinRingFast(ring *semiring.Semiring) bool {
+	switch ring.Kind {
+	case semiring.KindBFS:
+		return true
+	case semiring.KindSSSP:
+		p.Materialize()
+		return p.minPlusSafe
+	}
+	return false
 }
 
 // Validate checks that the tile slices exactly tile the matrix.

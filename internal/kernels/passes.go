@@ -173,6 +173,7 @@ func RunMergeDense(cfg sim.Config, contrib, vals matrix.Dense, op Operand) (matr
 // reading values from the already-updated vals.
 func assembleFrontier(n int, perRange [][]int32, vals matrix.Dense) *matrix.SparseVec {
 	frontier := &matrix.SparseVec{N: n}
+	frontier.Idx, frontier.Val = sizedFrontier(perRange)
 	for _, list := range perRange {
 		for _, i := range list {
 			frontier.Idx = append(frontier.Idx, i)
@@ -180,6 +181,19 @@ func assembleFrontier(n int, perRange [][]int32, vals matrix.Dense) *matrix.Spar
 		}
 	}
 	return frontier
+}
+
+// sizedFrontier returns empty index and value slices with room for
+// every entry of perRange, or nils when it holds none.
+func sizedFrontier(perRange [][]int32) ([]int32, []float32) {
+	nnz := 0
+	for _, list := range perRange {
+		nnz += len(list)
+	}
+	if nnz == 0 {
+		return nil, nil
+	}
+	return make([]int32, 0, nnz), make([]float32, 0, nnz)
 }
 
 // RunScatterMerge is the post-OP pass: the sparse kernel output is
@@ -220,6 +234,7 @@ func RunScatterMerge(cfg sim.Config, contrib *matrix.SparseVec, vals matrix.Dens
 // destination indices (contrib.Idx is sorted, ranges are disjoint).
 func assembleScatterFrontier(contrib *matrix.SparseVec, perRange [][]int32, vals matrix.Dense) *matrix.SparseVec {
 	frontier := &matrix.SparseVec{N: len(vals)}
+	frontier.Idx, frontier.Val = sizedFrontier(perRange)
 	for _, list := range perRange {
 		for _, k := range list {
 			frontier.Idx = append(frontier.Idx, contrib.Idx[k])

@@ -216,7 +216,7 @@ func (f *Framework) runLanes(lanes []*laneState) {
 				}
 				nnzF = l.frontier.NNZ()
 			}
-			dec := f.Decide(nnzF)
+			dec := f.decideFor(nnzF, &l.op.Ring)
 			round = append(round, &pendIter{
 				lane: l,
 				st: IterStat{

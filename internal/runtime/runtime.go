@@ -16,6 +16,7 @@ import (
 	"cosparse/internal/exec"
 	"cosparse/internal/kernels"
 	"cosparse/internal/matrix"
+	"cosparse/internal/semiring"
 	"cosparse/internal/sim"
 )
 
@@ -99,6 +100,17 @@ type Policy struct {
 	// cache levels and IP's sequential stream wins even at low density
 	// — the host analogue of the PS-vs-PC list check.
 	NativeHeapBytes float64
+
+	// NativeMinCrossover replaces both native thresholds above for a
+	// lane whose ring runs the native min-ring kernels
+	// (kernels.OPPartition.MinRingFast: BFS, and SSSP on non-negative
+	// finite weights). Their push has no heap to spill — a dense
+	// accumulator per worker — and their pull has no per-edge skip, so
+	// the crossover moves up to where a sweep of every edge costs less
+	// than scattering the active columns' edges. Fitted on job time
+	// (BENCH_backends.json "native_min_crossover_fit"): flat within the
+	// spread over 0.1–0.3, slowest at 0.01 on every graph.
+	NativeMinCrossover float64
 }
 
 // DefaultPolicy returns thresholds calibrated on this simulator from
@@ -106,14 +118,15 @@ type Policy struct {
 // the paper's takeaway exactly: 2% at 8 PEs/tile, 1% at 16, 0.5% at 32.
 func DefaultPolicy() Policy {
 	return Policy{
-		CVDCoeff:        0.16,
-		CVDMin:          0.003,
-		CVDMax:          0.02,
-		SCSReuseFloor:   1.5,
-		SCSMinDensity:   0.02,
-		PSListFactor:    0.5,
-		NativeCrossover: 0.01,
-		NativeHeapBytes: 256 << 10,
+		CVDCoeff:           0.16,
+		CVDMin:             0.003,
+		CVDMax:             0.02,
+		SCSReuseFloor:      1.5,
+		SCSMinDensity:      0.02,
+		PSListFactor:       0.5,
+		NativeCrossover:    0.01,
+		NativeHeapBytes:    256 << 10,
+		NativeMinCrossover: 0.2,
 	}
 }
 
@@ -272,9 +285,11 @@ func (d Decision) String() string {
 // active vertices. On a native backend the SW split keeps the same
 // shape (dense frontier → IP, sparse → OP) but swaps the
 // simulator-calibrated CVD for host thresholds; see decideNative.
+// It answers for the generic OP pass; a run decides per lane, and
+// native BFS/SSSP lanes cross at Policy.NativeMinCrossover instead.
 func (f *Framework) Decide(nnzF int) Decision {
 	if !f.opts.Backend.Simulated() {
-		return f.decideNative(nnzF)
+		return f.decideNative(nnzF, false)
 	}
 	g := f.opts.Geometry
 	pol := f.opts.Policy
@@ -331,21 +346,32 @@ func (f *Framework) Decide(nnzF int) Decision {
 	return Decision{UseIP: useIP, HW: hw}
 }
 
+// decideFor is the decision a lane of ring makes.
+func (f *Framework) decideFor(nnzF int, ring *semiring.Semiring) Decision {
+	if f.opts.Backend.Simulated() {
+		return f.Decide(nnzF)
+	}
+	return f.decideNative(nnzF, f.opPart.MinRingFast(ring))
+}
+
 // decideNative is the host-backend decision: IP when the frontier is
 // dense enough that streaming the whole matrix amortizes
 // (NativeCrossover), or when OP's per-worker sorted-run working set
 // would spill the host caches (NativeHeapBytes) — the same
 // density + working-set structure as the simulated tree, with
-// host-calibrated constants. The HW half of the decision is a nominal
+// host-calibrated constants. A min-ring lane has no heap and crosses
+// at NativeMinCrossover alone. The HW half of the decision is a nominal
 // label (SC for IP, PC for OP): the host has no scratchpad to
 // reconfigure, but reports and traces keep the same vocabulary.
-func (f *Framework) decideNative(nnzF int) Decision {
+func (f *Framework) decideNative(nnzF int, minRing bool) Decision {
 	g := f.opts.Geometry
 	pol := f.opts.Policy
 	density := float64(nnzF) / float64(f.n)
 
 	useIP := density >= pol.NativeCrossover
-	if !useIP && pol.NativeHeapBytes > 0 {
+	if minRing {
+		useIP = density >= pol.NativeMinCrossover
+	} else if !useIP && pol.NativeHeapBytes > 0 {
 		perWorker := (nnzF + g.PEsPerTile - 1) / g.PEsPerTile
 		if float64(perWorker*16) > pol.NativeHeapBytes { // four words per sorted-list entry
 			useIP = true
