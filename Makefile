@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race regress chaos chaos-restart chaos-failover fuzz check bench bench-kernels bench-backends bench-batch bench-checkpoint bench-formats bench-repl bench-service benchmark clean
+.PHONY: all build vet lint test race regress chaos chaos-restart chaos-failover fuzz check bench bench-kernels bench-sim bench-backends bench-batch bench-checkpoint bench-formats bench-repl bench-service benchmark clean
 
 all: check
 
@@ -45,13 +45,18 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # the branch-free pull bit-identical to the simulator's passes, and
 # native BFS/SSSP equal to a plain BFS/Bellman–Ford oracle across
 # policies, geometries, sources, formats and weights that must take the
-# generic passes — and the three long figure sweeps (Fig. 9, Fig. 10, auto
+# generic passes — and the simulator's host-side structures: every
+# counter and each processor's completion time of a mixed program, on
+# all four configurations and five geometry/parameter variants, equal to
+# digests recorded from the goroutine-and-channel scheduler, and a
+# kernel panic mid-run leaving the other coroutines to finish — and the
+# three long figure sweeps (Fig. 9, Fig. 10, auto
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
 	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
-	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines' ./internal/sim
+	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
 	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs|TestTraversalOracleNative' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV|TestEngineConcurrentRunsMatchSolo' .
@@ -112,6 +117,15 @@ bench:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkNative' -benchmem -count=5 ./internal/kernels
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineColdBuild' -benchtime 10x -count=5 .
+
+# bench-sim measures the simulator's host speed: the scheduler alone
+# (BenchmarkSchedule, ns per coroutine switch with a zero window) and
+# the lib-sim-paper job shape — BFS + PageRank(2) on a 4096-vertex
+# power-law graph, 16x16 machine (BenchmarkSimPaperJob, ns per
+# simulated memory event, with allocations per job).
+bench-sim:
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedule' -benchmem -count=5 ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkSimPaperJob' -benchmem -benchtime 10x -count=5 .
 
 # bench-backends times the same PageRank run through the sim and native
 # execution backends on a scale-16 power-law graph and writes

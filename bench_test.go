@@ -120,6 +120,45 @@ func BenchmarkSimOPKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkSimPaperJob is the simulator's host speed on the paper
+// machine (16×16): BFS from the top out-degree vertex then
+// PageRank(2) on a 4096-vertex, 65536-edge power-law graph. ns/event
+// is host time per simulated memory event (loads, stores and stream
+// loads), the unit `sim.host_ns_per_event` reports.
+func BenchmarkSimPaperJob(b *testing.B) {
+	g, err := GeneratePowerLaw(4096, 65536, Unweighted, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := New(g, System{Tiles: 16, PEsPerTile: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	deg := make([]int32, g.NumVertices())
+	var src int32
+	for _, e := range g.Edges() {
+		if deg[e.Src]++; deg[e.Src] > deg[src] || deg[e.Src] == deg[src] && e.Src < src {
+			src = e.Src
+		}
+	}
+	var events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rb, err := eng.BFS(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, rp, err := eng.PageRank(2, 0.15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []*MemoryStats{rb.Memory, rp.Memory} {
+			events += m.Loads + m.Stores + m.StreamLoads
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 func BenchmarkIPPartitionBuild(b *testing.B) {
 	coo := benchMatrix()
 	b.ResetTimer()

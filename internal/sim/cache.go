@@ -5,22 +5,46 @@ package sim
 // tags and metadata — the simulator is timing-only; data values live in
 // the kernels' ordinary Go slices.
 type cacheBank struct {
-	sets      int
+	sets      divisor
 	ways      int
-	shift     uint // log2(block bytes)
-	tags      []uint64
-	valid     []bool
-	dirty     []bool
-	lru       []int64 // last-use timestamp per way
-	ready     []int64 // fill completion time (for prefetched lines)
-	free      int64   // next cycle the bank can accept a request
+	shift     uint        // log2(block bytes)
+	lines     []cacheLine // sets × ways, one set's ways adjacent
+	free      int64       // next cycle the bank can accept a request
 	hits      int64
 	misses    int64
 	evictions int64
 	wbacks    int64
 }
 
+// cacheLine is one way's tag and metadata, kept together so that a
+// probe reads one set's ways from adjacent memory.
+type cacheLine struct {
+	key   uint64 // (block+1)<<1 | dirty; 0 is an invalid way
+	lru   int64  // last-use timestamp
+	ready int64  // fill completion time (for prefetched lines)
+}
+
+func lineKey(block uint64, dirty bool) uint64 {
+	k := (block + 1) << 1
+	if dirty {
+		k |= 1
+	}
+	return k
+}
+
+func (l *cacheLine) valid() bool             { return l.key != 0 }
+func (l *cacheLine) dirty() bool             { return l.key&1 != 0 }
+func (l *cacheLine) holds(block uint64) bool { return l.key>>1 == block+1 }
+func (l *cacheLine) block() uint64           { return l.key>>1 - 1 }
+func (l *cacheLine) clean()                  { l.key &^= 1 }
+
 func newCacheBank(bytes, assoc, blockBytes int) *cacheBank {
+	return &newCacheBanks(1, bytes, assoc, blockBytes)[0]
+}
+
+// newCacheBanks returns n identical empty banks whose lines share one
+// allocation.
+func newCacheBanks(n, bytes, assoc, blockBytes int) []cacheBank {
 	sets := bytes / blockBytes / assoc
 	if sets < 1 {
 		sets = 1
@@ -29,17 +53,18 @@ func newCacheBank(bytes, assoc, blockBytes int) *cacheBank {
 	for 1<<shift < blockBytes {
 		shift++
 	}
-	n := sets * assoc
-	return &cacheBank{
-		sets:  sets,
-		ways:  assoc,
-		shift: shift,
-		tags:  make([]uint64, n),
-		valid: make([]bool, n),
-		dirty: make([]bool, n),
-		lru:   make([]int64, n),
-		ready: make([]int64, n),
+	per := sets * assoc
+	lines := make([]cacheLine, n*per)
+	banks := make([]cacheBank, n)
+	for i := range banks {
+		banks[i] = cacheBank{
+			sets:  newDivisor(sets),
+			ways:  assoc,
+			shift: shift,
+			lines: lines[i*per : (i+1)*per : (i+1)*per],
+		}
 	}
+	return banks
 }
 
 // lookupResult describes the outcome of a cache bank probe.
@@ -54,48 +79,43 @@ type lookupResult struct {
 // on a hit. It does not allocate; the caller decides whether to fill.
 func (b *cacheBank) probe(addr uint64, now int64) lookupResult {
 	block := addr >> b.shift
-	set := int(block % uint64(b.sets))
-	base := set * b.ways
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.tags[i] == block {
+	base := int(b.sets.mod(block)) * b.ways
+	set := b.lines[base : base+b.ways]
+	for w := range set {
+		if l := &set[w]; l.holds(block) {
 			b.hits++
-			b.lru[i] = now
-			return lookupResult{hit: true, readyAt: b.ready[i]}
+			l.lru = now
+			return lookupResult{hit: true, readyAt: l.ready}
 		}
 	}
 	b.misses++
 	// Choose an LRU victim (prefer invalid ways).
-	victim := base
+	victim := 0
 	oldest := int64(1<<62 - 1)
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if !b.valid[i] {
-			victim = i
-			oldest = -1
+	for w := range set {
+		l := &set[w]
+		if !l.valid() {
+			victim = w
 			break
 		}
-		if b.lru[i] < oldest {
-			oldest = b.lru[i]
-			victim = i
+		if l.lru < oldest {
+			oldest = l.lru
+			victim = w
 		}
 	}
-	return lookupResult{victim: victim, victimDirty: b.valid[victim] && b.dirty[victim]}
+	return lookupResult{victim: base + victim, victimDirty: set[victim].dirty()}
 }
 
 // fill installs the block containing addr into the given way.
 func (b *cacheBank) fill(addr uint64, way int, now, readyAt int64, dirty bool) {
-	if b.valid[way] {
+	l := &b.lines[way]
+	if l.valid() {
 		b.evictions++
-		if b.dirty[way] {
+		if l.dirty() {
 			b.wbacks++
 		}
 	}
-	b.tags[way] = addr >> b.shift
-	b.valid[way] = true
-	b.dirty[way] = dirty
-	b.lru[way] = now
-	b.ready[way] = readyAt
+	*l = cacheLine{key: lineKey(addr>>b.shift, dirty), lru: now, ready: readyAt}
 }
 
 // install quietly places the block containing addr into the bank (used
@@ -104,36 +124,33 @@ func (b *cacheBank) fill(addr uint64, way int, now, readyAt int64, dirty bool) {
 // displaced. Present blocks are refreshed, not duplicated.
 func (b *cacheBank) install(addr uint64, now int64) (victimDirty bool) {
 	block := addr >> b.shift
-	set := int(block % uint64(b.sets))
-	base := set * b.ways
-	victim := base
+	base := int(b.sets.mod(block)) * b.ways
+	set := b.lines[base : base+b.ways]
+	victim := 0
 	oldest := int64(1<<62 - 1)
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.tags[i] == block {
-			b.lru[i] = now
+	for w := range set {
+		l := &set[w]
+		if l.holds(block) {
+			l.lru = now
 			return false
 		}
-		if !b.valid[i] {
-			victim = i
+		if !l.valid() {
+			victim = w
 			oldest = -1
-		} else if oldest >= 0 && b.lru[i] < oldest {
-			oldest = b.lru[i]
-			victim = i
+		} else if oldest >= 0 && l.lru < oldest {
+			oldest = l.lru
+			victim = w
 		}
 	}
-	victimDirty = b.valid[victim] && b.dirty[victim]
-	if b.valid[victim] {
+	v := &set[victim]
+	victimDirty = v.dirty()
+	if v.valid() {
 		b.evictions++
 		if victimDirty {
 			b.wbacks++
 		}
 	}
-	b.tags[victim] = block
-	b.valid[victim] = true
-	b.dirty[victim] = false
-	b.lru[victim] = now
-	b.ready[victim] = now
+	*v = cacheLine{key: lineKey(block, false), lru: now, ready: now}
 	return victimDirty
 }
 
@@ -142,12 +159,10 @@ func (b *cacheBank) install(addr uint64, now int64) (victimDirty bool) {
 // must continue down the hierarchy.
 func (b *cacheBank) markDirty(addr uint64) bool {
 	block := addr >> b.shift
-	set := int(block % uint64(b.sets))
-	base := set * b.ways
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.tags[i] == block {
-			b.dirty[i] = true
+	base := int(b.sets.mod(block)) * b.ways
+	for w := base; w < base+b.ways; w++ {
+		if l := &b.lines[w]; l.holds(block) {
+			l.key |= 1
 			return true
 		}
 	}
@@ -158,11 +173,9 @@ func (b *cacheBank) markDirty(addr uint64) bool {
 // the prefetcher to avoid duplicate fills). Does not touch LRU state.
 func (b *cacheBank) contains(addr uint64) bool {
 	block := addr >> b.shift
-	set := int(block % uint64(b.sets))
-	base := set * b.ways
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.tags[i] == block {
+	base := int(b.sets.mod(block)) * b.ways
+	for w := base; w < base+b.ways; w++ {
+		if l := &b.lines[w]; l.holds(block) {
 			return true
 		}
 	}

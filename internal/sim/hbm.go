@@ -8,6 +8,8 @@ package sim
 // first-order behaviour that makes SpMV memory-bound.
 type hbm struct {
 	params   Params
+	block    divisor // bytes per line
+	channels divisor
 	chanFree []int64
 	// chanFreeW is each channel's decoupled write-drain engine: victim
 	// buffer drains retire here with read priority, so they queue among
@@ -25,6 +27,8 @@ type hbm struct {
 func newHBM(p Params) *hbm {
 	return &hbm{
 		params:    p,
+		block:     newDivisor(p.BlockBytes),
+		channels:  newDivisor(p.HBMChannels),
 		chanFree:  make([]int64, p.HBMChannels),
 		chanFreeW: make([]int64, p.HBMChannels),
 	}
@@ -32,7 +36,7 @@ func newHBM(p Params) *hbm {
 
 // channelOf maps a block address to its pseudo-channel (block-interleaved).
 func (h *hbm) channelOf(addr uint64) int {
-	return int((addr / uint64(h.params.BlockBytes)) % uint64(len(h.chanFree)))
+	return int(h.channels.mod(h.block.div(addr)))
 }
 
 // access services a line fetch issued at time t and returns the

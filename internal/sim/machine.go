@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Arena is a bump allocator for the simulated physical address space.
 // Kernels allocate one region per data structure (matrix arrays,
@@ -48,12 +45,54 @@ type Program struct {
 type Machine struct {
 	cfg Config
 
-	l1      []*cacheBank // indexed tile*PEsPerTile + bankInTile (cache banks only)
-	l2      []*cacheBank // indexed tile*PEsPerTile + bankInTile
+	// The address interleaving of cfg, derived once so that the access
+	// path neither copies the Config nor re-derives bank counts per
+	// reference.
+	block    divisor // bytes per line
+	l1Banks  int     // L1 cache banks per tile; 0 in PS
+	l1Pool   divisor // l1Banks, for the shared-mode interleave
+	l1Shared bool
+	l2Pool   divisor // banks one address interleaves over: the machine's (shared) or a tile's (private)
+	l2Shared bool
+	spmBanks int // SPM banks per tile; only SCS arbitrates them
+
+	l1      []cacheBank // indexed tile*PEsPerTile + bankInTile (cache banks only)
+	l2      []cacheBank // indexed tile*PEsPerTile + bankInTile
 	mem     *hbm
 	spmFree []int64 // per SPM bank queue (SCS shared SPM)
 
 	stats Stats
+}
+
+// divisor divides by a fixed positive n: a shift and a mask when n is a
+// power of two, as every Table II dimension is, and a hardware divide
+// otherwise.
+type divisor struct {
+	n     uint64
+	shift uint
+	pow2  bool
+}
+
+func newDivisor(n int) divisor {
+	d := divisor{n: uint64(n), pow2: n > 0 && n&(n-1) == 0}
+	for d.pow2 && 1<<d.shift < n {
+		d.shift++
+	}
+	return d
+}
+
+func (d divisor) div(x uint64) uint64 {
+	if d.pow2 {
+		return x >> d.shift
+	}
+	return x / d.n
+}
+
+func (d divisor) mod(x uint64) uint64 {
+	if d.pow2 {
+		return x & (d.n - 1)
+	}
+	return x % d.n
 }
 
 // Stats aggregates event counts across the whole machine. Energy and
@@ -149,15 +188,23 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	g := cfg.Geometry
 	p := cfg.Params
-	m := &Machine{cfg: cfg, mem: newHBM(p)}
-	nL1 := g.Tiles * cfg.L1CacheBanksPerTile()
-	for i := 0; i < nL1; i++ {
-		m.l1 = append(m.l1, newCacheBank(p.L1BankBytes, p.L1Assoc, p.BlockBytes))
+	m := &Machine{
+		cfg:      cfg,
+		mem:      newHBM(p),
+		block:    newDivisor(p.BlockBytes),
+		l1Banks:  cfg.L1CacheBanksPerTile(),
+		l1Pool:   newDivisor(cfg.L1CacheBanksPerTile()),
+		l1Shared: cfg.HW.L1Shared(),
+		l2Pool:   newDivisor(g.PEsPerTile),
+		l2Shared: cfg.HW.L2Shared(),
+		spmBanks: cfg.SPMBanksPerTile(),
 	}
-	for i := 0; i < g.Tiles*g.PEsPerTile; i++ {
-		m.l2 = append(m.l2, newCacheBank(p.L2BankBytes, p.L2Assoc, p.BlockBytes))
+	if m.l2Shared {
+		m.l2Pool = newDivisor(g.TotalPEs())
 	}
-	m.spmFree = make([]int64, g.Tiles*cfg.SPMBanksPerTile())
+	m.l1 = newCacheBanks(g.Tiles*m.l1Banks, p.L1BankBytes, p.L1Assoc, p.BlockBytes)
+	m.l2 = newCacheBanks(g.TotalPEs(), p.L2BankBytes, p.L2Assoc, p.BlockBytes)
+	m.spmFree = make([]int64, g.Tiles*m.spmBanks)
 	return m, nil
 }
 
@@ -188,21 +235,23 @@ type Proc struct {
 	time  int64
 	until int64
 
-	resume chan int64
-	yield  chan yieldMsg
+	// The kernel runs as a coroutine (pull): next resumes it until it
+	// yields or returns, yield hands control back to the scheduler.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	pf       streamPrefetcher
 	sbufs    [numStreamBufs]streamBuf
 	sbufNext int
-	storeBuf []int64 // completion times of in-flight stores (FIFO)
 
-	// local event counters, merged into Machine.stats at completion
+	// storeBuf is a ring of the completion times of in-flight stores,
+	// oldest at storeHead; its length is the store buffer depth.
+	storeBuf  []int64
+	storeHead int
+	storeLen  int
+
+	// local event counters, summed into Machine.stats when Run ends
 	st Stats
-}
-
-type yieldMsg struct {
-	done     bool
-	panicked interface{} // non-nil: the kernel function panicked
 }
 
 // Tile returns the tile index of this processor.
@@ -219,13 +268,6 @@ func (p *Proc) Now() int64 { return p.time }
 
 // Machine returns the machine this processor belongs to.
 func (p *Proc) Machine() *Machine { return p.m }
-
-func (p *Proc) maybeYield() {
-	if p.time > p.until {
-		p.yield <- yieldMsg{}
-		p.until = <-p.resume
-	}
-}
 
 // Compute charges n single-cycle ALU/FPU operations (the PEs are
 // 1-issue in-order cores, so arithmetic is one op per cycle).
@@ -257,16 +299,25 @@ func (p *Proc) LoadN(addr uint64, n int) {
 // which case it stalls until the oldest store completes.
 func (p *Proc) Store(addr uint64) {
 	p.maybeYield()
-	if len(p.storeBuf) >= p.m.cfg.Params.StoreBufDepth {
-		oldest := p.storeBuf[0]
-		p.storeBuf = p.storeBuf[1:]
+	depth := len(p.storeBuf)
+	if p.storeLen >= depth {
+		oldest := p.storeBuf[p.storeHead]
+		if p.storeHead++; p.storeHead == depth {
+			p.storeHead = 0
+		}
+		p.storeLen--
 		if oldest > p.time {
 			p.st.StallCycles += oldest - p.time
 			p.time = oldest
 		}
 	}
 	lat := p.m.access(p, addr, true)
-	p.storeBuf = append(p.storeBuf, p.time+lat)
+	tail := p.storeHead + p.storeLen
+	if tail >= depth {
+		tail -= depth
+	}
+	p.storeBuf[tail] = p.time + lat
+	p.storeLen++
 	p.time++
 	p.st.Stores++
 }
@@ -286,28 +337,27 @@ func (p *Proc) SPMStore(offsetWords int) {
 
 func (p *Proc) spmAccess(offsetWords int, write bool) {
 	p.maybeYield()
-	cfg := p.m.cfg
-	lat := cfg.Params.SPMLatency
-	if cfg.HW == SCS {
+	m := p.m
+	lat := m.cfg.Params.SPMLatency
+	if m.cfg.HW == SCS {
 		// Shared SPM: word-interleaved banks behind a word-granular
 		// crossbar. Traversal is pipelined; only bank conflicts are
 		// charged — this is the "fast random access" property that
 		// motivates the configuration (paper, Fig. 3). Writes retire
 		// through the store path and only book bank occupancy.
-		banks := cfg.SPMBanksPerTile()
-		bank := p.tile*banks + offsetWords%banks
+		bank := p.tile*m.spmBanks + offsetWords%m.spmBanks
 		start := p.time
-		if p.m.spmFree[bank] > start {
+		if m.spmFree[bank] > start {
 			if !write {
-				lat += p.m.spmFree[bank] - start
+				lat += m.spmFree[bank] - start
 			}
-			start = p.m.spmFree[bank]
+			start = m.spmFree[bank]
 		}
-		p.m.spmFree[bank] = start + 1
+		m.spmFree[bank] = start + 1
 		p.st.XbarHops++
 	}
 	if write {
-		p.time += cfg.Params.SPMLatency
+		p.time += m.cfg.Params.SPMLatency
 		p.st.SPMWrites++
 		return
 	}
@@ -322,8 +372,7 @@ func (p *Proc) spmAccess(offsetWords int, write bool) {
 // the latency seen by the requesting processor. Cache state, bank
 // queues and channel queues are updated as side effects.
 func (m *Machine) access(p *Proc, addr uint64, write bool) int64 {
-	cfg := m.cfg
-	par := cfg.Params
+	par := &m.cfg.Params
 	t := p.time
 	var lat int64
 
@@ -334,9 +383,9 @@ func (m *Machine) access(p *Proc, addr uint64, write bool) int64 {
 	// with issue (it still costs energy, counted via XbarHops).
 	l1bank := m.l1BankFor(p, addr)
 	if l1bank >= 0 {
-		b := m.l1[l1bank]
+		b := &m.l1[l1bank]
 		laddr := m.l1LocalAddr(addr)
-		if cfg.HW.L1Shared() {
+		if m.l1Shared {
 			lat += par.XbarArb
 		}
 		p.st.XbarHops++
@@ -376,14 +425,12 @@ func (m *Machine) access(p *Proc, addr uint64, write bool) int64 {
 // processor for addr, or -1 if the processor has no L1 cache (PS mode,
 // or an LCP, which connects at L2).
 func (m *Machine) l1BankFor(p *Proc, addr uint64) int {
-	cfg := m.cfg
-	banks := cfg.L1CacheBanksPerTile()
+	banks := m.l1Banks
 	if banks == 0 || p.pe < 0 {
 		return -1
 	}
-	if cfg.HW.L1Shared() {
-		block := addr / uint64(cfg.Params.BlockBytes)
-		return p.tile*banks + int(block%uint64(banks))
+	if m.l1Shared {
+		return p.tile*banks + int(m.l1Pool.mod(m.block.div(addr)))
 	}
 	// Private: PE i owns bank i. (In SCS, L1 is shared by definition.)
 	if p.pe >= banks {
@@ -395,15 +442,14 @@ func (m *Machine) l1BankFor(p *Proc, addr uint64) int {
 // l2Access probes L2 and, on a miss, HBM. Returns the absolute
 // completion time of the fill and whether it came from HBM.
 func (m *Machine) l2Access(p *Proc, addr uint64, t int64) (int64, bool) {
-	cfg := m.cfg
-	par := cfg.Params
+	par := &m.cfg.Params
 	var lat int64
-	if cfg.HW.L2Shared() {
+	if m.l2Shared {
 		lat += par.XbarArb
 	}
 	p.st.XbarHops++
 	bank := m.l2BankFor(p, addr)
-	b := m.l2[bank]
+	b := &m.l2[bank]
 	laddr := m.l2LocalAddr(addr)
 	lat += b.occupy(t+lat, 1) + par.L2Latency
 	res := b.probe(laddr, t+lat)
@@ -433,13 +479,11 @@ func (m *Machine) l2BankFor(p *Proc, addr uint64) int {
 }
 
 func (m *Machine) l2BankForTile(tile int, addr uint64) int {
-	cfg := m.cfg
-	perTile := cfg.Geometry.PEsPerTile
-	block := addr / uint64(cfg.Params.BlockBytes)
-	if cfg.HW.L2Shared() {
-		return int(block % uint64(len(m.l2)))
+	bank := int(m.l2Pool.mod(m.block.div(addr)))
+	if m.l2Shared {
+		return bank
 	}
-	return tile*perTile + int(block%uint64(perTile))
+	return tile*m.cfg.Geometry.PEsPerTile + bank
 }
 
 // l1LocalAddr strips the bank-interleave bits from an address before it
@@ -447,24 +491,15 @@ func (m *Machine) l2BankForTile(tile int, addr uint64) int {
 // space round-robin, so the per-bank set index must come from the
 // quotient or the bank would alias onto a fraction of its sets.
 func (m *Machine) l1LocalAddr(addr uint64) uint64 {
-	if !m.cfg.HW.L1Shared() {
+	if !m.l1Shared {
 		return addr
 	}
-	banks := uint64(m.cfg.L1CacheBanksPerTile())
-	bb := uint64(m.cfg.Params.BlockBytes)
-	return (addr / bb / banks) * bb
+	return m.l1Pool.div(m.block.div(addr)) * m.block.n
 }
 
 // l2LocalAddr strips the L2 pool interleave bits; see l1LocalAddr.
 func (m *Machine) l2LocalAddr(addr uint64) uint64 {
-	bb := uint64(m.cfg.Params.BlockBytes)
-	var banks uint64
-	if m.cfg.HW.L2Shared() {
-		banks = uint64(len(m.l2))
-	} else {
-		banks = uint64(m.cfg.Geometry.PEsPerTile)
-	}
-	return (addr / bb / banks) * bb
+	return m.l2Pool.div(m.block.div(addr)) * m.block.n
 }
 
 // installStream lands a stream-fetched line in the requesting
@@ -506,15 +541,17 @@ func (m *Machine) flushDirty(t int64) {
 	bb := uint64(m.cfg.Params.BlockBytes)
 	// L1 dirty lines fold into L2 where resident; the rest of the way
 	// down they are memory's problem directly (non-inclusive hierarchy).
-	l1banks := uint64(m.cfg.L1CacheBanksPerTile())
-	for bi, b := range m.l1 {
-		for i := range b.dirty {
-			if !b.valid[i] || !b.dirty[i] {
+	l1banks := uint64(m.l1Banks)
+	for bi := range m.l1 {
+		b := &m.l1[bi]
+		for i := range b.lines {
+			l := &b.lines[i]
+			if !l.dirty() {
 				continue
 			}
-			b.dirty[i] = false
-			addr := b.tags[i] << b.shift
-			if m.cfg.HW.L1Shared() && l1banks > 0 {
+			l.clean()
+			addr := l.block() << b.shift
+			if m.l1Shared && l1banks > 0 {
 				addr = (addr/bb*l1banks + uint64(bi)%l1banks) * bb
 			}
 			tile := bi / int(l1banks)
@@ -524,17 +561,16 @@ func (m *Machine) flushDirty(t int64) {
 			}
 		}
 	}
-	l2banks := uint64(m.cfg.Geometry.PEsPerTile)
-	if m.cfg.HW.L2Shared() {
-		l2banks = uint64(len(m.l2))
-	}
-	for bi, b := range m.l2 {
-		for i := range b.dirty {
-			if !b.valid[i] || !b.dirty[i] {
+	l2banks := m.l2Pool.n
+	for bi := range m.l2 {
+		b := &m.l2[bi]
+		for i := range b.lines {
+			l := &b.lines[i]
+			if !l.dirty() {
 				continue
 			}
-			b.dirty[i] = false
-			addr := (b.tags[i]<<b.shift)/bb*l2banks + uint64(bi)%l2banks
+			l.clean()
+			addr := (l.block()<<b.shift)/bb*l2banks + uint64(bi)%l2banks
 			m.mem.writeLineBuffered(addr*bb, t)
 		}
 	}
@@ -544,11 +580,11 @@ func (m *Machine) flushDirty(t int64) {
 // block and, once confident, fetches PrefetchDegree lines ahead into
 // the processor's cache level without stalling it.
 func (m *Machine) prefetch(p *Proc, addr uint64, t int64, fromHBM bool) {
-	par := m.cfg.Params
+	par := &m.cfg.Params
 	if par.PrefetchDegree <= 0 {
 		return
 	}
-	block := addr / uint64(par.BlockBytes)
+	block := m.block.div(addr)
 	stride := p.pf.observeMiss(block)
 	if stride == 0 {
 		return
@@ -566,7 +602,7 @@ func (m *Machine) prefetch(p *Proc, addr uint64, t int64, fromHBM bool) {
 		p.st.Prefetches++
 		l1bank := m.l1BankFor(p, naddr)
 		if l1bank >= 0 {
-			b := m.l1[l1bank]
+			b := &m.l1[l1bank]
 			laddr := m.l1LocalAddr(naddr)
 			if b.contains(laddr) {
 				continue
@@ -598,36 +634,31 @@ func (m *Machine) Run(prog Program) Result {
 	peEnd := make([]int64, g.Tiles) // max PE end time per tile
 	var makespan int64
 
-	procs := make([]*Proc, 0, g.TotalPEs())
-	for tile := 0; tile < g.Tiles; tile++ {
-		for pe := 0; pe < g.PEsPerTile; pe++ {
-			procs = append(procs, m.newProc(len(procs), tile, pe))
-		}
+	procs := m.newProcs(g.TotalPEs())
+	for i := range procs {
+		procs[i].id, procs[i].tile, procs[i].pe = i, i/g.PEsPerTile, i%g.PEsPerTile
 	}
-	ends := m.schedule(procs, prog.PE)
+	m.schedule(procs, prog.PE)
 	var endSum int64
-	for i, p := range procs {
-		endSum += ends[i]
-		if ends[i] > peEnd[p.tile] {
-			peEnd[p.tile] = ends[i]
-		}
-		if ends[i] > makespan {
-			makespan = ends[i]
-		}
+	for i := range procs {
+		p := &procs[i]
+		endSum += p.time
+		peEnd[p.tile] = max(peEnd[p.tile], p.time)
+		makespan = max(makespan, p.time)
+		m.stats.Add(p.st)
 	}
 
 	if prog.LCP != nil {
-		lcps := make([]*Proc, 0, g.Tiles)
-		for tile := 0; tile < g.Tiles; tile++ {
-			lp := m.newProc(tile, tile, -1)
+		lcps := m.newProcs(g.Tiles)
+		for tile := range lcps {
+			lp := &lcps[tile]
+			lp.id, lp.tile, lp.pe = tile, tile, -1
 			lp.time = peEnd[tile] // store-and-merge: LCP starts when its tile's PEs finish
-			lcps = append(lcps, lp)
 		}
-		lends := m.schedule(lcps, prog.LCP)
-		for _, e := range lends {
-			if e > makespan {
-				makespan = e
-			}
+		m.schedule(lcps, prog.LCP)
+		for i := range lcps {
+			makespan = max(makespan, lcps[i].time)
+			m.stats.Add(lcps[i].st)
 		}
 	}
 
@@ -643,98 +674,6 @@ func (m *Machine) Run(prog Program) Result {
 		res.Balance = float64(endSum) / float64(len(procs)) / float64(makespan)
 	}
 	return res
-}
-
-func (m *Machine) newProc(id, tile, pe int) *Proc {
-	return &Proc{
-		m:      m,
-		id:     id,
-		tile:   tile,
-		pe:     pe,
-		resume: make(chan int64),
-		yield:  make(chan yieldMsg),
-	}
-}
-
-// procHeap orders processors by local time, ties broken by id for
-// determinism.
-type procHeap []*Proc
-
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].id < h[j].id
-}
-func (h procHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *procHeap) Push(x interface{}) { *h = append(*h, x.(*Proc)) }
-func (h *procHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// schedule runs fn on each processor under min-time-first interleaving
-// and returns each processor's completion time.
-func (m *Machine) schedule(procs []*Proc, fn func(*Proc)) []int64 {
-	window := m.cfg.Params.SchedulerWindow
-	ends := make([]int64, len(procs))
-
-	for _, p := range procs {
-		p := p
-		go func() {
-			p.until = <-p.resume
-			// A panicking kernel must still report completion, or the
-			// scheduler would deadlock with the remaining processors.
-			defer func() {
-				if r := recover(); r != nil {
-					p.yield <- yieldMsg{done: true, panicked: r}
-				}
-			}()
-			fn(p)
-			p.yield <- yieldMsg{done: true}
-		}()
-	}
-
-	h := make(procHeap, len(procs))
-	copy(h, procs)
-	heap.Init(&h)
-	idx := make(map[*Proc]int, len(procs))
-	for i, p := range procs {
-		idx[p] = i
-	}
-
-	var panicked interface{}
-	active := len(procs)
-	for active > 0 {
-		p := heap.Pop(&h).(*Proc)
-		until := int64(1<<62 - 1)
-		if len(h) > 0 {
-			until = h[0].time + window
-		}
-		p.resume <- until
-		msg := <-p.yield
-		if msg.done {
-			active--
-			ends[idx[p]] = p.time
-			m.stats.Add(p.st)
-			p.st = Stats{}
-			if msg.panicked != nil && panicked == nil {
-				panicked = msg.panicked
-			}
-		} else {
-			heap.Push(&h, p)
-		}
-	}
-	if panicked != nil {
-		// Every goroutine has exited; re-raise the kernel's panic at
-		// the caller.
-		panic(panicked)
-	}
-	return ends
 }
 
 // Describe returns a human-readable summary of the machine, used by the

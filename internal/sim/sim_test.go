@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -75,8 +76,8 @@ func TestSPMCapacity(t *testing.T) {
 
 func TestCacheBankBasics(t *testing.T) {
 	b := newCacheBank(4096, 4, 64)
-	if b.sets != 16 || b.ways != 4 {
-		t.Fatalf("geometry %dx%d, want 16x4", b.sets, b.ways)
+	if b.sets.n != 16 || b.ways != 4 {
+		t.Fatalf("geometry %dx%d, want 16x4", b.sets.n, b.ways)
 	}
 	// First access misses, second to the same block hits.
 	r := b.probe(0x1000, 1)
@@ -612,6 +613,41 @@ func TestKernelPanicPropagatesWithoutDeadlock(t *testing.T) {
 		}
 		p.Compute(10)
 	}})
+}
+
+func TestKernelPanicMidRunFinishesOthers(t *testing.T) {
+	// One PE panics after it has yielded many times; every other PE
+	// must still run to its end, the panic must reach the caller, and
+	// no kernel coroutine may be left parked behind it.
+	m := MustMachine(NewConfig(Geometry{Tiles: 4, PEsPerTile: 8}, SC))
+	arena := NewArena(m.Config().Params)
+	buf := arena.Alloc(1 << 14)
+	finished := make([]bool, 32)
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != "PE 5 bug" {
+				t.Fatalf("recovered %v, want the kernel's panic", r)
+			}
+		}()
+		m.Run(Program{PE: func(p *Proc) {
+			for i := 0; i < 2000; i++ {
+				p.Load(buf + uint64((p.GlobalPE()*977+i*61)%(1<<14))*4)
+				if p.GlobalPE() == 5 && i == 700 {
+					panic("PE 5 bug")
+				}
+			}
+			finished[p.GlobalPE()] = true
+		}})
+	}()
+	for pe, ok := range finished {
+		if ok == (pe == 5) {
+			t.Errorf("PE %d finished = %v", pe, ok)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the run, %d before", after, before)
+	}
 }
 
 func TestEnergyBreakdownSumsToTotal(t *testing.T) {

@@ -68,25 +68,30 @@ func TestTwoInterleavedStreams(t *testing.T) {
 	}
 }
 
-// maxReady returns the largest ready-map population across a PE's
-// stream buffers — the quantity the retirement sweep must bound.
+// maxReady returns the largest resident-line count across a PE's
+// stream buffers — the quantity retirement must bound.
 func maxReady(p *Proc, cur int) int {
 	for i := range p.sbufs {
-		if n := len(p.sbufs[i].ready); n > cur {
-			cur = n
+		s := &p.sbufs[i]
+		n := 0
+		for _, e := range s.ready {
+			if e.tag != 0 && e.tag-1 >= s.low {
+				n++
+			}
 		}
+		cur = max(cur, n)
 	}
 	return cur
 }
 
 func TestLoadStreamRetirementBoundsReadyMap(t *testing.T) {
 	// Regression test for the retirement bug: LoadStream used to delete
-	// only line-2 from streamBuf.ready, so a consumer that skips a line
-	// (stride crossing, restart inside the match window) stranded an
-	// entry per skip for the buffer's lifetime. The skipping pattern
+	// only line-2 from its per-stream ready map, so a consumer that skips
+	// a line (stride crossing, restart inside the match window) stranded
+	// an entry per skip for the buffer's lifetime. The skipping pattern
 	// below — touching every other line — previously grew the map to
-	// 500+ entries; with frontier-based retirement it must stay bounded
-	// by the fetch window regardless of access pattern.
+	// 500+ entries; the ring that replaced the map must still hold no
+	// more resident lines than the fetch window, whatever the pattern.
 	par := DefaultParams()
 	bound := int(par.MSHRs) + 4 // fetch window + the d>=-2 revisit margin
 
