@@ -140,8 +140,8 @@ bench-backends:
 
 # bench-batch measures what fusing same-graph jobs buys end to end: 64
 # concurrent clients submit the same native PPR workload to a service
-# with the coalescer off, with groups of up to 8 lanes, and of up to 32
-# — 5 repetitions per leg. Solo and fused jobs run the same loop and
+# with the coalescer off and with groups of up to 8 lanes (the cap,
+# kernels.LaneBlock) — 5 repetitions per leg. Solo and fused jobs run the same loop and
 # the same native kernel, so the ratio is lane amortization net of the
 # gather window, against unbatched jobs running concurrently on the
 # shared engine. BENCH_batch.json records per-leg median and IQR

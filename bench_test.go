@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cosparse/internal/bench"
+	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/kernels"
 	"cosparse/internal/ligra"
@@ -96,7 +97,7 @@ func BenchmarkSimIPKernel(b *testing.B) {
 	op := kernels.Operand{Ring: semiring.SpMV()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, res := kernels.RunIP(cfg, part, x, op)
+		_, res := exec.Sim().IP(cfg, part, x, op)
 		if res.Cycles == 0 {
 			b.Fatal("no cycles")
 		}
@@ -276,7 +277,7 @@ func ablationRun(b *testing.B, mutate func(*sim.Params)) int64 {
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, res := kernels.RunIP(cfg, part, x, op)
+		_, res := exec.Sim().IP(cfg, part, x, op)
 		cycles = res.Cycles
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")

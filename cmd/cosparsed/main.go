@@ -70,7 +70,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "iterations between checkpoint snapshots of running jobs with -data-dir (0 = default 16, negative = journal only)")
 	noSync := flag.Bool("store-no-sync", false, "skip fsync in the durability store (testing only; voids crash consistency)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "gather window for multi-source job fusion: compatible jobs arriving within it coalesce into one fused multi-vector run (0 = disable batching)")
-	batchLanes := flag.Int("batch-lanes", 32, "maximum jobs one fused run carries")
 	follow := flag.String("follow", "", "start as a hot standby of the leader at this base URL (requires -data-dir; mutating endpoints answer 503 until promoted)")
 	advertise := flag.String("advertise", "", "base URL this node is reachable at, sent to the leader when following (default derived from -addr)")
 	replMode := flag.String("repl-mode", "async", "leader submit-ack coupling: async (ack on local durability) or semisync (hold acks for the follower's journal ack)")
@@ -172,7 +171,6 @@ func main() {
 		CheckpointEvery:    *ckptEvery,
 		StoreNoSync:        *noSync,
 		BatchWindow:        *batchWindow,
-		BatchMaxLanes:      *batchLanes,
 		FollowLeader:       *follow,
 		AdvertiseURL:       *advertise,
 		ReplMode:           *replMode,

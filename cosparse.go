@@ -30,7 +30,6 @@ import (
 
 	"cosparse/internal/exec"
 	"cosparse/internal/gen"
-	"cosparse/internal/kernels"
 	"cosparse/internal/matrix"
 	"cosparse/internal/runtime"
 	"cosparse/internal/sim"
@@ -353,18 +352,6 @@ func WithHardware(h Hardware) Option {
 	}
 }
 
-// WithoutBalancing disables the nnz-balanced static partitioning
-// (§III-B), falling back to equal row ranges — mainly useful for
-// reproducing the paper's Fig. 7 ablation.
-func WithoutBalancing() Option {
-	return func(o *runtime.Options) { o.Balancing = kernels.BalanceRows }
-}
-
-// WithMaxIterations bounds traversal algorithms.
-func WithMaxIterations(n int) Option {
-	return func(o *runtime.Options) { o.MaxIters = n }
-}
-
 // WithTraceCap bounds the per-iteration trace kept on reports: runs
 // longer than n iterations retain only the most recent n entries
 // (Report.TraceDropped counts the rest; cycle and energy totals stay
@@ -381,51 +368,6 @@ func WithTraceCap(n int) Option {
 // checks through the simulated engine's run path.
 func WithIterationHook(fn func(iter int) error) Option {
 	return func(o *runtime.Options) { o.IterHook = fn }
-}
-
-// Thresholds tunes the reconfiguration decision tree (§III-C). Zero
-// fields keep the calibrated defaults.
-type Thresholds struct {
-	// CVDCoefficient sets the IP/OP crossover: CVD = coefficient /
-	// PEsPerTile (default 0.16, i.e. 2% at 8 PEs/tile).
-	CVDCoefficient float64
-	// SCSMinDensity is the frontier density above which SCS becomes
-	// eligible (default 0.02).
-	SCSMinDensity float64
-	// SCSReuseFloor is the minimum matrix elements served per
-	// scratchpad-staged vector word, nnz/(|V|·Tiles) (default 1.5).
-	SCSReuseFloor float64
-	// PSListFactor scales the private L1 bank capacity against the OP
-	// sorted-list footprint (default 0.5).
-	PSListFactor float64
-}
-
-// WithThresholds overrides decision-tree thresholds.
-func WithThresholds(t Thresholds) Option {
-	return func(o *runtime.Options) {
-		pol := runtime.DefaultPolicy()
-		if t.CVDCoefficient > 0 {
-			pol.CVDCoeff = t.CVDCoefficient
-			// Widen the clamp so the override is effective at any
-			// PEs-per-tile.
-			if t.CVDCoefficient > pol.CVDMax {
-				pol.CVDMax = t.CVDCoefficient
-			}
-			if c := t.CVDCoefficient / 1024; c < pol.CVDMin {
-				pol.CVDMin = c
-			}
-		}
-		if t.SCSMinDensity > 0 {
-			pol.SCSMinDensity = t.SCSMinDensity
-		}
-		if t.SCSReuseFloor > 0 {
-			pol.SCSReuseFloor = t.SCSReuseFloor
-		}
-		if t.PSListFactor > 0 {
-			pol.PSListFactor = t.PSListFactor
-		}
-		o.Policy = pol
-	}
 }
 
 // Engine binds a Graph to a simulated machine and drives the

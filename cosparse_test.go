@@ -246,37 +246,6 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestMaxIterationsOption(t *testing.T) {
-	g := testGraph(t)
-	eng := testEngine(t, g, WithMaxIterations(2))
-	_, rep, err := eng.SSSP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Iterations) > 2 {
-		t.Fatalf("ran %d iterations, cap was 2", len(rep.Iterations))
-	}
-}
-
-func TestWithoutBalancingStillCorrect(t *testing.T) {
-	g := testGraph(t)
-	a := testEngine(t, g)
-	b := testEngine(t, g, WithoutBalancing())
-	da, _, err := a.SSSP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, _, err := b.SSSP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range da {
-		if da[v] != db[v] {
-			t.Fatalf("balancing changed results at vertex %d: %g vs %g", v, da[v], db[v])
-		}
-	}
-}
-
 func TestDeterministicEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	run := func() int64 {
@@ -289,20 +258,6 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
-	}
-}
-
-func TestWithThresholds(t *testing.T) {
-	g := testGraph(t)
-	// An absurdly high CVD coefficient forces OP at every density.
-	eng := testEngine(t, g, WithThresholds(Thresholds{CVDCoefficient: 100}))
-	if sw, _ := eng.Decide(g.NumVertices()); sw != "OP" {
-		t.Fatalf("CVD override ignored: got %s for a full frontier", sw)
-	}
-	// A zero-value Thresholds keeps the defaults.
-	def := testEngine(t, g, WithThresholds(Thresholds{}))
-	if sw, _ := def.Decide(g.NumVertices()); sw != "IP" {
-		t.Fatal("zero thresholds changed the defaults")
 	}
 }
 

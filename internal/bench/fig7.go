@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/kernels"
 	"cosparse/internal/matrix"
@@ -103,10 +104,10 @@ func Fig7(s Scale) (*Fig7Result, *Table) {
 			cfg := sim.Config{Geometry: g, HW: hw, Params: par}
 			vb := sim.Config{Geometry: g, HW: sim.SCS, Params: par}.SPMWordsPerTile()
 			uniPart := kernels.NewIPPartition(uni, g.TotalPEs(), vb, kernels.BalanceNNZ)
-			_, uniRes := kernels.RunIP(cfg, uniPart, xIP, op)
+			_, uniRes := exec.Sim().IP(cfg, uniPart, xIP, op)
 			for _, b := range []kernels.Balancing{kernels.BalanceRows, kernels.BalanceNNZ} {
 				plPart := kernels.NewIPPartition(pl, g.TotalPEs(), vb, b)
-				_, plRes := kernels.RunIP(cfg, plPart, xIP, op)
+				_, plRes := exec.Sim().IP(cfg, plPart, xIP, op)
 				cell := Fig7Cell{
 					Matrix: mspec.Name, Config: hw, Balancing: b,
 					Normalized: float64(plRes.Cycles) / float64(uniRes.Cycles),

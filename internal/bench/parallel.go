@@ -8,18 +8,12 @@ import (
 // parallelCells runs fn(i) for i in [0, n) on a host worker pool. Each
 // cell of a sweep is an independent, internally-deterministic
 // simulation, so host-side parallelism changes wall-clock time only —
-// results are bit-identical to the sequential order. Workers are capped
-// below GOMAXPROCS because each simulated machine itself runs a few
-// goroutines.
+// results are bit-identical to the sequential order. A simulated
+// machine runs its PEs one at a time (coroutines handing off), so each
+// worker keeps about one host thread busy.
 func parallelCells(n int, fn func(i int)) {
-	w := runtime.GOMAXPROCS(0) / 2
-	if w < 1 {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
-	if w == 1 {
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -41,10 +41,10 @@ func ScalingStudy(s Scale) (*ScalingResult, *Table) {
 		coo := gen.Uniform(mspec.N, mspec.NNZ, gen.Pattern, 1101)
 		for _, d := range vecDensities {
 			f := gen.Frontier(mspec.N, d, 1102)
-			pcSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PC, Params: par}, coo, f, false)
-			pcBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PC, Params: par}, coo, f, false)
-			psSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PS, Params: par}, coo, f, false)
-			psBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PS, Params: par}, coo, f, false)
+			pcSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PC, Params: par}, coo, f)
+			pcBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PC, Params: par}, coo, f)
+			psSmall := spmvCycles(sim.Config{Geometry: small, HW: sim.PS, Params: par}, coo, f)
+			psBig := spmvCycles(sim.Config{Geometry: big, HW: sim.PS, Params: par}, coo, f)
 
 			spPC := float64(pcSmall) / float64(pcBig)
 			spPS := float64(psSmall) / float64(psBig)

@@ -9,8 +9,8 @@ import (
 // simBackend is the paper-reproduction backend: every pass runs on a
 // fresh trace-driven machine (kernels.Run*) and reports simulated
 // cycles, energy and microarchitectural stats. It is a pass-through to
-// the pre-split kernel entry points, so all seed timings are preserved
-// bit-for-bit (pinned by TestSimBackendTimingsPinned).
+// the kernel entry points, whose seed timings are pinned bit-for-bit by
+// TestSimBackendTimingsPinned.
 type simBackend struct{}
 
 // Sim returns the trace-driven simulator backend (the default).
@@ -23,9 +23,11 @@ func fromSim(r sim.Result) Result {
 	return Result{Cycles: r.Cycles, EnergyJ: r.EnergyJ, Stats: r.Stats, Balance: r.Balance}
 }
 
-func (simBackend) IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result) {
-	out, res := kernels.RunIP(cfg, part, x, op)
-	return out, fromSim(res)
+// IP is the one-lane IPMulti: a lone vector under SCS stages its
+// frontier in the scratchpad.
+func (b simBackend) IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result) {
+	outs, res := b.IPMulti(cfg, part, []matrix.Dense{x}, []kernels.Operand{op})
+	return outs[0], res
 }
 
 func (simBackend) OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.SparseVec, op kernels.Operand) (*matrix.SparseVec, Result) {
@@ -33,14 +35,7 @@ func (simBackend) OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.Sparse
 	return out, fromSim(res)
 }
 
-// IPMulti with one lane is the solo pass: the blocked multi-vector pass
-// reads frontiers from cacheable memory only, so it cannot model SCS's
-// scratchpad staging — which only a lone vector can use.
-func (b simBackend) IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result) {
-	if len(xs) == 1 {
-		out, res := b.IP(cfg, part, xs[0], ops[0])
-		return []matrix.Dense{out}, res
-	}
+func (simBackend) IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result) {
 	outs, res := kernels.RunIPMulti(cfg, part, xs, ops)
 	return outs, fromSim(res)
 }

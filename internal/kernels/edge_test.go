@@ -47,7 +47,7 @@ func TestIPCorrectUnderAllHWConfigs(t *testing.T) {
 			vb = c.SPMWordsPerTile()
 		}
 		part := NewIPPartition(m, c.Geometry.TotalPEs(), vb, BalanceNNZ)
-		got, _ := RunIP(c, part, f.ToDense(0), op)
+		got, _ := runIP(c, part, f.ToDense(0), op)
 		for i := range want {
 			if !approxEqual(want[i], got[i]) {
 				t.Fatalf("%v: row %d: want %g got %g", hw, i, want[i], got[i])
@@ -89,7 +89,7 @@ func TestIPEmptyMatrix(t *testing.T) {
 	m := matrix.MustCOO(50, 50, nil)
 	c := cfg(1, 2, sim.SC)
 	part := NewIPPartition(m, c.Geometry.TotalPEs(), 0, BalanceNNZ)
-	out, res := RunIP(c, part, make(matrix.Dense, 50), Operand{Ring: semiring.SpMV()})
+	out, res := runIP(c, part, make(matrix.Dense, 50), Operand{Ring: semiring.SpMV()})
 	for _, v := range out {
 		if v != 0 {
 			t.Fatal("empty matrix produced nonzero output")
@@ -117,7 +117,7 @@ func TestIPSingleRowHotspot(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	out, _ := RunIP(c, part, x, Operand{Ring: semiring.SpMV()})
+	out, _ := runIP(c, part, x, Operand{Ring: semiring.SpMV()})
 	want := matrix.RefSpMV(m, x)
 	for i := range want {
 		if !approxEqual(want[i], out[i]) {
@@ -161,7 +161,7 @@ func TestRunIPPanicsOnBadFrontier(t *testing.T) {
 	m := gen.Uniform(50, 100, gen.Pattern, 67)
 	c := cfg(1, 2, sim.SC)
 	part := NewIPPartition(m, 2, 0, BalanceNNZ)
-	RunIP(c, part, make(matrix.Dense, 10), Operand{Ring: semiring.SpMV()})
+	runIP(c, part, make(matrix.Dense, 10), Operand{Ring: semiring.SpMV()})
 }
 
 func TestRunOPPanicsOnWrongTileCount(t *testing.T) {

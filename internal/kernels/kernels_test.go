@@ -15,6 +15,13 @@ func cfg(t, p int, hw sim.HWConfig) sim.Config {
 	return sim.NewConfig(sim.Geometry{Tiles: t, PEsPerTile: p}, hw)
 }
 
+// runIP runs one inner-product SpMV on the simulator: a one-lane
+// RunIPMulti.
+func runIP(c sim.Config, part *IPPartition, x matrix.Dense, op Operand) (matrix.Dense, sim.Result) {
+	outs, res := RunIPMulti(c, part, []matrix.Dense{x}, []Operand{op})
+	return outs[0], res
+}
+
 func approxEqual(a, b float32) bool {
 	if math.IsInf(float64(a), 1) && math.IsInf(float64(b), 1) {
 		return true
@@ -178,7 +185,7 @@ func TestIPMatchesReferenceAllSemirings(t *testing.T) {
 		want := refContrib(m, f, op)
 		c := cfg(2, 4, sim.SC)
 		part := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceNNZ)
-		got, res := RunIP(c, part, f.ToDense(ring.Identity), op)
+		got, res := runIP(c, part, f.ToDense(ring.Identity), op)
 		if res.Cycles <= 0 {
 			t.Fatalf("%s: no cycles", ring.Name)
 		}
@@ -199,11 +206,11 @@ func TestIPSCSMatchesSC(t *testing.T) {
 
 	cSC := cfg(2, 4, sim.SC)
 	pSC := NewIPPartition(m, cSC.Geometry.TotalPEs(), cSC.SPMWordsPerTile(), BalanceNNZ)
-	outSC, _ := RunIP(cSC, pSC, x, op)
+	outSC, _ := runIP(cSC, pSC, x, op)
 
 	cSCS := cfg(2, 4, sim.SCS)
 	pSCS := NewIPPartition(m, cSCS.Geometry.TotalPEs(), cSCS.SPMWordsPerTile(), BalanceNNZ)
-	outSCS, _ := RunIP(cSCS, pSCS, x, op)
+	outSCS, _ := runIP(cSCS, pSCS, x, op)
 
 	for i := range outSC {
 		if !approxEqual(outSC[i], outSCS[i]) {
@@ -263,8 +270,8 @@ func TestIPCostIndependentOfDensity(t *testing.T) {
 	c := cfg(2, 8, sim.SC)
 	part := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceNNZ)
 
-	_, r1 := RunIP(c, part, gen.Frontier(m.C, 0.01, 16).ToDense(0), op)
-	_, r2 := RunIP(c, part, gen.Frontier(m.C, 1.0, 16).ToDense(0), op)
+	_, r1 := runIP(c, part, gen.Frontier(m.C, 0.01, 16).ToDense(0), op)
+	_, r2 := runIP(c, part, gen.Frontier(m.C, 1.0, 16).ToDense(0), op)
 	ratio := float64(r2.Cycles) / float64(r1.Cycles)
 	if ratio > 1.3 || ratio < 0.7 {
 		t.Fatalf("IP cycles vary with density by %.2fx; it streams the whole matrix either way", ratio)
@@ -455,7 +462,7 @@ func TestQuickIPOPAgree(t *testing.T) {
 
 		c := cfg(2, 2, sim.SC)
 		part := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceNNZ)
-		ipOut, _ := RunIP(c, part, fr.ToDense(0), op)
+		ipOut, _ := runIP(c, part, fr.ToDense(0), op)
 
 		co := cfg(2, 2, sim.PC)
 		opart := NewOPPartition(m, co.Geometry.Tiles, BalanceNNZ)
@@ -485,7 +492,7 @@ func TestOPBeatsIPOnVerySparseFrontier(t *testing.T) {
 
 	cIP := cfg(2, 8, sim.SC)
 	part := NewIPPartition(m, cIP.Geometry.TotalPEs(), cIP.SPMWordsPerTile(), BalanceNNZ)
-	_, rIP := RunIP(cIP, part, f.ToDense(0), op)
+	_, rIP := runIP(cIP, part, f.ToDense(0), op)
 
 	cOP := cfg(2, 8, sim.PC)
 	opart := NewOPPartition(m, cOP.Geometry.Tiles, BalanceNNZ)
@@ -504,7 +511,7 @@ func TestIPBeatsOPOnDenseFrontier(t *testing.T) {
 
 	cIP := cfg(2, 8, sim.SC)
 	part := NewIPPartition(m, cIP.Geometry.TotalPEs(), cIP.SPMWordsPerTile(), BalanceNNZ)
-	_, rIP := RunIP(cIP, part, f.ToDense(0), op)
+	_, rIP := runIP(cIP, part, f.ToDense(0), op)
 
 	cOP := cfg(2, 8, sim.PC)
 	opart := NewOPPartition(m, cOP.Geometry.Tiles, BalanceNNZ)
@@ -523,9 +530,9 @@ func TestBalancingHelpsIPOnPowerLaw(t *testing.T) {
 	c := cfg(2, 8, sim.SC)
 
 	bal := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceNNZ)
-	_, rBal := RunIP(c, bal, f.ToDense(0), op)
+	_, rBal := runIP(c, bal, f.ToDense(0), op)
 	naive := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceRows)
-	_, rNaive := RunIP(c, naive, f.ToDense(0), op)
+	_, rNaive := runIP(c, naive, f.ToDense(0), op)
 
 	if rBal.Cycles >= rNaive.Cycles {
 		t.Fatalf("balancing did not help on a power-law matrix: %d vs %d cycles", rBal.Cycles, rNaive.Cycles)
@@ -549,7 +556,7 @@ func TestQuickIPOPAgreeMinPlus(t *testing.T) {
 
 		c := cfg(2, 2, sim.SC)
 		part := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceNNZ)
-		ipOut, _ := RunIP(c, part, fr.ToDense(ring.Identity), op)
+		ipOut, _ := runIP(c, part, fr.ToDense(ring.Identity), op)
 
 		co := cfg(2, 2, sim.PS)
 		opart := NewOPPartition(m, co.Geometry.Tiles, BalanceNNZ)

@@ -154,7 +154,7 @@ func TestNativeIPMinRingsMatchGenericPass(t *testing.T) {
 			both := NativeIPMulti(part, xs, ops)
 			for l, ring := range rings {
 				what := fmt.Sprintf("vblock %d %.0f%% %s", vblock, 100*density, ring.Name)
-				want, _ := RunIP(c, part, xs[l], ops[l])
+				want, _ := runIP(c, part, xs[l], ops[l])
 				sameBits(t, what+" in a two-lane call", both[l], want)
 				solo := NativeIPMulti(part, xs[l:l+1], []Operand{opFor(ring, m, prev)})[0]
 				sameBits(t, what+" solo", solo, want)

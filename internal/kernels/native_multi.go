@@ -113,12 +113,12 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 // calls, no simulated-address arithmetic, and for the built-in rings no
 // closure calls either — a switch on the ring's Kind picks a loop with
 // Matrix_Op and Reduce written out (dispatch is on the tag the semiring
-// constructors set, never on Name). The sum-ring loops replay
-// ipPEPass's per-lane sequence: per segment the first contribution of a
-// row seeds acc, later ones reduce into it, and out[row] =
-// Reduce(out[row], acc) on row change and segment end; sparse-frontier
-// rings skip identity-valued sources. So every float32 rounding step
-// matches the generic pass and results stay bit-identical across
+// constructors set, never on Name). The sum-ring loops replay the
+// simulated pass's per-lane sequence (ipBlockPEPass): per segment the
+// first contribution of a row seeds acc, later ones reduce into it, and
+// out[row] = Reduce(out[row], acc) on row change and segment end;
+// sparse-frontier rings skip identity-valued sources. So every float32
+// rounding step matches the simulated pass and results stay bit-identical across
 // backends and lane counts. The min-ring loops reach the same bits
 // without the skip (see ipBFS, ipSSSP); SSSP on a graph outside
 // minPlusSafe takes the closure loop. The PE first resets its own

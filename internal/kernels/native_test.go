@@ -148,7 +148,7 @@ func TestNativeIPDispatchIsOnKindNotName(t *testing.T) {
 		x[i] = float32(i%11)/8 + 0.125
 	}
 	op := Operand{Ring: impostor}
-	want, _ := RunIP(c, part, x, op)
+	want, _ := runIP(c, part, x, op)
 	got := NativeIPMulti(part, []matrix.Dense{x}, []Operand{op})[0]
 	sameBits(t, "impostor vs sim", got, want)
 

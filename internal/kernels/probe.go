@@ -1,14 +1,16 @@
 package kernels
 
 // Probe observes the memory and compute events a kernel pass issues.
-// The pass bodies in this package are written once against this
-// interface and instantiated twice: the sim backend plugs in *sim.Proc,
-// so every Load/Store/Compute advances the trace-driven machine exactly
-// as the pre-split kernels did, and the native backend plugs in
-// NopProbe, which erases the events and leaves only the functional
-// work. Because both backends run the same pass body in the same order,
-// their functional results are bit-identical by construction — even for
-// order-sensitive float32 reductions (PR, CF).
+// The OP, merge and frontier pass bodies in this package are written
+// once against this interface and instantiated twice: the sim backend
+// plugs in *sim.Proc, so every Load/Store/Compute advances the
+// trace-driven machine exactly as the pre-split kernels did, and the
+// native backend plugs in NopProbe, which erases the events and leaves
+// only the functional work. Because both backends run the same pass
+// body in the same order, their functional results are bit-identical
+// by construction — even for order-sensitive float32 reductions (PR,
+// CF). The IP pass runs on the simulator only (the native backend has
+// its own loops, nativeIPPELanes), so it takes *sim.Proc directly.
 //
 // The method set mirrors *sim.Proc verbatim; adding an event kind here
 // means teaching both implementations about it.

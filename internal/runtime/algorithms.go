@@ -93,7 +93,7 @@ func (f *Framework) bfsLane(ctx context.Context, src int32) (*laneState, *BFSRes
 	aux := func(cp *Checkpoint) {
 		cp.AuxInt = append([]int32(nil), res.Level...)
 	}
-	return f.newLane(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, onIter, aux), res, nil
+	return f.newLane(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.maxIters(), onIter, aux), res, nil
 }
 
 // SSSP runs single-source shortest paths (frontier-based Bellman–Ford,
@@ -120,7 +120,7 @@ func (f *Framework) ssspLane(ctx context.Context, src int32) (*laneState, error)
 	}
 	vals[src] = 0
 	frontier := &matrix.SparseVec{N: n, Idx: []int32{src}, Val: []float32{0}}
-	return f.newLane(ctx, "SSSP", ring, semiring.Ctx{}, vals, frontier, f.opts.MaxIters, nil, nil), nil
+	return f.newLane(ctx, "SSSP", ring, semiring.Ctx{}, vals, frontier, f.maxIters(), nil, nil), nil
 }
 
 // PageRank runs the damped power iteration of Table I for the given
@@ -255,7 +255,7 @@ func (f *Framework) RunCustomContext(ctx context.Context, ring semiring.Semiring
 		frontier = frontier.Clone()
 	}
 	if maxIters <= 0 {
-		maxIters = f.opts.MaxIters
+		maxIters = f.maxIters()
 	}
 	name := ring.Name
 	if name == "" {

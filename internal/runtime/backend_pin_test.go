@@ -37,6 +37,8 @@ type pinnedRun struct {
 // per-iteration cycle count bit-for-bit: the probe-instantiated pass
 // bodies issue the exact same event sequence the interleaved kernels
 // did, so any drift here means the refactor changed simulated behavior.
+// The two fused PPR rows were captured at commit cd34804, while solo
+// and blocked IP passes were still separate bodies.
 var pinnedRuns = []pinnedRun{
 	{
 		name: "BFS",
@@ -168,6 +170,46 @@ var pinnedRuns = []pinnedRun{
 			{2, 3000, "IP/SC", 44783, 1560, 0, 46343},
 		},
 	},
+	{
+		// Lane 0 of a fused 2-lane PPR: one lane block, frontiers read
+		// from cacheable memory even though the decision says SCS.
+		name:  "PPR-fused-2",
+		run:   pprLane0(2),
+		total: 197922, energy: 3.93709132e-05,
+		iters: []pinnedIter{
+			{0, 3000, "IP/SCS", 64545, 1367, 0, 65912},
+			{1, 3000, "IP/SCS", 64545, 1383, 0, 65928},
+			{2, 3000, "IP/SCS", 64545, 1537, 0, 66082},
+		},
+	},
+	{
+		// Lane 0 of a fused 9-lane PPR: a full lane block plus a
+		// one-lane block, which must not stage SCS like a solo run.
+		name:  "PPR-fused-9",
+		run:   pprLane0(9),
+		total: 281715, energy: 5.59273129e-05,
+		iters: []pinnedIter{
+			{0, 3000, "IP/SCS", 92476, 1367, 0, 93843},
+			{1, 3000, "IP/SCS", 92476, 1383, 0, 93859},
+			{2, 3000, "IP/SCS", 92476, 1537, 0, 94013},
+		},
+	},
+}
+
+// pprLane0 runs a k-lane fused PPR(3) from sources 0, 7, 14, … and
+// returns lane 0's report.
+func pprLane0(k int) func(t *testing.T, f *Framework) *Report {
+	return func(t *testing.T, f *Framework) *Report {
+		srcs := make([]int32, k)
+		for i := range srcs {
+			srcs[i] = int32(i * 7)
+		}
+		_, reps, errs := f.PPRBatch(nil, srcs, 3, 0.15)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		return reps[0]
+	}
 }
 
 // TestSimBackendTimingsPinned asserts that the sim backend reproduces

@@ -95,17 +95,11 @@ type Policy struct {
 	// by the active fraction, which lands near 1% on cache-based CPUs.
 	NativeCrossover float64
 
-	// NativeHeapBytes bounds the OP sorted-run working set per host
-	// worker: past it the per-column merge heap spills the private
-	// cache levels and IP's sequential stream wins even at low density
-	// — the host analogue of the PS-vs-PC list check.
-	NativeHeapBytes float64
-
-	// NativeMinCrossover replaces both native thresholds above for a
-	// lane whose ring runs the native min-ring kernels
-	// (kernels.OPPartition.MinRingFast: BFS, and SSSP on non-negative
-	// finite weights). Their push has no heap to spill — a dense
-	// accumulator per worker — and their pull has no per-edge skip, so
+	// NativeMinCrossover replaces NativeCrossover for a lane whose ring
+	// runs the native min-ring kernels (kernels.OPPartition.MinRingFast:
+	// BFS, and SSSP on non-negative finite weights). Their push has no
+	// heap — a dense accumulator per worker — and their pull has no
+	// per-edge skip, so
 	// the crossover moves up to where a sweep of every edge costs less
 	// than scattering the active columns' edges. Fitted on job time
 	// (BENCH_backends.json "native_min_crossover_fit"): flat within the
@@ -125,7 +119,6 @@ func DefaultPolicy() Policy {
 		SCSMinDensity:      0.02,
 		PSListFactor:       0.5,
 		NativeCrossover:    0.01,
-		NativeHeapBytes:    256 << 10,
 		NativeMinCrossover: 0.2,
 	}
 }
@@ -142,13 +135,11 @@ func (pol Policy) CVD(p int) float64 {
 
 // Options configure a Framework.
 type Options struct {
-	Geometry  sim.Geometry
-	Params    sim.Params // zero value = sim.DefaultParams()
-	Policy    Policy     // zero value = DefaultPolicy()
-	Balancing kernels.Balancing
-	SW        SWChoice
-	HW        HWChoice
-	MaxIters  int // safety bound for traversal algorithms; 0 = 4·|V|
+	Geometry sim.Geometry
+	Params   sim.Params // zero value = sim.DefaultParams()
+	Policy   Policy     // zero value = DefaultPolicy()
+	SW       SWChoice
+	HW       HWChoice
 
 	// Backend selects the execution substrate: nil or exec.Sim() runs
 	// the kernels on the trace-driven timing simulator (cycle-accurate,
@@ -235,9 +226,6 @@ func NewFromStore(st matrix.Store, opts Options) (*Framework, error) {
 	if opts.Policy == (Policy{}) {
 		opts.Policy = DefaultPolicy()
 	}
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 4*r + 8
-	}
 	if opts.Backend == nil {
 		opts.Backend = exec.Sim()
 	}
@@ -252,16 +240,21 @@ func NewFromStore(st matrix.Store, opts Options) (*Framework, error) {
 	// and our calibration confirms SC with blocked locality is the
 	// baseline that reproduces Fig. 5's gain envelope.
 	scs := sim.Config{Geometry: opts.Geometry, HW: sim.SCS, Params: opts.Params}
-	f.ipPart = kernels.NewIPPartition(st, opts.Geometry.TotalPEs(), scs.SPMWordsPerTile(), opts.Balancing)
+	f.ipPart = kernels.NewIPPartition(st, opts.Geometry.TotalPEs(), scs.SPMWordsPerTile(), kernels.BalanceNNZ)
 	// The OP layout is cut straight from the store too: each tile
 	// transposes its own row range on first use, so the engine holds no
 	// whole-graph column store of either kind.
-	f.opPart = kernels.NewOPPartition(st, opts.Geometry.Tiles, opts.Balancing)
+	f.opPart = kernels.NewOPPartition(st, opts.Geometry.Tiles, kernels.BalanceNNZ)
 	return f, nil
 }
 
 // N returns the number of vertices.
 func (f *Framework) N() int { return f.n }
+
+// maxIters bounds a traversal's iterations at 4·|V| + 8, well past the
+// |V| rounds BFS and Bellman–Ford need: it stops only a run that never
+// converges.
+func (f *Framework) maxIters() int { return 4*f.n + 8 }
 
 // Degrees returns the out-degree array (shared, do not mutate).
 func (f *Framework) Degrees() []int32 { return f.deg }
@@ -356,26 +349,17 @@ func (f *Framework) decideFor(nnzF int, ring *semiring.Semiring) Decision {
 
 // decideNative is the host-backend decision: IP when the frontier is
 // dense enough that streaming the whole matrix amortizes
-// (NativeCrossover), or when OP's per-worker sorted-run working set
-// would spill the host caches (NativeHeapBytes) — the same
-// density + working-set structure as the simulated tree, with
-// host-calibrated constants. A min-ring lane has no heap and crosses
-// at NativeMinCrossover alone. The HW half of the decision is a nominal
-// label (SC for IP, PC for OP): the host has no scratchpad to
-// reconfigure, but reports and traces keep the same vocabulary.
+// (NativeCrossover, or NativeMinCrossover for a min-ring lane). The HW
+// half of the decision is a nominal label (SC for IP, PC for OP): the
+// host has no scratchpad to reconfigure, but reports and traces keep
+// the same vocabulary.
 func (f *Framework) decideNative(nnzF int, minRing bool) Decision {
-	g := f.opts.Geometry
 	pol := f.opts.Policy
 	density := float64(nnzF) / float64(f.n)
 
 	useIP := density >= pol.NativeCrossover
 	if minRing {
 		useIP = density >= pol.NativeMinCrossover
-	} else if !useIP && pol.NativeHeapBytes > 0 {
-		perWorker := (nnzF + g.PEsPerTile - 1) / g.PEsPerTile
-		if float64(perWorker*16) > pol.NativeHeapBytes { // four words per sorted-list entry
-			useIP = true
-		}
 	}
 	switch f.opts.SW {
 	case ForceIP:

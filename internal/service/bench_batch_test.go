@@ -2,9 +2,9 @@ package service
 
 // Fused-vs-unbatched throughput (the `make bench-batch` target): 64
 // concurrent clients hammer one service with the same-graph native PPR
-// workload in three legs — coalescer off, on with groups of up to 8
-// lanes, and on with groups of up to 32 — each repeated benchReps
-// times. Every job runs the same loop and the same native kernel (a
+// workload in two legs — coalescer off, and on with groups of up to
+// kernels.LaneBlock (8) lanes, the most a group can carry — each
+// repeated benchReps times. Every job runs the same loop and the same native kernel (a
 // solo run is a one-lane batch), so the ratio measures what fusing
 // lanes amortizes, net of the gather window, against unbatched jobs
 // running concurrently on the shared engine, one per worker. Gated
@@ -193,10 +193,9 @@ func TestBenchBatch(t *testing.T) {
 	legs := []*leg{
 		{Name: "unbatched"},
 		{Name: "max_lanes_8", MaxLanes: 8},
-		{Name: "max_lanes_32", MaxLanes: 32},
 	}
 	// Repetitions interleave the legs so a slow minute on a shared host
-	// lands on all three.
+	// lands on both.
 	var want map[int32]string
 	for rep := 0; rep < benchReps; rep++ {
 		for _, l := range legs {

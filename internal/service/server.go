@@ -19,6 +19,7 @@ import (
 	"cosparse"
 	"cosparse/internal/batch"
 	"cosparse/internal/fault"
+	"cosparse/internal/kernels"
 	"cosparse/internal/repl"
 	"cosparse/internal/store"
 )
@@ -39,11 +40,8 @@ type Config struct {
 	MaxVertices int
 	MaxEdges    int
 	// DefaultSystem is the geometry used when a job names none
-	// (default 16×16). MaxTiles/MaxPEs cap per-job overrides
-	// (default 64 each).
+	// (default 16×16). MaxTiles/MaxPEs cap per-job overrides.
 	DefaultSystem cosparse.System
-	MaxTiles      int
-	MaxPEs        int
 	// DefaultBackend is the execution backend used when a job names
 	// none: "sim" (the default) or "native".
 	DefaultBackend string
@@ -102,8 +100,9 @@ type Config struct {
 	// disables fusion; every job runs solo. The daemon enables it by
 	// default (-batch-window).
 	BatchWindow time.Duration
-	// BatchMaxLanes caps how many jobs one fused run carries (default
-	// 32 when batching is enabled).
+	// BatchMaxLanes caps how many jobs one fused run carries. 0 or a
+	// value above kernels.LaneBlock takes LaneBlock (8): one lane block
+	// per matrix traversal, where fusion's measured gain is.
 	BatchMaxLanes int
 	// FollowLeader, when non-empty, starts this instance as a hot
 	// standby of the leader at the given base URL: mutating endpoints
@@ -170,12 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultSystem.Tiles <= 0 || c.DefaultSystem.PEsPerTile <= 0 {
 		c.DefaultSystem = cosparse.System{Tiles: 16, PEsPerTile: 16}
 	}
-	if c.MaxTiles <= 0 {
-		c.MaxTiles = 64
-	}
-	if c.MaxPEs <= 0 {
-		c.MaxPEs = 64
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -192,8 +185,8 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 16
 	}
-	if c.BatchWindow > 0 && c.BatchMaxLanes <= 0 {
-		c.BatchMaxLanes = 32
+	if c.BatchMaxLanes <= 0 || c.BatchMaxLanes > kernels.LaneBlock {
+		c.BatchMaxLanes = kernels.LaneBlock
 	}
 	switch {
 	case c.ShedTarget == 0:
@@ -764,8 +757,13 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
-// MaxBatchJobs caps how many jobs one POST /v1/jobs/batch may carry.
-const MaxBatchJobs = 256
+// MaxBatchJobs caps how many jobs one POST /v1/jobs/batch may carry;
+// MaxTiles and MaxPEs cap a job's geometry override.
+const (
+	MaxBatchJobs = 256
+	MaxTiles     = 64
+	MaxPEs       = 64
+)
 
 func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchJobRequest
@@ -889,8 +887,8 @@ func (s *Service) buildJob(req JobRequest) (*Job, error) {
 		if req.Tiles <= 0 || req.PEs <= 0 {
 			return nil, fmt.Errorf("tiles and pes must both be positive, got %d/%d", req.Tiles, req.PEs)
 		}
-		if req.Tiles > s.cfg.MaxTiles || req.PEs > s.cfg.MaxPEs {
-			return nil, fmt.Errorf("geometry %dx%d exceeds the server limit %dx%d", req.Tiles, req.PEs, s.cfg.MaxTiles, s.cfg.MaxPEs)
+		if req.Tiles > MaxTiles || req.PEs > MaxPEs {
+			return nil, fmt.Errorf("geometry %dx%d exceeds the server limit %dx%d", req.Tiles, req.PEs, MaxTiles, MaxPEs)
 		}
 		sys = cosparse.System{Tiles: req.Tiles, PEsPerTile: req.PEs}
 	}
