@@ -65,10 +65,10 @@ regress:
 	BENCH_FIGURES=1 $(GO) test -count=1 -run 'TestFig9Shape|TestFig10Shape|TestAutoVsStatic' ./internal/bench
 
 # chaos runs the fault-injection suite under the race detector: hundreds
-# of jobs against an armed injector (panics, transient errors, latency),
-# the graceful-drain paths, and the overload suite (CoDel shedding,
-# tenant fairness/eviction, retry budget, and a four-tenant flood with
-# one hostile tenant under injected faults).
+# of jobs against an armed injector (panics, errors, latency), the
+# graceful-drain paths, and the overload suite (CoDel shedding, tenant
+# fairness/eviction, and a four-tenant flood with one hostile tenant
+# under injected faults).
 chaos:
 	$(GO) test -race -run 'TestChaos|TestDrain|TestOverload' -count=1 ./internal/service
 

@@ -57,9 +57,8 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "ceiling on client-requested job deadlines")
 	memBudget := flag.Int64("mem-budget", 2<<30, "estimated-resident-bytes budget for registered graphs; loads beyond it get 413 (0 = unlimited)")
 	maxBody := flag.Int64("max-body", 64<<20, "request body size limit in bytes (oversize bodies get 413)")
-	retries := flag.Int("retries", 3, "max automatic re-runs of a transiently failing job (backoff between attempts)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long in-flight jobs get to finish on SIGTERM before being cancelled")
-	faultSpec := flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'scheduler.job_run:err=0.1,transient=true' (testing only)")
+	faultSpec := flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'scheduler.job_run:err=0.1,max=5' (testing only)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for -fault-spec decisions")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (unauthenticated; bind accordingly)")
@@ -78,7 +77,6 @@ func main() {
 	promoteAfter := flag.Duration("promote-after", 0, "auto-promote a synced standby when no leader heartbeat arrives for this long (0 = manual promotion only via POST /v1/admin/promote)")
 	shedTarget := flag.Duration("shed-target", 0, "queue-delay shedding target: submissions are shed with 429 while dequeue delays stay above it (0 = default 1s, negative = disable)")
 	shedInterval := flag.Duration("shed-interval", 0, "how long queue delays must exceed -shed-target before shedding arms (0 = default 100ms)")
-	retryBudget := flag.Float64("retry-budget", 0, "retry tokens earned per admitted job, capping automatic retries as a fraction of admitted work (0 = default 0.1, negative = unlimited)")
 	flag.Parse()
 
 	if *workers <= 0 || *queue <= 0 || *cache <= 0 {
@@ -96,8 +94,8 @@ func main() {
 	if *timeout <= 0 || *maxTimeout < *timeout {
 		fail(fmt.Errorf("need 0 < -timeout <= -max-timeout, got %s/%s", *timeout, *maxTimeout))
 	}
-	if *maxBody <= 0 || *retries < 0 || *drainTimeout <= 0 {
-		fail(fmt.Errorf("need -max-body > 0, -retries >= 0, -drain-timeout > 0"))
+	if *maxBody <= 0 || *drainTimeout <= 0 {
+		fail(fmt.Errorf("need -max-body > 0, -drain-timeout > 0"))
 	}
 	if *follow != "" {
 		if *dataDir == "" {
@@ -115,10 +113,6 @@ func main() {
 	}
 	if *semisyncTimeout <= 0 || *replHeartbeat <= 0 {
 		fail(fmt.Errorf("need -semisync-timeout and -repl-heartbeat > 0"))
-	}
-
-	if *retries == 0 {
-		*retries = -1 // RetryPolicy: 0 means default, negative disables
 	}
 
 	var inject *fault.Injector
@@ -160,7 +154,6 @@ func main() {
 		MaxTimeout:         *maxTimeout,
 		MemoryBudgetBytes:  *memBudget,
 		MaxBodyBytes:       *maxBody,
-		Retry:              service.RetryPolicy{MaxRetries: *retries},
 		Faults:             inject,
 		Logger:             logger,
 		EnablePprof:        *pprof,
@@ -179,7 +172,6 @@ func main() {
 		PromoteAfter:       *promoteAfter,
 		ShedTarget:         *shedTarget,
 		ShedInterval:       *shedInterval,
-		RetryBudget:        *retryBudget,
 	})
 	if err != nil {
 		fail(fmt.Errorf("open service: %w", err))

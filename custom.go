@@ -121,6 +121,11 @@ func (e *Engine) Run(ops Operators, initial []float32, frontier []int32, maxIter
 	if ring.ReduceCost <= 0 {
 		ring.ReduceCost = 1
 	}
+	if ops.VectorOp != nil {
+		ring.VecOp = func(updated, old float32, _ semiring.Ctx) float32 {
+			return ops.VectorOp(updated, old)
+		}
+	}
 	if ring.Improving == nil {
 		ring.Improving = func(next, cur float32) bool { return next != cur }
 	}

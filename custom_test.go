@@ -217,6 +217,35 @@ func TestCustomValidation(t *testing.T) {
 	}
 }
 
+// TestCustomVectorOpApplied: VectorOp post-processes every updated
+// destination, so one dense iteration with a constant VectorOp yields
+// that constant everywhere, on both backends.
+func TestCustomVectorOpApplied(t *testing.T) {
+	g := testGraph(t)
+	vals := make([]float32, g.NumVertices())
+	for i := range vals {
+		vals[i] = 1
+	}
+	ops := Operators{
+		Name:          "const",
+		DenseFrontier: true,
+		MatrixOp:      func(e EdgeCtx) float32 { return e.SrcVal },
+		Reduce:        func(a, b float32) float32 { return a + b },
+		VectorOp:      func(updated, old float32) float32 { return 7 },
+	}
+	for _, b := range []Backend{SimBackend, NativeBackend} {
+		out, _, err := testEngine(t, g, WithBackend(b)).Run(ops, vals, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, x := range out {
+			if x != 7 {
+				t.Fatalf("%s backend: vertex %d = %v after a constant VectorOp, want 7", b, v, x)
+			}
+		}
+	}
+}
+
 func TestCustomDenseFrontierFixedIterations(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)

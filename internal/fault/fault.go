@@ -19,15 +19,9 @@
 //     same seed, independent of how calls at *other* points interleave.
 //     (Which goroutine observes the k-th call still depends on
 //     scheduling; the sequence of injected faults per point does not.)
-//
-// Injected errors can be marked transient, which the scheduler's retry
-// policy recognizes through IsTransient; MarkTransient lets real
-// infrastructure errors (e.g. engine-cache pressure) opt into the same
-// retry path.
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -40,9 +34,7 @@ type Point string
 const (
 	// GraphBuild covers Registry.Register's graph materialization.
 	GraphBuild Point = "registry.graph_build"
-	// EngineBuild covers Registry.Engine's prepared-engine construction
-	// (checked after the build slot is taken, so injected latency holds
-	// the slot and can surface real cache-pressure errors).
+	// EngineBuild covers Registry.Engine's prepared-engine construction.
 	EngineBuild Point = "registry.engine_build"
 	// JobRun covers the top of Service.runJob on a worker goroutine.
 	JobRun Point = "scheduler.job_run"
@@ -88,8 +80,6 @@ func Points() []Point {
 type Rule struct {
 	// ErrRate is the probability of returning an injected *Error.
 	ErrRate float64
-	// Transient marks injected errors retryable (IsTransient == true).
-	Transient bool
 	// PanicRate is the probability of panicking with a *PanicValue.
 	// Panics win over errors when both fire on the same call.
 	PanicRate float64
@@ -134,16 +124,6 @@ func (in *Injector) Arm(p Point, r Rule) *Injector {
 	in.points[p] = &armed{rule: r}
 	in.mu.Unlock()
 	return in
-}
-
-// Disarm removes the rule for a point, if any.
-func (in *Injector) Disarm(p Point) {
-	in.mu.Lock()
-	if _, ok := in.points[p]; ok {
-		delete(in.points, p)
-		in.armedN.Add(-1)
-	}
-	in.mu.Unlock()
 }
 
 // DisarmAll removes every rule; Check becomes a no-op again.
@@ -222,7 +202,7 @@ func (in *Injector) Check(p Point) error {
 		panic(&PanicValue{Point: p, Seq: k})
 	}
 	if r.ErrRate > 0 && Unit(Mix64(base+3)) < r.ErrRate && budget() {
-		return &Error{Point: p, Seq: k, transient: r.Transient}
+		return &Error{Point: p, Seq: k}
 	}
 	return nil
 }
@@ -232,17 +212,12 @@ func (in *Injector) Check(p Point) error {
 type Error struct {
 	Point Point
 	Seq   uint64
-
-	transient bool
 }
 
 // Error implements the error interface.
 func (e *Error) Error() string {
 	return fmt.Sprintf("fault: injected error at %s (call %d)", e.Point, e.Seq)
 }
-
-// Transient reports whether the fault was armed as retryable.
-func (e *Error) Transient() bool { return e.transient }
 
 // PanicValue is what injected panics throw, so recovery paths and
 // tests can tell an injected panic from a real bug.
@@ -256,36 +231,6 @@ func (p *PanicValue) String() string {
 	return fmt.Sprintf("fault: injected panic at %s (call %d)", p.Point, p.Seq)
 }
 
-// IsTransient reports whether err, or any error it wraps, carries a
-// Transient() bool marker returning true — the contract between fault
-// injection, real transient infrastructure errors, and the scheduler's
-// retry policy.
-func IsTransient(err error) bool {
-	for err != nil {
-		if t, ok := err.(interface{ Transient() bool }); ok {
-			return t.Transient()
-		}
-		err = errors.Unwrap(err)
-	}
-	return false
-}
-
-// transientErr marks a real error as retryable.
-type transientErr struct{ err error }
-
-func (t *transientErr) Error() string   { return t.err.Error() }
-func (t *transientErr) Unwrap() error   { return t.err }
-func (t *transientErr) Transient() bool { return true }
-
-// MarkTransient wraps err so IsTransient reports true, without
-// changing its message or unwrap chain. Nil stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientErr{err: err}
-}
-
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed
 // uint64 → uint64 mix, the basis of every deterministic stream here.
 func Mix64(x uint64) uint64 {
@@ -295,8 +240,7 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Hash64 is FNV-1a over s, used to give each point (and each job id,
-// in the scheduler's backoff jitter) its own stream.
+// Hash64 is FNV-1a over s, used to give each point its own stream.
 func Hash64(s string) uint64 {
 	const (
 		offset = 14695981039346656037

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -135,36 +133,6 @@ func TestMaxFaultsCap(t *testing.T) {
 	}
 }
 
-// TestTransientMarking checks the transit of the Transient marker
-// through wrapping.
-func TestTransientMarking(t *testing.T) {
-	in := New(5).Arm(GraphBuild, Rule{ErrRate: 1, Transient: true})
-	err := in.Check(GraphBuild)
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("transient injected error not recognized: %v", err)
-	}
-	wrapped := fmt.Errorf("job stopped: %w", err)
-	if !IsTransient(wrapped) {
-		t.Fatalf("wrapping lost the transient marker: %v", wrapped)
-	}
-
-	in.Arm(GraphBuild, Rule{ErrRate: 1, Transient: false})
-	if err := in.Check(GraphBuild); err == nil || IsTransient(err) {
-		t.Fatalf("non-transient injected error misclassified: %v", err)
-	}
-
-	if IsTransient(nil) || IsTransient(errors.New("plain")) {
-		t.Fatal("IsTransient misfires on nil/plain errors")
-	}
-	real := MarkTransient(errors.New("cache pressure"))
-	if !IsTransient(fmt.Errorf("wrap: %w", real)) {
-		t.Fatal("MarkTransient lost through wrapping")
-	}
-	if MarkTransient(nil) != nil {
-		t.Fatal("MarkTransient(nil) != nil")
-	}
-}
-
 // TestLatencyInjection checks armed latency actually delays.
 func TestLatencyInjection(t *testing.T) {
 	in := New(9).Arm(JobRun, Rule{LatencyRate: 1, Latency: 20 * time.Millisecond})
@@ -212,7 +180,7 @@ func TestConcurrentChecksRace(t *testing.T) {
 
 // TestParseSpec round-trips the flag syntax.
 func TestParseSpec(t *testing.T) {
-	in, err := ParseSpec(42, "scheduler.job_run:err=0.5,panic=0.1,max=3; runtime.iteration:lat=1,latency=1ms,transient=false")
+	in, err := ParseSpec(42, "scheduler.job_run:err=0.5,panic=0.1,max=3; runtime.iteration:lat=1,latency=1ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +197,8 @@ func TestParseSpec(t *testing.T) {
 		"scheduler.job_run:bogus=1",
 		"scheduler.job_run:err=1.5",
 		"scheduler.job_run:err",
-		"scheduler.job_run:lat=0.5", // rate without duration
+		"scheduler.job_run:lat=0.5",              // rate without duration
+		"scheduler.job_run:err=1,transient=true", // no such key
 	} {
 		if _, err := ParseSpec(1, bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)

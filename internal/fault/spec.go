@@ -18,7 +18,6 @@ import (
 //	panic=RATE      probability of an injected panic
 //	lat=RATE        probability of injected latency
 //	latency=DUR     latency duration (Go syntax, e.g. 5ms)
-//	transient=BOOL  mark injected errors retryable (default true)
 //	max=N           cap on injected errors+panics (0 = unlimited)
 //
 // Example:
@@ -50,7 +49,7 @@ func ParseSpec(seed uint64, spec string) (*Injector, error) {
 		if !known[p] {
 			return nil, fmt.Errorf("fault: unknown point %q (known: %v)", p, Points())
 		}
-		r := Rule{Transient: true}
+		var r Rule
 		for _, kv := range strings.Split(args, ",") {
 			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 			if !ok {
@@ -66,8 +65,6 @@ func ParseSpec(seed uint64, spec string) (*Injector, error) {
 				r.LatencyRate, err = parseRate(val)
 			case "latency":
 				r.Latency, err = time.ParseDuration(val)
-			case "transient":
-				r.Transient, err = strconv.ParseBool(val)
 			case "max":
 				r.MaxFaults, err = strconv.ParseInt(val, 10, 64)
 			default:

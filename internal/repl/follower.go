@@ -124,9 +124,6 @@ func (f *Follower) Synced() bool {
 	return f.synced
 }
 
-// Promoted reports whether MarkPromoted has run.
-func (f *Follower) Promoted() bool { return f.promoted.Load() }
-
 // MarkPromoted fences the old leader: it bumps and durably persists
 // the epoch, after which every replication request carrying the old
 // epoch is rejected with 409. Idempotent — a second call returns the

@@ -256,9 +256,6 @@ func (f *Framework) N() int { return f.n }
 // converges.
 func (f *Framework) maxIters() int { return 4*f.n + 8 }
 
-// Degrees returns the out-degree array (shared, do not mutate).
-func (f *Framework) Degrees() []int32 { return f.deg }
-
 // Decision is one iteration's configuration choice.
 type Decision struct {
 	UseIP bool

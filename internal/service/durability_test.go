@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
@@ -434,6 +435,62 @@ func TestDurableTornTailRestartsQueuedJob(t *testing.T) {
 	}
 	if st.Resumed {
 		t.Error("restarted-from-scratch job claims resumed (it had no checkpoint)")
+	}
+}
+
+// TestDurableLegacyRetryRecordReplays: a data dir written by a build
+// that re-ran failed jobs holds a "retry" record and a submit record
+// carrying a retry count. Both replay: the job runs to done and no
+// record is reported as unknown.
+func TestDurableLegacyRetryRecordReplays(t *testing.T) {
+	dir := t.TempDir()
+	db, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := json.Marshal(GraphSpec{Kind: "powerlaw", Vertices: 300, Edges: 1500, Seed: 7})
+	if err := db.Append(store.Record{Type: store.RecGraph, GraphID: "g1", GraphSpec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	// Frames as the older build wrote them: length, CRC32, JSON payload.
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v", segs)
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{
+		`{"type":"submit","job_id":"j1","graph_id":"g1","request":{"graph_id":"g1","algo":"pr","iterations":3},"timeout_ms":30000,"retries":1}`,
+		`{"type":"start","job_id":"j1"}`,
+		`{"type":"retry","job_id":"j1","retries":1}`,
+	} {
+		frame := make([]byte, 8+len(payload))
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE([]byte(payload)))
+		copy(frame[8:], payload)
+		if _, err := f.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+
+	buf := &syncBuffer{}
+	svc, ts := newDurableService(t, dir, Config{Workers: 1, QueueDepth: 4,
+		Logger: slog.New(slog.NewTextHandler(buf, nil))})
+	if rec := svc.Recovered(); rec.GraphsRestored != 1 || rec.JobsRestarted != 1 {
+		t.Fatalf("recovery = %+v, want 1 graph + 1 restarted job", rec)
+	}
+	waitJob(t, svc, "j1")
+	var st JobStatus
+	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j1", nil, &st)
+	if st.State != JobDone {
+		t.Fatalf("recovered job: %q (%s)", st.State, st.Error)
+	}
+	if strings.Contains(buf.String(), "skipping unknown journal record type") {
+		t.Errorf("legacy retry record reported as unknown:\n%s", buf.String())
 	}
 }
 

@@ -151,7 +151,6 @@ type JobStatus struct {
 	Algo    string   `json:"algo"`
 	System  string   `json:"system"`
 	State   JobState `json:"state"`
-	Retries int      `json:"retries,omitempty"`
 	// Resumed marks a job recovered from the durability journal after a
 	// restart (it continues from its last checkpoint when one exists).
 	Resumed bool `json:"resumed,omitempty"`
@@ -217,7 +216,6 @@ type Job struct {
 	// (recovered jobs without a usable snapshot restart from scratch and
 	// stay false).
 	resumed bool
-	retries int // completed backoff re-runs after transient failures
 	// ckptIter/ckptAt track the most recent persisted checkpoint.
 	ckptIter int
 	ckptAt   time.Time
@@ -260,7 +258,6 @@ func (j *Job) Status() JobStatus {
 		Algo:    j.algo.String(),
 		System:  j.sys.String(),
 		State:   j.state,
-		Retries: j.retries,
 		Resumed: j.resumed,
 		Error:   j.errMsg,
 		Result:  j.result,
@@ -309,8 +306,7 @@ func (j *Job) markResumed() {
 	j.mu.Unlock()
 }
 
-// setTrace stores the run's report for the trace endpoint. Retries
-// overwrite the previous attempt's partial trace.
+// setTrace stores the run's report for the trace endpoint.
 func (j *Job) setTrace(rep *cosparse.Report) {
 	if rep == nil {
 		return
@@ -320,7 +316,7 @@ func (j *Job) setTrace(rep *cosparse.Report) {
 	j.mu.Unlock()
 }
 
-// Trace snapshots the per-iteration trace, or nil when no attempt has
+// Trace snapshots the per-iteration trace, or nil when the run has not
 // produced one yet.
 func (j *Job) Trace() *JobTrace {
 	j.mu.Lock()
@@ -345,20 +341,6 @@ func (j *Job) Trace() *JobTrace {
 		TotalCycles:     rep.TotalCycles,
 		Iterations:      rep.Iterations,
 	}
-}
-
-// Retries returns how many backoff re-runs the job has taken.
-func (j *Job) Retries() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.retries
-}
-
-// noteRetry records one transient-failure re-run.
-func (j *Job) noteRetry() {
-	j.mu.Lock()
-	j.retries++
-	j.mu.Unlock()
 }
 
 // noteCheckpoint records a persisted checkpoint for the status API.

@@ -143,7 +143,6 @@ type Metrics struct {
 	JobsFailed    atomic.Int64
 	JobsCancelled atomic.Int64
 	JobsRejected  atomic.Int64 // queue-full 429s
-	JobsRetried   atomic.Int64 // transient-failure retries (backoff re-runs)
 
 	// Overload shedding, by reason (the cosparsed_jobs_shed_total
 	// series). ShedDelay/ShedDeadline/ShedQuota are admission refusals;
@@ -157,14 +156,10 @@ type Metrics struct {
 	ShedExpired  atomic.Int64
 	// ShedActive is 1 while the queue-delay controller is shedding.
 	ShedActive atomic.Int64
-	// RetryBudgetExhausted counts retries refused by the global retry
-	// token bucket (the job failed instead of re-running).
-	RetryBudgetExhausted atomic.Int64
 
 	// Resilience.
 	Panics            atomic.Int64 // recovered panics (workers + HTTP handlers)
 	AdmissionRejected atomic.Int64 // graph loads refused by the memory budget (413s)
-	EnginePressure    atomic.Int64 // engine builds refused because too many were in flight
 
 	// Gauges.
 	JobsQueued   atomic.Int64 // jobs waiting in the queue right now
@@ -392,7 +387,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("cosparsed_jobs_failed_total", "Jobs finished with an error (including deadline-exceeded).", m.JobsFailed.Load())
 	counter("cosparsed_jobs_cancelled_total", "Jobs cancelled by the client.", m.JobsCancelled.Load())
 	counter("cosparsed_jobs_rejected_total", "Job submissions rejected because the queue was full.", m.JobsRejected.Load())
-	counter("cosparsed_job_retries_total", "Job re-runs after a transient failure (retry with backoff).", m.JobsRetried.Load())
 	fmt.Fprintf(w, "# HELP cosparsed_jobs_shed_total Jobs refused or abandoned by overload control, by reason.\n# TYPE cosparsed_jobs_shed_total counter\n")
 	fmt.Fprintf(w, "cosparsed_jobs_shed_total{reason=%q} %d\n", ShedQueueDelay, m.ShedDelay.Load())
 	fmt.Fprintf(w, "cosparsed_jobs_shed_total{reason=%q} %d\n", ShedDeadline, m.ShedDeadline.Load())
@@ -400,10 +394,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "cosparsed_jobs_shed_total{reason=%q} %d\n", ShedFairnessEvict, m.ShedEvicted.Load())
 	fmt.Fprintf(w, "cosparsed_jobs_shed_total{reason=%q} %d\n", ShedExpired, m.ShedExpired.Load())
 	gauge("cosparsed_shedding", "1 while the queue-delay controller is shedding new submissions.", m.ShedActive.Load())
-	counter("cosparsed_retry_budget_exhausted_total", "Retries refused by the global retry token bucket.", m.RetryBudgetExhausted.Load())
 	counter("cosparsed_panics_total", "Panics recovered in workers and HTTP handlers.", m.Panics.Load())
 	counter("cosparsed_admission_rejected_total", "Graph registrations refused by the memory budget.", m.AdmissionRejected.Load())
-	counter("cosparsed_engine_pressure_total", "Engine builds refused because the build-concurrency limit was reached.", m.EnginePressure.Load())
 	gauge("cosparsed_queue_depth", "Jobs waiting in the queue.", m.JobsQueued.Load())
 	gauge("cosparsed_jobs_running", "Jobs currently executing.", m.JobsRunning.Load())
 	gauge("cosparsed_workers", "Live worker goroutines.", m.WorkersAlive.Load())

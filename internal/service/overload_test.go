@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -298,9 +297,6 @@ func TestOverloadExpiredSweep(t *testing.T) {
 	if got := svc.m.ShedExpired.Load(); got != corpses {
 		t.Fatalf("ShedExpired = %d, want %d", got, corpses)
 	}
-	if got := svc.m.JobsRetried.Load(); got != 0 {
-		t.Fatalf("retries = %d, want 0 (expired jobs must not count retries)", got)
-	}
 }
 
 // TestOverloadDeadlineAdmission: with a primed run-time estimate, a job
@@ -332,64 +328,20 @@ func TestOverloadDeadlineAdmission(t *testing.T) {
 	<-j.Done()
 }
 
-// TestOverloadRetryBudget: the global token bucket caps automatic
-// retries at a fraction of admitted jobs, so a transient-fault storm
-// cannot multiply offered load.
-func TestOverloadRetryBudget(t *testing.T) {
-	m := NewMetrics()
-	boom := fault.MarkTransient(errors.New("boom"))
-	s := NewScheduler(1, 16, func(*Job) (*JobResult, error) { return nil, boom }, m)
-	s.retry = RetryPolicy{MaxRetries: 10, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	s.retryRatio = 0.5
-	s.retryBurst = 2
-	defer s.Close()
-
-	jobs := make([]*Job, 4)
-	for i := range jobs {
-		jobs[i] = &Job{tenant: fmt.Sprintf("t%d", i)}
-		if err := s.SubmitJob(jobs[i], time.Minute); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	var exhausted int
-	for _, j := range jobs {
-		<-j.Done()
-		st := j.Status()
-		if st.State != JobFailed {
-			t.Fatalf("job %s: state %q, want failed", st.ID, st.State)
-		}
-		if strings.Contains(st.Error, "retry budget exhausted") {
-			exhausted++
-		}
-	}
-	// 4 admissions x 0.5 tokens = 2 retries total across the pool, far
-	// below the 40 MaxRetries would otherwise allow.
-	if got := m.JobsRetried.Load(); got > 2 {
-		t.Fatalf("retries = %d, want <= 2 (budget breached)", got)
-	}
-	if got := m.RetryBudgetExhausted.Load(); got < 1 || exhausted < 1 {
-		t.Fatalf("budget exhaustion: metric %d, jobs %d, want >= 1 each", got, exhausted)
-	}
-}
-
 // TestOverloadChaosTenantFlood is the overload chaos suite: four
 // tenants — one hostile, flooding at ~10x the polite rate — hammer a
-// small pool while the injector fires transient faults and latency.
-// Fairness (no polite tenant starves), deadline handling (expired jobs
-// never run), and the retry budget must all hold. Run under -race.
+// small pool while the injector fires faults and latency. Fairness (no
+// polite tenant starves) and deadline handling (expired jobs never run)
+// must both hold. Run under -race.
 func TestOverloadChaosTenantFlood(t *testing.T) {
 	inject := fault.New(0xBADCAFE)
 	inject.Arm(fault.JobRun, fault.Rule{
 		ErrRate:     0.15,
-		Transient:   true,
 		LatencyRate: 1.0,
 		Latency:     2 * time.Millisecond,
 	})
 	cfg := Config{
 		Workers: 2, QueueDepth: 16,
-		Retry:        RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		RetryBudget:  0.2,
-		RetryBurst:   8,
 		ShedTarget:   250 * time.Millisecond,
 		ShedInterval: 20 * time.Millisecond,
 		Faults:       inject,
@@ -482,8 +434,8 @@ func TestOverloadChaosTenantFlood(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("flood: accepted=%d rejected=%d done=%v retries=%d shed[delay=%d ddl=%d quota=%d evict=%d exp=%d]",
-		total, rejected.Load(), done, svc.m.JobsRetried.Load(),
+	t.Logf("flood: accepted=%d rejected=%d done=%v shed[delay=%d ddl=%d quota=%d evict=%d exp=%d]",
+		total, rejected.Load(), done,
 		svc.m.ShedDelay.Load(), svc.m.ShedDeadline.Load(), svc.m.ShedQuota.Load(),
 		svc.m.ShedEvicted.Load(), svc.m.ShedExpired.Load())
 
@@ -513,11 +465,5 @@ func TestOverloadChaosTenantFlood(t *testing.T) {
 		if hostileDone > 40 && done[tenant] < hostileDone/20 {
 			t.Errorf("tenant %s done=%d vs hostile done=%d: fairness bound breached", tenant, done[tenant], hostileDone)
 		}
-	}
-	// Retry budget: retries may not exceed the burst plus the earn rate
-	// over every admission.
-	maxRetries := int64(cfg.RetryBurst) + int64(cfg.RetryBudget*float64(svc.m.JobsSubmitted.Load())) + 1
-	if got := svc.m.JobsRetried.Load(); got > maxRetries {
-		t.Errorf("retries = %d, want <= %d (budget breached)", got, maxRetries)
 	}
 }

@@ -21,7 +21,7 @@ import (
 //
 // Journal discipline: a submission is journaled before the job becomes
 // visible (an append failure vetoes it — "accepted" means "durable");
-// start/retry/finish are journaled after the in-memory transition, so
+// start/finish are journaled after the in-memory transition, so
 // a crash between transition and append replays the job at its
 // previous stage, which recovery handles (re-running a job that had
 // started is exactly what resume-from-checkpoint is for). Cancelled
@@ -63,15 +63,6 @@ func (s *Service) journalStart(j *Job) {
 	}
 	if err := s.db.Append(store.Record{Type: store.RecStart, TimeUnixNs: nowNs(), JobID: j.id}); err != nil {
 		s.log.Warn("journal start failed", slog.String("job", j.id), slog.String("err", err.Error()))
-	}
-}
-
-func (s *Service) journalRetry(j *Job) {
-	if s.db == nil {
-		return
-	}
-	if err := s.db.Append(store.Record{Type: store.RecRetry, TimeUnixNs: nowNs(), JobID: j.id, Retries: j.Retries()}); err != nil {
-		s.log.Warn("journal retry failed", slog.String("job", j.id), slog.String("err", err.Error()))
 	}
 }
 
@@ -151,7 +142,6 @@ type recoveredJob struct {
 	id       string
 	request  json.RawMessage
 	timeout  time.Duration
-	retries  int
 	started  bool
 	finished bool
 }
@@ -199,16 +189,11 @@ func (s *Service) recover() error {
 			rj := jobFor(r.JobID)
 			rj.request = r.Request
 			rj.timeout = time.Duration(r.TimeoutMS) * time.Millisecond
-			if r.Retries > rj.retries {
-				rj.retries = r.Retries
-			}
 		case store.RecStart:
 			jobFor(r.JobID).started = true
 		case store.RecRetry:
-			rj := jobFor(r.JobID)
-			if r.Retries > rj.retries {
-				rj.retries = r.Retries
-			}
+			// Written by builds that re-ran failed jobs; nothing to fold,
+			// but a known type, so it replays without a warning.
 		case store.RecFinish:
 			jobFor(r.JobID).finished = true
 		default:
@@ -333,7 +318,6 @@ func (s *Service) recover() error {
 			JobID:      rj.id,
 			Request:    rj.request,
 			TimeoutMS:  rj.timeout.Milliseconds(),
-			Retries:    rj.retries,
 		})
 	}
 	if err := s.db.Compact(compacted); err != nil {
@@ -388,7 +372,7 @@ func (s *Service) recoverJob(rj *recoveredJob, badGraphs map[string]bool, snap b
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	if err := s.sched.Restore(j, rj.id, timeout, rj.retries); err != nil {
+	if err := s.sched.Restore(j, rj.id, timeout); err != nil {
 		j.release()
 		return fail("re-enqueue: " + err.Error())
 	}

@@ -219,13 +219,6 @@ type Registry struct {
 	lru       *list.List // front = most recently used; values are *engineEntry
 	maxEngine int
 
-	// building counts engine preps in flight; beyond buildLimit,
-	// Engine fails with a transient cache-pressure error that the
-	// scheduler retries with backoff (prep walks every edge, so
-	// unbounded concurrent builds are a memory and CPU spike).
-	building   int
-	buildLimit int
-
 	// budgetBytes caps the resident footprint of all registered graphs
 	// (0 = unlimited). usedBytes is the current sum of measured charges
 	// plus in-flight build reservations; usedByFormat breaks the
@@ -268,7 +261,6 @@ func NewRegistry(maxGraphs, maxEngines, maxVertices, maxEdges int, m *Metrics) *
 		engines:      make(map[string]*engineEntry),
 		lru:          list.New(),
 		maxEngine:    maxEngines,
-		buildLimit:   maxEngines,
 		maxVertices:  maxVertices,
 		maxEdges:     maxEdges,
 		m:            m,
@@ -280,17 +272,6 @@ func NewRegistry(maxGraphs, maxEngines, maxVertices, maxEdges int, m *Metrics) *
 func (r *Registry) SetMemoryBudget(bytes int64) {
 	r.mu.Lock()
 	r.budgetBytes = bytes
-	r.mu.Unlock()
-}
-
-// SetBuildLimit bounds concurrent engine builds (floored to 1). Call
-// before serving traffic.
-func (r *Registry) SetBuildLimit(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.buildLimit = n
 	r.mu.Unlock()
 }
 
@@ -529,12 +510,9 @@ func engineKey(id string, sys cosparse.System, backend cosparse.Backend, format 
 
 // Engine returns a prepared engine for (graph, system, backend),
 // building and caching it on a miss and evicting the
-// least-recently-used engine beyond the cache bound.
-//
-// Misses take a build slot first; when buildLimit slots are already in
-// flight the miss fails with a transient cache-pressure error instead
-// of piling another every-edge prep onto the heap — the scheduler
-// retries it with backoff.
+// least-recently-used engine beyond the cache bound. Engine is called
+// only from scheduler workers, so the worker pool bounds concurrent
+// builds.
 func (r *Registry) Engine(ge *GraphEntry, sys cosparse.System, backend cosparse.Backend) (*engineEntry, error) {
 	hooked := r.inject.Armed(fault.Iteration)
 	key := engineKey(ge.ID, sys, backend, ge.Graph.Format(), r.traceCap, hooked)
@@ -545,29 +523,13 @@ func (r *Registry) Engine(ge *GraphEntry, sys cosparse.System, backend cosparse.
 		r.mu.Unlock()
 		return ee, nil
 	}
-	if r.building >= r.buildLimit {
-		building, limit := r.building, r.buildLimit
-		r.mu.Unlock()
-		r.m.EnginePressure.Add(1)
-		return nil, fault.MarkTransient(fmt.Errorf(
-			"service: engine cache pressure: %d builds in flight (limit %d)", building, limit))
-	}
-	r.building++
 	r.mu.Unlock()
-	release := func() {
-		r.mu.Lock()
-		r.building--
-		r.mu.Unlock()
-	}
 
 	// Build outside the registry lock: prep walks every edge and can
 	// dominate small-job latency; concurrent misses for the same key
 	// may race to build, and the loser's engine is simply dropped.
-	// The fault check sits inside the build slot so injected latency
-	// holds the slot and exercises the pressure path.
 	r.m.EngineCacheMisses.Add(1)
 	if err := r.inject.Check(fault.EngineBuild); err != nil {
-		release()
 		return nil, err
 	}
 	opts := []cosparse.Option{cosparse.WithBackend(backend)}
@@ -580,7 +542,6 @@ func (r *Registry) Engine(ge *GraphEntry, sys cosparse.System, backend cosparse.
 		}))
 	}
 	eng, err := cosparse.New(ge.Graph, sys, opts...)
-	release()
 	if err != nil {
 		return nil, err
 	}

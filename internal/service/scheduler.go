@@ -7,8 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"cosparse/internal/fault"
 )
 
 // ErrQueueFull is returned by Submit when the bounded queue is
@@ -64,8 +62,7 @@ func (e *ShedError) Error() string {
 
 // PanicError is the terminal error of a job whose run panicked. The
 // worker recovered, recorded the stack, and stayed alive; the job is
-// failed, never retried (a panic is a suspected logic bug, not a
-// transient fault).
+// failed (a panic is a suspected logic bug).
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -74,51 +71,6 @@ type PanicError struct {
 // Error renders the panic value followed by the recorded stack.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
-}
-
-// RetryPolicy governs automatic re-runs of jobs that fail with a
-// transient error (fault.IsTransient): capped exponential backoff with
-// deterministic per-job jitter.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-runs after the first attempt
-	// (default 3; negative disables retries).
-	MaxRetries int
-	// BaseDelay is the first backoff; attempt k waits up to
-	// BaseDelay·2^(k-1), capped at MaxDelay (defaults 50ms / 2s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
-	}
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	return p
-}
-
-// backoff returns the delay before re-run number attempt (1-based):
-// exponential growth capped at MaxDelay, jittered into [d/2, d) by a
-// deterministic function of the job id and attempt so a fixed workload
-// replays identically.
-func (p RetryPolicy) backoff(jobID string, attempt int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < attempt && d < p.MaxDelay; i++ {
-		d *= 2
-	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	u := fault.Unit(fault.Mix64(fault.Hash64(jobID) ^ uint64(attempt)))
-	return d/2 + time.Duration(u*float64(d/2))
 }
 
 // deadlineAdmitMinSamples is how many completed runs the wait
@@ -138,15 +90,12 @@ type tenantQueue struct {
 // flooding tenant cannot starve the rest. Saturation is surfaced to
 // the caller as ErrQueueFull (or a *ShedError when admission control
 // refuses earlier) rather than queuing unboundedly — backpressure is
-// the contract. Workers are panic-isolated (a panicking job fails with
-// its stack recorded; the worker survives) and re-run transiently
-// failing jobs per the RetryPolicy, gated by a global retry budget so
-// retry storms cannot amplify an overload.
+// the contract. Each job runs once. Workers are panic-isolated (a
+// panicking job fails with its stack recorded; the worker survives).
 type Scheduler struct {
 	workers int
 	depth   int
 	run     func(*Job) (*JobResult, error)
-	retry   RetryPolicy
 	m       *Metrics
 
 	// beforeRun, when set (tests), is called on the worker goroutine
@@ -158,11 +107,10 @@ type Scheduler struct {
 	// a data dir). onSubmit runs under the scheduler lock after the id
 	// is assigned but before the job becomes visible — an error vetoes
 	// the submission, so a job the journal could not record never runs.
-	// onStart/onRetry/onFinish record the matching transitions from the
-	// worker goroutine, after the in-memory transition succeeded.
+	// onStart/onFinish record the matching transitions from the worker
+	// goroutine, after the in-memory transition succeeded.
 	onSubmit func(*Job) error
 	onStart  func(*Job)
-	onRetry  func(*Job)
 	onFinish func(j *Job, state JobState, errMsg string)
 	// durable switches Drain to journal-preserving semantics: queued
 	// jobs are left unsettled (their journal records stay live) so a
@@ -170,7 +118,7 @@ type Scheduler struct {
 	durable bool
 
 	// Overload-control knobs, set by the service layer before traffic
-	// (like retry above) and read under mu.
+	// and read under mu.
 	//
 	// shedTarget/shedInterval drive the CoDel-style controller: when
 	// dequeue sojourns stay above shedTarget for shedInterval, new
@@ -179,11 +127,6 @@ type Scheduler struct {
 	// deadline-based shedding entirely.
 	shedTarget   time.Duration
 	shedInterval time.Duration
-	// retryRatio earns that fraction of a retry token per admitted job
-	// (capped at retryBurst); each transient re-run spends one token.
-	// <= 0 disables the budget.
-	retryRatio float64
-	retryBurst float64
 
 	mu      sync.Mutex
 	tenants map[string]*tenantQueue
@@ -204,9 +147,6 @@ type Scheduler struct {
 	aboveSince  time.Time
 	lastSojourn time.Duration
 
-	// Retry token bucket (under mu).
-	retryTokens float64
-
 	// EWMA of observed per-job worker occupancy, feeding the
 	// deadline-aware admission estimate (under mu).
 	avgRunSec  float64
@@ -224,8 +164,7 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler with the given worker count and
 // queue depth (both floored to 1) around run, the job executor.
-// Overload controls (shedding, retry budget) default to off; the
-// service layer arms them from its config.
+// Shedding defaults to off; the service layer arms it from its config.
 func NewScheduler(workers, depth int, run func(*Job) (*JobResult, error), m *Metrics) *Scheduler {
 	if workers <= 0 {
 		workers = 1
@@ -240,7 +179,6 @@ func NewScheduler(workers, depth int, run func(*Job) (*JobResult, error), m *Met
 		workers: workers,
 		depth:   depth,
 		run:     run,
-		retry:   RetryPolicy{}.withDefaults(),
 		m:       m,
 		tenants: make(map[string]*tenantQueue),
 		jobs:    make(map[string]*Job),
@@ -487,12 +425,6 @@ func (s *Scheduler) SubmitJob(j *Job, timeout time.Duration) error {
 	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	if s.retryRatio > 0 {
-		s.retryTokens += s.retryRatio
-		if s.retryTokens > s.retryBurst {
-			s.retryTokens = s.retryBurst
-		}
-	}
 	s.mu.Unlock()
 	if victim != nil {
 		s.settleEvicted(victim, j.tenant)
@@ -570,7 +502,7 @@ func (s *Scheduler) settleEvicted(victim *Job, forTenant string) {
 // cannot happen (nextID is bumped past every restored id). Recovery
 // bypasses admission control: an accepted-and-journaled job is owed an
 // execution attempt.
-func (s *Scheduler) Restore(j *Job, id string, timeout time.Duration, retries int) error {
+func (s *Scheduler) Restore(j *Job, id string, timeout time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -588,7 +520,6 @@ func (s *Scheduler) Restore(j *Job, id string, timeout time.Duration, retries in
 	j.created = time.Now()
 	j.state = JobQueued
 	j.timeout = timeout
-	j.retries = retries
 	j.recovered = true
 	j.done = make(chan struct{})
 	j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
@@ -600,12 +531,6 @@ func (s *Scheduler) Restore(j *Job, id string, timeout time.Duration, retries in
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	if s.retryRatio > 0 {
-		s.retryTokens += s.retryRatio
-		if s.retryTokens > s.retryBurst {
-			s.retryTokens = s.retryBurst
-		}
-	}
 	s.mu.Unlock()
 	select {
 	case s.ready <- struct{}{}:
@@ -715,7 +640,7 @@ func (s *Scheduler) worker() {
 // round-robin. Jobs whose deadline already expired (or that were
 // cancelled while queued) are settled on the spot — in a sweep, not a
 // worker run each — so a queue full of corpses costs the pool one
-// dequeue, not one run/retry cycle per corpse. Returns nil when the
+// dequeue, not one run per corpse. Returns nil when the
 // queues are empty (a spurious token wake-up).
 func (s *Scheduler) pop() *Job {
 	s.mu.Lock()
@@ -808,7 +733,7 @@ func (s *Scheduler) process(j *Job) {
 	}
 	s.m.JobsRunning.Add(1)
 	t0 := time.Now()
-	res, err := s.execute(j)
+	res, err := s.runSafe(j)
 	s.noteRun(time.Since(t0))
 	s.m.JobsRunning.Add(-1)
 	switch {
@@ -822,9 +747,8 @@ func (s *Scheduler) process(j *Job) {
 	j.cancel() // release the deadline timer
 }
 
-// noteRun feeds one completed run's wall time (including retries and
-// their backoffs — it measures worker occupancy, not kernel speed)
-// into the EWMA behind deadline-aware admission.
+// noteRun feeds one completed run's wall time (worker occupancy, not
+// kernel speed) into the EWMA behind deadline-aware admission.
 func (s *Scheduler) noteRun(d time.Duration) {
 	s.mu.Lock()
 	sec := d.Seconds()
@@ -835,56 +759,6 @@ func (s *Scheduler) noteRun(d time.Duration) {
 	}
 	s.runSamples++
 	s.mu.Unlock()
-}
-
-// takeRetryToken spends one retry-budget token; false means the budget
-// is exhausted and the retry must not happen. A disabled budget
-// (retryRatio <= 0) always grants.
-func (s *Scheduler) takeRetryToken() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.retryRatio <= 0 {
-		return true
-	}
-	if s.retryTokens >= 1 {
-		s.retryTokens--
-		return true
-	}
-	return false
-}
-
-// execute runs the job, re-running it with capped exponential backoff
-// while it fails transiently (fault.IsTransient) and the deadline,
-// retry budget, and scheduler lifetime allow.
-func (s *Scheduler) execute(j *Job) (*JobResult, error) {
-	for attempt := 1; ; attempt++ {
-		res, err := s.runSafe(j)
-		if err == nil || !fault.IsTransient(err) || j.ctx.Err() != nil {
-			return res, err
-		}
-		if attempt > s.retry.MaxRetries {
-			return nil, fmt.Errorf("giving up after %d attempts: %w", attempt, err)
-		}
-		if !s.takeRetryToken() {
-			s.m.RetryBudgetExhausted.Add(1)
-			return nil, fmt.Errorf("retry budget exhausted, giving up after %d attempts: %w", attempt, err)
-		}
-		s.m.JobsRetried.Add(1)
-		j.noteRetry()
-		if s.onRetry != nil {
-			s.onRetry(j)
-		}
-		timer := time.NewTimer(s.retry.backoff(j.id, attempt))
-		select {
-		case <-timer.C:
-		case <-j.ctx.Done():
-			timer.Stop()
-			return nil, fmt.Errorf("retry %d abandoned: %w (last error: %v)", attempt, j.ctx.Err(), err)
-		case <-s.quit:
-			timer.Stop()
-			return nil, fmt.Errorf("retry %d abandoned: scheduler shutting down (last error: %w)", attempt, err)
-		}
-	}
 }
 
 // runSafe invokes the job executor with panic isolation: a panic is

@@ -59,8 +59,6 @@ type Config struct {
 	// registered graphs (EstimateGraphBytes); loads beyond it get 413.
 	// 0 disables admission control.
 	MemoryBudgetBytes int64
-	// Retry governs automatic re-runs of transiently failing jobs.
-	Retry RetryPolicy
 	// Faults is the fault injector (nil = disarmed; see internal/fault).
 	Faults *fault.Injector
 	// Logger receives structured request and job logs (default: slog
@@ -135,16 +133,6 @@ type Config struct {
 	// ShedInterval is how long sojourns must stay above ShedTarget
 	// before shedding arms (default 100ms).
 	ShedInterval time.Duration
-	// RetryBudget is the global retry token-bucket earn rate: each
-	// admitted job earns this many retry tokens, and each automatic
-	// retry spends one, so retries cannot exceed this fraction of
-	// admitted work during sustained overload. 0 means the default
-	// (0.1); negative disables the budget (retries bounded only by
-	// RetryPolicy.MaxRetries).
-	RetryBudget float64
-	// RetryBurst caps the retry token bucket (default 32), bounding how
-	// large a retry storm an idle period can bank.
-	RetryBurst float64
 }
 
 func (c Config) withDefaults() Config {
@@ -178,7 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	c.Retry = c.Retry.withDefaults()
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -196,15 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShedInterval <= 0 {
 		c.ShedInterval = 100 * time.Millisecond
-	}
-	switch {
-	case c.RetryBudget == 0:
-		c.RetryBudget = 0.1
-	case c.RetryBudget < 0:
-		c.RetryBudget = 0 // disabled
-	}
-	if c.RetryBurst <= 0 {
-		c.RetryBurst = 32
 	}
 	return c
 }
@@ -276,17 +254,12 @@ func New(cfg Config) *Service {
 		s.batcher = batch.New(cfg.BatchWindow, cfg.BatchMaxLanes, s.runBatch)
 	}
 	s.sched = NewScheduler(cfg.Workers, cfg.QueueDepth, s.runJob, m)
-	s.sched.retry = cfg.Retry
 	s.sched.onStart = s.journalStart
-	s.sched.onRetry = s.journalRetry
 	s.sched.onFinish = s.journalFinish
 	// Overload knobs: withDefaults already resolved "0 = default,
 	// negative = off" into concrete values (0 meaning off here).
 	s.sched.shedTarget = cfg.ShedTarget
 	s.sched.shedInterval = cfg.ShedInterval
-	s.sched.retryRatio = cfg.RetryBudget
-	s.sched.retryBurst = cfg.RetryBurst
-	s.sched.retryTokens = cfg.RetryBurst // start with a full bucket
 	return s
 }
 
@@ -655,6 +628,7 @@ func (s *Service) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	e, err := s.reg.Register(spec)
 	if err != nil {
 		var be *BudgetError
+		var fe *fault.Error
 		switch {
 		case errors.As(err, &be):
 			// admitLocked already counted the rejection. The budget
@@ -662,7 +636,8 @@ func (s *Service) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 			// condition is retryable — tell clients when to come back.
 			w.Header().Set("Retry-After", "5")
 			writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		case fault.IsTransient(err):
+		case errors.As(err, &fe):
+			// An injected server fault, not a bad spec.
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 		default:

@@ -212,11 +212,6 @@ func (c Config) SPMWordsPerPE() int {
 	return c.Params.L1BankBytes / c.Params.WordBytes
 }
 
-// L1TileCacheBytes returns the pooled L1 cache capacity of a tile.
-func (c Config) L1TileCacheBytes() int {
-	return c.L1CacheBanksPerTile() * c.Params.L1BankBytes
-}
-
 // L2TileBytes returns the L2 capacity associated with one tile.
 func (c Config) L2TileBytes() int {
 	return c.Geometry.PEsPerTile * c.Params.L2BankBytes

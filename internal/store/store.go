@@ -1,7 +1,7 @@
 // Package store is cosparsed's durability layer: an append-only,
 // CRC-framed job journal plus binary checkpoint snapshots, both living
 // under a single data directory. The journal records every job and
-// graph lifecycle transition (submit/start/retry/finish, graph
+// graph lifecycle transition (submit/start/finish, graph
 // register/delete) so that a crashed or killed daemon can rebuild its
 // queue on restart; snapshots hold mid-run algorithm state written
 // through the runtime checkpoint seam so interrupted jobs resume from
@@ -71,7 +71,9 @@ const (
 	RecSubmit RecordType = "submit"
 	// RecStart journals a worker picking the job up.
 	RecStart RecordType = "start"
-	// RecRetry journals a transient-failure retry.
+	// RecRetry journaled a job re-run in builds that retried failed
+	// jobs. Nothing writes it now; replay still accepts it so older
+	// data dirs recover.
 	RecRetry RecordType = "retry"
 	// RecFinish journals a terminal transition (done/failed/cancelled).
 	RecFinish RecordType = "finish"
@@ -92,7 +94,6 @@ type Record struct {
 	// TimeoutMS preserves the job's effective timeout so a recovered
 	// job keeps its original budget class.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	Retries   int   `json:"retries,omitempty"`
 	// State is the terminal state for RecFinish ("done", "failed",
 	// "cancelled").
 	State string `json:"state,omitempty"`
