@@ -50,9 +50,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // context rather than the Engine because engines are shared and cached
 // per graph; checkpointing is a property of one run.
 type CheckpointConfig struct {
-	// Every takes a snapshot after each Every iterations (or SpMV
-	// passes, for phase-structured algorithms like BC). Zero disables
-	// snapshotting; Resume still works.
+	// Every takes a snapshot after each Every iterations (BC counts
+	// the iterations of both its lanes). Zero disables snapshotting;
+	// Resume still works.
 	Every int
 	// Sink receives each snapshot. An error from Sink aborts the run —
 	// callers that prefer to keep computing on persistence failure

@@ -732,9 +732,11 @@ func (r *Report) DensityTrace() string {
 }
 
 // Betweenness computes single-source betweenness centrality (Brandes'
-// dependency accumulation on the BFS DAG) as level-synchronized SpMV
-// sweeps — a worked demonstration that algorithms beyond the paper's
-// four map onto the same reconfigurable machinery. BC[v] is zero for
+// dependency accumulation on the BFS DAG) as two level-synchronized
+// lanes of the ordinary iteration loop — a σ sweep forward and a δ
+// sweep over the reversed graph — a worked demonstration that
+// algorithms beyond the paper's four map onto the same reconfigurable
+// machinery. BC[v] is zero for
 // the source and for unreachable vertices.
 func (e *Engine) Betweenness(src int32) ([]float32, *Report, error) {
 	return e.BetweennessContext(context.Background(), src)

@@ -83,6 +83,7 @@ type Replicator struct {
 	lastSeq     uint64 // highest journal seq observed (OnRecord / resync cursor)
 	rejected    bool
 	closed      bool
+	done        chan struct{} // closed by Close, for goroutines that wait on timers
 
 	// ackBreaker trips after repeated semisync ack timeouts; owned here
 	// so a promote/restart starts it closed.
@@ -117,7 +118,7 @@ func NewReplicator(cfg LeaderConfig) *Replicator {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	r := &Replicator{cfg: cfg, client: client, snaps: make(map[string][]byte)}
+	r := &Replicator{cfg: cfg, client: client, snaps: make(map[string][]byte), done: make(chan struct{})}
 	// Three consecutive semisync fallbacks open the ack breaker; it stays
 	// open 10s before admitting a probe wait. While open, submits skip
 	// the ack wait entirely — pure async — instead of each stalling for
@@ -258,7 +259,10 @@ func (r *Replicator) AckedSeq() uint64 {
 // Close stops the replicator's goroutines and releases waiters.
 func (r *Replicator) Close() {
 	r.mu.Lock()
-	r.closed = true
+	if !r.closed {
+		r.closed = true
+		close(r.done)
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
@@ -351,13 +355,15 @@ func (r *Replicator) heartbeats() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.HeartbeatEvery)
 	defer t.Stop()
-	for range t.C {
-		r.mu.Lock()
-		url, closed, rejected := r.followerURL, r.closed, r.rejected
-		r.mu.Unlock()
-		if closed {
+	for {
+		select {
+		case <-r.done:
 			return
+		case <-t.C:
 		}
+		r.mu.Lock()
+		url, rejected := r.followerURL, r.rejected
+		r.mu.Unlock()
 		if rejected || url == "" {
 			continue
 		}
@@ -436,22 +442,13 @@ func (r *Replicator) run() {
 
 // sleep waits d, returning false if the replicator closed meanwhile.
 func (r *Replicator) sleep(d time.Duration) bool {
-	deadline := time.NewTimer(d)
-	defer deadline.Stop()
-	poll := time.NewTicker(10 * time.Millisecond)
-	defer poll.Stop()
-	for {
-		select {
-		case <-deadline.C:
-			return true
-		case <-poll.C:
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return false
-			}
-		}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-r.done:
+		return false
 	}
 }
 

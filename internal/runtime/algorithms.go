@@ -63,37 +63,50 @@ func (f *Framework) bfsLane(ctx context.Context, src int32) (*laneState, *BFSRes
 	vals[src] = float32(src)
 	frontier := &matrix.SparseVec{N: n, Idx: []int32{src}, Val: []float32{float32(src)}}
 
-	res := &BFSResult{Parent: make([]int32, n), Level: make([]int32, n)}
+	res := &BFSResult{Parent: make([]int32, n), Level: startLevels(ctx, "BFS", n, src)}
 	for i := range res.Parent {
 		res.Parent[i] = -1
-		res.Level[i] = -1
 	}
 	res.Parent[src] = src
-	res.Level[src] = 0
-
-	// The level array is incremental state the loop cannot see (it
-	// lives outside vals), so it rides in each checkpoint's AuxInt and
-	// is restored before the resumed loop observes new frontiers.
-	if cc := CheckpointFromContext(ctx); cc != nil && cc.Resume != nil &&
-		cc.Resume.Algo == "BFS" && len(cc.Resume.AuxInt) == n {
-		copy(res.Level, cc.Resume.AuxInt)
-	}
-
-	// Levels fall out of the iteration at which each vertex first joins
-	// the frontier, observed through the lane's iteration hook.
-	onIter := func(st IterStat, next *matrix.SparseVec) {
-		if next != nil {
-			for _, v := range next.Idx {
-				if res.Level[v] < 0 {
-					res.Level[v] = int32(st.Iter) + 1
-				}
-			}
-		}
-	}
 	aux := func(cp *Checkpoint) {
 		cp.AuxInt = append([]int32(nil), res.Level...)
 	}
-	return f.newLane(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.maxIters(), onIter, aux), res, nil
+	return f.newLane(ctx, "BFS", ring, semiring.Ctx{}, vals, frontier, f.maxIters(), levelStep(res.Level), aux), res, nil
+}
+
+// startLevels is the level array a level-synchronous traversal (BFS,
+// BC's σ sweep) from src starts with: -1 for unreached vertices, 0 for
+// src. The array is state the loop cannot see (it lives outside vals),
+// so it rides in each checkpoint's AuxInt and is restored from a
+// resume checkpoint of algo before the loop observes new frontiers.
+func startLevels(ctx context.Context, algo string, n int, src int32) []int32 {
+	level := make([]int32, n)
+	if cc := CheckpointFromContext(ctx); cc != nil && cc.Resume != nil &&
+		cc.Resume.Algo == algo && len(cc.Resume.AuxInt) == n {
+		copy(level, cc.Resume.AuxInt)
+		return level
+	}
+	for i := range level {
+		level[i] = -1
+	}
+	level[src] = 0
+	return level
+}
+
+// levelStep is the convergence hook of a level-synchronous traversal:
+// a vertex's level is the iteration at which it first joins the
+// frontier, plus one. The frontier runs on unchanged.
+func levelStep(level []int32) stepFunc {
+	return func(st IterStat, _ matrix.Dense, next *matrix.SparseVec) *matrix.SparseVec {
+		if next != nil {
+			for _, v := range next.Idx {
+				if level[v] < 0 {
+					level[v] = int32(st.Iter) + 1
+				}
+			}
+		}
+		return next
+	}
 }
 
 // SSSP runs single-source shortest paths (frontier-based Bellman–Ford,

@@ -38,7 +38,10 @@ type pinnedRun struct {
 // bodies issue the exact same event sequence the interleaved kernels
 // did, so any drift here means the refactor changed simulated behavior.
 // The two fused PPR rows were captured at commit cd34804, while solo
-// and blocked IP passes were still separate bodies.
+// and blocked IP passes were still separate bodies. The BC row was
+// captured when BC became two lanes of the iteration loop: a σ lane
+// (iterations 0–5, the BFS row's frontiers and cycles) and a δ lane on
+// the reversed graph, whose first pass pays a reconfiguration.
 var pinnedRuns = []pinnedRun{
 	{
 		name: "BFS",
@@ -119,6 +122,30 @@ var pinnedRuns = []pinnedRun{
 			{0, 3000, "IP/SCS", 36678, 1580, 0, 38258},
 			{1, 3000, "IP/SCS", 36678, 1580, 0, 38258},
 			{2, 3000, "IP/SCS", 36678, 1580, 0, 38258},
+		},
+	},
+	{
+		name: "BC",
+		run: func(t *testing.T, f *Framework) *Report {
+			_, rep, err := f.BC(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		},
+		total: 189029, energy: 6.73508296e-05,
+		iters: []pinnedIter{
+			{0, 1, "OP/PC", 653, 227, 0, 880},
+			{1, 6, "OP/PC", 3161, 1094, 0, 4255},
+			{2, 347, "IP/SCS", 24113, 3927, 1122, 29172},
+			{3, 2062, "IP/SCS", 26360, 2622, 1963, 30945},
+			{4, 569, "IP/SCS", 23409, 1011, 2276, 26696},
+			{5, 4, "OP/PC", 1298, 500, 0, 1808},
+			{6, 4, "OP/PC", 871, 219, 0, 1090},
+			{7, 569, "IP/SCS", 22372, 3738, 1379, 27499},
+			{8, 2062, "IP/SCS", 26674, 3913, 2243, 32830},
+			{9, 347, "IP/SCS", 23657, 3546, 2113, 29316},
+			{10, 6, "OP/PC", 3527, 1001, 0, 4538},
 		},
 	},
 	{

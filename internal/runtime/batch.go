@@ -37,11 +37,18 @@ type laneState struct {
 	rep      *Report
 	trace    *iterRing
 	cc       *CheckpointConfig
-	onIter   func(IterStat, *matrix.SparseVec)
+	step     stepFunc
 	aux      func(*Checkpoint)
 	err      error
 	done     bool
 }
+
+// stepFunc is a lane's convergence hook. It runs after each
+// iteration's merge with the iteration's stats, the lane's merged
+// values (which it may edit in place) and the frontier the merge
+// extracted (which it must not mutate), and returns the frontier the
+// next iteration runs on; an empty or nil frontier ends the lane.
+type stepFunc func(st IterStat, vals matrix.Dense, next *matrix.SparseVec) *matrix.SparseVec
 
 func (l *laneState) fail(err error) {
 	l.err = err
@@ -57,23 +64,32 @@ func (l *laneState) materialize() {
 	l.rep.DroppedIters = l.trace.dropped
 }
 
-// newLane builds one lane.
+// newLane builds one lane and, when ctx carries a checkpoint to resume
+// from, restores it (see resume). A checkpoint rides on ctx, so lanes
+// in one fused run may resume at different iterations.
+func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semiring, sctx semiring.Ctx,
+	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int, step stepFunc, aux func(*Checkpoint)) *laneState {
+
+	l := f.freshLane(ctx, name, ring, sctx, vals, frontier, maxIters, step, aux)
+	if l.cc != nil && l.cc.Resume != nil {
+		l.resume(l.cc.Resume, f.n)
+	}
+	return l
+}
+
+// freshLane builds one lane at iteration 0.
 //
 // vals is the persistent per-vertex value array; frontier the initial
 // active set (ignored for DenseFrontier semirings, whose every vertex
 // stays active for maxIters iterations). ctx is consulted once per
 // iteration, before the SpMV is issued: a cancelled or deadline-expired
 // context stops the lane between iterations with the partial report
-// and ctx's error. onIter, if non-nil, observes each completed
-// iteration in addition to Options.OnIteration (same contract: do not
-// retain or mutate the frontier). aux, if non-nil, lets the algorithm
-// stow its own convergence state (e.g. BFS levels) into each checkpoint
-// the loop takes. A checkpoint to resume from rides on ctx, so lanes in
-// one fused run may resume at different iterations; a checkpoint that
-// does not fit the run fails the lane before its first iteration.
-func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semiring, sctx semiring.Ctx,
-	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int,
-	onIter func(IterStat, *matrix.SparseVec), aux func(*Checkpoint)) *laneState {
+// and ctx's error. step, if non-nil, is the lane's convergence hook
+// (see stepFunc). aux, if non-nil, lets the algorithm stow its own
+// convergence state (e.g. BFS levels) into each checkpoint the loop
+// takes.
+func (f *Framework) freshLane(ctx context.Context, name string, ring semiring.Semiring, sctx semiring.Ctx,
+	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int, step stepFunc, aux func(*Checkpoint)) *laneState {
 
 	l := &laneState{
 		ctx:      ctx,
@@ -82,9 +98,10 @@ func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semi
 		maxIters: maxIters,
 		rep:      &Report{Algorithm: name, Geometry: f.opts.Geometry, Backend: f.opts.Backend.Name()},
 		trace:    newIterRing(f.opts.ringCap()),
-		onIter:   onIter,
+		step:     step,
 		aux:      aux,
 		prev:     Decision{UseIP: true, HW: sim.HWConfig(-1)}, // sentinel: first iteration reconfigures freely
+		cc:       CheckpointFromContext(ctx),
 	}
 	// The lane owns its IP buffers across iterations (native backend;
 	// the simulator ignores the scratch).
@@ -92,45 +109,56 @@ func (f *Framework) newLane(ctx context.Context, name string, ring semiring.Semi
 	if ring.NeedsSrcDeg {
 		l.op.Deg = f.deg
 	}
-	l.cc = CheckpointFromContext(ctx)
-	if l.cc != nil && l.cc.Resume != nil {
-		cp := l.cc.Resume
-		n := f.n
-		if cp.Algo != name {
-			l.fail(fmt.Errorf("runtime: checkpoint was taken by %q, cannot resume %s", cp.Algo, name))
-			return l
-		}
-		if int(cp.N) != n {
-			l.fail(fmt.Errorf("runtime: checkpoint covers %d vertices, graph has %d", cp.N, n))
-			return l
-		}
-		l.vals = cp.Vals.Clone()
-		l.frontier = cloneSparse(cp.Frontier)
-		l.lastSet = cloneSparse(cp.LastSet)
-		if l.lastSet != nil {
-			// Rebuild the dense IP buffer functionally (no cycles
-			// charged): it holds identity everywhere except the last
-			// scattered set, exactly what FrontierDense left behind.
-			l.fDense = make(matrix.Dense, n)
-			for i := range l.fDense {
-				l.fDense[i] = ring.Identity
-			}
-			for k, ix := range l.lastSet.Idx {
-				l.fDense[ix] = l.lastSet.Val[k]
-			}
-		}
-		if cp.HavePrev {
-			l.prev = Decision{UseIP: cp.PrevUseIP, HW: sim.HWConfig(cp.PrevHW)}
-		}
-		l.trace.preload(cp.Trace, int(cp.TotalIters), int(cp.DroppedIters))
-		l.rep.TotalCycles = cp.TotalCycles
-		l.rep.TotalWall = time.Duration(cp.TotalWallNs)
-		l.rep.EnergyJ = cp.EnergyJ
-		l.rep.Stats = cp.Stats
-		l.rep.Resumed, l.rep.ResumedIter = true, int(cp.Iter)
-		l.iter = int(cp.Iter)
-	}
 	return l
+}
+
+// resume restores the lane from cp, taken by a lane of the same
+// algorithm on an n-vertex graph; a checkpoint that does not fit fails
+// the lane before its first iteration.
+func (l *laneState) resume(cp *Checkpoint, n int) {
+	name := l.rep.Algorithm
+	if cp.Algo != name {
+		l.fail(fmt.Errorf("runtime: checkpoint was taken by %q, cannot resume %s", cp.Algo, name))
+		return
+	}
+	if int(cp.N) != n {
+		l.fail(fmt.Errorf("runtime: checkpoint covers %d vertices, graph has %d", cp.N, n))
+		return
+	}
+	l.vals = cp.Vals.Clone()
+	l.frontier = cloneSparse(cp.Frontier)
+	l.lastSet = cloneSparse(cp.LastSet)
+	if l.lastSet != nil {
+		// Rebuild the dense IP buffer functionally (no cycles
+		// charged): it holds identity everywhere except the last
+		// scattered set, exactly what FrontierDense left behind.
+		l.fDense = make(matrix.Dense, n)
+		for i := range l.fDense {
+			l.fDense[i] = l.op.Ring.Identity
+		}
+		for k, ix := range l.lastSet.Idx {
+			l.fDense[ix] = l.lastSet.Val[k]
+		}
+	}
+	if cp.HavePrev {
+		l.prev = Decision{UseIP: cp.PrevUseIP, HW: sim.HWConfig(cp.PrevHW)}
+	}
+	l.trace.preload(cp.Trace, int(cp.TotalIters), int(cp.DroppedIters))
+	l.rep.TotalCycles = cp.TotalCycles
+	l.rep.TotalWall = time.Duration(cp.TotalWallNs)
+	l.rep.EnergyJ = cp.EnergyJ
+	l.rep.Stats = cp.Stats
+	l.rep.Resumed, l.rep.ResumedIter = true, int(cp.Iter)
+	l.iter = int(cp.Iter)
+}
+
+// continueFrom makes l the next phase of the finished lane s, the way
+// resume picks up a checkpoint: one report, one trace ring and one
+// iteration count run on, and s's last decision decides whether l's
+// first iteration pays a reconfiguration. l keeps its own values,
+// frontier and dense IP buffer.
+func (l *laneState) continueFrom(s *laneState) {
+	l.rep, l.trace, l.prev, l.iter = s.rep, s.trace, s.prev, s.iter
 }
 
 // splitResult apportions a fused kernel Result across k lanes: cycles
@@ -332,11 +360,11 @@ func (f *Framework) runLanes(lanes []*laneState) {
 			l.rep.TotalWall += p.st.TotalWall
 			l.rep.EnergyJ += p.st.EnergyJ
 			l.rep.Stats.Add(p.st.Stats)
+			if l.step != nil {
+				next = l.step(p.st, l.vals, next)
+			}
 			if f.opts.OnIteration != nil {
 				f.opts.OnIteration(p.st, next)
-			}
-			if l.onIter != nil {
-				l.onIter(p.st, next)
 			}
 
 			l.frontier = next

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -153,5 +156,33 @@ func TestBCUnreachableVerticesZero(t *testing.T) {
 	}
 	if bc[1] != 1 { // 0->1->2: vertex 1 sits on one shortest path
 		t.Fatalf("BC[1] = %g, want 1", bc[1])
+	}
+}
+
+// TestBCValuesDigestPinned pins BC's values bit for bit, on both
+// backends, over TestBCMatchesBrandes' graphs and the checkpoint tests'
+// graph. The digest was recorded while BC still ran a BFS plus one
+// sub-run per level and sweep; the two-lane run must reproduce it.
+func TestBCValuesDigestPinned(t *testing.T) {
+	const want = "9d34865bb11c2ef1132f1e42a033569537a0d84c5603a8c0ed85359124424e57"
+	h := sha256.New()
+	digest := func(f *Framework) {
+		got, _, err := f.BC(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range got {
+			binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+		}
+	}
+	for _, be := range []exec.Backend{exec.Sim(), exec.Native()} {
+		for _, seed := range []uint64{201, 202, 203} {
+			m := gen.PowerLaw(250, 2200, 0.5, gen.Pattern, seed)
+			digest(newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, Backend: be}))
+		}
+		digest(ckptFW(t, be))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("BC values digest %s, want %s", got, want)
 	}
 }

@@ -21,8 +21,8 @@ package runtime
 //     resumed sum with the checkpointed partial preserves the exact
 //     addition order of the uninterrupted run.
 //
-// Algorithm-specific convergence state rides in Aux/AuxInt: BFS levels,
-// BC's σ array and level map.
+// Algorithm-specific convergence state rides in Aux/AuxInt: BFS and BC
+// levels, and BC's σ array in a δ-lane checkpoint.
 //
 // The wire format is defensive: magic + version header, a CRC32 over
 // the body, and a bounds-checked decoder that returns errors (never
@@ -45,9 +45,11 @@ import (
 // Checkpoint magic/version. Bump checkpointVersion on any layout
 // change: decode rejects mismatches cleanly instead of misreading.
 // Version 2: sim.Stats is three int64 counters shorter than in version 1.
+// Version 3: the Phase and PhaseLevel fields are gone (BC checkpoints
+// are ordinary lane checkpoints).
 const (
 	checkpointMagic   uint32 = 0x43534b31 // "CSK1"
-	checkpointVersion uint16 = 2
+	checkpointVersion uint16 = 3
 )
 
 // Checkpoint is a restorable snapshot of a run at an iteration
@@ -62,14 +64,8 @@ type Checkpoint struct {
 	Tag string
 	// N is the vertex count the snapshot was taken against.
 	N int32
-	// Iter is the next iteration to execute (for BC, interpreted with
-	// Phase/PhaseLevel below).
+	// Iter is the next iteration to execute.
 	Iter int32
-	// Phase/PhaseLevel locate multi-phase algorithms (BC: phase 2 =
-	// forward σ sweep, phase 3 = backward δ sweep; PhaseLevel is the
-	// next level to process). Zero for single-loop algorithms.
-	Phase      int32
-	PhaseLevel int32
 
 	// Vals is the persistent per-vertex value array.
 	Vals matrix.Dense
@@ -79,8 +75,8 @@ type Checkpoint struct {
 	// LastSet is the sparse vector currently scattered into the IP
 	// dense-frontier buffer (nil if no IP iteration has run).
 	LastSet *matrix.SparseVec
-	// Aux / AuxInt carry algorithm convergence state: BC's σ; BFS
-	// levels, BC's level array.
+	// Aux / AuxInt carry algorithm convergence state: BC's σ, present
+	// only in a δ-lane checkpoint; BFS and BC levels.
 	Aux    matrix.Dense
 	AuxInt []int32
 
@@ -121,9 +117,7 @@ type CheckpointConfig struct {
 type checkpointCtxKey struct{}
 
 // ContextWithCheckpoint attaches cfg to ctx for the driver to pick up.
-// A nil cfg detaches any inherited config — multi-phase algorithms use
-// that to keep their inner driver calls from checkpointing at the
-// wrong granularity.
+// A nil cfg detaches any inherited config.
 func ContextWithCheckpoint(ctx context.Context, cfg *CheckpointConfig) context.Context {
 	return context.WithValue(ctx, checkpointCtxKey{}, cfg)
 }
@@ -219,8 +213,6 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	e.str(cp.Tag)
 	e.i32(cp.N)
 	e.i32(cp.Iter)
-	e.i32(cp.Phase)
-	e.i32(cp.PhaseLevel)
 	e.dense(cp.Vals)
 	e.sparse(cp.Frontier)
 	e.sparse(cp.LastSet)
@@ -461,8 +453,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	cp.Tag = d.str()
 	cp.N = d.i32()
 	cp.Iter = d.i32()
-	cp.Phase = d.i32()
-	cp.PhaseLevel = d.i32()
 	cp.Vals = d.dense()
 	cp.Frontier = d.sparse()
 	cp.LastSet = d.sparse()

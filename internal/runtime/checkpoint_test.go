@@ -156,12 +156,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				}
 
 				// Resume from a mid-run snapshot, decoding from the wire
-				// format exactly as recovery does.
+				// format exactly as recovery does. BC's snapshots come
+				// from two lanes; a δ-lane snapshot carries σ in Aux.
+				lanes := map[bool]bool{}
 				for _, pick := range []int{0, len(snaps) / 2, len(snaps) - 1} {
 					cp, err := DecodeCheckpoint(snaps[pick])
 					if err != nil {
 						t.Fatalf("decode snapshot %d: %v", pick, err)
 					}
+					lanes[cp.Aux != nil] = true
 					rctx := ContextWithCheckpoint(context.Background(),
 						&CheckpointConfig{Resume: cp})
 					resRep, resVals := cr.run(t, ckptFW(t, be.be), rctx)
@@ -170,6 +173,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					}
 					sameReports(t, "resumed-vs-ref", refRep, resRep)
 					sameValues(t, "resumed-vs-ref", refVals, resVals)
+				}
+				if cr.name == "BC" && (!lanes[false] || !lanes[true]) {
+					t.Errorf("BC resumed from σ-lane snapshots %t, δ-lane snapshots %t; want both", lanes[false], lanes[true])
 				}
 			})
 		}
@@ -233,7 +239,7 @@ func TestCheckpointSinkErrorStopsRun(t *testing.T) {
 
 func sampleCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Algo: "PR", Tag: "j42", N: 5, Iter: 3, Phase: 2, PhaseLevel: 1,
+		Algo: "PR", Tag: "j42", N: 5, Iter: 3,
 		Vals:     matrix.Dense{1, 2, 3, 4, 5},
 		Frontier: &matrix.SparseVec{N: 5, Idx: []int32{1, 3}, Val: []float32{0.5, 0.25}},
 		LastSet:  &matrix.SparseVec{N: 5, Idx: []int32{0}, Val: []float32{1}},
@@ -253,8 +259,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Algo != cp.Algo || got.Tag != cp.Tag || got.N != cp.N || got.Iter != cp.Iter ||
-		got.Phase != cp.Phase || got.PhaseLevel != cp.PhaseLevel {
+	if got.Algo != cp.Algo || got.Tag != cp.Tag || got.N != cp.N || got.Iter != cp.Iter {
 		t.Errorf("header fields: %+v", got)
 	}
 	sameValues(t, "Vals", cp.Vals, got.Vals)
@@ -308,7 +313,8 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		{"short", valid[:10], "too short"},
 		{"bad-magic", mutate(func(b []byte) { b[0] ^= 0xFF }), "not a checkpoint"},
 		{"version-skew", mutate(func(b []byte) { b[4]++ }), "version"},
-		{"version-1", mutate(func(b []byte) { b[4], b[5] = 1, 0 }), "checkpoint version 1, this build reads version 2"},
+		{"version-1", mutate(func(b []byte) { b[4], b[5] = 1, 0 }), "checkpoint version 1, this build reads version 3"},
+		{"version-2", mutate(func(b []byte) { b[4], b[5] = 2, 0 }), "checkpoint version 2, this build reads version 3"},
 		{"length-mismatch", valid[:len(valid)-4], "length"},
 		{"crc", mutate(func(b []byte) { b[len(b)-1] ^= 0x01 }), "CRC"},
 		{"trailing", append(append([]byte(nil), mutate(func(b []byte) {})...), 0xAA), "length"},

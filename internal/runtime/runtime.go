@@ -185,7 +185,7 @@ type Framework struct {
 	ipPart *kernels.IPPartition // vblocked to the SPM capacity (used by SC and SCS)
 	opPart *kernels.OPPartition
 
-	// The framework over the reversed graph, for BC's backward sweep;
+	// The framework over the reversed graph, for BC's δ lane;
 	// see reversed.
 	revOnce sync.Once
 	rev     *Framework

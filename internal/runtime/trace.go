@@ -2,9 +2,9 @@ package runtime
 
 // Bounded per-iteration tracing. Every run records its IterStats into a
 // ring buffer sized by Options.TraceCap, so long-running jobs (many
-// PageRank iterations on a big graph, BC's sweeps) keep the most recent
-// window of the Fig. 9 decision trace without letting Report.Iters grow
-// with the iteration count. The Report still carries exact totals
+// PageRank iterations on a big graph) keep the most recent window of
+// the Fig. 9 decision trace without letting Report.Iters grow with the
+// iteration count. The Report still carries exact totals
 // (TotalIters, DroppedIters), so consumers can tell a complete trace
 // from a truncated one.
 
@@ -76,27 +76,4 @@ func (r *iterRing) slice() []IterStat {
 	out = append(out, r.buf[r.start:]...)
 	out = append(out, r.buf[:r.start]...)
 	return out
-}
-
-// absorb folds a sub-run's report into r, the way BCContext stitches
-// its one-iteration sub-runs into one logical run:
-// sub's trace entries are renumbered from iterOffset (every sub-run
-// restarts at 0) so the stitched trace reads in the Fig. 9 layout, the
-// counters and totals add up, and the trace obeys ringCap like a
-// loop-produced one (ringCap <= 0 keeps everything).
-func (r *Report) absorb(sub *Report, iterOffset, ringCap int) {
-	for i := range sub.Iters {
-		sub.Iters[i].Iter += iterOffset
-	}
-	r.Iters = append(r.Iters, sub.Iters...)
-	r.TotalIters += sub.TotalIters
-	r.DroppedIters += sub.DroppedIters
-	if drop := len(r.Iters) - ringCap; ringCap > 0 && drop > 0 {
-		r.DroppedIters += drop
-		r.Iters = append(r.Iters[:0], r.Iters[drop:]...)
-	}
-	r.TotalCycles += sub.TotalCycles
-	r.TotalWall += sub.TotalWall
-	r.EnergyJ += sub.EnergyJ
-	r.Stats.Add(sub.Stats)
 }

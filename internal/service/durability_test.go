@@ -665,3 +665,21 @@ func TestChaosDurableStore(t *testing.T) {
 		t.Errorf("GraphsRestored = %d, want 1", rec.GraphsRestored)
 	}
 }
+
+// TestDurableCloseIsPrompt: a durable leader's Close does not wait out
+// its replicator's heartbeat tick (1 s by default) or a reconnect
+// backoff; every replicator goroutine wakes on Close.
+func TestDurableCloseIsPrompt(t *testing.T) {
+	svc, err := Open(Config{
+		Workers: 1, QueueDepth: 4, DataDir: t.TempDir(), StoreNoSync: true,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	svc.Close()
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("durable Close took %v with the default 1s heartbeat", d)
+	}
+}

@@ -401,11 +401,7 @@ func (s *Scheduler) SubmitJob(j *Job, timeout time.Duration) error {
 		return shed
 	}
 	j.id = fmt.Sprintf("j%d", s.nextID+1)
-	j.created = now
-	j.state = JobQueued
 	j.timeout = timeout
-	j.done = make(chan struct{})
-	j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
 	if s.onSubmit != nil {
 		// Journal the submission while the job is still invisible; an
 		// append failure vetoes the job (durability is the contract).
@@ -413,26 +409,39 @@ func (s *Scheduler) SubmitJob(j *Job, timeout time.Duration) error {
 		// submissions, which is the price of "accepted means durable".
 		if err := s.onSubmit(j); err != nil {
 			s.mu.Unlock()
-			j.cancel()
 			if victim != nil {
 				s.settleEvicted(victim, j.tenant)
 			}
 			return err
 		}
 	}
-	j.enqueued = now
-	s.enqueueLocked(j)
+	// An eviction kept the queue length flat, so the victim's wake-up
+	// token serves the newcomer.
+	s.queueLocked(j, now, victim == nil)
 	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	if victim != nil {
 		s.settleEvicted(victim, j.tenant)
-	} else {
-		// Net queue growth: wake a worker. (An eviction kept the count
-		// flat, so the victim's token serves the newcomer.) Non-blocking:
-		// a full token channel already holds at least one wake-up per
-		// queued job, so dropping the send loses nothing.
+	}
+	return nil
+}
+
+// queueLocked makes j, whose id and timeout are set, a queued job: its
+// state, deadline context and done channel, its place in its tenant's
+// queue and the job table, the submit counters and, if wake is set, a
+// worker wake-up. SubmitJob and Restore share it. The wake-up is
+// non-blocking: a full token channel already holds at least one
+// wake-up per queued job, so dropping the send loses nothing.
+func (s *Scheduler) queueLocked(j *Job, now time.Time, wake bool) {
+	j.created = now
+	j.state = JobQueued
+	j.done = make(chan struct{})
+	j.ctx, j.cancel = context.WithTimeout(context.Background(), j.timeout)
+	j.enqueued = now
+	s.enqueueLocked(j)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	if wake {
 		select {
 		case s.ready <- struct{}{}:
 		default:
@@ -442,7 +451,6 @@ func (s *Scheduler) SubmitJob(j *Job, timeout time.Duration) error {
 	s.m.JobsQueued.Add(1)
 	s.m.TenantSubmitted(j.tenant)
 	s.m.TenantQueuedAdd(j.tenant, 1)
-	return nil
 }
 
 // admitLocked runs the soft admission checks (queue-delay shedding,
@@ -517,29 +525,14 @@ func (s *Scheduler) Restore(j *Job, id string, timeout time.Duration) error {
 		return ErrQueueFull
 	}
 	j.id = id
-	j.created = time.Now()
-	j.state = JobQueued
 	j.timeout = timeout
 	j.recovered = true
-	j.done = make(chan struct{})
-	j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
-	j.enqueued = j.created
-	s.enqueueLocked(j)
+	s.queueLocked(j, time.Now(), true)
 	var n int
 	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > s.nextID {
 		s.nextID = n
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
 	s.mu.Unlock()
-	select {
-	case s.ready <- struct{}{}:
-	default:
-	}
-	s.m.JobsSubmitted.Add(1)
-	s.m.JobsQueued.Add(1)
-	s.m.TenantSubmitted(j.tenant)
-	s.m.TenantQueuedAdd(j.tenant, 1)
 	return nil
 }
 
