@@ -41,8 +41,10 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # baseline's counts a function of the input alone (Jacobi pull) — and
 # concurrent runs: mixed algorithms sharing one engine answer exactly
 # what they answer alone, and same-graph service jobs overlap inside
-# one engine — and the native min-ring kernels: the heap-free push and
-# the branch-free pull bit-identical to the simulator's passes, and
+# one engine — and the native min-ring kernels: the heap-free push,
+# the flat pull and the closure-free merges bit-identical to the
+# simulator's passes and mergeValue, parallelChunks tiling its range
+# at any GOMAXPROCS, and
 # native BFS/SSSP equal to a plain BFS/Bellman–Ford oracle across
 # policies, geometries, sources, formats and weights that must take the
 # generic passes — and the simulator's host-side structures: every
@@ -54,7 +56,7 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
@@ -110,7 +112,8 @@ bench:
 # scale-16 power-law graph: one IP pass per Table I row and the closure
 # fallback (ns/edge), eight fused PPR lanes (ns/edge/lane), BFS and SSSP
 # pull and push swept over frontier density (BenchmarkNativeTraverse,
-# ns/edge and ns/op) and the dense merge (ns/vertex), with allocation
+# ns/edge and ns/op), the dense merge for PR, BFS and SSSP (ns/vertex)
+# and the BFS and SSSP scatter merge (ns/elem), with allocation
 # counts — then the cold engine
 # build (New + first IP call + first OP call) per resident format, in
 # ms/op and MB allocated/op.

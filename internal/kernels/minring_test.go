@@ -127,38 +127,236 @@ func TestNativeOPMinRingsMatchRunOP(t *testing.T) {
 	}
 }
 
-// TestNativeIPMinRingsMatchGenericPass runs the branch-free pull
-// against the simulator's generic pass at 1 %, 50 % and 100 % frontier
-// density, vblocked and not, as solo lanes and as two lanes of one
-// call; the SSSP frontier carries a zero distance and the destination
-// state zeros and +Inf.
+// sameMinRingPull fails unless the native pull of BFS and SSSP on xs
+// (one frontier per ring, in that order) reaches the simulator's
+// generic pass bit for bit, both as two lanes of one call and solo.
+func sameMinRingPull(t *testing.T, what string, c sim.Config, part *IPPartition, m *matrix.COO, xs []matrix.Dense, prev matrix.Dense) {
+	t.Helper()
+	rings := []semiring.Semiring{semiring.BFS(), semiring.SSSP()}
+	ops := make([]Operand, len(rings))
+	for l, ring := range rings {
+		ops[l] = opFor(ring, m, prev)
+		ops[l].Scratch = new(Scratch)
+	}
+	both := NativeIPMulti(part, xs, ops)
+	for l, ring := range rings {
+		want, _ := runIP(c, part, xs[l], ops[l])
+		sameBits(t, what+" "+ring.Name+" in a two-lane call", both[l], want)
+		solo := NativeIPMulti(part, xs[l:l+1], []Operand{opFor(ring, m, prev)})[0]
+		sameBits(t, what+" "+ring.Name+" solo", solo, want)
+	}
+}
+
+// coo builds a matrix from edges, each weighted 0.25·(1 + (row+col)%4).
+func coo(t *testing.T, n int, edges [][2]int32) *matrix.COO {
+	t.Helper()
+	elems := make([]matrix.Coord, len(edges))
+	for k, e := range edges {
+		elems[k] = matrix.Coord{Row: e[0], Col: e[1], Val: 0.25 * float32(1+(e[0]+e[1])%4)}
+	}
+	m, err := matrix.NewCOO(n, n, elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestNativeIPMinRingsMatchGenericPass runs the flat pull against the
+// simulator's generic pass, as solo lanes and as two lanes of one
+// call: at 0 % (every source inactive), 1 %, 50 % and 100 % frontier
+// density, vblocked and not, with a zero distance in the SSSP frontier
+// and zeros and +Inf in the destination state; on rows whose in-edges
+// span every vblock; on a partition with PEs that own no rows; and on
+// SSSP rows whose only finite sum lies above their destination value.
 func TestNativeIPMinRingsMatchGenericPass(t *testing.T) {
 	m := gen.PowerLaw(3000, 30000, 0.6, gen.UniformWeight, 9)
 	prev := minRingPrev(m.R)
 	c := cfg(2, 8, sim.SC)
+	rings := []semiring.Semiring{semiring.BFS(), semiring.SSSP()}
+	frontiers := func(n int, density float64) []matrix.Dense {
+		xs := make([]matrix.Dense, len(rings))
+		for l, ring := range rings {
+			xs[l] = minRingFrontier(n, density, uint64(3+l), ring).ToDense(ring.Identity)
+		}
+		return xs
+	}
 	for _, vblock := range []int{c.SPMWordsPerTile(), 64, 0} {
 		part := NewIPPartition(m, c.Geometry.TotalPEs(), vblock, BalanceNNZ)
 		part.Materialize()
 		if !part.minPlusSafe {
 			t.Fatal("a graph of weights in (0, 1] failed minPlusSafe")
 		}
-		for _, density := range []float64{0.01, 0.5, 1} {
-			rings := []semiring.Semiring{semiring.BFS(), semiring.SSSP()}
-			xs := make([]matrix.Dense, len(rings))
-			ops := make([]Operand, len(rings))
-			for l, ring := range rings {
-				xs[l] = minRingFrontier(m.C, density, uint64(3+l), ring).ToDense(ring.Identity)
-				ops[l] = opFor(ring, m, prev)
-				ops[l].Scratch = new(Scratch)
+		for _, density := range []float64{0, 0.01, 0.5, 1} {
+			what := fmt.Sprintf("vblock %d %.0f%%", vblock, 100*density)
+			sameMinRingPull(t, what, c, part, m, frontiers(m.C, density), prev)
+		}
+	}
+
+	t.Run("rows spanning every vblock", func(t *testing.T) {
+		// Rows below 40 take one in-edge from every 64-column vblock,
+		// so each of their rows is split into one run per vblock.
+		const n, width = 512, 64
+		var edges [][2]int32
+		for r := int32(0); r < n; r++ {
+			edges = append(edges, [2]int32{r, (r + 1) % n})
+			if r < 40 {
+				for vb := int32(0); vb < n/width; vb++ {
+					edges = append(edges, [2]int32{r, vb*width + (r*7+3)%width})
+				}
 			}
-			both := NativeIPMulti(part, xs, ops)
-			for l, ring := range rings {
-				what := fmt.Sprintf("vblock %d %.0f%% %s", vblock, 100*density, ring.Name)
-				want, _ := runIP(c, part, xs[l], ops[l])
-				sameBits(t, what+" in a two-lane call", both[l], want)
-				solo := NativeIPMulti(part, xs[l:l+1], []Operand{opFor(ring, m, prev)})[0]
-				sameBits(t, what+" solo", solo, want)
+		}
+		sm := coo(t, n, edges)
+		part := NewIPPartition(sm, c.Geometry.TotalPEs(), width, BalanceNNZ)
+		part.Materialize()
+		spans := 0 // vblock segments holding row 0, PE 0's first row
+		for _, seg := range part.Segs[0] {
+			if part.Row[seg.Lo] == 0 {
+				spans++
 			}
+		}
+		if spans != part.NumVBlocks {
+			t.Fatalf("row 0 spans %d of %d vblocks", spans, part.NumVBlocks)
+		}
+		for _, density := range []float64{0.05, 0.5, 1} {
+			sameMinRingPull(t, fmt.Sprintf("%.0f%%", 100*density), c, part, sm, frontiers(n, density), minRingPrev(n))
+		}
+	})
+
+	t.Run("PEs without rows", func(t *testing.T) {
+		// A hub row holding most of the edges leaves the nnz-balanced
+		// cut with empty PEs.
+		const n = 12
+		var edges [][2]int32
+		for col := int32(0); col < n; col++ {
+			edges = append(edges, [2]int32{3, col})
+		}
+		edges = append(edges, [2]int32{0, 5}, [2]int32{7, 2}, [2]int32{11, 3})
+		sm := coo(t, n, edges)
+		part := NewIPPartition(sm, c.Geometry.TotalPEs(), 4, BalanceNNZ)
+		part.Materialize()
+		empty := 0
+		for pe := 0; pe < part.NumPEs; pe++ {
+			if part.RowBounds[pe] == part.RowBounds[pe+1] {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatal("every PE owns rows")
+		}
+		for _, density := range []float64{0, 0.5, 1} {
+			sameMinRingPull(t, fmt.Sprintf("%.0f%%", 100*density), c, part, sm, frontiers(n, density), minRingPrev(n))
+		}
+	})
+
+	t.Run("SSSP sums above the destination", func(t *testing.T) {
+		// One active source at distance 100: every row it reaches has a
+		// single finite sum, above its destination value of 0.5 (or
+		// below an +Inf one); rows it does not reach stay +Inf.
+		part := NewIPPartition(m, c.Geometry.TotalPEs(), 64, BalanceNNZ)
+		part.Materialize()
+		hub := int32(0)
+		deg := m.OutDegrees()
+		for v, d := range deg {
+			if d > deg[hub] {
+				hub = int32(v)
+			}
+		}
+		xs := frontiers(m.C, 0)
+		xs[1][hub] = 100
+		low := make(matrix.Dense, m.R)
+		for i := range low {
+			low[i] = 0.5
+			if i%5 == 0 {
+				low[i] = inf32
+			}
+		}
+		sameMinRingPull(t, "one source", c, part, m, xs, low)
+		op := opFor(semiring.SSSP(), m, low)
+		got := NativeIPMulti(part, xs[1:], []Operand{op})[0]
+		held := 0
+		for r, v := range got {
+			if v == 0.5 {
+				held++
+			} else if v != inf32 && v < 100 {
+				t.Fatalf("row %d: %g, below the only finite sum", r, v)
+			}
+		}
+		if held == 0 {
+			t.Fatal("no row kept its destination value")
+		}
+	})
+}
+
+// TestNativeMinMergesMatchGeneric holds the specialised BFS/SSSP dense
+// and scatter merges to mergeValue and Improving — the generic body the
+// other rings and the simulator use — on contributions with NaN, ±Inf,
+// ±0 and ties, against values that include BFS rows already set: the
+// merged values must be bit-equal and the frontiers identical.
+func TestNativeMinMergesMatchGeneric(t *testing.T) {
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{nan, inf32, -inf32, 0, negZero, 1, 2.5, 3}
+	const n = 4096
+	contrib := make(matrix.Dense, n)
+	start := make(matrix.Dense, n)
+	for i := range contrib {
+		contrib[i] = specials[i%len(specials)]
+		start[i] = specials[(i/len(specials))%len(specials)]
+		if i%11 == 0 {
+			start[i] = contrib[i] // a tie
+		}
+	}
+	// Every tenth contribution index, as the sparse push output.
+	sparse := &matrix.SparseVec{N: n}
+	for i := 0; i < n; i += 10 {
+		sparse.Idx = append(sparse.Idx, int32(i))
+		sparse.Val = append(sparse.Val, contrib[i])
+	}
+	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+		op := Operand{Ring: ring}
+		if !minMerge(&op.Ring) {
+			t.Fatalf("%s: not merged as a plain min", ring.Name)
+		}
+		generic := func(idx []int32, vals []float32) (matrix.Dense, *matrix.SparseVec) {
+			out := start.Clone()
+			f := &matrix.SparseVec{N: n}
+			for k, i := range idx {
+				old := out[i]
+				nv := mergeValue(&op, i, vals[k], old)
+				out[i] = nv
+				if ring.Improving(nv, old) {
+					f.Idx = append(f.Idx, i)
+					f.Val = append(f.Val, nv)
+				}
+			}
+			return out, f
+		}
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		wantDense, wantDenseF := generic(all, contrib)
+		gotDense, gotDenseF := NativeMergeDense(contrib, start.Clone(), op)
+		sameBits(t, ring.Name+" dense merge values", gotDense, wantDense)
+		sameSparse(t, ring.Name+" dense merge frontier", gotDenseF, wantDenseF)
+
+		wantScatter, wantScatterF := generic(sparse.Idx, sparse.Val)
+		gotScatter, gotScatterF := NativeScatterMerge(sparse, start.Clone(), op)
+		sameBits(t, ring.Name+" scatter merge values", gotScatter, wantScatter)
+		sameSparse(t, ring.Name+" scatter merge frontier", gotScatterF, wantScatterF)
+		if wantDenseF.NNZ() == 0 || wantScatterF.NNZ() == 0 {
+			t.Fatalf("%s: no contribution improved a value", ring.Name)
+		}
+	}
+	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+		ring.VecOp = func(v, _ float32, _ semiring.Ctx) float32 { return v }
+		if minMerge(&ring) {
+			t.Fatalf("%s with a Vector_Op merged as a plain min", ring.Name)
+		}
+	}
+	for _, ring := range []semiring.Semiring{semiring.SpMV(), semiring.PR(), semiring.CF()} {
+		if minMerge(&ring) {
+			t.Fatalf("%s merged as a plain min", ring.Name)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package kernels
 // Layer benchmarks for the native backend's kernels (`make
 // bench-kernels`): one IP pass per Table I row, the closure fallback,
 // eight fused lanes, a density sweep of both dataflows for the min
-// rings, and the dense merge, all on the scale-16 power-law graph the
-// backend comparison uses, reported per edge (or per vertex).
+// rings, the dense merge for PR and both min rings and the min rings'
+// scatter merge, all on the scale-16 power-law graph the backend
+// comparison uses, reported per edge (per vertex for the dense merge,
+// per contribution element for the scatter merge).
 
 import (
 	"fmt"
@@ -147,18 +149,81 @@ func BenchmarkNativeTraverse(b *testing.B) {
 	}
 }
 
+// minMergeState is the value vector a min-ring merge starts from: for
+// BFS every third vertex already set (OnceOnly keeps it), for SSSP the
+// bench graph's finite destination state.
+func (g benchGraph) minMergeState(ring semiring.Semiring) matrix.Dense {
+	if ring.Kind == semiring.KindSSSP {
+		return g.prev.Clone()
+	}
+	vals := make(matrix.Dense, g.m.R)
+	for i := range vals {
+		vals[i] = ring.Identity
+		if i%3 == 0 {
+			vals[i] = float32(i)
+		}
+	}
+	return vals
+}
+
+// BenchmarkNativeMergeDense times the post-IP merge per vertex: PR,
+// whose Vector_Op ignores the old value, and the two min rings, whose
+// merge improves vals in place and so restarts from the same state
+// (outside the timer) every repetition.
 func BenchmarkNativeMergeDense(b *testing.B) {
 	g := newBenchGraph(b)
-	op := opFor(semiring.PR(), g.m, nil)
-	x := g.frontier(op.Ring)
-	contrib := NativeIPMulti(g.part, []matrix.Dense{x}, []Operand{op})[0]
-	vals := x.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The merge updates vals in place; PR's Vector_Op does not read
-		// the old value, so every repetition does the same work.
-		NativeMergeDense(contrib, vals, op)
+	for _, ring := range []semiring.Semiring{semiring.PR(), semiring.BFS(), semiring.SSSP()} {
+		b.Run(strings.ToLower(ring.Name), func(b *testing.B) {
+			op := opFor(ring, g.m, g.prev)
+			x := g.frontier(ring)
+			contrib := NativeIPMulti(g.part, []matrix.Dense{x}, []Operand{op})[0]
+			vals := x.Clone()
+			var start matrix.Dense
+			if ring.Kind != semiring.KindPR {
+				start = g.minMergeState(ring)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if start != nil {
+					b.StopTimer()
+					copy(vals, start)
+					b.StartTimer()
+				}
+				NativeMergeDense(contrib, vals, op)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vals)), "ns/vertex")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vals)), "ns/vertex")
+}
+
+// BenchmarkNativeScatterMerge times the post-OP merge of the two min
+// rings per contribution element: the push output of a 10 % frontier
+// merged into the same starting state every repetition (reset outside
+// the timer).
+func BenchmarkNativeScatterMerge(b *testing.B) {
+	g := newBenchGraph(b)
+	const tiles, pesPerTile = 16, 16
+	part := NewOPPartition(g.m, tiles, BalanceNNZ)
+	f := gen.Frontier(g.m.C, 0.1, 17)
+	for k, i := range f.Idx {
+		f.Val[k] = float32(i%13) * 0.25
+	}
+	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+		b.Run(strings.ToLower(ring.Name), func(b *testing.B) {
+			op := opFor(ring, g.m, g.prev)
+			contrib := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{op}, pesPerTile)[0]
+			start := g.minMergeState(ring)
+			vals := start.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(vals, start)
+				b.StartTimer()
+				NativeScatterMerge(contrib, vals, op)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(contrib.NNZ(), 1)), "ns/elem")
+		})
+	}
 }

@@ -33,7 +33,10 @@ func bitsOf(x []float32) []uint32 {
 // per tile. Every lane's result is bit-identical to the simulator's and
 // independent of how many lanes ride along: the sum rings replay the
 // simulated passes' float operation order exactly, and the min-ring
-// forms run only where min does not depend on that order (MinRingFast).
+// forms run only where min does not depend on that order (MinRingFast)
+// — so they ignore it: the BFS/SSSP pull is one flat min per edge over
+// the PE's elements, and the vblock row runs the simulator's scratchpad
+// needs do not exist for them.
 
 // NativeIPMulti runs k fused inner-product passes on the host,
 // parallel over PE row partitions. Each PE's COO share is traversed
@@ -76,7 +79,7 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 		// PR/PPR's and BFS's Matrix_Op read only the source: apply it
 		// once per source instead of once per edge. The edge loop then
 		// reduces the same float32 the closure would have produced.
-		parallelChunks(part.C, func(_ int, lo, hi int32) {
+		parallelFor(part.C, func(lo, hi int32) {
 			for l := range ops {
 				x, y := xs[l][lo:hi], srcs[l][lo:hi]
 				switch ops[l].Ring.Kind {
@@ -101,7 +104,7 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 			}
 		})
 	}
-	parallelChunks(part.NumPEs, func(_ int, lo, hi int32) {
+	parallelFor(part.NumPEs, func(lo, hi int32) {
 		for pe := int(lo); pe < int(hi); pe++ {
 			nativeIPPELanes(part, pe, srcs, outs, ops)
 		}
@@ -119,10 +122,11 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 // out[row] = Reduce(out[row], acc) on row change and segment end;
 // sparse-frontier rings skip identity-valued sources. So every float32
 // rounding step matches the simulated pass and results stay bit-identical across
-// backends and lane counts. The min-ring loops reach the same bits
-// without the skip (see ipBFS, ipSSSP); SSSP on a graph outside
-// minPlusSafe takes the closure loop. The PE first resets its own
-// output rows to the identity.
+// backends and lane counts. The min-ring loops reach the same bits with
+// neither the skip nor the segments: one min per edge over the PE's
+// whole element range, in any order (see ipBFS, ipSSSP); SSSP on a
+// graph outside minPlusSafe takes the closure loop. The PE first
+// resets its own output rows to the identity.
 func nativeIPPELanes(part *IPPartition, pe int, srcs, outs []matrix.Dense, ops []Operand) {
 	segs := part.Segs[pe]
 	for l := range ops {
@@ -136,10 +140,10 @@ func nativeIPPELanes(part *IPPartition, pe int, srcs, outs []matrix.Dense, ops [
 		case semiring.KindSpMV:
 			ipSpMV(part, segs, x, out)
 		case semiring.KindBFS:
-			ipBFS(part, segs, x, out)
+			ipBFS(part, pe, x, out)
 		case semiring.KindSSSP:
 			if part.minPlusSafe {
-				ipSSSP(part, segs, x, out, op.Prev)
+				ipSSSP(part, pe, x, out, op.Prev)
 			} else {
 				ipClosures(part, segs, x, out, op)
 			}
@@ -182,48 +186,77 @@ func ipSpMV(part *IPPartition, segs []Seg, x, out matrix.Dense) {
 	}
 }
 
-// ipBFS: y holds each source's proposal from the pre-pass, so the edge
-// loop walks row runs like ipPR with an unsigned min on the bits in
-// place of the add — no skip and no branch but the run's end. An
-// inactive source proposes +Inf, which leaves min unchanged, so a run
-// with no frontier source leaves out[row] where the skipping closure
-// loop leaves it; proposals are non-negative, where min is order-free.
-func ipBFS(part *IPPartition, segs []Seg, y, out matrix.Dense) {
+// The min-ring pulls walk a PE's elements as four interleaved streams,
+// each a quarter of the range long. One stream would chain every edge
+// of a long row (a dense graph, or one vblock) through the same
+// load–min–store of out[row], each waiting for the last; a quarter of
+// the range apart, the streams rarely share a row, so four such chains
+// run at once. Short rows gain nothing from it and lose nothing.
+
+// ipBFS: y holds each source's proposal from the pre-pass (its own id
+// for a frontier source, +Inf for any other), so the pull is one
+// unsigned min on the bits per edge over the PE's whole element range:
+// no skip, no row runs, no vblock segments. Proposals are non-negative,
+// where min is order-free, and an inactive source's +Inf leaves
+// out[row] where the skipping closure loop leaves it.
+func ipBFS(part *IPPartition, pe int, y, out matrix.Dense) {
+	lo, hi := part.PEPtr[pe], part.PEPtr[pe+1]
+	rows, cols := part.Row[lo:hi], part.Col[lo:hi]
 	yb, ob := bitsOf(y), bitsOf(out)
-	for _, seg := range segs {
-		rows, cols := part.Row[seg.Lo:seg.Hi], part.Col[seg.Lo:seg.Hi]
-		for e := 0; e < len(cols); {
-			row, acc := rows[e], yb[cols[e]]
-			for e++; e < len(cols) && rows[e] == row; e++ {
-				acc = min(acc, yb[cols[e]])
-			}
-			ob[row] = min(ob[row], acc)
-		}
+	q := len(cols) / 4
+	for e := 4 * q; e < len(cols); e++ {
+		r := rows[e]
+		ob[r] = min(ob[r], yb[cols[e]])
+	}
+	r0, r1, r2, r3 := rows[:q], rows[q:2*q], rows[2*q:3*q], rows[3*q:4*q]
+	c0, c1, c2, c3 := cols[:q], cols[q:2*q], cols[2*q:3*q], cols[3*q:4*q]
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	c0, c1, c2, c3 = c0[:len(r0)], c1[:len(r0)], c2[:len(r0)], c3[:len(r0)]
+	for i, a := range r0 {
+		b, c, d := r1[i], r2[i], r3[i]
+		ob[a] = min(ob[a], yb[c0[i]])
+		ob[b] = min(ob[b], yb[c1[i]])
+		ob[c] = min(ob[c], yb[c2[i]])
+		ob[d] = min(ob[d], yb[c3[i]])
 	}
 }
 
-// ipSSSP: Matrix_Op = min(V_src + Sp, V_dst), Reduce = min, as row runs
-// of unsigned mins on the bits (minPlusSafe keeps every operand
-// non-negative). An inactive source's +Inf plus a finite weight is
-// +Inf, so it needs no skip; but the closure loop applies min(·, V_dst)
-// only to runs holding a frontier source, so a run whose sums are all
-// +Inf leaves out[row] alone.
-func ipSSSP(part *IPPartition, segs []Seg, x, out, prev matrix.Dense) {
-	ob, pb := bitsOf(out), bitsOf(prev)
-	for _, seg := range segs {
-		rows, cols, vals := part.Row[seg.Lo:seg.Hi], part.Col[seg.Lo:seg.Hi], part.Val[seg.Lo:seg.Hi]
-		vals = vals[:len(cols)]
-		for e := 0; e < len(cols); {
-			row := rows[e]
-			acc := math.Float32bits(x[cols[e]] + vals[e])
-			for e++; e < len(cols) && rows[e] == row; e++ {
-				acc = min(acc, math.Float32bits(x[cols[e]]+vals[e]))
-			}
-			m := min(acc, pb[row])
-			if acc == infBits {
-				m = infBits
-			}
-			ob[row] = min(ob[row], m)
+// ipSSSP: Matrix_Op = min(V_src + Sp, V_dst), Reduce = min, as one
+// unsigned min on the bits per edge over the PE's element range
+// (minPlusSafe keeps every operand non-negative), then one pass over
+// the PE's own rows for V_dst. An inactive source's +Inf plus a finite
+// weight is +Inf, so it needs no skip; but the closure loop applies
+// min(·, V_dst) only to rows holding a frontier source, so a row whose
+// sums are all +Inf stays +Inf. Any other row ends at min(its finite
+// sums, V_dst) — the bits the closure loop's per-run guard reaches.
+func ipSSSP(part *IPPartition, pe int, x, out, prev matrix.Dense) {
+	lo, hi := part.PEPtr[pe], part.PEPtr[pe+1]
+	rows, cols, vals := part.Row[lo:hi], part.Col[lo:hi], part.Val[lo:hi]
+	ob := bitsOf(out)
+	q := len(cols) / 4
+	for e := 4 * q; e < len(cols); e++ {
+		r := rows[e]
+		ob[r] = min(ob[r], math.Float32bits(x[cols[e]]+vals[e]))
+	}
+	r0, r1, r2, r3 := rows[:q], rows[q:2*q], rows[2*q:3*q], rows[3*q:4*q]
+	c0, c1, c2, c3 := cols[:q], cols[q:2*q], cols[2*q:3*q], cols[3*q:4*q]
+	v0, v1, v2, v3 := vals[:q], vals[q:2*q], vals[2*q:3*q], vals[3*q:4*q]
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	c0, c1, c2, c3 = c0[:len(r0)], c1[:len(r0)], c2[:len(r0)], c3[:len(r0)]
+	v0, v1, v2, v3 = v0[:len(r0)], v1[:len(r0)], v2[:len(r0)], v3[:len(r0)]
+	for i, a := range r0 {
+		b, c, d := r1[i], r2[i], r3[i]
+		ob[a] = min(ob[a], math.Float32bits(x[c0[i]]+v0[i]))
+		ob[b] = min(ob[b], math.Float32bits(x[c1[i]]+v1[i]))
+		ob[c] = min(ob[c], math.Float32bits(x[c2[i]]+v2[i]))
+		ob[d] = min(ob[d], math.Float32bits(x[c3[i]]+v3[i]))
+	}
+	rlo, rhi := part.RowBounds[pe], part.RowBounds[pe+1]
+	own, pb := ob[rlo:rhi], bitsOf(prev[rlo:rhi])
+	pb = pb[:len(own)]
+	for i, v := range own {
+		if v != infBits {
+			own[i] = min(v, pb[i])
 		}
 	}
 }
@@ -344,7 +377,7 @@ func NativeOPMulti(part *OPPartition, fs []*matrix.SparseVec, ops []Operand, pes
 	for l := range tileOut {
 		tileOut[l] = make([][]opPair, part.Tiles)
 	}
-	parallelChunks(part.Tiles, func(_ int, tlo, thi int32) {
+	parallelFor(part.Tiles, func(tlo, thi int32) {
 		var acc *minAcc
 		if anyMin {
 			acc = getMinAcc(part)

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"cosparse/internal/gen"
@@ -159,4 +160,31 @@ func TestNativeIPDispatchIsOnKindNotName(t *testing.T) {
 		}
 	}
 	t.Fatal("a custom ring named PR produced PageRank's contributions: dispatch is on the name")
+}
+
+// TestParallelChunksTilesRange holds parallelChunks to its contract at
+// several GOMAXPROCS settings: one result per chunk, in chunk order,
+// the chunks tiling [0, n) without gaps, and never more chunks than
+// GOMAXPROCS or than n (but at least one).
+func TestParallelChunksTilesRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 7, 1000} {
+			got := parallelChunks(n, func(lo, hi int32) [2]int32 { return [2]int32{lo, hi} })
+			if want := max(min(procs, n), 1); len(got) != want {
+				t.Fatalf("GOMAXPROCS %d, n %d: %d chunks, want %d", procs, n, len(got), want)
+			}
+			next := int32(0)
+			for c, r := range got {
+				if r[0] != next || r[1] < r[0] {
+					t.Fatalf("GOMAXPROCS %d, n %d: chunk %d is [%d, %d), want it to start at %d", procs, n, c, r[0], r[1], next)
+				}
+				next = r[1]
+			}
+			if next != int32(n) {
+				t.Fatalf("GOMAXPROCS %d, n %d: chunks end at %d", procs, n, next)
+			}
+		}
+	}
 }

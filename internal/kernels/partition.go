@@ -157,8 +157,7 @@ func (p *IPPartition) materialize() {
 		}
 		return col / int32(p.VBlockWords)
 	}
-	maxBits := make([]uint32, p.NumPEs) // per worker chunk
-	chunks := parallelChunks(p.NumPEs, func(c int, peLo, peHi int32) {
+	maxBits := parallelChunks(p.NumPEs, func(peLo, peHi int32) uint32 {
 		// Scratch for one PE's decoded row chunk, reused across the
 		// worker's PEs.
 		var cRow, cCol []int32
@@ -199,9 +198,9 @@ func (p *IPPartition) materialize() {
 				p.Val[at] = cVal[k]
 			}
 		}
-		maxBits[c] = mx
+		return mx
 	})
-	p.minPlusSafe = minPlusSafe(slices.Max(maxBits[:chunks]), p.R)
+	p.minPlusSafe = minPlusSafe(slices.Max(maxBits), p.R)
 }
 
 // Validate checks the partition invariants: every source element
@@ -301,8 +300,7 @@ func (p *OPPartition) materialize() {
 	p.ColPtr = make([][]int32, p.Tiles)
 	p.Row = make([][]int32, p.Tiles)
 	p.Val = make([][]float32, p.Tiles)
-	maxBits := make([]uint32, p.Tiles) // per worker chunk
-	chunks := parallelChunks(p.Tiles, func(c int, tLo, tHi int32) {
+	maxBits := parallelChunks(p.Tiles, func(tLo, tHi int32) uint32 {
 		// Scratch for one tile's decoded row range and its per-column
 		// fill cursors, reused across the worker's tiles.
 		var cRow, cCol []int32
@@ -332,9 +330,9 @@ func (p *OPPartition) materialize() {
 			}
 			p.ColPtr[t], p.Row[t], p.Val[t] = colPtr, row, val
 		}
-		maxBits[c] = mx
+		return mx
 	})
-	p.minPlusSafe = minPlusSafe(slices.Max(maxBits[:chunks]), p.R)
+	p.minPlusSafe = minPlusSafe(slices.Max(maxBits), p.R)
 }
 
 // minPlusSafe reports whether a graph whose stored values have maxBits
@@ -350,7 +348,7 @@ func minPlusSafe(maxBits uint32, n int) bool {
 
 // MinRingFast reports whether the native kernels run ring's lanes
 // through the min-ring forms — the dense-accumulator push and the
-// branch-free pull — on this graph: BFS always (it never reads a
+// flat pull — on this graph: BFS always (it never reads a
 // stored value), SSSP when minPlusSafe holds. Every other ring, and
 // SSSP on a graph that fails the check, takes the generic passes. It
 // materialises the partition if that has not happened yet.

@@ -98,12 +98,14 @@ type Policy struct {
 	// NativeMinCrossover replaces NativeCrossover for a lane whose ring
 	// runs the native min-ring kernels (kernels.OPPartition.MinRingFast:
 	// BFS, and SSSP on non-negative finite weights). Their push has no
-	// heap — a dense accumulator per worker — and their pull has no
-	// per-edge skip, so
-	// the crossover moves up to where a sweep of every edge costs less
-	// than scattering the active columns' edges. Fitted on job time
-	// (BENCH_backends.json "native_min_crossover_fit"): flat within the
-	// spread over 0.1–0.3, slowest at 0.01 on every graph.
+	// heap — a dense accumulator per worker — and their pull is one
+	// flat min per edge, so the crossover moves up to where a sweep of
+	// every edge costs less than scattering the active columns' edges.
+	// Fitted on job time (BENCH_backends.json
+	// "native_min_crossover_fit"). The value stays while its median
+	// job time is within the quartile spread of the best candidate on
+	// every graph. With the flat pull, 0.1 and 0.2 both pass; 0.01–0.05
+	// fall outside on vsp and 0.3–0.4 on pokec.
 	NativeMinCrossover float64
 }
 
