@@ -1,18 +1,17 @@
 package main
 
-// Hot-standby failover chaos test: a leader cosparsed streams its
-// journal and checkpoints to a follower process, is SIGKILLed with a
+// Hot-standby failover chaos test: a follower process polls a leader
+// cosparsed's journal and checkpoints, the leader is SIGKILLed with a
 // mixed batch of jobs in flight — two mid-checkpoint PageRanks pinning
 // the workers, traversals queued behind them, and a fused batch pair —
 // and the follower is promoted. Every job must finish on the promoted
 // node under its original id with a result bit-identical to an
 // uninterrupted run, on both execution backends. This is the
-// end-to-end proof of the replication layer: resync, frame streaming,
-// checkpoint shipping, epoch fencing, and promote-time recovery,
+// end-to-end proof of the replication layer: resync, log polling,
+// checkpoint replication, epoch fencing, and promote-time recovery,
 // all through real binaries and real process death.
 
 import (
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -93,7 +92,6 @@ func TestChaosFailover(t *testing.T) {
 	follower := startDaemon(t, bin, t.TempDir(), followerPort,
 		"-workers", "2",
 		"-follow", leader.base,
-		"-advertise", fmt.Sprintf("http://127.0.0.1:%d", followerPort),
 	)
 
 	// Wait for the initial resync to commit: /readyz flips to 200 with

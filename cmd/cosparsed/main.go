@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -70,11 +69,10 @@ func main() {
 	noSync := flag.Bool("store-no-sync", false, "skip fsync in the durability store (testing only; voids crash consistency)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "gather window for multi-source job fusion: compatible jobs arriving within it coalesce into one fused multi-vector run (0 = disable batching)")
 	follow := flag.String("follow", "", "start as a hot standby of the leader at this base URL (requires -data-dir; mutating endpoints answer 503 until promoted)")
-	advertise := flag.String("advertise", "", "base URL this node is reachable at, sent to the leader when following (default derived from -addr)")
 	replMode := flag.String("repl-mode", "async", "leader submit-ack coupling: async (ack on local durability) or semisync (hold acks for the follower's journal ack)")
 	semisyncTimeout := flag.Duration("semisync-timeout", 2*time.Second, "cap on the semisync ack wait before falling back to async (counted in metrics)")
-	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "leader-to-follower heartbeat cadence")
-	promoteAfter := flag.Duration("promote-after", 0, "auto-promote a synced standby when no leader heartbeat arrives for this long (0 = manual promotion only via POST /v1/admin/promote)")
+	replHeartbeat := flag.Duration("repl-heartbeat", time.Second, "how long the leader holds a caught-up follower poll before answering it empty (the follower's heartbeat); also a promoted node's fence-post retry cadence")
+	promoteAfter := flag.Duration("promote-after", 0, "auto-promote a synced standby when the leader has answered no poll for this long (0 = manual promotion only via POST /v1/admin/promote)")
 	shedTarget := flag.Duration("shed-target", 0, "queue-delay shedding target: submissions are shed with 429 while dequeue delays stay above it (0 = default 1s, negative = disable)")
 	shedInterval := flag.Duration("shed-interval", 0, "how long queue delays must exceed -shed-target before shedding arms (0 = default 100ms)")
 	flag.Parse()
@@ -96,20 +94,6 @@ func main() {
 	}
 	if *maxBody <= 0 || *drainTimeout <= 0 {
 		fail(fmt.Errorf("need -max-body > 0, -drain-timeout > 0"))
-	}
-	if *follow != "" {
-		if *dataDir == "" {
-			fail(fmt.Errorf("-follow requires -data-dir (the replicated journal lives there)"))
-		}
-		if *advertise == "" {
-			// ":8080" → "http://127.0.0.1:8080"; an explicit host:port is
-			// used as-is. Cross-host deployments should pass -advertise.
-			host := *addr
-			if strings.HasPrefix(host, ":") {
-				host = "127.0.0.1" + host
-			}
-			*advertise = "http://" + host
-		}
 	}
 	if *semisyncTimeout <= 0 || *replHeartbeat <= 0 {
 		fail(fmt.Errorf("need -semisync-timeout and -repl-heartbeat > 0"))
@@ -165,7 +149,6 @@ func main() {
 		StoreNoSync:        *noSync,
 		BatchWindow:        *batchWindow,
 		FollowLeader:       *follow,
-		AdvertiseURL:       *advertise,
 		ReplMode:           *replMode,
 		SemisyncTimeout:    *semisyncTimeout,
 		ReplHeartbeatEvery: *replHeartbeat,
@@ -197,6 +180,9 @@ func main() {
 		WriteTimeout:      *maxTimeout + time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// A caught-up follower's poll is held for up to -repl-heartbeat;
+	// answer it as soon as shutdown starts instead of waiting it out.
+	srv.RegisterOnShutdown(svc.ReleaseReplication)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

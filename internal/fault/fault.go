@@ -54,14 +54,10 @@ const (
 	SnapshotWrite Point = "store.snapshot_write"
 	// RecoverReplay covers startup journal replay, per record.
 	RecoverReplay Point = "store.recover_replay"
-	// ReplSend covers the leader-side replicator before every POST to
-	// the follower (frame batches, snapshots, resync chunks,
-	// heartbeats). An injected error is a simulated network failure and
-	// drives the reconnect/backoff path.
+	// ReplSend covers the leader before it serves a replication
+	// request (log poll, resync listing, snapshot). An injected error
+	// answers 503, a simulated network failure the follower retries.
 	ReplSend Point = "repl.send"
-	// ReplAck covers the leader's processing of a follower ack, after
-	// the HTTP response arrived and before semisync waiters release.
-	ReplAck Point = "repl.ack"
 	// ReplApply covers the follower's application of a replicated
 	// batch, before any record reaches its journal.
 	ReplApply Point = "repl.apply"
@@ -72,7 +68,7 @@ const (
 func Points() []Point {
 	return []Point{GraphBuild, EngineBuild, JobRun, Iteration, HTTPHandler,
 		JournalAppend, StoreSync, SnapshotWrite, RecoverReplay,
-		ReplSend, ReplAck, ReplApply}
+		ReplSend, ReplApply}
 }
 
 // Rule arms one point. Rates are probabilities in [0, 1] evaluated

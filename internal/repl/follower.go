@@ -1,119 +1,101 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cosparse/internal/fault"
 	"cosparse/internal/store"
 )
 
-// Wire headers carried on every replication request.
 const (
-	// HeaderEpoch carries the sender's replication epoch.
-	HeaderEpoch = "X-Repl-Epoch"
-	// HeaderBaseSeq carries the sequence number of the first record
-	// in an apply batch.
-	HeaderBaseSeq = "X-Repl-Base-Seq"
+	// maxReplyBytes bounds one reply body: a log response or a
+	// checkpoint image.
+	maxReplyBytes = 64 << 20
+	// transferAllowance is added to twice the leader's reported hold
+	// to give each request its deadline.
+	transferAllowance = 5 * time.Second
+	// retryPause is the wait before the next request after a failed
+	// one.
+	retryPause = 100 * time.Millisecond
 )
 
-// maxApplyBytes bounds a single replication request body.
-const maxApplyBytes = 64 << 20
+var (
+	// errResync: the leader refused the cursor (another session, a
+	// compacted segment, out of range); only a full resync helps.
+	errResync = errors.New("repl: leader requires a resync")
+	// errMissing: the leader has no snapshot for the job (it settled).
+	errMissing = errors.New("repl: snapshot not on leader")
+	// errPromoted: this node was promoted while a response was in
+	// flight; nothing more is applied.
+	errPromoted = errors.New("repl: follower promoted")
+)
 
 // FollowerConfig configures the standby side.
 type FollowerConfig struct {
-	// Store is the follower's own journal; the replicated stream is
-	// applied into it.
+	// Store is the follower's own journal; the leader's log is applied
+	// into it.
 	Store *store.Store
-	// DataDir holds the persisted epoch file.
-	DataDir string
-	// LeaderURL is the leader base URL to register with.
+	// LeaderURL is the base URL of the leader to poll.
 	LeaderURL string
-	// SelfURL is this follower's advertised base URL, sent to the
-	// leader at registration so the leader knows where to stream.
-	SelfURL string
-	// PromoteAfter auto-promotes when no leader heartbeat has arrived
-	// for this long (only once the follower has synced at least once
-	// and heard at least one heartbeat). Zero disables auto-promote.
+	// PromoteAfter auto-promotes when the leader has answered no
+	// request for this long, once a resync has committed. Zero
+	// disables auto-promote.
 	PromoteAfter time.Duration
-	// RegisterEvery is the re-registration cadence while the leader
-	// is silent (default 1s).
-	RegisterEvery time.Duration
-	// OnPromote is invoked (once) from the heartbeat watchdog when
-	// PromoteAfter fires; the callback runs the service's promote
-	// path. Manual promotion goes through the service directly.
+	// OnPromote is invoked (once) by the watchdog when PromoteAfter
+	// fires; the callback runs the service's promote path. Manual
+	// promotion goes through the service directly.
 	OnPromote func(reason string)
 	// Faults taps the repl.apply injection point.
 	Faults *fault.Injector
 	// Stats receives state/lag/counter updates. Required.
 	Stats *Stats
 	// Logger receives replication lifecycle lines. May be nil.
-	Logger *log.Logger
-	// Client is used for registration posts (default http.Client
-	// with a short timeout).
-	Client *http.Client
+	Logger *slog.Logger
 }
 
-// Follower applies a leader's replication stream into the local store
-// and watches leader liveness. All HTTP handlers are mounted by the
-// service under /v1/repl/.
+// Follower pulls a leader's journal into the local store and watches
+// leader liveness. It mounts no HTTP handler: everything it applies
+// comes from responses to its own requests.
 type Follower struct {
-	cfg    FollowerConfig
-	client *http.Client
+	cfg FollowerConfig
 
-	mu            sync.Mutex
-	epoch         uint64
-	nextSeq       uint64 // next expected leader sequence number; 0 until first resync commit
-	synced        bool
-	stagingActive bool
-	staging       []store.Record
-	stagingSnaps  map[string][]byte
-	lastHB        time.Time
-	leaderSeq     uint64
-
-	promoted  atomic.Bool
-	promoteFn sync.Once
-	done      chan struct{}
+	// mu also serialises journal writes with MarkPromoted, so a
+	// promote never races an apply.
+	mu    sync.Mutex
+	epoch uint64
+	// session, seq, seg and off are the cursor: the leader session it
+	// belongs to (0 until the first resync commits, never after), the
+	// last applied leader sequence number, and the segment and byte
+	// offset it ends at.
+	session  uint64
+	seq      uint64
+	seg      int
+	off      int64
+	hold     time.Duration // the leader's reported poll hold
+	lastHB   time.Time     // when the leader last answered 200
+	promoted bool
+	stopRun  context.CancelFunc // Run's, called by MarkPromoted
 }
 
 // NewFollower builds a follower, loading the persisted epoch.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	epoch, err := LoadEpoch(cfg.DataDir)
+	epoch, err := LoadEpoch(cfg.Store.Dir())
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RegisterEvery <= 0 {
-		cfg.RegisterEvery = time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
 	cfg.Stats.State.Store(StateSyncing)
-	return &Follower{cfg: cfg, client: client, epoch: epoch, done: make(chan struct{})}, nil
-}
-
-func (f *Follower) logf(format string, args ...any) {
-	if f.cfg.Logger != nil {
-		f.cfg.Logger.Printf(format, args...)
-	}
-}
-
-// Epoch returns the follower's current replication epoch.
-func (f *Follower) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
+	return &Follower{cfg: cfg, epoch: epoch}, nil
 }
 
 // Synced reports whether at least one resync has committed, i.e. the
@@ -121,395 +103,7 @@ func (f *Follower) Epoch() uint64 {
 func (f *Follower) Synced() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.synced
-}
-
-// MarkPromoted fences the old leader: it bumps and durably persists
-// the epoch, after which every replication request carrying the old
-// epoch is rejected with 409. Idempotent — a second call returns the
-// already-bumped epoch without bumping again.
-func (f *Follower) MarkPromoted() (uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.promoted.Load() {
-		return f.epoch, nil
-	}
-	next := f.epoch + 1
-	if err := SaveEpoch(f.cfg.DataDir, next); err != nil {
-		return f.epoch, err
-	}
-	f.epoch = next
-	f.promoted.Store(true)
-	close(f.done)
-	f.logf("repl: promoted at epoch %d", next)
-	return next, nil
-}
-
-// Run registers with the leader and watches heartbeats until ctx ends
-// or the follower is promoted. It re-registers while the leader is
-// silent (covering leader restarts that lost the persisted follower
-// URL) and triggers OnPromote when PromoteAfter elapses with no
-// heartbeat.
-func (f *Follower) Run(ctx context.Context) {
-	interval := f.cfg.RegisterEvery
-	if f.cfg.PromoteAfter > 0 && f.cfg.PromoteAfter/4 < interval {
-		interval = f.cfg.PromoteAfter / 4
-	}
-	if interval < 50*time.Millisecond {
-		interval = 50 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var lastRegister time.Time
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-f.done:
-			return
-		case now := <-t.C:
-			f.mu.Lock()
-			hb := f.lastHB
-			synced := f.synced
-			f.mu.Unlock()
-			if f.promoted.Load() {
-				return
-			}
-			// Auto-promote only when this standby has a coherent
-			// journal AND positively saw the leader alive before it
-			// went silent; a standby that never connected stays a
-			// standby.
-			if f.cfg.PromoteAfter > 0 && synced && !hb.IsZero() && now.Sub(hb) > f.cfg.PromoteAfter {
-				f.promoteFn.Do(func() {
-					f.logf("repl: leader heartbeat timeout (%.1fs), promoting", now.Sub(hb).Seconds())
-					if f.cfg.OnPromote != nil {
-						go f.cfg.OnPromote("leader heartbeat timeout")
-					}
-				})
-				continue
-			}
-			// (Re-)register while the leader is silent.
-			if hb.IsZero() || now.Sub(hb) > f.cfg.RegisterEvery {
-				if now.Sub(lastRegister) >= f.cfg.RegisterEvery {
-					lastRegister = now
-					f.register(ctx)
-				}
-			}
-		}
-	}
-}
-
-func (f *Follower) register(ctx context.Context) {
-	body, _ := json.Marshal(map[string]any{"url": f.cfg.SelfURL, "epoch": f.Epoch()})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(f.cfg.LeaderURL, "/")+"/v1/repl/register", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		f.logf("repl: registered with leader %s", f.cfg.LeaderURL)
-	}
-}
-
-// checkEpoch enforces the fencing rules on an incoming replication
-// request: a promoted follower rejects everything; a request from a
-// lower epoch is a stale leader (409); a higher epoch is adopted and
-// persisted. Returns false after writing the response.
-func (f *Follower) checkEpoch(w http.ResponseWriter, r *http.Request) bool {
-	if f.promoted.Load() {
-		httpError(w, http.StatusConflict, "follower promoted (epoch %d): stale leader stream rejected", f.Epoch())
-		return false
-	}
-	reqEpoch, err := strconv.ParseUint(r.Header.Get(HeaderEpoch), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "missing or bad %s header", HeaderEpoch)
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if reqEpoch < f.epoch {
-		httpError(w, http.StatusConflict, "stale epoch %d (follower at %d)", reqEpoch, f.epoch)
-		return false
-	}
-	if reqEpoch > f.epoch {
-		if err := SaveEpoch(f.cfg.DataDir, reqEpoch); err != nil {
-			httpError(w, http.StatusInternalServerError, "persist epoch: %v", err)
-			return false
-		}
-		f.epoch = reqEpoch
-	}
-	return true
-}
-
-// Handler returns the follower's replication endpoints, to be mounted
-// under /v1/repl/ by the service.
-func (f *Follower) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/repl/apply", f.handleApply)
-	mux.HandleFunc("POST /v1/repl/heartbeat", f.handleHeartbeat)
-	mux.HandleFunc("POST /v1/repl/resync/begin", f.handleResyncBegin)
-	mux.HandleFunc("POST /v1/repl/resync/chunk", f.handleResyncChunk)
-	mux.HandleFunc("POST /v1/repl/resync/snapshot/{job}", f.handleResyncSnapshot)
-	mux.HandleFunc("POST /v1/repl/resync/commit", f.handleResyncCommit)
-	mux.HandleFunc("POST /v1/repl/snapshot/{job}", f.handleSnapshot)
-	return mux
-}
-
-func (f *Follower) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxApplyBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return nil, false
-	}
-	return data, true
-}
-
-// handleApply ingests a tail batch of journal frames. The batch is
-// decoded and CRC-verified in full before anything is appended — a
-// torn or corrupt body is rejected atomically with 400 and the
-// follower's journal is untouched. Sequence continuity: a batch
-// entirely at or below the applied cursor is acked as a duplicate, an
-// overlapping batch has its stale prefix skipped, and a batch starting
-// above the cursor is a gap — 409, which sends the leader back to a
-// full resync.
-func (f *Follower) handleApply(w http.ResponseWriter, r *http.Request) {
-	if err := f.cfg.Faults.Check(fault.ReplApply); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	base, err := strconv.ParseUint(r.Header.Get(HeaderBaseSeq), 10, 64)
-	if err != nil || base == 0 {
-		httpError(w, http.StatusBadRequest, "missing or bad %s header", HeaderBaseSeq)
-		return
-	}
-	body, ok := f.readBody(w, r)
-	if !ok {
-		return
-	}
-	recs, err := DecodeFrames(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.nextSeq == 0 {
-		httpError(w, http.StatusConflict, "resync required: follower has no sync base")
-		return
-	}
-	count := uint64(len(recs))
-	switch {
-	case base+count <= f.nextSeq:
-		// Pure duplicate (leader retry after a lost ack): ack without
-		// re-appending.
-	case base > f.nextSeq:
-		httpError(w, http.StatusConflict, "sequence gap: batch base %d, expected %d", base, f.nextSeq)
-		return
-	default:
-		fresh := recs[f.nextSeq-base:]
-		if err := f.cfg.Store.AppendBatch(fresh); err != nil {
-			httpError(w, http.StatusInternalServerError, "append: %v", err)
-			return
-		}
-		f.nextSeq = base + count
-		f.cfg.Stats.AppliedRecords.Add(int64(len(fresh)))
-	}
-	f.updateLagLocked()
-	writeJSON(w, http.StatusOK, map[string]uint64{"applied_seq": f.nextSeq - 1})
-}
-
-func (f *Follower) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	body, ok := f.readBody(w, r)
-	if !ok {
-		return
-	}
-	var hb struct {
-		Seq uint64 `json:"seq"`
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &hb); err != nil {
-			httpError(w, http.StatusBadRequest, "heartbeat body: %v", err)
-			return
-		}
-	}
-	f.mu.Lock()
-	f.lastHB = time.Now()
-	f.leaderSeq = hb.Seq
-	f.updateLagLocked()
-	f.mu.Unlock()
-	w.WriteHeader(http.StatusOK)
-}
-
-func (f *Follower) updateLagLocked() {
-	if !f.synced {
-		return
-	}
-	lag := int64(f.leaderSeq) - int64(f.nextSeq-1)
-	if lag < 0 {
-		lag = 0
-	}
-	f.cfg.Stats.LagRecords.Store(lag)
-	if lag == 0 {
-		f.cfg.Stats.State.Store(StateStreaming)
-	}
-}
-
-// handleResyncBegin opens a staging area for a full resync. Staged
-// records and snapshots only become visible at commit, so a resync
-// that dies mid-ship leaves the previous journal intact.
-func (f *Follower) handleResyncBegin(w http.ResponseWriter, r *http.Request) {
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	f.mu.Lock()
-	f.stagingActive = true
-	f.staging = nil
-	f.stagingSnaps = make(map[string][]byte)
-	f.mu.Unlock()
-	f.cfg.Stats.State.Store(StateSyncing)
-	f.cfg.Stats.Resyncs.Add(1)
-	f.logf("repl: resync started")
-	w.WriteHeader(http.StatusOK)
-}
-
-func (f *Follower) handleResyncChunk(w http.ResponseWriter, r *http.Request) {
-	if err := f.cfg.Faults.Check(fault.ReplApply); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	body, ok := f.readBody(w, r)
-	if !ok {
-		return
-	}
-	recs, err := DecodeFrames(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.stagingActive {
-		httpError(w, http.StatusConflict, "no resync in progress")
-		return
-	}
-	f.staging = append(f.staging, recs...)
-	w.WriteHeader(http.StatusOK)
-}
-
-func (f *Follower) handleResyncSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	body, ok := f.readBody(w, r)
-	if !ok {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.stagingActive {
-		httpError(w, http.StatusConflict, "no resync in progress")
-		return
-	}
-	f.stagingSnaps[r.PathValue("job")] = body
-	w.WriteHeader(http.StatusOK)
-}
-
-// handleResyncCommit atomically replaces the follower's journal with
-// the staged record set (via the store's compaction rewrite, which is
-// fsync + rename safe), installs the staged snapshots, and moves the
-// applied cursor to the leader-reported sequence cursor.
-func (f *Follower) handleResyncCommit(w http.ResponseWriter, r *http.Request) {
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	body, ok := f.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req struct {
-		Cursor uint64 `json:"cursor"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "commit body: %v", err)
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.stagingActive {
-		httpError(w, http.StatusConflict, "no resync in progress")
-		return
-	}
-	// Note the staged record count may legitimately be below the
-	// cursor: compaction on the leader drops settled history without
-	// renumbering, so the cursor is a stream position, not a record
-	// count. Staging completeness is the leader's responsibility — any
-	// failed chunk POST aborts its resync before commit is ever sent.
-	if err := f.cfg.Store.Compact(f.staging); err != nil {
-		httpError(w, http.StatusInternalServerError, "commit staged journal: %v", err)
-		return
-	}
-	for job, data := range f.stagingSnaps {
-		if err := f.cfg.Store.WriteSnapshot(job, data); err != nil {
-			httpError(w, http.StatusInternalServerError, "commit staged snapshot %s: %v", job, err)
-			return
-		}
-	}
-	// Sweep snapshots from a previous life that the leader no longer
-	// has; a promote must not resume from a checkpoint the leader
-	// already discarded.
-	if ids, err := f.cfg.Store.SnapshotJobIDs(); err == nil {
-		for _, id := range ids {
-			if _, staged := f.stagingSnaps[id]; !staged {
-				f.cfg.Store.DeleteSnapshots(id)
-			}
-		}
-	}
-	applied := int64(len(f.staging))
-	f.nextSeq = req.Cursor + 1
-	f.synced = true
-	f.stagingActive = false
-	f.staging = nil
-	f.stagingSnaps = nil
-	f.cfg.Stats.AppliedRecords.Add(applied)
-	f.cfg.Stats.State.Store(StateStreaming)
-	f.updateLagLocked()
-	f.logf("repl: resync committed (%d records, cursor %d)", applied, req.Cursor)
-	writeJSON(w, http.StatusOK, map[string]uint64{"applied_seq": f.nextSeq - 1})
-}
-
-// handleSnapshot installs a live checkpoint snapshot outside resync.
-// Snapshots are an optimization for promote-time resume speed — the
-// journal is the ground truth — so this path is fire-and-forget from
-// the leader's point of view.
-func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !f.checkEpoch(w, r) {
-		return
-	}
-	body, ok := f.readBody(w, r)
-	if !ok {
-		return
-	}
-	if err := f.cfg.Store.WriteSnapshot(r.PathValue("job"), body); err != nil {
-		httpError(w, http.StatusInternalServerError, "write snapshot: %v", err)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
+	return f.session != 0
 }
 
 // AppliedSeq returns the highest leader sequence number applied
@@ -517,10 +111,335 @@ func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (f *Follower) AppliedSeq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.nextSeq == 0 {
-		return 0
+	return f.seq
+}
+
+// MarkPromoted bumps and durably persists the epoch and stops
+// applying: it waits for an apply in progress, and nothing is applied
+// after it returns. Idempotent — a second call returns the
+// already-bumped epoch without bumping again.
+func (f *Follower) MarkPromoted() (uint64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.promoted {
+		return f.epoch, nil
 	}
-	return f.nextSeq - 1
+	next := f.epoch + 1
+	if err := SaveEpoch(f.cfg.Store.Dir(), next); err != nil {
+		return f.epoch, err
+	}
+	f.epoch = next
+	f.promoted = true
+	if f.stopRun != nil {
+		f.stopRun()
+	}
+	logf(f.cfg.Logger, "repl: promoted at epoch %d", next)
+	return next, nil
+}
+
+// Run follows the leader until ctx ends or the follower is promoted:
+// a full resync while it has no valid cursor, then one long poll after
+// another, each response applied before the next poll is sent. With
+// PromoteAfter set, a watchdog promotes once the leader has been
+// silent that long. After a promote, Run posts the new epoch to the
+// old leader on the leader's heartbeat cadence until the post is
+// answered, so a stale leader that is still alive moves to
+// StateRejected and stops waiting for acks.
+func (f *Follower) Run(ctx context.Context) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	f.mu.Lock()
+	if f.stopRun = cancel; f.promoted {
+		cancel()
+	}
+	f.mu.Unlock()
+	if f.cfg.PromoteAfter > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.watchdog(pctx)
+		}()
+	}
+	needResync, failing := true, false
+	for pctx.Err() == nil {
+		var err error
+		if needResync {
+			err = f.resync(pctx)
+			needResync = err != nil
+		} else if err = f.poll(pctx); errors.Is(err, errResync) {
+			logf(f.cfg.Logger, "repl: %v", err)
+			needResync = true
+			continue
+		}
+		if err == nil || pctx.Err() != nil {
+			failing = false
+			continue
+		}
+		if !failing {
+			logf(f.cfg.Logger, "repl: leader %s: %v; retrying", f.cfg.LeaderURL, err)
+			failing = true
+		}
+		f.cfg.Stats.State.Store(StateDisconnected)
+		select {
+		case <-pctx.Done():
+		case <-time.After(retryPause):
+		}
+	}
+	f.mu.Lock()
+	every := max(f.hold, retryPause)
+	f.mu.Unlock()
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for ctx.Err() == nil {
+		err := f.call(ctx, http.MethodPost, "/v1/repl/fence"+f.query(), new(reply))
+		if err == nil || errors.Is(err, errResync) {
+			logf(f.cfg.Logger, "repl: fence post to %s answered (%v)", f.cfg.LeaderURL, err)
+			return
+		}
+		select {
+		case <-ctx.Done():
+		case <-t.C:
+		}
+	}
+}
+
+// watchdog promotes a synced follower whose leader has not answered a
+// request for PromoteAfter. A standby that never heard from its leader
+// stays a standby.
+func (f *Follower) watchdog(ctx context.Context) {
+	t := time.NewTicker(max(f.cfg.PromoteAfter/4, 10*time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-t.C:
+			f.mu.Lock()
+			hb, synced := f.lastHB, f.session != 0
+			f.mu.Unlock()
+			if synced && now.Sub(hb) > f.cfg.PromoteAfter {
+				logf(f.cfg.Logger, "repl: leader silent for %.1fs, promoting", now.Sub(hb).Seconds())
+				if f.cfg.OnPromote != nil {
+					f.cfg.OnPromote("leader heartbeat timeout")
+				}
+				return
+			}
+		}
+	}
+}
+
+// call sends one request to the leader with a deadline of twice the
+// leader's reported hold plus a transfer allowance. A 200's body is
+// decoded into out (a *[]byte takes it raw); 409 and 400
+// mean the cursor is no good (errResync), 404 that a snapshot is gone
+// (errMissing).
+func (f *Follower) call(ctx context.Context, method, path string, out any) error {
+	f.mu.Lock()
+	hold := f.hold
+	f.mu.Unlock()
+	ctx, cancel := context.WithTimeout(ctx, 2*hold+transferAllowance)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(f.cfg.LeaderURL, "/")+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxReplyBytes))
+	switch {
+	case err != nil:
+		return err
+	case resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusBadRequest:
+		return fmt.Errorf("%w: %s", errResync, strings.TrimSpace(string(body)))
+	case resp.StatusCode == http.StatusNotFound:
+		return errMissing
+	case resp.StatusCode != http.StatusOK:
+		return fmt.Errorf("repl: leader %s -> %d: %s", path, resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	f.mu.Lock()
+	f.lastHB = time.Now()
+	f.mu.Unlock()
+	if raw, ok := out.(*[]byte); ok {
+		*raw = body
+		return nil
+	}
+	return json.Unmarshal(body, out)
+}
+
+// query renders key/value pairs plus this node's epoch, which every
+// leader route takes.
+func (f *Follower) query(kv ...string) string {
+	f.mu.Lock()
+	q := url.Values{"epoch": {strconv.FormatUint(f.epoch, 10)}}
+	f.mu.Unlock()
+	for i := 0; i+1 < len(kv); i += 2 {
+		q.Set(kv[i], kv[i+1])
+	}
+	return "?" + q.Encode()
+}
+
+// apply runs write against the local store under f.mu unless this
+// node was promoted, first adopting a higher leader epoch.
+func (f *Follower) apply(epoch uint64, write func() error) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.promoted {
+		return errPromoted
+	}
+	if epoch > f.epoch {
+		if err := SaveEpoch(f.cfg.Store.Dir(), epoch); err != nil {
+			return err
+		}
+		f.epoch = epoch
+	}
+	return write()
+}
+
+// poll sends the cursor, applies the frames that come back, then
+// fetches the checkpoints the leader listed.
+func (f *Follower) poll(ctx context.Context) error {
+	f.mu.Lock()
+	session, seq, seg, off := f.session, f.seq, f.seg, f.off
+	f.mu.Unlock()
+	var rep reply
+	q := f.query("session", strconv.FormatUint(session, 10), "seq", strconv.FormatUint(seq, 10),
+		"seg", strconv.Itoa(seg), "off", strconv.FormatInt(off, 10))
+	if err := f.call(ctx, http.MethodGet, "/v1/repl/log"+q, &rep); err != nil {
+		return err
+	}
+	recs, err := DecodeFrames(rep.Frames)
+	if err != nil {
+		return err
+	}
+	if err := f.cfg.Faults.Check(fault.ReplApply); err != nil {
+		return err
+	}
+	err = f.apply(rep.Epoch, func() error {
+		if err := f.cfg.Store.AppendBatch(recs); err != nil {
+			return err
+		}
+		f.seq, f.seg, f.off, f.hold = rep.Seq, rep.Seg, rep.Off, rep.Hold
+		f.cfg.Stats.AppliedRecords.Add(int64(len(recs)))
+		f.cfg.Stats.LagRecords.Store(max(int64(rep.Head)-int64(rep.Seq), 0))
+		f.cfg.Stats.State.Store(StateStreaming)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, job := range rep.Checkpoints {
+		var img []byte
+		err := f.call(ctx, http.MethodGet, "/v1/repl/snapshot/"+url.PathEscape(job)+f.query(), &img)
+		if err == nil {
+			err = f.apply(rep.Epoch, func() error { return f.cfg.Store.WriteSnapshot(job, img) })
+		}
+		if err != nil && !errors.Is(err, errMissing) {
+			logf(f.cfg.Logger, "repl: checkpoint of %s not replicated: %v", job, err)
+		}
+	}
+	return nil
+}
+
+// resync rebuilds the local journal from the leader's: it lists the
+// segments, reads them up to the listed end, fetches every snapshot,
+// and commits all of it at once. A resync that dies part-way leaves
+// the old journal intact.
+func (f *Follower) resync(ctx context.Context) error {
+	f.cfg.Stats.State.Store(StateSyncing)
+	f.cfg.Stats.Resyncs.Add(1)
+	var rs reply
+	if err := f.call(ctx, http.MethodGet, "/v1/repl/resync"+f.query(), &rs); err != nil {
+		return err
+	}
+	if len(rs.Segments) == 0 {
+		return errors.New("repl: resync listing has no segments")
+	}
+	// One read after another from the first segment's first frame to
+	// the last segment's listed end; the leader moves the cursor past
+	// each sealed segment.
+	last := rs.Segments[len(rs.Segments)-1]
+	seg, off := rs.Segments[0].Index, int64(store.SegmentHeaderLen)
+	var staged []store.Record
+	for seg < last.Index || off < last.Bytes {
+		var rep reply
+		q := f.query("session", strconv.FormatUint(rs.Session, 10), "seg", strconv.Itoa(seg), "off", strconv.FormatInt(off, 10))
+		if err := f.call(ctx, http.MethodGet, "/v1/repl/log"+q, &rep); err != nil {
+			return err
+		}
+		start, frames := rep.Off-int64(len(rep.Frames)), rep.Frames
+		if rep.Seg == last.Index && rep.Off > last.Bytes {
+			frames = frames[:max(last.Bytes-start, 0)]
+		}
+		if len(frames) == 0 {
+			return fmt.Errorf("repl: resync read stalled at segment %d offset %d", seg, off)
+		}
+		recs, err := DecodeFrames(frames)
+		if err != nil {
+			return err
+		}
+		staged = append(staged, recs...)
+		seg, off = rep.Seg, start+int64(len(frames))
+	}
+	snaps := map[string][]byte{}
+	for _, job := range rs.Snapshots {
+		var img []byte
+		switch err := f.call(ctx, http.MethodGet, "/v1/repl/snapshot/"+url.PathEscape(job)+f.query(), &img); {
+		case err == nil:
+			snaps[job] = img
+		case !errors.Is(err, errMissing): // a job settled since the listing has none
+			return err
+		}
+	}
+	if err := f.cfg.Faults.Check(fault.ReplApply); err != nil {
+		return err
+	}
+	err := f.apply(rs.Epoch, func() error {
+		if err := f.commit(staged, snaps); err != nil {
+			return err
+		}
+		f.session, f.seq, f.seg, f.off, f.hold = rs.Session, rs.Seq, last.Index, last.Bytes, rs.Hold
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	f.cfg.Stats.AppliedRecords.Add(int64(len(staged)))
+	f.cfg.Stats.LagRecords.Store(0)
+	f.cfg.Stats.State.Store(StateStreaming)
+	logf(f.cfg.Logger, "repl: resync committed (%d records, %d snapshots, cursor %d)", len(staged), len(snaps), rs.Seq)
+	return nil
+}
+
+// commit replaces the local journal with the staged records (the
+// store's compaction rewrite, fsync + rename safe), installs the staged
+// snapshots and sweeps every other one: a promote must not resume from
+// a checkpoint the leader already discarded. The staged record count
+// may be below the cursor, because the leader's startup compaction
+// drops settled history without renumbering.
+func (f *Follower) commit(staged []store.Record, snaps map[string][]byte) error {
+	if err := f.cfg.Store.Compact(staged); err != nil {
+		return fmt.Errorf("repl: commit staged journal: %w", err)
+	}
+	for job, data := range snaps {
+		if err := f.cfg.Store.WriteSnapshot(job, data); err != nil {
+			return fmt.Errorf("repl: commit staged snapshot %s: %w", job, err)
+		}
+	}
+	ids, err := f.cfg.Store.SnapshotJobIDs()
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if _, ok := snaps[id]; !ok {
+			f.cfg.Store.DeleteSnapshots(id)
+		}
+	}
+	return nil
 }
 
 // Status renders the follower's replication view.
@@ -533,29 +452,17 @@ func (f *Follower) Status() StatusView {
 		Epoch:      f.epoch,
 		Leader:     f.cfg.LeaderURL,
 		LagRecords: f.cfg.Stats.LagRecords.Load(),
+		AppliedSeq: f.seq,
 		Resyncs:    f.cfg.Stats.Resyncs.Load(),
-	}
-	if f.nextSeq > 0 {
-		v.AppliedSeq = f.nextSeq - 1
 	}
 	if f.lastHB.IsZero() {
 		v.SecondsSinceHeartbeat = -1
 	} else {
 		v.SecondsSinceHeartbeat = time.Since(f.lastHB).Seconds()
 	}
-	if f.promoted.Load() {
+	if f.promoted {
 		v.Role = "leader"
 		v.State = "promoted"
 	}
 	return v
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }

@@ -2,70 +2,67 @@ package repl
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 
 	"cosparse/internal/store"
 )
 
-const (
-	// frameHeaderLen mirrors the store's journal framing: length(4) +
-	// crc32(4), little-endian, followed by the JSON payload.
-	frameHeaderLen = 8
-	// maxFrameLen bounds a single replicated record, matching the
-	// store's own corruption bound.
-	maxFrameLen = 16 << 20
-)
-
 // EncodeFrame encodes one record in the journal's wire framing. The
-// leader normally ships frames the store already built (byte-for-byte
+// leader serves the frames the store already wrote (byte-for-byte
 // what hit the leader's disk); this encoder exists for tests and the
 // fuzz corpus.
-func EncodeFrame(r store.Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("repl: encode record: %w", err)
-	}
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderLen:], payload)
-	return frame, nil
-}
+func EncodeFrame(r store.Record) ([]byte, error) { return store.EncodeFrame(r) }
 
 // DecodeFrames decodes a batch of concatenated journal frames,
 // verifying every CRC. It is strict: trailing bytes, a torn frame, a
 // checksum mismatch, or an undecodable payload fail the whole batch
 // with a nil record slice, so the follower's apply is all-or-nothing
-// — a torn tail arriving mid-stream can never half-apply.
+// — a torn response can never half-apply.
 // Guaranteed not to panic on arbitrary input (fuzzed by FuzzReplFrame).
 func DecodeFrames(data []byte) ([]store.Record, error) {
-	var recs []store.Record
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			return nil, fmt.Errorf("repl: torn frame header at offset %d", off)
-		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length == 0 || length > maxFrameLen {
-			return nil, fmt.Errorf("repl: implausible frame length %d at offset %d", length, off)
-		}
-		if uint64(len(rest)) < frameHeaderLen+uint64(length) {
-			return nil, fmt.Errorf("repl: torn frame at offset %d", off)
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int(length)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("repl: frame CRC mismatch at offset %d", off)
-		}
-		var r store.Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return nil, fmt.Errorf("repl: frame decode at offset %d: %w", off, err)
-		}
-		recs = append(recs, r)
-		off += frameHeaderLen + int(length)
+	recs, err := store.DecodeFrames(data)
+	if err != nil {
+		return nil, fmt.Errorf("repl: %w", err)
 	}
 	return recs, nil
+}
+
+// splitFrames splits a run of journal frames into chunks of at most
+// chunkBytes, never tearing a frame across chunks (the follower
+// CRC-verifies each response independently). A single frame larger
+// than chunkBytes becomes its own chunk.
+func splitFrames(data []byte, chunkBytes int) ([][]byte, error) {
+	var chunks [][]byte
+	start, off := 0, 0
+	for off < len(data) {
+		if len(data)-off < store.FrameHeaderLen {
+			return nil, fmt.Errorf("torn frame header at offset %d", off)
+		}
+		length := int(binary.LittleEndian.Uint32(data[off:]))
+		if length <= 0 || length > store.MaxRecordLen {
+			return nil, fmt.Errorf("implausible frame length %d at offset %d", length, off)
+		}
+		next := off + store.FrameHeaderLen + length
+		if next > len(data) {
+			return nil, fmt.Errorf("torn frame at offset %d", off)
+		}
+		if off > start && next-start > chunkBytes {
+			chunks = append(chunks, data[start:off])
+			start = off
+		}
+		off = next
+	}
+	if start < len(data) {
+		chunks = append(chunks, data[start:])
+	}
+	return chunks, nil
+}
+
+// frameCount counts the frames in a chunk splitFrames returned.
+func frameCount(data []byte) uint64 {
+	var n uint64
+	for off := 0; off < len(data); n++ {
+		off += store.FrameHeaderLen + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	return n
 }

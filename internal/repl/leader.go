@@ -1,648 +1,466 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
+	"log/slog"
+	"maps"
+	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cosparse/internal/fault"
 	"cosparse/internal/store"
 )
 
+// maxLogBytes bounds the frames one log response carries. A single
+// frame larger than this is served alone.
+const maxLogBytes = 1 << 20
+
 // LeaderConfig configures the leader-side replicator.
 type LeaderConfig struct {
-	// Store is the leader's journal; resync reads its segments and the
-	// tail stream carries its OnAppendFrame output.
+	// Store is the leader's journal; polls are served from its
+	// segment files and snapshots.
 	Store *store.Store
-	// DataDir holds the persisted follower URL.
-	DataDir string
 	// Epoch is this leader's replication epoch (loaded from the data
 	// dir at startup; bumped only by promotion).
 	Epoch uint64
-	// Mode is async or semisync (see Mode).
-	Mode Mode
-	// SemisyncTimeout caps how long a submit ack waits for the
-	// follower before falling back to async (default 2s).
+	// SemisyncTimeout is how long ago a poll must have advanced the
+	// ack or found the follower caught up for WaitApplied to wait at
+	// all. Required.
 	SemisyncTimeout time.Duration
-	// BufferBytes bounds the in-memory ship buffer; overflow drops
-	// the buffered tail and forces a full resync on the next connect
-	// (default 8 MiB).
-	BufferBytes int64
-	// MaxBatchBytes bounds one tail-apply POST (default 1 MiB).
-	MaxBatchBytes int
-	// ChunkBytes bounds one resync chunk POST, split on frame
-	// boundaries (default 256 KiB).
-	ChunkBytes int
-	// HeartbeatEvery is the leader→follower heartbeat cadence
-	// (default 1s).
+	// HeartbeatEvery is how long a caught-up poll is held before it is
+	// answered empty; that empty answer is the follower's heartbeat.
+	// Required.
 	HeartbeatEvery time.Duration
-	// MaxBackoff caps the reconnect backoff (default 5s; backoff
-	// starts at 50ms and doubles).
-	MaxBackoff time.Duration
-	// Faults taps the repl.send and repl.ack injection points.
+	// Faults taps the repl.send injection point.
 	Faults *fault.Injector
 	// Stats receives state/lag/counter updates. Required.
 	Stats *Stats
 	// Logger receives replication lifecycle lines. May be nil.
-	Logger *log.Logger
-	// Client posts to the follower (default 10s-timeout client).
-	Client *http.Client
+	Logger *slog.Logger
 }
 
-// queued is one buffered journal record awaiting ship.
-type queued struct {
-	seq   uint64
-	frame []byte
+// reply is the body of every 200 the leader sends a follower, except
+// a snapshot image. A log poll fills the cursor fields, Head, Frames,
+// Checkpoints and Hold; a resync listing fills Session, Seq, Hold,
+// Segments and Snapshots.
+type reply struct {
+	Epoch   uint64 `json:"epoch"`
+	Session uint64 `json:"session,omitempty"`
+	// Seq, Seg and Off are the cursor after Frames; the follower's next
+	// poll sends them back. Seq is 0 on a resync read. A resync
+	// listing's Seq is the cursor at the end of its Segments.
+	Seq    uint64 `json:"seq"`
+	Seg    int    `json:"seg,omitempty"`
+	Off    int64  `json:"off,omitempty"`
+	Head   uint64 `json:"head,omitempty"` // the leader's journal seq, for lag
+	Frames []byte `json:"frames,omitempty"`
+	// Checkpoints lists jobs whose checkpoint changed since the
+	// previous poll; the follower fetches each image.
+	Checkpoints []string            `json:"checkpoints,omitempty"`
+	Hold        time.Duration       `json:"hold_ns,omitempty"`
+	Segments    []store.SegmentInfo `json:"segments,omitempty"`
+	Snapshots   []string            `json:"snapshots,omitempty"`
 }
 
-// Replicator is the leader side: it buffers journal frames as the
-// store commits them, ships them to the registered follower, runs
-// full resyncs when the follower is behind a gap, and exposes
-// WaitApplied for semisync submit acks.
+// Replicator is the leader side. It runs no goroutines: it serves the
+// follower's polls from the journal file, holds a caught-up poll until
+// the journal grows, and exposes WaitApplied for semisync submit acks.
+// A leader nobody polls keeps nothing per append.
 type Replicator struct {
-	cfg    LeaderConfig
-	client *http.Client
+	// Handler serves the replication routes: GET /v1/repl/log,
+	// /v1/repl/resync and /v1/repl/snapshot/{job}, and POST
+	// /v1/repl/fence.
+	http.Handler
+	cfg LeaderConfig
+	// session identifies this leader process: sequence numbers do not
+	// survive a restart, so a cursor is only valid in its session.
+	// Never 0, which a follower's cursor holds before its first resync.
+	session uint64
+	// base is the journal sequence number when the session began,
+	// after startup recovery compacted the journal.
+	base uint64
 
-	mu          sync.Mutex
-	cond        *sync.Cond // queue activity + follower attach + ack progress
-	queue       []queued
-	queuedBytes int64
-	snaps       map[string][]byte // pending live snapshot ships, latest wins
-	followerURL string
-	needResync  bool
-	ackedSeq    uint64
-	lastSeq     uint64 // highest journal seq observed (OnRecord / resync cursor)
-	rejected    bool
-	closed      bool
-	done        chan struct{} // closed by Close, for goroutines that wait on timers
-
-	// ackBreaker trips after repeated semisync ack timeouts; owned here
-	// so a promote/restart starts it closed.
-	ackBreaker *Breaker
-
-	wg sync.WaitGroup
+	mu    sync.Mutex
+	cond  *sync.Cond // ack progress, halt
+	acked uint64
+	// contact is when a poll last advanced the ack or found the
+	// follower caught up; holding counts caught-up polls being held.
+	contact time.Time
+	holding int
+	// seen is when a follower request last passed admit; resyncing is
+	// set by a resync listing and cleared by the next tail poll. With
+	// holding they give the state Status reports.
+	seen      time.Time
+	resyncing bool
+	// following is set by the first resync of the session; from then
+	// on dirty collects the ids of jobs whose checkpoint changed, and
+	// dirtied, while a poll is held, is closed by the next change.
+	following bool
+	dirty     map[string]bool
+	dirtied   chan struct{}
+	halted    bool
+	stop      chan struct{} // closed by halt: releases held polls
+	rejected  atomic.Bool
 }
 
-// NewReplicator starts the leader replicator. If a follower URL was
-// persisted by an earlier run it re-attaches immediately, so a leader
-// restart resumes streaming without waiting for re-registration.
+// NewReplicator builds the leader replicator for a journal that
+// recovery has finished with.
 func NewReplicator(cfg LeaderConfig) *Replicator {
-	if cfg.SemisyncTimeout <= 0 {
-		cfg.SemisyncTimeout = 2 * time.Second
-	}
-	if cfg.BufferBytes <= 0 {
-		cfg.BufferBytes = 8 << 20
-	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 1 << 20
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = time.Second
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	r := &Replicator{cfg: cfg, client: client, snaps: make(map[string][]byte), done: make(chan struct{})}
-	// Three consecutive semisync fallbacks open the ack breaker; it stays
-	// open 10s before admitting a probe wait. While open, submits skip
-	// the ack wait entirely — pure async — instead of each stalling for
-	// the full SemisyncTimeout.
-	r.ackBreaker = NewBreaker(3, 10*time.Second, cfg.Stats)
+	r := &Replicator{cfg: cfg, session: rand.Uint64() | 1, base: cfg.Store.Seq(), dirty: map[string]bool{}, stop: make(chan struct{})}
 	r.cond = sync.NewCond(&r.mu)
 	r.cfg.Stats.State.Store(StateIdle)
-	if url, err := LoadFollowerURL(cfg.DataDir); err == nil && url != "" {
-		r.attach(url)
-	}
-	r.wg.Add(2)
-	go r.run()
-	go r.heartbeats()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/repl/log", r.serveLog)
+	mux.HandleFunc("GET /v1/repl/resync", r.serveResync)
+	mux.HandleFunc("GET /v1/repl/snapshot/{job}", r.serveSnapshot)
+	mux.HandleFunc("POST /v1/repl/fence", r.serveFence)
+	r.Handler = mux
 	return r
 }
 
-func (r *Replicator) logf(format string, args ...any) {
-	if r.cfg.Logger != nil {
-		r.cfg.Logger.Printf(format, args...)
-	}
-}
-
-// SemisyncTimeout exposes the configured ack-wait budget.
-func (r *Replicator) SemisyncTimeout() time.Duration { return r.cfg.SemisyncTimeout }
-
-// AckBreaker exposes the semisync ack circuit breaker.
-func (r *Replicator) AckBreaker() *Breaker { return r.ackBreaker }
-
-// Mode exposes the configured replication mode.
-func (r *Replicator) Mode() Mode { return r.cfg.Mode }
-
-// AttachFollower registers (or replaces) the follower and persists its
-// URL. A newly attached follower always gets a full resync first —
-// sequence numbers are process-local, so the leader never assumes
-// anything about what a follower already holds.
-func (r *Replicator) AttachFollower(url string) error {
-	if url == "" {
-		return errors.New("repl: empty follower url")
-	}
-	if err := SaveFollowerURL(r.cfg.DataDir, url); err != nil {
-		return err
-	}
-	r.attach(url)
-	return nil
-}
-
-func (r *Replicator) attach(url string) {
-	r.mu.Lock()
-	if r.followerURL != url {
-		r.followerURL = url
-		r.needResync = true
-		r.logf("repl: follower attached at %s", url)
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// OnRecord is the store's OnAppendFrame hook: it buffers the committed
-// frame for shipping. Called under the store lock, so it only touches
-// the replicator's own state (lock order: store.mu → repl.mu, never
-// the reverse). On buffer overflow the whole buffered tail is dropped
-// and the session falls back to a full resync — bounded memory beats
-// an unbounded queue behind a dead follower.
-func (r *Replicator) OnRecord(seq uint64, frame []byte) {
+// MarkDirty notes that jobID's checkpoint changed, so the next poll
+// lists it and the follower fetches the image. Only the id is kept,
+// and only once a follower has resynced: a resync lists every
+// snapshot anyway.
+func (r *Replicator) MarkDirty(jobID string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.rejected {
-		return
+	if r.following && !r.rejected.Load() {
+		r.dirty[jobID] = true
+		if r.dirtied != nil {
+			close(r.dirtied)
+			r.dirtied = nil
+		}
 	}
-	if r.queuedBytes+int64(len(frame)) > r.cfg.BufferBytes {
-		r.queue = nil
-		r.queuedBytes = 0
-		r.needResync = true
-		r.lastSeq = seq
-		r.cfg.Stats.BufferOverflows.Add(1)
-		r.cfg.Stats.BufferedBytes.Store(0)
-		r.updateLagLocked()
-		r.logf("repl: ship buffer overflow at seq %d, will full-resync", seq)
-		return
-	}
-	r.queue = append(r.queue, queued{seq: seq, frame: frame})
-	r.queuedBytes += int64(len(frame))
-	r.lastSeq = seq
-	r.cfg.Stats.BufferedBytes.Store(r.queuedBytes)
-	r.updateLagLocked()
-	r.cond.Broadcast()
-}
-
-// ShipSnapshot buffers a checkpoint image for asynchronous delivery to
-// the follower (latest image per job wins). Snapshot delivery is
-// best-effort: the journal is the ground truth, a missing snapshot
-// only costs recompute-from-iteration-0 at promote time.
-func (r *Replicator) ShipSnapshot(jobID string, data []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.rejected || r.followerURL == "" {
-		return
-	}
-	r.snaps[jobID] = data
-	r.cond.Broadcast()
 }
 
 // WaitApplied blocks until the follower has acknowledged sequence
-// number seq, returning true; it returns false when ctx expires, no
-// follower is attached, or the replicator is fenced/closed — the
-// semisync fallback cases.
+// number seq, returning true. It returns false when ctx expires, when
+// the replicator is fenced or closed, and at once when no poll has
+// advanced the ack or found the follower caught up within the
+// semisync timeout — the semisync fallback cases.
 func (r *Replicator) WaitApplied(ctx context.Context, seq uint64) bool {
 	r.mu.Lock()
-	if r.followerURL == "" || r.rejected || r.closed {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.holding == 0 && time.Since(r.contact) > r.cfg.SemisyncTimeout {
 		return false
 	}
-	r.mu.Unlock()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
+	defer context.AfterFunc(ctx, func() {
+		r.mu.Lock()
 		r.cond.Broadcast()
-	}()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.ackedSeq < seq && !r.rejected && !r.closed && ctx.Err() == nil {
+		r.mu.Unlock()
+	})()
+	for r.acked < seq && !r.halted && ctx.Err() == nil {
 		r.cond.Wait()
 	}
-	return r.ackedSeq >= seq
+	return r.acked >= seq
 }
 
 // AckedSeq returns the highest follower-acknowledged sequence number.
 func (r *Replicator) AckedSeq() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ackedSeq
+	return r.acked
 }
 
-// Close stops the replicator's goroutines and releases waiters.
-func (r *Replicator) Close() {
-	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		close(r.done)
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.wg.Wait()
-}
+// Close releases held polls and semisync waiters.
+func (r *Replicator) Close() { r.halt(false, 0) }
 
-// updateLagLocked refreshes the lag gauge from the replicator's own
-// view of the journal head (lastSeq). It deliberately does not call
-// Store.Seq(): OnRecord runs under the store lock, and store.mu →
-// repl.mu is the only permitted lock order.
-func (r *Replicator) updateLagLocked() {
-	lag := int64(r.lastSeq) - int64(r.ackedSeq)
-	if lag < 0 {
-		lag = 0
-	}
-	r.cfg.Stats.LagRecords.Store(lag)
-}
-
-// Status renders the leader's replication view.
-func (r *Replicator) Status() StatusView {
+// halt stops the replicator. With fenced set it is the terminal
+// rejected state: a peer is at a higher epoch, so a node was promoted
+// past this leader.
+func (r *Replicator) halt(fenced bool, epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sv := StatusView{
-		Role:              "leader",
-		State:             StateName(r.cfg.Stats.State.Load()),
-		Mode:              r.cfg.Mode.String(),
-		Epoch:             r.cfg.Epoch,
-		Follower:          r.followerURL,
-		LagRecords:        r.cfg.Stats.LagRecords.Load(),
-		AckedSeq:          r.ackedSeq,
-		Resyncs:           r.cfg.Stats.Resyncs.Load(),
-		SemisyncFallbacks: r.cfg.Stats.SemisyncFallbacks.Load(),
-		BufferedBytes:     r.cfg.Stats.BufferedBytes.Load(),
-		BufferOverflows:   r.cfg.Stats.BufferOverflows.Load(),
-	}
-	if r.cfg.Mode == ModeSemiSync {
-		sv.BreakerState = r.ackBreaker.State().String()
-		sv.BreakerOpens = r.cfg.Stats.BreakerOpens.Load()
-	}
-	return sv
-}
-
-// errStaleEpoch marks a 409 caused by epoch fencing (vs. a sequence
-// gap, which is recoverable by resync).
-var errStaleEpoch = errors.New("repl: fenced by higher follower epoch")
-
-// errSeqGap marks a follower 409 asking for a resync.
-var errSeqGap = errors.New("repl: follower reports sequence gap")
-
-// post sends one replication request through the repl.send fault
-// point, mapping follower 409s onto the two sentinel errors above.
-func (r *Replicator) post(url, path string, headers map[string]string, body []byte) error {
-	if err := r.cfg.Faults.Check(fault.ReplSend); err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(url, "/")+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(r.cfg.Epoch, 10))
-	for k, v := range headers {
-		req.Header.Set(k, v)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return nil
-	case resp.StatusCode == http.StatusConflict:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if bytes.Contains(msg, []byte("epoch")) || bytes.Contains(msg, []byte("promoted")) {
-			return fmt.Errorf("%w: %s", errStaleEpoch, strings.TrimSpace(string(msg)))
-		}
-		return fmt.Errorf("%w: %s", errSeqGap, strings.TrimSpace(string(msg)))
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("repl: %s -> %d: %s", path, resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-}
-
-// heartbeats pings the follower on a fixed cadence, independent of the
-// streaming session, so the follower's promote watchdog measures
-// leader liveness rather than stream progress.
-func (r *Replicator) heartbeats() {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-t.C:
-		}
-		r.mu.Lock()
-		url, rejected := r.followerURL, r.rejected
-		r.mu.Unlock()
-		if rejected || url == "" {
-			continue
-		}
-		body, _ := json.Marshal(map[string]uint64{"seq": r.cfg.Store.Seq()})
-		if err := r.post(url, "/v1/repl/heartbeat", nil, body); errors.Is(err, errStaleEpoch) {
-			r.fence(err)
-		}
-	}
-}
-
-// fence moves the replicator to the terminal rejected state after a
-// higher-epoch 409 — the follower was promoted, this leader is stale.
-func (r *Replicator) fence(err error) {
-	r.mu.Lock()
-	if !r.rejected {
-		r.rejected = true
-		r.queue = nil
-		r.queuedBytes = 0
-		r.cfg.Stats.BufferedBytes.Store(0)
+	if fenced && r.rejected.CompareAndSwap(false, true) {
 		r.cfg.Stats.State.Store(StateRejected)
-		r.logf("repl: fenced: %v", err)
+		logf(r.cfg.Logger, "repl: fenced: a peer is at epoch %d, this leader at %d", epoch, r.cfg.Epoch)
+	}
+	if !r.halted {
+		r.halted = true
+		close(r.stop)
 	}
 	r.cond.Broadcast()
-	r.mu.Unlock()
 }
 
-// run is the streaming session: resync when needed, then drain the
-// ship buffer in bounded batches, with capped-backoff reconnects.
-func (r *Replicator) run() {
-	defer r.wg.Done()
-	backoff := 50 * time.Millisecond
-	for {
-		r.mu.Lock()
-		for !r.closed && !r.rejected && (r.followerURL == "" || (!r.needResync && len(r.queue) == 0 && len(r.snaps) == 0)) {
-			if r.followerURL == "" {
-				r.cfg.Stats.State.Store(StateIdle)
-			}
-			r.cond.Wait()
-		}
-		if r.closed || r.rejected {
-			r.mu.Unlock()
-			return
-		}
-		url := r.followerURL
-		resync := r.needResync
-		r.mu.Unlock()
-
-		var err error
-		if resync {
-			err = r.resync(url)
-		} else {
-			err = r.shipSome(url)
-		}
-		switch {
-		case err == nil:
-			backoff = 50 * time.Millisecond
-		case errors.Is(err, errStaleEpoch):
-			r.fence(err)
-			return
-		case errors.Is(err, errSeqGap):
-			r.mu.Lock()
-			r.needResync = true
-			r.mu.Unlock()
-		default:
-			r.cfg.Stats.State.Store(StateDisconnected)
-			r.logf("repl: follower unreachable (%v), retrying in %s", err, backoff)
-			if !r.sleep(backoff) {
-				return
-			}
-			if backoff *= 2; backoff > r.cfg.MaxBackoff {
-				backoff = r.cfg.MaxBackoff
-			}
-		}
+// Status renders the leader's replication view and refreshes the
+// state and lag in Stats from it. The state is derived, not stored at
+// each poll: no poll ever is idle, no poll held and none admitted
+// within the semisync timeout is disconnected, a listing not yet
+// followed by a tail poll is syncing, anything else streaming. The lag
+// is the journal head minus the ack.
+func (r *Replicator) Status() StatusView {
+	head := r.cfg.Store.Seq()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	state, lag := StateStreaming, max(int64(head)-int64(r.acked), 0)
+	switch {
+	case r.rejected.Load():
+		state = StateRejected
+	case r.seen.IsZero():
+		state, lag = StateIdle, 0
+	case r.holding == 0 && time.Since(r.seen) > r.cfg.SemisyncTimeout:
+		state = StateDisconnected
+	case r.resyncing:
+		state = StateSyncing
+	}
+	r.cfg.Stats.State.Store(state)
+	r.cfg.Stats.LagRecords.Store(lag)
+	return StatusView{
+		Role:              "leader",
+		State:             StateName(state),
+		Epoch:             r.cfg.Epoch,
+		LagRecords:        lag,
+		AckedSeq:          r.acked,
+		Resyncs:           r.cfg.Stats.Resyncs.Load(),
+		SemisyncFallbacks: r.cfg.Stats.SemisyncFallbacks.Load(),
 	}
 }
 
-// sleep waits d, returning false if the replicator closed meanwhile.
-func (r *Replicator) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.done:
+// admit runs the checks every served request shares: the repl.send
+// fault point and epoch fencing. A request from a higher epoch fences
+// this leader, and a fenced leader answers 409 to everything.
+func (r *Replicator) admit(w http.ResponseWriter, req *http.Request) bool {
+	if err := r.cfg.Faults.Check(fault.ReplSend); err != nil {
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return false
 	}
+	epoch, err := strconv.ParseUint(req.URL.Query().Get("epoch"), 10, 64)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "missing or bad epoch")
+		return false
+	}
+	if epoch > r.cfg.Epoch {
+		r.halt(true, epoch)
+	}
+	if r.rejected.Load() {
+		httpError(w, http.StatusConflict, "fenced: a node was promoted past epoch %d", r.cfg.Epoch)
+		return false
+	}
+	r.mu.Lock()
+	r.seen = time.Now()
+	r.mu.Unlock()
+	return true
 }
 
-// shipSome sends one bounded batch of buffered frames (and at most one
-// pending snapshot) to the follower.
-func (r *Replicator) shipSome(url string) error {
-	r.mu.Lock()
+// serveLog answers a poll for the frames after a cursor. A tail poll
+// carries seq, which is also the follower's ack; a resync read omits it
+// and is neither an ack nor ever held. A caught-up tail poll is held
+// until the journal grows or the heartbeat interval passes.
+func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
+	if !r.admit(w, req) {
+		return
+	}
+	q := req.URL.Query()
+	session, err1 := strconv.ParseUint(q.Get("session"), 10, 64)
+	seg, err2 := strconv.Atoi(q.Get("seg"))
+	off, err3 := strconv.ParseInt(q.Get("off"), 10, 64)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		httpError(w, http.StatusBadRequest, "bad cursor: %v", err)
+		return
+	}
+	if session != r.session {
+		httpError(w, http.StatusConflict, "cursor from another leader session: resync")
+		return
+	}
+	tail := q.Has("seq")
+	var seq uint64
+	if tail {
+		var err error
+		if seq, err = strconv.ParseUint(q.Get("seq"), 10, 64); err != nil {
+			httpError(w, http.StatusBadRequest, "bad cursor seq: %v", err)
+			return
+		}
+		head := r.cfg.Store.Seq()
+		if seq > head {
+			httpError(w, http.StatusBadRequest, "cursor seq %d beyond journal head %d", seq, head)
+			return
+		}
+		if seq < r.base {
+			httpError(w, http.StatusConflict, "cursor seq %d before this session's base %d: resync", seq, r.base)
+			return
+		}
+	}
+
+	// The first read that validates the cursor records the ack; a
+	// caught-up tail poll is then held and reads again on an append.
+	deadline := time.Now().Add(r.cfg.HeartbeatEvery)
+	acked := !tail
 	var (
-		base  uint64
-		n     int
-		total int
+		chunks [][]byte
+		head   uint64
 	)
-	for _, q := range r.queue {
-		if n > 0 && total+len(q.frame) > r.cfg.MaxBatchBytes {
+	for {
+		var wake <-chan struct{}
+		head, wake = r.cfg.Store.Watch()
+		frames, sealed, err := r.cfg.Store.ReadFrom(seg, off)
+		switch {
+		case errors.Is(err, store.ErrSegmentGone):
+			httpError(w, http.StatusConflict, "%v: resync", err)
+			return
+		case errors.Is(err, store.ErrBadOffset):
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		case err != nil:
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if len(frames) == 0 && sealed {
+			seg, off = seg+1, store.SegmentHeaderLen
+			continue
+		}
+		if chunks, err = splitFrames(frames, maxLogBytes); err != nil {
+			httpError(w, http.StatusBadRequest, "cursor is not on a frame boundary: %v", err)
+			return
+		}
+		if !acked {
+			r.ack(seq, head)
+			acked = true
+		}
+		if len(chunks) > 0 || !tail || !r.hold(req.Context(), wake, deadline) {
 			break
 		}
-		if n == 0 {
-			base = q.seq
-		}
-		total += len(q.frame)
-		n++
 	}
-	batch := make([]byte, 0, total)
-	for _, q := range r.queue[:n] {
-		batch = append(batch, q.frame...)
+	if r.rejected.Load() {
+		httpError(w, http.StatusConflict, "fenced: a node was promoted past epoch %d", r.cfg.Epoch)
+		return
 	}
-	var snapJob string
-	var snapData []byte
-	if n == 0 {
-		for job, data := range r.snaps {
-			snapJob, snapData = job, data
-			delete(r.snaps, job)
-			break
-		}
+	rep := reply{Epoch: r.cfg.Epoch, Seg: seg, Off: off, Head: head, Hold: r.cfg.HeartbeatEvery}
+	var n uint64
+	if len(chunks) > 0 {
+		n = frameCount(chunks[0])
+		rep.Frames = chunks[0]
+		rep.Off += int64(len(chunks[0]))
+		r.cfg.Stats.SentRecords.Add(int64(n))
+	}
+	if tail {
+		rep.Seq = seq + n
+		r.mu.Lock()
+		rep.Checkpoints = slices.Collect(maps.Keys(r.dirty))
+		clear(r.dirty)
+		r.mu.Unlock()
+	}
+	writeJSON(w, http.StatusOK, rep)
+}
+
+// ack records a tail poll's cursor as the follower's ack.
+func (r *Replicator) ack(seq, head uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.resyncing = false
+	if seq > r.acked || seq == head {
+		r.contact = time.Now()
+	}
+	if seq > r.acked {
+		r.acked = seq
+		r.cond.Broadcast()
+	}
+}
+
+// hold parks a caught-up poll until the journal grows (true: read
+// again), or a checkpoint changes, the deadline passes, the request
+// ends or the replicator stops (false: answer now). A poll answered
+// while the follower is still there found it caught up: contact.
+func (r *Replicator) hold(ctx context.Context, wake <-chan struct{}, deadline time.Time) bool {
+	r.mu.Lock()
+	if len(r.dirty) > 0 {
+		r.mu.Unlock()
+		return false
+	}
+	r.holding++
+	if r.dirtied == nil {
+		r.dirtied = make(chan struct{})
+	}
+	dirtied := r.dirtied
+	r.mu.Unlock()
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	grew := false
+	select {
+	case <-wake:
+		grew = true
+	case <-dirtied:
+	case <-t.C:
+	case <-ctx.Done():
+	case <-r.stop:
+	}
+	r.mu.Lock()
+	r.holding--
+	if ctx.Err() == nil {
+		r.contact = time.Now()
 	}
 	r.mu.Unlock()
-
-	if n > 0 {
-		err := r.post(url, "/v1/repl/apply", map[string]string{
-			HeaderBaseSeq: strconv.FormatUint(base, 10),
-		}, batch)
-		if err != nil {
-			return err
-		}
-		if ferr := r.cfg.Faults.Check(fault.ReplAck); ferr != nil {
-			// An injected ack fault models a response lost on the wire:
-			// the follower applied the batch, the leader didn't see it.
-			// Keep the frames queued; the retry is a follower-side
-			// duplicate, which the seq-continuity rule absorbs.
-			return ferr
-		}
-		r.mu.Lock()
-		// The queue may have been dropped (overflow) while the POST was
-		// in flight; only retire the entries this batch actually covers.
-		retired := 0
-		var freed int64
-		for retired < len(r.queue) && r.queue[retired].seq < base+uint64(n) {
-			freed += int64(len(r.queue[retired].frame))
-			retired++
-		}
-		r.queue = r.queue[retired:]
-		r.queuedBytes -= freed
-		if acked := base + uint64(n) - 1; acked > r.ackedSeq {
-			r.ackedSeq = acked
-		}
-		r.cfg.Stats.SentRecords.Add(int64(n))
-		r.cfg.Stats.BufferedBytes.Store(r.queuedBytes)
-		r.updateLagLocked()
-		if len(r.queue) == 0 {
-			r.cfg.Stats.State.Store(StateStreaming)
-		}
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		return nil
-	}
-	if snapData != nil {
-		// Best-effort: a failed snapshot ship is retried only if the
-		// job checkpoints again. Epoch fencing still propagates.
-		if err := r.post(url, "/v1/repl/snapshot/"+snapJob, nil, snapData); errors.Is(err, errStaleEpoch) {
-			return err
-		}
-		return nil
-	}
-	return nil
+	return grew
 }
 
-// resync replaces the follower's journal wholesale: stage every
-// segment's frames (chunked on frame boundaries) plus the current
-// checkpoint snapshots, then commit with the sequence cursor captured
-// atomically with the segment list. Records appended during the ship
-// stay in the ship buffer; entries the resync already covers are
-// retired after commit, and any overlap the follower sees later is a
-// harmless fold-duplicate.
-func (r *Replicator) resync(url string) error {
-	r.cfg.Stats.State.Store(StateSyncing)
-	r.cfg.Stats.Resyncs.Add(1)
-	r.logf("repl: starting full resync to %s", url)
-	if err := r.post(url, "/v1/repl/resync/begin", nil, nil); err != nil {
-		return err
+// serveResync lists what a follower needs to rebuild its journal: the
+// segments and sequence cursor, taken atomically, and the jobs with a
+// snapshot. The follower reads the segments through serveLog.
+func (r *Replicator) serveResync(w http.ResponseWriter, req *http.Request) {
+	if !r.admit(w, req) {
+		return
 	}
-	segs, cursor, err := r.cfg.Store.Segments()
+	r.mu.Lock()
+	r.following, r.resyncing = true, true
+	clear(r.dirty)
+	r.mu.Unlock()
+	segs, seq, err := r.cfg.Store.Segments()
 	if err != nil {
-		return err
-	}
-	var shipped int64
-	for _, seg := range segs {
-		data, err := r.cfg.Store.ReadFrom(seg.Index, store.SegmentHeaderLen)
-		if err != nil {
-			if errors.Is(err, store.ErrSegmentGone) {
-				// Compaction raced the resync; restart from a fresh
-				// segment listing.
-				return errSeqGap
-			}
-			return err
-		}
-		chunks, err := splitFrames(data, r.cfg.ChunkBytes)
-		if err != nil {
-			return fmt.Errorf("repl: segment %d unparseable: %w", seg.Index, err)
-		}
-		for _, chunk := range chunks {
-			if err := r.post(url, "/v1/repl/resync/chunk", nil, chunk); err != nil {
-				return err
-			}
-			shipped += int64(len(chunk))
-		}
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	ids, err := r.cfg.Store.SnapshotJobIDs()
 	if err != nil {
-		return err
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	for _, id := range ids {
-		snaps, err := r.cfg.Store.LoadSnapshots(id)
-		if err != nil || len(snaps) == 0 {
-			continue
-		}
-		if err := r.post(url, "/v1/repl/resync/snapshot/"+id, nil, snaps[0]); err != nil {
-			return err
-		}
-	}
-	body, _ := json.Marshal(map[string]uint64{"cursor": cursor})
-	if err := r.post(url, "/v1/repl/resync/commit", nil, body); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.needResync = false
-	retired := 0
-	for retired < len(r.queue) && r.queue[retired].seq <= cursor {
-		r.queuedBytes -= int64(len(r.queue[retired].frame))
-		retired++
-	}
-	r.queue = r.queue[retired:]
-	if cursor > r.ackedSeq {
-		r.ackedSeq = cursor
-	}
-	if cursor > r.lastSeq {
-		r.lastSeq = cursor
-	}
-	r.cfg.Stats.SentRecords.Add(int64(cursor))
-	r.cfg.Stats.BufferedBytes.Store(r.queuedBytes)
-	r.cfg.Stats.State.Store(StateStreaming)
-	r.updateLagLocked()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.logf("repl: resync committed (cursor %d, %d bytes shipped)", cursor, shipped)
-	return nil
+	r.cfg.Stats.Resyncs.Add(1)
+	logf(r.cfg.Logger, "repl: serving full resync (cursor %d, %d segments, %d snapshots)", seq, len(segs), len(ids))
+	writeJSON(w, http.StatusOK, reply{Epoch: r.cfg.Epoch, Session: r.session, Seq: seq, Hold: r.cfg.HeartbeatEvery, Segments: segs, Snapshots: ids})
 }
 
-// splitFrames splits a run of journal frames into chunks of at most
-// chunkBytes, never tearing a frame across chunks (the follower
-// CRC-verifies each chunk independently). A single frame larger than
-// chunkBytes becomes its own chunk.
-func splitFrames(data []byte, chunkBytes int) ([][]byte, error) {
-	var chunks [][]byte
-	start, off := 0, 0
-	for off < len(data) {
-		if len(data)-off < frameHeaderLen {
-			return nil, fmt.Errorf("torn frame header at offset %d", off)
-		}
-		length := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		if length <= 0 || length > maxFrameLen {
-			return nil, fmt.Errorf("implausible frame length %d at offset %d", length, off)
-		}
-		next := off + frameHeaderLen + length
-		if next > len(data) {
-			return nil, fmt.Errorf("torn frame at offset %d", off)
-		}
-		if off > start && next-start > chunkBytes {
-			chunks = append(chunks, data[start:off])
-			start = off
-		}
-		off = next
+// serveSnapshot returns a job's current checkpoint image.
+func (r *Replicator) serveSnapshot(w http.ResponseWriter, req *http.Request) {
+	if !r.admit(w, req) {
+		return
 	}
-	if start < len(data) {
-		chunks = append(chunks, data[start:])
+	imgs, err := r.cfg.Store.LoadSnapshots(req.PathValue("job"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	return chunks, nil
+	if len(imgs) == 0 {
+		httpError(w, http.StatusNotFound, "no snapshot for job %q", req.PathValue("job"))
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(imgs[0])
+}
+
+// serveFence is the promoted node's post. admit does the fencing: an
+// epoch above this leader's fences it, and the 409 a fenced leader
+// answers ends the poster's retries. Any other epoch is refused with
+// 409 as well.
+func (r *Replicator) serveFence(w http.ResponseWriter, req *http.Request) {
+	if r.admit(w, req) {
+		httpError(w, http.StatusConflict, "epoch %s does not supersede this leader's epoch %d", req.URL.Query().Get("epoch"), r.cfg.Epoch)
+	}
+}
+
+func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }

@@ -1,33 +1,33 @@
-// Package repl implements hot-standby replication for cosparsed: a
-// leader-side Replicator streams the journal's CRC frames and
-// checkpoint snapshots to a follower over HTTP, and a follower-side
-// Follower applies the stream into its own store, tracks lag, and
-// supports promotion (manual or on leader-heartbeat timeout).
+// Package repl implements hot-standby replication for cosparsed by
+// pull: the leader's journal file is the replication buffer, and a
+// Follower long-polls the leader for the bytes after its cursor.
 //
 // The wire unit is the store's own journal frame (length + CRC32 +
-// JSON payload), shipped verbatim: the follower verifies every
-// checksum before anything touches its journal, so a corrupt or torn
-// batch is rejected atomically — the same discipline the store applies
-// to its own segments at Open.
+// JSON payload), read verbatim from the leader's segment files: the
+// follower verifies every checksum before anything touches its
+// journal, so a corrupt or torn response is rejected atomically — the
+// same discipline the store applies to its own segments at Open.
 //
-// Ordering is tracked by the store's sequence numbers (1-based record
-// count within a process lifetime). A new leader session always begins
-// with a full resync — segments plus snapshots staged on the follower
-// and committed atomically — because sequence numbers do not survive a
-// leader restart. After resync the leader tails: each apply batch
-// carries the sequence number of its first record, and the follower's
-// continuity rule (duplicate prefixes skipped, gaps rejected with 409
-// so the leader falls back to resync) makes double-delivery harmless
-// and loss impossible.
+// A cursor is the leader's sequence number (1-based record count
+// within a leader process) together with the segment and byte offset
+// that record ends at, so the leader serves a poll with one file read
+// and keeps no index. Sequence numbers do not survive a leader restart,
+// so every leader process has a random session nonce; a cursor from
+// another session, or one the leader's journal no longer holds, sends
+// the follower to a full resync — every segment and snapshot staged on
+// the follower and committed atomically. A poll's cursor is also the
+// follower's ack: the follower polls again only after its journal
+// append returned, so the semisync wait counts durable records only.
 //
 // Epochs fence stale leaders. Promotion bumps the follower's persisted
-// epoch; every replication request carries the sender's epoch, and a
-// receiver whose persisted epoch is higher answers 409, which moves
-// the stale leader's replicator to StateRejected permanently.
+// epoch and posts it to the old leader; a poll or fence post carrying
+// an epoch above the leader's moves it to StateRejected permanently.
+// A promoted node never polls, so nothing flows from a stale leader.
 package repl
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -43,9 +43,9 @@ const (
 	// durable; the follower catches up in the background.
 	ModeAsync Mode = iota
 	// ModeSemiSync holds each submit ack until the follower has
-	// acknowledged the submit's journal record (or the semisync
-	// timeout fires, falling back to async and counting the fallback
-	// in metrics).
+	// acknowledged the submit's journal record. The ack falls back to
+	// async, counted in metrics, when the semisync timeout fires or
+	// when no follower has polled within it.
 	ModeSemiSync
 )
 
@@ -73,15 +73,15 @@ func (m Mode) String() string {
 const (
 	// StateOff: replication not configured.
 	StateOff int64 = 0
-	// StateIdle: leader with no follower attached.
+	// StateIdle: leader no follower has polled yet.
 	StateIdle int64 = 1
-	// StateSyncing: full resync in flight (leader shipping segments,
-	// or follower staging them).
+	// StateSyncing: full resync in flight (leader serving its segment
+	// listing, or follower staging it).
 	StateSyncing int64 = 2
 	// StateStreaming: caught up and tailing appends.
 	StateStreaming int64 = 3
-	// StateDisconnected: peer unreachable; reconnect with capped
-	// backoff in progress.
+	// StateDisconnected: follower cannot reach the leader and polls
+	// again after a short pause.
 	StateDisconnected int64 = 4
 	// StateRejected: fenced by a higher epoch (stale leader after a
 	// promote); terminal until operator intervention.
@@ -90,19 +90,18 @@ const (
 
 // StateName renders a state code for human-facing status.
 func StateName(code int64) string {
-	switch code {
-	case StateIdle:
-		return "idle"
-	case StateSyncing:
-		return "syncing"
-	case StateStreaming:
-		return "streaming"
-	case StateDisconnected:
-		return "disconnected"
-	case StateRejected:
-		return "rejected"
+	names := [...]string{"off", "idle", "syncing", "streaming", "disconnected", "rejected"}
+	if code < 0 || code >= int64(len(names)) {
+		return "off"
 	}
-	return "off"
+	return names[code]
+}
+
+// logf writes one replication lifecycle line to l, which may be nil.
+func logf(l *slog.Logger, format string, args ...any) {
+	if l != nil {
+		l.Info(fmt.Sprintf(format, args...))
+	}
 }
 
 // Stats is the lock-free counter block shared with the service's
@@ -116,28 +115,15 @@ type Stats struct {
 	LagRecords atomic.Int64
 	// Resyncs counts full segment resyncs started.
 	Resyncs atomic.Int64
-	// SemisyncFallbacks counts submits that timed out waiting for a
-	// follower ack and were acked async instead.
+	// SemisyncFallbacks counts submits acked without a follower ack:
+	// the wait timed out, or no follower was present to wait for.
 	SemisyncFallbacks atomic.Int64
-	// BreakerState is the semisync ack circuit breaker's current state
-	// (0=closed 1=open 2=half-open).
-	BreakerState atomic.Int64
-	// BreakerOpens counts transitions into the open state (repeated
-	// fallbacks tripped the breaker; acks degrade to pure async).
-	BreakerOpens atomic.Int64
-	// BreakerSkipped counts semisync ack waits skipped because the
-	// breaker was open.
-	BreakerSkipped atomic.Int64
-	// SentRecords counts journal records shipped (including resync).
+	// SentRecords counts journal records served to the follower
+	// (tail polls plus resync reads).
 	SentRecords atomic.Int64
 	// AppliedRecords counts records applied into the local journal
 	// (follower side, including resync staging commits).
 	AppliedRecords atomic.Int64
-	// BufferedBytes is the current ship-buffer occupancy (leader).
-	BufferedBytes atomic.Int64
-	// BufferOverflows counts ship-buffer overflows; each one forces a
-	// full resync on the next successful connect.
-	BufferOverflows atomic.Int64
 }
 
 // StatusView is the JSON shape of the /replication endpoint. Leader
@@ -147,8 +133,6 @@ type StatusView struct {
 	State string `json:"state"`
 	Mode  string `json:"mode,omitempty"`
 	Epoch uint64 `json:"epoch"`
-	// Follower is the attached follower's URL (leader side).
-	Follower string `json:"follower,omitempty"`
 	// Leader is the leader URL being followed (follower side).
 	Leader     string `json:"leader,omitempty"`
 	LagRecords int64  `json:"lag_records"`
@@ -160,21 +144,12 @@ type StatusView struct {
 	AppliedSeq        uint64 `json:"applied_seq,omitempty"`
 	Resyncs           int64  `json:"resyncs"`
 	SemisyncFallbacks int64  `json:"semisync_fallbacks,omitempty"`
-	// BreakerState is the semisync ack breaker state ("closed",
-	// "open", "half-open"); empty when not in semisync mode.
-	BreakerState    string `json:"breaker_state,omitempty"`
-	BreakerOpens    int64  `json:"breaker_opens,omitempty"`
-	BufferedBytes   int64  `json:"buffered_bytes,omitempty"`
-	BufferOverflows int64  `json:"buffer_overflows,omitempty"`
 	// SecondsSinceHeartbeat is the follower's view of leader
 	// liveness; -1 before the first heartbeat.
 	SecondsSinceHeartbeat float64 `json:"seconds_since_heartbeat,omitempty"`
 }
 
-const (
-	epochFile    = "repl-epoch"
-	followerFile = "repl-follower"
-)
+const epochFile = "repl-epoch"
 
 // LoadEpoch reads the persisted replication epoch from dir; a missing
 // file is epoch 0 (never promoted, never fenced).
@@ -193,43 +168,34 @@ func LoadEpoch(dir string) (uint64, error) {
 	return e, nil
 }
 
-// SaveEpoch durably persists the replication epoch (tmp + rename, so
-// a crash never leaves a torn epoch file).
+// SaveEpoch durably persists the replication epoch: the file is
+// written and fsynced under a temporary name, renamed into place, and
+// the directory is fsynced, so neither a crash nor a power loss after
+// a promote can bring back the old epoch.
 func SaveEpoch(dir string, epoch uint64) error {
-	return atomicWrite(filepath.Join(dir, epochFile), []byte(strconv.FormatUint(epoch, 10)))
-}
-
-// LoadFollowerURL reads the last registered follower URL, so a
-// restarted leader re-attaches without waiting for the follower to
-// re-register. Missing file means no follower has ever registered.
-func LoadFollowerURL(dir string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, followerFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", fmt.Errorf("repl: read follower url: %w", err)
-	}
-	return strings.TrimSpace(string(data)), nil
-}
-
-// SaveFollowerURL persists the registered follower URL.
-func SaveFollowerURL(dir, url string) error {
-	return atomicWrite(filepath.Join(dir, followerFile), []byte(url))
-}
-
-func atomicWrite(path string, data []byte) error {
+	path := filepath.Join(dir, epochFile)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("repl: write %s: %w", filepath.Base(path), err)
+	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(epoch, 10)), 0o644); err != nil {
+		return fmt.Errorf("repl: write epoch: %w", err)
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
+	if err := syncPath(tmp); err != nil {
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("repl: rename %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("repl: rename epoch: %w", err)
+	}
+	return syncPath(dir)
+}
+
+// syncPath fsyncs a file or directory.
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("repl: open %s for sync: %w", filepath.Base(path), err)
+	}
+	defer f.Close()
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("repl: sync %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

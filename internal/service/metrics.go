@@ -427,14 +427,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		gauge("cosparsed_repl_state", "Replication state (0=off 1=idle 2=syncing 3=streaming 4=disconnected 5=rejected).", m.Repl.State.Load())
 		gauge("cosparsed_repl_lag_records", "Journal records the replication peer has not acknowledged.", m.Repl.LagRecords.Load())
 		counter("cosparsed_repl_resyncs_total", "Full segment resyncs started.", m.Repl.Resyncs.Load())
-		counter("cosparsed_repl_semisync_fallbacks_total", "Semisync submits acked without a follower ack (timeout fallback to async).", m.Repl.SemisyncFallbacks.Load())
-		gauge("cosparsed_repl_semisync_breaker_state", "Semisync ack circuit breaker (0=closed 1=open 2=half-open).", m.Repl.BreakerState.Load())
-		counter("cosparsed_repl_semisync_breaker_opens_total", "Times the semisync ack breaker opened after repeated fallbacks.", m.Repl.BreakerOpens.Load())
-		counter("cosparsed_repl_semisync_skipped_total", "Semisync ack waits skipped because the breaker was open (pure-async degradation).", m.Repl.BreakerSkipped.Load())
-		counter("cosparsed_repl_sent_records_total", "Journal records shipped to the follower (tail batches plus resyncs).", m.Repl.SentRecords.Load())
+		counter("cosparsed_repl_semisync_fallbacks_total", "Semisync submits acked without a follower ack (the wait timed out, or no follower had polled within the timeout).", m.Repl.SemisyncFallbacks.Load())
+		counter("cosparsed_repl_sent_records_total", "Journal records served to the follower (tail polls plus resync reads).", m.Repl.SentRecords.Load())
 		counter("cosparsed_repl_applied_records_total", "Replicated journal records applied locally (follower side).", m.Repl.AppliedRecords.Load())
-		gauge("cosparsed_repl_buffered_bytes", "Leader ship-buffer occupancy.", m.Repl.BufferedBytes.Load())
-		counter("cosparsed_repl_buffer_overflows_total", "Ship-buffer overflows (each forces a full resync).", m.Repl.BufferOverflows.Load())
 	}
 
 	// One lock acquisition snapshots every histogram family; the

@@ -422,11 +422,11 @@ func (s *Service) checkpointContext(j *Job) context.Context {
 			}
 			s.m.CheckpointsWritten.Add(1)
 			j.noteCheckpoint(cp.Iteration())
-			// Ship the fresh checkpoint to the follower (best-effort,
-			// latest image wins) so a promotion resumes mid-run instead
-			// of recomputing from iteration 0.
+			// List the job for the follower's next poll, which fetches
+			// the image (best-effort, latest wins), so a promotion
+			// resumes mid-run instead of recomputing from iteration 0.
 			if rl := s.replLeader.Load(); rl != nil {
-				rl.ShipSnapshot(j.id, data)
+				rl.MarkDirty(j.id)
 			}
 			return nil
 		}

@@ -2,18 +2,16 @@ package service
 
 import (
 	"context"
-	"log"
 	"log/slog"
 	"net/http"
-	"strings"
 
 	"cosparse/internal/repl"
 )
 
 // This file is the service side of hot-standby replication: role
 // wiring (leader vs. standby), the promote path, the replication HTTP
-// endpoints, and the semisync submit-ack hook. The mechanics — frame
-// shipping, resync, epoch fencing — live in internal/repl.
+// endpoints, and the semisync submit-ack hook. The mechanics — log
+// polling, resync, epoch fencing — live in internal/repl.
 
 // isStandby reports whether this instance is currently a follower
 // (mutating endpoints answer 503 until promotion).
@@ -39,38 +37,24 @@ func (s *Service) guardStandby(h http.HandlerFunc) http.HandlerFunc {
 func (s *Service) newReplicator(epoch uint64) *repl.Replicator {
 	return repl.NewReplicator(repl.LeaderConfig{
 		Store:           s.db,
-		DataDir:         s.cfg.DataDir,
 		Epoch:           epoch,
-		Mode:            s.replMode,
 		SemisyncTimeout: s.cfg.SemisyncTimeout,
 		HeartbeatEvery:  s.cfg.ReplHeartbeatEvery,
 		Faults:          s.cfg.Faults,
 		Stats:           s.replStats,
-		Logger:          s.replLog(),
+		Logger:          s.log,
 	})
 }
 
-// replLog adapts the service's slog logger to the plain log.Logger the
-// repl package takes.
-func (s *Service) replLog() *log.Logger {
-	return log.New(slogWriter{log: s.log}, "", 0)
-}
-
-type slogWriter struct{ log *slog.Logger }
-
-func (w slogWriter) Write(p []byte) (int, error) {
-	w.log.Info(strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
-
 // Promote turns a standby into the leader: it bumps and persists the
-// replication epoch (fencing the old leader's stream), replays the
-// replicated journal through the normal recovery path — re-enqueueing
-// every unfinished job under its original id, resuming from shipped
-// checkpoints where they exist — and starts a leader replicator so a
-// future standby can attach. Idempotent: promoting a node that is
-// already the leader (including a double promote) is a no-op that
-// returns the current status.
+// replication epoch and stops polling (the follower's loop then posts
+// the new epoch to the old leader), replays the replicated journal
+// through the normal recovery path — re-enqueueing every unfinished
+// job under its original id, resuming from replicated checkpoints
+// where they exist — and starts a leader replicator so a future
+// standby can poll it. Idempotent: promoting a node that is already the
+// leader (including a double promote) is a no-op that returns the
+// current status.
 func (s *Service) Promote(reason string) (repl.StatusView, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -81,13 +65,12 @@ func (s *Service) Promote(reason string) (repl.StatusView, error) {
 	if err != nil {
 		return s.ReplicationStatus(), err
 	}
-	s.replEpoch.Store(epoch)
 	s.log.Info("promoting to leader",
 		slog.String("reason", reason),
 		slog.Uint64("epoch", epoch))
-	// MarkPromoted fences the replication handlers (409 from here on),
-	// so the journal is quiescent; mutating client endpoints stay 503
-	// until the standby flag flips below, so recovery owns the
+	// MarkPromoted waited out any apply in progress and stops the poll
+	// loop, so the journal is quiescent; mutating client endpoints stay
+	// 503 until the standby flag flips below, so recovery owns the
 	// scheduler and registry exactly as it does at startup.
 	if err := s.recover(); err != nil {
 		return s.ReplicationStatus(), err
@@ -108,7 +91,9 @@ func (s *Service) Promote(reason string) (repl.StatusView, error) {
 // /replication endpoint.
 func (s *Service) ReplicationStatus() repl.StatusView {
 	if rl := s.replLeader.Load(); rl != nil {
-		return rl.Status()
+		v := rl.Status()
+		v.Mode = s.replMode.String()
+		return v
 	}
 	if s.follower != nil {
 		return s.follower.Status()
@@ -118,70 +103,37 @@ func (s *Service) ReplicationStatus() repl.StatusView {
 
 // semisyncWait holds a submit ack until the follower has acknowledged
 // the submit's journal record, falling back to async (counted in
-// cosparsed_repl_semisync_fallbacks_total) when the timeout fires or
-// no follower is reachable. seq 0 means the submit was not journaled
-// (in-memory service) — nothing to wait for. Repeated fallbacks open
-// the ack circuit breaker: the wait is then skipped entirely (pure
-// async, each skip counted in cosparsed_repl_semisync_skipped_total)
-// until a periodic probe wait finds the follower acking again.
+// cosparsed_repl_semisync_fallbacks_total) when the timeout fires, or
+// at once when no follower has polled within the timeout. seq 0 means
+// the submit was not journaled (in-memory service) — nothing to wait
+// for.
 func (s *Service) semisyncWait(r *http.Request, seq uint64) {
 	rl := s.replLeader.Load()
-	if rl == nil || rl.Mode() != repl.ModeSemiSync || seq == 0 {
+	if rl == nil || s.replMode != repl.ModeSemiSync || seq == 0 {
 		return
 	}
-	br := rl.AckBreaker()
-	if !br.Allow() {
-		s.replStats.BreakerSkipped.Add(1)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rl.SemisyncTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SemisyncTimeout)
 	defer cancel()
-	ok := rl.WaitApplied(ctx, seq)
-	br.Record(ok)
-	if !ok {
-		s.replStats.SemisyncFallbacks.Add(1)
+	if rl.WaitApplied(ctx, seq) {
+		return
+	}
+	s.replStats.SemisyncFallbacks.Add(1)
+	if ctx.Err() != nil {
 		s.log.Warn("semisync fallback: follower did not ack in time",
 			slog.Uint64("seq", seq))
 	}
 }
 
-// handleReplRegister is the leader's registration endpoint: a follower
-// announces its URL and epoch, and the leader begins streaming to it
-// (starting with a full resync). A follower whose epoch is ahead of
-// ours was promoted past us — this node is a stale leader and must not
-// attach to it.
-func (s *Service) handleReplRegister(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		URL   string `json:"url"`
-		Epoch uint64 `json:"epoch"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		writeDecodeError(w, "bad register request", err)
-		return
-	}
-	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "register: url is required")
-		return
-	}
-	if s.isStandby() {
-		writeError(w, http.StatusConflict, "standby: cannot accept followers")
-		return
-	}
+// handleRepl serves the replication routes from this node's
+// replicator; a standby (or an in-memory node) has none and answers
+// 409, which sends a poller to resync later and ends a fence post.
+func (s *Service) handleRepl(w http.ResponseWriter, r *http.Request) {
 	rl := s.replLeader.Load()
 	if rl == nil {
-		writeError(w, http.StatusServiceUnavailable, "replication requires a data dir")
+		writeError(w, http.StatusConflict, "not a replication leader")
 		return
 	}
-	if ours := s.replEpoch.Load(); req.Epoch > ours {
-		writeError(w, http.StatusConflict,
-			"stale leader epoch: follower is at epoch %d, this leader at %d", req.Epoch, ours)
-		return
-	}
-	if err := rl.AttachFollower(req.URL); err != nil {
-		writeError(w, http.StatusInternalServerError, "attach follower: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": s.replEpoch.Load()})
+	rl.ServeHTTP(w, r)
 }
 
 // handlePromote is the manual failover trigger.

@@ -1,9 +1,9 @@
 package service
 
 import (
+	"context"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cosparse/internal/repl"
+	"cosparse/internal/store"
 )
 
 // newReplLeader opens a durable leader without registering cleanup, so
@@ -28,28 +29,18 @@ func newReplLeader(t *testing.T, dir string, cfg Config) (*Service, *httptest.Se
 	return svc, httptest.NewServer(svc.Handler())
 }
 
-// newReplFollower opens a standby of the given leader. The listener is
-// allocated before Open so the follower can advertise its real URL.
+// newReplFollower opens a standby of the given leader.
 func newReplFollower(t *testing.T, dir, leaderURL string, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	cfg.DataDir = dir
 	cfg.StoreNoSync = true
 	cfg.FollowLeader = leaderURL
-	cfg.AdvertiseURL = "http://" + l.Addr().String()
 	svc, err := Open(cfg)
 	if err != nil {
-		l.Close()
 		t.Fatalf("Open follower: %v", err)
 	}
-	ts := httptest.NewUnstartedServer(svc.Handler())
-	ts.Listener.Close()
-	ts.Listener = l
-	ts.Start()
+	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
@@ -195,10 +186,21 @@ func TestReplPromoteIdempotentAndStaleLeaderFenced(t *testing.T) {
 	var st JobStatus
 	doJSON(t, http.MethodPost, lts.URL+"/v1/jobs", JobRequest{GraphID: gid, Algo: "bfs", Source: 0}, &st)
 	waitJob(t, leader, st.ID)
+	// The job's done channel closes before its finish record is
+	// journaled, so wait for the record before reading the journal head.
+	deadline := time.Now().Add(10 * time.Second)
+	for !journaledFinish(leader, st.ID) {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("job %s finish record never journaled", st.ID)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// Let the finish record replicate so the promote sees a settled job.
-	deadline := time.Now().Add(10 * time.Second)
-	for leader.replLeader.Load().AckedSeq() < leader.Store().Seq() && time.Now().Before(deadline) {
+	for leader.replLeader.Load().AckedSeq() < leader.Store().Seq() {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("follower acked %d of %d records", leader.replLeader.Load().AckedSeq(), leader.Store().Seq())
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -229,8 +231,8 @@ func TestReplPromoteIdempotentAndStaleLeaderFenced(t *testing.T) {
 	}
 	waitJob(t, follower, st2.ID)
 
-	// The old leader's next heartbeat or ship hits the bumped epoch and
-	// fences it permanently.
+	// The promoted node's fence post carries the bumped epoch and
+	// fences the old leader permanently.
 	for time.Now().Before(deadline) {
 		if leader.ReplicationStatus().State == "rejected" {
 			break
@@ -270,5 +272,128 @@ func TestReplSemisyncFallbackWithoutFollower(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %s", want)
 		}
+	}
+}
+
+// journaledFinish reports whether the service's journal holds jobID's
+// finish record.
+func journaledFinish(svc *Service, jobID string) bool {
+	recs, _ := svc.Store().Replay()
+	for _, r := range recs {
+		if r.Type == store.RecFinish && r.JobID == jobID {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReplSemisyncSkipsWaitWhileFollowerAbsent: a semisync ack waits
+// only for a follower that is there. A caught-up follower's ack covers
+// every 202; once it is gone the first submit waits out the timeout and
+// the next ones do not wait at all; once a follower is back and caught
+// up, acks are waited for again at once.
+func TestReplSemisyncSkipsWaitWhileFollowerAbsent(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	leaderCfg := Config{Workers: 1, QueueDepth: 16, ReplMode: "semisync", SemisyncTimeout: timeout, ReplHeartbeatEvery: 20 * time.Millisecond}
+	leader, lts := newReplLeader(t, t.TempDir(), leaderCfg)
+	t.Cleanup(func() {
+		lts.Close()
+		leader.Close()
+	})
+	followerDir := t.TempDir()
+	fcfg := Config{Workers: 1, QueueDepth: 8}
+	follower, fts := newReplFollower(t, followerDir, lts.URL, fcfg)
+	waitCaughtUp(t, fts.URL)
+	gid := registerGraph(t, lts.URL, 5)
+
+	submit := func() (time.Duration, JobStatus) {
+		t.Helper()
+		var st JobStatus
+		t0 := time.Now()
+		if code := doJSON(t, http.MethodPost, lts.URL+"/v1/jobs", JobRequest{GraphID: gid, Algo: "bfs", Source: 0}, &st); code != http.StatusAccepted {
+			t.Fatalf("submit: status %d", code)
+		}
+		return time.Since(t0), st
+	}
+	// Present and caught up: every 202 is covered by the follower.
+	for i := 0; i < 3; i++ {
+		_, st := submit()
+		if got := follower.follower.AppliedSeq(); got < leader.sched.Get(st.ID).replSeq {
+			t.Fatalf("semisync 202 for seq %d with the follower at %d", leader.sched.Get(st.ID).replSeq, got)
+		}
+	}
+	if n := leader.replStats.SemisyncFallbacks.Load(); n != 0 {
+		t.Fatalf("%d fallbacks with a caught-up follower", n)
+	}
+
+	// Gone: the first submit waits at most the timeout and falls back;
+	// the next ones return without waiting.
+	fts.Close()
+	follower.Close()
+	if wall, _ := submit(); wall > timeout+time.Second {
+		t.Fatalf("first submit without a follower took %s, want <= %s", wall, timeout)
+	}
+	if n := leader.replStats.SemisyncFallbacks.Load(); n != 1 {
+		t.Fatalf("fallbacks after the follower left = %d, want 1", n)
+	}
+	for i := 0; i < 3; i++ {
+		if wall, _ := submit(); wall >= timeout/10 {
+			t.Fatalf("submit %d with the follower absent took %s, want < %s", i, wall, timeout/10)
+		}
+	}
+	if n := leader.replStats.SemisyncFallbacks.Load(); n != 4 {
+		t.Fatalf("fallbacks = %d, want 4", n)
+	}
+
+	// Back: a follower reopened on the same dir catches up, and the
+	// next submit's 202 is covered again — no cooldown.
+	back, bts := newReplFollower(t, followerDir, lts.URL, fcfg)
+	waitCaughtUp(t, bts.URL)
+	deadline := time.Now().Add(10 * time.Second)
+	for leader.replLeader.Load().AckedSeq() < leader.Store().Seq() {
+		if !time.Now().Before(deadline) {
+			t.Fatal("reopened follower never caught up")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_, st := submit()
+	if got := back.follower.AppliedSeq(); got < leader.sched.Get(st.ID).replSeq {
+		t.Fatalf("semisync 202 for seq %d with the reopened follower at %d", leader.sched.Get(st.ID).replSeq, got)
+	}
+	if n := leader.replStats.SemisyncFallbacks.Load(); n != 4 {
+		t.Fatalf("fallbacks after the follower returned = %d, want 4", n)
+	}
+}
+
+// TestLeaderShutdownReleasesHeldPoll: a caught-up follower's poll is
+// held for up to ReplHeartbeatEvery. With ReleaseReplication
+// registered as a shutdown hook (as cosparsed does), an HTTP server
+// shutdown answers that poll at once instead of waiting it out.
+func TestLeaderShutdownReleasesHeldPoll(t *testing.T) {
+	leader, lts := newReplLeader(t, t.TempDir(), Config{Workers: 1, QueueDepth: 4, ReplHeartbeatEvery: time.Minute})
+	t.Cleanup(func() {
+		lts.Close()
+		leader.Close()
+	})
+	_, fts := newReplFollower(t, t.TempDir(), lts.URL, Config{Workers: 1, QueueDepth: 4})
+	waitCaughtUp(t, fts.URL)
+	deadline := time.Now().Add(10 * time.Second)
+	for leader.ReplicationStatus().State != "streaming" {
+		if time.Now().After(deadline) {
+			t.Fatalf("leader state %q, want streaming", leader.ReplicationStatus().State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // the tail poll is now held
+
+	lts.Config.RegisterOnShutdown(leader.ReleaseReplication)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := lts.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v after %v", err, time.Since(start))
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown took %v with a held poll", d)
 	}
 }

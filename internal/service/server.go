@@ -104,26 +104,24 @@ type Config struct {
 	BatchMaxLanes int
 	// FollowLeader, when non-empty, starts this instance as a hot
 	// standby of the leader at the given base URL: mutating endpoints
-	// answer 503, the leader's journal and checkpoint stream is
-	// applied into this node's store, and promotion (POST
-	// /v1/admin/promote, or PromoteAfter without a heartbeat) runs
-	// recovery and takes over as leader. Requires DataDir.
+	// answer 503, the leader's journal and checkpoints are polled into
+	// this node's store, and promotion (POST /v1/admin/promote, or
+	// PromoteAfter without a heartbeat) runs recovery, fences the old
+	// leader and takes over. Requires DataDir.
 	FollowLeader string
-	// AdvertiseURL is the base URL this node is reachable at, sent to
-	// the leader at registration (follower mode). Required with
-	// FollowLeader.
-	AdvertiseURL string
 	// ReplMode selects the leader's submit-ack coupling: "async" (the
 	// default) or "semisync" (submit acks wait for the follower's
 	// journal ack, with SemisyncTimeout fallback to async).
 	ReplMode string
 	// SemisyncTimeout caps the semisync ack wait (default 2s).
 	SemisyncTimeout time.Duration
-	// ReplHeartbeatEvery is the leader→follower heartbeat cadence
+	// ReplHeartbeatEvery is how long the leader holds a caught-up
+	// follower poll before answering it empty — the follower's
+	// heartbeat — and a promoted node's fence-post retry cadence
 	// (default 1s).
 	ReplHeartbeatEvery time.Duration
-	// PromoteAfter auto-promotes a synced follower when no leader
-	// heartbeat arrives for this long (0 = manual promotion only).
+	// PromoteAfter auto-promotes a synced follower when the leader has
+	// answered no poll for this long (0 = manual promotion only).
 	PromoteAfter time.Duration
 	// ShedTarget is the CoDel-style queue-delay shedding target: when
 	// dequeue sojourns stay above it for ShedInterval, new submissions
@@ -184,6 +182,12 @@ func (c Config) withDefaults() Config {
 	if c.ShedInterval <= 0 {
 		c.ShedInterval = 100 * time.Millisecond
 	}
+	if c.SemisyncTimeout <= 0 {
+		c.SemisyncTimeout = 2 * time.Second
+	}
+	if c.ReplHeartbeatEvery <= 0 {
+		c.ReplHeartbeatEvery = time.Second
+	}
 	return c
 }
 
@@ -218,16 +222,14 @@ type Service struct {
 	// endpoint; always allocated (state stays "off" without replication).
 	replStats *repl.Stats
 	// replLeader is the leader-side replicator: set for every durable
-	// leader (a follower can attach to any of them), and installed by
-	// Promote on an ex-standby. Loaded from the store's append hook, so
-	// it must be an atomic pointer.
+	// leader (a follower can poll any of them), and installed by
+	// Promote on an ex-standby.
 	replLeader atomic.Pointer[repl.Replicator]
-	// follower is the standby-side stream applier; nil on a born-leader.
+	// follower is the standby-side log poller; nil on a born-leader.
 	follower *repl.Follower
-	// followerStop cancels the follower's register/watchdog loop.
+	// followerStop cancels the follower's poll loop (and, after a
+	// promote, its fence post).
 	followerStop context.CancelFunc
-	// replEpoch mirrors the persisted replication epoch.
-	replEpoch atomic.Uint64
 	// replMode is the parsed cfg.ReplMode.
 	replMode repl.Mode
 	// promoteMu serializes Promote (manual + heartbeat-timeout callers).
@@ -288,16 +290,6 @@ func Open(cfg Config) (*Service, error) {
 		NoSync:   s.cfg.StoreNoSync,
 		Faults:   s.cfg.Faults,
 		OnAppend: func(n int) { s.m.JournalBytes.Add(int64(n)) },
-		// Every committed journal frame is offered to the replicator.
-		// The closure re-reads the atomic pointer so frames flow to the
-		// replicator a promotion installs later; while it is nil (e.g.
-		// during recovery) frames are skipped, which is safe — a
-		// follower attach always starts with a full resync.
-		OnAppendFrame: func(seq uint64, frame []byte) {
-			if rl := s.replLeader.Load(); rl != nil {
-				rl.OnRecord(seq, frame)
-			}
-		},
 		Logf: func(format string, args ...any) {
 			s.log.Info(fmt.Sprintf(format, args...))
 		},
@@ -316,9 +308,7 @@ func Open(cfg Config) (*Service, error) {
 		s.standby.Store(true)
 		f, err := repl.NewFollower(repl.FollowerConfig{
 			Store:        db,
-			DataDir:      s.cfg.DataDir,
 			LeaderURL:    s.cfg.FollowLeader,
-			SelfURL:      s.cfg.AdvertiseURL,
 			PromoteAfter: s.cfg.PromoteAfter,
 			OnPromote: func(reason string) {
 				if _, err := s.Promote(reason); err != nil {
@@ -327,7 +317,7 @@ func Open(cfg Config) (*Service, error) {
 			},
 			Faults: s.cfg.Faults,
 			Stats:  s.replStats,
-			Logger: s.replLog(),
+			Logger: s.log,
 		})
 		if err != nil {
 			s.sched.Close()
@@ -335,7 +325,6 @@ func Open(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.follower = f
-		s.replEpoch.Store(f.Epoch())
 		ctx, cancel := context.WithCancel(context.Background())
 		s.followerStop = cancel
 		go f.Run(ctx)
@@ -346,15 +335,14 @@ func Open(cfg Config) (*Service, error) {
 		db.Close()
 		return nil, err
 	}
-	// Every durable leader runs a replicator (idle until a follower
-	// registers), so standby attachment needs no leader-side flag.
+	// Every durable leader serves replication (idle until a follower
+	// polls), so standby attachment needs no leader-side flag.
 	epoch, err := repl.LoadEpoch(s.cfg.DataDir)
 	if err != nil {
 		s.sched.Close()
 		db.Close()
 		return nil, err
 	}
-	s.replEpoch.Store(epoch)
 	s.replLeader.Store(s.newReplicator(epoch))
 	return s, nil
 }
@@ -377,11 +365,19 @@ func (s *Service) Close() {
 	if s.followerStop != nil {
 		s.followerStop()
 	}
-	if rl := s.replLeader.Load(); rl != nil {
-		rl.Close()
-	}
+	s.ReleaseReplication()
 	if s.db != nil {
 		s.db.Close()
+	}
+}
+
+// ReleaseReplication answers every held follower poll and semisync
+// wait at once; later polls are answered without being held. Call it
+// when the HTTP server starts shutting down, so the shutdown does not
+// wait out a held poll (up to ReplHeartbeatEvery). Close calls it too.
+func (s *Service) ReleaseReplication() {
+	if rl := s.replLeader.Load(); rl != nil {
+		rl.Close()
 	}
 }
 
@@ -425,24 +421,11 @@ func (s *Service) Handler() http.Handler {
 	s.route(mux, "GET /readyz", s.handleReady)
 	s.route(mux, "GET /metrics", s.handleMetrics)
 	s.route(mux, "GET /replication", s.handleReplication)
-	s.route(mux, "POST /v1/repl/register", s.handleReplRegister)
 	s.route(mux, "POST /v1/admin/promote", s.handlePromote)
-	if s.follower != nil {
-		// The stream-apply endpoints exist only on a node started as a
-		// follower; after promotion they keep answering 409 (fenced).
-		fh := s.follower.Handler()
-		for _, p := range []string{
-			"POST /v1/repl/apply",
-			"POST /v1/repl/heartbeat",
-			"POST /v1/repl/resync/begin",
-			"POST /v1/repl/resync/chunk",
-			"POST /v1/repl/resync/snapshot/{job}",
-			"POST /v1/repl/resync/commit",
-			"POST /v1/repl/snapshot/{job}",
-		} {
-			mux.Handle(p, fh)
-		}
-	}
+	// The replication routes are served by whichever replicator this
+	// node has: none while it is a standby, the promote's after.
+	// Uninstrumented, because a long poll's latency is its hold.
+	mux.HandleFunc("/v1/repl/", s.handleRepl)
 	if s.cfg.EnablePprof {
 		// Mounted on the service mux (not http.DefaultServeMux, which
 		// importing net/http/pprof would populate globally) so the flag
@@ -1297,13 +1280,14 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.db != nil {
-		resp["replication"] = repl.StateName(s.replStats.State.Load())
+		resp["replication"] = s.ReplicationStatus().State
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	s.ReplicationStatus() // refreshes the leader's derived state and lag gauges
 	s.m.WritePrometheus(w)
 }
 

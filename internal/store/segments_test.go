@@ -4,11 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"cosparse/internal/fault"
 )
 
 // synthHeader builds a valid segment header so frames returned by
-// ReadFrom / OnAppendFrame can be decoded with scanSegment.
+// ReadFrom can be decoded with scanSegment.
 func synthHeader() []byte {
 	hdr := make([]byte, segHeaderLen)
 	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
@@ -45,58 +49,71 @@ func TestAppendSeqMonotonicAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestOnAppendFrameDeliversDecodableFrames(t *testing.T) {
-	var seqs []uint64
-	frames := synthHeader()
-	s := testOpen(t, t.TempDir(), Options{
-		OnAppendFrame: func(seq uint64, frame []byte) {
-			seqs = append(seqs, seq)
-			frames = append(frames, frame...)
-		},
-	})
+func TestReadFromDeliversDecodableFrames(t *testing.T) {
+	s := testOpen(t, t.TempDir(), Options{})
 	want := []Record{submitRec("j1"), {Type: RecStart, JobID: "j1"}, {Type: RecFinish, JobID: "j1", State: "done"}}
-	for _, r := range want {
-		if err := s.Append(r); err != nil {
-			t.Fatalf("Append: %v", err)
+	var ends []int64
+	for i, r := range want {
+		seq, err := s.AppendSeq(r)
+		if err != nil || seq != uint64(i+1) {
+			t.Fatalf("AppendSeq = (%d, %v), want (%d, nil)", seq, err, i+1)
 		}
+		segs, _, _ := s.Segments()
+		ends = append(ends, segs[len(segs)-1].Bytes)
 	}
-	if len(seqs) != 3 || seqs[0] != 1 || seqs[2] != 3 {
-		t.Fatalf("OnAppendFrame seqs = %v, want [1 2 3]", seqs)
-	}
-	// The observed frames, stitched behind a segment header, must
-	// decode back to exactly the appended records — this is the
-	// contract the replication stream relies on.
-	got, err := ScanSegment(frames)
-	if err != nil {
-		t.Fatalf("ScanSegment over observed frames: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Type != want[i].Type || got[i].JobID != want[i].JobID {
-			t.Errorf("frame %d = %+v, want %+v", i, got[i], want[i])
+	// Each record's frame, read back from the previous record's end
+	// and stitched behind a segment header, decodes to exactly that
+	// record — the contract a follower's cursor relies on.
+	off := int64(SegmentHeaderLen)
+	for i, end := range ends {
+		frames, sealed, err := s.ReadFrom(1, off)
+		if err != nil || sealed {
+			t.Fatalf("ReadFrom(1, %d) = (sealed %v, %v)", off, sealed, err)
 		}
+		got, err := ScanSegment(append(synthHeader(), frames[:end-off]...))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("frame %d decodes to %d records (%v)", i, len(got), err)
+		}
+		if got[0].Type != want[i].Type || got[0].JobID != want[i].JobID {
+			t.Errorf("frame %d = %+v, want %+v", i, got[0], want[i])
+		}
+		off = end
 	}
 }
 
 func TestAppendBatchReplaysAndHooks(t *testing.T) {
 	dir := t.TempDir()
-	var seqs []uint64
-	s := testOpen(t, dir, Options{
-		OnAppendFrame: func(seq uint64, frame []byte) { seqs = append(seqs, seq) },
-	})
+	var bytes int
+	s := testOpen(t, dir, Options{OnAppend: func(n int) { bytes += n }})
+	seq0, wake := s.Watch()
+	if seq0 != 0 {
+		t.Fatalf("Watch seq on an empty journal = %d", seq0)
+	}
 	batch := []Record{submitRec("j1"), submitRec("j2"), submitRec("j3")}
 	if err := s.AppendBatch(batch); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	if len(seqs) != 3 || seqs[0] != 1 || seqs[2] != 3 {
-		t.Fatalf("batch hook seqs = %v, want [1 2 3]", seqs)
+	select {
+	case <-wake:
+	default:
+		t.Fatal("AppendBatch did not release a Watch channel")
+	}
+	if seq, _ := s.Watch(); seq != 3 {
+		t.Fatalf("Watch seq after batch = %d, want 3", seq)
+	}
+	if segs, _, _ := s.Segments(); int64(bytes) != segs[0].Bytes-SegmentHeaderLen {
+		t.Fatalf("OnAppend saw %d bytes, segment holds %d", bytes, segs[0].Bytes-SegmentHeaderLen)
 	}
 	if got, _ := s.Replay(); len(got) != 3 || got[1].JobID != "j2" {
 		t.Fatalf("Replay after batch = %+v", got)
 	}
+	_, wake = s.Watch()
 	s.Close()
+	select {
+	case <-wake:
+	default:
+		t.Fatal("Close did not release a Watch channel")
+	}
 
 	s2 := testOpen(t, dir, Options{})
 	got, _ := s2.Replay()
@@ -161,9 +178,12 @@ func TestSegmentsAndReadFromRoundTrip(t *testing.T) {
 	// stitched frames must reproduce the journal exactly.
 	var all []Record
 	for _, info := range segs {
-		frames, err := s.ReadFrom(info.Index, SegmentHeaderLen)
+		frames, sealed, err := s.ReadFrom(info.Index, SegmentHeaderLen)
 		if err != nil {
 			t.Fatalf("ReadFrom(%d): %v", info.Index, err)
+		}
+		if sealed == info.Active {
+			t.Errorf("segment %d: sealed = %v, Active = %v", info.Index, sealed, info.Active)
 		}
 		if int64(len(frames)) != info.Bytes-SegmentHeaderLen {
 			t.Errorf("segment %d: read %d bytes, Segments reported %d", info.Index, len(frames), info.Bytes-SegmentHeaderLen)
@@ -183,10 +203,16 @@ func TestSegmentsAndReadFromRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Reading at or past the committed end is empty, not an error.
+	// Reading at the committed end is empty, not an error; a position
+	// no segment ever had is ErrBadOffset.
 	last := segs[len(segs)-1]
-	if b, err := s.ReadFrom(last.Index, last.Bytes); err != nil || len(b) != 0 {
+	if b, _, err := s.ReadFrom(last.Index, last.Bytes); err != nil || len(b) != 0 {
 		t.Fatalf("ReadFrom at end = (%d bytes, %v), want empty", len(b), err)
+	}
+	for _, pos := range [][2]int64{{int64(last.Index), last.Bytes + 1}, {int64(last.Index + 1), SegmentHeaderLen}, {0, SegmentHeaderLen}, {int64(last.Index), SegmentHeaderLen - 1}} {
+		if _, _, err := s.ReadFrom(int(pos[0]), pos[1]); !errors.Is(err, ErrBadOffset) {
+			t.Errorf("ReadFrom(%d, %d) = %v, want ErrBadOffset", pos[0], pos[1], err)
+		}
 	}
 }
 
@@ -208,7 +234,7 @@ func TestReadFromAfterCompactionSegmentGone(t *testing.T) {
 	}
 	// The sealed segment a reader was cursored on is gone; the reader
 	// must see ErrSegmentGone and restart its resync from Segments().
-	if _, err := s.ReadFrom(sealed, SegmentHeaderLen); !errors.Is(err, ErrSegmentGone) {
+	if _, _, err := s.ReadFrom(sealed, SegmentHeaderLen); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("ReadFrom(compacted segment) = %v, want ErrSegmentGone", err)
 	}
 	// Compaction rewrites bytes but assigns no new sequence numbers:
@@ -223,12 +249,55 @@ func TestReadFromAfterCompactionSegmentGone(t *testing.T) {
 	if len(segs2) != 1 || !segs2[0].Active {
 		t.Errorf("segments after Compact = %+v, want single active", segs2)
 	}
-	frames, err := s.ReadFrom(segs2[0].Index, SegmentHeaderLen)
+	frames, _, err := s.ReadFrom(segs2[0].Index, SegmentHeaderLen)
 	if err != nil {
 		t.Fatalf("ReadFrom after Compact: %v", err)
 	}
 	recs, err := ScanSegment(append(synthHeader(), frames...))
 	if err != nil || len(recs) != 1 || recs[0].JobID != "j20" {
 		t.Fatalf("post-compaction segment decodes to %+v (%v), want [j20]", recs, err)
+	}
+}
+
+// TestFailedAppendRolledBack: an append or batch whose fsync fails
+// leaves no bytes in the segment, so the next append starts on a frame
+// boundary, ReadFrom returns exactly the committed frames, and a
+// reopen replays only the committed records.
+func TestFailedAppendRolledBack(t *testing.T) {
+	inj := fault.New(1)
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{Faults: inj})
+	if err := s.Append(submitRec("a")); err != nil {
+		t.Fatal(err)
+	}
+	inj.Arm(fault.StoreSync, fault.Rule{ErrRate: 1, MaxFaults: 2})
+	if err := s.Append(submitRec("lost1")); err == nil {
+		t.Fatal("armed store.fsync did not fail Append")
+	}
+	if err := s.AppendBatch([]Record{submitRec("lost2"), submitRec("lost3")}); err == nil {
+		t.Fatal("armed store.fsync did not fail AppendBatch")
+	}
+	if err := s.Append(submitRec("b")); err != nil {
+		t.Fatalf("Append after the failures: %v", err)
+	}
+	segs, seq, err := s.Segments()
+	if err != nil || len(segs) != 1 || seq != 2 {
+		t.Fatalf("Segments() = (%v, %d, %v), want one segment at seq 2", segs, seq, err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || st.Size() != segs[0].Bytes {
+		t.Fatalf("segment file holds %v bytes (%v), committed %d", st.Size(), err, segs[0].Bytes)
+	}
+	frames, _, err := s.ReadFrom(1, SegmentHeaderLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := DecodeFrames(frames)
+	if err != nil || len(recs) != 2 || recs[0].JobID != "a" || recs[1].JobID != "b" {
+		t.Fatalf("ReadFrom decodes to (%v, %v), want [a b]", recs, err)
+	}
+	s.Close()
+	s2 := testOpen(t, dir, Options{})
+	if recs, _ := s2.Replay(); len(recs) != 2 || recs[1].JobID != "b" {
+		t.Fatalf("reopen replays %d records, want [a b]", len(recs))
 	}
 }

@@ -114,13 +114,6 @@ type Options struct {
 	// OnAppend observes the number of journal bytes committed per
 	// Append (metrics hook). May be nil.
 	OnAppend func(n int)
-	// OnAppendFrame observes every committed record as its raw CRC
-	// frame together with its sequence number (1-based, counting every
-	// record in the journal including those replayed at Open). It is
-	// called under the store lock, in append order, after the frame is
-	// durable — the replication tail hook. The frame slice is freshly
-	// allocated per record and may be retained. May be nil.
-	OnAppendFrame func(seq uint64, frame []byte)
 	// Logf receives recovery diagnostics (torn-tail truncation,
 	// compaction). May be nil.
 	Logf func(format string, args ...any)
@@ -150,6 +143,10 @@ type Store struct {
 	segIdx   int
 	segBytes int64
 	closed   bool
+	// broken is set when a failed append could not be rolled back; the
+	// segment then holds bytes past segBytes, so every later append
+	// returns it.
+	broken error
 
 	// seq is the sequence number of the last record in the journal:
 	// replayed records take 1..n at Open, every append increments it.
@@ -158,6 +155,9 @@ type Store struct {
 	seq     uint64
 	records []Record
 	replay  ReplayStats
+	// wake is closed by the next commit (see Watch); nil until someone
+	// watches, so an unwatched store allocates nothing per append.
+	wake chan struct{}
 }
 
 // ErrClosed is returned by operations on a closed Store.
@@ -166,9 +166,14 @@ var ErrClosed = errors.New("store: closed")
 // ErrSegmentGone is returned by ReadFrom for a segment that no longer
 // exists — compaction deleted it out from under the reader. Compaction
 // assumes it is the only long-lived reader of segment files; any other
-// reader (the replication resync path) must treat this error as a lost
-// cursor and restart its scan from Segments().
+// reader (a replication follower's cursor) must treat this error as a
+// lost cursor and restart its scan from Segments().
 var ErrSegmentGone = errors.New("store: segment removed by compaction")
+
+// ErrBadOffset is returned by ReadFrom for a position no segment ever
+// had: a segment index past the active one, or an offset inside the
+// header or beyond the committed bytes.
+var ErrBadOffset = errors.New("store: read position out of range")
 
 func (o Options) segmentBytes() int64 {
 	if o.MaxSegmentBytes <= 0 {
@@ -321,7 +326,24 @@ func scanSegment(data []byte) (recs []Record, good int64, err error) {
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != segVersion {
 		return nil, 0, fmt.Errorf("unsupported journal version %d (want %d)", v, segVersion)
 	}
-	off := int64(segHeaderLen)
+	return scanFrames(data, segHeaderLen)
+}
+
+// DecodeFrames decodes a run of frames as ReadFrom returns them,
+// strictly: a torn frame, a checksum mismatch or an undecodable
+// payload anywhere fails the whole run with no records. It never
+// panics on arbitrary input.
+func DecodeFrames(data []byte) ([]Record, error) {
+	recs, _, err := scanFrames(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// scanFrames decodes the frames in data from offset off, like
+// scanSegment past the header.
+func scanFrames(data []byte, off int64) (recs []Record, good int64, err error) {
 	for off < int64(len(data)) {
 		rest := data[off:]
 		if len(rest) < frameHeaderLen {
@@ -353,7 +375,7 @@ func scanSegment(data []byte) (recs []Record, good int64, err error) {
 // active append target. Caller holds s.mu (or is still in Open).
 func (s *Store) openSegment(idx int) error {
 	path := filepath.Join(s.dir, segName(idx))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create segment: %w", err)
 	}
@@ -411,9 +433,9 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// buildFrame encodes a record as one journal frame (length + CRC32 +
-// JSON payload).
-func buildFrame(r Record) ([]byte, error) {
+// EncodeFrame encodes a record as one journal frame (length + CRC32 +
+// JSON payload), the bytes Append writes and ReadFrom returns.
+func EncodeFrame(r Record) ([]byte, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record: %w", err)
@@ -436,27 +458,16 @@ func (s *Store) Append(r Record) error {
 // AppendSeq is Append returning the record's journal sequence number —
 // the cursor a semisync submitter waits on for the follower's ack.
 func (s *Store) AppendSeq(r Record) (uint64, error) {
-	frame, err := buildFrame(r)
+	frame, err := EncodeFrame(r)
 	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.opt.Faults != nil {
-		if err := s.opt.Faults.Check(fault.JournalAppend); err != nil {
-			return 0, fmt.Errorf("store: journal append: %w", err)
-		}
-	}
-	if _, err := s.seg.Write(frame); err != nil {
-		return 0, fmt.Errorf("store: journal write: %w", err)
-	}
-	if err := s.sync(s.seg); err != nil {
+	if err := s.writeLocked(frame); err != nil {
 		return 0, err
 	}
-	s.commitLocked(r, frame)
+	s.commitLocked(r, len(frame))
 	s.maybeRotateLocked()
 	return s.seq, nil
 }
@@ -469,56 +480,96 @@ func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	frames := make([][]byte, len(recs))
-	total := 0
+	lens := make([]int, len(recs))
+	var buf []byte
 	for i, r := range recs {
-		f, err := buildFrame(r)
+		f, err := EncodeFrame(r)
 		if err != nil {
 			return err
 		}
-		frames[i] = f
-		total += len(f)
-	}
-	buf := make([]byte, 0, total)
-	for _, f := range frames {
+		lens[i] = len(f)
 		buf = append(buf, f...)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if err := s.writeLocked(buf); err != nil {
+		return err
+	}
+	for i, r := range recs {
+		s.commitLocked(r, lens[i])
+	}
+	s.maybeRotateLocked()
+	return nil
+}
+
+// writeLocked writes and fsyncs frames at the end of the active
+// segment. When the write or the fsync fails, the segment is cut back
+// to its committed size, so the failed bytes are neither read by a
+// replication follower nor left in front of the next append; if the
+// cut fails too, the store is broken and refuses every later append.
+// Caller holds s.mu.
+func (s *Store) writeLocked(frames []byte) error {
+	switch {
+	case s.closed:
 		return ErrClosed
+	case s.broken != nil:
+		return s.broken
 	}
 	if s.opt.Faults != nil {
 		if err := s.opt.Faults.Check(fault.JournalAppend); err != nil {
 			return fmt.Errorf("store: journal append: %w", err)
 		}
 	}
-	if _, err := s.seg.Write(buf); err != nil {
-		return fmt.Errorf("store: journal write: %w", err)
+	_, err := s.seg.Write(frames)
+	if err != nil {
+		err = fmt.Errorf("store: journal write: %w", err)
+	} else {
+		err = s.sync(s.seg)
 	}
-	if err := s.sync(s.seg); err != nil {
-		return err
+	if err != nil {
+		// Every segment is opened O_APPEND, so after the cut the next
+		// write lands at the committed end.
+		if terr := s.seg.Truncate(s.segBytes); terr != nil {
+			s.broken = fmt.Errorf("store: journal unusable: rolling back a failed append (%v): %w", err, terr)
+		}
 	}
-	for i, r := range recs {
-		s.commitLocked(r, frames[i])
-	}
-	s.maybeRotateLocked()
-	return nil
+	return err
 }
 
-// commitLocked does the post-durability bookkeeping for one record:
-// sequence number, live record list, byte accounting, hooks. Caller
-// holds s.mu and has already written and synced the frame.
-func (s *Store) commitLocked(r Record, frame []byte) {
-	s.segBytes += int64(len(frame))
+// commitLocked does the post-durability bookkeeping for one record
+// whose n-byte frame is written and synced: sequence number, live
+// record list, byte accounting, the OnAppend hook and Watch channels.
+// Caller holds s.mu.
+func (s *Store) commitLocked(r Record, n int) {
+	s.segBytes += int64(n)
 	s.seq++
 	s.records = append(s.records, r)
 	if s.opt.OnAppend != nil {
-		s.opt.OnAppend(len(frame))
+		s.opt.OnAppend(n)
 	}
-	if s.opt.OnAppendFrame != nil {
-		s.opt.OnAppendFrame(s.seq, frame)
+	s.wakeLocked()
+}
+
+// wakeLocked releases every Watch channel handed out so far. Caller
+// holds s.mu.
+func (s *Store) wakeLocked() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
 	}
+}
+
+// Watch returns the journal's sequence number together with a channel
+// that is closed by the next commit, or by Close. A reader that calls
+// Watch before reading can wait on the channel without missing an
+// append — the replication leader's long poll does exactly this.
+func (s *Store) Watch() (uint64, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wake == nil {
+		s.wake = make(chan struct{})
+	}
+	return s.seq, s.wake
 }
 
 func (s *Store) maybeRotateLocked() {
@@ -569,7 +620,7 @@ func (s *Store) Compact(live []Record) error {
 		return err
 	}
 	for _, r := range live {
-		frame, err := buildFrame(r)
+		frame, err := EncodeFrame(r)
 		if err != nil {
 			return err
 		}
@@ -616,6 +667,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.wakeLocked()
 	if s.seg == nil {
 		return nil
 	}
@@ -658,12 +710,10 @@ type SegmentInfo struct {
 // Segments enumerates the journal's segment files in rotation order
 // (active segment last) together with the journal's current sequence
 // cursor, atomically with respect to appends. The pair is the starting
-// point of a replication resync: ship every listed segment's frames,
-// then tail records with sequence numbers above cursor. Records
-// appended after Segments returns may appear both in a late segment
-// read and in the tail — journal records fold idempotently, so
-// double-apply is harmless; a vanished segment (ErrSegmentGone from
-// ReadFrom) is not, and restarts the resync.
+// point of a replication resync: read every listed segment up to its
+// listed Bytes, then tail from the last segment's Bytes, where record
+// cursor+1 begins. A vanished segment (ErrSegmentGone from ReadFrom)
+// restarts the resync.
 func (s *Store) Segments() (segs []SegmentInfo, cursor uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -695,41 +745,58 @@ func (s *Store) Segments() (segs []SegmentInfo, cursor uint64, err error) {
 	return segs, s.seq, nil
 }
 
-// ReadFrom returns the raw frame bytes of segment seg starting at file
-// offset off (use SegmentHeaderLen to read a whole segment's frames;
-// off must land on a frame boundary for the result to decode). Reads
-// are bounded to the committed size — bytes of an append in progress
-// on the active segment are never visible. A segment deleted by
-// compaction returns ErrSegmentGone: the reader's cursor is gone and
-// it must restart from Segments().
-func (s *Store) ReadFrom(seg int, off int64) ([]byte, error) {
+// ReadFrom returns the raw frame bytes of segment seg from file offset
+// off (SegmentHeaderLen for a whole segment; off must land on a frame
+// boundary for the result to decode) up to the segment's committed
+// size, and whether seg is sealed — no longer the append target, so
+// an empty read at its end means the next segment follows. Only the
+// committed size is taken under the store lock; the bytes are read
+// outside it, so appends never wait on a reader. Bytes of an append in
+// progress are never visible. A segment deleted by compaction returns
+// ErrSegmentGone: the reader's cursor is gone and it must restart from
+// Segments(). A position no segment ever had returns ErrBadOffset.
+func (s *Store) ReadFrom(seg int, off int64) (frames []byte, sealed bool, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	active, end, closed := s.segIdx, s.segBytes, s.closed
+	s.mu.Unlock()
+	switch {
+	case closed:
+		return nil, false, ErrClosed
+	case seg < 1 || seg > active || off < SegmentHeaderLen:
+		return nil, false, fmt.Errorf("store: segment %d offset %d: %w", seg, off, ErrBadOffset)
 	}
-	if off < SegmentHeaderLen {
-		return nil, fmt.Errorf("store: read offset %d inside segment header", off)
+	f, err := os.Open(filepath.Join(s.dir, segName(seg)))
+	if os.IsNotExist(err) {
+		return nil, false, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
+	} else if err != nil {
+		return nil, false, fmt.Errorf("store: read segment: %w", err)
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, segName(seg)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
+	defer f.Close()
+	if sealed = seg < active; sealed {
+		st, err := f.Stat()
+		if err != nil {
+			return nil, false, fmt.Errorf("store: stat segment: %w", err)
 		}
-		return nil, fmt.Errorf("store: read segment: %w", err)
+		end = st.Size()
 	}
-	end := int64(len(data))
-	if seg == s.segIdx && s.segBytes < end {
-		end = s.segBytes
+	if off > end {
+		return nil, false, fmt.Errorf("store: segment %d offset %d past %d committed bytes: %w", seg, off, end, ErrBadOffset)
 	}
-	if off >= end {
-		return nil, nil
+	frames = make([]byte, end-off)
+	if _, err := f.ReadAt(frames, off); err != nil {
+		return nil, false, fmt.Errorf("store: read segment: %w", err)
 	}
-	return append([]byte(nil), data[off:end]...), nil
+	return frames, sealed, nil
 }
 
 // SegmentHeaderLen is the size of the magic/version header that opens
-// every segment file; frames start at this offset.
-const SegmentHeaderLen = segHeaderLen
+// every segment file; frames start at this offset. FrameHeaderLen is
+// the length and CRC32 that open every frame, and MaxRecordLen bounds
+// a frame's payload.
+const (
+	SegmentHeaderLen = segHeaderLen
+	FrameHeaderLen   = frameHeaderLen
+	MaxRecordLen     = maxRecordLen
+)
 
 var _ io.Closer = (*Store)(nil)
