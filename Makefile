@@ -83,9 +83,9 @@ chaos-restart:
 
 # chaos-failover is the replication end-to-end: a leader cosparsed is
 # SIGKILLed with >= 8 mixed-algo jobs in flight (two mid-checkpoint,
-# a fused batch pair queued) while a follower tails its journal; the
-# follower is promoted and every job must finish there bit-identical
-# to an uninterrupted run, on both backends.
+# a fusable pair of concurrent submits queued) while a follower tails
+# its journal; the follower is promoted and every job must finish
+# there bit-identical to an uninterrupted run, on both backends.
 chaos-failover:
 	$(GO) test -race -run 'TestChaosFailover' -count=1 -timeout 300s ./cmd/cosparsed
 
@@ -97,9 +97,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDVCSRDecode -fuzztime=10s ./internal/matrix
 	$(GO) test -run='^$$' -fuzz=FuzzDVCCSCDecode -fuzztime=10s ./internal/matrix
 	$(GO) test -run='^$$' -fuzz=FuzzScanSegment -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzReadFromChunks -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/runtime
 	$(GO) test -run='^$$' -fuzz=FuzzJobSubmitBody -fuzztime=10s ./internal/service
-	$(GO) test -run='^$$' -fuzz=FuzzBatchSubmitBody -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzReplFrame -fuzztime=10s ./internal/repl
 
 # check is the tier-1 gate: everything must pass before a commit.

@@ -2,8 +2,8 @@ package main
 
 // Hot-standby failover chaos test: a follower process polls a leader
 // cosparsed's journal and checkpoints, the leader is SIGKILLed with a
-// mixed batch of jobs in flight — two mid-checkpoint PageRanks pinning
-// the workers, traversals queued behind them, and a fused batch pair —
+// mixed set of jobs in flight — two mid-checkpoint PageRanks pinning
+// the workers, traversals queued behind them, and a fusable BFS pair —
 // and the follower is promoted. Every job must finish on the promoted
 // node under its original id with a result bit-identical to an
 // uninterrupted run, on both execution backends. This is the
@@ -12,15 +12,20 @@ package main
 // all through real binaries and real process death.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
 
 // submitFailoverJobs issues the fixed mixed workload and returns the
-// job ids in submission order. The two 150-iteration PageRanks go
-// first so they occupy both workers (and checkpoint) while the
-// traversals and the fused batch pair wait in the queue.
+// job ids in request order. The two 150-iteration PageRanks go first
+// so they occupy both workers (and checkpoint) while the traversals
+// and the fusable pair wait in the queue.
 func submitFailoverJobs(t *testing.T, d *daemon) []string {
 	t.Helper()
 	var ids []string
@@ -38,21 +43,43 @@ func submitFailoverJobs(t *testing.T, d *daemon) []string {
 	single(map[string]any{"graph_id": "g1", "algo": "bfs", "source": 0, "backend": "native", "timeout_ms": 120000})
 	single(map[string]any{"graph_id": "g1", "algo": "sssp", "source": 1, "backend": "sim", "timeout_ms": 120000})
 	single(map[string]any{"graph_id": "g1", "algo": "sssp", "source": 1, "backend": "native", "timeout_ms": 120000})
-	// A compatible pair through the batch endpoint: these fuse into one
-	// multi-source run when the gather window catches them together.
-	var batch struct {
-		Jobs     []jobView `json:"jobs"`
-		Rejected int       `json:"rejected"`
-		Error    string    `json:"error"`
+	// A compatible pair sent as two concurrent submits: these fuse into
+	// one multi-source run when the gather window catches them together.
+	// Their ids come back in request order, whichever the daemon
+	// assigned first.
+	pair := make([]jobView, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i, src := range []int32{2, 3} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b, err := json.Marshal(map[string]any{
+				"graph_id": "g1", "algo": "bfs", "source": src, "backend": "native", "timeout_ms": 120000,
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			resp, err := http.Post(d.base+"/v1/jobs", "application/json", bytes.NewReader(b))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&pair[i])
+		}()
 	}
-	if code := d.postJSON(t, "/v1/jobs/batch", map[string]any{
-		"graph_id": "g1", "algo": "bfs", "sources": []int32{2, 3},
-		"backend": "native", "timeout_ms": 120000,
-	}, &batch); code != http.StatusAccepted || len(batch.Jobs) != 2 {
-		t.Fatalf("batch submit: %d %+v; logs:\n%s", code, batch, d.logs.String())
-	}
-	for _, j := range batch.Jobs {
-		ids = append(ids, j.ID)
+	wg.Wait()
+	for i, st := range pair {
+		if errs[i] != nil {
+			t.Fatalf("pair submit %d: %v; logs:\n%s", i, errs[i], d.logs.String())
+		}
+		ids = append(ids, st.ID)
 	}
 	return ids
 }
@@ -70,13 +97,13 @@ func TestChaosFailover(t *testing.T) {
 	ref := startDaemon(t, bin, t.TempDir(), freePort(t), "-workers", "2")
 	ref.registerGraph(t)
 	refIDs := submitFailoverJobs(t, ref)
-	want := map[string]jobView{}
-	for _, id := range refIDs {
+	want := make([]jobView, len(refIDs))
+	for i, id := range refIDs {
 		v := ref.waitDone(t, id)
 		if v.State != "done" || v.Result == nil {
 			t.Fatalf("reference job %s: %+v; logs:\n%s", id, v, ref.logs.String())
 		}
-		want[id] = v
+		want[i] = v
 	}
 	ref.sigkill(t) // done with it; teardown can be abrupt
 
@@ -119,10 +146,10 @@ func TestChaosFailover(t *testing.T) {
 	if len(ids) != len(refIDs) {
 		t.Fatalf("submitted %d jobs, reference ran %d", len(ids), len(refIDs))
 	}
-	for i, id := range ids {
-		if id != refIDs[i] {
-			t.Fatalf("job id drift: got %q, reference %q", id, refIDs[i])
-		}
+	// The concurrent pair may take its two ids in either order, so the
+	// ids are compared as a set and results by request order.
+	if !slices.Equal(slices.Sorted(slices.Values(ids)), slices.Sorted(slices.Values(refIDs))) {
+		t.Fatalf("job id drift: got %q, reference %q", ids, refIDs)
 	}
 
 	// Let both running PageRanks persist (and ship) checkpoints, then
@@ -152,7 +179,7 @@ func TestChaosFailover(t *testing.T) {
 		if got.State != "done" || got.Result == nil {
 			t.Fatalf("failed-over job %s: %+v; logs:\n%s", id, got, follower.logs.String())
 		}
-		r, w := got.Result, want[id].Result
+		r, w := got.Result, want[i].Result
 		if r.Summary != w.Summary || r.TopVertex != w.TopVertex || r.TopScore != w.TopScore ||
 			r.Reached != w.Reached || r.MeanDistance != w.MeanDistance ||
 			r.Iterations != w.Iterations || r.TotalCycles != w.TotalCycles || r.EnergyJ != w.EnergyJ {

@@ -295,13 +295,16 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 	deadline := time.Now().Add(r.cfg.HeartbeatEvery)
 	acked := !tail
 	var (
-		chunks [][]byte
+		frames []byte
+		n      int
+		sealed bool
 		head   uint64
+		err    error
 	)
 	for {
 		var wake <-chan struct{}
 		head, wake = r.cfg.Store.Watch()
-		frames, sealed, err := r.cfg.Store.ReadFrom(seg, off)
+		frames, n, sealed, err = r.cfg.Store.ReadFrom(seg, off, maxLogBytes)
 		switch {
 		case errors.Is(err, store.ErrSegmentGone):
 			httpError(w, http.StatusConflict, "%v: resync", err)
@@ -317,15 +320,11 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 			seg, off = seg+1, store.SegmentHeaderLen
 			continue
 		}
-		if chunks, err = splitFrames(frames, maxLogBytes); err != nil {
-			httpError(w, http.StatusBadRequest, "cursor is not on a frame boundary: %v", err)
-			return
-		}
 		if !acked {
 			r.ack(seq, head)
 			acked = true
 		}
-		if len(chunks) > 0 || !tail || !r.hold(req.Context(), wake, deadline) {
+		if n > 0 || !tail || !r.hold(req.Context(), wake, deadline) {
 			break
 		}
 	}
@@ -333,16 +332,13 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusConflict, "fenced: a node was promoted past epoch %d", r.cfg.Epoch)
 		return
 	}
-	rep := reply{Epoch: r.cfg.Epoch, Seg: seg, Off: off, Head: head, Hold: r.cfg.HeartbeatEvery}
-	var n uint64
-	if len(chunks) > 0 {
-		n = frameCount(chunks[0])
-		rep.Frames = chunks[0]
-		rep.Off += int64(len(chunks[0]))
-		r.cfg.Stats.SentRecords.Add(int64(n))
+	rep := reply{
+		Epoch: r.cfg.Epoch, Seg: seg, Off: off + int64(len(frames)), Head: head,
+		Hold: r.cfg.HeartbeatEvery, Frames: frames,
 	}
+	r.cfg.Stats.SentRecords.Add(int64(n))
 	if tail {
-		rep.Seq = seq + n
+		rep.Seq = seq + uint64(n)
 		r.mu.Lock()
 		rep.Checkpoints = slices.Collect(maps.Keys(r.dirty))
 		clear(r.dirty)

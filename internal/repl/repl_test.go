@@ -36,7 +36,7 @@ func encodeFrames(t *testing.T, recs ...store.Record) []byte {
 	t.Helper()
 	var buf []byte
 	for _, r := range recs {
-		f, err := EncodeFrame(r)
+		f, err := store.EncodeFrame(r)
 		if err != nil {
 			t.Fatalf("EncodeFrame: %v", err)
 		}
@@ -86,37 +86,6 @@ func TestDecodeFramesAtomicOnCorruption(t *testing.T) {
 	// Trailing garbage after valid frames.
 	if recs, err := DecodeFrames(append(append([]byte(nil), clean...), 0x01)); err == nil || recs != nil {
 		t.Errorf("trailing garbage: got (%v, %v), want (nil, error)", recs, err)
-	}
-}
-
-func TestSplitFramesNeverTearsAFrame(t *testing.T) {
-	var recs []store.Record
-	for i := 0; i < 10; i++ {
-		recs = append(recs, submitRec(fmt.Sprintf("j%d", i)))
-	}
-	data := encodeFrames(t, recs...)
-	chunks, err := splitFrames(data, 100)
-	if err != nil {
-		t.Fatalf("splitFrames: %v", err)
-	}
-	if len(chunks) < 2 {
-		t.Fatalf("expected multiple chunks at 100-byte budget, got %d", len(chunks))
-	}
-	var total int
-	for i, c := range chunks {
-		// Every chunk must decode independently — the follower
-		// CRC-verifies chunk by chunk.
-		got, err := DecodeFrames(c)
-		if err != nil {
-			t.Fatalf("chunk %d does not decode: %v", i, err)
-		}
-		total += len(got)
-	}
-	if total != len(recs) {
-		t.Fatalf("chunks decode to %d records, want %d", total, len(recs))
-	}
-	if _, err := splitFrames(data[:len(data)-1], 100); err == nil {
-		t.Error("splitFrames accepted a torn input")
 	}
 }
 

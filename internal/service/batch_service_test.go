@@ -1,19 +1,61 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestBatchSubmitFusedFlow drives POST /v1/jobs/batch end to end:
-// the jobs coalesce into one fused run (the group fills to
-// BatchMaxLanes, so no window expiry is involved), every lane gets its
-// own status with fused/batch_lanes set, its own trace, and a result
-// identical to a solo run of the same job on an unbatched service.
-func TestBatchSubmitFusedFlow(t *testing.T) {
+// submitConcurrently posts every request to POST /v1/jobs at once, one
+// goroutine each, and returns the 202 statuses in request order.
+func submitConcurrently(t *testing.T, base string, reqs ...JobRequest) []JobStatus {
+	t.Helper()
+	sts := make([]JobStatus, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(req)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&sts[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	return sts
+}
+
+// TestFusedSubmitFlow drives concurrent POST /v1/jobs end to end: the
+// jobs coalesce into one fused run (a worker per job and BatchMaxLanes
+// equal to the job count, so the group fills and no window expiry is
+// involved), every lane gets its own status with fused/batch_lanes
+// set, its own trace, and a result identical to a solo run of the same
+// job on an unbatched service.
+func TestFusedSubmitFlow(t *testing.T) {
 	sources := []int32{0, 3, 7, 11}
 	svc, ts := newTestService(t, Config{
 		Workers: 8, QueueDepth: 64,
@@ -21,24 +63,19 @@ func TestBatchSubmitFusedFlow(t *testing.T) {
 	})
 	gid := registerGraph(t, ts.URL, 7)
 
-	var resp BatchJobResponse
-	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs/batch", BatchJobRequest{
-		GraphID: gid, Algo: "bfs", Sources: sources, Backend: "native",
-	}, &resp)
-	if code != http.StatusAccepted {
-		t.Fatalf("batch submit: status %d", code)
+	reqs := make([]JobRequest, len(sources))
+	for i, src := range sources {
+		reqs[i] = JobRequest{GraphID: gid, Algo: "bfs", Source: src, Backend: "native"}
 	}
-	if len(resp.Jobs) != len(sources) || resp.Rejected != 0 {
-		t.Fatalf("batch response: %+v", resp)
-	}
+	sts := submitConcurrently(t, ts.URL, reqs...)
 
 	// Unbatched reference service over the same deterministic graph.
 	refSvc, refTS := newTestService(t, Config{Workers: 1, QueueDepth: 8})
 	refGID := registerGraph(t, refTS.URL, 7)
 
-	for i, st := range resp.Jobs {
+	for i, st := range sts {
 		waitJob(t, svc, st.ID)
-		code = doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
+		code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
 		if code != http.StatusOK {
 			t.Fatalf("get job %s: %d", st.ID, code)
 		}
@@ -92,61 +129,6 @@ func TestBatchSubmitFusedFlow(t *testing.T) {
 	}
 }
 
-// TestBatchSubmitValidation exercises the request-shape checks.
-func TestBatchSubmitValidation(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 1, QueueDepth: 8})
-	gid := registerGraph(t, ts.URL, 3)
-
-	cases := []struct {
-		name string
-		req  BatchJobRequest
-		code int
-	}{
-		{"sources for pr", BatchJobRequest{GraphID: gid, Algo: "pr", Sources: []int32{1, 2}}, http.StatusBadRequest},
-		{"no sources for bfs", BatchJobRequest{GraphID: gid, Algo: "bfs"}, http.StatusBadRequest},
-		{"count mismatch", BatchJobRequest{GraphID: gid, Algo: "bfs", Sources: []int32{1}, Count: 3}, http.StatusBadRequest},
-		{"zero count for pr", BatchJobRequest{GraphID: gid, Algo: "pr"}, http.StatusBadRequest},
-		{"oversized", BatchJobRequest{GraphID: gid, Algo: "pr", Count: MaxBatchJobs + 1}, http.StatusBadRequest},
-		{"unknown graph", BatchJobRequest{GraphID: "nope", Algo: "bfs", Sources: []int32{0}}, http.StatusNotFound},
-		{"bad source", BatchJobRequest{GraphID: gid, Algo: "bfs", Sources: []int32{0, 99999}}, http.StatusBadRequest},
-		{"unknown algo", BatchJobRequest{GraphID: gid, Algo: "wat", Sources: []int32{0}}, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs/batch", tc.req, nil); code != tc.code {
-			t.Errorf("%s: status %d, want %d", tc.name, code, tc.code)
-		}
-	}
-
-	// A failed batch must not leak graph pins: the graph still deletes.
-	var del map[string]string
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/"+gid, nil, &del); code != http.StatusOK {
-		t.Fatalf("delete after failed batches: %d", code)
-	}
-}
-
-// TestBatchPPRJob runs the new ppr algorithm through the plain job
-// path (solo, no batching) — the service-level face of the PPR
-// semiring.
-func TestBatchPPRJob(t *testing.T) {
-	svc, ts := newTestService(t, Config{Workers: 1, QueueDepth: 8})
-	gid := registerGraph(t, ts.URL, 5)
-	var st JobStatus
-	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{
-		GraphID: gid, Algo: "ppr", Source: 2, Iterations: 5,
-	}, &st)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit ppr: %d", code)
-	}
-	waitJob(t, svc, st.ID)
-	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
-	if st.State != JobDone {
-		t.Fatalf("ppr state = %q (err %q)", st.State, st.Error)
-	}
-	if !strings.Contains(st.Result.Summary, "ppr from seed 2") || st.Result.TopScore <= 0 {
-		t.Fatalf("ppr result: %+v", st.Result)
-	}
-}
-
 // TestBatchLoneJobIsSolo: with batching on, a job nobody joins runs as
 // a group of one — not marked fused, counted under mode="solo", and
 // (being the only lane) its simulated memory stats are observed.
@@ -176,9 +158,9 @@ func TestBatchLoneJobIsSolo(t *testing.T) {
 	}
 }
 
-// TestBatchFusedLanesLogSlowJob: every lane of a fused group goes
-// through the same tail as a solo job, slow-job decision log included.
-func TestBatchFusedLanesLogSlowJob(t *testing.T) {
+// TestFusedLanesLogSlowJob: every lane of a fused group goes through
+// the same tail as a solo job, slow-job decision log included.
+func TestFusedLanesLogSlowJob(t *testing.T) {
 	logBuf := &syncBuffer{}
 	svc := newServiceWithLog(t, Config{
 		Workers: 2, QueueDepth: 8, SlowJob: time.Nanosecond, // everything is slow
@@ -187,13 +169,10 @@ func TestBatchFusedLanesLogSlowJob(t *testing.T) {
 	ts := newHTTPServer(t, svc)
 	gid := registerWeightedGraph(t, ts.URL)
 
-	var resp BatchJobResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs/batch", BatchJobRequest{
-		GraphID: gid, Algo: "sssp", Sources: []int32{0, 7},
-	}, &resp); code != http.StatusAccepted {
-		t.Fatalf("batch submit: %d", code)
-	}
-	for _, st := range resp.Jobs {
+	sts := submitConcurrently(t, ts.URL,
+		JobRequest{GraphID: gid, Algo: "sssp", Source: 0},
+		JobRequest{GraphID: gid, Algo: "sssp", Source: 7})
+	for _, st := range sts {
 		waitJob(t, svc, st.ID)
 		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
 		if st.State != JobDone || !st.Fused {

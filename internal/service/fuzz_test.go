@@ -49,46 +49,3 @@ func FuzzJobSubmitBody(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBatchSubmitBody does the same for POST /v1/jobs/batch: the batch
-// shape checks (sources vs count, the job cap) plus per-job validation
-// must reject every malformed body without a panic, and the
-// all-or-nothing build path must never leak a graph pin.
-func FuzzBatchSubmitBody(f *testing.F) {
-	f.Add([]byte(`{"graph_id":"g1","algo":"bfs","sources":[0,1,2]}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"ppr","sources":[5],"iterations":3,"alpha":0.2}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"pr","count":4}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"pr","sources":[1]}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"bfs","sources":[0],"count":9}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"bfs","sources":[]}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"cf","count":100000}`))
-	f.Add([]byte(`{"graph_id":"g1","algo":"sssp","sources":[-1,0]}`))
-	f.Add([]byte(`{"sources":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte{0xFF, 0xFE, 0x00})
-
-	svc := New(Config{
-		Workers:    1,
-		QueueDepth: 2,
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	defer svc.Close()
-	handler := svc.Handler()
-
-	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/jobs/batch", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req) // panics fail the fuzz run
-		switch rec.Code {
-		case http.StatusAccepted:
-			t.Fatalf("batch accepted with no graphs registered: %q", body)
-		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge,
-			http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			// expected rejections
-		default:
-			t.Fatalf("unexpected status %d for body %q: %s", rec.Code, body, rec.Body.String())
-		}
-	})
-}

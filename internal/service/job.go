@@ -47,41 +47,6 @@ type JobRequest struct {
 	IncludeTrace bool `json:"include_trace,omitempty"`
 }
 
-// BatchJobRequest is the JSON body of POST /v1/jobs/batch: one job per
-// source (or count copies for source-free algorithms), sharing every
-// other parameter — so the jobs carry the same compatibility key and
-// fuse into one multi-vector run when batching is enabled.
-type BatchJobRequest struct {
-	GraphID string `json:"graph_id"`
-	// Tenant attributes every job in the batch to one client (defaults
-	// to the graph id, like JobRequest.Tenant).
-	Tenant string `json:"tenant,omitempty"`
-	Algo   string `json:"algo"`
-	// Sources lists one start vertex per job (bfs, sssp, ppr).
-	// Duplicates are allowed; each gets its own job and lane.
-	Sources []int32 `json:"sources,omitempty"`
-	// Count is the number of jobs for source-free algorithms (pr, cf).
-	Count        int     `json:"count,omitempty"`
-	Iterations   int     `json:"iterations,omitempty"`
-	Alpha        float64 `json:"alpha,omitempty"`
-	Beta         float64 `json:"beta,omitempty"`
-	Lambda       float64 `json:"lambda,omitempty"`
-	Tiles        int     `json:"tiles,omitempty"`
-	PEs          int     `json:"pes,omitempty"`
-	Backend      string  `json:"backend,omitempty"`
-	TimeoutMs    int64   `json:"timeout_ms,omitempty"`
-	IncludeTrace bool    `json:"include_trace,omitempty"`
-}
-
-// BatchJobResponse answers POST /v1/jobs/batch. When the queue filled
-// mid-batch, Jobs holds the accepted prefix and Rejected/Error explain
-// the refused remainder.
-type BatchJobResponse struct {
-	Jobs     []JobStatus `json:"jobs"`
-	Rejected int         `json:"rejected,omitempty"`
-	Error    string      `json:"error,omitempty"`
-}
-
 // JobResult is the payload of a successfully finished job.
 type JobResult struct {
 	Algo    string `json:"algo"`
@@ -191,8 +156,8 @@ type Job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// done closes exactly once, when the job reaches a terminal state;
-	// tests and clients synchronize on it instead of polling.
+	// done closes exactly once, after the terminal state is counted and
+	// journaled; tests and clients synchronize on it instead of polling.
 	done chan struct{}
 	// release unpins registry resources; called once on the terminal
 	// transition.
@@ -365,7 +330,8 @@ func (j *Job) start() bool {
 }
 
 // finish moves the job to a terminal state; only the first call wins.
-// It closes done and releases registry pins.
+// It releases registry pins; the winner's Scheduler.settle closes done
+// once the transition is counted and journaled.
 func (j *Job) finish(state JobState, res *JobResult, errMsg string) bool {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed || j.state == JobCancelled {
@@ -380,6 +346,5 @@ func (j *Job) finish(state JobState, res *JobResult, errMsg string) bool {
 	if j.release != nil {
 		j.release()
 	}
-	close(j.done)
 	return true
 }

@@ -592,8 +592,10 @@ func (s *Scheduler) Cancel(id string) bool {
 	return true
 }
 
-// settle drives the job's terminal transition, counts it, and journals
-// it through onFinish. Only the first settle of a job wins.
+// settle drives the job's terminal transition, counts it, journals it
+// through onFinish, and only then closes done, so a waiter on Done sees
+// the counters and the finish record. Only the first settle of a job
+// wins.
 func (s *Scheduler) settle(j *Job, state JobState, res *JobResult, errMsg string) bool {
 	if !j.finish(state, res, errMsg) {
 		return false
@@ -610,6 +612,7 @@ func (s *Scheduler) settle(j *Job, state JobState, res *JobResult, errMsg string
 	if s.onFinish != nil {
 		s.onFinish(j, state, errMsg)
 	}
+	close(j.done)
 	return true
 }
 

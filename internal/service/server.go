@@ -412,7 +412,6 @@ func (s *Service) Handler() http.Handler {
 	s.route(mux, "GET /v1/graphs/{id}", s.handleGetGraph)
 	s.route(mux, "DELETE /v1/graphs/{id}", s.guardStandby(s.handleDeleteGraph))
 	s.route(mux, "POST /v1/jobs", s.guardStandby(s.handleSubmitJob))
-	s.route(mux, "POST /v1/jobs/batch", s.guardStandby(s.handleSubmitBatch))
 	s.route(mux, "GET /v1/jobs", s.handleListJobs)
 	s.route(mux, "GET /v1/jobs/{id}", s.handleGetJob)
 	s.route(mux, "GET /v1/jobs/{id}/trace", s.handleJobTrace)
@@ -715,117 +714,11 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
-// MaxBatchJobs caps how many jobs one POST /v1/jobs/batch may carry;
 // MaxTiles and MaxPEs cap a job's geometry override.
 const (
-	MaxBatchJobs = 256
-	MaxTiles     = 64
-	MaxPEs       = 64
+	MaxTiles = 64
+	MaxPEs   = 64
 )
-
-func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchJobRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeDecodeError(w, "bad batch request", err)
-		return
-	}
-	algo, err := cosparse.ParseAlgo(req.Algo)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n := len(req.Sources)
-	if algo.NeedsSource() {
-		if n == 0 {
-			writeError(w, http.StatusBadRequest, "algorithm %q needs a sources list", algo)
-			return
-		}
-		if req.Count != 0 && req.Count != n {
-			writeError(w, http.StatusBadRequest, "count %d disagrees with %d sources", req.Count, n)
-			return
-		}
-	} else {
-		if n != 0 {
-			writeError(w, http.StatusBadRequest, "algorithm %q takes count, not sources", algo)
-			return
-		}
-		if n = req.Count; n <= 0 {
-			writeError(w, http.StatusBadRequest, "count must be positive, got %d", req.Count)
-			return
-		}
-	}
-	if n > MaxBatchJobs {
-		writeError(w, http.StatusBadRequest, "batch of %d jobs exceeds the limit %d", n, MaxBatchJobs)
-		return
-	}
-	jobs := make([]*Job, 0, n)
-	for i := 0; i < n; i++ {
-		jr := JobRequest{
-			GraphID: req.GraphID, Algo: req.Algo, Tenant: req.Tenant,
-			Iterations: req.Iterations, Alpha: req.Alpha, Beta: req.Beta, Lambda: req.Lambda,
-			Tiles: req.Tiles, PEs: req.PEs, Backend: req.Backend,
-			TimeoutMs: req.TimeoutMs, IncludeTrace: req.IncludeTrace,
-		}
-		if algo.NeedsSource() {
-			jr.Source = req.Sources[i]
-		}
-		j, err := s.buildJob(jr)
-		if err != nil {
-			// All-or-nothing validation: unpin everything built so far.
-			for _, built := range jobs {
-				built.release()
-			}
-			var nf *notFoundError
-			if errors.As(err, &nf) {
-				writeError(w, http.StatusNotFound, "job %d: %v", i, err)
-			} else {
-				writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
-			}
-			return
-		}
-		jobs = append(jobs, j)
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	statuses := make([]JobStatus, 0, n)
-	// For semisync, one wait on the highest journaled sequence number
-	// covers the whole batch (the follower applies in order).
-	var maxSeq uint64
-	for i, j := range jobs {
-		if err := s.sched.SubmitJob(j, timeout); err != nil {
-			// Jobs already submitted stay submitted; the remainder is
-			// refused as a unit.
-			for _, rest := range jobs[i:] {
-				rest.release()
-			}
-			if len(statuses) > 0 {
-				s.semisyncWait(r, maxSeq)
-				writeJSON(w, http.StatusAccepted, BatchJobResponse{
-					Jobs: statuses, Rejected: n - len(statuses), Error: err.Error(),
-				})
-				return
-			}
-			writeSubmitError(w, err)
-			return
-		}
-		if j.replSeq > maxSeq {
-			maxSeq = j.replSeq
-		}
-		statuses = append(statuses, j.Status())
-	}
-	s.log.Info("batch queued",
-		slog.String("graph", req.GraphID),
-		slog.String("algo", algo.String()),
-		slog.Int("jobs", len(statuses)),
-	)
-	s.semisyncWait(r, maxSeq)
-	writeJSON(w, http.StatusAccepted, BatchJobResponse{Jobs: statuses})
-}
 
 // notFoundError marks validation failures that should map to 404.
 type notFoundError struct{ msg string }

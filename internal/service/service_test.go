@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -151,6 +152,38 @@ func TestEndToEndFlow(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestDoneClosesAfterFinishIsBooked: a job's done channel closes only
+// after its terminal state is counted and its finish record journaled,
+// so whoever wakes on Done sees both.
+func TestDoneClosesAfterFinishIsBooked(t *testing.T) {
+	svc, ts := newTestService(t, Config{Workers: 1, QueueDepth: 4, DataDir: t.TempDir(), StoreNoSync: true})
+	journal := svc.sched.onFinish
+	var journaled atomic.Int32
+	svc.sched.onFinish = func(j *Job, state JobState, errMsg string) {
+		select {
+		case <-j.Done():
+			t.Errorf("job %s: done closed before its finish record was written", j.id)
+		default:
+		}
+		journal(j, state, errMsg)
+		journaled.Add(1)
+	}
+	gid := registerGraph(t, ts.URL, 7)
+	var st JobStatus
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{
+		GraphID: gid, Algo: "bfs", Backend: "native",
+	}, &st); code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	waitJob(t, svc, st.ID)
+	if n := journaled.Load(); n != 1 {
+		t.Fatalf("done fired with %d finish records journaled, want 1", n)
+	}
+	if !strings.Contains(scrapeMetrics(t, ts.URL), "cosparsed_jobs_done_total 1\n") {
+		t.Fatal("done fired before cosparsed_jobs_done_total counted the job")
 	}
 }
 
@@ -451,6 +484,10 @@ func TestValidationErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.code)
 		}
 	}
+	// A refused submit must not leak a graph pin: the graph still deletes.
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/"+gid, nil, nil); code != http.StatusOK {
+		t.Fatalf("delete after refused submits: %d", code)
+	}
 
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j42", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: %d", code)
@@ -460,6 +497,29 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/graphs", GraphSpec{Kind: "uniform", Vertices: -1, Edges: 10}, nil); code != http.StatusBadRequest {
 		t.Errorf("negative vertices: %d", code)
+	}
+}
+
+// TestPPRJob runs the ppr algorithm through the plain job path
+// (solo, no batching) — the service-level face of the PPR
+// semiring.
+func TestPPRJob(t *testing.T) {
+	svc, ts := newTestService(t, Config{Workers: 1, QueueDepth: 8})
+	gid := registerGraph(t, ts.URL, 5)
+	var st JobStatus
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{
+		GraphID: gid, Algo: "ppr", Source: 2, Iterations: 5,
+	}, &st)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit ppr: %d", code)
+	}
+	waitJob(t, svc, st.ID)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, nil, &st)
+	if st.State != JobDone {
+		t.Fatalf("ppr state = %q (err %q)", st.State, st.Error)
+	}
+	if !strings.Contains(st.Result.Summary, "ppr from seed 2") || st.Result.TopScore <= 0 {
+		t.Fatalf("ppr result: %+v", st.Result)
 	}
 }
 

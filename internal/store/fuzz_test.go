@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -35,6 +37,69 @@ func FuzzScanSegment(f *testing.F) {
 					t.Fatalf("accepted record does not re-encode: %v", merr)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadFromChunks writes every decodable frame stream as a segment
+// and reads it back in 64-byte bounded reads: ReadFrom must accept the
+// bytes, and its chunks must decode one by one to the same records,
+// each chunk to the count ReadFrom reported.
+func FuzzReadFromChunks(f *testing.F) {
+	seed := func(recs ...Record) []byte {
+		var buf []byte
+		for _, r := range recs {
+			fr, err := EncodeFrame(r)
+			if err != nil {
+				f.Fatal(err)
+			}
+			buf = append(buf, fr...)
+		}
+		return buf
+	}
+	f.Add([]byte(nil))
+	f.Add(seed(Record{Type: RecSubmit, JobID: "j1", Request: json.RawMessage(`{"algo":"pr"}`)}))
+	f.Add(seed(
+		Record{Type: RecGraph, GraphID: "g", GraphSpec: json.RawMessage(`{"kind":"powerlaw"}`)},
+		Record{Type: RecStart, JobID: "j1"},
+		Record{Type: RecFinish, JobID: "j1", State: "done"},
+	))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeFrames(data)
+		if err != nil {
+			return
+		}
+		dir := t.TempDir()
+		hdr := make([]byte, segHeaderLen)
+		binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
+		binary.LittleEndian.PutUint16(hdr[4:6], segVersion)
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), append(hdr, data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("Open over a decodable segment: %v", err)
+		}
+		defer s.Close()
+		total := 0
+		for off := int64(SegmentHeaderLen); ; {
+			frames, n, _, err := s.ReadFrom(1, off, 64)
+			if err != nil {
+				t.Fatalf("ReadFrom(1, %d) rejected a decodable stream: %v", off, err)
+			}
+			if n == 0 {
+				break
+			}
+			got, err := DecodeFrames(frames)
+			if err != nil || len(got) != n {
+				t.Fatalf("chunk at %d decodes to %d records (%v), ReadFrom counted %d", off, len(got), err, n)
+			}
+			total += n
+			off += int64(len(frames))
+		}
+		if total != len(recs) {
+			t.Fatalf("chunked decode count %d != %d", total, len(recs))
 		}
 	})
 }

@@ -11,6 +11,9 @@ import (
 	"cosparse/internal/fault"
 )
 
+// whole is a ReadFrom limit no test segment reaches.
+const whole = 1 << 30
+
 // synthHeader builds a valid segment header so frames returned by
 // ReadFrom can be decoded with scanSegment.
 func synthHeader() []byte {
@@ -66,7 +69,7 @@ func TestReadFromDeliversDecodableFrames(t *testing.T) {
 	// record — the contract a follower's cursor relies on.
 	off := int64(SegmentHeaderLen)
 	for i, end := range ends {
-		frames, sealed, err := s.ReadFrom(1, off)
+		frames, _, sealed, err := s.ReadFrom(1, off, whole)
 		if err != nil || sealed {
 			t.Fatalf("ReadFrom(1, %d) = (sealed %v, %v)", off, sealed, err)
 		}
@@ -79,6 +82,89 @@ func TestReadFromDeliversDecodableFrames(t *testing.T) {
 		}
 		off = end
 	}
+}
+
+// TestReadFromNeverTearsAFrame: a bounded read returns whole frames
+// only — every chunk decodes on its own (the follower CRC-verifies
+// response by response) to the count ReadFrom reports, a frame over
+// the limit comes back alone, and a torn frame is refused.
+func TestReadFromNeverTearsAFrame(t *testing.T) {
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{MaxSegmentBytes: 2048})
+	const recs = 10
+	for i := 0; i < recs; i++ {
+		if err := s.Append(submitRec(fmt.Sprintf("j%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame, _ := EncodeFrame(submitRec("j0"))
+	fl := len(frame)
+	for _, tc := range []struct{ limit, perChunk int }{
+		{5*fl/2 + 1, 2}, // two whole frames fit, a third does not
+		{1, 1},          // every frame is over the limit
+	} {
+		chunks, total := 0, 0
+		for off := int64(SegmentHeaderLen); ; {
+			frames, n, _, err := s.ReadFrom(1, off, tc.limit)
+			if err != nil {
+				t.Fatalf("limit %d: ReadFrom(1, %d): %v", tc.limit, off, err)
+			}
+			if n == 0 {
+				break
+			}
+			got, err := DecodeFrames(frames)
+			if err != nil || len(got) != n {
+				t.Fatalf("limit %d: chunk %d decodes to %d records (%v), ReadFrom counted %d", tc.limit, chunks, len(got), err, n)
+			}
+			if n > 1 && len(frames) > tc.limit {
+				t.Fatalf("limit %d: chunk of %d frames is %d bytes", tc.limit, n, len(frames))
+			}
+			if n != tc.perChunk && total+n != recs {
+				t.Fatalf("limit %d: chunk %d holds %d frames, want %d", tc.limit, chunks, n, tc.perChunk)
+			}
+			chunks++
+			total += n
+			off += int64(len(frames))
+		}
+		if total != recs || chunks < 2 {
+			t.Fatalf("limit %d: %d chunks decode to %d records, want %d over several", tc.limit, chunks, total, recs)
+		}
+	}
+
+	// A cursor one byte into a frame is refused, not served.
+	if _, _, _, err := s.ReadFrom(1, SegmentHeaderLen+1, whole); !errors.Is(err, ErrBadOffset) {
+		t.Fatalf("ReadFrom mid-frame = %v, want ErrBadOffset", err)
+	}
+	// So is a sealed segment whose file ends in a torn frame.
+	for len(mustSegments(t, s)) < 2 {
+		if err := s.Append(submitRec("pad")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame[:fl-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := mustSegments(t, s)
+	off := segs[0].Bytes - int64(fl-1)
+	if _, _, _, err := s.ReadFrom(1, off, whole); !errors.Is(err, ErrBadOffset) {
+		t.Fatalf("ReadFrom of a torn sealed tail = %v, want ErrBadOffset", err)
+	}
+}
+
+func mustSegments(t *testing.T, s *Store) []SegmentInfo {
+	t.Helper()
+	segs, _, err := s.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
 }
 
 func TestAppendBatchReplaysAndHooks(t *testing.T) {
@@ -178,7 +264,7 @@ func TestSegmentsAndReadFromRoundTrip(t *testing.T) {
 	// stitched frames must reproduce the journal exactly.
 	var all []Record
 	for _, info := range segs {
-		frames, sealed, err := s.ReadFrom(info.Index, SegmentHeaderLen)
+		frames, _, sealed, err := s.ReadFrom(info.Index, SegmentHeaderLen, whole)
 		if err != nil {
 			t.Fatalf("ReadFrom(%d): %v", info.Index, err)
 		}
@@ -206,11 +292,11 @@ func TestSegmentsAndReadFromRoundTrip(t *testing.T) {
 	// Reading at the committed end is empty, not an error; a position
 	// no segment ever had is ErrBadOffset.
 	last := segs[len(segs)-1]
-	if b, _, err := s.ReadFrom(last.Index, last.Bytes); err != nil || len(b) != 0 {
+	if b, _, _, err := s.ReadFrom(last.Index, last.Bytes, whole); err != nil || len(b) != 0 {
 		t.Fatalf("ReadFrom at end = (%d bytes, %v), want empty", len(b), err)
 	}
 	for _, pos := range [][2]int64{{int64(last.Index), last.Bytes + 1}, {int64(last.Index + 1), SegmentHeaderLen}, {0, SegmentHeaderLen}, {int64(last.Index), SegmentHeaderLen - 1}} {
-		if _, _, err := s.ReadFrom(int(pos[0]), pos[1]); !errors.Is(err, ErrBadOffset) {
+		if _, _, _, err := s.ReadFrom(int(pos[0]), pos[1], whole); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("ReadFrom(%d, %d) = %v, want ErrBadOffset", pos[0], pos[1], err)
 		}
 	}
@@ -234,7 +320,7 @@ func TestReadFromAfterCompactionSegmentGone(t *testing.T) {
 	}
 	// The sealed segment a reader was cursored on is gone; the reader
 	// must see ErrSegmentGone and restart its resync from Segments().
-	if _, _, err := s.ReadFrom(sealed, SegmentHeaderLen); !errors.Is(err, ErrSegmentGone) {
+	if _, _, _, err := s.ReadFrom(sealed, SegmentHeaderLen, whole); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("ReadFrom(compacted segment) = %v, want ErrSegmentGone", err)
 	}
 	// Compaction rewrites bytes but assigns no new sequence numbers:
@@ -249,7 +335,7 @@ func TestReadFromAfterCompactionSegmentGone(t *testing.T) {
 	if len(segs2) != 1 || !segs2[0].Active {
 		t.Errorf("segments after Compact = %+v, want single active", segs2)
 	}
-	frames, _, err := s.ReadFrom(segs2[0].Index, SegmentHeaderLen)
+	frames, _, _, err := s.ReadFrom(segs2[0].Index, SegmentHeaderLen, whole)
 	if err != nil {
 		t.Fatalf("ReadFrom after Compact: %v", err)
 	}
@@ -287,7 +373,7 @@ func TestFailedAppendRolledBack(t *testing.T) {
 	if st, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || st.Size() != segs[0].Bytes {
 		t.Fatalf("segment file holds %v bytes (%v), committed %d", st.Size(), err, segs[0].Bytes)
 	}
-	frames, _, err := s.ReadFrom(1, SegmentHeaderLen)
+	frames, _, _, err := s.ReadFrom(1, SegmentHeaderLen, whole)
 	if err != nil {
 		t.Fatal(err)
 	}

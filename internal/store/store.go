@@ -171,8 +171,8 @@ var ErrClosed = errors.New("store: closed")
 var ErrSegmentGone = errors.New("store: segment removed by compaction")
 
 // ErrBadOffset is returned by ReadFrom for a position no segment ever
-// had: a segment index past the active one, or an offset inside the
-// header or beyond the committed bytes.
+// had: a segment index past the active one, an offset inside the
+// header or beyond the committed bytes, or one not on a frame boundary.
 var ErrBadOffset = errors.New("store: read position out of range")
 
 func (o Options) segmentBytes() int64 {
@@ -349,16 +349,15 @@ func scanFrames(data []byte, off int64) (recs []Record, good int64, err error) {
 		if len(rest) < frameHeaderLen {
 			return recs, off, fmt.Errorf("torn frame header at offset %d", off)
 		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length == 0 || length > maxRecordLen {
-			return recs, off, fmt.Errorf("implausible record length %d at offset %d", length, off)
+		n, err := frameLen(rest, off)
+		if err != nil {
+			return recs, off, err
 		}
-		if int64(len(rest)) < frameHeaderLen+int64(length) {
+		if int64(len(rest)) < n {
 			return recs, off, fmt.Errorf("torn record at offset %d", off)
 		}
-		payload := rest[frameHeaderLen : frameHeaderLen+int64(length)]
-		if crc32.ChecksumIEEE(payload) != sum {
+		payload := rest[frameHeaderLen:n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return recs, off, fmt.Errorf("record CRC mismatch at offset %d", off)
 		}
 		var r Record
@@ -366,9 +365,20 @@ func scanFrames(data []byte, off int64) (recs []Record, good int64, err error) {
 			return recs, off, fmt.Errorf("record decode at offset %d: %w", off, jerr)
 		}
 		recs = append(recs, r)
-		off += frameHeaderLen + int64(length)
+		off += n
 	}
 	return recs, off, nil
+}
+
+// frameLen checks the header that opens data (at least frameHeaderLen
+// bytes, found at offset off) and returns the frame's full length,
+// header included.
+func frameLen(data []byte, off int64) (int64, error) {
+	length := binary.LittleEndian.Uint32(data[0:4])
+	if length == 0 || length > maxRecordLen {
+		return 0, fmt.Errorf("implausible record length %d at offset %d", length, off)
+	}
+	return frameHeaderLen + int64(length), nil
 }
 
 // openSegment creates a fresh segment with a header and makes it the
@@ -745,58 +755,86 @@ func (s *Store) Segments() (segs []SegmentInfo, cursor uint64, err error) {
 	return segs, s.seq, nil
 }
 
-// ReadFrom returns the raw frame bytes of segment seg from file offset
-// off (SegmentHeaderLen for a whole segment; off must land on a frame
-// boundary for the result to decode) up to the segment's committed
-// size, and whether seg is sealed — no longer the append target, so
-// an empty read at its end means the next segment follows. Only the
-// committed size is taken under the store lock; the bytes are read
-// outside it, so appends never wait on a reader. Bytes of an append in
-// progress are never visible. A segment deleted by compaction returns
-// ErrSegmentGone: the reader's cursor is gone and it must restart from
-// Segments(). A position no segment ever had returns ErrBadOffset.
-func (s *Store) ReadFrom(seg int, off int64) (frames []byte, sealed bool, err error) {
+// ReadFrom returns the whole frames of segment seg that start at file
+// offset off (SegmentHeaderLen for a whole segment), at most limit
+// bytes of them, with their count, and whether seg is sealed — no
+// longer the append target, so an empty read at its end means the next
+// segment follows. A single frame larger than limit comes back whole,
+// so every read makes progress. Only the committed size is taken under
+// the store lock; the bytes are read outside it, so appends never wait
+// on a reader, and bytes of an append in progress are never visible. A
+// segment deleted by compaction returns ErrSegmentGone: the reader's
+// cursor is gone and it must restart from Segments(). A position no
+// segment ever had returns ErrBadOffset, as does a frame header there
+// that is implausible or a frame that runs past the committed bytes:
+// the marks of a cursor off a frame boundary.
+func (s *Store) ReadFrom(seg int, off int64, limit int) (frames []byte, n int, sealed bool, err error) {
 	s.mu.Lock()
 	active, end, closed := s.segIdx, s.segBytes, s.closed
 	s.mu.Unlock()
 	switch {
 	case closed:
-		return nil, false, ErrClosed
+		return nil, 0, false, ErrClosed
 	case seg < 1 || seg > active || off < SegmentHeaderLen:
-		return nil, false, fmt.Errorf("store: segment %d offset %d: %w", seg, off, ErrBadOffset)
+		return nil, 0, false, fmt.Errorf("store: segment %d offset %d: %w", seg, off, ErrBadOffset)
 	}
 	f, err := os.Open(filepath.Join(s.dir, segName(seg)))
 	if os.IsNotExist(err) {
-		return nil, false, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
+		return nil, 0, false, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
 	} else if err != nil {
-		return nil, false, fmt.Errorf("store: read segment: %w", err)
+		return nil, 0, false, fmt.Errorf("store: read segment: %w", err)
 	}
 	defer f.Close()
 	if sealed = seg < active; sealed {
 		st, err := f.Stat()
 		if err != nil {
-			return nil, false, fmt.Errorf("store: stat segment: %w", err)
+			return nil, 0, false, fmt.Errorf("store: stat segment: %w", err)
 		}
 		end = st.Size()
 	}
 	if off > end {
-		return nil, false, fmt.Errorf("store: segment %d offset %d past %d committed bytes: %w", seg, off, end, ErrBadOffset)
+		return nil, 0, false, fmt.Errorf("store: segment %d offset %d past %d committed bytes: %w", seg, off, end, ErrBadOffset)
 	}
-	frames = make([]byte, end-off)
+	// Read up to the limit (never less than one frame header), then
+	// keep the frames that fit whole.
+	frames = make([]byte, min(end-off, int64(max(limit, frameHeaderLen))))
 	if _, err := f.ReadAt(frames, off); err != nil {
-		return nil, false, fmt.Errorf("store: read segment: %w", err)
+		return nil, 0, false, fmt.Errorf("store: read segment: %w", err)
 	}
-	return frames, sealed, nil
+	var used int64
+	for used < int64(len(frames)) {
+		pos := off + used
+		if end-pos < frameHeaderLen {
+			return nil, 0, false, fmt.Errorf("store: segment %d: torn frame header at offset %d: %w", seg, pos, ErrBadOffset)
+		}
+		if int64(len(frames))-used < frameHeaderLen {
+			break // the limit cut this frame's header
+		}
+		fl, err := frameLen(frames[used:], pos)
+		if err != nil {
+			return nil, 0, false, fmt.Errorf("store: segment %d: %v: %w", seg, err, ErrBadOffset)
+		}
+		if pos+fl > end {
+			return nil, 0, false, fmt.Errorf("store: segment %d: torn record at offset %d: %w", seg, pos, ErrBadOffset)
+		}
+		if used+fl > int64(len(frames)) {
+			if n > 0 {
+				break
+			}
+			frames = make([]byte, fl)
+			if _, err := f.ReadAt(frames, off); err != nil {
+				return nil, 0, false, fmt.Errorf("store: read segment: %w", err)
+			}
+			return frames, 1, sealed, nil
+		}
+		used += fl
+		n++
+	}
+	return frames[:used], n, sealed, nil
 }
 
 // SegmentHeaderLen is the size of the magic/version header that opens
-// every segment file; frames start at this offset. FrameHeaderLen is
-// the length and CRC32 that open every frame, and MaxRecordLen bounds
-// a frame's payload.
-const (
-	SegmentHeaderLen = segHeaderLen
-	FrameHeaderLen   = frameHeaderLen
-	MaxRecordLen     = maxRecordLen
-)
+// every segment file; frames start at this offset.
+const SegmentHeaderLen = segHeaderLen
 
 var _ io.Closer = (*Store)(nil)
