@@ -37,7 +37,10 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # keeping steady-state PageRank under 1 MB of allocation — and the
 # partition builds: every OP tile cut from the row store equal to the
 # column store filtered by row range, both layouts independent of
-# GOMAXPROCS, Materialize raced by eight kernels — and the Ligra
+# GOMAXPROCS, Materialize raced by eight kernels, the engine's OP tiles
+# cut from the IP arrays byte-equal to the store decode with the
+# degrees counted alongside, that cut and OutDegrees raced by eight
+# kernels, and an engine decoding its store exactly once — and the Ligra
 # baseline's counts a function of the input alone (Jacobi pull) — and
 # concurrent runs: mixed algorithms sharing one engine answer exactly
 # what they answer alone, and same-graph service jobs overlap inside
@@ -56,11 +59,11 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesFromIPMatchStoreDecode|TestCutFromIPConcurrent' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
-	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs|TestTraversalOracleNative' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs|TestTraversalOracleNative|TestEngineDecodesStoreOnce' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV|TestEngineConcurrentRunsMatchSolo' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .

@@ -6,6 +6,7 @@ package cosparse
 
 import (
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"cosparse/internal/bench"
@@ -177,40 +178,69 @@ func BenchmarkOPPartitionBuild(b *testing.B) {
 }
 
 // BenchmarkEngineColdBuild is the engine-cache-miss path (`make
-// bench-kernels`): New, the first IP call and the first OP call on the
-// scale-16 power-law graph, per resident format. MB/op is everything
-// the build allocates — partitions plus whatever scratch it burns.
+// bench-kernels`) on the scale-16 power-law graph, per resident format:
+// pr+bfs is New, the first IP call and the first OP call; bfs-only is
+// New and a BFS that runs only OP, so the engine needs its IP layout
+// only to cut the OP tiles from. MB/op is everything the build
+// allocates — partitions plus whatever scratch it burns.
 func BenchmarkEngineColdBuild(b *testing.B) {
 	const n = 1 << 16
+	sys := System{Tiles: 16, PEsPerTile: 16}
 	csr, err := GeneratePowerLaw(n, 16*n, Unweighted, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
+	opOnly := opOnlyBFSSource(b, csr)
 	for _, f := range []Format{CSRFormat, DVCSRFormat} {
 		g, err := csr.InFormat(f)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(g.Format(), func(b *testing.B) {
-			var m0, m1 goruntime.MemStats
-			goruntime.ReadMemStats(&m0)
-			for i := 0; i < b.N; i++ {
-				eng, err := New(g, System{Tiles: 16, PEsPerTile: 16}, WithBackend(NativeBackend))
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, leg := range []struct {
+			name string
+			run  func(*Engine) error
+		}{
+			{"pr+bfs", func(eng *Engine) error {
 				if _, _, err := eng.PageRank(1, 0.15); err != nil { // dense frontier: IP
-					b.Fatal(err)
+					return err
 				}
-				if _, _, err := eng.BFS(0); err != nil { // one-vertex frontier: OP first
-					b.Fatal(err)
+				_, _, err := eng.BFS(0) // one-vertex frontier: OP first
+				return err
+			}},
+			{"bfs-only", func(eng *Engine) error {
+				_, _, err := eng.BFS(opOnly)
+				return err
+			}},
+		} {
+			b.Run(g.Format()+"/"+leg.name, func(b *testing.B) {
+				var m0, m1 goruntime.MemStats
+				goruntime.ReadMemStats(&m0)
+				for i := 0; i < b.N; i++ {
+					eng, err := New(g, sys, WithBackend(NativeBackend))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := leg.run(eng); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			goruntime.ReadMemStats(&m1)
-			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
-			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/(1<<20), "MB/op")
-		})
+				goruntime.ReadMemStats(&m1)
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+				b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/(1<<20), "MB/op")
+			})
+		}
 	}
+}
+
+// opOnlyBFSSource returns the lowest-id vertex with no out-edges: its
+// BFS is one iteration over a one-vertex frontier, which runs OP.
+func opOnlyBFSSource(b *testing.B, g *Graph) int32 {
+	b.Helper()
+	if v := slices.Index(g.OutDegrees(), 0); v >= 0 {
+		return int32(v)
+	}
+	b.Fatal("every vertex has an out-edge")
+	return 0
 }
 
 func BenchmarkCOOToCSC(b *testing.B) {

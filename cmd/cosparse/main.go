@@ -233,14 +233,17 @@ func loadGraph(spec string, scale int, undirected bool, mode cosparse.ValueMode,
 	}
 }
 
+// maxDegree returns the vertex of highest out-degree, the lowest id on
+// a tie.
 func maxDegree(g *cosparse.Graph) int32 {
-	best := int32(0)
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		if g.OutDegree(v) > g.OutDegree(best) {
+	deg := g.OutDegrees()
+	best := 0
+	for v, d := range deg {
+		if d > deg[best] {
 			best = v
 		}
 	}
-	return best
+	return int32(best)
 }
 
 func max(a, b int) int {

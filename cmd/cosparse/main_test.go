@@ -103,6 +103,17 @@ func TestMaxDegreePicksHub(t *testing.T) {
 	if v := maxDegree(g); v != 2 {
 		t.Fatalf("maxDegree = %d, want 2", v)
 	}
+
+	// On a tie the lowest id wins.
+	g, err = cosparse.NewGraph(5, []cosparse.Edge{
+		{Src: 3, Dst: 0}, {Src: 3, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 4}, {Src: 4, Dst: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := maxDegree(g); v != 1 {
+		t.Fatalf("maxDegree = %d, want 1 (vertices 1 and 3 tie at degree 2)", v)
+	}
 }
 
 func TestWriteTo(t *testing.T) {

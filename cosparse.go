@@ -157,13 +157,20 @@ func (g *Graph) InFormat(f Format) (*Graph, error) {
 	return &Graph{st: d}, nil
 }
 
-// OutDegree returns the out-degree of vertex v.
+// OutDegree returns the out-degree of vertex v. Each call decodes the
+// whole graph; to read many degrees, take OutDegrees once.
 func (g *Graph) OutDegree(v int32) int32 {
 	_, c := g.st.Dims()
 	if v < 0 || int(v) >= c {
 		return 0
 	}
 	return matrix.OutDegreesOf(g.st)[v]
+}
+
+// OutDegrees returns the out-degree of every vertex, from one decode
+// of the graph.
+func (g *Graph) OutDegrees() []int32 {
+	return matrix.OutDegreesOf(g.st)
 }
 
 // NewGraph builds a graph with n vertices from an edge list. Duplicate

@@ -2,6 +2,7 @@ package cosparse
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,9 @@ func TestNewGraphFromEdges(t *testing.T) {
 	}
 	if g.OutDegree(-1) != 0 || g.OutDegree(99) != 0 {
 		t.Fatal("out-of-range OutDegree should be 0")
+	}
+	if deg := g.OutDegrees(); !slices.Equal(deg, []int32{2, 1, 1, 0}) {
+		t.Fatalf("OutDegrees = %v, want [2 1 1 0]", deg)
 	}
 }
 

@@ -29,10 +29,11 @@ func main() {
 	}
 
 	// Start from a well-connected vertex so the frontier actually grows.
+	deg := g.OutDegrees()
 	src := int32(0)
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		if g.OutDegree(v) > g.OutDegree(src) {
-			src = v
+	for v, d := range deg {
+		if d > deg[src] {
+			src = int32(v)
 		}
 	}
 

@@ -56,16 +56,32 @@ func cutRows(ptr []int32, rows, parts int, b Balancing) []int32 {
 		}
 		return bounds
 	}
-	nnz := int64(ptr[rows])
 	row := 0
 	for k := 1; k < parts; k++ {
-		target := nnz * int64(k) / int64(parts)
+		target := nnzTarget(ptr, rows, k, parts)
 		for row < rows && int64(ptr[row]) < target {
 			row++
 		}
 		bounds[k] = int32(row)
 	}
 	return bounds
+}
+
+// nnzTarget is the element count BalanceNNZ's k-th cut of parts
+// reaches: the cut is the first row whose prefix is at least this.
+func nnzTarget(ptr []int32, rows, k, parts int) int64 {
+	return int64(ptr[rows]) * int64(k) / int64(parts)
+}
+
+// isCut reports whether row is the k-th of the parts cuts cutRows
+// picks, without scanning: the first row whose prefix reaches the
+// target under BalanceNNZ, rows·k/parts under BalanceRows.
+func isCut(ptr []int32, rows, parts, k int, b Balancing, row int32) bool {
+	if b == BalanceRows {
+		return row == int32(rows*k/parts)
+	}
+	target := nnzTarget(ptr, rows, k, parts)
+	return (int(row) == rows || int64(ptr[row]) >= target) && (row == 0 || int64(ptr[row-1]) < target)
 }
 
 // Seg is one vblock-contiguous run of a PE's elements in the reordered
@@ -94,7 +110,8 @@ type IPPartition struct {
 
 	src         matrix.Store
 	mat         sync.Once
-	minPlusSafe bool // set by materialize; see minPlusSafe
+	deg         []int32 // set by materialize; see OutDegrees
+	minPlusSafe bool    // set by materialize; see minPlusSafe
 }
 
 // NewIPPartition builds the IP layout for a machine with totalPEs
@@ -111,11 +128,15 @@ type IPPartition struct {
 // whatever the resident format was, and a partition that is never run
 // never decodes the graph.
 func NewIPPartition(m matrix.Store, totalPEs, vblockWords int, b Balancing) *IPPartition {
+	return newIPPartition(m, m.RowPtr(), totalPEs, vblockWords, b)
+}
+
+// newIPPartition is NewIPPartition over m's row prefix ptr.
+func newIPPartition(m matrix.Store, ptr []int32, totalPEs, vblockWords int, b Balancing) *IPPartition {
 	if totalPEs < 1 {
 		panic("kernels: totalPEs must be >= 1")
 	}
 	rows, cols := m.Dims()
-	ptr := m.RowPtr()
 	bounds := cutRows(ptr, rows, totalPEs, b)
 	p := &IPPartition{
 		R: rows, C: cols,
@@ -144,7 +165,8 @@ func (p *IPPartition) Materialize() { p.mat.Do(p.materialize) }
 // materialize builds the PEs in parallel: a PE's elements land at the
 // offset PEPtr already fixes, so workers share nothing but the
 // destination arrays, and the layout does not depend on how many
-// workers ran.
+// workers ran. Each worker counts the columns it places into its own
+// degree array; the arrays are summed at the end.
 func (p *IPPartition) materialize() {
 	m := p.src
 	nnz := int(p.PEPtr[p.NumPEs])
@@ -157,12 +179,17 @@ func (p *IPPartition) materialize() {
 		}
 		return col / int32(p.VBlockWords)
 	}
-	maxBits := parallelChunks(p.NumPEs, func(peLo, peHi int32) uint32 {
+	type chunk struct {
+		maxBits uint32
+		deg     []int32
+	}
+	chunks := parallelChunks(p.NumPEs, func(peLo, peHi int32) chunk {
 		// Scratch for one PE's decoded row chunk, reused across the
 		// worker's PEs.
 		var cRow, cCol []int32
 		var cVal []float32
 		var mx uint32
+		deg := make([]int32, p.C)
 		counts := make([]int32, p.NumVBlocks+1)
 		next := make([]int32, p.NumVBlocks)
 		for pe := peLo; pe < peHi; pe++ {
@@ -175,6 +202,7 @@ func (p *IPPartition) materialize() {
 				cCol = append(cCol, col)
 				cVal = append(cVal, val)
 				counts[vbOf(col)+1]++
+				deg[col]++
 				mx = max(mx, math.Float32bits(val))
 			})
 			if len(cVal) != n {
@@ -198,9 +226,27 @@ func (p *IPPartition) materialize() {
 				p.Val[at] = cVal[k]
 			}
 		}
-		return mx
+		return chunk{mx, deg}
 	})
-	p.minPlusSafe = minPlusSafe(slices.Max(maxBits), p.R)
+	p.deg = chunks[0].deg
+	mx := chunks[0].maxBits
+	for _, c := range chunks[1:] {
+		for j, d := range c.deg {
+			p.deg[j] += d
+		}
+		mx = max(mx, c.maxBits)
+	}
+	p.minPlusSafe = minPlusSafe(mx, p.R)
+}
+
+// OutDegrees returns the out-degree of every source vertex (stored
+// elements per column), counted while the partition materialises — the
+// same vector matrix.OutDegreesOf decodes the store for. It
+// materialises the partition if that has not happened yet; callers
+// must not mutate the slice.
+func (p *IPPartition) OutDegrees() []int32 {
+	p.Materialize()
+	return p.deg
 }
 
 // Validate checks the partition invariants: every source element
@@ -263,6 +309,9 @@ type OPPartition struct {
 	Row       [][]int32
 	Val       [][]float32
 
+	// The tiles are cut from exactly one of these: the IP partition's
+	// materialised arrays, or the store.
+	ip          *IPPartition
 	src         matrix.Store
 	mat         sync.Once
 	minPlusSafe bool // set by materialize; see minPlusSafe
@@ -287,52 +336,107 @@ func NewOPPartition(m matrix.Store, tiles int, b Balancing) *OPPartition {
 	}
 }
 
-// Materialize cuts the per-tile CSC slices from the row store if that
-// has not happened yet. Every kernel entry point calls it; it is
-// idempotent and safe for concurrent use.
+// NewPartitions builds both layouts an engine holds for a machine of
+// tiles×pesPerTile PEs: the IP partition, and an OP partition whose
+// tiles are cut from the IP partition's materialised arrays rather than
+// from the store, so the two together decode m once. Tile t owns the IP
+// PEs [t·P, (t+1)·P), P = pesPerTile: the k-th of n cuts is a function
+// of x·k/n (x the nnz or the rows, by balancing), and x·tP/(tiles·P) =
+// x·t/tiles, so every P-th PE cut is the tile cut NewOPPartition would
+// pick — which this constructor checks. Both layouts are byte-identical
+// to NewIPPartition's and NewOPPartition's.
+func NewPartitions(m matrix.Store, tiles, pesPerTile, vblockWords int, b Balancing) (*IPPartition, *OPPartition) {
+	if tiles < 1 || pesPerTile < 1 {
+		panic("kernels: tiles and pesPerTile must be >= 1")
+	}
+	ptr := m.RowPtr()
+	ip := newIPPartition(m, ptr, tiles*pesPerTile, vblockWords, b)
+	bounds := make([]int32, tiles+1)
+	for t := range bounds {
+		bounds[t] = ip.RowBounds[t*pesPerTile]
+		if t > 0 && t < tiles && !isCut(ptr, ip.R, tiles, t, b, bounds[t]) {
+			panic(fmt.Sprintf("kernels: PE cut %d is not tile cut %d", t*pesPerTile, t))
+		}
+	}
+	return ip, &OPPartition{
+		R: ip.R, C: ip.C,
+		Tiles:     tiles,
+		RowBounds: bounds,
+		ip:        ip,
+	}
+}
+
+// Materialize cuts the per-tile CSC slices if that has not happened
+// yet. Every kernel entry point calls it; it is idempotent and safe for
+// concurrent use.
 func (p *OPPartition) Materialize() { p.mat.Do(p.materialize) }
 
 // materialize builds the tiles in parallel. A tile owns a row range, so
-// its CSC slice is that range of the row store transposed: one
-// DecodeRows pass and a stable counting sort by column. Rows decode
-// ascending, so they ascend within each column.
+// its CSC slice is that range transposed: placeTile over the tile's
+// elements. From the store they are one DecodeRows pass, row-major.
+// From the IP arrays they are the tile's PEs' contiguous element range,
+// vblock by vblock within a PE: a column lies in one vblock, so its
+// elements still arrive in store order (rows ascending, PE after PE).
 func (p *OPPartition) materialize() {
 	p.ColPtr = make([][]int32, p.Tiles)
 	p.Row = make([][]int32, p.Tiles)
 	p.Val = make([][]float32, p.Tiles)
+	if p.ip != nil {
+		ip := p.ip
+		ip.Materialize()
+		per := int32(ip.NumPEs / p.Tiles)
+		parallelFor(p.Tiles, func(tLo, tHi int32) {
+			next := make([]int32, p.C)
+			for t := tLo; t < tHi; t++ {
+				lo, hi := ip.PEPtr[t*per], ip.PEPtr[(t+1)*per]
+				p.ColPtr[t], p.Row[t], p.Val[t] = placeTile(p.C, next, ip.Row[lo:hi], ip.Col[lo:hi], ip.Val[lo:hi])
+			}
+		})
+		p.minPlusSafe = ip.minPlusSafe
+		return
+	}
 	maxBits := parallelChunks(p.Tiles, func(tLo, tHi int32) uint32 {
-		// Scratch for one tile's decoded row range and its per-column
-		// fill cursors, reused across the worker's tiles.
+		// Scratch for one tile's decoded row range, reused across the
+		// worker's tiles.
 		var cRow, cCol []int32
 		var cVal []float32
 		var mx uint32
 		next := make([]int32, p.C)
 		for t := tLo; t < tHi; t++ {
-			colPtr := make([]int32, p.C+1)
 			cRow, cCol, cVal = cRow[:0], cCol[:0], cVal[:0]
 			p.src.DecodeRows(p.RowBounds[t], p.RowBounds[t+1], func(row, col int32, val float32) {
 				cRow = append(cRow, row)
 				cCol = append(cCol, col)
 				cVal = append(cVal, val)
-				colPtr[col+1]++
 				mx = max(mx, math.Float32bits(val))
 			})
-			for j := 0; j < p.C; j++ {
-				colPtr[j+1] += colPtr[j]
-			}
-			copy(next, colPtr)
-			row, val := make([]int32, len(cRow)), make([]float32, len(cRow))
-			for k, col := range cCol {
-				at := next[col]
-				next[col]++
-				row[at] = cRow[k]
-				val[at] = cVal[k]
-			}
-			p.ColPtr[t], p.Row[t], p.Val[t] = colPtr, row, val
+			p.ColPtr[t], p.Row[t], p.Val[t] = placeTile(p.C, next, cRow, cCol, cVal)
 		}
 		return mx
 	})
 	p.minPlusSafe = minPlusSafe(slices.Max(maxBits), p.R)
+}
+
+// placeTile transposes one tile's elements into its CSC slice of c
+// columns with a stable counting sort by column, so each column keeps
+// the order its elements arrive in. next is c words of scratch.
+func placeTile(c int, next, rows, cols []int32, vals []float32) (colPtr, row []int32, val []float32) {
+	colPtr = make([]int32, c+1)
+	for _, col := range cols {
+		colPtr[col+1]++
+	}
+	for j := 0; j < c; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	copy(next, colPtr)
+	row, val = make([]int32, len(rows)), make([]float32, len(rows))
+	for k, col := range cols {
+		at := next[col]
+		next[col]++
+		row[at] = rows[k]
+		val[at] = vals[k]
+	}
+	return colPtr, row, val
 }
 
 // minPlusSafe reports whether a graph whose stored values have maxBits
@@ -350,13 +454,19 @@ func minPlusSafe(maxBits uint32, n int) bool {
 // through the min-ring forms — the dense-accumulator push and the
 // flat pull — on this graph: BFS always (it never reads a
 // stored value), SSSP when minPlusSafe holds. Every other ring, and
-// SSSP on a graph that fails the check, takes the generic passes. It
-// materialises the partition if that has not happened yet.
+// SSSP on a graph that fails the check, takes the generic passes. For
+// SSSP it materialises whatever computes the flag, if that has not
+// happened yet: the IP partition the tiles are cut from, or else the
+// tiles.
 func (p *OPPartition) MinRingFast(ring *semiring.Semiring) bool {
 	switch ring.Kind {
 	case semiring.KindBFS:
 		return true
 	case semiring.KindSSSP:
+		if p.ip != nil {
+			p.ip.Materialize()
+			return p.ip.minPlusSafe
+		}
 		p.Materialize()
 		return p.minPlusSafe
 	}

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"cosparse/internal/gen"
 	"cosparse/internal/matrix"
 	"cosparse/internal/semiring"
+	"cosparse/internal/sim"
 )
 
 // storesOf returns m in every resident format.
@@ -134,6 +136,121 @@ func TestMaterializeConcurrent(t *testing.T) {
 			}
 			if !slices.Equal(gotOP.Idx, wantOP.Idx) || !slices.Equal(gotOP.Val, wantOP.Val) {
 				t.Error("OP result differs after a raced Materialize")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// cutTestGraphs are TestOPTilesFromRowsMatchColumnStream's graphs plus
+// two whose weights fail minPlusSafe: one +Inf, one negative.
+func cutTestGraphs() map[string]*matrix.COO {
+	var hot []matrix.Coord
+	for c := int32(0); c < 40; c++ {
+		hot = append(hot, matrix.Coord{Row: 5, Col: c, Val: 1})
+	}
+	hot = append(hot, matrix.Coord{Row: 0, Col: 3, Val: 1}, matrix.Coord{Row: 11, Col: 39, Val: 1})
+	withVal := func(seed uint64, v float32) *matrix.COO {
+		m := gen.PowerLaw(200, 1500, 0.5, gen.UniformWeight, seed)
+		m.Val[len(m.Val)/2] = v
+		return m
+	}
+	return map[string]*matrix.COO{
+		"powerlaw": gen.PowerLaw(300, 3000, 0.6, gen.Pattern, 21),
+		"weighted": gen.PowerLaw(200, 1500, 0.5, gen.UniformWeight, 22),
+		"hotrow":   matrix.MustCOO(12, 64, hot),
+		"empty":    matrix.MustCOO(9, 9, nil),
+		"inf":      withVal(27, float32(math.Inf(1))),
+		"negative": withVal(28, -0.5),
+	}
+}
+
+// bitsEqual compares float32 slices bit for bit.
+func bitsEqual(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// The OP tiles NewPartitions cuts from the IP arrays must be
+// byte-identical to the tiles NewOPPartition decodes from the store,
+// minPlusSafe included, and the degrees counted while the IP partition
+// materialises must be matrix.OutDegreesOf's.
+func TestOPTilesFromIPMatchStoreDecode(t *testing.T) {
+	spm := cfg(4, 4, sim.SCS).SPMWordsPerTile()
+	sssp := semiring.SSSP()
+	graphs := cutTestGraphs()
+	for name, m := range graphs {
+		for _, st := range storesOf(t, m) {
+			wantDeg := matrix.OutDegreesOf(st)
+			for _, b := range []Balancing{BalanceNNZ, BalanceRows} {
+				for _, vb := range []int{0, 64, spm} {
+					for _, g := range [][2]int{{1, 1}, {4, 4}, {16, 2}, {m.R + 3, 1}} {
+						tiles, pes := g[0], g[1]
+						what := fmt.Sprintf("%s/%s/%v/vblock %d/%dx%d", name, st.Format(), b, vb, tiles, pes)
+						ip, op := NewPartitions(st, tiles, pes, vb, b)
+						want := NewOPPartition(st, tiles, b)
+						if !slices.Equal(op.RowBounds, want.RowBounds) {
+							t.Fatalf("%s: tile cuts %v, want %v", what, op.RowBounds, want.RowBounds)
+						}
+						// The flag comes from the IP materialisation,
+						// before any tile is cut.
+						if got := op.MinRingFast(&sssp); got != want.MinRingFast(&sssp) || op.ColPtr != nil {
+							t.Fatalf("%s: MinRingFast(SSSP) = %v (tiles cut: %v), store decode says %v",
+								what, got, op.ColPtr != nil, !got)
+						}
+						op.Materialize()
+						for tl := 0; tl < tiles; tl++ {
+							if !slices.Equal(op.ColPtr[tl], want.ColPtr[tl]) || !slices.Equal(op.Row[tl], want.Row[tl]) ||
+								!bitsEqual(op.Val[tl], want.Val[tl]) {
+								t.Fatalf("%s: tile %d differs from the store decode", what, tl)
+							}
+						}
+						if op.minPlusSafe != want.minPlusSafe {
+							t.Fatalf("%s: minPlusSafe %v, store decode %v", what, op.minPlusSafe, want.minPlusSafe)
+						}
+						if !slices.Equal(ip.OutDegrees(), wantDeg) {
+							t.Fatalf("%s: OutDegrees differs from matrix.OutDegreesOf", what)
+						}
+					}
+				}
+			}
+		}
+	}
+	for name, safe := range map[string]bool{"weighted": true, "inf": false, "negative": false} {
+		if _, op := NewPartitions(graphs[name], 2, 2, 0, BalanceNNZ); op.MinRingFast(&sssp) != safe {
+			t.Fatalf("%s: MinRingFast(SSSP) = %v, want %v", name, !safe, safe)
+		}
+	}
+}
+
+// Eight kernels race OutDegrees and the OP cut on one cold pair of
+// partitions: one IP materialisation and one cut may happen, and every
+// racer must see both complete.
+func TestCutFromIPConcurrent(t *testing.T) {
+	m := gen.PowerLaw(400, 5000, 0.6, gen.UniformWeight, 24)
+	dv, err := matrix.EncodeDVCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, op := NewPartitions(dv, 4, 4, 64, BalanceNNZ)
+	ops := []Operand{{Ring: semiring.SpMV()}}
+	f := gen.Frontier(m.C, 0.05, 25)
+	wantOP := NativeOPMulti(NewOPPartition(m, 4, BalanceNNZ), []*matrix.SparseVec{f}, ops, 4)[0]
+	wantDeg := m.OutDegrees()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				op.Materialize()
+			}
+			gotOP := NativeOPMulti(op, []*matrix.SparseVec{f}, ops, 4)[0]
+			if !slices.Equal(ip.OutDegrees(), wantDeg) {
+				t.Error("OutDegrees differs after a raced materialisation")
+			}
+			if !slices.Equal(gotOP.Idx, wantOP.Idx) || !slices.Equal(gotOP.Val, wantOP.Val) {
+				t.Error("OP result differs after a raced cut")
 			}
 		}()
 	}

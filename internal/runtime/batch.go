@@ -107,7 +107,7 @@ func (f *Framework) freshLane(ctx context.Context, name string, ring semiring.Se
 	// the simulator ignores the scratch).
 	l.op = kernels.Operand{Ring: ring, Ctx: sctx, Scratch: new(kernels.Scratch)}
 	if ring.NeedsSrcDeg {
-		l.op.Deg = f.deg
+		l.op.Deg = f.ipPart.OutDegrees()
 	}
 	return l
 }

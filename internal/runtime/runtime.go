@@ -170,18 +170,18 @@ type Options struct {
 
 // Framework is a CoSPARSE instance bound to one graph: it holds the
 // resident store (any matrix.Format behind the format seam), the IP/OP
-// partitions decoded from it (§III-D2 keeps both dataflows' layouts
-// resident so reconfiguration never pays a conversion), and the
-// decision policy. It is read-only after construction — every buffer a
-// run writes belongs to that run's lanes, and the lazily built pieces
-// (partition layouts, the reversed graph) are built once under a
-// sync.Once — so any number of runs may share one Framework
-// concurrently.
+// partitions built from one decode of it — the IP arrays, the
+// out-degrees counted while they are placed, and OP tiles cut from
+// those arrays (§III-D2 keeps both dataflows' layouts resident so
+// reconfiguration never pays a conversion) — and the decision policy.
+// It is read-only after construction — every buffer a run writes
+// belongs to that run's lanes, and the lazily built pieces (partition
+// layouts, the reversed graph) are built once under a sync.Once — so
+// any number of runs may share one Framework concurrently.
 type Framework struct {
 	st   matrix.Store
 	n    int // vertices (the adjacency matrix is square)
 	nnz  int
-	deg  []int32
 	opts Options
 
 	ipPart *kernels.IPPartition // vblocked to the SPM capacity (used by SC and SCS)
@@ -213,10 +213,12 @@ func New(m *matrix.COO, opts Options) (*Framework, error) {
 	return NewFromStore(m, opts)
 }
 
-// NewFromStore builds a Framework over any resident matrix store. The
-// partitions are decoded per-PE/tile chunk through the Store seam into
-// the exact layouts the COO baseline produces, so results and sim
-// timings do not depend on the resident format.
+// NewFromStore builds a Framework over any resident matrix store. It
+// decodes nothing: the IP partition decodes its per-PE row chunks
+// through the Store seam on first use, into the exact layout the COO
+// baseline produces, and the degrees and OP tiles come from that one
+// decode — so results and sim timings do not depend on the resident
+// format, and an engine decodes its store once.
 func NewFromStore(st matrix.Store, opts Options) (*Framework, error) {
 	r, c := st.Dims()
 	if r != c {
@@ -235,18 +237,17 @@ func NewFromStore(st matrix.Store, opts Options) (*Framework, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Framework{st: st, n: r, nnz: st.NNZ(), deg: matrix.OutDegreesOf(st), opts: opts}
+	f := &Framework{st: st, n: r, nnz: st.NNZ(), opts: opts}
 	// One IP layout, vblocked to the SCS scratchpad capacity, shared by
 	// both SC and SCS: the paper notes the vertical partition "is not
 	// required for the SC mode but can still be beneficial" (§III-B),
 	// and our calibration confirms SC with blocked locality is the
-	// baseline that reproduces Fig. 5's gain envelope.
+	// baseline that reproduces Fig. 5's gain envelope. The OP tiles are
+	// cut from the IP arrays, so the engine holds no whole-graph column
+	// store of either kind.
 	scs := sim.Config{Geometry: opts.Geometry, HW: sim.SCS, Params: opts.Params}
-	f.ipPart = kernels.NewIPPartition(st, opts.Geometry.TotalPEs(), scs.SPMWordsPerTile(), kernels.BalanceNNZ)
-	// The OP layout is cut straight from the store too: each tile
-	// transposes its own row range on first use, so the engine holds no
-	// whole-graph column store of either kind.
-	f.opPart = kernels.NewOPPartition(st, opts.Geometry.Tiles, kernels.BalanceNNZ)
+	f.ipPart, f.opPart = kernels.NewPartitions(st, opts.Geometry.Tiles, opts.Geometry.PEsPerTile,
+		scs.SPMWordsPerTile(), kernels.BalanceNNZ)
 	return f, nil
 }
 

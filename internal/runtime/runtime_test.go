@@ -2,8 +2,10 @@ package runtime
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
+	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/matrix"
 	"cosparse/internal/sim"
@@ -414,5 +416,53 @@ func TestBFSInvalidSource(t *testing.T) {
 	}
 	if _, _, err := f.CF(-1, 0.1, 0.1); err == nil {
 		t.Error("CF accepted negative iterations")
+	}
+}
+
+// countingStore counts the elements DecodeRows emits.
+type countingStore struct {
+	matrix.Store
+	emitted atomic.Int64
+}
+
+func (c *countingStore) DecodeRows(lo, hi int32, emit func(row, col int32, val float32)) {
+	c.Store.DecodeRows(lo, hi, func(row, col int32, val float32) {
+		c.emitted.Add(1)
+		emit(row, col, val)
+	})
+}
+
+// An engine decodes its store once: New decodes nothing, and the
+// degrees PageRank reads and the OP tiles BFS and SSSP push through
+// come from the IP partition's one materialisation.
+func TestEngineDecodesStoreOnce(t *testing.T) {
+	m := gen.PowerLaw(300, 3000, 0.6, gen.UniformWeight, 29)
+	dv, err := matrix.EncodeDVCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []matrix.Store{m, dv} {
+		for _, be := range []exec.Backend{exec.Native(), exec.Sim()} {
+			cs := &countingStore{Store: st}
+			f, err := NewFromStore(cs, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, Backend: be})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cs.emitted.Load(); n != 0 {
+				t.Fatalf("%s/%s: NewFromStore decoded %d elements", st.Format(), be.Name(), n)
+			}
+			if _, _, err := f.PageRank(2, 0.15); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := f.BFS(0); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := f.SSSP(0); err != nil {
+				t.Fatal(err)
+			}
+			if n := cs.emitted.Load(); n != int64(m.NNZ()) {
+				t.Fatalf("%s/%s: DecodeRows emitted %d elements, want nnz = %d", st.Format(), be.Name(), n, m.NNZ())
+			}
+		}
 	}
 }
