@@ -55,6 +55,11 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # all four configurations and five geometry/parameter variants, equal to
 # digests recorded from the goroutine-and-channel scheduler, and a
 # kernel panic mid-run leaving the other coroutines to finish — and the
+# journal kept as one segment per leader session: appends never rotate,
+# Replay reads the records back from the file, a crash mid-compaction's
+# two segments open, replay and compact to one, and a follower resyncs
+# a journal longer than one log response by several reads of that
+# segment, answering 409 once a compaction replaced it — and the
 # three long figure sweeps (Fig. 9, Fig. 10, auto
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
@@ -67,6 +72,9 @@ regress:
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV|TestEngineConcurrentRunsMatchSolo' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .
+	$(GO) test -race -count=1 -run 'TestJournalStaysOneSegment|TestOpenTwoSegmentsAppendsToNewer|TestJournalRotationAndCompaction' ./internal/store
+	$(GO) test -race -count=1 -run 'TestAppendsBeforeFirstPollArriveByOneResync|TestCompactedSessionSegmentAnswers409' ./internal/repl
+	$(GO) test -race -count=1 -run 'TestDurableTwoSegmentsCompactToOne' ./internal/service
 	BENCH_FIGURES=1 $(GO) test -count=1 -run 'TestFig9Shape|TestFig10Shape|TestAutoVsStatic' ./internal/bench
 
 # chaos runs the fault-injection suite under the race detector: hundreds
@@ -96,7 +104,6 @@ chaos-failover:
 # internal/gen/testdata/fuzz for triage.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSNAP -fuzztime=10s ./internal/gen
-	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixMarket -fuzztime=10s ./internal/gen
 	$(GO) test -run='^$$' -fuzz=FuzzDVCSRDecode -fuzztime=10s ./internal/matrix
 	$(GO) test -run='^$$' -fuzz=FuzzDVCCSCDecode -fuzztime=10s ./internal/matrix
 	$(GO) test -run='^$$' -fuzz=FuzzScanSegment -fuzztime=10s ./internal/store

@@ -63,7 +63,6 @@ func main() {
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (unauthenticated; bind accordingly)")
 	slowJob := flag.Duration("slow-job", 0, "log a warning with the decision trace for jobs slower than this (0 = off)")
 	traceFile := flag.String("trace", "", "append every finished job's per-iteration trace as a JSON line to this file")
-	traceCap := flag.Int("trace-cap", 0, "per-job iteration-trace ring size (0 = default 4096, negative = unbounded)")
 	dataDir := flag.String("data-dir", "", "durability directory: journal job/graph transitions and checkpoint running jobs there, and recover from it on startup (empty = in-memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "iterations between checkpoint snapshots of running jobs with -data-dir (0 = default 16, negative = journal only)")
 	noSync := flag.Bool("store-no-sync", false, "skip fsync in the durability store (testing only; voids crash consistency)")
@@ -142,7 +141,6 @@ func main() {
 		Logger:             logger,
 		EnablePprof:        *pprof,
 		SlowJob:            *slowJob,
-		TraceCap:           *traceCap,
 		TraceSink:          traceSink,
 		DataDir:            *dataDir,
 		CheckpointEvery:    *ckptEvery,

@@ -359,14 +359,6 @@ func WithHardware(h Hardware) Option {
 	}
 }
 
-// WithTraceCap bounds the per-iteration trace kept on reports: runs
-// longer than n iterations retain only the most recent n entries
-// (Report.TraceDropped counts the rest; cycle and energy totals stay
-// exact). 0 keeps the default bound, negative keeps every iteration.
-func WithTraceCap(n int) Option {
-	return func(o *runtime.Options) { o.TraceCap = n }
-}
-
 // WithIterationHook installs fn at every iteration boundary, right
 // after the context check and before the SpMV is issued. A non-nil
 // return stops the run like a cancelled context: the Context entry
@@ -457,11 +449,11 @@ type MemoryStats struct {
 
 // Report summarizes an algorithm run on the simulated hardware.
 //
-// Iterations is bounded by the engine's trace cap (WithTraceCap): when
-// a run exceeds it, only the most recent entries are kept,
-// TotalIterations still counts every iteration executed, and
-// TraceDropped how many fell out of the window. TotalCycles, EnergyJ
-// and Memory are exact regardless of truncation.
+// Iterations keeps at most the most recent 4096 entries
+// (runtime.DefaultTraceCap): TotalIterations still counts every
+// iteration executed, and TraceDropped how many fell out of the
+// window. TotalCycles, EnergyJ and Memory are exact regardless of
+// truncation.
 type Report struct {
 	Algorithm   string
 	System      System

@@ -33,30 +33,3 @@ func FuzzParseSNAP(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseMatrixMarket throws arbitrary text at the MatrixMarket
-// reader: error or a valid matrix whose entries respect the declared
-// dimensions, never a panic — in particular not from a hostile size
-// line (negative or absurd nnz, dimensions beyond int32).
-func FuzzParseMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n3 1 -1\n")
-	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n4 4 3\n1 2\n2 3\n4 4\n")
-	f.Add("%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 2 7\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 99999999999999999\n1 1 1\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n99999999999 99999999999 1\n1 1 1\n")
-	f.Add("%%MatrixMarket matrix array real general\n2 2\n")
-	f.Add("not a header\n1 1 1\n")
-	f.Add("")
-	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n5 5 1\n")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		m, err := ReadMatrixMarket(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("accepted matrix fails validation: %v", err)
-		}
-	})
-}

@@ -74,13 +74,12 @@ type Follower struct {
 	// promote never races an apply.
 	mu    sync.Mutex
 	epoch uint64
-	// session, seq, seg and off are the cursor: the leader session it
+	// session, seq and off are the cursor: the leader session it
 	// belongs to (0 until the first resync commits, never after), the
-	// last applied leader sequence number, and the segment and byte
-	// offset it ends at.
+	// last applied leader sequence number, and the byte offset in the
+	// session's segment where it ends.
 	session  uint64
 	seq      uint64
-	seg      int
 	off      int64
 	hold     time.Duration // the leader's reported poll hold
 	lastHB   time.Time     // when the leader last answered 200
@@ -304,15 +303,16 @@ func (f *Follower) apply(epoch uint64, write func() error) error {
 // fetches the checkpoints the leader listed.
 func (f *Follower) poll(ctx context.Context) error {
 	f.mu.Lock()
-	session, seq, seg, off := f.session, f.seq, f.seg, f.off
+	session, seq, off := f.session, f.seq, f.off
 	f.mu.Unlock()
 	var rep reply
-	q := f.query("session", strconv.FormatUint(session, 10), "seq", strconv.FormatUint(seq, 10),
-		"seg", strconv.Itoa(seg), "off", strconv.FormatInt(off, 10))
+	q := f.query("session", strconv.FormatUint(session, 10), "seq", strconv.FormatUint(seq, 10), "off", strconv.FormatInt(off, 10))
 	if err := f.call(ctx, http.MethodGet, "/v1/repl/log"+q, &rep); err != nil {
 		return err
 	}
-	recs, err := DecodeFrames(rep.Frames)
+	// Strict: a torn or corrupt response fails whole, so an apply is
+	// all-or-nothing.
+	recs, err := store.DecodeFrames(rep.Frames)
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func (f *Follower) poll(ctx context.Context) error {
 		if err := f.cfg.Store.AppendBatch(recs); err != nil {
 			return err
 		}
-		f.seq, f.seg, f.off, f.hold = rep.Seq, rep.Seg, rep.Off, rep.Hold
+		f.seq, f.off, f.hold = rep.Seq, rep.Off, rep.Hold
 		f.cfg.Stats.AppliedRecords.Add(int64(len(recs)))
 		f.cfg.Stats.LagRecords.Store(max(int64(rep.Head)-int64(rep.Seq), 0))
 		f.cfg.Stats.State.Store(StateStreaming)
@@ -346,9 +346,9 @@ func (f *Follower) poll(ctx context.Context) error {
 }
 
 // resync rebuilds the local journal from the leader's: it lists the
-// segments, reads them up to the listed end, fetches every snapshot,
-// and commits all of it at once. A resync that dies part-way leaves
-// the old journal intact.
+// session segment's committed end, reads the segment up to it, fetches
+// every snapshot, and commits all of it at once. A resync that dies
+// part-way leaves the old journal intact.
 func (f *Follower) resync(ctx context.Context) error {
 	f.cfg.Stats.State.Store(StateSyncing)
 	f.cfg.Stats.Resyncs.Add(1)
@@ -356,34 +356,26 @@ func (f *Follower) resync(ctx context.Context) error {
 	if err := f.call(ctx, http.MethodGet, "/v1/repl/resync"+f.query(), &rs); err != nil {
 		return err
 	}
-	if len(rs.Segments) == 0 {
-		return errors.New("repl: resync listing has no segments")
-	}
-	// One read after another from the first segment's first frame to
-	// the last segment's listed end; the leader moves the cursor past
-	// each sealed segment.
-	last := rs.Segments[len(rs.Segments)-1]
-	seg, off := rs.Segments[0].Index, int64(store.SegmentHeaderLen)
+	// One read after another from the first frame to the listed end;
+	// frames appended since the listing are cut off.
+	off := int64(store.SegmentHeaderLen)
 	var staged []store.Record
-	for seg < last.Index || off < last.Bytes {
+	for off < rs.Off {
 		var rep reply
-		q := f.query("session", strconv.FormatUint(rs.Session, 10), "seg", strconv.Itoa(seg), "off", strconv.FormatInt(off, 10))
+		q := f.query("session", strconv.FormatUint(rs.Session, 10), "off", strconv.FormatInt(off, 10))
 		if err := f.call(ctx, http.MethodGet, "/v1/repl/log"+q, &rep); err != nil {
 			return err
 		}
-		start, frames := rep.Off-int64(len(rep.Frames)), rep.Frames
-		if rep.Seg == last.Index && rep.Off > last.Bytes {
-			frames = frames[:max(last.Bytes-start, 0)]
-		}
+		frames := rep.Frames[:min(int64(len(rep.Frames)), rs.Off-off)]
 		if len(frames) == 0 {
-			return fmt.Errorf("repl: resync read stalled at segment %d offset %d", seg, off)
+			return fmt.Errorf("repl: resync read stalled at offset %d", off)
 		}
-		recs, err := DecodeFrames(frames)
+		recs, err := store.DecodeFrames(frames)
 		if err != nil {
 			return err
 		}
 		staged = append(staged, recs...)
-		seg, off = rep.Seg, start+int64(len(frames))
+		off += int64(len(frames))
 	}
 	snaps := map[string][]byte{}
 	for _, job := range rs.Snapshots {
@@ -402,7 +394,7 @@ func (f *Follower) resync(ctx context.Context) error {
 		if err := f.commit(staged, snaps); err != nil {
 			return err
 		}
-		f.session, f.seq, f.seg, f.off, f.hold = rs.Session, rs.Seq, last.Index, last.Bytes, rs.Hold
+		f.session, f.seq, f.off, f.hold = rs.Session, rs.Seq, rs.Off, rs.Hold
 		return nil
 	})
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"cosparse/internal/store"
 )
 
-// FuzzReplFrame drives the replication batch decoder with hostile
+// FuzzReplFrame drives the follower's batch decoder with hostile
 // bodies — the follower feeds it whatever arrives on the wire, so it
 // must never panic and must hold the all-or-nothing contract: any
 // error means no records are returned, and success means the batch
@@ -36,7 +36,7 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add(torn[:len(torn)-2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeFrames(data)
+		recs, err := store.DecodeFrames(data)
 		if err != nil {
 			if recs != nil {
 				t.Fatalf("error with partial records: %d records, err %v", len(recs), err)
@@ -53,7 +53,7 @@ func FuzzReplFrame(f *testing.F) {
 			}
 			rt = append(rt, fr...)
 		}
-		recs2, err := DecodeFrames(rt)
+		recs2, err := store.DecodeFrames(rt)
 		if err != nil {
 			t.Fatalf("re-encoded stream does not decode: %v", err)
 		}

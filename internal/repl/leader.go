@@ -25,8 +25,8 @@ const maxLogBytes = 1 << 20
 
 // LeaderConfig configures the leader-side replicator.
 type LeaderConfig struct {
-	// Store is the leader's journal; polls are served from its
-	// segment files and snapshots.
+	// Store is the leader's journal, compacted by recovery; polls are
+	// served from its segment file and snapshots.
 	Store *store.Store
 	// Epoch is this leader's replication epoch (loaded from the data
 	// dir at startup; bumped only by promotion).
@@ -49,25 +49,24 @@ type LeaderConfig struct {
 
 // reply is the body of every 200 the leader sends a follower, except
 // a snapshot image. A log poll fills the cursor fields, Head, Frames,
-// Checkpoints and Hold; a resync listing fills Session, Seq, Hold,
-// Segments and Snapshots.
+// Checkpoints and Hold; a resync listing fills Session, Seq, Off, Hold
+// and Snapshots.
 type reply struct {
 	Epoch   uint64 `json:"epoch"`
 	Session uint64 `json:"session,omitempty"`
-	// Seq, Seg and Off are the cursor after Frames; the follower's next
-	// poll sends them back. Seq is 0 on a resync read. A resync
-	// listing's Seq is the cursor at the end of its Segments.
+	// Seq and Off are the cursor after Frames; the follower's next poll
+	// sends them back. Seq is 0 on a resync read. A resync listing's
+	// Seq and Off are the journal's sequence number and the committed
+	// end of the session's segment where that record ends.
 	Seq    uint64 `json:"seq"`
-	Seg    int    `json:"seg,omitempty"`
 	Off    int64  `json:"off,omitempty"`
 	Head   uint64 `json:"head,omitempty"` // the leader's journal seq, for lag
 	Frames []byte `json:"frames,omitempty"`
 	// Checkpoints lists jobs whose checkpoint changed since the
 	// previous poll; the follower fetches each image.
-	Checkpoints []string            `json:"checkpoints,omitempty"`
-	Hold        time.Duration       `json:"hold_ns,omitempty"`
-	Segments    []store.SegmentInfo `json:"segments,omitempty"`
-	Snapshots   []string            `json:"snapshots,omitempty"`
+	Checkpoints []string      `json:"checkpoints,omitempty"`
+	Hold        time.Duration `json:"hold_ns,omitempty"`
+	Snapshots   []string      `json:"snapshots,omitempty"`
 }
 
 // Replicator is the leader side. It runs no goroutines: it serves the
@@ -84,8 +83,11 @@ type Replicator struct {
 	// survive a restart, so a cursor is only valid in its session.
 	// Never 0, which a follower's cursor holds before its first resync.
 	session uint64
-	// base is the journal sequence number when the session began,
-	// after startup recovery compacted the journal.
+	// seg and base are the append target and the journal sequence
+	// number when the session began, after recovery compacted the
+	// journal. Only Compact starts a segment, so the session's records
+	// all live in seg; once it is gone every read answers 409.
+	seg  int
 	base uint64
 
 	mu    sync.Mutex
@@ -112,9 +114,10 @@ type Replicator struct {
 }
 
 // NewReplicator builds the leader replicator for a journal that
-// recovery has finished with.
+// recovery has compacted to one segment.
 func NewReplicator(cfg LeaderConfig) *Replicator {
-	r := &Replicator{cfg: cfg, session: rand.Uint64() | 1, base: cfg.Store.Seq(), dirty: map[string]bool{}, stop: make(chan struct{})}
+	r := &Replicator{cfg: cfg, session: rand.Uint64() | 1, dirty: map[string]bool{}, stop: make(chan struct{})}
+	r.seg, _, r.base = cfg.Store.Position()
 	r.cond = sync.NewCond(&r.mu)
 	r.cfg.Stats.State.Store(StateIdle)
 	mux := http.NewServeMux()
@@ -261,9 +264,8 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 	}
 	q := req.URL.Query()
 	session, err1 := strconv.ParseUint(q.Get("session"), 10, 64)
-	seg, err2 := strconv.Atoi(q.Get("seg"))
-	off, err3 := strconv.ParseInt(q.Get("off"), 10, 64)
-	if err := errors.Join(err1, err2, err3); err != nil {
+	off, err2 := strconv.ParseInt(q.Get("off"), 10, 64)
+	if err := errors.Join(err1, err2); err != nil {
 		httpError(w, http.StatusBadRequest, "bad cursor: %v", err)
 		return
 	}
@@ -297,14 +299,13 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 	var (
 		frames []byte
 		n      int
-		sealed bool
 		head   uint64
 		err    error
 	)
 	for {
 		var wake <-chan struct{}
 		head, wake = r.cfg.Store.Watch()
-		frames, n, sealed, err = r.cfg.Store.ReadFrom(seg, off, maxLogBytes)
+		frames, n, err = r.cfg.Store.ReadFrom(r.seg, off, maxLogBytes)
 		switch {
 		case errors.Is(err, store.ErrSegmentGone):
 			httpError(w, http.StatusConflict, "%v: resync", err)
@@ -315,10 +316,6 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 		case err != nil:
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
-		}
-		if len(frames) == 0 && sealed {
-			seg, off = seg+1, store.SegmentHeaderLen
-			continue
 		}
 		if !acked {
 			r.ack(seq, head)
@@ -333,7 +330,7 @@ func (r *Replicator) serveLog(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	rep := reply{
-		Epoch: r.cfg.Epoch, Seg: seg, Off: off + int64(len(frames)), Head: head,
+		Epoch: r.cfg.Epoch, Off: off + int64(len(frames)), Head: head,
 		Hold: r.cfg.HeartbeatEvery, Frames: frames,
 	}
 	r.cfg.Stats.SentRecords.Add(int64(n))
@@ -398,8 +395,9 @@ func (r *Replicator) hold(ctx context.Context, wake <-chan struct{}, deadline ti
 }
 
 // serveResync lists what a follower needs to rebuild its journal: the
-// segments and sequence cursor, taken atomically, and the jobs with a
-// snapshot. The follower reads the segments through serveLog.
+// session segment's committed end and the sequence number there, taken
+// atomically, and the jobs with a snapshot. The follower reads the
+// segment up to that end through serveLog.
 func (r *Replicator) serveResync(w http.ResponseWriter, req *http.Request) {
 	if !r.admit(w, req) {
 		return
@@ -408,19 +406,15 @@ func (r *Replicator) serveResync(w http.ResponseWriter, req *http.Request) {
 	r.following, r.resyncing = true, true
 	clear(r.dirty)
 	r.mu.Unlock()
-	segs, seq, err := r.cfg.Store.Segments()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	_, end, seq := r.cfg.Store.Position()
 	ids, err := r.cfg.Store.SnapshotJobIDs()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	r.cfg.Stats.Resyncs.Add(1)
-	logf(r.cfg.Logger, "repl: serving full resync (cursor %d, %d segments, %d snapshots)", seq, len(segs), len(ids))
-	writeJSON(w, http.StatusOK, reply{Epoch: r.cfg.Epoch, Session: r.session, Seq: seq, Hold: r.cfg.HeartbeatEvery, Segments: segs, Snapshots: ids})
+	logf(r.cfg.Logger, "repl: serving full resync (cursor %d, %d bytes, %d snapshots)", seq, end-store.SegmentHeaderLen, len(ids))
+	writeJSON(w, http.StatusOK, reply{Epoch: r.cfg.Epoch, Session: r.session, Seq: seq, Off: end, Hold: r.cfg.HeartbeatEvery, Snapshots: ids})
 }
 
 // serveSnapshot returns a job's current checkpoint image.

@@ -3,19 +3,23 @@
 // Follower long-polls the leader for the bytes after its cursor.
 //
 // The wire unit is the store's own journal frame (length + CRC32 +
-// JSON payload), read verbatim from the leader's segment files: the
-// follower verifies every checksum before anything touches its
-// journal, so a corrupt or torn response is rejected atomically — the
-// same discipline the store applies to its own segments at Open.
+// JSON payload), read verbatim from the leader's segment file: the
+// follower verifies every checksum (store.DecodeFrames) before anything
+// touches its journal, so a corrupt or torn response is rejected
+// atomically — the same discipline the store applies to its own
+// segments at Open.
 //
-// A cursor is the leader's sequence number (1-based record count
-// within a leader process) together with the segment and byte offset
-// that record ends at, so the leader serves a poll with one file read
-// and keeps no index. Sequence numbers do not survive a leader restart,
-// so every leader process has a random session nonce; a cursor from
-// another session, or one the leader's journal no longer holds, sends
-// the follower to a full resync — every segment and snapshot staged on
-// the follower and committed atomically. A poll's cursor is also the
+// A leader session begins after recovery has compacted the journal,
+// and only compaction starts a segment, so a session's journal is one
+// segment file. A cursor is the leader's session nonce, its sequence
+// number (1-based record count within a leader process) and the byte
+// offset in that segment where the record ends, so the leader serves a
+// poll with one file read and keeps no index. Sequence numbers do not
+// survive a leader restart, so every leader process has a random
+// session nonce; a cursor from another session, or one the leader's
+// journal no longer holds, sends the follower to a full resync — the
+// segment and every snapshot staged on the follower and committed
+// atomically. A poll's cursor is also the
 // follower's ack: the follower polls again only after its journal
 // append returned, so the semisync wait counts durable records only.
 //
@@ -75,7 +79,7 @@ const (
 	StateOff int64 = 0
 	// StateIdle: leader no follower has polled yet.
 	StateIdle int64 = 1
-	// StateSyncing: full resync in flight (leader serving its segment
+	// StateSyncing: full resync in flight (leader serving its resync
 	// listing, or follower staging it).
 	StateSyncing int64 = 2
 	// StateStreaming: caught up and tailing appends.
@@ -113,7 +117,7 @@ type Stats struct {
 	// acknowledged (leader side) or the last reported leader lead
 	// (follower side, 0 once caught up).
 	LagRecords atomic.Int64
-	// Resyncs counts full segment resyncs started.
+	// Resyncs counts full resyncs started.
 	Resyncs atomic.Int64
 	// SemisyncFallbacks counts submits acked without a follower ack:
 	// the wait timed out, or no follower was present to wait for.

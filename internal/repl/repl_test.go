@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,6 +34,15 @@ func submitRec(id string) store.Record {
 	return store.Record{Type: store.RecSubmit, JobID: id, Request: json.RawMessage(`{"algo":"pr"}`), TimeoutMS: 1000}
 }
 
+func replay(t *testing.T, st *store.Store) []store.Record {
+	t.Helper()
+	recs, err := st.Replay()
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	return recs
+}
+
 func encodeFrames(t *testing.T, recs ...store.Record) []byte {
 	t.Helper()
 	var buf []byte
@@ -52,7 +63,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: store.RecGraph, GraphID: "g1", GraphSpec: json.RawMessage(`{"kind":"powerlaw"}`)},
 		{Type: store.RecFinish, JobID: "j1", State: "done"},
 	}
-	got, err := DecodeFrames(encodeFrames(t, want...))
+	got, err := store.DecodeFrames(encodeFrames(t, want...))
 	if err != nil {
 		t.Fatalf("DecodeFrames: %v", err)
 	}
@@ -64,8 +75,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if recs, err := DecodeFrames(nil); err != nil || len(recs) != 0 {
-		t.Errorf("DecodeFrames(nil) = (%v, %v), want empty ok", recs, err)
+	if recs, err := store.DecodeFrames(nil); err != nil || len(recs) != 0 {
+		t.Errorf("store.DecodeFrames(nil) = (%v, %v), want empty ok", recs, err)
 	}
 }
 
@@ -74,17 +85,17 @@ func TestDecodeFramesAtomicOnCorruption(t *testing.T) {
 
 	// Torn tail: everything-or-nothing, even though the first frame is
 	// intact.
-	if recs, err := DecodeFrames(clean[:len(clean)-3]); err == nil || recs != nil {
+	if recs, err := store.DecodeFrames(clean[:len(clean)-3]); err == nil || recs != nil {
 		t.Errorf("torn tail: got (%v, %v), want (nil, error)", recs, err)
 	}
 	// Flipped payload byte in the second frame.
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(corrupt)-2] ^= 0xff
-	if recs, err := DecodeFrames(corrupt); err == nil || recs != nil {
+	if recs, err := store.DecodeFrames(corrupt); err == nil || recs != nil {
 		t.Errorf("corrupt payload: got (%v, %v), want (nil, error)", recs, err)
 	}
 	// Trailing garbage after valid frames.
-	if recs, err := DecodeFrames(append(append([]byte(nil), clean...), 0x01)); err == nil || recs != nil {
+	if recs, err := store.DecodeFrames(append(append([]byte(nil), clean...), 0x01)); err == nil || recs != nil {
 		t.Errorf("trailing garbage: got (%v, %v), want (nil, error)", recs, err)
 	}
 }
@@ -189,7 +200,7 @@ func runFollower(t *testing.T, f *Follower) {
 func cursorQuery(f *Follower, epoch uint64) string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return fmt.Sprintf("/v1/repl/log?epoch=%d&session=%d&seq=%d&seg=%d&off=%d", epoch, f.session, f.seq, f.seg, f.off)
+	return fmt.Sprintf("/v1/repl/log?epoch=%d&session=%d&seq=%d&off=%d", epoch, f.session, f.seq, f.off)
 }
 
 func jobIDs(recs []store.Record) []string {
@@ -206,7 +217,7 @@ func TestFollowerRejectsTornBatchAtomically(t *testing.T) {
 	var next atomic.Pointer[reply]
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/repl/resync" {
-			writeJSON(w, http.StatusOK, reply{Session: 7, Segments: []store.SegmentInfo{{Index: 1, Bytes: store.SegmentHeaderLen, Active: true}}})
+			writeJSON(w, http.StatusOK, reply{Session: 7, Off: store.SegmentHeaderLen})
 			return
 		}
 		writeJSON(w, http.StatusOK, next.Load())
@@ -222,11 +233,11 @@ func TestFollowerRejectsTornBatchAtomically(t *testing.T) {
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(corrupt)-2] ^= 0xff
 	for name, frames := range map[string][]byte{"torn": clean[:len(clean)-3], "crc": corrupt} {
-		next.Store(&reply{Seq: 2, Seg: 1, Off: store.SegmentHeaderLen + int64(len(frames)), Head: 2, Frames: frames})
+		next.Store(&reply{Seq: 2, Off: store.SegmentHeaderLen + int64(len(frames)), Head: 2, Frames: frames})
 		if err := f.poll(ctx); err == nil {
 			t.Fatalf("%s response applied without error", name)
 		}
-		if recs, _ := fStore.Replay(); len(recs) != 0 {
+		if recs := replay(t, fStore); len(recs) != 0 {
 			t.Fatalf("%s response half-applied: journal has %d records", name, len(recs))
 		}
 		if f.AppliedSeq() != 0 {
@@ -234,11 +245,11 @@ func TestFollowerRejectsTornBatchAtomically(t *testing.T) {
 		}
 	}
 	// The identical clean response then applies in full.
-	next.Store(&reply{Seq: 2, Seg: 1, Off: store.SegmentHeaderLen + int64(len(clean)), Head: 2, Frames: clean})
+	next.Store(&reply{Seq: 2, Off: store.SegmentHeaderLen + int64(len(clean)), Head: 2, Frames: clean})
 	if err := f.poll(ctx); err != nil {
 		t.Fatalf("clean poll: %v", err)
 	}
-	if recs, _ := fStore.Replay(); len(recs) != 2 || f.AppliedSeq() != 2 {
+	if recs := replay(t, fStore); len(recs) != 2 || f.AppliedSeq() != 2 {
 		t.Fatalf("clean poll landed %d records at seq %d, want 2 at 2", len(recs), f.AppliedSeq())
 	}
 }
@@ -265,7 +276,7 @@ func TestFollowerSequenceContinuity(t *testing.T) {
 	if err := f.poll(ctx); err != nil {
 		t.Fatalf("caught-up poll: %v", err)
 	}
-	recs, _ := fStore.Replay()
+	recs := replay(t, fStore)
 	if got := jobIDs(recs); len(got) != 3 || got[2] != "j3" {
 		t.Fatalf("follower journal = %v, want [j1 j2 j3]", got)
 	}
@@ -310,7 +321,7 @@ func TestCursorFromAnotherSessionResyncsOnce(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Fatalf("old session's cursor on a new session -> %d %s, want 409", code, body)
 	}
-	before := fmt.Sprintf("/v1/repl/log?epoch=0&session=%d&seq=0&seg=1&off=%d", rep2.session, store.SegmentHeaderLen)
+	before := fmt.Sprintf("/v1/repl/log?epoch=0&session=%d&seq=0&off=%d", rep2.session, store.SegmentHeaderLen)
 	resp, err := http.Get(srv.URL + before)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +338,7 @@ func TestCursorFromAnotherSessionResyncsOnce(t *testing.T) {
 	if got := fStats.Resyncs.Load(); got != 2 {
 		t.Fatalf("follower resyncs = %d, want 2 (the first sync and one for the new session)", got)
 	}
-	recs, _ := fStore.Replay()
+	recs := replay(t, fStore)
 	if got := jobIDs(recs); len(got) != 3 || got[0] != "j1" || got[2] != "j3" {
 		t.Fatalf("follower journal = %v, want [j1 j2 j3]", got)
 	}
@@ -335,21 +346,19 @@ func TestCursorFromAnotherSessionResyncsOnce(t *testing.T) {
 
 func TestMalformedCursorIsBadRequest(t *testing.T) {
 	lx := newLeaderFixture(t, submitRec("j1"), submitRec("j2"))
-	segs, _, _ := lx.store.Segments()
-	end := segs[0].Bytes
+	_, end, _ := lx.store.Position()
 	sess := lx.rep.session
 	for _, q := range []string{
-		"session=1&seq=0&seg=1&off=8",
-		fmt.Sprintf("epoch=x&session=%d&seq=0&seg=1&off=8", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=0&seg=one&off=8", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=-1&seg=1&off=8", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=2&seg=1&off=4", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=2&seg=0&off=8", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=2&seg=2&off=8", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=2&seg=1&off=%d", sess, end+1),
-		fmt.Sprintf("epoch=0&session=%d&seq=2&seg=1&off=9", sess),
-		fmt.Sprintf("epoch=0&session=%d&seq=3&seg=1&off=%d", sess, end),
-		fmt.Sprintf("epoch=0&session=%d&seg=1&off=-8", sess),
+		"session=1&seq=0&off=8",
+		fmt.Sprintf("epoch=x&session=%d&seq=0&off=8", sess),
+		fmt.Sprintf("epoch=0&session=%d&seq=0&off=eight", sess),
+		fmt.Sprintf("epoch=0&session=%d&seq=0", sess),
+		fmt.Sprintf("epoch=0&session=%d&seq=-1&off=8", sess),
+		fmt.Sprintf("epoch=0&session=%d&seq=2&off=4", sess),
+		fmt.Sprintf("epoch=0&session=%d&seq=2&off=%d", sess, end+1),
+		fmt.Sprintf("epoch=0&session=%d&seq=2&off=9", sess),
+		fmt.Sprintf("epoch=0&session=%d&seq=3&off=%d", sess, end),
+		fmt.Sprintf("epoch=0&session=%d&off=-8", sess),
 	} {
 		if code, body := lx.get(t, "/v1/repl/log?"+q); code != http.StatusBadRequest {
 			t.Errorf("%s -> %d %s, want 400", q, code, body)
@@ -411,7 +420,7 @@ func TestFollowerEpochFencing(t *testing.T) {
 	if e, _ := LoadEpoch(f.cfg.Store.Dir()); e != 1 {
 		t.Fatalf("persisted epoch = %d, want 1", e)
 	}
-	if recs, _ := fStore.Replay(); len(recs) != 1 {
+	if recs := replay(t, fStore); len(recs) != 1 {
 		t.Fatalf("follower journal has %d records past the fence, want 1", len(recs))
 	}
 }
@@ -452,7 +461,7 @@ func TestLeaderFencedByPromotedFollower(t *testing.T) {
 	if wctx.Err() != nil {
 		t.Fatal("WaitApplied hung until the deadline instead of failing fast")
 	}
-	if recs, _ := fStore.Replay(); len(recs) != 1 {
+	if recs := replay(t, fStore); len(recs) != 1 {
 		t.Fatalf("fenced leader still replicated: follower has %d records, want 1", len(recs))
 	}
 	// A fence post that does not supersede the leader's epoch is
@@ -500,7 +509,7 @@ func TestLeaderFollowerEndToEnd(t *testing.T) {
 		t.Fatalf("WaitApplied(8) timed out; acked=%d", lx.rep.AckedSeq())
 	}
 
-	recs, _ := fStore.Replay()
+	recs := replay(t, fStore)
 	if len(recs) != 8 || recs[0].JobID != "pre1" || recs[7].JobID != "tail3" {
 		t.Fatalf("follower journal = %d records (%v)", len(recs), jobIDs(recs))
 	}
@@ -523,43 +532,78 @@ func TestLeaderFollowerEndToEnd(t *testing.T) {
 
 // TestAppendsBeforeFirstPollArriveByOneResync: a leader nobody polls
 // keeps nothing per append; a follower that arrives later gets the
-// whole journal — across segment rotations — from one resync, then
-// tails across the next rotation.
+// whole journal — longer than one log response, so several reads of
+// the one segment — from one resync, then tails it.
 func TestAppendsBeforeFirstPollArriveByOneResync(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{NoSync: true, MaxSegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := testStore(t, t.TempDir())
 	stats := &Stats{}
 	rep := NewReplicator(LeaderConfig{Store: st, Stats: stats, SemisyncTimeout: 2 * time.Second, HeartbeatEvery: 20 * time.Millisecond})
 	defer rep.Close()
-	srv := httptest.NewServer(rep)
+	var resyncReads atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/repl/log" && !r.URL.Query().Has("seq") {
+			resyncReads.Add(1)
+		}
+		rep.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
-	for i := 1; i <= 50; i++ {
-		if err := st.Append(submitRec("j" + strconv.Itoa(i))); err != nil {
-			t.Fatal(err)
+	pad := json.RawMessage(`{"pad":"` + strings.Repeat("x", 4000) + `"}`)
+	appendN := func(from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			if err := st.Append(store.Record{Type: store.RecSubmit, JobID: "j" + strconv.Itoa(i), Request: pad}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if segs, _, _ := st.Segments(); len(segs) < 3 {
-		t.Fatalf("expected rotation to leave several segments, got %d", len(segs))
+	appendN(1, 400)
+	if _, end, _ := st.Position(); end < 3*maxLogBytes/2 {
+		t.Fatalf("journal is %d bytes, want more than one log response (%d)", end, maxLogBytes)
 	}
 
 	f, fStore, _ := newTestFollower(t, srv.URL)
 	runFollower(t, f)
-	waitFor(t, "resync of 50 appends", func() bool { return rep.AckedSeq() >= 50 })
-	for i := 51; i <= 60; i++ {
-		if err := st.Append(submitRec("j" + strconv.Itoa(i))); err != nil {
-			t.Fatal(err)
-		}
+	waitFor(t, "resync of 400 appends", func() bool { return rep.AckedSeq() >= 400 })
+	if n := resyncReads.Load(); n < 2 {
+		t.Fatalf("resync took %d log reads, want several", n)
 	}
-	waitFor(t, "tail across a rotation", func() bool { return rep.AckedSeq() >= 60 })
-	recs, _ := fStore.Replay()
-	if len(recs) != 60 || recs[0].JobID != "j1" || recs[59].JobID != "j60" {
-		t.Fatalf("follower journal = %d records (%v)", len(recs), jobIDs(recs))
+	appendN(401, 410)
+	waitFor(t, "tail after the resync", func() bool { return rep.AckedSeq() >= 410 })
+	recs := replay(t, fStore)
+	if len(recs) != 410 {
+		t.Fatalf("follower journal = %d records, want 410", len(recs))
+	}
+	for i, r := range recs {
+		if r.JobID != "j"+strconv.Itoa(i+1) {
+			t.Fatalf("follower record %d is %s", i, r.JobID)
+		}
 	}
 	if got := stats.Resyncs.Load(); got != 1 {
 		t.Fatalf("leader resyncs = %d, want 1", got)
+	}
+}
+
+// TestCompactedSessionSegmentAnswers409: the replicator pins its
+// session's segment, so once a compaction has replaced it a tail poll
+// and every resync read answer 409 instead of serving the new segment
+// under the old session's cursor.
+func TestCompactedSessionSegmentAnswers409(t *testing.T) {
+	lx := newLeaderFixture(t, submitRec("j1"), submitRec("j2"))
+	f, _, _ := newTestFollower(t, lx.srv.URL)
+	if err := f.resync(context.Background()); err != nil {
+		t.Fatalf("resync: %v", err)
+	}
+	if code, body := lx.get(t, cursorQuery(f, 0)); code != http.StatusOK {
+		t.Fatalf("poll before compaction -> %d %s", code, body)
+	}
+	if err := lx.store.Compact([]store.Record{submitRec("j2")}); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := lx.get(t, cursorQuery(f, 0)); code != http.StatusConflict {
+		t.Fatalf("poll after compaction -> %d %s, want 409", code, body)
+	}
+	if err := f.resync(context.Background()); !errors.Is(err, errResync) {
+		t.Fatalf("resync after compaction = %v, want a 409 from its first read", err)
 	}
 }
 
@@ -710,7 +754,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if ok, took := waitApplied(rep, seq, 5*time.Second); !ok {
 		t.Fatalf("follower back: WaitApplied(%d) = false after %v", seq, took)
 	}
-	if recs, _ := fStore.Replay(); len(recs) != 4 || recs[3].JobID != "j4" {
+	if recs := replay(t, fStore); len(recs) != 4 || recs[3].JobID != "j4" {
 		t.Fatalf("follower journal = %d records (%v), want j1..j4", len(recs), jobIDs(recs))
 	}
 
@@ -793,7 +837,7 @@ func TestFailedLeaderFsyncKeepsFollowerInOrder(t *testing.T) {
 		}
 	}
 	waitFor(t, "appends after the failed one", func() bool { return rep.AckedSeq() >= 4 })
-	recs, _ := fStore.Replay()
+	recs := replay(t, fStore)
 	if got := fmt.Sprint(jobIDs(recs)); got != "[a b c d]" {
 		t.Fatalf("follower journal = %s, want [a b c d]", got)
 	}

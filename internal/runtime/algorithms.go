@@ -241,13 +241,7 @@ func (f *Framework) SpMVContext(ctx context.Context, frontier *matrix.SparseVec)
 // This is the extensibility point the paper describes in §III-D: "end
 // users only need to define the key computations to realize a graph
 // algorithm".
-func (f *Framework) RunCustom(ring semiring.Semiring, ctx semiring.Ctx,
-	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int) (matrix.Dense, *Report, error) {
-	return f.RunCustomContext(context.Background(), ring, ctx, vals, frontier, maxIters)
-}
-
-// RunCustomContext is RunCustom with per-iteration cancellation.
-func (f *Framework) RunCustomContext(ctx context.Context, ring semiring.Semiring, sctx semiring.Ctx,
+func (f *Framework) RunCustom(ring semiring.Semiring, sctx semiring.Ctx,
 	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int) (matrix.Dense, *Report, error) {
 	if len(vals) != f.N() {
 		return nil, nil, fmt.Errorf("runtime: RunCustom values length %d, graph has %d vertices", len(vals), f.N())
@@ -274,5 +268,5 @@ func (f *Framework) RunCustomContext(ctx context.Context, ring semiring.Semiring
 	if name == "" {
 		name = "custom"
 	}
-	return f.runSolo(f.newLane(ctx, name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil)
+	return f.runSolo(f.newLane(context.Background(), name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil)
 }

@@ -151,7 +151,8 @@ type Options struct {
 
 	// TraceCap bounds Report.Iters: runs longer than the cap keep only
 	// the most recent entries (Report.DroppedIters counts the rest).
-	// 0 means DefaultTraceCap; negative means unbounded.
+	// 0 means DefaultTraceCap, the bound every public engine uses;
+	// negative means unbounded. Only this package's tests set it.
 	TraceCap int
 
 	// OnIteration, if set, observes each completed iteration: the

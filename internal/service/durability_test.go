@@ -438,6 +438,70 @@ func TestDurableTornTailRestartsQueuedJob(t *testing.T) {
 	}
 }
 
+// TestDurableTwoSegmentsCompactToOne: a crash between a compaction's
+// write and its deletes leaves two segments — the old history and the
+// compacted live set. Recovery replays both (the settled job stays
+// settled, the queued one runs once) and compacts them into a single
+// new segment, which takes every later append.
+func TestDurableTwoSegmentsCompactToOne(t *testing.T) {
+	dir, live := t.TempDir(), t.TempDir()
+	spec, _ := json.Marshal(GraphSpec{Kind: "powerlaw", Vertices: 300, Edges: 1500, Seed: 7})
+	req, _ := json.Marshal(JobRequest{GraphID: "g1", Algo: "pr", Iterations: 3})
+	graph := store.Record{Type: store.RecGraph, GraphID: "g1", GraphSpec: spec}
+	submit := func(id string) store.Record {
+		return store.Record{Type: store.RecSubmit, JobID: id, GraphID: "g1", Request: req, TimeoutMS: 30000}
+	}
+	write := func(dir string, recs ...store.Record) string {
+		t.Helper()
+		db, err := store.Open(dir, store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		return filepath.Join(dir, "journal-00000001.wal")
+	}
+	write(dir, graph, submit("j1"), store.Record{Type: store.RecStart, JobID: "j1"},
+		store.Record{Type: store.RecFinish, JobID: "j1", State: "done"}, submit("j2"))
+	data, err := os.ReadFile(write(live, graph, submit("j2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal-00000002.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, ts := newDurableService(t, dir, Config{Workers: 1, QueueDepth: 4})
+	if rec := svc.Recovered(); rec.Records != 7 || rec.GraphsRestored != 1 || rec.JobsRestarted != 1 {
+		t.Fatalf("recovery = %+v, want 7 records, 1 graph, 1 restarted job", rec)
+	}
+	waitJob(t, svc, "j2")
+	var st JobStatus
+	if doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j2", nil, &st); st.State != JobDone {
+		t.Fatalf("recovered job: %q (%s)", st.State, st.Error)
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j1", nil, &st); code != http.StatusNotFound {
+		t.Fatalf("settled job j1 came back: %d %+v", code, st)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
+	if len(segs) != 1 || filepath.Base(segs[0]) != "journal-00000003.wal" {
+		t.Fatalf("segments after recovery = %v, want journal-00000003.wal alone", segs)
+	}
+	recs, err := svc.Store().Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, r := range recs {
+		types = append(types, string(r.Type)+":"+r.GraphID+r.JobID)
+	}
+	if got := strings.Join(types, " "); got != "graph:g1 submit:j2 start:j2 finish:j2" {
+		t.Fatalf("journal after recovery and the run = %s", got)
+	}
+}
+
 // TestDurableLegacyRetryRecordReplays: a data dir written by a build
 // that re-ran failed jobs holds a "retry" record and a submit record
 // carrying a retry count. Both replay: the job runs to done and no

@@ -153,7 +153,11 @@ type recoveredJob struct {
 // so the registry and scheduler are still exclusively ours (read
 // endpoints take their own locks and race benignly).
 func (s *Service) recover() error {
-	recs, rstats := s.db.Replay()
+	recs, err := s.db.Replay()
+	if err != nil {
+		return err
+	}
+	rstats := s.db.OpenStats()
 	s.recovered = RecoveryStats{Records: rstats.Records, Truncated: rstats.Truncated}
 	if rstats.Truncated {
 		s.log.Warn("journal had a torn tail", slog.Int64("bytes_discarded", rstats.TornBytes))

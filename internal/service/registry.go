@@ -229,11 +229,7 @@ type Registry struct {
 
 	maxVertices, maxEdges int
 	inject                *fault.Injector
-	// traceCap is the per-run iteration-trace bound handed to every
-	// engine build (0 = library default, negative = unbounded). Set once
-	// before serving traffic, like inject.
-	traceCap int
-	m        *Metrics
+	m                     *Metrics
 }
 
 // NewRegistry builds a registry bounded to maxGraphs registered graphs
@@ -278,11 +274,6 @@ func (r *Registry) SetMemoryBudget(bytes int64) {
 // SetFaults installs the fault injector (nil = disarmed). Call before
 // serving traffic.
 func (r *Registry) SetFaults(in *fault.Injector) { r.inject = in }
-
-// SetTraceCap sets the per-run iteration-trace bound passed to every
-// engine built from here on (see cosparse.WithTraceCap). Call before
-// serving traffic.
-func (r *Registry) SetTraceCap(n int) { r.traceCap = n }
 
 // declaredSize returns the vertex/edge counts a spec promises before
 // any allocation, for kinds that state them up front.
@@ -498,14 +489,13 @@ func (r *Registry) Delete(id string) error {
 
 // engineKey identifies one prepared engine. Beyond (graph, system) it
 // folds in every run-shaping option the build bakes into the engine —
-// execution backend, the graph's storage format, trace cap, and
-// whether the iteration fault hook was armed — so a config change
+// execution backend, the graph's storage format, and whether the iteration fault hook was armed — so a config change
 // (e.g. arming fault injection, a job asking for the native backend,
 // or a graph re-registered under a different format) can never be
 // satisfied by a stale cached engine built under different inputs.
 // Delete relies on the `id + "/"` prefix.
-func engineKey(id string, sys cosparse.System, backend cosparse.Backend, format string, traceCap int, hooked bool) string {
-	return fmt.Sprintf("%s/%s/%s/fmt=%s/cap=%d/hook=%t", id, sys.String(), backend.String(), format, traceCap, hooked)
+func engineKey(id string, sys cosparse.System, backend cosparse.Backend, format string, hooked bool) string {
+	return fmt.Sprintf("%s/%s/%s/fmt=%s/hook=%t", id, sys.String(), backend.String(), format, hooked)
 }
 
 // Engine returns a prepared engine for (graph, system, backend),
@@ -515,7 +505,7 @@ func engineKey(id string, sys cosparse.System, backend cosparse.Backend, format 
 // builds.
 func (r *Registry) Engine(ge *GraphEntry, sys cosparse.System, backend cosparse.Backend) (*engineEntry, error) {
 	hooked := r.inject.Armed(fault.Iteration)
-	key := engineKey(ge.ID, sys, backend, ge.Graph.Format(), r.traceCap, hooked)
+	key := engineKey(ge.ID, sys, backend, ge.Graph.Format(), hooked)
 	r.mu.Lock()
 	if ee, ok := r.engines[key]; ok {
 		r.lru.MoveToFront(ee.elem)
@@ -533,9 +523,6 @@ func (r *Registry) Engine(ge *GraphEntry, sys cosparse.System, backend cosparse.
 		return nil, err
 	}
 	opts := []cosparse.Option{cosparse.WithBackend(backend)}
-	if r.traceCap != 0 {
-		opts = append(opts, cosparse.WithTraceCap(r.traceCap))
-	}
 	if hooked {
 		opts = append(opts, cosparse.WithIterationHook(func(int) error {
 			return r.inject.Check(fault.Iteration)

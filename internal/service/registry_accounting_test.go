@@ -130,8 +130,8 @@ func TestBudgetAdmitsMoreCompressedGraphs(t *testing.T) {
 func TestEngineCacheKeyedByFormat(t *testing.T) {
 	r := testRegistry(t, 0)
 	sys := cosparse.System{Tiles: 2, PEsPerTile: 4}
-	if a, b := engineKey("g1", sys, cosparse.SimBackend, "csr", 0, false),
-		engineKey("g1", sys, cosparse.SimBackend, "dvcsr", 0, false); a == b {
+	if a, b := engineKey("g1", sys, cosparse.SimBackend, "csr", false),
+		engineKey("g1", sys, cosparse.SimBackend, "dvcsr", false); a == b {
 		t.Fatalf("engine keys collide across formats: %q", a)
 	}
 	spec := GraphSpec{Kind: "powerlaw", Vertices: 300, Edges: 1500, Seed: 7}

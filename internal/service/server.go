@@ -71,9 +71,6 @@ type Config struct {
 	// SlowJob is the wall-clock threshold above which a finished job
 	// logs its full per-iteration decision trace (0 disables).
 	SlowJob time.Duration
-	// TraceCap bounds each job's retained iteration trace (see
-	// cosparse.WithTraceCap): 0 = library default, negative = unbounded.
-	TraceCap int
 	// TraceSink, when non-nil, receives one JSON line per finished job
 	// (including partial runs) with the job's iteration trace — the
 	// daemon-side form of the CLI's -trace flag. Writes are serialized.
@@ -251,7 +248,6 @@ func New(cfg Config) *Service {
 	s.m.Repl = s.replStats
 	s.reg.SetMemoryBudget(cfg.MemoryBudgetBytes)
 	s.reg.SetFaults(cfg.Faults)
-	s.reg.SetTraceCap(cfg.TraceCap)
 	if cfg.BatchWindow > 0 {
 		s.batcher = batch.New(cfg.BatchWindow, cfg.BatchMaxLanes, s.runBatch)
 	}

@@ -28,7 +28,7 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte("CSJ1 not real")) // magic-ish prefix
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ScanSegment(data)
+		recs, _, err := scanSegment(data)
 		// Every record that decodes must round-trip through the frame
 		// encoder — the parser accepted it, so it is real data.
 		if err == nil {
@@ -84,7 +84,7 @@ func FuzzReadFromChunks(f *testing.F) {
 		defer s.Close()
 		total := 0
 		for off := int64(SegmentHeaderLen); ; {
-			frames, n, _, err := s.ReadFrom(1, off, 64)
+			frames, n, err := s.ReadFrom(1, off, 64)
 			if err != nil {
 				t.Fatalf("ReadFrom(1, %d) rejected a decodable stream: %v", off, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cosparse/internal/fault"
@@ -21,6 +22,40 @@ func synthHeader() []byte {
 	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], segVersion)
 	return hdr
+}
+
+// writeSegment writes recs as segment idx of dir, the file a
+// crash-free writer leaves.
+func writeSegment(t *testing.T, dir string, idx int, recs ...Record) {
+	t.Helper()
+	data := synthHeader()
+	for _, r := range recs {
+		f, err := EncodeFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, f...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(idx)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustReplay(t *testing.T, s *Store) []Record {
+	t.Helper()
+	recs, err := s.Replay()
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	return recs
+}
+
+func jobIDs(recs []Record) string {
+	ids := make([]string, len(recs))
+	for i, r := range recs {
+		ids[i] = r.JobID
+	}
+	return strings.Join(ids, " ")
 }
 
 func TestAppendSeqMonotonicAcrossReopen(t *testing.T) {
@@ -61,19 +96,19 @@ func TestReadFromDeliversDecodableFrames(t *testing.T) {
 		if err != nil || seq != uint64(i+1) {
 			t.Fatalf("AppendSeq = (%d, %v), want (%d, nil)", seq, err, i+1)
 		}
-		segs, _, _ := s.Segments()
-		ends = append(ends, segs[len(segs)-1].Bytes)
+		_, end, _ := s.Position()
+		ends = append(ends, end)
 	}
 	// Each record's frame, read back from the previous record's end
 	// and stitched behind a segment header, decodes to exactly that
 	// record — the contract a follower's cursor relies on.
 	off := int64(SegmentHeaderLen)
 	for i, end := range ends {
-		frames, _, sealed, err := s.ReadFrom(1, off, whole)
-		if err != nil || sealed {
-			t.Fatalf("ReadFrom(1, %d) = (sealed %v, %v)", off, sealed, err)
+		frames, _, err := s.ReadFrom(1, off, whole)
+		if err != nil {
+			t.Fatalf("ReadFrom(1, %d): %v", off, err)
 		}
-		got, err := ScanSegment(append(synthHeader(), frames[:end-off]...))
+		got, _, err := scanSegment(append(synthHeader(), frames[:end-off]...))
 		if err != nil || len(got) != 1 {
 			t.Fatalf("frame %d decodes to %d records (%v)", i, len(got), err)
 		}
@@ -90,7 +125,7 @@ func TestReadFromDeliversDecodableFrames(t *testing.T) {
 // the limit comes back alone, and a torn frame is refused.
 func TestReadFromNeverTearsAFrame(t *testing.T) {
 	dir := t.TempDir()
-	s := testOpen(t, dir, Options{MaxSegmentBytes: 2048})
+	s := testOpen(t, dir, Options{})
 	const recs = 10
 	for i := 0; i < recs; i++ {
 		if err := s.Append(submitRec(fmt.Sprintf("j%d", i))); err != nil {
@@ -105,7 +140,7 @@ func TestReadFromNeverTearsAFrame(t *testing.T) {
 	} {
 		chunks, total := 0, 0
 		for off := int64(SegmentHeaderLen); ; {
-			frames, n, _, err := s.ReadFrom(1, off, tc.limit)
+			frames, n, err := s.ReadFrom(1, off, tc.limit)
 			if err != nil {
 				t.Fatalf("limit %d: ReadFrom(1, %d): %v", tc.limit, off, err)
 			}
@@ -132,39 +167,28 @@ func TestReadFromNeverTearsAFrame(t *testing.T) {
 	}
 
 	// A cursor one byte into a frame is refused, not served.
-	if _, _, _, err := s.ReadFrom(1, SegmentHeaderLen+1, whole); !errors.Is(err, ErrBadOffset) {
+	if _, _, err := s.ReadFrom(1, SegmentHeaderLen+1, whole); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("ReadFrom mid-frame = %v, want ErrBadOffset", err)
 	}
-	// So is a sealed segment whose file ends in a torn frame.
-	for len(mustSegments(t, s)) < 2 {
-		if err := s.Append(submitRec("pad")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_WRONLY|os.O_APPEND, 0)
+	// So is a frame whose length runs past the committed bytes: the
+	// last frame's header rewritten to claim one byte more.
+	_, end, _ := s.Position()
+	last := end - int64(fl)
+	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frame[:fl-1]); err != nil {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(fl-frameHeaderLen+1))
+	if _, err := f.WriteAt(hdr[:], last); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs := mustSegments(t, s)
-	off := segs[0].Bytes - int64(fl-1)
-	if _, _, _, err := s.ReadFrom(1, off, whole); !errors.Is(err, ErrBadOffset) {
-		t.Fatalf("ReadFrom of a torn sealed tail = %v, want ErrBadOffset", err)
+	if _, _, err := s.ReadFrom(1, last, whole); !errors.Is(err, ErrBadOffset) {
+		t.Fatalf("ReadFrom of a frame past the committed end = %v, want ErrBadOffset", err)
 	}
-}
-
-func mustSegments(t *testing.T, s *Store) []SegmentInfo {
-	t.Helper()
-	segs, _, err := s.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return segs
 }
 
 func TestAppendBatchReplaysAndHooks(t *testing.T) {
@@ -187,10 +211,10 @@ func TestAppendBatchReplaysAndHooks(t *testing.T) {
 	if seq, _ := s.Watch(); seq != 3 {
 		t.Fatalf("Watch seq after batch = %d, want 3", seq)
 	}
-	if segs, _, _ := s.Segments(); int64(bytes) != segs[0].Bytes-SegmentHeaderLen {
-		t.Fatalf("OnAppend saw %d bytes, segment holds %d", bytes, segs[0].Bytes-SegmentHeaderLen)
+	if _, end, _ := s.Position(); int64(bytes) != end-SegmentHeaderLen {
+		t.Fatalf("OnAppend saw %d bytes, segment holds %d", bytes, end-SegmentHeaderLen)
 	}
-	if got, _ := s.Replay(); len(got) != 3 || got[1].JobID != "j2" {
+	if got := mustReplay(t, s); len(got) != 3 || got[1].JobID != "j2" {
 		t.Fatalf("Replay after batch = %+v", got)
 	}
 	_, wake = s.Watch()
@@ -202,7 +226,7 @@ func TestAppendBatchReplaysAndHooks(t *testing.T) {
 	}
 
 	s2 := testOpen(t, dir, Options{})
-	got, _ := s2.Replay()
+	got := mustReplay(t, s2)
 	if len(got) != 3 || got[0].JobID != "j1" || got[2].JobID != "j3" {
 		t.Fatalf("replay after reopen = %+v", got)
 	}
@@ -225,7 +249,7 @@ func TestReplayIncludesPostOpenAppends(t *testing.T) {
 	if err := s2.AppendBatch([]Record{submitRec("j3")}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s2.Replay()
+	got := mustReplay(t, s2)
 	if len(got) != 3 || got[0].JobID != "j1" || got[2].JobID != "j3" {
 		t.Fatalf("Replay = %+v, want j1..j3", got)
 	}
@@ -233,55 +257,33 @@ func TestReplayIncludesPostOpenAppends(t *testing.T) {
 
 func TestSegmentsAndReadFromRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := testOpen(t, dir, Options{MaxSegmentBytes: 128})
+	s := testOpen(t, dir, Options{})
 	const n = 20
 	for i := 1; i <= n; i++ {
 		if err := s.Append(submitRec(fmt.Sprintf("j%d", i))); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	segs, cursor, err := s.Segments()
-	if err != nil {
-		t.Fatalf("Segments: %v", err)
-	}
-	if cursor != n {
-		t.Fatalf("cursor = %d, want %d", cursor, n)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation to yield multiple segments, got %d", len(segs))
-	}
-	for i, info := range segs {
-		wantActive := i == len(segs)-1
-		if info.Active != wantActive {
-			t.Errorf("segment %d Active = %v, want %v", info.Index, info.Active, wantActive)
-		}
-		if i > 0 && info.Index <= segs[i-1].Index {
-			t.Errorf("segments out of order: %d after %d", info.Index, segs[i-1].Index)
-		}
+	seg, end, seq := s.Position()
+	if seg != 1 || seq != n {
+		t.Fatalf("Position = (segment %d, seq %d), want (1, %d)", seg, seq, n)
 	}
 
-	// Reading every segment from the header boundary and decoding the
-	// stitched frames must reproduce the journal exactly.
-	var all []Record
-	for _, info := range segs {
-		frames, _, sealed, err := s.ReadFrom(info.Index, SegmentHeaderLen, whole)
-		if err != nil {
-			t.Fatalf("ReadFrom(%d): %v", info.Index, err)
-		}
-		if sealed == info.Active {
-			t.Errorf("segment %d: sealed = %v, Active = %v", info.Index, sealed, info.Active)
-		}
-		if int64(len(frames)) != info.Bytes-SegmentHeaderLen {
-			t.Errorf("segment %d: read %d bytes, Segments reported %d", info.Index, len(frames), info.Bytes-SegmentHeaderLen)
-		}
-		recs, err := ScanSegment(append(synthHeader(), frames...))
-		if err != nil {
-			t.Fatalf("decode segment %d: %v", info.Index, err)
-		}
-		all = append(all, recs...)
+	// Reading the segment from the header boundary and decoding the
+	// frames must reproduce the journal exactly.
+	frames, _, err := s.ReadFrom(seg, SegmentHeaderLen, whole)
+	if err != nil {
+		t.Fatalf("ReadFrom(%d): %v", seg, err)
+	}
+	if int64(len(frames)) != end-SegmentHeaderLen {
+		t.Errorf("read %d bytes, Position reported %d", len(frames), end-SegmentHeaderLen)
+	}
+	all, _, err := scanSegment(append(synthHeader(), frames...))
+	if err != nil {
+		t.Fatalf("decode segment %d: %v", seg, err)
 	}
 	if len(all) != n {
-		t.Fatalf("decoded %d records across segments, want %d", len(all), n)
+		t.Fatalf("decoded %d records, want %d", len(all), n)
 	}
 	for i := range all {
 		if want := fmt.Sprintf("j%d", i+1); all[i].JobID != want {
@@ -291,55 +293,89 @@ func TestSegmentsAndReadFromRoundTrip(t *testing.T) {
 
 	// Reading at the committed end is empty, not an error; a position
 	// no segment ever had is ErrBadOffset.
-	last := segs[len(segs)-1]
-	if b, _, _, err := s.ReadFrom(last.Index, last.Bytes, whole); err != nil || len(b) != 0 {
+	if b, _, err := s.ReadFrom(seg, end, whole); err != nil || len(b) != 0 {
 		t.Fatalf("ReadFrom at end = (%d bytes, %v), want empty", len(b), err)
 	}
-	for _, pos := range [][2]int64{{int64(last.Index), last.Bytes + 1}, {int64(last.Index + 1), SegmentHeaderLen}, {0, SegmentHeaderLen}, {int64(last.Index), SegmentHeaderLen - 1}} {
-		if _, _, _, err := s.ReadFrom(int(pos[0]), pos[1], whole); !errors.Is(err, ErrBadOffset) {
+	for _, pos := range [][2]int64{{int64(seg), end + 1}, {int64(seg + 1), SegmentHeaderLen}, {0, SegmentHeaderLen}, {int64(seg), SegmentHeaderLen - 1}} {
+		if _, _, err := s.ReadFrom(int(pos[0]), pos[1], whole); !errors.Is(err, ErrBadOffset) {
 			t.Errorf("ReadFrom(%d, %d) = %v, want ErrBadOffset", pos[0], pos[1], err)
 		}
 	}
 }
 
+// TestOpenTwoSegmentsAppendsToNewer: the data dir a crash between
+// Compact's write and its deletes leaves — the old segment and the
+// compacted one — opens with both replayed in order and the newer one
+// as the append target. Only the newer one is served to a reader;
+// the older is gone as far as a replication cursor is concerned.
+func TestOpenTwoSegmentsAppendsToNewer(t *testing.T) {
+	dir := t.TempDir()
+	writeSegment(t, dir, 1, submitRec("j1"), submitRec("j2"))
+	writeSegment(t, dir, 2, submitRec("j2"))
+	s := testOpen(t, dir, Options{})
+	if st := s.OpenStats(); st.Segments != 2 || st.Records != 3 {
+		t.Fatalf("OpenStats = %+v, want 2 segments / 3 records", st)
+	}
+	if err := s.Append(submitRec("j3")); err != nil {
+		t.Fatal(err)
+	}
+	if got := jobIDs(mustReplay(t, s)); got != "j1 j2 j2 j3" {
+		t.Fatalf("live Replay = %s, want j1 j2 j2 j3", got)
+	}
+	seg, end, seq := s.Position()
+	if seg != 2 || seq != 4 {
+		t.Fatalf("Position = (segment %d, seq %d), want (2, 4)", seg, seq)
+	}
+	frames, n, err := s.ReadFrom(2, SegmentHeaderLen, whole)
+	if err != nil || n != 2 || SegmentHeaderLen+int64(len(frames)) != end {
+		t.Fatalf("ReadFrom(2) = (%d frames, %d bytes, %v), want 2 frames up to %d", n, len(frames), err, end)
+	}
+	if _, _, err := s.ReadFrom(1, SegmentHeaderLen, whole); !errors.Is(err, ErrSegmentGone) {
+		t.Fatalf("ReadFrom(older segment) = %v, want ErrSegmentGone", err)
+	}
+	s.Close()
+
+	s2 := testOpen(t, dir, Options{})
+	if got := jobIDs(mustReplay(t, s2)); got != "j1 j2 j2 j3" {
+		t.Fatalf("Replay after reopen = %s, want j1 j2 j2 j3", got)
+	}
+	if got := countSegments(t, dir); got != 2 {
+		t.Fatalf("segments on disk = %d, want 2 (only Compact removes one)", got)
+	}
+}
+
 func TestReadFromAfterCompactionSegmentGone(t *testing.T) {
-	s := testOpen(t, t.TempDir(), Options{MaxSegmentBytes: 128})
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{})
 	for i := 1; i <= 20; i++ {
 		if err := s.Append(submitRec(fmt.Sprintf("j%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, cursor, err := s.Segments()
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("Segments = (%d segs, %v), want >= 2", len(segs), err)
-	}
-	sealed := segs[0].Index
+	seg, _, cursor := s.Position()
 
 	if err := s.Compact([]Record{submitRec("j20")}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	// The sealed segment a reader was cursored on is gone; the reader
-	// must see ErrSegmentGone and restart its resync from Segments().
-	if _, _, _, err := s.ReadFrom(sealed, SegmentHeaderLen, whole); !errors.Is(err, ErrSegmentGone) {
+	// The segment a reader was cursored on is gone; the reader must
+	// see ErrSegmentGone and start again from Position.
+	if _, _, err := s.ReadFrom(seg, SegmentHeaderLen, whole); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("ReadFrom(compacted segment) = %v, want ErrSegmentGone", err)
 	}
 	// Compaction rewrites bytes but assigns no new sequence numbers:
 	// the replication cursor stays valid.
-	segs2, cursor2, err := s.Segments()
-	if err != nil {
-		t.Fatalf("Segments after Compact: %v", err)
-	}
+	seg2, end2, cursor2 := s.Position()
 	if cursor2 != cursor {
 		t.Errorf("cursor moved across Compact: %d -> %d", cursor, cursor2)
 	}
-	if len(segs2) != 1 || !segs2[0].Active {
-		t.Errorf("segments after Compact = %+v, want single active", segs2)
+	if seg2 != seg+1 || countSegments(t, dir) != 1 {
+		t.Errorf("after Compact: append target %d, %d segment files, want %d and 1", seg2, countSegments(t, dir), seg+1)
 	}
-	frames, _, _, err := s.ReadFrom(segs2[0].Index, SegmentHeaderLen, whole)
-	if err != nil {
-		t.Fatalf("ReadFrom after Compact: %v", err)
+	frames, _, err := s.ReadFrom(seg2, SegmentHeaderLen, whole)
+	if err != nil || SegmentHeaderLen+int64(len(frames)) != end2 {
+		t.Fatalf("ReadFrom after Compact = (%d bytes, %v), want up to %d", len(frames), err, end2)
 	}
-	recs, err := ScanSegment(append(synthHeader(), frames...))
+	recs, _, err := scanSegment(append(synthHeader(), frames...))
 	if err != nil || len(recs) != 1 || recs[0].JobID != "j20" {
 		t.Fatalf("post-compaction segment decodes to %+v (%v), want [j20]", recs, err)
 	}
@@ -366,14 +402,14 @@ func TestFailedAppendRolledBack(t *testing.T) {
 	if err := s.Append(submitRec("b")); err != nil {
 		t.Fatalf("Append after the failures: %v", err)
 	}
-	segs, seq, err := s.Segments()
-	if err != nil || len(segs) != 1 || seq != 2 {
-		t.Fatalf("Segments() = (%v, %d, %v), want one segment at seq 2", segs, seq, err)
+	seg, end, seq := s.Position()
+	if seg != 1 || seq != 2 || countSegments(t, dir) != 1 {
+		t.Fatalf("Position() = (segment %d, seq %d) over %d files, want one segment at seq 2", seg, seq, countSegments(t, dir))
 	}
-	if st, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || st.Size() != segs[0].Bytes {
-		t.Fatalf("segment file holds %v bytes (%v), committed %d", st.Size(), err, segs[0].Bytes)
+	if st, err := os.Stat(filepath.Join(dir, segName(1))); err != nil || st.Size() != end {
+		t.Fatalf("segment file holds %v bytes (%v), committed %d", st.Size(), err, end)
 	}
-	frames, _, _, err := s.ReadFrom(1, SegmentHeaderLen, whole)
+	frames, _, err := s.ReadFrom(1, SegmentHeaderLen, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +419,7 @@ func TestFailedAppendRolledBack(t *testing.T) {
 	}
 	s.Close()
 	s2 := testOpen(t, dir, Options{})
-	if recs, _ := s2.Replay(); len(recs) != 2 || recs[1].JobID != "b" {
+	if recs := mustReplay(t, s2); len(recs) != 2 || recs[1].JobID != "b" {
 		t.Fatalf("reopen replays %d records, want [a b]", len(recs))
 	}
 }

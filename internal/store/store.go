@@ -7,6 +7,13 @@
 // through the runtime checkpoint seam so interrupted jobs resume from
 // their last committed iteration instead of from scratch.
 //
+// The segment files are the journal's only copy: nothing keeps the
+// records in memory. Open validates and counts them, Replay reads them
+// back, and a replication leader serves them verbatim. Appends go to a
+// single segment until Compact rewrites the live records into a fresh
+// one, which happens at recovery (Open, promotion) and at a follower's
+// resync commit; nothing rotates a segment while the daemon runs.
+//
 // Crash-consistency contract:
 //
 //   - A journal record is durable once Append returns: the frame
@@ -32,7 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"cosparse/internal/fault"
@@ -51,10 +58,6 @@ const (
 	// maxRecordLen bounds a single journal record; anything larger is
 	// corruption, not data (records are small JSON documents).
 	maxRecordLen = 16 << 20
-
-	// DefaultSegmentBytes rotates segments at 4 MiB so compaction
-	// never rewrites more than a bounded amount of history at once.
-	DefaultSegmentBytes = 4 << 20
 )
 
 // RecordType names a journal transition.
@@ -102,9 +105,6 @@ type Record struct {
 
 // Options tunes a Store. The zero value is usable.
 type Options struct {
-	// MaxSegmentBytes rotates the active segment once it exceeds this
-	// size; zero means DefaultSegmentBytes.
-	MaxSegmentBytes int64
 	// NoSync skips fsync (tests only; production keeps the durability
 	// contract).
 	NoSync bool
@@ -138,11 +138,15 @@ type Store struct {
 	dir string
 	opt Options
 
-	mu       sync.Mutex
-	seg      *os.File
-	segIdx   int
-	segBytes int64
-	closed   bool
+	mu  sync.Mutex
+	seg *os.File
+	// The journal is the segments first..segIdx that exist, oldest
+	// first; segIdx is the append target, committed up to segBytes.
+	// Open finds more than one segment only after a crash between
+	// Compact's write and its deletes.
+	first, segIdx int
+	segBytes      int64
+	closed        bool
 	// broken is set when a failed append could not be rolled back; the
 	// segment then holds bytes past segBytes, so every later append
 	// returns it.
@@ -152,9 +156,8 @@ type Store struct {
 	// replayed records take 1..n at Open, every append increments it.
 	// Compaction rewrites bytes but assigns no new numbers, so seq is
 	// a stable cursor for replication.
-	seq     uint64
-	records []Record
-	replay  ReplayStats
+	seq    uint64
+	replay ReplayStats
 	// wake is closed by the next commit (see Watch); nil until someone
 	// watches, so an unwatched store allocates nothing per append.
 	wake chan struct{}
@@ -163,24 +166,18 @@ type Store struct {
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("store: closed")
 
-// ErrSegmentGone is returned by ReadFrom for a segment that no longer
-// exists — compaction deleted it out from under the reader. Compaction
-// assumes it is the only long-lived reader of segment files; any other
-// reader (a replication follower's cursor) must treat this error as a
-// lost cursor and restart its scan from Segments().
+// ErrSegmentGone is returned by ReadFrom for a segment that is no
+// longer the append target — compaction replaced it, and deleted it or
+// is about to. Compaction assumes it is the only long-lived reader of
+// segment files; any other reader (a replication follower's cursor)
+// must treat this error as a lost cursor and start again from
+// Position.
 var ErrSegmentGone = errors.New("store: segment removed by compaction")
 
 // ErrBadOffset is returned by ReadFrom for a position no segment ever
 // had: a segment index past the active one, an offset inside the
 // header or beyond the committed bytes, or one not on a frame boundary.
 var ErrBadOffset = errors.New("store: read position out of range")
-
-func (o Options) segmentBytes() int64 {
-	if o.MaxSegmentBytes <= 0 {
-		return DefaultSegmentBytes
-	}
-	return o.MaxSegmentBytes
-}
 
 func (s *Store) logf(format string, args ...any) {
 	if s.opt.Logf != nil {
@@ -203,34 +200,39 @@ func segIndex(name string) int {
 	return idx
 }
 
+// segIndexes lists the indexes of the journal segments in dir,
+// ascending.
+func segIndexes(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: scan data dir: %w", err)
+	}
+	var idxs []int
+	for _, e := range entries {
+		if idx := segIndex(e.Name()); idx >= 0 && !e.IsDir() {
+			idxs = append(idxs, idx)
+		}
+	}
+	slices.Sort(idxs)
+	return idxs, nil
+}
+
 // Open opens (creating if needed) the durability store rooted at dir,
-// replaying every journal segment. A torn or corrupt tail on the final
-// segment is truncated; corruption anywhere else is an error (it means
-// a committed record was lost, which recovery must not paper over).
+// validating and counting the records of every journal segment. A torn
+// or corrupt tail on the final segment is truncated; corruption
+// anywhere else is an error (it means a committed record was lost,
+// which recovery must not paper over).
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create data dir: %w", err)
 	}
 	s := &Store{dir: dir, opt: opt}
-
-	entries, err := os.ReadDir(dir)
+	segs, err := segIndexes(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: scan data dir: %w", err)
+		return nil, err
 	}
-	var segs []int
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if idx := segIndex(e.Name()); idx >= 0 {
-			segs = append(segs, idx)
-		}
-	}
-	sort.Ints(segs)
-
 	for i, idx := range segs {
-		last := i == len(segs)-1
-		removed, err := s.replaySegment(idx, last)
+		n, removed, err := s.replaySegment(idx, i == len(segs)-1)
 		if err != nil {
 			return nil, err
 		}
@@ -239,15 +241,16 @@ func Open(dir string, opt Options) (*Store, error) {
 			// was deleted; the previous segment is the append target.
 			segs = segs[:i]
 		}
+		s.seq += uint64(n)
 	}
 	s.replay.Segments = len(segs)
-	s.replay.Records = len(s.records)
-	s.seq = uint64(len(s.records))
+	s.replay.Records = int(s.seq)
 
 	if len(segs) == 0 {
 		if err := s.openSegment(1); err != nil {
 			return nil, err
 		}
+		s.first = 1
 	} else {
 		last := segs[len(segs)-1]
 		f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -259,63 +262,63 @@ func Open(dir string, opt Options) (*Store, error) {
 			f.Close()
 			return nil, fmt.Errorf("store: stat segment: %w", err)
 		}
-		s.seg, s.segIdx, s.segBytes = f, last, st.Size()
+		s.seg, s.first, s.segIdx, s.segBytes = f, segs[0], last, st.Size()
 	}
 	return s, nil
 }
 
-// replaySegment reads one segment into s.records. When last is set, a
-// torn or corrupt frame tail truncates the file to its last valid
-// record, and a torn segment creation (file shorter than the header a
-// crash-free openSegment always leaves) removes the file entirely;
-// both cases report removed accordingly. Corruption anywhere else —
+// replaySegment validates one segment and returns its record count.
+// When last is set, a torn or corrupt frame tail truncates the file to
+// its last valid record, and a torn segment creation (file shorter
+// than the header a crash-free openSegment always leaves) removes the
+// file entirely and reports removed. Corruption anywhere else —
 // including a full header with the wrong magic or version — is a hard
 // error: that is a foreign or future-format file, not a crash artifact,
 // and recovery must not destroy it.
-func (s *Store) replaySegment(idx int, last bool) (removed bool, err error) {
+func (s *Store) replaySegment(idx int, last bool) (n int, removed bool, err error) {
 	path := filepath.Join(s.dir, segName(idx))
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, fmt.Errorf("store: read segment: %w", err)
+		return 0, false, fmt.Errorf("store: read segment: %w", err)
 	}
 	recs, good, verr := scanSegment(data)
-	for _, r := range recs {
+	for range recs {
 		if s.opt.Faults != nil {
 			if err := s.opt.Faults.Check(fault.RecoverReplay); err != nil {
-				return false, fmt.Errorf("store: replay %s: %w", segName(idx), err)
+				return 0, false, fmt.Errorf("store: replay %s: %w", segName(idx), err)
 			}
 		}
-		s.records = append(s.records, r)
 	}
 	if verr != nil {
 		headerBad := good < segHeaderLen
 		switch {
 		case !last, headerBad && int64(len(data)) >= segHeaderLen:
-			return false, fmt.Errorf("store: segment %s: %w", segName(idx), verr)
+			return 0, false, fmt.Errorf("store: segment %s: %w", segName(idx), verr)
 		case headerBad:
 			s.logf("store: removing torn segment %s: %d bytes (%v)", segName(idx), len(data), verr)
 			if err := os.Remove(path); err != nil {
-				return false, fmt.Errorf("store: remove torn segment: %w", err)
+				return 0, false, fmt.Errorf("store: remove torn segment: %w", err)
 			}
 			s.replay.TornBytes += int64(len(data))
 			s.replay.Truncated = true
-			return true, nil
+			return 0, true, nil
 		default:
 			torn := int64(len(data)) - good
 			s.logf("store: truncating torn tail of %s: %d bytes (%v)", segName(idx), torn, verr)
 			if err := os.Truncate(path, good); err != nil {
-				return false, fmt.Errorf("store: truncate torn tail: %w", err)
+				return 0, false, fmt.Errorf("store: truncate torn tail: %w", err)
 			}
 			s.replay.TornBytes += torn
 			s.replay.Truncated = true
 		}
 	}
-	return false, nil
+	return len(recs), false, nil
 }
 
 // scanSegment decodes all records in a segment image. It returns the
 // valid records, the byte offset up to which the segment is valid, and
 // the error that stopped the scan (nil when the whole segment parsed).
+// It never panics on arbitrary input (FuzzScanSegment).
 func scanSegment(data []byte) (recs []Record, good int64, err error) {
 	if len(data) < segHeaderLen {
 		return nil, 0, fmt.Errorf("short segment header (%d bytes)", len(data))
@@ -467,20 +470,7 @@ func (s *Store) Append(r Record) error {
 
 // AppendSeq is Append returning the record's journal sequence number —
 // the cursor a semisync submitter waits on for the follower's ack.
-func (s *Store) AppendSeq(r Record) (uint64, error) {
-	frame, err := EncodeFrame(r)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writeLocked(frame); err != nil {
-		return 0, err
-	}
-	s.commitLocked(r, len(frame))
-	s.maybeRotateLocked()
-	return s.seq, nil
-}
+func (s *Store) AppendSeq(r Record) (uint64, error) { return s.append(r) }
 
 // AppendBatch journals several records with a single fsync — the
 // follower-side apply path, where a replicated batch must become
@@ -490,26 +480,28 @@ func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	lens := make([]int, len(recs))
+	_, err := s.append(recs...)
+	return err
+}
+
+// append journals recs with one write and one fsync and returns the
+// sequence number of the last.
+func (s *Store) append(recs ...Record) (uint64, error) {
 	var buf []byte
-	for i, r := range recs {
+	for _, r := range recs {
 		f, err := EncodeFrame(r)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		lens[i] = len(f)
 		buf = append(buf, f...)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writeLocked(buf); err != nil {
-		return err
+		return 0, err
 	}
-	for i, r := range recs {
-		s.commitLocked(r, lens[i])
-	}
-	s.maybeRotateLocked()
-	return nil
+	s.commitLocked(len(recs), len(buf))
+	return s.seq, nil
 }
 
 // writeLocked writes and fsyncs frames at the end of the active
@@ -546,14 +538,13 @@ func (s *Store) writeLocked(frames []byte) error {
 	return err
 }
 
-// commitLocked does the post-durability bookkeeping for one record
-// whose n-byte frame is written and synced: sequence number, live
-// record list, byte accounting, the OnAppend hook and Watch channels.
-// Caller holds s.mu.
-func (s *Store) commitLocked(r Record, n int) {
+// commitLocked does the post-durability bookkeeping for recs records
+// whose n bytes of frames are written and synced: sequence number,
+// byte accounting, the OnAppend hook and Watch channels. Caller holds
+// s.mu.
+func (s *Store) commitLocked(recs, n int) {
 	s.segBytes += int64(n)
-	s.seq++
-	s.records = append(s.records, r)
+	s.seq += uint64(recs)
 	if s.opt.OnAppend != nil {
 		s.opt.OnAppend(n)
 	}
@@ -582,24 +573,43 @@ func (s *Store) Watch() (uint64, <-chan struct{}) {
 	return s.seq, s.wake
 }
 
-func (s *Store) maybeRotateLocked() {
-	if s.segBytes >= s.opt.segmentBytes() {
-		if err := s.openSegment(s.segIdx + 1); err != nil {
-			// The record itself is committed; rotation failure only
-			// delays the split until the next append.
-			s.logf("store: segment rotation failed: %v", err)
-		}
-	}
-}
-
-// Replay returns every record currently in the journal (those replayed
-// at Open plus everything appended since, in journal order) and the
-// Open-time replay statistics. The returned slice is shared; callers
-// must not mutate it.
-func (s *Store) Replay() ([]Record, ReplayStats) {
+// Replay returns every record currently in the journal (those found
+// at Open plus everything appended since, in journal order), read back
+// from the segment files up to the committed bytes. Appends wait while
+// it reads.
+func (s *Store) Replay() ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.records, s.replay
+	segs, err := segIndexes(s.dir)
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for _, idx := range segs {
+		if idx < s.first || idx > s.segIdx {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(s.dir, segName(idx)))
+		if err != nil {
+			return nil, fmt.Errorf("store: read segment: %w", err)
+		}
+		if idx == s.segIdx {
+			data = data[:min(int64(len(data)), s.segBytes)]
+		}
+		r, _, err := scanSegment(data)
+		if err != nil {
+			return nil, fmt.Errorf("store: replay %s: %w", segName(idx), err)
+		}
+		recs = append(recs, r...)
+	}
+	return recs, nil
+}
+
+// OpenStats returns what Open found in the journal.
+func (s *Store) OpenStats() ReplayStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.replay
 }
 
 // Seq returns the sequence number of the last record in the journal
@@ -614,11 +624,12 @@ func (s *Store) Seq() uint64 {
 // all history for settled jobs, then deletes the superseded segments.
 // Appends continue into the freshly written segment.
 //
-// Compaction is destructive to concurrent segment readers: every
-// pre-compaction segment is deleted, so a replication cursor held
-// across a Compact is invalidated (ReadFrom reports ErrSegmentGone)
-// and the reader must full-resync. No new sequence numbers are
-// assigned — the journal's seq cursor survives compaction unchanged.
+// Compact is the only thing that starts a new segment. It is
+// destructive to concurrent segment readers: every pre-compaction
+// segment is deleted, so a replication cursor held across a Compact is
+// invalidated (ReadFrom reports ErrSegmentGone) and the reader must
+// full-resync. No new sequence numbers are assigned — the journal's
+// seq cursor survives compaction unchanged.
 func (s *Store) Compact(live []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -639,20 +650,21 @@ func (s *Store) Compact(live []Record) error {
 		}
 		s.segBytes += int64(len(frame))
 	}
-	s.records = append([]Record(nil), live...)
 	if err := s.sync(s.seg); err != nil {
 		return err
 	}
-	// The new segment is durable; old segments are now dead weight.
-	removed := 0
-	entries, err := os.ReadDir(s.dir)
+	// The new segment is durable and alone holds the journal; old
+	// segments are now dead weight.
+	s.first = s.segIdx
+	segs, err := segIndexes(s.dir)
 	if err != nil {
-		return fmt.Errorf("store: scan for compaction: %w", err)
+		return err
 	}
-	for _, e := range entries {
-		if idx := segIndex(e.Name()); idx >= 0 && idx <= old {
-			if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil {
-				s.logf("store: compaction could not remove %s: %v", e.Name(), err)
+	removed := 0
+	for _, idx := range segs {
+		if idx <= old {
+			if err := os.Remove(filepath.Join(s.dir, segName(idx))); err != nil {
+				s.logf("store: compaction could not remove %s: %v", segName(idx), err)
 				continue
 			}
 			removed++
@@ -694,128 +706,70 @@ func (s *Store) Close() error {
 	return firstErr
 }
 
-// ScanSegment is the exported decoder over a raw segment image, used
-// by fuzzing to drive the frame parser with hostile inputs. It returns
-// the records that parsed and the error that stopped the scan, and is
-// guaranteed never to panic.
-func ScanSegment(data []byte) ([]Record, error) {
-	recs, _, err := scanSegment(data)
-	return recs, err
-}
-
-// SegmentInfo describes one journal segment on disk.
-type SegmentInfo struct {
-	// Index is the segment's rotation index (segName order).
-	Index int
-	// Bytes is the committed size of the segment file, including the
-	// 8-byte header. For the active segment this is the append
-	// position, not the file's eventual size.
-	Bytes int64
-	// Active marks the segment currently receiving appends; all other
-	// segments are sealed and immutable (until compaction deletes
-	// them).
-	Active bool
-}
-
-// Segments enumerates the journal's segment files in rotation order
-// (active segment last) together with the journal's current sequence
-// cursor, atomically with respect to appends. The pair is the starting
-// point of a replication resync: read every listed segment up to its
-// listed Bytes, then tail from the last segment's Bytes, where record
-// cursor+1 begins. A vanished segment (ErrSegmentGone from ReadFrom)
-// restarts the resync.
-func (s *Store) Segments() (segs []SegmentInfo, cursor uint64, err error) {
+// Position returns the append target — its segment index and committed
+// size — and the journal's sequence number, taken together: record seq
+// ends at byte end of segment seg. A replication session pins seg, and
+// a resync reads it up to end.
+func (s *Store) Position() (seg int, end int64, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, ErrClosed
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: scan segments: %w", err)
-	}
-	var idxs []int
-	for _, e := range entries {
-		if idx := segIndex(e.Name()); idx >= 0 {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		if idx == s.segIdx {
-			segs = append(segs, SegmentInfo{Index: idx, Bytes: s.segBytes, Active: true})
-			continue
-		}
-		st, err := os.Stat(filepath.Join(s.dir, segName(idx)))
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: stat segment: %w", err)
-		}
-		segs = append(segs, SegmentInfo{Index: idx, Bytes: st.Size()})
-	}
-	return segs, s.seq, nil
+	return s.segIdx, s.segBytes, s.seq
 }
 
 // ReadFrom returns the whole frames of segment seg that start at file
 // offset off (SegmentHeaderLen for a whole segment), at most limit
-// bytes of them, with their count, and whether seg is sealed — no
-// longer the append target, so an empty read at its end means the next
-// segment follows. A single frame larger than limit comes back whole,
-// so every read makes progress. Only the committed size is taken under
-// the store lock; the bytes are read outside it, so appends never wait
-// on a reader, and bytes of an append in progress are never visible. A
-// segment deleted by compaction returns ErrSegmentGone: the reader's
-// cursor is gone and it must restart from Segments(). A position no
-// segment ever had returns ErrBadOffset, as does a frame header there
-// that is implausible or a frame that runs past the committed bytes:
-// the marks of a cursor off a frame boundary.
-func (s *Store) ReadFrom(seg int, off int64, limit int) (frames []byte, n int, sealed bool, err error) {
+// bytes of them, with their count. A single frame larger than limit
+// comes back whole, so every read makes progress. Only the append
+// target is served, and only up to its committed size, which is taken
+// under the store lock; the bytes are read outside it, so appends never
+// wait on a reader, and bytes of an append in progress are never
+// visible. An earlier segment returns ErrSegmentGone: compaction
+// replaced it, so the reader's cursor is gone and it must start again
+// from Position. A position no segment ever had returns ErrBadOffset,
+// as does a frame header there that is implausible or a frame that runs
+// past the committed bytes: the marks of a cursor off a frame boundary.
+func (s *Store) ReadFrom(seg int, off int64, limit int) (frames []byte, n int, err error) {
 	s.mu.Lock()
 	active, end, closed := s.segIdx, s.segBytes, s.closed
 	s.mu.Unlock()
 	switch {
 	case closed:
-		return nil, 0, false, ErrClosed
+		return nil, 0, ErrClosed
 	case seg < 1 || seg > active || off < SegmentHeaderLen:
-		return nil, 0, false, fmt.Errorf("store: segment %d offset %d: %w", seg, off, ErrBadOffset)
+		return nil, 0, fmt.Errorf("store: segment %d offset %d: %w", seg, off, ErrBadOffset)
+	case seg < active:
+		return nil, 0, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
+	case off > end:
+		return nil, 0, fmt.Errorf("store: segment %d offset %d past %d committed bytes: %w", seg, off, end, ErrBadOffset)
 	}
 	f, err := os.Open(filepath.Join(s.dir, segName(seg)))
 	if os.IsNotExist(err) {
-		return nil, 0, false, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
+		return nil, 0, fmt.Errorf("store: segment %d: %w", seg, ErrSegmentGone)
 	} else if err != nil {
-		return nil, 0, false, fmt.Errorf("store: read segment: %w", err)
+		return nil, 0, fmt.Errorf("store: read segment: %w", err)
 	}
 	defer f.Close()
-	if sealed = seg < active; sealed {
-		st, err := f.Stat()
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("store: stat segment: %w", err)
-		}
-		end = st.Size()
-	}
-	if off > end {
-		return nil, 0, false, fmt.Errorf("store: segment %d offset %d past %d committed bytes: %w", seg, off, end, ErrBadOffset)
-	}
 	// Read up to the limit (never less than one frame header), then
 	// keep the frames that fit whole.
 	frames = make([]byte, min(end-off, int64(max(limit, frameHeaderLen))))
 	if _, err := f.ReadAt(frames, off); err != nil {
-		return nil, 0, false, fmt.Errorf("store: read segment: %w", err)
+		return nil, 0, fmt.Errorf("store: read segment: %w", err)
 	}
 	var used int64
 	for used < int64(len(frames)) {
 		pos := off + used
 		if end-pos < frameHeaderLen {
-			return nil, 0, false, fmt.Errorf("store: segment %d: torn frame header at offset %d: %w", seg, pos, ErrBadOffset)
+			return nil, 0, fmt.Errorf("store: segment %d: torn frame header at offset %d: %w", seg, pos, ErrBadOffset)
 		}
 		if int64(len(frames))-used < frameHeaderLen {
 			break // the limit cut this frame's header
 		}
 		fl, err := frameLen(frames[used:], pos)
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("store: segment %d: %v: %w", seg, err, ErrBadOffset)
+			return nil, 0, fmt.Errorf("store: segment %d: %v: %w", seg, err, ErrBadOffset)
 		}
 		if pos+fl > end {
-			return nil, 0, false, fmt.Errorf("store: segment %d: torn record at offset %d: %w", seg, pos, ErrBadOffset)
+			return nil, 0, fmt.Errorf("store: segment %d: torn record at offset %d: %w", seg, pos, ErrBadOffset)
 		}
 		if used+fl > int64(len(frames)) {
 			if n > 0 {
@@ -823,14 +777,14 @@ func (s *Store) ReadFrom(seg int, off int64, limit int) (frames []byte, n int, s
 			}
 			frames = make([]byte, fl)
 			if _, err := f.ReadAt(frames, off); err != nil {
-				return nil, 0, false, fmt.Errorf("store: read segment: %w", err)
+				return nil, 0, fmt.Errorf("store: read segment: %w", err)
 			}
-			return frames, 1, sealed, nil
+			return frames, 1, nil
 		}
 		used += fl
 		n++
 	}
-	return frames[:used], n, sealed, nil
+	return frames[:used], n, nil
 }
 
 // SegmentHeaderLen is the size of the magic/version header that opens

@@ -46,7 +46,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	s2 := testOpen(t, dir, Options{})
-	got, stats := s2.Replay()
+	got, stats := mustReplay(t, s2), s2.OpenStats()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}
@@ -78,7 +78,7 @@ func TestJournalAppendAfterReopen(t *testing.T) {
 	s2.Close()
 
 	s3 := testOpen(t, dir, Options{})
-	got, _ := s3.Replay()
+	got := mustReplay(t, s3)
 	if len(got) != 2 || got[0].JobID != "j1" || got[1].JobID != "j2" {
 		t.Fatalf("replay after reopen+append = %+v", got)
 	}
@@ -106,7 +106,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	before, _ := os.Stat(path)
 
 	s2 := testOpen(t, dir, Options{})
-	got, stats := s2.Replay()
+	got, stats := mustReplay(t, s2), s2.OpenStats()
 	if len(got) != 1 || got[0].JobID != "j1" {
 		t.Fatalf("replay after torn tail = %+v", got)
 	}
@@ -124,7 +124,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	s2.Close()
 	s3 := testOpen(t, dir, Options{})
-	got, stats = s3.Replay()
+	got, stats = mustReplay(t, s3), s3.OpenStats()
 	if len(got) != 2 || stats.Truncated {
 		t.Fatalf("third open: %d records truncated=%v, want 2/false", len(got), stats.Truncated)
 	}
@@ -145,7 +145,7 @@ func TestJournalCorruptPayloadTruncated(t *testing.T) {
 	os.WriteFile(path, data, 0o644)
 
 	s2 := testOpen(t, dir, Options{})
-	got, stats := s2.Replay()
+	got, stats := mustReplay(t, s2), s2.OpenStats()
 	if len(got) != 1 || got[0].JobID != "j1" {
 		t.Fatalf("replay after corrupt tail = %+v", got)
 	}
@@ -156,10 +156,8 @@ func TestJournalCorruptPayloadTruncated(t *testing.T) {
 
 func TestJournalCorruptMiddleSegmentIsError(t *testing.T) {
 	dir := t.TempDir()
-	s := testOpen(t, dir, Options{MaxSegmentBytes: 1}) // rotate after every record
-	s.Append(submitRec("j1"))
-	s.Append(submitRec("j2"))
-	s.Close()
+	writeSegment(t, dir, 1, submitRec("j1"))
+	writeSegment(t, dir, 2, submitRec("j2"))
 
 	// Corrupt the FIRST segment. It is not the tail, so Open must fail:
 	// a committed record vanished and recovery must not guess.
@@ -212,7 +210,7 @@ func TestJournalTornSegmentCreationRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := testOpen(t, dir, Options{})
-	got, stats := s2.Replay()
+	got, stats := mustReplay(t, s2), s2.OpenStats()
 	if len(got) != 1 || !stats.Truncated {
 		t.Fatalf("replay = %d records truncated=%v, want 1/true", len(got), stats.Truncated)
 	}
@@ -234,17 +232,22 @@ func TestJournalBadMagicRejected(t *testing.T) {
 	}
 }
 
+// TestJournalRotationAndCompaction: Compact is the only rotation. It
+// writes the live records into a fresh segment and deletes every older
+// one — both files of a crash mid-compaction included — and appends
+// continue into the new segment.
 func TestJournalRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := testOpen(t, dir, Options{MaxSegmentBytes: 128})
-	for i := 1; i <= 20; i++ {
+	writeSegment(t, dir, 1, submitRec("j1"))
+	writeSegment(t, dir, 2, submitRec("j1"), submitRec("j2"))
+	s := testOpen(t, dir, Options{})
+	for i := 3; i <= 20; i++ {
 		if err := s.Append(submitRec(fmt.Sprintf("j%d", i))); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	segs := countSegments(t, dir)
-	if segs < 2 {
-		t.Fatalf("expected rotation to produce multiple segments, got %d", segs)
+	if got := countSegments(t, dir); got != 2 {
+		t.Fatalf("appends changed the segment count to %d, want 2", got)
 	}
 
 	// Compact down to two live records; old segments must vanish and a
@@ -256,17 +259,70 @@ func TestJournalRotationAndCompaction(t *testing.T) {
 	if got := countSegments(t, dir); got != 1 {
 		t.Errorf("segments after compaction = %d, want 1", got)
 	}
+	if _, err := os.Stat(filepath.Join(dir, segName(3))); err != nil {
+		t.Errorf("compacted segment: %v, want %s", err, segName(3))
+	}
 	// Appends continue into the compacted segment.
 	if err := s.Append(submitRec("j21")); err != nil {
 		t.Fatalf("Append after compaction: %v", err)
 	}
+	if got := jobIDs(mustReplay(t, s)); got != "j19 j20 j21" {
+		t.Fatalf("live replay after compaction = %s", got)
+	}
 	s.Close()
 
 	s2 := testOpen(t, dir, Options{})
-	got, _ := s2.Replay()
+	got := mustReplay(t, s2)
 	if len(got) != 3 || got[0].JobID != "j19" || got[2].JobID != "j21" {
 		t.Fatalf("replay after compaction = %+v", got)
 	}
+}
+
+// TestJournalStaysOneSegment: appends never start a segment, however
+// large the journal grows (here past 4 MiB), and Replay reads every
+// record back in order from that one file, live and after a reopen.
+func TestJournalStaysOneSegment(t *testing.T) {
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{NoSync: true})
+	pad := strings.Repeat("x", 4000)
+	rec := func(i int) Record {
+		return Record{Type: RecSubmit, JobID: fmt.Sprintf("j%d", i), Request: json.RawMessage(`{"pad":"` + pad + `"}`)}
+	}
+	n := 0
+	for ; ; n++ {
+		if _, end, _ := s.Position(); end > 4<<20+4096 {
+			break
+		}
+		if n%2 == 0 {
+			if err := s.Append(rec(n)); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := s.AppendBatch([]Record{rec(n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		if got := countSegments(t, dir); got != 1 {
+			t.Fatalf("%s: %d segment files, want 1", when, got)
+		}
+		recs := mustReplay(t, s)
+		if len(recs) != n {
+			t.Fatalf("%s: Replay returned %d records, want %d", when, len(recs), n)
+		}
+		for i, r := range recs {
+			if r.JobID != fmt.Sprintf("j%d", i) {
+				t.Fatalf("%s: record %d is %s", when, i, r.JobID)
+			}
+		}
+	}
+	check("live", s)
+	s.Close()
+	s2 := testOpen(t, dir, Options{NoSync: true})
+	if seg, _, seq := s2.Position(); seg != 1 || seq != uint64(n) {
+		t.Fatalf("reopen: Position = (segment %d, seq %d), want (1, %d)", seg, seq, n)
+	}
+	check("after reopen", s2)
 }
 
 func countSegments(t *testing.T, dir string) int {
@@ -430,7 +486,7 @@ func TestFaultPointsCoverDurabilityIO(t *testing.T) {
 	}
 	// j2's append failed at its fsync, so it was rolled back out of the
 	// segment: only j1 replays.
-	got, _ := s2.Replay()
+	got := mustReplay(t, s2)
 	if len(got) != 1 || got[0].JobID != "j1" {
 		t.Fatalf("replay after fault exercise = %d records, want 1 (j1)", len(got))
 	}
@@ -441,7 +497,7 @@ func TestScanSegmentHeaderOnly(t *testing.T) {
 	hdr := make([]byte, segHeaderLen)
 	binary.LittleEndian.PutUint32(hdr[0:4], segMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], segVersion)
-	recs, err := ScanSegment(hdr)
+	recs, _, err := scanSegment(hdr)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("header-only segment = %v, %v", recs, err)
 	}
@@ -452,7 +508,7 @@ func TestScanSegmentZeroLengthFrame(t *testing.T) {
 	binary.LittleEndian.PutUint32(buf[0:4], segMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], segVersion)
 	// length=0 frame: implausible, must stop the scan with an error.
-	if _, err := ScanSegment(buf); err == nil {
+	if _, _, err := scanSegment(buf); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 }
@@ -465,7 +521,7 @@ func TestScanSegmentValidFrameByHand(t *testing.T) {
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[12:16], crc32.ChecksumIEEE(payload))
 	copy(buf[segHeaderLen+frameHeaderLen:], payload)
-	recs, err := ScanSegment(buf)
+	recs, _, err := scanSegment(buf)
 	if err != nil || len(recs) != 1 || recs[0].JobID != "j9" {
 		t.Fatalf("hand-built frame = %+v, %v", recs, err)
 	}
