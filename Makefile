@@ -46,8 +46,13 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # what they answer alone, and same-graph service jobs overlap inside
 # one engine — and the native min-ring kernels: the heap-free push,
 # the flat pull and the closure-free merges bit-identical to the
-# simulator's passes and mergeValue, parallelChunks tiling its range
-# at any GOMAXPROCS, and
+# simulator's passes and mergeValue, the fused CAS-min push-merge
+# bit-identical to that push and its scatter merge over whole BFS and
+# SSSP traversals at GOMAXPROCS 1, 2 and 8 (thousands of frontier
+# columns racing for one hub row), the whole-graph column index it
+# reads cut from the IP arrays byte-equal to the store decode, a
+# native engine that runs only BFS, SSSP and PageRank never cutting
+# the OP tiles, parallelChunks tiling its range at any GOMAXPROCS, and
 # native BFS/SSSP equal to a plain BFS/Bellman–Ford oracle across
 # policies, geometries, sources, formats and weights that must take the
 # generic passes — and the simulator's host-side structures: every
@@ -64,11 +69,11 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesFromIPMatchStoreDecode|TestCutFromIPConcurrent' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesFromIPMatchStoreDecode|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
-	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs|TestTraversalOracleNative|TestEngineDecodesStoreOnce' ./internal/runtime
+	$(GO) test -race -count=1 -run 'TestSimBackendTimingsPinned|TestBatchOfOneIsSolo|TestDivergedLaneKeepsSoloAccounting|TestNativePageRankSteadyStateAllocs|TestTraversalOracleNative|TestEngineDecodesStoreOnce|TestNativeEngineCutsTilesLazily' ./internal/runtime
 	$(GO) test -race -count=1 -run 'TestBackendEquivalence|TestBackendsMatchBaselineSpMV|TestEngineConcurrentRunsMatchSolo' .
 	$(GO) test -race -count=1 -run 'TestBatchEquivalence|TestBatchPPRLanesDiffer' .
 	$(GO) test -race -count=1 -run 'TestFormatEquivalence' .
@@ -120,9 +125,10 @@ bench:
 
 # bench-kernels runs the native kernels' layer benchmarks on the
 # scale-16 power-law graph: one IP pass per Table I row and the closure
-# fallback (ns/edge), eight fused PPR lanes (ns/edge/lane), BFS and SSSP
-# pull and push swept over frontier density (BenchmarkNativeTraverse,
-# ns/edge and ns/op), the dense merge for PR, BFS and SSSP (ns/vertex)
+# fallback (ns/edge), eight fused PPR lanes (ns/edge/lane), one whole
+# BFS and SSSP iteration each way swept over frontier density — pull
+# plus dense merge against the fused push-merge
+# (BenchmarkNativeTraverse, ns/edge and ns/op) — the dense merge for PR, BFS and SSSP (ns/vertex)
 # and the BFS and SSSP scatter merge (ns/elem), with allocation
 # counts — then the cold engine
 # build (New + first IP call + first OP call) per resident format, in
@@ -146,7 +152,7 @@ bench-sim:
 # GOMAXPROCS is pinned to 1 so the headline numbers are
 # scheduling-stable; the test adds a full-parallelism native leg
 # internally. It then fits the native min-ring crossover (BFS+SSSP job
-# time at six candidate densities on three graphs, at full parallelism)
+# time at eight candidate densities on three graphs, at full parallelism)
 # into the same file's native_min_crossover_fit key.
 bench-backends:
 	GOMAXPROCS=1 BENCH_BACKENDS=1 $(GO) test -count=1 -run 'TestBenchBackends|TestBenchCrossoverFit' -v .

@@ -76,7 +76,7 @@ func TestBenchCrossoverFit(t *testing.T) {
 		t.Skip("set BENCH_BACKENDS=1 to run the native min-ring crossover fit")
 	}
 	const reps, nSources = 5, 4
-	crossovers := []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4}
+	crossovers := []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 	geom := sim.Geometry{Tiles: 16, PEsPerTile: 16}
 	procs := goruntime.GOMAXPROCS(goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(procs)

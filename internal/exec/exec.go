@@ -53,8 +53,8 @@ type Backend interface {
 	Simulated() bool
 
 	// IP runs the inner-product kernel over the dense frontier x. IP
-	// and OP are the one-lane forms of IPMulti and OPMulti, which is
-	// what the runtime's iteration loop calls.
+	// and OP are the one-lane forms of IPMulti and OPMulti; the
+	// runtime's iteration loop calls IPMulti and OPIteration.
 	IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result)
 
 	// OP runs the outer-product kernel over the sparse frontier f.
@@ -72,6 +72,16 @@ type Backend interface {
 	// (lanes share the tile-local CSC working set). Per-lane outputs
 	// are bit-identical to solo OP calls; the Result is the aggregate.
 	OPMulti(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, ops []kernels.Operand) ([]*matrix.SparseVec, Result)
+
+	// OPIteration runs one outer-product iteration for k lanes: the
+	// kernel over each lane's sparse frontier, then the scatter merge
+	// of its output into the lane's values, which it updates in place.
+	// It returns each lane's merged values and next frontier —
+	// bit-identical to OPMulti followed by one ScatterMerge per lane —
+	// with the kernel phase's aggregate cost, as OPMulti reports it,
+	// and each lane's merge cost. The runtime's iteration loop calls it
+	// once per OP sub-group.
+	OPIteration(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, vals []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, []*matrix.SparseVec, Result, []Result)
 
 	// MergeDense merges the IP kernel output into vals and extracts the
 	// next sparse frontier (nil for dense-frontier semirings).

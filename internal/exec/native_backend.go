@@ -46,6 +46,42 @@ func (nativeBackend) OPMulti(cfg sim.Config, part *kernels.OPPartition, fs []*ma
 	return outs, Result{Wall: time.Since(t0)}
 }
 
+// OPIteration runs each lane that kernels.NativePushMerge takes — BFS,
+// and SSSP on the weights MinRingFast admits — as one fused pass whose
+// push is the kernel cost and whose frontier emit is the merge cost,
+// and every other lane as OPMulti followed by its ScatterMerge.
+func (b nativeBackend) OPIteration(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, vals []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, []*matrix.SparseVec, Result, []Result) {
+	next := make([]*matrix.SparseVec, len(fs))
+	merge := make([]Result, len(fs))
+	var kernel Result
+	var rest []int // the lanes the fused pass does not take
+	for l := range fs {
+		t0 := time.Now()
+		nx, push, ok := kernels.NativePushMerge(part, fs[l], vals[l], ops[l])
+		if !ok {
+			rest = append(rest, l)
+			continue
+		}
+		next[l] = nx
+		kernel.Wall += push
+		merge[l].Wall = time.Since(t0) - push
+	}
+	if len(rest) == 0 {
+		return vals, next, kernel, merge
+	}
+	rfs := make([]*matrix.SparseVec, len(rest))
+	rops := make([]kernels.Operand, len(rest))
+	for i, l := range rest {
+		rfs[i], rops[i] = fs[l], ops[l]
+	}
+	outs, res := b.OPMulti(cfg, part, rfs, rops)
+	kernel.Wall += res.Wall
+	for i, l := range rest {
+		vals[l], next[l], merge[l] = b.ScatterMerge(cfg, outs[i], vals[l], ops[l])
+	}
+	return vals, next, kernel, merge
+}
+
 func (nativeBackend) MergeDense(cfg sim.Config, contrib, vals matrix.Dense, op kernels.Operand) (matrix.Dense, *matrix.SparseVec, Result) {
 	t0 := time.Now()
 	vals, next := kernels.NativeMergeDense(contrib, vals, op)

@@ -63,6 +63,18 @@ func (b simBackend) OPMulti(cfg sim.Config, part *kernels.OPPartition, fs []*mat
 	return outs, agg
 }
 
+// OPIteration is OPMulti followed by each lane's ScatterMerge, so every
+// cycle is the two passes' own.
+func (b simBackend) OPIteration(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, vals []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, []*matrix.SparseVec, Result, []Result) {
+	outs, kernel := b.OPMulti(cfg, part, fs, ops)
+	next := make([]*matrix.SparseVec, len(fs))
+	merge := make([]Result, len(fs))
+	for l := range fs {
+		vals[l], next[l], merge[l] = b.ScatterMerge(cfg, outs[l], vals[l], ops[l])
+	}
+	return vals, next, kernel, merge
+}
+
 func (simBackend) MergeDense(cfg sim.Config, contrib, vals matrix.Dense, op kernels.Operand) (matrix.Dense, *matrix.SparseVec, Result) {
 	vals, next, res := kernels.RunMergeDense(cfg, contrib, vals, op)
 	return vals, next, fromSim(res)

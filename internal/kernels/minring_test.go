@@ -3,6 +3,8 @@ package kernels
 import (
 	"fmt"
 	"math"
+	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"cosparse/internal/gen"
@@ -358,5 +360,173 @@ func TestNativeMinMergesMatchGeneric(t *testing.T) {
 		if minMerge(&ring) {
 			t.Fatalf("%s merged as a plain min", ring.Name)
 		}
+	}
+}
+
+// hubGraph is a BFS/SSSP input built to make the push's writers
+// collide: from src, n−1, the first step reaches rows 1..4200, and the
+// second pushes all 4200 of them at once into hub row 0 (4200 in-edges)
+// and the first 512 into one 256-row block. Frontier rows point at each
+// other (j → j+1, so an SSSP distance drops mid-push) and at themselves,
+// some weights are zero, and n is not a multiple of 32.
+func hubGraph() (*matrix.COO, int32) {
+	const n, fan, blockCols, block = 4581, 4200, 512, 256
+	src := int32(n - 1)
+	var elems []matrix.Coord
+	add := func(row, col int32, w float32) {
+		elems = append(elems, matrix.Coord{Row: row, Col: col, Val: w})
+	}
+	for j := int32(1); j <= fan; j++ {
+		add(j, src, float32(j%5)*0.25)
+		add(0, j, float32(j%3)*0.5)
+		if j%7 == 0 {
+			add(j, j, 0)
+		}
+		if j < fan {
+			add(j+1, j, float32(j%2)*0.25)
+		}
+		if j <= blockCols {
+			for b := int32(0); b < block; b++ {
+				add(fan+1+b, j, 0.25*float32(1+(j+b)%4))
+			}
+		}
+	}
+	add(fan+block+1, 0, 1) // the hub leads on
+	return matrix.MustCOO(n, n, elems), src
+}
+
+// TestNativePushMergeMatchesOPScatterMerge holds the fused push-merge
+// to the composition it replaces — NativeOPMulti, then
+// NativeScatterMerge — iteration by iteration over whole BFS and SSSP
+// traversals, through the lane's own bitmap from the first iteration to
+// an empty frontier: values and next frontier bit-equal every time. It
+// runs at GOMAXPROCS 1, 2 and 8, several times each, since the CAS-min
+// interleaving differs run to run: on a power-law graph (with a zero
+// weight), and on hubGraph, where thousands of frontier columns race
+// for the same rows and BFS meets rows set in earlier iterations. The
+// composition is itself held to the heap pass (the ring under a custom
+// Kind), which shares no code with the push.
+func TestNativePushMergeMatchesOPScatterMerge(t *testing.T) {
+	hub, hubSrc := hubGraph()
+	pl := gen.PowerLaw(3000, 30000, 0.6, gen.UniformWeight, 31)
+	deg := pl.OutDegrees()
+	plSrc := int32(0)
+	for v, d := range deg {
+		if d > deg[plSrc] {
+			plSrc = int32(v)
+		}
+	}
+	graphs := []struct {
+		name string
+		m    *matrix.COO
+		src  int32
+		reps int
+	}{
+		{"powerlaw", pl, plSrc, 2},
+		{"powerlaw-zero", withWeight(pl, 0), plSrc, 2},
+		{"hub", hub, hubSrc, 10},
+	}
+	procs := goruntime.GOMAXPROCS(0)
+	defer goruntime.GOMAXPROCS(procs)
+	for _, g := range graphs {
+		_, part := NewPartitions(g.m, 4, 4, 0, BalanceNNZ)
+		for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+			for _, p := range []int{1, 2, 8} {
+				goruntime.GOMAXPROCS(p)
+				for rep := 0; rep < g.reps; rep++ {
+					what := fmt.Sprintf("%s %s GOMAXPROCS=%d rep %d", g.name, ring.Name, p, rep)
+					pushMergeTraversal(t, what, part, ring, g.src, rep == 0)
+				}
+			}
+		}
+	}
+
+	// Lanes the fused pass must refuse, touching nothing.
+	_, part := NewPartitions(pl, 4, 4, 0, BalanceNNZ)
+	_, negative := NewPartitions(withWeight(pl, -0.5), 4, 4, 0, BalanceNNZ)
+	custom := semiring.BFS()
+	custom.Kind = semiring.KindCustom
+	vecOp := semiring.BFS()
+	vecOp.VecOp = func(v, _ float32, _ semiring.Ctx) float32 { return v }
+	f := &matrix.SparseVec{N: pl.C, Idx: []int32{plSrc}, Val: []float32{0}}
+	vals := make(matrix.Dense, pl.R)
+	for _, c := range []struct {
+		name string
+		part *OPPartition
+		op   Operand
+	}{
+		{"custom ring", part, Operand{Ring: custom}},
+		{"BFS with a Vector_Op", part, Operand{Ring: vecOp}},
+		{"SSSP with V_dst apart from vals", part, Operand{Ring: semiring.SSSP(), Prev: vals.Clone()}},
+		{"SSSP outside minPlusSafe", negative, Operand{Ring: semiring.SSSP(), Prev: vals}},
+	} {
+		if _, _, ok := NativePushMerge(c.part, f, vals, c.op); ok {
+			t.Fatalf("%s: taken by the fused pass", c.name)
+		}
+	}
+	if slices.ContainsFunc(vals, func(v float32) bool { return v != 0 }) {
+		t.Fatal("a refused lane's values changed")
+	}
+}
+
+// pushMergeTraversal runs one traversal of ring from src twice in
+// lockstep, fused and composed, failing at the first iteration where
+// the two disagree; with heap set it also holds the composition to the
+// heap pass. The last iteration pushes an empty frontier.
+func pushMergeTraversal(t *testing.T, what string, part *OPPartition, ring semiring.Semiring, src int32, heap bool) {
+	t.Helper()
+	sssp := ring.Kind == semiring.KindSSSP
+	start := make(matrix.Dense, part.R)
+	for i := range start {
+		start[i] = ring.Identity
+	}
+	sv := float32(src)
+	if sssp {
+		sv = 0
+	}
+	start[src] = sv
+	f := &matrix.SparseVec{N: part.C, Idx: []int32{src}, Val: []float32{sv}}
+	ref, fused := start, start.Clone()
+	lane := Operand{Ring: ring, Scratch: new(Scratch)}
+	heapRing := ring
+	heapRing.Kind = semiring.KindCustom
+	for it := 0; ; it++ {
+		at := fmt.Sprintf("%s iteration %d (|F| = %d)", what, it, f.NNZ())
+		var before matrix.Dense
+		if heap {
+			before = ref.Clone()
+		}
+		op := Operand{Ring: ring}
+		if sssp {
+			op.Prev = ref
+		}
+		contrib := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{op}, 4)[0]
+		_, want := NativeScatterMerge(contrib, ref, op)
+		if heap {
+			hop := Operand{Ring: heapRing}
+			if sssp {
+				hop.Prev = before
+			}
+			hc := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{hop}, 4)[0]
+			hv, hnext := NativeScatterMerge(hc, before, hop)
+			sameBits(t, at+": composed values against the heap pass", ref, hv)
+			sameSparse(t, at+": composed frontier against the heap pass", want, hnext)
+		}
+		if sssp {
+			lane.Prev = fused
+		}
+		got, _, ok := NativePushMerge(part, f, fused, lane)
+		if !ok {
+			t.Fatalf("%s: the lane was not taken by the fused pass", at)
+		}
+		sameBits(t, at+": values", fused, ref)
+		sameSparse(t, at+": next frontier", got, want)
+		if f.NNZ() == 0 {
+			return
+		}
+		if it > 4*part.R {
+			t.Fatalf("%s: no convergence", at)
+		}
+		f = want
 	}
 }

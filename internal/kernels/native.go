@@ -14,17 +14,22 @@ import (
 // instantiated with NopProbe; the IP pass and the dense merge that
 // follows it are probe-free loops replaying the generic bodies'
 // operation order (nativeIPPELanes: one loop per Table I row, closures
-// for custom rings). The min rings (BFS, SSSP) go further where min is
-// order-free: their pull is one flat min per edge, and both their
-// merges are two comparisons per element without closure calls
-// (minMerge). All are driven goroutine-parallel
-// across GOMAXPROCS workers — the chunking pattern of
-// baseline.RunCSRSpMV. Parallel units are always disjoint in their
-// writes (PE row partitions for IP, tiles for OP, contiguous element
-// ranges for the merges), so no locks are needed, and every unit runs
-// in the same internal order as under the simulator, so results are
-// bit-identical across backends — including order-sensitive float32
-// reductions (PR, CF).
+// for custom rings). All are driven goroutine-parallel across
+// GOMAXPROCS workers — the chunking pattern of baseline.RunCSRSpMV —
+// over units disjoint in their writes (PE row partitions for IP, tiles
+// for OP, contiguous element ranges for the merges), so they need no
+// locks, and every unit runs in the same internal order as under the
+// simulator, so results are bit-identical across backends — including
+// order-sensitive float32 reductions (PR, CF).
+//
+// The min rings (BFS, SSSP) go further where min is order-free
+// (MinRingFast): their pull is one flat min per edge, their merges are
+// two comparisons per element without closure calls (minMerge), and
+// their push (minPush) is the one pass whose writers share rows:
+// workers claim frontier columns dynamically and lower each row with an
+// atomic CAS-min on its bits, which reaches the same bits in any
+// interleaving. Run on the lane's own values it is also the merge and
+// the next frontier (NativePushMerge).
 
 // parallelChunks splits [0, n) into at most GOMAXPROCS contiguous
 // chunks, runs fn(lo, hi) on each from its own goroutine, and returns

@@ -101,18 +101,21 @@ func BenchmarkNativeIPMulti8(b *testing.B) {
 }
 
 // BenchmarkNativeTraverse sweeps frontier density for the two min
-// rings through both dataflows: the pull reports ns per stored edge
-// (it sweeps every one), the push ns per edge of the active columns
-// (all it touches), and ns/op is the call either way — where the two
-// ns/op curves cross is the dataflow crossover the runtime's
+// rings through both dataflows, each leg one whole iteration from the
+// same value state (restored outside the timer): the pull is the IP
+// pass plus NativeMergeDense and reports ns per stored edge (it sweeps
+// every one), the push is NativePushMerge — push, merge and next
+// frontier in one pass — and reports ns per edge of the active columns
+// (all it touches). ns/op is the iteration either way, so where the
+// two ns/op curves cross is the dataflow crossover the runtime's
 // NativeMinCrossover is fitted to on whole jobs.
 func BenchmarkNativeTraverse(b *testing.B) {
 	g := newBenchGraph(b)
 	const tiles, pesPerTile = 16, 16
-	op := NewOPPartition(g.m, tiles, BalanceNNZ)
-	op.Materialize()
+	_, op := NewPartitions(g.m, tiles, pesPerTile, 0, BalanceNNZ)
 	deg := g.m.OutDegrees()
 	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+		start := g.minMergeState(ring)
 		for _, density := range []float64{0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9} {
 			f := gen.Frontier(g.m.C, density, 17)
 			for k, i := range f.Idx {
@@ -122,26 +125,31 @@ func BenchmarkNativeTraverse(b *testing.B) {
 			for _, v := range f.Idx {
 				active += int(deg[v])
 			}
-			operand := opFor(ring, g.m, g.prev)
+			vals := start.Clone()
+			operand := opFor(ring, g.m, vals)
 			operand.Scratch = new(Scratch)
 			name := fmt.Sprintf("%s/%g%%", strings.ToLower(ring.Name), 100*density)
 			b.Run(name+"/pull", func(b *testing.B) {
 				xs, ops := []matrix.Dense{f.ToDense(ring.Identity)}, []Operand{operand}
-				NativeIPMulti(g.part, xs, ops)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					NativeIPMulti(g.part, xs, ops)
+					b.StopTimer()
+					copy(vals, start)
+					b.StartTimer()
+					contrib := NativeIPMulti(g.part, xs, ops)[0]
+					NativeMergeDense(contrib, vals, operand)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.m.NNZ()), "ns/edge")
 			})
 			b.Run(name+"/push", func(b *testing.B) {
-				fs, ops := []*matrix.SparseVec{f}, []Operand{operand}
-				NativeOPMulti(op, fs, ops, pesPerTile)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					NativeOPMulti(op, fs, ops, pesPerTile)
+					b.StopTimer()
+					copy(vals, start)
+					b.StartTimer()
+					NativePushMerge(op, f, vals, operand)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(active, 1)), "ns/edge")
 			})

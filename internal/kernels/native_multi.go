@@ -2,8 +2,11 @@ package kernels
 
 import (
 	"math"
-	"slices"
+	"math/bits"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"cosparse/internal/matrix"
@@ -28,15 +31,16 @@ func bitsOf(x []float32) []uint32 {
 // probe-free loop per built-in Table I row (nativeIPPELanes), with the
 // semiring closures as the fallback for custom rings, and keeps each
 // PE's COO share cache-resident across lanes; the OP side runs the
-// min rings through a dense accumulator (opMinTile) and every other
-// ring through the shared pass bodies with NopProbe, lanes sequential
-// per tile. Every lane's result is bit-identical to the simulator's and
-// independent of how many lanes ride along: the sum rings replay the
-// simulated passes' float operation order exactly, and the min-ring
-// forms run only where min does not depend on that order (MinRingFast)
-// — so they ignore it: the BFS/SSSP pull is one flat min per edge over
-// the PE's elements, and the vblock row runs the simulator's scratchpad
-// needs do not exist for them.
+// min rings through one CAS-min push over the whole-graph column index
+// (minPush) and every other ring through the shared pass bodies with
+// NopProbe over the tiles, lanes sequential per tile. Every lane's
+// result is bit-identical to the simulator's and independent of how
+// many lanes ride along: the sum rings replay the simulated passes'
+// float operation order exactly, and the min-ring forms run only where
+// min does not depend on that order (MinRingFast) — so they ignore it:
+// the BFS/SSSP pull is one flat min per edge over the PE's elements,
+// the push splits the frontier however its workers claim it, and the
+// vblock row runs and tiles the simulator needs do not exist for them.
 
 // NativeIPMulti runs k fused inner-product passes on the host,
 // parallel over PE row partitions. Each PE's COO share is traversed
@@ -341,14 +345,16 @@ func ipClosures(part *IPPartition, segs []Seg, x, out matrix.Dense, op *Operand)
 	}
 }
 
-// NativeOPMulti runs k outer-product passes on the host, parallel over
-// tiles with the lanes sequential within each tile — the tile's CSC
-// slice is traversed back to back for all k frontiers while it is
-// cache-resident. A min-ring lane (MinRingFast) runs opMinTile; any
-// other lane runs the PE column passes and the LCP merge sequentially,
-// with pesPerTile matching the sim geometry, so its frontier split and
-// merge order match RunOP exactly. Per-lane results are bit-identical
-// across backends and lane counts either way.
+// NativeOPMulti runs k outer-product passes on the host. A min-ring
+// lane (MinRingFast) runs the push over the column index into a pooled
+// accumulator (opMinTouched), lane after lane, each parallel over its
+// frontier. Every other lane runs the PE column passes and the LCP
+// merge over the tiles, parallel over tiles with those lanes sequential
+// within each tile — the tile's CSC slice is traversed back to back for
+// all of them while it is cache-resident — and with pesPerTile matching
+// the sim geometry, so its frontier split and merge order match RunOP
+// exactly. Per-lane results are bit-identical across backends and lane
+// counts either way.
 func NativeOPMulti(part *OPPartition, fs []*matrix.SparseVec, ops []Operand, pesPerTile int) []*matrix.SparseVec {
 	k := len(fs)
 	if k == 0 {
@@ -360,57 +366,47 @@ func NativeOPMulti(part *OPPartition, fs []*matrix.SparseVec, ops []Operand, pes
 	if pesPerTile < 1 {
 		pesPerTile = 1
 	}
-	part.Materialize()
-	peColsPerLane := make([][]int32, k) // nil for a min-ring lane
-	anyMin := false
+	outs := make([]*matrix.SparseVec, k)
+	var heap []int // the lanes on the heap pass
 	for l := range fs {
 		if fs[l].N != part.C {
 			panic("kernels: NativeOPMulti frontier length mismatch")
 		}
 		if part.MinRingFast(&ops[l].Ring) {
-			anyMin = true
+			outs[l] = opMinTouched(part, fs[l], &ops[l])
 		} else {
-			peColsPerLane[l] = splitEven(fs[l].NNZ(), pesPerTile)
+			heap = append(heap, l)
 		}
 	}
-	tileOut := make([][][]opPair, k) // [lane][tile]
-	for l := range tileOut {
-		tileOut[l] = make([][]opPair, part.Tiles)
+	if len(heap) == 0 {
+		return outs
+	}
+	part.Materialize()
+	peCols := make([][]int32, len(heap))
+	tileOut := make([][][]opPair, len(heap)) // [heap lane][tile]
+	for i, l := range heap {
+		peCols[i] = splitEven(fs[l].NNZ(), pesPerTile)
+		tileOut[i] = make([][]opPair, part.Tiles)
 	}
 	parallelFor(part.Tiles, func(tlo, thi int32) {
-		var acc *minAcc
-		if anyMin {
-			acc = getMinAcc(part)
-		}
 		stagingAddr := make([]uint64, pesPerTile)
 		staged := make([][]opPair, pesPerTile)
 		for t := int(tlo); t < int(thi); t++ {
-			for l := 0; l < k; l++ {
-				peCols := peColsPerLane[l]
-				if peCols == nil {
-					tileOut[l][t] = opMinTile(part, t, fs[l], &ops[l], acc)
-					continue
-				}
+			for i, l := range heap {
 				clear(staged)
 				for pe := 0; pe < pesPerTile; pe++ {
-					lo, hi := peCols[pe], peCols[pe+1]
+					lo, hi := peCols[i][pe], peCols[i][pe+1]
 					if lo >= hi {
 						continue
 					}
 					staged[pe] = opPEPass(NopProbe{}, part, t, fs[l], &ops[l], lo, hi, 0, opPEAddrs{})
 				}
-				tileOut[l][t] = opLCPPass(NopProbe{}, staged, &ops[l], stagingAddr, 0)
+				tileOut[i][t] = opLCPPass(NopProbe{}, staged, &ops[l], stagingAddr, 0)
 			}
 		}
-		if acc != nil {
-			// Only on the way out of a completed chunk: a panic mid-tile
-			// would leave dirty slots, and that buffer must not be reused.
-			minAccs.Put(acc)
-		}
 	})
-	outs := make([]*matrix.SparseVec, k)
-	for l := 0; l < k; l++ {
-		outs[l] = concatTiles(part.R, tileOut[l])
+	for i, l := range heap {
+		outs[l] = concatTiles(part.R, tileOut[i])
 	}
 	return outs
 }
@@ -437,115 +433,231 @@ func concatTiles(n int, tiles [][]opPair) *matrix.SparseVec {
 	return out
 }
 
-// minAcc is one worker's dense accumulator for the min-ring push: one
-// slot per row of the largest tile, every slot at accFree between
-// tiles, plus the list of rows touched since the last emit.
-type minAcc struct {
-	acc     []uint32
-	touched []int32
+// NativePushMerge runs one OP iteration of a min-ring lane as one
+// pass that is its own merge: the push lowers vals in place, and the
+// next frontier is read off the lane's change bitmap (in op.Scratch,
+// allocated when nil). vals and the frontier are bit-identical to
+// NativeOPMulti followed by NativeScatterMerge: a row drops exactly
+// when some candidate lies below its value, which is when the merge
+// finds the pushed minimum — min(candidates, V_dst) for SSSP — below
+// it, and BFS skips the rows the merge's OnceOnly keeps. The lane
+// qualifies when MinRingFast and minMerge hold and, for SSSP, op.Prev
+// is vals itself (V_dst is the value the push lowers); ok is false, and
+// nothing is touched, for any other lane. push is the wall time of the
+// push alone; the rest of the call is the emit.
+func NativePushMerge(part *OPPartition, f *matrix.SparseVec, vals matrix.Dense, op Operand) (next *matrix.SparseVec, push time.Duration, ok bool) {
+	ring := &op.Ring
+	sssp := ring.Kind == semiring.KindSSSP
+	if f.N != part.C || len(vals) != part.R {
+		panic("kernels: NativePushMerge vector length mismatch")
+	}
+	if !part.MinRingFast(ring) || !minMerge(ring) ||
+		sssp && (len(op.Prev) != len(vals) || len(vals) > 0 && &op.Prev[0] != &vals[0]) {
+		return nil, 0, false
+	}
+	s := op.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	words := (part.R + 31) / 32
+	if cap(s.seen) < words {
+		s.seen = make([]uint32, words)
+	}
+	seen := s.seen[:words]
+	t0 := time.Now()
+	n := minPush(part.columns(), f, sssp, ring.OnceOnly, bitsOf(vals), seen)
+	push = time.Since(t0)
+	return emitBits(part.R, bitsOf(vals), seen, n, nil, false), push, true
 }
 
-// accFree marks an untouched slot. It is above every candidate's bit
-// pattern (none exceeds +Inf's), so the first candidate to reach a slot
-// replaces it through the same unsigned min as the rest.
+// pushChunk is how many frontier entries a push worker claims from the
+// shared cursor at a time. A static split would be lopsided — a hub
+// column holds thousands of edges — and a claim per entry would
+// contend on the cursor.
+const pushChunk = 64
+
+// minPush is the native min-ring push, the one body behind both OP
+// forms: every edge (r, j) of every frontier column j proposes a
+// candidate for row r — bits(f.Val[k] + w) for SSSP; for BFS
+// bits(float32(j)), or +Inf for a source at +Inf — and lowers tgt[r]
+// to it with a CAS-min on the bits, as Ligra's writeMin does.
+// MinRingFast admits only values on which min is order-free and
+// follows the bit order, so tgt ends at the same bits however the
+// workers interleave. Candidates read f's own values and never tgt, so
+// the pass is a Jacobi step even where tgt holds the lane's values and
+// a frontier row drops mid-pass. The first drop of a row sets its bit
+// in seen, and minPush returns how many bits it set.
+//
+// once is BFS's OnceOnly, for a tgt holding the lane's values: a row
+// may be set in one iteration only. A row off the identity (+Inf)
+// whose bit is clear was set in an earlier iteration, and the push
+// skips it. A row at the identity gets its bit before its CAS, so a
+// concurrent proposer that sees the lowered value sees the bit too and
+// never mistakes the row for one set earlier.
+//
+// GOMAXPROCS workers claim pushChunk frontier entries at a time from an
+// atomic cursor; every access to tgt and seen is atomic, so concurrent
+// writers need no locks.
+func minPush(cols *colIndex, f *matrix.SparseVec, sssp, once bool, tgt, seen []uint32) int {
+	nf := f.NNZ()
+	var cursor atomic.Int64
+	work := func() int {
+		set := 0
+		for {
+			hi := int(cursor.Add(pushChunk))
+			lo := hi - pushChunk
+			if lo >= nf {
+				return set
+			}
+			for k := lo; k < min(hi, nf); k++ {
+				j, fv := f.Idx[k], f.Val[k]
+				rows := cols.row[cols.ptr[j]:cols.ptr[j+1]]
+				if sssp {
+					w := cols.val[cols.ptr[j]:cols.ptr[j+1]]
+					w = w[:len(rows)]
+					for q, r := range rows {
+						if c := math.Float32bits(fv + w[q]); c < atomic.LoadUint32(&tgt[r]) {
+							set += lowerTo(tgt, seen, r, c, once)
+						}
+					}
+					continue
+				}
+				c := uint32(infBits)
+				if fv != inf32 {
+					c = math.Float32bits(float32(j))
+				}
+				for _, r := range rows {
+					if c < atomic.LoadUint32(&tgt[r]) {
+						set += lowerTo(tgt, seen, r, c, once)
+					}
+				}
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), (nf+pushChunk-1)/pushChunk)
+	if workers <= 1 {
+		return work()
+	}
+	sets := make([]int, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := range workers - 1 {
+		go func() {
+			defer wg.Done()
+			sets[w] = work()
+		}()
+	}
+	sets[workers-1] = work()
+	wg.Wait()
+	total := 0
+	for _, n := range sets {
+		total += n
+	}
+	return total
+}
+
+// lowerTo is minPush's slow path, for a candidate c found below
+// tgt[r]: the CAS-min loop and the bitmap, under the OnceOnly rule when
+// once is set. It returns 1 if it set r's bit, else 0.
+func lowerTo(tgt, seen []uint32, r int32, c uint32, once bool) int {
+	v, word, bit := &tgt[r], &seen[r>>5], uint32(1)<<(r&31)
+	old := atomic.LoadUint32(v)
+	set := 0
+	if once && c < old {
+		if old != infBits {
+			if atomic.LoadUint32(word)&bit == 0 {
+				return 0 // set in an earlier iteration
+			}
+		} else if atomic.OrUint32(word, bit)&bit == 0 {
+			set = 1
+		}
+	}
+	for c < old {
+		if atomic.CompareAndSwapUint32(v, old, c) {
+			if !once && atomic.LoadUint32(word)&bit == 0 && atomic.OrUint32(word, bit)&bit == 0 {
+				set = 1
+			}
+			return set
+		}
+		old = atomic.LoadUint32(v)
+	}
+	return set
+}
+
+// emitBits returns the n rows set in seen, ascending, each with its
+// value in tgt — folded with prev[r] when prev is set — and leaves
+// seen clear, each word cleared as it is read; with reset it also
+// returns each emitted slot of tgt to accFree. count is the number of
+// bits set, which sizes the result exactly. It runs after the push,
+// so it reads plainly.
+func emitBits(n int, tgt, seen []uint32, count int, prev []uint32, reset bool) *matrix.SparseVec {
+	out := &matrix.SparseVec{N: n}
+	if count == 0 {
+		return out
+	}
+	out.Idx, out.Val = make([]int32, count), make([]float32, count)
+	at := 0
+	for w, word := range seen {
+		if word == 0 {
+			continue
+		}
+		seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			r := int32(w<<5 + bits.TrailingZeros32(word))
+			v := tgt[r]
+			if prev != nil {
+				v = min(v, prev[r])
+			}
+			if reset {
+				tgt[r] = accFree
+			}
+			out.Idx[at], out.Val[at] = r, math.Float32frombits(v)
+			at++
+		}
+	}
+	return out
+}
+
+// accFree marks an untouched slot of opMinTouched's accumulator. It is
+// above every candidate's bit pattern (none exceeds +Inf's), so the
+// first candidate to reach a slot lowers it.
 const accFree = math.MaxUint32
 
-// opScanRatio picks how opMinTile emits: scan the whole row buffer when
-// at least 1/opScanRatio of the tile's rows were touched, sort the
-// touched list otherwise.
-const opScanRatio = 16
+// pushAcc is opMinTouched's accumulator: a slot per row and a bitmap.
+// One comes back to pushAccs only clean (every slot at accFree, the
+// bitmap zero).
+type pushAcc struct {
+	acc, seen []uint32
+}
 
-// minAccs recycles accumulators across calls; one comes back only
-// clean (every slot at accFree).
-var minAccs sync.Pool
+var pushAccs sync.Pool
 
-// getMinAcc returns a clean accumulator with a slot for every row of
-// part's largest tile.
-func getMinAcc(part *OPPartition) *minAcc {
-	rows := 0
-	for t := 0; t < part.Tiles; t++ {
-		rows = max(rows, int(part.RowBounds[t+1]-part.RowBounds[t]))
-	}
-	a, _ := minAccs.Get().(*minAcc)
-	if a == nil {
-		a = new(minAcc)
-	}
-	if len(a.acc) < rows {
-		a.acc = make([]uint32, rows)
+// opMinTouched is a min-ring lane's NativeOPMulti form, the contract
+// RunOP sets: every row of every frontier column comes out, ascending,
+// with the minimum of its candidates — +Inf candidates included — and
+// for SSSP of V_dst. It is minPush into a clean pooled accumulator
+// rather than the lane's values: every candidate lowers an accFree
+// slot, so a row's first drop is its first touch, and the emit folds
+// in V_dst and leaves the accumulator clean.
+func opMinTouched(part *OPPartition, f *matrix.SparseVec, op *Operand) *matrix.SparseVec {
+	n := part.R
+	a, _ := pushAccs.Get().(*pushAcc)
+	if a == nil || len(a.acc) < n {
+		a = &pushAcc{acc: make([]uint32, n), seen: make([]uint32, (n+31)/32)}
 		for i := range a.acc {
 			a.acc[i] = accFree
 		}
 	}
-	return a
-}
-
-// opMinTile is tile t's push for one min-ring lane, in place of the
-// heap merge and the LCP merge: every frontier column's CSC slice
-// scatters its candidates into the worker's row buffer through an
-// unsigned min on the bits, the first touch of a row records it, and
-// the touched rows come out ascending with their minima. That is the
-// row set the heap pass emits — every row of every frontier column,
-// +Inf candidates included — and, since MinRingFast admits only values
-// on which min does not depend on the order candidates arrive in, the
-// same bits the heap's PE split and LCP merge produce.
-func opMinTile(part *OPPartition, t int, f *matrix.SparseVec, op *Operand, a *minAcc) []opPair {
-	colPtr, rows, vals := part.ColPtr[t], part.Row[t], part.Val[t]
-	lo := part.RowBounds[t]
-	acc := a.acc[:part.RowBounds[t+1]-lo]
-	touched := a.touched[:0]
 	sssp := op.Ring.Kind == semiring.KindSSSP
+	acc, seen := a.acc[:n], a.seen[:(n+31)/32]
+	set := minPush(part.columns(), f, sssp, false, acc, seen)
 	var prev []uint32
 	if sssp {
 		prev = bitsOf(op.Prev)
 	}
-	for k, j := range f.Idx {
-		col := rows[colPtr[j]:colPtr[j+1]]
-		fv := f.Val[k]
-		if sssp {
-			// Matrix_Op = min(V_src + Sp, V_dst).
-			w := vals[colPtr[j]:colPtr[j+1]]
-			w = w[:len(col)]
-			for q, r := range col {
-				i := r - lo
-				v := acc[i]
-				if v == accFree {
-					touched = append(touched, r)
-				}
-				acc[i] = min(v, math.Float32bits(fv+w[q]), prev[r])
-			}
-			continue
-		}
-		// BFS: a frontier source proposes its own id, any other +Inf.
-		cand := uint32(infBits)
-		if fv != inf32 {
-			cand = math.Float32bits(float32(j))
-		}
-		for _, r := range col {
-			i := r - lo
-			v := acc[i]
-			if v == accFree {
-				touched = append(touched, r)
-			}
-			acc[i] = min(v, cand)
-		}
-	}
-	a.touched = touched
-	out := make([]opPair, len(touched))
-	if len(touched)*opScanRatio >= len(acc) {
-		n := 0
-		for i, v := range acc {
-			if v != accFree {
-				out[n] = opPair{lo + int32(i), math.Float32frombits(v)}
-				acc[i] = accFree
-				n++
-			}
-		}
-		return out
-	}
-	slices.Sort(touched)
-	for n, r := range touched {
-		out[n] = opPair{r, math.Float32frombits(acc[r-lo])}
-		acc[r-lo] = accFree
-	}
+	out := emitBits(n, acc, seen, set, prev, true)
+	// Only on the way out of a completed push: a panic mid-push would
+	// leave dirty slots, and that accumulator must not be reused.
+	pushAccs.Put(a)
 	return out
 }

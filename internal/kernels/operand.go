@@ -14,18 +14,20 @@ type Operand struct {
 	Ctx  semiring.Ctx
 	Deg  []int32      // out-degree per source vertex; may be nil if !NeedsSrcDeg
 	Prev matrix.Dense // previous values; may be nil if !NeedsDstVal
-	// Scratch, when set, lets the native IP kernel keep its output and
-	// pre-pass buffers across calls instead of allocating them; nil
-	// means allocate per call.
+	// Scratch, when set, lets the native kernels keep the lane's
+	// buffers across calls instead of allocating them; nil means
+	// allocate per call.
 	Scratch *Scratch
 }
 
-// Scratch is the native IP kernel's per-lane buffer set. One Scratch
-// serves one lane: the contribution vector NativeIPMulti returns for an
-// operand carrying it is overwritten by that lane's next call, and two
-// lanes of one call must not share one.
+// Scratch is the native kernels' per-lane buffer set: the IP output
+// and pre-pass vectors, and NativePushMerge's change bitmap (clear
+// between calls). One Scratch serves one lane: the contribution vector
+// NativeIPMulti returns for an operand carrying it is overwritten by
+// that lane's next call, and two lanes must not share one.
 type Scratch struct {
 	out, y matrix.Dense
+	seen   []uint32
 }
 
 // grow returns *buf resized to n elements, reallocating only when its

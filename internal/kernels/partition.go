@@ -297,32 +297,48 @@ func (p *IPPartition) NNZOfPE(pe int) int {
 	return int(p.PEPtr[pe+1] - p.PEPtr[pe])
 }
 
-// OPPartition is the preprocessed layout for the OP kernel: each tile
-// owns a row partition stored as a tile-local CSC slice (only the rows
-// in the tile's range appear in each column). Frontier nonzeros are
-// distributed across the tile's PEs dynamically at run time.
+// OPPartition is the preprocessed layout for the OP kernel, in two
+// forms cut lazily from the same elements. The simulator's passes and
+// the native generic-ring lanes read the tiles: each tile owns a row
+// partition stored as a tile-local CSC slice (only the rows in the
+// tile's range appear in each column), its frontier nonzeros
+// distributed across the tile's PEs at run time. The native min-ring
+// push (MinRingFast) reads the column index instead: the whole-graph
+// CSC, which is the one-tile layout. Each form is cut on its first
+// reader, so an engine that runs only BFS, SSSP and PageRank natively
+// never cuts the tiles.
 type OPPartition struct {
 	R, C      int
 	Tiles     int
 	RowBounds []int32   // per-tile row cuts
-	ColPtr    [][]int32 // per tile, length C+1
+	ColPtr    [][]int32 // per tile, length C+1; nil until Materialize
 	Row       [][]int32
 	Val       [][]float32
 
-	// The tiles are cut from exactly one of these: the IP partition's
+	// Both forms are cut from exactly one of these: the IP partition's
 	// materialised arrays, or the store.
 	ip          *IPPartition
 	src         matrix.Store
 	mat         sync.Once
 	minPlusSafe bool // set by materialize; see minPlusSafe
+
+	cols colIndex
+	cut  sync.Once
 }
 
-// NewOPPartition builds per-tile CSC slices for the OP kernel from any
-// matrix.Store. Only the row cuts are computed here; the tile slices
-// are cut lazily on first kernel use, each straight from its own row
-// range of the store — no whole-graph column store, compressed or not,
-// is ever built or held. The layout (and therefore results and sim
-// timings) is byte-identical whatever the resident format was.
+// colIndex is the whole-graph CSC: column j's rows, ascending, are
+// row[ptr[j]:ptr[j+1]], with their values alongside.
+type colIndex struct {
+	ptr, row []int32
+	val      []float32
+}
+
+// NewOPPartition builds the OP layouts from any matrix.Store. Only the
+// row cuts are computed here; the tile slices are cut lazily on first
+// kernel use, each straight from its own row range of the store, and
+// the column index from one pass over the whole store. The layout (and
+// therefore results and sim timings) is byte-identical whatever the
+// resident format was.
 func NewOPPartition(m matrix.Store, tiles int, b Balancing) *OPPartition {
 	if tiles < 1 {
 		panic("kernels: tiles must be >= 1")
@@ -338,13 +354,14 @@ func NewOPPartition(m matrix.Store, tiles int, b Balancing) *OPPartition {
 
 // NewPartitions builds both layouts an engine holds for a machine of
 // tiles×pesPerTile PEs: the IP partition, and an OP partition whose
-// tiles are cut from the IP partition's materialised arrays rather than
-// from the store, so the two together decode m once. Tile t owns the IP
-// PEs [t·P, (t+1)·P), P = pesPerTile: the k-th of n cuts is a function
-// of x·k/n (x the nnz or the rows, by balancing), and x·tP/(tiles·P) =
-// x·t/tiles, so every P-th PE cut is the tile cut NewOPPartition would
-// pick — which this constructor checks. Both layouts are byte-identical
-// to NewIPPartition's and NewOPPartition's.
+// tiles and column index are cut from the IP partition's materialised
+// arrays rather than from the store, so the two together decode m
+// once. Tile t owns the IP PEs [t·P, (t+1)·P), P = pesPerTile: the
+// k-th of n cuts is a function of x·k/n (x the nnz or the rows, by
+// balancing), and x·tP/(tiles·P) = x·t/tiles, so every P-th PE cut is
+// the tile cut NewOPPartition would pick — which this constructor
+// checks. Both layouts are byte-identical to NewIPPartition's and
+// NewOPPartition's.
 func NewPartitions(m matrix.Store, tiles, pesPerTile, vblockWords int, b Balancing) (*IPPartition, *OPPartition) {
 	if tiles < 1 || pesPerTile < 1 {
 		panic("kernels: tiles and pesPerTile must be >= 1")
@@ -367,8 +384,8 @@ func NewPartitions(m matrix.Store, tiles, pesPerTile, vblockWords int, b Balanci
 }
 
 // Materialize cuts the per-tile CSC slices if that has not happened
-// yet. Every kernel entry point calls it; it is idempotent and safe for
-// concurrent use.
+// yet. Every pass that reads the tiles calls it; it is idempotent and
+// safe for concurrent use.
 func (p *OPPartition) Materialize() { p.mat.Do(p.materialize) }
 
 // materialize builds the tiles in parallel. A tile owns a row range, so
@@ -417,6 +434,68 @@ func (p *OPPartition) materialize() {
 	p.minPlusSafe = minPlusSafe(slices.Max(maxBits), p.R)
 }
 
+// columns returns the column index, cutting it if that has not
+// happened yet; safe for concurrent use. It is the one-tile layout.
+// From the store it is placeTile over one DecodeRows pass. From the IP
+// arrays it needs no counting pass — a column's length is its
+// out-degree, counted while the IP partition materialised — and it is
+// placed vblock by vblock in parallel: a vblock's elements sit in one
+// segment per PE, its columns own one contiguous run of the index, and
+// a run that small stays in cache where a scatter over the whole index
+// would miss on nearly every element. PE after PE, each segment
+// row-major, every column's rows arrive ascending, as in the tiles.
+func (p *OPPartition) columns() *colIndex {
+	p.cut.Do(func() {
+		c := &p.cols
+		if p.ip != nil {
+			c.ptr, c.row, c.val = p.ip.columns()
+			return
+		}
+		nnz := p.src.NNZ()
+		rows, cols, vals := make([]int32, 0, nnz), make([]int32, 0, nnz), make([]float32, 0, nnz)
+		p.src.DecodeRows(0, int32(p.R), func(row, col int32, val float32) {
+			rows = append(rows, row)
+			cols = append(cols, col)
+			vals = append(vals, val)
+		})
+		c.ptr, c.row, c.val = placeTile(p.C, make([]int32, p.C), rows, cols, vals)
+	})
+	return &p.cols
+}
+
+// columns is OPPartition.columns' cut from the IP arrays.
+func (p *IPPartition) columns() (ptr, row []int32, val []float32) {
+	deg := p.OutDegrees()
+	ptr = make([]int32, p.C+1)
+	for j, d := range deg {
+		ptr[j+1] = ptr[j] + d
+	}
+	row, val = make([]int32, len(p.Row)), make([]float32, len(p.Row))
+	width := p.C
+	if p.VBlockWords > 0 {
+		width = p.VBlockWords
+	}
+	parallelFor(p.NumVBlocks, func(vLo, vHi int32) {
+		next := make([]int32, width)
+		for v := vLo; v < vHi; v++ {
+			lo := v * int32(width)
+			copy(next, ptr[lo:])
+			for _, segs := range p.Segs {
+				i, ok := slices.BinarySearchFunc(segs, v, func(s Seg, v int32) int { return int(s.VB - v) })
+				if !ok {
+					continue
+				}
+				for k := segs[i].Lo; k < segs[i].Hi; k++ {
+					at := &next[p.Col[k]-lo]
+					row[*at], val[*at] = p.Row[k], p.Val[k]
+					*at++
+				}
+			}
+		}
+	})
+	return ptr, row, val
+}
+
 // placeTile transposes one tile's elements into its CSC slice of c
 // columns with a stable counting sort by column, so each column keeps
 // the order its elements arrive in. next is c words of scratch.
@@ -451,8 +530,8 @@ func minPlusSafe(maxBits uint32, n int) bool {
 }
 
 // MinRingFast reports whether the native kernels run ring's lanes
-// through the min-ring forms — the dense-accumulator push and the
-// flat pull — on this graph: BFS always (it never reads a
+// through the min-ring forms — the CAS-min push over the column index
+// and the flat pull — on this graph: BFS always (it never reads a
 // stored value), SSSP when minPlusSafe holds. Every other ring, and
 // SSSP on a graph that fails the check, takes the generic passes. For
 // SSSP it materialises whatever computes the flag, if that has not

@@ -256,3 +256,32 @@ func TestCutFromIPConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The column index NewPartitions cuts from the IP arrays, vblock by
+// vblock, must be byte-identical to the one NewOPPartition decodes
+// from the store, with every column's rows ascending.
+func TestColumnIndexFromIPMatchesStoreDecode(t *testing.T) {
+	spm := cfg(4, 4, sim.SCS).SPMWordsPerTile()
+	for name, m := range cutTestGraphs() {
+		for _, st := range storesOf(t, m) {
+			want := NewOPPartition(st, 4, BalanceNNZ).columns()
+			for j := 0; j < m.C; j++ {
+				if col := want.row[want.ptr[j]:want.ptr[j+1]]; !slices.IsSorted(col) {
+					t.Fatalf("%s/%s: column %d rows %v not ascending", name, st.Format(), j, col)
+				}
+			}
+			for _, vb := range []int{0, 1, 7, 64, spm} {
+				for _, g := range [][2]int{{1, 1}, {4, 4}, {m.R + 3, 1}} {
+					_, op := NewPartitions(st, g[0], g[1], vb, BalanceNNZ)
+					got := op.columns()
+					if !slices.Equal(got.ptr, want.ptr) || !slices.Equal(got.row, want.row) || !bitsEqual(got.val, want.val) {
+						t.Fatalf("%s/%s/vblock %d/%dx%d: column index differs from the store decode", name, st.Format(), vb, g[0], g[1])
+					}
+					if op.ColPtr != nil {
+						t.Fatalf("%s/%s: cutting the column index cut the tiles", name, st.Format())
+					}
+				}
+			}
+		}
+	}
+}

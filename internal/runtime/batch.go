@@ -15,12 +15,12 @@ import (
 // The iteration loop. Every algorithm run is k ≥ 1 lanes advancing in
 // lockstep rounds through runLanes; a solo run is a one-lane batch.
 // Every round's SpMV kernels are issued through the backend's batched
-// entry points (IPMulti / OPMulti) so the matrix traversal is amortized
-// across lanes (SpMV → SpMM). Everything outside the kernel —
-// convergence checks, frontier conversion, merges, reconfiguration
-// decisions, trace rings and checkpoints — stays per lane, so each
-// lane's result is bit-identical to running it alone and each lane
-// finishes, fails, cancels and checkpoints independently.
+// entry points (IPMulti, and OPIteration, which also merges) so the
+// matrix traversal is amortized across lanes (SpMV → SpMM). Everything
+// outside the kernel — convergence checks, frontier conversion, merges,
+// reconfiguration decisions, trace rings and checkpoints — stays per
+// lane, so each lane's result is bit-identical to running it alone and
+// each lane finishes, fails, cancels and checkpoints independently.
 
 // laneState is one run's full iteration state, held in a struct so k
 // lanes can interleave.
@@ -185,12 +185,15 @@ func splitResult(r exec.Result, k int) []exec.Result {
 
 // pendIter is one lane's in-flight iteration within a round.
 type pendIter struct {
-	lane          *laneState
-	st            IterStat
-	cfg           sim.Config
-	x             matrix.Dense // IP kernel input
-	contribDense  matrix.Dense
-	contribSparse *matrix.SparseVec
+	lane         *laneState
+	st           IterStat
+	cfg          sim.Config
+	x            matrix.Dense // IP kernel input
+	contribDense matrix.Dense
+	// An OP iteration's kernel and merge are one backend call, so the
+	// kernel phase leaves its merge's output here.
+	next *matrix.SparseVec
+	mres exec.Result
 }
 
 // runLanes is the iteration loop: it advances all lanes round by round
@@ -198,8 +201,9 @@ type pendIter struct {
 // failed or been cancelled. Per round, each active lane runs its
 // pre-kernel phases (context/hook checks, convergence test, decision
 // tree, frontier conversion); lanes that agree on a kernel and hardware
-// configuration then share one IPMulti/OPMulti invocation, and the
-// merge, reconfiguration charge, trace and checkpoint run per lane.
+// configuration then share one IPMulti or OPIteration invocation (an
+// OP iteration's merges ride in that call), and the IP merge,
+// reconfiguration charge, trace and checkpoint run per lane.
 // Lane results and errors land in the laneState structs; nil entries
 // (lanes that failed validation before being built) are skipped.
 func (f *Framework) runLanes(lanes []*laneState) {
@@ -318,14 +322,16 @@ func (f *Framework) runLanes(lanes []*laneState) {
 			}
 			if group := opG[hw]; len(group) > 0 {
 				fs := make([]*matrix.SparseVec, len(group))
+				vals := make([]matrix.Dense, len(group))
 				ops := make([]kernels.Operand, len(group))
 				for i, p := range group {
 					fs[i] = p.lane.frontier
+					vals[i] = p.lane.vals
 					ops[i] = p.lane.op
 				}
-				contribs, res := be.OPMulti(f.cfg(hw), f.opPart, fs, ops)
+				vals, next, res, mres := be.OPIteration(f.cfg(hw), f.opPart, fs, vals, ops)
 				for i, p := range group {
-					p.contribSparse = contribs[i]
+					p.lane.vals, p.next, p.mres = vals[i], next[i], mres[i]
 				}
 				chargeKernel(group, res)
 			}
@@ -334,12 +340,9 @@ func (f *Framework) runLanes(lanes []*laneState) {
 		// Merge + bookkeeping phase, per lane in lane order.
 		for _, p := range round {
 			l := p.lane
-			var mres exec.Result
-			var next *matrix.SparseVec
+			next, mres := p.next, p.mres
 			if p.st.Decision.UseIP {
 				l.vals, next, mres = be.MergeDense(p.cfg, p.contribDense, l.vals, l.op)
-			} else {
-				l.vals, next, mres = be.ScatterMerge(p.cfg, p.contribSparse, l.vals, l.op)
 			}
 			p.st.MergeCycles = mres.Cycles
 			p.st.MergeWall = mres.Wall

@@ -98,14 +98,17 @@ type Policy struct {
 	// NativeMinCrossover replaces NativeCrossover for a lane whose ring
 	// runs the native min-ring kernels (kernels.OPPartition.MinRingFast:
 	// BFS, and SSSP on non-negative finite weights). Their push has no
-	// heap — a dense accumulator per worker — and their pull is one
-	// flat min per edge, so the crossover moves up to where a sweep of
-	// every edge costs less than scattering the active columns' edges.
-	// Fitted on job time (BENCH_backends.json
-	// "native_min_crossover_fit"). The value stays while its median
-	// job time is within the quartile spread of the best candidate on
-	// every graph. With the flat pull, 0.1 and 0.2 both pass; 0.01–0.05
-	// fall outside on vsp and 0.3–0.4 on pokec.
+	// heap — one CAS-min pass over the whole-graph column index that is
+	// also the merge — and their pull is one flat min per edge, so the
+	// crossover moves up to where a sweep of every edge costs less than
+	// pushing the active columns' edges. Fitted on job time
+	// (BENCH_backends.json "native_min_crossover_fit"). The value stays
+	// while its median job time is within the quartile spread of the
+	// best candidate on every graph — and a moved value must leave no
+	// benchmark workload slower. With the fused push, 0.2 falls outside
+	// on pokec or vsp in each of three fits, where 0.4–0.6 are best;
+	// but 0.5 made lib-traverse-sparse 2.5 % slower in six of six
+	// paired runs, so 0.2 stays.
 	NativeMinCrossover float64
 }
 

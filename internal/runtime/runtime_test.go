@@ -2,12 +2,14 @@ package runtime
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/matrix"
+	"cosparse/internal/semiring"
 	"cosparse/internal/sim"
 )
 
@@ -464,5 +466,120 @@ func TestEngineDecodesStoreOnce(t *testing.T) {
 				t.Fatalf("%s/%s: DecodeRows emitted %d elements, want nnz = %d", st.Format(), be.Name(), n, m.NNZ())
 			}
 		}
+	}
+}
+
+// A native engine that runs only BFS, SSSP and PageRank never cuts the
+// OP tiles: its min-ring pushes read the column index. The first
+// generic-ring OP iteration on the engine — SpMV, or a custom ring —
+// cuts them, and every answer stays what it was. The simulator reads
+// the tiles from its first OP iteration, as before.
+func TestNativeEngineCutsTilesLazily(t *testing.T) {
+	m := gen.PowerLaw(2000, 20000, 0.6, gen.UniformWeight, 33)
+	deg := m.OutDegrees()
+	src := int32(0)
+	for v, d := range deg {
+		if d > deg[src] {
+			src = int32(v)
+		}
+	}
+	ranOP := func(what string, rep *Report) {
+		t.Helper()
+		for _, it := range rep.Iters {
+			if !it.Decision.UseIP {
+				return
+			}
+		}
+		t.Fatalf("%s ran no OP iteration", what)
+	}
+	sameVals := func(what string, got, want matrix.Dense) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: vertex %d: %g, want %g", what, i, got[i], want[i])
+			}
+		}
+	}
+	traverse := func(f *Framework) (parents []int32, dist, ranks matrix.Dense) {
+		t.Helper()
+		bfs, brep, err := f.BFS(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, srep, err := f.SSSP(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranks, _, err = f.PageRank(3, 0.15); err != nil {
+			t.Fatal(err)
+		}
+		ranOP("BFS", brep)
+		ranOP("SSSP", srep)
+		return bfs.Parent, dist, ranks
+	}
+
+	native := newFW(t, m, Options{Backend: exec.Native()})
+	parents, dist, ranks := traverse(native)
+	if native.opPart.ColPtr != nil {
+		t.Fatal("BFS, SSSP and PageRank cut the OP tiles")
+	}
+
+	// SpMV from a few sources runs the generic push.
+	idx := []int32{3, src, 1999}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	f := &matrix.SparseVec{N: m.C, Idx: idx, Val: make([]float32, len(idx))}
+	for k := range f.Val {
+		f.Val[k] = float32(k) + 0.5
+	}
+	spmv, rep, err := native.SpMV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranOP("SpMV", rep)
+	if native.opPart.ColPtr == nil {
+		t.Fatal("a native SpMV OP iteration left the tiles uncut")
+	}
+	want, _, err := newFW(t, m, Options{Backend: exec.Sim()}).SpMV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVals("SpMV against the simulator", spmv, want)
+	p2, d2, r2 := traverse(native)
+	if !slices.Equal(p2, parents) {
+		t.Fatal("BFS parents changed once the tiles were cut")
+	}
+	sameVals("SSSP once the tiles were cut", d2, dist)
+	sameVals("PageRank once the tiles were cut", r2, ranks)
+
+	// SSSP under a custom Kind runs the generic push on a fresh engine.
+	custom := semiring.SSSP()
+	custom.Kind = semiring.KindCustom
+	fresh := newFW(t, m, Options{Backend: exec.Native()})
+	start := make(matrix.Dense, m.R)
+	for i := range start {
+		start[i] = custom.Identity
+	}
+	start[src] = 0
+	got, rep, err := fresh.RunCustom(custom, semiring.Ctx{}, start,
+		&matrix.SparseVec{N: m.C, Idx: []int32{src}, Val: []float32{0}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranOP("custom SSSP", rep)
+	if fresh.opPart.ColPtr == nil {
+		t.Fatal("a native custom-ring OP iteration left the tiles uncut")
+	}
+	sameVals("custom-ring SSSP against the min-ring push", got, dist)
+
+	small := gen.PowerLaw(300, 3000, 0.6, gen.UniformWeight, 29)
+	simulated := newFW(t, small, Options{Backend: exec.Sim()})
+	_, rep, err = simulated.BFS(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranOP("simulated BFS", rep)
+	if simulated.opPart.ColPtr == nil {
+		t.Fatal("the simulator ran OP without cutting the tiles")
 	}
 }
