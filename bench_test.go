@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cosparse/internal/bench"
-	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/kernels"
 	"cosparse/internal/ligra"
@@ -94,11 +93,11 @@ func BenchmarkSimIPKernel(b *testing.B) {
 	g := sim.Geometry{Tiles: 4, PEsPerTile: 8}
 	cfg := sim.NewConfig(g, sim.SC)
 	part := kernels.NewIPPartition(coo, g.TotalPEs(), 0, kernels.BalanceNNZ)
-	x := gen.Frontier(coo.C, 0.5, 7).ToDense(0)
-	op := kernels.Operand{Ring: semiring.SpMV()}
+	x := []matrix.Dense{gen.Frontier(coo.C, 0.5, 7).ToDense(0)}
+	op := []kernels.Operand{{Ring: semiring.SpMV()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, res := exec.Sim().IP(cfg, part, x, op)
+		_, res := kernels.RunIPMulti(cfg, part, x, op)
 		if res.Cycles == 0 {
 			b.Fatal("no cycles")
 		}
@@ -302,12 +301,12 @@ func ablationRun(b *testing.B, mutate func(*sim.Params)) int64 {
 	cfg := sim.NewConfig(g, sim.SC)
 	mutate(&cfg.Params)
 	part := kernels.NewIPPartition(coo, g.TotalPEs(), 0, kernels.BalanceNNZ)
-	x := gen.Frontier(coo.C, 0.5, 7).ToDense(0)
-	op := kernels.Operand{Ring: semiring.SpMV()}
+	x := []matrix.Dense{gen.Frontier(coo.C, 0.5, 7).ToDense(0)}
+	op := []kernels.Operand{{Ring: semiring.SpMV()}}
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, res := exec.Sim().IP(cfg, part, x, op)
+		_, res := kernels.RunIPMulti(cfg, part, x, op)
 		cycles = res.Cycles
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")

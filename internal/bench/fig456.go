@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/kernels"
 	"cosparse/internal/matrix"
@@ -22,7 +21,7 @@ func spmvCycles(cfg sim.Config, coo *matrix.COO, f *matrix.SparseVec) int64 {
 		// scratchpad (§III-B: blocking "can still be beneficial" for SC).
 		vb := sim.Config{Geometry: cfg.Geometry, HW: sim.SCS, Params: cfg.Params}.SPMWordsPerTile()
 		part := kernels.NewIPPartition(coo, cfg.Geometry.TotalPEs(), vb, kernels.BalanceNNZ)
-		_, res := exec.Sim().IP(cfg, part, f.ToDense(0), op)
+		_, res := kernels.RunIPMulti(cfg, part, []matrix.Dense{f.ToDense(0)}, []kernels.Operand{op})
 		return res.Cycles
 	}
 	part := kernels.NewOPPartition(coo, cfg.Geometry.Tiles, kernels.BalanceNNZ)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"cosparse/internal/exec"
 	"cosparse/internal/gen"
 	"cosparse/internal/kernels"
 	"cosparse/internal/matrix"
@@ -87,6 +86,7 @@ func Fig7(s Scale) (*Fig7Result, *Table) {
 
 	ring := semiring.SpMV()
 	op := kernels.Operand{Ring: ring}
+	ops := []kernels.Operand{op}
 	par := s.Params()
 
 	for _, mspec := range fig7Matrices(s) {
@@ -99,15 +99,15 @@ func Fig7(s Scale) (*Fig7Result, *Table) {
 
 		// ---- IP panel (vector density 1.0) ----
 		fIP := gen.Frontier(mspec.N, 1.0, 703)
-		xIP := fIP.ToDense(0)
+		xIP := []matrix.Dense{fIP.ToDense(0)}
 		for _, hw := range []sim.HWConfig{sim.SC, sim.SCS} {
 			cfg := sim.Config{Geometry: g, HW: hw, Params: par}
 			vb := sim.Config{Geometry: g, HW: sim.SCS, Params: par}.SPMWordsPerTile()
 			uniPart := kernels.NewIPPartition(uni, g.TotalPEs(), vb, kernels.BalanceNNZ)
-			_, uniRes := exec.Sim().IP(cfg, uniPart, xIP, op)
+			_, uniRes := kernels.RunIPMulti(cfg, uniPart, xIP, ops)
 			for _, b := range []kernels.Balancing{kernels.BalanceRows, kernels.BalanceNNZ} {
 				plPart := kernels.NewIPPartition(pl, g.TotalPEs(), vb, b)
-				_, plRes := exec.Sim().IP(cfg, plPart, xIP, op)
+				_, plRes := kernels.RunIPMulti(cfg, plPart, xIP, ops)
 				cell := Fig7Cell{
 					Matrix: mspec.Name, Config: hw, Balancing: b,
 					Normalized: float64(plRes.Cycles) / float64(uniRes.Cycles),

@@ -14,7 +14,6 @@
 package exec
 
 import (
-	"fmt"
 	"time"
 
 	"cosparse/internal/kernels"
@@ -36,7 +35,9 @@ type Result struct {
 	Balance float64
 }
 
-// Backend executes the five kernel passes of one CoSPARSE iteration.
+// Backend runs one CoSPARSE iteration per dataflow — the kernel and the
+// merge of its output into each lane's values — plus the frontier
+// conversion an IP iteration on a sparse-frontier ring needs first.
 // The sim.Config argument carries the geometry and the (nominal, for
 // native) hardware configuration the decision layer chose; a backend is
 // free to ignore the parts it does not model.
@@ -52,44 +53,22 @@ type Backend interface {
 	// crossover thresholds.
 	Simulated() bool
 
-	// IP runs the inner-product kernel over the dense frontier x. IP
-	// and OP are the one-lane forms of IPMulti and OPMulti; the
-	// runtime's iteration loop calls IPMulti and OPIteration.
-	IP(cfg sim.Config, part *kernels.IPPartition, x matrix.Dense, op kernels.Operand) (matrix.Dense, Result)
-
-	// OP runs the outer-product kernel over the sparse frontier f.
-	OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.SparseVec, op kernels.Operand) (*matrix.SparseVec, Result)
-
-	// IPMulti runs k fused inner-product kernels over one matrix
-	// traversal (SpMV → SpMM with LaneBlock-wide vector blocks). Each
-	// lane's output is bit-identical to a solo IP call with the same
-	// frontier and operand; the Result is the fused run's aggregate
-	// cost, which the caller apportions across lanes (a single lane's
-	// Result is that lane's solo cost, Stats included).
-	IPMulti(cfg sim.Config, part *kernels.IPPartition, xs []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, Result)
-
-	// OPMulti runs k outer-product kernels in one batched invocation
-	// (lanes share the tile-local CSC working set). Per-lane outputs
-	// are bit-identical to solo OP calls; the Result is the aggregate.
-	OPMulti(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, ops []kernels.Operand) ([]*matrix.SparseVec, Result)
+	// IPIteration runs one inner-product iteration for k lanes: k
+	// fused kernels over one matrix traversal of the dense frontiers xs
+	// (SpMV → SpMM with LaneBlock-wide vector blocks), then the dense
+	// merge of each lane's output into its values, which it updates in
+	// place. It returns each lane's merged values and next frontier (nil
+	// for dense-frontier semirings), the kernel's aggregate cost — which
+	// the caller apportions across lanes; a single lane's is that lane's
+	// solo cost, Stats included — and each lane's merge cost. A lane's
+	// values do not depend on how many lanes ride along.
+	IPIteration(cfg sim.Config, part *kernels.IPPartition, xs, vals []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, []*matrix.SparseVec, Result, []Result)
 
 	// OPIteration runs one outer-product iteration for k lanes: the
 	// kernel over each lane's sparse frontier, then the scatter merge
 	// of its output into the lane's values, which it updates in place.
-	// It returns each lane's merged values and next frontier —
-	// bit-identical to OPMulti followed by one ScatterMerge per lane —
-	// with the kernel phase's aggregate cost, as OPMulti reports it,
-	// and each lane's merge cost. The runtime's iteration loop calls it
-	// once per OP sub-group.
+	// It returns what IPIteration returns.
 	OPIteration(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, vals []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, []*matrix.SparseVec, Result, []Result)
-
-	// MergeDense merges the IP kernel output into vals and extracts the
-	// next sparse frontier (nil for dense-frontier semirings).
-	MergeDense(cfg sim.Config, contrib, vals matrix.Dense, op kernels.Operand) (matrix.Dense, *matrix.SparseVec, Result)
-
-	// ScatterMerge merges the OP kernel output into vals and extracts
-	// the next sparse frontier.
-	ScatterMerge(cfg sim.Config, contrib *matrix.SparseVec, vals matrix.Dense, op kernels.Operand) (matrix.Dense, *matrix.SparseVec, Result)
 
 	// FrontierDense maintains the persistent dense frontier buffer:
 	// clear the previously scattered indices, scatter in the new ones.
@@ -100,16 +79,4 @@ type Backend interface {
 	// reconfiguration penalty, the native backend charges nothing (the
 	// "reconfiguration" is just calling a different function).
 	ReconfigCycles(par sim.Params) int64
-}
-
-// ByName resolves a backend by its flag/request spelling. The empty
-// string means the default (sim) backend.
-func ByName(name string) (Backend, error) {
-	switch name {
-	case "", "sim":
-		return Sim(), nil
-	case "native":
-		return Native(), nil
-	}
-	return nil, fmt.Errorf("exec: unknown backend %q (want \"sim\" or \"native\")", name)
 }

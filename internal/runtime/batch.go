@@ -14,13 +14,14 @@ import (
 
 // The iteration loop. Every algorithm run is k ≥ 1 lanes advancing in
 // lockstep rounds through runLanes; a solo run is a one-lane batch.
-// Every round's SpMV kernels are issued through the backend's batched
-// entry points (IPMulti, and OPIteration, which also merges) so the
-// matrix traversal is amortized across lanes (SpMV → SpMM). Everything
-// outside the kernel — convergence checks, frontier conversion, merges,
-// reconfiguration decisions, trace rings and checkpoints — stays per
-// lane, so each lane's result is bit-identical to running it alone and
-// each lane finishes, fails, cancels and checkpoints independently.
+// Every round's SpMV kernels and merges are issued through the
+// backend's two batched entry points, IPIteration and OPIteration, so
+// the matrix traversal is amortized across lanes (SpMV → SpMM). The
+// merges inside those calls run per lane, and everything else —
+// convergence checks, frontier conversion, reconfiguration decisions,
+// trace rings and checkpoints — stays per lane, so each lane's result
+// is bit-identical to running it alone and each lane finishes, fails,
+// cancels and checkpoints independently.
 
 // laneState is one run's full iteration state, held in a struct so k
 // lanes can interleave.
@@ -185,25 +186,52 @@ func splitResult(r exec.Result, k int) []exec.Result {
 
 // pendIter is one lane's in-flight iteration within a round.
 type pendIter struct {
-	lane         *laneState
-	st           IterStat
-	cfg          sim.Config
-	x            matrix.Dense // IP kernel input
-	contribDense matrix.Dense
-	// An OP iteration's kernel and merge are one backend call, so the
-	// kernel phase leaves its merge's output here.
+	lane *laneState
+	st   IterStat
+	x    matrix.Dense // IP kernel input
+	// An iteration's kernel and merge are one backend call, so the
+	// kernel phase leaves the next frontier here.
 	next *matrix.SparseVec
-	mres exec.Result
+}
+
+// subGroup is the lanes of one round that share a (dataflow, HW)
+// backend call.
+type subGroup []*pendIter
+
+// args gathers the sub-group's per-lane values and operands.
+func (g subGroup) args() ([]matrix.Dense, []kernels.Operand) {
+	vals := make([]matrix.Dense, len(g))
+	ops := make([]kernels.Operand, len(g))
+	for i, p := range g {
+		vals[i], ops[i] = p.lane.vals, p.lane.op
+	}
+	return vals, ops
+}
+
+// land books a sub-group's backend call to its lanes: each lane's
+// merged values and next frontier, its share of the kernel cost and
+// its merge cost.
+func (g subGroup) land(vals []matrix.Dense, next []*matrix.SparseVec, kernel exec.Result, merge []exec.Result) {
+	for i, share := range splitResult(kernel, len(g)) {
+		p, m := g[i], merge[i]
+		p.lane.vals, p.next = vals[i], next[i]
+		p.st.KernelCycles, p.st.KernelWall = share.Cycles, share.Wall
+		p.st.MergeCycles, p.st.MergeWall = m.Cycles, m.Wall
+		p.st.EnergyJ += share.EnergyJ
+		p.st.EnergyJ += m.EnergyJ
+		p.st.Stats.Add(share.Stats)
+		p.st.Stats.Add(m.Stats)
+	}
 }
 
 // runLanes is the iteration loop: it advances all lanes round by round
 // until every lane has converged, exhausted its iteration budget,
 // failed or been cancelled. Per round, each active lane runs its
 // pre-kernel phases (context/hook checks, convergence test, decision
-// tree, frontier conversion); lanes that agree on a kernel and hardware
-// configuration then share one IPMulti or OPIteration invocation (an
-// OP iteration's merges ride in that call), and the IP merge,
-// reconfiguration charge, trace and checkpoint run per lane.
+// tree, frontier conversion); lanes that agree on a dataflow and
+// hardware configuration then share one IPIteration or OPIteration
+// call, which also merges, and the reconfiguration charge, trace and
+// checkpoint run per lane.
 // Lane results and errors land in the laneState structs; nil entries
 // (lanes that failed validation before being built) are skipped.
 func (f *Framework) runLanes(lanes []*laneState) {
@@ -258,7 +286,6 @@ func (f *Framework) runLanes(lanes []*laneState) {
 					Decision:    dec,
 					Reconfig:    l.iter > 0 && dec != l.prev,
 				},
-				cfg: f.cfg(dec.HW),
 			})
 		}
 		if len(round) == 0 {
@@ -270,7 +297,7 @@ func (f *Framework) runLanes(lanes []*laneState) {
 		// conversion, attributed exactly to its lane. Sub-groups are
 		// indexed by hardware configuration, which fixes the kernel
 		// phase's execution order (SC, SCS, PC, PS).
-		var ipG, opG [sim.PS + 1][]*pendIter
+		var ipG, opG [sim.PS + 1]subGroup
 		for _, p := range round {
 			l := p.lane
 			ring := &l.op.Ring
@@ -288,7 +315,7 @@ func (f *Framework) runLanes(lanes []*laneState) {
 						}
 					}
 					var convRes exec.Result
-					l.fDense, convRes = be.FrontierDense(p.cfg, l.fDense, l.lastSet, l.frontier, l.op)
+					l.fDense, convRes = be.FrontierDense(f.cfg(p.st.Decision.HW), l.fDense, l.lastSet, l.frontier, l.op)
 					l.lastSet = l.frontier
 					p.st.ConvCycles = convRes.Cycles
 					p.st.ConvWall = convRes.Wall
@@ -302,53 +329,33 @@ func (f *Framework) runLanes(lanes []*laneState) {
 			}
 		}
 
-		// Kernel phase: one batched invocation per (kernel, HW)
+		// Kernel and merge phase: one backend call per (dataflow, HW)
 		// sub-group. Lanes whose decision tree picked different hardware
 		// configurations run in separate sub-batches so each lane's
 		// recorded decision matches what actually executed.
 		for hw := sim.SC; hw <= sim.PS; hw++ {
 			if group := ipG[hw]; len(group) > 0 {
 				xs := make([]matrix.Dense, len(group))
-				ops := make([]kernels.Operand, len(group))
 				for i, p := range group {
 					xs[i] = p.x
-					ops[i] = p.lane.op
 				}
-				contribs, res := be.IPMulti(f.cfg(hw), f.ipPart, xs, ops)
-				for i, p := range group {
-					p.contribDense = contribs[i]
-				}
-				chargeKernel(group, res)
+				vals, ops := group.args()
+				group.land(be.IPIteration(f.cfg(hw), f.ipPart, xs, vals, ops))
 			}
 			if group := opG[hw]; len(group) > 0 {
 				fs := make([]*matrix.SparseVec, len(group))
-				vals := make([]matrix.Dense, len(group))
-				ops := make([]kernels.Operand, len(group))
 				for i, p := range group {
 					fs[i] = p.lane.frontier
-					vals[i] = p.lane.vals
-					ops[i] = p.lane.op
 				}
-				vals, next, res, mres := be.OPIteration(f.cfg(hw), f.opPart, fs, vals, ops)
-				for i, p := range group {
-					p.lane.vals, p.next, p.mres = vals[i], next[i], mres[i]
-				}
-				chargeKernel(group, res)
+				vals, ops := group.args()
+				group.land(be.OPIteration(f.cfg(hw), f.opPart, fs, vals, ops))
 			}
 		}
 
-		// Merge + bookkeeping phase, per lane in lane order.
+		// Bookkeeping phase, per lane in lane order.
 		for _, p := range round {
 			l := p.lane
-			next, mres := p.next, p.mres
-			if p.st.Decision.UseIP {
-				l.vals, next, mres = be.MergeDense(p.cfg, p.contribDense, l.vals, l.op)
-			}
-			p.st.MergeCycles = mres.Cycles
-			p.st.MergeWall = mres.Wall
-			p.st.EnergyJ += mres.EnergyJ
-			p.st.Stats.Add(mres.Stats)
-
+			next := p.next
 			p.st.TotalCycles = p.st.ConvCycles + p.st.KernelCycles + p.st.MergeCycles
 			p.st.TotalWall = p.st.ConvWall + p.st.KernelWall + p.st.MergeWall
 			if p.st.Reconfig {
@@ -385,18 +392,6 @@ func (f *Framework) runLanes(lanes []*laneState) {
 			}
 			l.iter = done
 		}
-	}
-}
-
-// chargeKernel books one kernel invocation's cost to the lanes that
-// shared it.
-func chargeKernel(group []*pendIter, res exec.Result) {
-	for i, share := range splitResult(res, len(group)) {
-		st := &group[i].st
-		st.KernelCycles = share.Cycles
-		st.KernelWall = share.Wall
-		st.EnergyJ += share.EnergyJ
-		st.Stats.Add(share.Stats)
 	}
 }
 

@@ -2,6 +2,7 @@ package semiring
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -107,6 +108,9 @@ func TestCFRing(t *testing.T) {
 
 // Properties every ring must satisfy for the kernels to be exchangeable.
 func TestRingAlgebraicProperties(t *testing.T) {
+	// The draws come from a fixed seed, logged so a failure replays.
+	const seed = 20261018
+	t.Logf("testing/quick seed %d", seed)
 	rings := []Semiring{SpMV(), BFS(), SSSP(), PR(), CF()}
 	for _, r := range rings {
 		if r.MatOp == nil || r.Reduce == nil || r.Improving == nil {
@@ -125,12 +129,42 @@ func TestRingAlgebraicProperties(t *testing.T) {
 			}
 			l := r.Reduce(r.Reduce(a, b), c)
 			rr := r.Reduce(a, r.Reduce(b, c))
-			return eqTol(l, rr, 1e-3)
+			return sumsAgree(l, rr, a, b, c)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}
+		if err := quick.Check(f, cfg); err != nil {
 			t.Errorf("%s: Reduce not commutative/associative: %v", r.Name, err)
 		}
 	}
+}
+
+// sumsAgree reports whether l and r, a Reduce over a, b and c in two
+// orders, differ by no more than float32 rounding allows. Each rounded
+// float32 add is the exact sum times (1+δ), |δ| ≤ u = 2⁻²⁴, so a
+// k-term sum in any order is within γ_{k-1}·Σ|xᵢ| of the exact sum,
+// γ_n = n·u/(1−n·u) (Higham, Accuracy and Stability of Numerical
+// Algorithms, §4.2), and two orders are within 2·γ_{k-1}·Σ|xᵢ| of each
+// other. For k = 3 that is 4u/(1−2u)·Σ|xᵢ|, under k·ε·Σ|xᵢ| = 6u·Σ|xᵢ|
+// with ε = 2u = 2⁻²³, the float32 machine epsilon. Min rings are
+// exact, so they meet the bound with equality. The model has no
+// overflow: a partial sum past the float32 range may round to ±Inf in
+// one order and not the other, so an infinite result only has to come
+// from such a partial sum.
+func sumsAgree(l, r, a, b, c float32) bool {
+	if eq(l, r) {
+		return true
+	}
+	x, y, z := float64(a), float64(b), float64(c)
+	if math.IsInf(float64(l), 0) || math.IsInf(float64(r), 0) {
+		for _, s := range []float64{x + y, y + z, x + y + z} {
+			if math.Abs(s) > math.MaxFloat32 {
+				return true
+			}
+		}
+		return false
+	}
+	const k, eps = 3, 0x1p-23
+	return math.Abs(float64(l)-float64(r)) <= k*eps*(math.Abs(x)+math.Abs(y)+math.Abs(z))
 }
 
 // Min-plus rings must treat Identity as a true reduce identity.
@@ -161,13 +195,4 @@ func eq(a, b float32) bool {
 		return true
 	}
 	return a == b
-}
-
-func eqTol(a, b float32, tol float64) bool {
-	if eq(a, b) {
-		return true
-	}
-	d := math.Abs(float64(a - b))
-	s := math.Max(math.Abs(float64(a)), math.Abs(float64(b)))
-	return d <= tol*math.Max(s, 1)
 }
