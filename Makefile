@@ -37,18 +37,18 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # keeping steady-state PageRank under 1 MB of allocation — and the
 # partition builds: every OP tile cut from the row store equal to the
 # column store filtered by row range, both layouts independent of
-# GOMAXPROCS, Materialize raced by eight kernels, the engine's OP tiles
-# cut from the IP arrays byte-equal to the store decode with the
-# degrees counted alongside, that cut and OutDegrees raced by eight
+# GOMAXPROCS, Materialize raced by eight kernels, the OP tiles cut at
+# any PE count and vblock width byte-equal to the one-PE-per-tile cut
+# with the degrees counted alongside, that cut and OutDegrees raced by eight
 # kernels, and an engine decoding its store exactly once — and the Ligra
 # baseline's counts a function of the input alone (Jacobi pull) — and
 # concurrent runs: mixed algorithms sharing one engine answer exactly
 # what they answer alone, and same-graph service jobs overlap inside
-# one engine — and the native min-ring kernels: the heap-free push,
-# the flat pull and the closure-free merges bit-identical to the
-# simulator's passes and mergeValue, the fused CAS-min push-merge
-# bit-identical to that push and its scatter merge over whole BFS and
-# SSSP traversals at GOMAXPROCS 1, 2 and 8 (thousands of frontier
+# one engine — and the native min-ring kernels: the flat pull and the
+# closure-free dense merge bit-identical to the simulator's passes and
+# mergeValue, the tile pass to RunOP, the fused CAS-min push-merge
+# bit-identical to the tile pass and its scatter merge over whole BFS
+# and SSSP traversals at GOMAXPROCS 1, 2 and 8 (thousands of frontier
 # columns racing for one hub row), the whole-graph column index it
 # reads cut from the IP arrays byte-equal to the store decode, a
 # native engine that runs only BFS, SSSP and PageRank never cutting
@@ -69,7 +69,7 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesFromIPMatchStoreDecode|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesIndependentOfPEsAndVBlocks|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
@@ -129,7 +129,7 @@ bench:
 # BFS and SSSP iteration each way swept over frontier density — pull
 # plus dense merge against the fused push-merge
 # (BenchmarkNativeTraverse, ns/edge and ns/op) — the dense merge for PR, BFS and SSSP (ns/vertex)
-# and the BFS and SSSP scatter merge (ns/elem), with allocation
+# and the SpMV scatter merge (ns/elem), with allocation
 # counts — then the cold engine
 # build (New + first IP call + first OP call) per resident format, in
 # ms/op and MB allocated/op.

@@ -43,11 +43,11 @@ func (NativeBackend) IPIteration(cfg sim.Config, part *kernels.IPPartition, xs, 
 	return vals, next, kernel, merge
 }
 
-// OPIteration runs each lane that kernels.NativePushMerge takes — BFS,
-// and SSSP on the weights MinRingFast admits — as one fused pass whose
-// push is the kernel cost and whose frontier emit is the merge cost,
-// and every other lane through NativeOPMulti followed by its
-// NativeScatterMerge.
+// OPIteration has one path per ring class. Each lane that
+// kernels.NativePushMerge takes — BFS, and SSSP on the weights
+// MinRingFast admits — runs as one fused pass whose push is the kernel
+// cost and whose frontier emit is the merge cost; every other lane runs
+// NativeOPMulti's tile pass, then its NativeScatterMerge.
 func (NativeBackend) OPIteration(cfg sim.Config, part *kernels.OPPartition, fs []*matrix.SparseVec, vals []matrix.Dense, ops []kernels.Operand) ([]matrix.Dense, []*matrix.SparseVec, Result, []Result) {
 	next := make([]*matrix.SparseVec, len(fs))
 	merge := make([]Result, len(fs))
@@ -99,7 +99,8 @@ func (b NativeBackend) IP(cfg sim.Config, part *kernels.IPPartition, x matrix.De
 	return outs[0], res
 }
 
-// OP runs the outer-product kernel for one lane. Probe-only.
+// OP runs the outer-product tile pass for one lane of any ring, the
+// min rings included. Probe-only.
 func (NativeBackend) OP(cfg sim.Config, part *kernels.OPPartition, f *matrix.SparseVec, op kernels.Operand) (*matrix.SparseVec, Result) {
 	t0 := time.Now()
 	outs := kernels.NativeOPMulti(part, []*matrix.SparseVec{f}, []kernels.Operand{op}, cfg.Geometry.PEsPerTile)

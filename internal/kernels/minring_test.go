@@ -73,12 +73,13 @@ func withWeight(m *matrix.COO, w float32) *matrix.COO {
 	return c
 }
 
-// TestNativeOPMinRingsMatchRunOP runs the dense-accumulator push
-// against the simulator's heap pass: BFS and SSSP frontiers from 0.01 %
-// to 60 % density on 2×8 and 16×16 tile layouts, solo and as lanes of
-// one call mixed with a custom ring (which keeps the heap pass), on a
-// graph minPlusSafe admits and on graphs with a zero weight (admitted)
-// and with a −0, a negative or an +Inf weight (SSSP falls back).
+// TestNativeOPMinRingsMatchRunOP holds NativeOPMulti, the reference
+// the fused push is checked against, to the simulator's RunOP for the
+// min rings: BFS and SSSP frontiers from 0.01 % to 60 % density on 2×8
+// and 16×16 tile layouts, solo and as lanes of one call mixed with a
+// custom ring, on a graph minPlusSafe admits and on graphs with a zero
+// weight (admitted) and with a −0, a negative or an +Inf weight (SSSP
+// falls back), where MinRingFast must say which.
 func TestNativeOPMinRingsMatchRunOP(t *testing.T) {
 	base := gen.PowerLaw(4000, 16000, 0.6, gen.UniformWeight, 5)
 	graphs := []struct {
@@ -290,8 +291,8 @@ func TestNativeIPMinRingsMatchGenericPass(t *testing.T) {
 }
 
 // TestNativeMinMergesMatchGeneric holds the specialised BFS/SSSP dense
-// and scatter merges to mergeValue and Improving — the generic body the
-// other rings and the simulator use — on contributions with NaN, ±Inf,
+// merge to mergeValue and Improving — the generic body the other rings
+// and the simulator use — on contributions with NaN, ±Inf,
 // ±0 and ties, against values that include BFS rows already set: the
 // merged values must be bit-equal and the frontiers identical.
 func TestNativeMinMergesMatchGeneric(t *testing.T) {
@@ -308,45 +309,26 @@ func TestNativeMinMergesMatchGeneric(t *testing.T) {
 			start[i] = contrib[i] // a tie
 		}
 	}
-	// Every tenth contribution index, as the sparse push output.
-	sparse := &matrix.SparseVec{N: n}
-	for i := 0; i < n; i += 10 {
-		sparse.Idx = append(sparse.Idx, int32(i))
-		sparse.Val = append(sparse.Val, contrib[i])
-	}
 	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
 		op := Operand{Ring: ring}
 		if !minMerge(&op.Ring) {
 			t.Fatalf("%s: not merged as a plain min", ring.Name)
 		}
-		generic := func(idx []int32, vals []float32) (matrix.Dense, *matrix.SparseVec) {
-			out := start.Clone()
-			f := &matrix.SparseVec{N: n}
-			for k, i := range idx {
-				old := out[i]
-				nv := mergeValue(&op, i, vals[k], old)
-				out[i] = nv
-				if ring.Improving(nv, old) {
-					f.Idx = append(f.Idx, i)
-					f.Val = append(f.Val, nv)
-				}
+		want := start.Clone()
+		wantF := &matrix.SparseVec{N: n}
+		for i, c := range contrib {
+			old := want[i]
+			nv := mergeValue(&op, int32(i), c, old)
+			want[i] = nv
+			if ring.Improving(nv, old) {
+				wantF.Idx = append(wantF.Idx, int32(i))
+				wantF.Val = append(wantF.Val, nv)
 			}
-			return out, f
 		}
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		wantDense, wantDenseF := generic(all, contrib)
-		gotDense, gotDenseF := NativeMergeDense(contrib, start.Clone(), op)
-		sameBits(t, ring.Name+" dense merge values", gotDense, wantDense)
-		sameSparse(t, ring.Name+" dense merge frontier", gotDenseF, wantDenseF)
-
-		wantScatter, wantScatterF := generic(sparse.Idx, sparse.Val)
-		gotScatter, gotScatterF := NativeScatterMerge(sparse, start.Clone(), op)
-		sameBits(t, ring.Name+" scatter merge values", gotScatter, wantScatter)
-		sameSparse(t, ring.Name+" scatter merge frontier", gotScatterF, wantScatterF)
-		if wantDenseF.NNZ() == 0 || wantScatterF.NNZ() == 0 {
+		got, gotF := NativeMergeDense(contrib, start.Clone(), op)
+		sameBits(t, ring.Name+" dense merge values", got, want)
+		sameSparse(t, ring.Name+" dense merge frontier", gotF, wantF)
+		if wantF.NNZ() == 0 {
 			t.Fatalf("%s: no contribution improved a value", ring.Name)
 		}
 	}
@@ -396,16 +378,16 @@ func hubGraph() (*matrix.COO, int32) {
 }
 
 // TestNativePushMergeMatchesOPScatterMerge holds the fused push-merge
-// to the composition it replaces — NativeOPMulti, then
-// NativeScatterMerge — iteration by iteration over whole BFS and SSSP
-// traversals, through the lane's own bitmap from the first iteration to
-// an empty frontier: values and next frontier bit-equal every time. It
-// runs at GOMAXPROCS 1, 2 and 8, several times each, since the CAS-min
-// interleaving differs run to run: on a power-law graph (with a zero
-// weight), and on hubGraph, where thousands of frontier columns race
-// for the same rows and BFS meets rows set in earlier iterations. The
-// composition is itself held to the heap pass (the ring under a custom
-// Kind), which shares no code with the push.
+// to the pair it replaces — NativeOPMulti's heap pass, then
+// NativeScatterMerge, which share no code with the push — iteration by
+// iteration over whole BFS and SSSP traversals, through the lane's own
+// bitmap from the first iteration to an empty frontier: values and next
+// frontier bit-equal every time. The heap-pass trajectory is computed
+// once per graph and ring; the fused traversal runs at GOMAXPROCS 1, 2
+// and 8, several times each, since the CAS-min interleaving differs
+// run to run: on a power-law graph (with a zero weight), and on
+// hubGraph, where thousands of frontier columns race for the same rows
+// and BFS meets rows set in earlier iterations.
 func TestNativePushMergeMatchesOPScatterMerge(t *testing.T) {
 	hub, hubSrc := hubGraph()
 	pl := gen.PowerLaw(3000, 30000, 0.6, gen.UniformWeight, 31)
@@ -431,11 +413,12 @@ func TestNativePushMergeMatchesOPScatterMerge(t *testing.T) {
 	for _, g := range graphs {
 		_, part := NewPartitions(g.m, 4, 4, 0, BalanceNNZ)
 		for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
+			want := heapTrajectory(t, g.name+" "+ring.Name, part, ring, g.src)
 			for _, p := range []int{1, 2, 8} {
 				goruntime.GOMAXPROCS(p)
 				for rep := 0; rep < g.reps; rep++ {
 					what := fmt.Sprintf("%s %s GOMAXPROCS=%d rep %d", g.name, ring.Name, p, rep)
-					pushMergeTraversal(t, what, part, ring, g.src, rep == 0)
+					fusedTraversal(t, what, part, ring, g.src, want)
 				}
 			}
 		}
@@ -469,64 +452,72 @@ func TestNativePushMergeMatchesOPScatterMerge(t *testing.T) {
 	}
 }
 
-// pushMergeTraversal runs one traversal of ring from src twice in
-// lockstep, fused and composed, failing at the first iteration where
-// the two disagree; with heap set it also holds the composition to the
-// heap pass. The last iteration pushes an empty frontier.
-func pushMergeTraversal(t *testing.T, what string, part *OPPartition, ring semiring.Semiring, src int32, heap bool) {
-	t.Helper()
-	sssp := ring.Kind == semiring.KindSSSP
-	start := make(matrix.Dense, part.R)
-	for i := range start {
-		start[i] = ring.Identity
+// traversalStart is a traversal of ring from src before its first
+// iteration: the values, src alone off the identity, and the frontier.
+func traversalStart(part *OPPartition, ring semiring.Semiring, src int32) (matrix.Dense, *matrix.SparseVec) {
+	vals := make(matrix.Dense, part.R)
+	for i := range vals {
+		vals[i] = ring.Identity
 	}
 	sv := float32(src)
-	if sssp {
+	if ring.Kind == semiring.KindSSSP {
 		sv = 0
 	}
-	start[src] = sv
-	f := &matrix.SparseVec{N: part.C, Idx: []int32{src}, Val: []float32{sv}}
-	ref, fused := start, start.Clone()
-	lane := Operand{Ring: ring, Scratch: new(Scratch)}
-	heapRing := ring
-	heapRing.Kind = semiring.KindCustom
+	vals[src] = sv
+	return vals, &matrix.SparseVec{N: part.C, Idx: []int32{src}, Val: []float32{sv}}
+}
+
+// trajectory is a traversal iteration by iteration: the values after
+// each iteration and the frontier it emits. The last iteration pushes
+// an empty frontier.
+type trajectory struct {
+	vals []matrix.Dense
+	next []*matrix.SparseVec
+}
+
+// heapTrajectory runs one traversal of ring from src through
+// NativeOPMulti and NativeScatterMerge, the simulator's order.
+func heapTrajectory(t *testing.T, what string, part *OPPartition, ring semiring.Semiring, src int32) trajectory {
+	t.Helper()
+	vals, f := traversalStart(part, ring, src)
+	var tr trajectory
 	for it := 0; ; it++ {
-		at := fmt.Sprintf("%s iteration %d (|F| = %d)", what, it, f.NNZ())
-		var before matrix.Dense
-		if heap {
-			before = ref.Clone()
+		if it > 4*part.R {
+			t.Fatalf("%s: no convergence", what)
 		}
+		vals = vals.Clone()
 		op := Operand{Ring: ring}
-		if sssp {
-			op.Prev = ref
+		if ring.Kind == semiring.KindSSSP {
+			op.Prev = vals
 		}
 		contrib := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{op}, 4)[0]
-		_, want := NativeScatterMerge(contrib, ref, op)
-		if heap {
-			hop := Operand{Ring: heapRing}
-			if sssp {
-				hop.Prev = before
-			}
-			hc := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{hop}, 4)[0]
-			hv, hnext := NativeScatterMerge(hc, before, hop)
-			sameBits(t, at+": composed values against the heap pass", ref, hv)
-			sameSparse(t, at+": composed frontier against the heap pass", want, hnext)
+		_, next := NativeScatterMerge(contrib, vals, op)
+		tr.vals, tr.next = append(tr.vals, vals), append(tr.next, next)
+		if f.NNZ() == 0 {
+			return tr
 		}
-		if sssp {
-			lane.Prev = fused
-		}
-		got, _, ok := NativePushMerge(part, f, fused, lane)
+		f = next
+	}
+}
+
+// fusedTraversal runs the traversal want records through
+// NativePushMerge, failing at the first iteration whose values or next
+// frontier differ from it.
+func fusedTraversal(t *testing.T, what string, part *OPPartition, ring semiring.Semiring, src int32, want trajectory) {
+	t.Helper()
+	vals, f := traversalStart(part, ring, src)
+	lane := Operand{Ring: ring, Scratch: new(Scratch)}
+	if ring.Kind == semiring.KindSSSP {
+		lane.Prev = vals
+	}
+	for it := range want.vals {
+		at := fmt.Sprintf("%s iteration %d (|F| = %d)", what, it, f.NNZ())
+		next, _, ok := NativePushMerge(part, f, vals, lane)
 		if !ok {
 			t.Fatalf("%s: the lane was not taken by the fused pass", at)
 		}
-		sameBits(t, at+": values", fused, ref)
-		sameSparse(t, at+": next frontier", got, want)
-		if f.NNZ() == 0 {
-			return
-		}
-		if it > 4*part.R {
-			t.Fatalf("%s: no convergence", at)
-		}
-		f = want
+		sameBits(t, at+": values", vals, want.vals[it])
+		sameSparse(t, at+": next frontier", next, want.next[it])
+		f = next
 	}
 }

@@ -23,8 +23,8 @@ import (
 // order-sensitive float32 reductions (PR, CF).
 //
 // The min rings (BFS, SSSP) go further where min is order-free
-// (MinRingFast): their pull is one flat min per edge, their merges are
-// two comparisons per element without closure calls (minMerge), and
+// (MinRingFast): their pull is one flat min per edge, their dense merge
+// is two comparisons per element without closure calls (minMerge), and
 // their push (minPush) is the one pass whose writers share rows:
 // workers claim frontier columns dynamically and lower each row with an
 // atomic CAS-min on its bits, which reaches the same bits in any
@@ -67,8 +67,9 @@ func parallelFor(n int, fn func(lo, hi int32)) {
 // with no Vector_Op, where mergeValue keeps a OnceOnly row that is
 // already set and is otherwise Reduce(contrib, old) = contrib if
 // contrib < old, else old — and Improving is that same contrib < old.
-// The specialised merges evaluate exactly those comparisons, so they
-// reach mergeValue's bits and frontier for every float, NaN included.
+// The specialised dense merge evaluates exactly those comparisons, so
+// it reaches mergeValue's bits and frontier for every float, NaN
+// included; NativePushMerge takes only lanes that merge this way.
 func minMerge(r *semiring.Semiring) bool {
 	switch r.Kind {
 	case semiring.KindBFS, semiring.KindSSSP:
@@ -123,31 +124,14 @@ func NativeMergeDense(contrib, vals matrix.Dense, op Operand) (matrix.Dense, *ma
 
 // NativeScatterMerge is the host post-OP merge, parallel over
 // contiguous ranges of the sparse contribution (contrib.Idx is sorted
-// and unique, so ranges write disjoint destinations). The min rings
-// merge through the same comparisons as NativeMergeDense's.
+// and unique, so ranges write disjoint destinations): scatterMergeRange
+// with NopProbe for every ring. The min rings' iterations that
+// NativePushMerge takes never reach it.
 func NativeScatterMerge(contrib *matrix.SparseVec, vals matrix.Dense, op Operand) (matrix.Dense, *matrix.SparseVec) {
-	ring := &op.Ring
 	cost := mergeCost(&op)
-	extract := !ring.DenseFrontier
-	fast, once, ident := minMerge(ring), ring.OnceOnly, ring.Identity
+	extract := !op.Ring.DenseFrontier
 	perChunk := parallelChunks(contrib.NNZ(), func(lo, hi int32) []int32 {
-		if !fast {
-			return scatterMergeRange(NopProbe{}, lo, hi, contrib, vals, &op, cost, extract, scatterAddrs{})
-		}
-		var changed []int32
-		idx, cv := contrib.Idx[lo:hi], contrib.Val[lo:hi]
-		cv = cv[:len(idx)]
-		for k, i := range idx {
-			old := vals[i]
-			if once && old != ident {
-				continue
-			}
-			if c := cv[k]; c < old {
-				vals[i] = c
-				changed = append(changed, lo+int32(k))
-			}
-		}
-		return changed
+		return scatterMergeRange(NopProbe{}, lo, hi, contrib, vals, &op, cost, extract, scatterAddrs{})
 	})
 	var frontier *matrix.SparseVec
 	if extract {

@@ -3,8 +3,8 @@ package kernels
 // Layer benchmarks for the native backend's kernels (`make
 // bench-kernels`): one IP pass per Table I row, the closure fallback,
 // eight fused lanes, a density sweep of both dataflows for the min
-// rings, the dense merge for PR and both min rings and the min rings'
-// scatter merge, all on the scale-16 power-law graph the backend
+// rings, the dense merge for PR and both min rings and SpMV's scatter
+// merge, all on the scale-16 power-law graph the backend
 // comparison uses, reported per edge (per vertex for the dense merge,
 // per contribution element for the scatter merge).
 
@@ -205,33 +205,26 @@ func BenchmarkNativeMergeDense(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeScatterMerge times the post-OP merge of the two min
-// rings per contribution element: the push output of a 10 % frontier
-// merged into the same starting state every repetition (reset outside
-// the timer).
+// BenchmarkNativeScatterMerge times the post-OP merge per contribution
+// element for SpMV, the built-in ring whose native OP lanes take it
+// (BFS and SSSP iterations run the fused NativePushMerge instead): the
+// tile pass output of a 10 % frontier merged into the same starting
+// state every repetition (reset outside the timer).
 func BenchmarkNativeScatterMerge(b *testing.B) {
 	g := newBenchGraph(b)
 	const tiles, pesPerTile = 16, 16
 	part := NewOPPartition(g.m, tiles, BalanceNNZ)
 	f := gen.Frontier(g.m.C, 0.1, 17)
-	for k, i := range f.Idx {
-		f.Val[k] = float32(i%13) * 0.25
+	op := opFor(semiring.SpMV(), g.m, g.prev)
+	contrib := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{op}, pesPerTile)[0]
+	vals := g.prev.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(vals, g.prev)
+		b.StartTimer()
+		NativeScatterMerge(contrib, vals, op)
 	}
-	for _, ring := range []semiring.Semiring{semiring.BFS(), semiring.SSSP()} {
-		b.Run(strings.ToLower(ring.Name), func(b *testing.B) {
-			op := opFor(ring, g.m, g.prev)
-			contrib := NativeOPMulti(part, []*matrix.SparseVec{f}, []Operand{op}, pesPerTile)[0]
-			start := g.minMergeState(ring)
-			vals := start.Clone()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(vals, start)
-				b.StartTimer()
-				NativeScatterMerge(contrib, vals, op)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(contrib.NNZ(), 1)), "ns/elem")
-		})
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(contrib.NNZ(), 1)), "ns/elem")
 }

@@ -30,16 +30,18 @@ func bitsOf(x []float32) []uint32 {
 // a solo run is a one-lane call. The IP side runs one hand-specialised
 // probe-free loop per built-in Table I row (nativeIPPELanes), with the
 // semiring closures as the fallback for custom rings, and keeps each
-// PE's COO share cache-resident across lanes; the OP side runs the
-// min rings through one CAS-min push over the whole-graph column index
-// (minPush) and every other ring through the shared pass bodies with
-// NopProbe over the tiles, lanes sequential per tile. Every lane's
-// result is bit-identical to the simulator's and independent of how
-// many lanes ride along: the sum rings replay the simulated passes'
-// float operation order exactly, and the min-ring forms run only where
-// min does not depend on that order (MinRingFast) — so they ignore it:
-// the BFS/SSSP pull is one flat min per edge over the PE's elements,
-// the push splits the frontier however its workers claim it, and the
+// PE's COO share cache-resident across lanes. The OP side has one
+// path per ring class: the min rings' iterations run as one fused
+// CAS-min push over the whole-graph column index that is its own merge
+// (NativePushMerge), and every other lane runs the shared pass bodies
+// with NopProbe over the tiles, lanes sequential per tile
+// (NativeOPMulti), then NativeScatterMerge. Every lane's result is
+// bit-identical to the simulator's and independent of how many lanes
+// ride along: the sum rings replay the simulated passes' float
+// operation order exactly, and the min-ring forms run only where min
+// does not depend on that order (MinRingFast) — so they ignore it: the
+// BFS/SSSP pull is one flat min per edge over the PE's elements, the
+// push splits the frontier however its workers claim it, and the
 // vblock row runs and tiles the simulator needs do not exist for them.
 
 // NativeIPMulti runs k fused inner-product passes on the host,
@@ -345,16 +347,15 @@ func ipClosures(part *IPPartition, segs []Seg, x, out matrix.Dense, op *Operand)
 	}
 }
 
-// NativeOPMulti runs k outer-product passes on the host. A min-ring
-// lane (MinRingFast) runs the push over the column index into a pooled
-// accumulator (opMinTouched), lane after lane, each parallel over its
-// frontier. Every other lane runs the PE column passes and the LCP
-// merge over the tiles, parallel over tiles with those lanes sequential
-// within each tile — the tile's CSC slice is traversed back to back for
-// all of them while it is cache-resident — and with pesPerTile matching
-// the sim geometry, so its frontier split and merge order match RunOP
-// exactly. Per-lane results are bit-identical across backends and lane
-// counts either way.
+// NativeOPMulti runs k outer-product passes on the host, one body for
+// every ring: the PE column passes and the LCP merge over the tiles,
+// instantiated with NopProbe — the simulator-order reference the fused
+// min-ring push (NativePushMerge) is held to. It runs parallel over
+// tiles with the lanes sequential within each tile — the tile's CSC
+// slice is traversed back to back for all of them while it is
+// cache-resident — and with pesPerTile matching the sim geometry, so
+// its frontier split and merge order match RunOP exactly. Per-lane
+// results are bit-identical across backends and lane counts.
 func NativeOPMulti(part *OPPartition, fs []*matrix.SparseVec, ops []Operand, pesPerTile int) []*matrix.SparseVec {
 	k := len(fs)
 	if k == 0 {
@@ -366,47 +367,36 @@ func NativeOPMulti(part *OPPartition, fs []*matrix.SparseVec, ops []Operand, pes
 	if pesPerTile < 1 {
 		pesPerTile = 1
 	}
-	outs := make([]*matrix.SparseVec, k)
-	var heap []int // the lanes on the heap pass
+	part.Materialize()
+	peCols := make([][]int32, k)
+	tileOut := make([][][]opPair, k) // [lane][tile]
 	for l := range fs {
 		if fs[l].N != part.C {
 			panic("kernels: NativeOPMulti frontier length mismatch")
 		}
-		if part.MinRingFast(&ops[l].Ring) {
-			outs[l] = opMinTouched(part, fs[l], &ops[l])
-		} else {
-			heap = append(heap, l)
-		}
-	}
-	if len(heap) == 0 {
-		return outs
-	}
-	part.Materialize()
-	peCols := make([][]int32, len(heap))
-	tileOut := make([][][]opPair, len(heap)) // [heap lane][tile]
-	for i, l := range heap {
-		peCols[i] = splitEven(fs[l].NNZ(), pesPerTile)
-		tileOut[i] = make([][]opPair, part.Tiles)
+		peCols[l] = splitEven(fs[l].NNZ(), pesPerTile)
+		tileOut[l] = make([][]opPair, part.Tiles)
 	}
 	parallelFor(part.Tiles, func(tlo, thi int32) {
 		stagingAddr := make([]uint64, pesPerTile)
 		staged := make([][]opPair, pesPerTile)
 		for t := int(tlo); t < int(thi); t++ {
-			for i, l := range heap {
+			for l := range fs {
 				clear(staged)
 				for pe := 0; pe < pesPerTile; pe++ {
-					lo, hi := peCols[i][pe], peCols[i][pe+1]
+					lo, hi := peCols[l][pe], peCols[l][pe+1]
 					if lo >= hi {
 						continue
 					}
 					staged[pe] = opPEPass(NopProbe{}, part, t, fs[l], &ops[l], lo, hi, 0, opPEAddrs{})
 				}
-				tileOut[i][t] = opLCPPass(NopProbe{}, staged, &ops[l], stagingAddr, 0)
+				tileOut[l][t] = opLCPPass(NopProbe{}, staged, &ops[l], stagingAddr, 0)
 			}
 		}
 	})
-	for i, l := range heap {
-		outs[l] = concatTiles(part.R, tileOut[i])
+	outs := make([]*matrix.SparseVec, k)
+	for l := range outs {
+		outs[l] = concatTiles(part.R, tileOut[l])
 	}
 	return outs
 }
@@ -437,14 +427,15 @@ func concatTiles(n int, tiles [][]opPair) *matrix.SparseVec {
 // pass that is its own merge: the push lowers vals in place, and the
 // next frontier is read off the lane's change bitmap (in op.Scratch,
 // allocated when nil). vals and the frontier are bit-identical to
-// NativeOPMulti followed by NativeScatterMerge: a row drops exactly
-// when some candidate lies below its value, which is when the merge
-// finds the pushed minimum — min(candidates, V_dst) for SSSP — below
-// it, and BFS skips the rows the merge's OnceOnly keeps. The lane
-// qualifies when MinRingFast and minMerge hold and, for SSSP, op.Prev
-// is vals itself (V_dst is the value the push lowers); ok is false, and
-// nothing is touched, for any other lane. push is the wall time of the
-// push alone; the rest of the call is the emit.
+// NativeOPMulti's heap pass followed by NativeScatterMerge, the
+// simulator's order: a row drops exactly when some candidate lies
+// below its value, which is when the merge finds the pushed minimum —
+// min(candidates, V_dst) for SSSP — below it, and BFS skips the rows
+// the merge's OnceOnly keeps. The lane qualifies when MinRingFast and
+// minMerge hold and, for SSSP, op.Prev is vals itself (V_dst is the
+// value the push lowers); ok is false, and nothing is touched, for any
+// other lane. push is the wall time of the push alone; the rest of the
+// call is the emit.
 func NativePushMerge(part *OPPartition, f *matrix.SparseVec, vals matrix.Dense, op Operand) (next *matrix.SparseVec, push time.Duration, ok bool) {
 	ring := &op.Ring
 	sssp := ring.Kind == semiring.KindSSSP
@@ -467,7 +458,7 @@ func NativePushMerge(part *OPPartition, f *matrix.SparseVec, vals matrix.Dense, 
 	t0 := time.Now()
 	n := minPush(part.columns(), f, sssp, ring.OnceOnly, bitsOf(vals), seen)
 	push = time.Since(t0)
-	return emitBits(part.R, bitsOf(vals), seen, n, nil, false), push, true
+	return emitBits(part.R, bitsOf(vals), seen, n), push, true
 }
 
 // pushChunk is how many frontier entries a push worker claims from the
@@ -476,24 +467,23 @@ func NativePushMerge(part *OPPartition, f *matrix.SparseVec, vals matrix.Dense, 
 // contend on the cursor.
 const pushChunk = 64
 
-// minPush is the native min-ring push, the one body behind both OP
-// forms: every edge (r, j) of every frontier column j proposes a
-// candidate for row r — bits(f.Val[k] + w) for SSSP; for BFS
-// bits(float32(j)), or +Inf for a source at +Inf — and lowers tgt[r]
-// to it with a CAS-min on the bits, as Ligra's writeMin does.
-// MinRingFast admits only values on which min is order-free and
-// follows the bit order, so tgt ends at the same bits however the
-// workers interleave. Candidates read f's own values and never tgt, so
-// the pass is a Jacobi step even where tgt holds the lane's values and
-// a frontier row drops mid-pass. The first drop of a row sets its bit
-// in seen, and minPush returns how many bits it set.
+// minPush is the native min-ring push, NativePushMerge's pass: every
+// edge (r, j) of every frontier column j proposes a candidate for row
+// r — bits(f.Val[k] + w) for SSSP; for BFS bits(float32(j)), or +Inf
+// for a source at +Inf — and lowers tgt[r], the lane's value, to it
+// with a CAS-min on the bits, as Ligra's writeMin does. MinRingFast
+// admits only values on which min is order-free and follows the bit
+// order, so tgt ends at the same bits however the workers interleave.
+// Candidates read f's own values and never tgt, so the pass is a
+// Jacobi step even where a frontier row drops mid-pass. The first drop
+// of a row sets its bit in seen, and minPush returns how many bits it
+// set.
 //
-// once is BFS's OnceOnly, for a tgt holding the lane's values: a row
-// may be set in one iteration only. A row off the identity (+Inf)
-// whose bit is clear was set in an earlier iteration, and the push
-// skips it. A row at the identity gets its bit before its CAS, so a
-// concurrent proposer that sees the lowered value sees the bit too and
-// never mistakes the row for one set earlier.
+// once is BFS's OnceOnly: a row may be set in one iteration only. A
+// row off the identity (+Inf) whose bit is clear was set in an earlier
+// iteration, and the push skips it. A row at the identity gets its bit
+// before its CAS, so a concurrent proposer that sees the lowered value
+// sees the bit too and never mistakes the row for one set earlier.
 //
 // GOMAXPROCS workers claim pushChunk frontier entries at a time from an
 // atomic cursor; every access to tgt and seen is atomic, so concurrent
@@ -585,12 +575,10 @@ func lowerTo(tgt, seen []uint32, r int32, c uint32, once bool) int {
 }
 
 // emitBits returns the n rows set in seen, ascending, each with its
-// value in tgt — folded with prev[r] when prev is set — and leaves
-// seen clear, each word cleared as it is read; with reset it also
-// returns each emitted slot of tgt to accFree. count is the number of
-// bits set, which sizes the result exactly. It runs after the push,
-// so it reads plainly.
-func emitBits(n int, tgt, seen []uint32, count int, prev []uint32, reset bool) *matrix.SparseVec {
+// value in tgt, and leaves seen clear, each word cleared as it is read.
+// count is the number of bits set, which sizes the result exactly. It
+// runs after the push, so it reads plainly.
+func emitBits(n int, tgt, seen []uint32, count int) *matrix.SparseVec {
 	out := &matrix.SparseVec{N: n}
 	if count == 0 {
 		return out
@@ -604,60 +592,9 @@ func emitBits(n int, tgt, seen []uint32, count int, prev []uint32, reset bool) *
 		seen[w] = 0
 		for ; word != 0; word &= word - 1 {
 			r := int32(w<<5 + bits.TrailingZeros32(word))
-			v := tgt[r]
-			if prev != nil {
-				v = min(v, prev[r])
-			}
-			if reset {
-				tgt[r] = accFree
-			}
-			out.Idx[at], out.Val[at] = r, math.Float32frombits(v)
+			out.Idx[at], out.Val[at] = r, math.Float32frombits(tgt[r])
 			at++
 		}
 	}
-	return out
-}
-
-// accFree marks an untouched slot of opMinTouched's accumulator. It is
-// above every candidate's bit pattern (none exceeds +Inf's), so the
-// first candidate to reach a slot lowers it.
-const accFree = math.MaxUint32
-
-// pushAcc is opMinTouched's accumulator: a slot per row and a bitmap.
-// One comes back to pushAccs only clean (every slot at accFree, the
-// bitmap zero).
-type pushAcc struct {
-	acc, seen []uint32
-}
-
-var pushAccs sync.Pool
-
-// opMinTouched is a min-ring lane's NativeOPMulti form, the contract
-// RunOP sets: every row of every frontier column comes out, ascending,
-// with the minimum of its candidates — +Inf candidates included — and
-// for SSSP of V_dst. It is minPush into a clean pooled accumulator
-// rather than the lane's values: every candidate lowers an accFree
-// slot, so a row's first drop is its first touch, and the emit folds
-// in V_dst and leaves the accumulator clean.
-func opMinTouched(part *OPPartition, f *matrix.SparseVec, op *Operand) *matrix.SparseVec {
-	n := part.R
-	a, _ := pushAccs.Get().(*pushAcc)
-	if a == nil || len(a.acc) < n {
-		a = &pushAcc{acc: make([]uint32, n), seen: make([]uint32, (n+31)/32)}
-		for i := range a.acc {
-			a.acc[i] = accFree
-		}
-	}
-	sssp := op.Ring.Kind == semiring.KindSSSP
-	acc, seen := a.acc[:n], a.seen[:(n+31)/32]
-	set := minPush(part.columns(), f, sssp, false, acc, seen)
-	var prev []uint32
-	if sssp {
-		prev = bitsOf(op.Prev)
-	}
-	out := emitBits(n, acc, seen, set, prev, true)
-	// Only on the way out of a completed push: a panic mid-push would
-	// leave dirty slots, and that accumulator must not be reused.
-	pushAccs.Put(a)
 	return out
 }

@@ -298,15 +298,17 @@ func (p *IPPartition) NNZOfPE(pe int) int {
 }
 
 // OPPartition is the preprocessed layout for the OP kernel, in two
-// forms cut lazily from the same elements. The simulator's passes and
-// the native generic-ring lanes read the tiles: each tile owns a row
+// forms cut lazily from an IP partition's materialised arrays — the
+// paper keeps both dataflows' layouts resident (§III-D2), and the OP
+// elements are the IP elements transposed. The simulator's passes and
+// every NativeOPMulti lane read the tiles: each tile owns a row
 // partition stored as a tile-local CSC slice (only the rows in the
 // tile's range appear in each column), its frontier nonzeros
 // distributed across the tile's PEs at run time. The native min-ring
-// push (MinRingFast) reads the column index instead: the whole-graph
-// CSC, which is the one-tile layout. Each form is cut on its first
-// reader, so an engine that runs only BFS, SSSP and PageRank natively
-// never cuts the tiles.
+// push (NativePushMerge) reads the column index instead: the
+// whole-graph CSC, which is the one-tile layout. Each form is cut on
+// its first reader, so an engine that runs only BFS, SSSP and PageRank
+// natively never cuts the tiles.
 type OPPartition struct {
 	R, C      int
 	Tiles     int
@@ -315,12 +317,8 @@ type OPPartition struct {
 	Row       [][]int32
 	Val       [][]float32
 
-	// Both forms are cut from exactly one of these: the IP partition's
-	// materialised arrays, or the store.
-	ip          *IPPartition
-	src         matrix.Store
-	mat         sync.Once
-	minPlusSafe bool // set by materialize; see minPlusSafe
+	ip  *IPPartition // both forms are cut from its arrays
+	mat sync.Once
 
 	cols colIndex
 	cut  sync.Once
@@ -333,35 +331,27 @@ type colIndex struct {
 	val      []float32
 }
 
-// NewOPPartition builds the OP layouts from any matrix.Store. Only the
-// row cuts are computed here; the tile slices are cut lazily on first
-// kernel use, each straight from its own row range of the store, and
-// the column index from one pass over the whole store. The layout (and
-// therefore results and sim timings) is byte-identical whatever the
-// resident format was.
+// NewOPPartition builds the OP layouts from any matrix.Store, for
+// callers without an IP layout of their own: the OP half of
+// NewPartitions(m, tiles, 1, 0, b). One PE per tile and no vblocks cut
+// the IP rows exactly where the tiles are cut, so each tile is its
+// PE's elements transposed. Only the row cuts are computed here; the
+// store is decoded on first kernel use.
 func NewOPPartition(m matrix.Store, tiles int, b Balancing) *OPPartition {
-	if tiles < 1 {
-		panic("kernels: tiles must be >= 1")
-	}
-	rows, cols := m.Dims()
-	return &OPPartition{
-		R: rows, C: cols,
-		Tiles:     tiles,
-		RowBounds: cutRows(m.RowPtr(), rows, tiles, b),
-		src:       m,
-	}
+	_, op := NewPartitions(m, tiles, 1, 0, b)
+	return op
 }
 
 // NewPartitions builds both layouts an engine holds for a machine of
 // tiles×pesPerTile PEs: the IP partition, and an OP partition whose
 // tiles and column index are cut from the IP partition's materialised
-// arrays rather than from the store, so the two together decode m
-// once. Tile t owns the IP PEs [t·P, (t+1)·P), P = pesPerTile: the
-// k-th of n cuts is a function of x·k/n (x the nnz or the rows, by
-// balancing), and x·tP/(tiles·P) = x·t/tiles, so every P-th PE cut is
-// the tile cut NewOPPartition would pick — which this constructor
-// checks. Both layouts are byte-identical to NewIPPartition's and
-// NewOPPartition's.
+// arrays, so the two together decode m once. Tile t owns the IP PEs
+// [t·P, (t+1)·P), P = pesPerTile: the k-th of n cuts is a function of
+// x·k/n (x the nnz or the rows, by balancing), and x·tP/(tiles·P) =
+// x·t/tiles, so every P-th PE cut is the tile cut cutRows picks for
+// tiles parts — which this constructor checks. The IP partition is
+// NewIPPartition's, and the tiles depend on neither pesPerTile nor the
+// vblock width.
 func NewPartitions(m matrix.Store, tiles, pesPerTile, vblockWords int, b Balancing) (*IPPartition, *OPPartition) {
 	if tiles < 1 || pesPerTile < 1 {
 		panic("kernels: tiles and pesPerTile must be >= 1")
@@ -390,110 +380,67 @@ func (p *OPPartition) Materialize() { p.mat.Do(p.materialize) }
 
 // materialize builds the tiles in parallel. A tile owns a row range, so
 // its CSC slice is that range transposed: placeTile over the tile's
-// elements. From the store they are one DecodeRows pass, row-major.
-// From the IP arrays they are the tile's PEs' contiguous element range,
-// vblock by vblock within a PE: a column lies in one vblock, so its
-// elements still arrive in store order (rows ascending, PE after PE).
+// PEs' contiguous element range of the IP arrays, vblock by vblock
+// within a PE. A column lies in one vblock, so its elements still
+// arrive in store order (rows ascending, PE after PE).
 func (p *OPPartition) materialize() {
+	ip := p.ip
+	ip.Materialize()
 	p.ColPtr = make([][]int32, p.Tiles)
 	p.Row = make([][]int32, p.Tiles)
 	p.Val = make([][]float32, p.Tiles)
-	if p.ip != nil {
-		ip := p.ip
-		ip.Materialize()
-		per := int32(ip.NumPEs / p.Tiles)
-		parallelFor(p.Tiles, func(tLo, tHi int32) {
-			next := make([]int32, p.C)
-			for t := tLo; t < tHi; t++ {
-				lo, hi := ip.PEPtr[t*per], ip.PEPtr[(t+1)*per]
-				p.ColPtr[t], p.Row[t], p.Val[t] = placeTile(p.C, next, ip.Row[lo:hi], ip.Col[lo:hi], ip.Val[lo:hi])
-			}
-		})
-		p.minPlusSafe = ip.minPlusSafe
-		return
-	}
-	maxBits := parallelChunks(p.Tiles, func(tLo, tHi int32) uint32 {
-		// Scratch for one tile's decoded row range, reused across the
-		// worker's tiles.
-		var cRow, cCol []int32
-		var cVal []float32
-		var mx uint32
+	per := int32(ip.NumPEs / p.Tiles)
+	parallelFor(p.Tiles, func(tLo, tHi int32) {
 		next := make([]int32, p.C)
 		for t := tLo; t < tHi; t++ {
-			cRow, cCol, cVal = cRow[:0], cCol[:0], cVal[:0]
-			p.src.DecodeRows(p.RowBounds[t], p.RowBounds[t+1], func(row, col int32, val float32) {
-				cRow = append(cRow, row)
-				cCol = append(cCol, col)
-				cVal = append(cVal, val)
-				mx = max(mx, math.Float32bits(val))
-			})
-			p.ColPtr[t], p.Row[t], p.Val[t] = placeTile(p.C, next, cRow, cCol, cVal)
+			lo, hi := ip.PEPtr[t*per], ip.PEPtr[(t+1)*per]
+			p.ColPtr[t], p.Row[t], p.Val[t] = placeTile(p.C, next, ip.Row[lo:hi], ip.Col[lo:hi], ip.Val[lo:hi])
 		}
-		return mx
 	})
-	p.minPlusSafe = minPlusSafe(slices.Max(maxBits), p.R)
 }
 
-// columns returns the column index, cutting it if that has not
-// happened yet; safe for concurrent use. It is the one-tile layout.
-// From the store it is placeTile over one DecodeRows pass. From the IP
-// arrays it needs no counting pass — a column's length is its
-// out-degree, counted while the IP partition materialised — and it is
-// placed vblock by vblock in parallel: a vblock's elements sit in one
-// segment per PE, its columns own one contiguous run of the index, and
-// a run that small stays in cache where a scatter over the whole index
-// would miss on nearly every element. PE after PE, each segment
+// columns returns the column index, cutting it from the IP arrays if
+// that has not happened yet; safe for concurrent use. It is the
+// one-tile layout, but needs no counting pass — a column's length is
+// its out-degree, counted while the IP partition materialised — and it
+// is placed vblock by vblock in parallel: a vblock's elements sit in
+// one segment per PE, its columns own one contiguous run of the index,
+// and a run that small stays in cache where a scatter over the whole
+// index would miss on nearly every element. PE after PE, each segment
 // row-major, every column's rows arrive ascending, as in the tiles.
 func (p *OPPartition) columns() *colIndex {
 	p.cut.Do(func() {
-		c := &p.cols
-		if p.ip != nil {
-			c.ptr, c.row, c.val = p.ip.columns()
-			return
+		ip, c := p.ip, &p.cols
+		deg := ip.OutDegrees()
+		c.ptr = make([]int32, p.C+1)
+		for j, d := range deg {
+			c.ptr[j+1] = c.ptr[j] + d
 		}
-		nnz := p.src.NNZ()
-		rows, cols, vals := make([]int32, 0, nnz), make([]int32, 0, nnz), make([]float32, 0, nnz)
-		p.src.DecodeRows(0, int32(p.R), func(row, col int32, val float32) {
-			rows = append(rows, row)
-			cols = append(cols, col)
-			vals = append(vals, val)
-		})
-		c.ptr, c.row, c.val = placeTile(p.C, make([]int32, p.C), rows, cols, vals)
-	})
-	return &p.cols
-}
-
-// columns is OPPartition.columns' cut from the IP arrays.
-func (p *IPPartition) columns() (ptr, row []int32, val []float32) {
-	deg := p.OutDegrees()
-	ptr = make([]int32, p.C+1)
-	for j, d := range deg {
-		ptr[j+1] = ptr[j] + d
-	}
-	row, val = make([]int32, len(p.Row)), make([]float32, len(p.Row))
-	width := p.C
-	if p.VBlockWords > 0 {
-		width = p.VBlockWords
-	}
-	parallelFor(p.NumVBlocks, func(vLo, vHi int32) {
-		next := make([]int32, width)
-		for v := vLo; v < vHi; v++ {
-			lo := v * int32(width)
-			copy(next, ptr[lo:])
-			for _, segs := range p.Segs {
-				i, ok := slices.BinarySearchFunc(segs, v, func(s Seg, v int32) int { return int(s.VB - v) })
-				if !ok {
-					continue
-				}
-				for k := segs[i].Lo; k < segs[i].Hi; k++ {
-					at := &next[p.Col[k]-lo]
-					row[*at], val[*at] = p.Row[k], p.Val[k]
-					*at++
+		c.row, c.val = make([]int32, len(ip.Row)), make([]float32, len(ip.Row))
+		width := p.C
+		if ip.VBlockWords > 0 {
+			width = ip.VBlockWords
+		}
+		parallelFor(ip.NumVBlocks, func(vLo, vHi int32) {
+			next := make([]int32, width)
+			for v := vLo; v < vHi; v++ {
+				lo := v * int32(width)
+				copy(next, c.ptr[lo:])
+				for _, segs := range ip.Segs {
+					i, ok := slices.BinarySearchFunc(segs, v, func(s Seg, v int32) int { return int(s.VB - v) })
+					if !ok {
+						continue
+					}
+					for k := segs[i].Lo; k < segs[i].Hi; k++ {
+						at := &next[ip.Col[k]-lo]
+						c.row[*at], c.val[*at] = ip.Row[k], ip.Val[k]
+						*at++
+					}
 				}
 			}
-		}
+		})
 	})
-	return ptr, row, val
+	return &p.cols
 }
 
 // placeTile transposes one tile's elements into its CSC slice of c
@@ -530,24 +477,19 @@ func minPlusSafe(maxBits uint32, n int) bool {
 }
 
 // MinRingFast reports whether the native kernels run ring's lanes
-// through the min-ring forms — the CAS-min push over the column index
-// and the flat pull — on this graph: BFS always (it never reads a
-// stored value), SSSP when minPlusSafe holds. Every other ring, and
-// SSSP on a graph that fails the check, takes the generic passes. For
-// SSSP it materialises whatever computes the flag, if that has not
-// happened yet: the IP partition the tiles are cut from, or else the
-// tiles.
+// through the min-ring forms — the fused CAS-min push over the column
+// index and the flat pull — on this graph: BFS always (it never reads
+// a stored value), SSSP when the IP partition's minPlusSafe holds.
+// Every other ring, and SSSP on a graph that fails the check, takes
+// the generic passes. For SSSP it materialises the IP partition, if
+// that has not happened yet.
 func (p *OPPartition) MinRingFast(ring *semiring.Semiring) bool {
 	switch ring.Kind {
 	case semiring.KindBFS:
 		return true
 	case semiring.KindSSSP:
-		if p.ip != nil {
-			p.ip.Materialize()
-			return p.ip.minPlusSafe
-		}
-		p.Materialize()
-		return p.minPlusSafe
+		p.ip.Materialize()
+		return p.ip.minPlusSafe
 	}
 	return false
 }

@@ -170,11 +170,12 @@ func bitsEqual(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
-// The OP tiles NewPartitions cuts from the IP arrays must be
-// byte-identical to the tiles NewOPPartition decodes from the store,
-// minPlusSafe included, and the degrees counted while the IP partition
-// materialises must be matrix.OutDegreesOf's.
-func TestOPTilesFromIPMatchStoreDecode(t *testing.T) {
+// The OP tiles NewPartitions cuts at any PE count and vblock width
+// must be byte-identical to NewOPPartition's cut at one PE per tile and
+// no vblocks (which TestOPTilesFromRowsMatchColumnStream holds to the
+// column store), minPlusSafe included, and the degrees counted while
+// the IP partition materialises must be matrix.OutDegreesOf's.
+func TestOPTilesIndependentOfPEsAndVBlocks(t *testing.T) {
 	spm := cfg(4, 4, sim.SCS).SPMWordsPerTile()
 	sssp := semiring.SSSP()
 	graphs := cutTestGraphs()
@@ -194,18 +195,16 @@ func TestOPTilesFromIPMatchStoreDecode(t *testing.T) {
 						// The flag comes from the IP materialisation,
 						// before any tile is cut.
 						if got := op.MinRingFast(&sssp); got != want.MinRingFast(&sssp) || op.ColPtr != nil {
-							t.Fatalf("%s: MinRingFast(SSSP) = %v (tiles cut: %v), store decode says %v",
+							t.Fatalf("%s: MinRingFast(SSSP) = %v (tiles cut: %v), one PE per tile says %v",
 								what, got, op.ColPtr != nil, !got)
 						}
 						op.Materialize()
+						want.Materialize()
 						for tl := 0; tl < tiles; tl++ {
 							if !slices.Equal(op.ColPtr[tl], want.ColPtr[tl]) || !slices.Equal(op.Row[tl], want.Row[tl]) ||
 								!bitsEqual(op.Val[tl], want.Val[tl]) {
-								t.Fatalf("%s: tile %d differs from the store decode", what, tl)
+								t.Fatalf("%s: tile %d differs from the one-PE-per-tile cut", what, tl)
 							}
-						}
-						if op.minPlusSafe != want.minPlusSafe {
-							t.Fatalf("%s: minPlusSafe %v, store decode %v", what, op.minPlusSafe, want.minPlusSafe)
 						}
 						if !slices.Equal(ip.OutDegrees(), wantDeg) {
 							t.Fatalf("%s: OutDegrees differs from matrix.OutDegreesOf", what)
@@ -258,15 +257,15 @@ func TestCutFromIPConcurrent(t *testing.T) {
 }
 
 // The column index NewPartitions cuts from the IP arrays, vblock by
-// vblock, must be byte-identical to the one NewOPPartition decodes
-// from the store, with every column's rows ascending.
+// vblock, must be byte-identical to matrix.CSCOf's decode of the store,
+// with every column's rows ascending.
 func TestColumnIndexFromIPMatchesStoreDecode(t *testing.T) {
 	spm := cfg(4, 4, sim.SCS).SPMWordsPerTile()
 	for name, m := range cutTestGraphs() {
 		for _, st := range storesOf(t, m) {
-			want := NewOPPartition(st, 4, BalanceNNZ).columns()
+			want := matrix.CSCOf(st)
 			for j := 0; j < m.C; j++ {
-				if col := want.row[want.ptr[j]:want.ptr[j+1]]; !slices.IsSorted(col) {
+				if col := want.Row[want.ColPtr[j]:want.ColPtr[j+1]]; !slices.IsSorted(col) {
 					t.Fatalf("%s/%s: column %d rows %v not ascending", name, st.Format(), j, col)
 				}
 			}
@@ -274,7 +273,7 @@ func TestColumnIndexFromIPMatchesStoreDecode(t *testing.T) {
 				for _, g := range [][2]int{{1, 1}, {4, 4}, {m.R + 3, 1}} {
 					_, op := NewPartitions(st, g[0], g[1], vb, BalanceNNZ)
 					got := op.columns()
-					if !slices.Equal(got.ptr, want.ptr) || !slices.Equal(got.row, want.row) || !bitsEqual(got.val, want.val) {
+					if !slices.Equal(got.ptr, want.ColPtr) || !slices.Equal(got.row, want.Row) || !bitsEqual(got.val, want.Val) {
 						t.Fatalf("%s/%s/vblock %d/%dx%d: column index differs from the store decode", name, st.Format(), vb, g[0], g[1])
 					}
 					if op.ColPtr != nil {

@@ -78,6 +78,27 @@ func waitCaughtUp(t *testing.T, followerURL string) {
 	t.Fatal("follower never caught up")
 }
 
+// waitStreaming waits until the leader's own replication view shows
+// the follower streaming with every journaled record acked: a tail poll
+// admitted since the follower's resync listing. waitCaughtUp returns
+// once the resync commits, before that poll; until the leader admits
+// one it has no follower contact, and a semisync submit falls back at
+// once.
+func waitStreaming(t *testing.T, leader *Service) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v, head := leader.ReplicationStatus(), leader.Store().Seq()
+		if v.State == "streaming" && v.AckedSeq == head {
+			return
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("leader replication %q with %d of %d records acked, want streaming with all", v.State, v.AckedSeq, head)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestReplFailoverSemisyncRecoversFromFollowerAlone is the acceptance
 // scenario: a semisync leader acks a submit, dies immediately, and the
 // promoted follower finishes the job under its original id with the
@@ -111,6 +132,7 @@ func TestReplFailoverSemisyncRecoversFromFollowerAlone(t *testing.T) {
 	}
 
 	gid := registerGraph(t, lts.URL, 7)
+	waitStreaming(t, leader)
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, lts.URL+"/v1/jobs", JobRequest{
 		GraphID: gid, Algo: "pr", Iterations: 40,
@@ -288,10 +310,11 @@ func journaledFinish(svc *Service, jobID string) bool {
 }
 
 // TestReplSemisyncSkipsWaitWhileFollowerAbsent: a semisync ack waits
-// only for a follower that is there. A caught-up follower's ack covers
-// every 202; once it is gone the first submit waits out the timeout and
-// the next ones do not wait at all; once a follower is back and caught
-// up, acks are waited for again at once.
+// only for a follower that is there. Once the leader has admitted a
+// caught-up follower's tail poll, that follower's ack covers every 202;
+// once it is gone the first submit waits out the timeout and the next
+// ones do not wait at all; once a follower is back and streaming, acks
+// are waited for again at once.
 func TestReplSemisyncSkipsWaitWhileFollowerAbsent(t *testing.T) {
 	const timeout = 500 * time.Millisecond
 	leaderCfg := Config{Workers: 1, QueueDepth: 16, ReplMode: "semisync", SemisyncTimeout: timeout, ReplHeartbeatEvery: 20 * time.Millisecond}
@@ -305,6 +328,7 @@ func TestReplSemisyncSkipsWaitWhileFollowerAbsent(t *testing.T) {
 	follower, fts := newReplFollower(t, followerDir, lts.URL, fcfg)
 	waitCaughtUp(t, fts.URL)
 	gid := registerGraph(t, lts.URL, 5)
+	waitStreaming(t, leader)
 
 	submit := func() (time.Duration, JobStatus) {
 		t.Helper()
@@ -349,13 +373,7 @@ func TestReplSemisyncSkipsWaitWhileFollowerAbsent(t *testing.T) {
 	// next submit's 202 is covered again — no cooldown.
 	back, bts := newReplFollower(t, followerDir, lts.URL, fcfg)
 	waitCaughtUp(t, bts.URL)
-	deadline := time.Now().Add(10 * time.Second)
-	for leader.replLeader.Load().AckedSeq() < leader.Store().Seq() {
-		if !time.Now().Before(deadline) {
-			t.Fatal("reopened follower never caught up")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitStreaming(t, leader)
 	_, st := submit()
 	if got := back.follower.AppliedSeq(); got < leader.sched.Get(st.ID).replSeq {
 		t.Fatalf("semisync 202 for seq %d with the reopened follower at %d", leader.sched.Get(st.ID).replSeq, got)
@@ -377,13 +395,7 @@ func TestLeaderShutdownReleasesHeldPoll(t *testing.T) {
 	})
 	_, fts := newReplFollower(t, t.TempDir(), lts.URL, Config{Workers: 1, QueueDepth: 4})
 	waitCaughtUp(t, fts.URL)
-	deadline := time.Now().Add(10 * time.Second)
-	for leader.ReplicationStatus().State != "streaming" {
-		if time.Now().After(deadline) {
-			t.Fatalf("leader state %q, want streaming", leader.ReplicationStatus().State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitStreaming(t, leader)
 	time.Sleep(100 * time.Millisecond) // the tail poll is now held
 
 	lts.Config.RegisterOnShutdown(leader.ReleaseReplication)
