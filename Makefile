@@ -33,7 +33,9 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # one, or a lane whose decision diverged in a fused round) books
 # exactly what a solo run books — and the native pull kernels: each
 # hand-specialised Table I loop bit-identical to the closure loop it
-# replaces, dispatched on the ring's Kind, with the lane-owned scratch
+# replaces, dispatched on the ring's Kind, both of PageRank's segment
+# walks (run by run, and branch-free) bit-identical to it on short-run,
+# long-run, hub and one-element segments, with the lane-owned scratch
 # keeping steady-state PageRank under 1 MB of allocation — and the
 # partition builds: every OP tile cut from the row store equal to the
 # column store filtered by row range, both layouts independent of
@@ -69,7 +71,7 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesIndependentOfPEsAndVBlocks|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesIndependentOfPEsAndVBlocks|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode|TestNativePRWalksAgree' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service

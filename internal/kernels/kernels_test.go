@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,35 @@ func TestIPPartitionValid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIPPartitionValidateRowOrder swaps two elements of different rows
+// inside one segment: the element set, the vblocks and the PE row
+// ranges all still hold, and Validate must fail on the row order alone.
+func TestIPPartitionValidateRowOrder(t *testing.T) {
+	m := gen.PowerLaw(300, 3000, 0.6, gen.UniformWeight, 1)
+	p := NewIPPartition(m, 8, 64, BalanceNNZ)
+	if err := p.Validate(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, segs := range p.Segs {
+		for _, s := range segs {
+			for k := s.Lo + 1; k < s.Hi; k++ {
+				if p.Row[k] == p.Row[k-1] {
+					continue
+				}
+				p.Row[k], p.Row[k-1] = p.Row[k-1], p.Row[k]
+				p.Col[k], p.Col[k-1] = p.Col[k-1], p.Col[k]
+				p.Val[k], p.Val[k-1] = p.Val[k-1], p.Val[k]
+				err := p.Validate(m)
+				if err == nil || !strings.Contains(err.Error(), "follows row") {
+					t.Fatalf("swapped rows %d and %d in PE segment [%d,%d): Validate = %v", p.Row[k-1], p.Row[k], s.Lo, s.Hi, err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no segment holds two rows")
 }
 
 func TestIPPartitionBalancesNNZ(t *testing.T) {

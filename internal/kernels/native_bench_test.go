@@ -4,9 +4,10 @@ package kernels
 // bench-kernels`): one IP pass per Table I row, the closure fallback,
 // eight fused lanes, a density sweep of both dataflows for the min
 // rings, the dense merge for PR and both min rings and SpMV's scatter
-// merge, all on the scale-16 power-law graph the backend
-// comparison uses, reported per edge (per vertex for the dense merge,
-// per contribution element for the scatter merge).
+// merge, all on the scale-16 power-law graph the backend comparison
+// uses (PR also on the scale-13 one-vblock graph, whose row runs are
+// long), reported per edge (per vertex for the dense merge, per
+// contribution element for the scatter merge).
 
 import (
 	"fmt"
@@ -27,7 +28,13 @@ type benchGraph struct {
 
 func newBenchGraph(b *testing.B) benchGraph {
 	b.Helper()
-	const n = 1 << 16
+	return benchGraphOf(1 << 16)
+}
+
+// benchGraphOf is the bench graph's generator at n vertices, 16 edges
+// each, vblocked at the SCS width: 8 vblocks at 2^16 vertices, one at
+// 8 192 (the svc-ppr-open shape, whose row runs are long).
+func benchGraphOf(n int) benchGraph {
 	m := gen.PowerLaw(n, 16*n, 0.55, gen.UniformWeight, 16)
 	c := cfg(16, 16, sim.SCS)
 	part := NewIPPartition(m, c.Geometry.TotalPEs(), c.SPMWordsPerTile(), BalanceNNZ)
@@ -56,13 +63,17 @@ func BenchmarkNativeIP(b *testing.B) {
 	g := newBenchGraph(b)
 	custom := semiring.PR()
 	custom.Kind = semiring.KindCustom // PR through the closure loop
+	long := benchGraphOf(1 << 13)
 	for _, bc := range []struct {
 		name string
+		g    benchGraph
 		ring semiring.Semiring
 	}{
-		{"spmv", semiring.SpMV()}, {"bfs", semiring.BFS()}, {"sssp", semiring.SSSP()},
-		{"pr", semiring.PR()}, {"cf", semiring.CF()}, {"custom", custom},
+		{"spmv", g, semiring.SpMV()}, {"bfs", g, semiring.BFS()}, {"sssp", g, semiring.SSSP()},
+		{"pr", g, semiring.PR()}, {"pr-longruns", long, semiring.PR()},
+		{"cf", g, semiring.CF()}, {"custom", g, custom},
 	} {
+		g := bc.g
 		b.Run(bc.name, func(b *testing.B) {
 			op := opFor(bc.ring, g.m, g.prev)
 			op.Scratch = new(Scratch)

@@ -28,13 +28,14 @@ func bitsOf(x []float32) []uint32 {
 
 // Host-side SpMV kernels, the native backend's one body per dataflow:
 // a solo run is a one-lane call. The IP side runs one hand-specialised
-// probe-free loop per built-in Table I row (nativeIPPELanes), with the
-// semiring closures as the fallback for custom rings, and keeps each
-// PE's COO share cache-resident across lanes. The OP side has one
-// path per ring class: the min rings' iterations run as one fused
-// CAS-min push over the whole-graph column index that is its own merge
-// (NativePushMerge), and every other lane runs the shared pass bodies
-// with NopProbe over the tiles, lanes sequential per tile
+// probe-free loop per built-in Table I row (nativeIPPELanes; PageRank's
+// picks one of two walks per vblock segment by its run lengths, see
+// ipPR), with the semiring closures as the fallback for custom rings,
+// and keeps each PE's COO share cache-resident across lanes. The OP
+// side has one path per ring class: the min rings' iterations run as
+// one fused CAS-min push over the whole-graph column index that is its
+// own merge (NativePushMerge), and every other lane runs the shared
+// pass bodies with NopProbe over the tiles, lanes sequential per tile
 // (NativeOPMulti), then NativeScatterMerge. Every lane's result is
 // bit-identical to the simulator's and independent of how many lanes
 // ride along: the sum rings replay the simulated passes' float
@@ -126,7 +127,9 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 // simulated pass's per-lane sequence (ipBlockPEPass): per segment the
 // first contribution of a row seeds acc, later ones reduce into it, and
 // out[row] = Reduce(out[row], acc) on row change and segment end;
-// sparse-frontier rings skip identity-valued sources. So every float32
+// sparse-frontier rings skip identity-valued sources. PageRank's
+// branch-free walk stores out[row] + acc after every element instead,
+// which ends each run on the same bits (see ipPR). So every float32
 // rounding step matches the simulated pass and results stay bit-identical across
 // backends and lane counts. The min-ring loops reach the same bits with
 // neither the skip nor the segments: one min per edge over the PE's
@@ -269,18 +272,64 @@ func ipSSSP(part *IPPartition, pe int, x, out, prev matrix.Dense) {
 
 // ipPR: y holds V_src/deg(src) from the per-source pre-pass, so the
 // edge loop is a gather and an add; the matrix values are not read.
-// Nothing is skipped, so every row run flushes and the loop can walk
-// run by run.
+// Nothing is skipped, so every row run flushes, and each segment takes
+// one of two walks that store the same bits: prRunWalk where its runs
+// are long, prSelectWalk where they are short. Rows ascend within a
+// segment (Validate checks it), so its element count over the rows it
+// spans is a lower bound on its mean run length, read from two loads.
 func ipPR(part *IPPartition, segs []Seg, y, out matrix.Dense) {
 	for _, seg := range segs {
 		rows, cols := part.Row[seg.Lo:seg.Hi], part.Col[seg.Lo:seg.Hi]
-		for e := 0; e < len(cols); {
-			row, acc := rows[e], y[cols[e]]
-			for e++; e < len(cols) && rows[e] == row; e++ {
-				acc = acc + y[cols[e]]
-			}
-			out[row] = out[row] + acc
+		if len(rows) >= prLongRun*int(rows[len(rows)-1]-rows[0]+1) {
+			prRunWalk(rows, cols, y, out)
+		} else {
+			prSelectWalk(rows, cols, y, out)
 		}
+	}
+}
+
+// prLongRun is the elements per spanned row from which a segment's
+// runs count as long. Below it prRunWalk mispredicts its run exit about
+// once a run; from it on, prSelectWalk's chain through out[row] (each
+// element's load of it forwards from the previous element's store)
+// costs more than the exits do. BenchmarkNativeIP's pr segments hold
+// 1–3 elements per spanned row and its pr-longruns ones 10 or more; on
+// a 2^15-vertex graph between them the crossover lay between 4 and 6.
+const prLongRun = 4
+
+// prRunWalk walks one segment run by run: the first contribution of a
+// row seeds acc, later ones add into it, and the run ends with
+// out[row] += acc.
+func prRunWalk(rows, cols []int32, y, out matrix.Dense) {
+	for e := 0; e < len(cols); {
+		row, acc := rows[e], y[cols[e]]
+		for e++; e < len(cols) && rows[e] == row; e++ {
+			acc = acc + y[cols[e]]
+		}
+		out[row] = out[row] + acc
+	}
+}
+
+// prSelectWalk walks one segment with no branch on the row: every
+// element selects whether it starts a run or extends one, and stores
+// base + acc, where base is out[row] as the run found it. Each row is
+// one run within a segment, so a run's last store is the very
+// base + acc prRunWalk's flush computes. The selects act on the bits,
+// which Go compiles to conditional moves, as it does not for floats.
+func prSelectWalk(rows, cols []int32, y, out matrix.Dense) {
+	ob := bitsOf(out)
+	cur := int32(-1)
+	var acc float32
+	var base uint32
+	rows = rows[:len(cols)]
+	for e, col := range cols {
+		row, v := rows[e], y[col]
+		a, b, sum := math.Float32bits(v), ob[row], math.Float32bits(acc+v)
+		if row == cur {
+			a, b = sum, base
+		}
+		acc, base, cur = math.Float32frombits(a), b, row
+		out[row] = math.Float32frombits(base) + acc
 	}
 }
 

@@ -162,6 +162,115 @@ func TestNativeIPDispatchIsOnKindNotName(t *testing.T) {
 	t.Fatal("a custom ring named PR produced PageRank's contributions: dispatch is on the name")
 }
 
+// TestNativePRWalksAgree pins both of ipPR's segment walks, whatever
+// the per-segment choice would pick: prRunWalk and prSelectWalk each
+// run over every segment of every PE, and NativeIPMulti itself on a
+// fused PR/PPR/PR call, all held to the closure loop's bits. Each
+// layout checks the shape it is there for: short runs (the
+// 2^16-vertex power-law graph at the SCS vblock width), long runs (the
+// svc-ppr-open shape: 8 192 vertices, 131 072 edges, one vblock), hub
+// rows that fill every vblock and own their PEs, so consecutive
+// segments hold the same row, and one-element segments. Every fifth
+// source has out-degree zero.
+func TestNativePRWalksAgree(t *testing.T) {
+	scs := cfg(16, 16, sim.SCS)
+	const hubN = 512
+	var hubElems []matrix.Coord
+	for _, h := range []int32{3, 200, 201, 400} {
+		for c := int32(0); c < hubN; c++ {
+			hubElems = append(hubElems, matrix.Coord{Row: h, Col: c, Val: 1})
+		}
+	}
+	for r := int32(0); r < hubN; r += 3 {
+		for k := int32(1); k <= 4; k++ {
+			hubElems = append(hubElems, matrix.Coord{Row: r, Col: (r*7 + k*61) % hubN, Val: 1})
+		}
+	}
+	hub, err := matrix.NewCOO(hubN, hubN, hubElems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shape struct{ runWalks, selectWalks, oneElemSegs, oneRowPEs int }
+	layouts := []struct {
+		name        string
+		m           *matrix.COO
+		pes, vblock int
+		covers      func(shape) bool
+	}{
+		{"powerlaw2^16/scs", gen.PowerLaw(1<<16, 16<<16, 0.55, gen.UniformWeight, 16), scs.Geometry.TotalPEs(), scs.SPMWordsPerTile(),
+			func(s shape) bool { return s.selectWalks > 100*s.runWalks }},
+		{"powerlaw2^13/onevblock", gen.PowerLaw(1<<13, 16<<13, 0.55, gen.UniformWeight, 16), scs.Geometry.TotalPEs(), scs.SPMWordsPerTile(),
+			func(s shape) bool { return s.runWalks > 0 && s.selectWalks == 0 }},
+		{"hubs/vblock64", hub, 16, 64, func(s shape) bool { return s.oneRowPEs >= 2 }},
+		{"uniform/oneElementSegs", gen.Uniform(256, 300, gen.UniformWeight, 5), 64, 4, func(s shape) bool { return s.oneElemSegs > 100 }},
+	}
+	for _, lay := range layouts {
+		m := lay.m
+		part := NewIPPartition(m, lay.pes, lay.vblock, BalanceNNZ)
+		part.Materialize()
+		deg := m.OutDegrees()
+		for v := 0; v < len(deg); v += 5 {
+			deg[v] = 0
+		}
+		frontier := func(seed int) matrix.Dense {
+			x := make(matrix.Dense, m.C)
+			for i := range x {
+				x[i] = 1/float32(i%97+seed) + float32(i%13)/3
+			}
+			return x
+		}
+		operand := func(ring semiring.Semiring) Operand {
+			return Operand{Ring: ring, Deg: deg, Ctx: semiring.Ctx{Alpha: 0.15, Seed: 2}, Scratch: new(Scratch)}
+		}
+
+		// Each walk on every segment, against the closure loop.
+		x := frontier(1)
+		y := make(matrix.Dense, m.C)
+		for v, d := range deg {
+			if d != 0 {
+				y[v] = x[v] / float32(d)
+			}
+		}
+		op := operand(semiring.PR())
+		want := make(matrix.Dense, m.R)
+		byRuns, bySelects := make(matrix.Dense, m.R), make(matrix.Dense, m.R)
+		var sh shape
+		for _, segs := range part.Segs {
+			ipClosures(part, segs, x, want, &op)
+			for _, seg := range segs {
+				rows, cols := part.Row[seg.Lo:seg.Hi], part.Col[seg.Lo:seg.Hi]
+				prRunWalk(rows, cols, y, byRuns)
+				prSelectWalk(rows, cols, y, bySelects)
+				if len(rows) >= prLongRun*int(rows[len(rows)-1]-rows[0]+1) {
+					sh.runWalks++
+				} else {
+					sh.selectWalks++
+				}
+				if len(rows) == 1 {
+					sh.oneElemSegs++
+				}
+			}
+			if len(segs) > 1 && part.Row[segs[0].Lo] == part.Row[segs[len(segs)-1].Hi-1] {
+				sh.oneRowPEs++
+			}
+		}
+		if !lay.covers(sh) {
+			t.Fatalf("%s: layout lost its shape: %+v", lay.name, sh)
+		}
+		sameBits(t, lay.name+" prRunWalk", byRuns, want)
+		sameBits(t, lay.name+" prSelectWalk", bySelects, want)
+
+		// The choice, in a fused call mixing PR and PPR.
+		xs := []matrix.Dense{frontier(1), frontier(2), frontier(3)}
+		ops := []Operand{operand(semiring.PR()), operand(semiring.PPR()), operand(semiring.PR())}
+		got := NativeIPMulti(part, xs, ops)
+		wants := NativeIPMulti(part, xs, untagged(ops))
+		for l := range ops {
+			sameBits(t, fmt.Sprintf("%s fused lane %d (%s)", lay.name, l, ops[l].Ring.Name), got[l], wants[l])
+		}
+	}
+}
+
 // TestParallelChunksTilesRange holds parallelChunks to its contract at
 // several GOMAXPROCS settings: one result per chunk, in chunk order,
 // the chunks tiling [0, n) without gaps, and never more chunks than

@@ -250,8 +250,10 @@ func (p *IPPartition) OutDegrees() []int32 {
 }
 
 // Validate checks the partition invariants: every source element
-// appears exactly once, segments are disjoint and vblock-local, and
-// rows do not cross PE boundaries.
+// appears exactly once, segments are disjoint and vblock-local, rows
+// ascend within each segment (the simulator's row runs and both of
+// ipPR's walks take each row to be one run there), and rows do not
+// cross PE boundaries.
 func (p *IPPartition) Validate(m *matrix.COO) error {
 	p.Materialize()
 	if len(p.Val) != m.NNZ() {
@@ -279,6 +281,9 @@ func (p *IPPartition) Validate(m *matrix.COO) error {
 				return fmt.Errorf("kernels: PE %d segment [%d,%d) outside its range", pe, s.Lo, s.Hi)
 			}
 			for k := s.Lo; k < s.Hi; k++ {
+				if k > s.Lo && p.Row[k] < p.Row[k-1] {
+					return fmt.Errorf("kernels: PE %d vblock %d row %d follows row %d", pe, s.VB, p.Row[k], p.Row[k-1])
+				}
 				if r := p.Row[k]; r < p.RowBounds[pe] || r >= p.RowBounds[pe+1] {
 					return fmt.Errorf("kernels: PE %d holds row %d outside [%d,%d)", pe, r, p.RowBounds[pe], p.RowBounds[pe+1])
 				}
