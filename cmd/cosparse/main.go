@@ -39,9 +39,7 @@ func main() {
 	sw := flag.String("sw", "auto", "software configuration: auto, ip, op")
 	hw := flag.String("hw", "auto", "hardware configuration: auto, sc, scs, pc, ps")
 	printTrace := flag.Bool("print-trace", true, "print the per-iteration reconfiguration trace")
-	traceOut := flag.String("trace", "", "write the per-iteration trace as JSON to this file")
 	jsonOut := flag.String("json", "", "write the report as JSON to this file")
-	csvOut := flag.String("csv", "", "write the per-iteration trace as CSV to this file")
 	flag.Parse()
 
 	a, err := cosparse.ParseAlgo(*algo)
@@ -169,18 +167,8 @@ func main() {
 	if *printTrace {
 		fmt.Print(rep.Trace())
 	}
-	if *traceOut != "" {
-		if err := writeTo(*traceOut, rep.WriteTraceJSON); err != nil {
-			fail(err)
-		}
-	}
 	if *jsonOut != "" {
 		if err := writeTo(*jsonOut, rep.WriteJSON); err != nil {
-			fail(err)
-		}
-	}
-	if *csvOut != "" {
-		if err := writeTo(*csvOut, rep.WriteCSV); err != nil {
 			fail(err)
 		}
 	}

@@ -10,8 +10,7 @@
 // Figures: 4, 5, 6, 7, 8, 9, 10, table1, table2, table3, all; plus
 // "calibrate" (re-derive the decision-tree thresholds from a fresh
 // Fig. 4 sweep, §III-C), "scaling" (the §III-C3 4x8→8x8 study) and
-// "reconfig" (auto vs static configurations, §IV-C2). The -chart flag
-// renders the Fig. 4-6 sweeps as ASCII plots.
+// "reconfig" (auto vs static configurations, §IV-C2).
 // Scales: tiny (1/64, seconds), small (1/16, minutes — the committed
 // results in EXPERIMENTS.md), full (published sizes, hours).
 package main
@@ -27,20 +26,11 @@ import (
 	"cosparse/internal/bench"
 )
 
-func sweepCharts(res *bench.SweepResult, title, ylabel string, hline float64) []string {
-	var out []string
-	for _, m := range res.Matrices {
-		out = append(out, res.SweepChart(m.Name, title, ylabel, hline).String())
-	}
-	return out
-}
-
 func main() {
 	fig := flag.String("fig", "all", "which figure/table to regenerate: 4..10, table1..table3, or all")
 	scaleName := flag.String("scale", "small", "workload scale: tiny, small, full")
 	out := flag.String("out", "", "write output to this file instead of stdout")
-	format := flag.String("format", "text", "output format: text, csv, json")
-	chart := flag.Bool("chart", false, "also render ASCII charts for the Fig. 4-6 sweeps")
+	format := flag.String("format", "text", "output format: text, json")
 	flag.Parse()
 
 	var scale bench.Scale
@@ -55,6 +45,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q (want tiny, small or full)\n", *scaleName)
 		os.Exit(2)
 	}
+	if *format != "text" && *format != "json" {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -format %q (want text or json)\n", *format)
+		os.Exit(2)
+	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -65,21 +59,6 @@ func main() {
 		}
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
-	}
-
-	charts := map[string]func(bench.Scale) []string{
-		"4": func(s bench.Scale) []string {
-			res, _ := bench.Fig4(s)
-			return sweepCharts(res, "Fig. 4 — OP vs IP speedup", "OP/IP", 1.0)
-		},
-		"5": func(s bench.Scale) []string {
-			res, _ := bench.Fig5(s)
-			return sweepCharts(res, "Fig. 5 — SCS vs SC gain", "gain", 0)
-		},
-		"6": func(s bench.Scale) []string {
-			res, _ := bench.Fig6(s)
-			return sweepCharts(res, "Fig. 6 — PS vs PC gain", "gain", 0)
-		},
 	}
 
 	runners := map[string]func(bench.Scale) *bench.Table{
@@ -119,30 +98,12 @@ func main() {
 				name, strings.Join(order, ", "))
 			os.Exit(2)
 		}
-		if *chart {
-			if cf, ok := charts[name]; ok {
-				for _, c := range cf(scale) {
-					fmt.Fprintln(w, c)
-				}
-				continue
-			}
-		}
 		start := time.Now()
 		tbl := run(scale)
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf("regenerated in %v", time.Since(start).Round(time.Millisecond)))
-		var err error
-		switch *format {
-		case "text":
+		if *format == "text" {
 			tbl.Fprint(w)
-		case "csv":
-			err = tbl.WriteCSV(w)
-		case "json":
-			err = tbl.WriteJSON(w)
-		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown -format %q\n", *format)
-			os.Exit(2)
-		}
-		if err != nil {
+		} else if err := tbl.WriteJSON(w); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

@@ -678,58 +678,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// DensityTrace renders the report's frontier-density wave as a compact
-// ASCII strip — one column per iteration, height by density, the chosen
-// configuration underneath (the visual shape of the paper's Fig. 9).
-func (r *Report) DensityTrace() string {
-	if len(r.Iterations) == 0 {
-		return "(no iterations)\n"
-	}
-	const rows = 8
-	var maxD float64
-	for _, it := range r.Iterations {
-		if it.Density > maxD {
-			maxD = it.Density
-		}
-	}
-	if maxD == 0 {
-		maxD = 1
-	}
-	var sb strings.Builder
-	for row := rows; row >= 1; row-- {
-		if row == rows {
-			fmt.Fprintf(&sb, "%6.1f%% |", 100*maxD)
-		} else {
-			sb.WriteString("        |")
-		}
-		for _, it := range r.Iterations {
-			h := int(it.Density/maxD*float64(rows) + 0.5)
-			if h >= row {
-				sb.WriteString("#")
-			} else {
-				sb.WriteString(" ")
-			}
-		}
-		sb.WriteString("\n")
-	}
-	sb.WriteString("        +")
-	sb.WriteString(strings.Repeat("-", len(r.Iterations)))
-	sb.WriteString("\n     sw  ")
-	for _, it := range r.Iterations {
-		sb.WriteString(string(it.Software[0])) // I or O
-	}
-	sb.WriteString("\n     hw  ")
-	for _, it := range r.Iterations {
-		c := "c"
-		if strings.HasSuffix(it.Hardware, "S") && it.Hardware != "SC" {
-			c = "s" // a scratchpad configuration (SCS or PS)
-		}
-		sb.WriteString(c)
-	}
-	sb.WriteString("\n         (sw: I=inner product, O=outer product; hw: s=scratchpad, c=cache)\n")
-	return sb.String()
-}
-
 // Betweenness computes single-source betweenness centrality (Brandes'
 // dependency accumulation on the BFS DAG) as two level-synchronized
 // lanes of the ordinary iteration loop — a σ sweep forward and a δ

@@ -294,32 +294,6 @@ func TestEdgesAccessor(t *testing.T) {
 	}
 }
 
-func TestDensityTrace(t *testing.T) {
-	g := testGraph(t)
-	eng := testEngine(t, g)
-	_, rep, err := eng.SSSP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rep.DensityTrace()
-	if !strings.Contains(tr, "#") || !strings.Contains(tr, "sw") {
-		t.Fatalf("trace malformed:\n%s", tr)
-	}
-	// One column per iteration in the sw row.
-	for _, line := range strings.Split(tr, "\n") {
-		if strings.Contains(line, "sw  ") {
-			cols := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "sw"))
-			if len(cols) != len(rep.Iterations) {
-				t.Fatalf("sw row %q has %d cols for %d iterations", cols, len(cols), len(rep.Iterations))
-			}
-		}
-	}
-	empty := &Report{}
-	if !strings.Contains(empty.DensityTrace(), "no iterations") {
-		t.Fatal("empty report trace wrong")
-	}
-}
-
 func TestBetweennessEndToEnd(t *testing.T) {
 	// Path 0->1->2->3: interior vertices carry all shortest paths.
 	g, err := NewGraph(4, []Edge{

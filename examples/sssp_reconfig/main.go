@@ -53,9 +53,6 @@ func main() {
 	fmt.Println("per-iteration reconfiguration trace (compare with the paper's Fig. 9):")
 	fmt.Print(rep.Trace())
 	fmt.Println()
-	fmt.Println("frontier density wave and the configurations that tracked it:")
-	fmt.Print(rep.DensityTrace())
-	fmt.Println()
 	fmt.Println(rep.Summary())
 
 	// Quantify what the reconfiguration bought: rerun pinned to the

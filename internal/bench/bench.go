@@ -14,7 +14,6 @@
 package bench
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -228,22 +227,6 @@ func kfmt(n int) string {
 
 // vecDensities is the x-axis of Figs. 4–6.
 var vecDensities = []float64{0.0025, 0.005, 0.01, 0.02, 0.04}
-
-// WriteCSV emits the table as CSV (header row first) for external
-// plotting tools.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // WriteJSON emits the table (title, header, rows, notes) as JSON.
 func (t *Table) WriteJSON(w io.Writer) error {

@@ -140,10 +140,6 @@ func TestSparseVecRoundTrip(t *testing.T) {
 	if d[2] != 20 || d[5] != 50 || d[7] != 70 || d[0] != 0 {
 		t.Fatalf("ToDense wrong: %v", d)
 	}
-	s := Sparsify(d, 0)
-	if s.NNZ() != 3 || s.Idx[0] != 2 || s.Val[2] != 70 {
-		t.Fatalf("Sparsify wrong: %+v", s)
-	}
 }
 
 func TestSparseVecWithNonZeroFill(t *testing.T) {
@@ -155,13 +151,6 @@ func TestSparseVecWithNonZeroFill(t *testing.T) {
 	d := v.ToDense(inf)
 	if d[0] != inf || d[1] != 3 || d[4] != 9 {
 		t.Fatalf("fill not applied: %v", d)
-	}
-	s := Sparsify(d, inf)
-	if s.NNZ() != 2 || s.Idx[0] != 1 || s.Idx[1] != 4 {
-		t.Fatalf("Sparsify with fill wrong: %+v", s)
-	}
-	if got := DenseDensity(d, inf); math.Abs(got-2.0/6.0) > 1e-12 {
-		t.Fatalf("DenseDensity = %g, want 1/3", got)
 	}
 }
 
@@ -226,40 +215,6 @@ func TestQuickConversionIdentity(t *testing.T) {
 				return false
 			}
 			if b.Row[k] != m.Row[k] || b.Col[k] != m.Col[k] || b.Val[k] != m.Val[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property-based: Sparsify∘ToDense is the identity on canonical sparse vectors.
-func TestQuickSparsifyIdentity(t *testing.T) {
-	f := func(seed uint64, n16 uint16) bool {
-		r := rng.New(seed)
-		n := 1 + int(n16%200)
-		var idx []int32
-		var val []float32
-		for i := 0; i < n; i++ {
-			if r.Float64() < 0.4 {
-				v := r.Float32() + 0.1 // never equal to the fill value 0
-				idx = append(idx, int32(i))
-				val = append(val, v)
-			}
-		}
-		sv, err := NewSparseVec(n, idx, val)
-		if err != nil {
-			return false
-		}
-		rt := Sparsify(sv.ToDense(0), 0)
-		if rt.NNZ() != sv.NNZ() {
-			return false
-		}
-		for k := range sv.Idx {
-			if rt.Idx[k] != sv.Idx[k] || rt.Val[k] != sv.Val[k] {
 				return false
 			}
 		}

@@ -87,34 +87,6 @@ func (v *SparseVec) ToDense(fill float32) Dense {
 	return d
 }
 
-// Sparsify gathers the entries of d that differ from `fill` into a
-// sparse vector. This is the dense→sparse conversion the runtime
-// performs when switching from IP to OP (§III-D2).
-func Sparsify(d Dense, fill float32) *SparseVec {
-	out := &SparseVec{N: len(d)}
-	for i, x := range d {
-		if x != fill {
-			out.Idx = append(out.Idx, int32(i))
-			out.Val = append(out.Val, x)
-		}
-	}
-	return out
-}
-
-// DenseDensity returns the fraction of entries of d that differ from fill.
-func DenseDensity(d Dense, fill float32) float64 {
-	if len(d) == 0 {
-		return 0
-	}
-	nnz := 0
-	for _, x := range d {
-		if x != fill {
-			nnz++
-		}
-	}
-	return float64(nnz) / float64(len(d))
-}
-
 // Clone returns a copy of the dense vector.
 func (d Dense) Clone() Dense {
 	out := make(Dense, len(d))

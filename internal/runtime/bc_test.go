@@ -64,7 +64,7 @@ func TestBCMatchesBrandes(t *testing.T) {
 	for _, be := range []exec.Backend{exec.Sim(), exec.Native()} {
 		for _, seed := range []uint64{201, 202, 203} {
 			m := gen.PowerLaw(250, 2200, 0.5, gen.Pattern, seed)
-			f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, Backend: be, TraceCap: traceCap})
+			f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, Backend: be, traceCap: traceCap})
 			got, rep, err := f.BC(0)
 			if err != nil {
 				t.Fatal(err)

@@ -152,12 +152,6 @@ type Options struct {
 	// goroutine-parallel on the host and reports wall-clock durations.
 	Backend exec.Backend
 
-	// TraceCap bounds Report.Iters: runs longer than the cap keep only
-	// the most recent entries (Report.DroppedIters counts the rest).
-	// 0 means DefaultTraceCap, the bound every public engine uses;
-	// negative means unbounded. Only this package's tests set it.
-	TraceCap int
-
 	// OnIteration, if set, observes each completed iteration: the
 	// iteration's stats and the frontier it produced (nil when the
 	// semiring keeps a dense frontier). The callback must not retain or
@@ -170,6 +164,12 @@ type Options struct {
 	// partial report is returned alongside the (wrapped) error. The
 	// serving layer uses this for fault injection and health probes.
 	IterHook func(iter int) error
+
+	// traceCap bounds Report.Iters: runs longer than the cap keep only
+	// the most recent entries (Report.DroppedIters counts the rest).
+	// 0 means DefaultTraceCap, the bound every public engine uses;
+	// negative means unbounded. Only this package's tests set it.
+	traceCap int
 }
 
 // Framework is a CoSPARSE instance bound to one graph: it holds the
@@ -406,7 +406,7 @@ type IterStat struct {
 // Report summarizes a full algorithm run.
 //
 // Iters is the per-iteration decision trace, bounded by
-// Options.TraceCap: when a run exceeds the cap, only the most recent
+// DefaultTraceCap: when a run exceeds the cap, only the most recent
 // entries are retained. TotalIters is always the exact number of
 // iterations executed and DroppedIters how many fell out of the
 // bounded trace (0 for a complete trace), so cycle/energy totals —

@@ -1,30 +1,30 @@
 package runtime
 
 // Bounded per-iteration tracing. Every run records its IterStats into a
-// ring buffer sized by Options.TraceCap, so long-running jobs (many
+// ring buffer of DefaultTraceCap entries, so long-running jobs (many
 // PageRank iterations on a big graph) keep the most recent window of
 // the Fig. 9 decision trace without letting Report.Iters grow with the
 // iteration count. The Report still carries exact totals
 // (TotalIters, DroppedIters), so consumers can tell a complete trace
 // from a truncated one.
 
-// DefaultTraceCap is the per-run iteration-trace bound used when
-// Options.TraceCap is zero. 4096 iterations × ~200 B/entry keeps the
-// worst case under a megabyte while covering every algorithm in the
-// suite end to end (the longest calibrated run is ~4·|V| BFS levels on
-// the small graphs).
+// DefaultTraceCap is the per-run iteration-trace bound every engine
+// uses. 4096 iterations × ~200 B/entry keeps the worst case under a
+// megabyte while covering every algorithm in the suite end to end
+// (the longest calibrated run is ~4·|V| BFS levels on the small
+// graphs).
 const DefaultTraceCap = 4096
 
-// ringCap normalizes Options.TraceCap: 0 means DefaultTraceCap,
+// ringCap normalizes Options.traceCap: 0 means DefaultTraceCap,
 // negative means unbounded.
 func (o Options) ringCap() int {
-	if o.TraceCap == 0 {
+	if o.traceCap == 0 {
 		return DefaultTraceCap
 	}
-	if o.TraceCap < 0 {
+	if o.traceCap < 0 {
 		return 0 // unbounded
 	}
-	return o.TraceCap
+	return o.traceCap
 }
 
 // iterRing collects IterStats with a bounded memory footprint, keeping

@@ -37,7 +37,7 @@ func TestTraceCapBoundsReportWithExactTotals(t *testing.T) {
 	// cycle/energy totals stay exact — identical to an unbounded run.
 	m := gen.Uniform(1000, 10000, gen.Pattern, 4)
 	run := func(cap int) *Report {
-		f := newFW(t, m, Options{TraceCap: cap})
+		f := newFW(t, m, Options{traceCap: cap})
 		_, rep, err := f.PageRank(20, 0.15)
 		if err != nil {
 			t.Fatal(err)

@@ -267,23 +267,3 @@ func CF() Semiring {
 		DenseFrontier: true,
 	}
 }
-
-// ByName returns the named semiring, matching the algorithm names the
-// CLI tools accept.
-func ByName(name string) (Semiring, bool) {
-	switch name {
-	case "spmv", "SpMV":
-		return SpMV(), true
-	case "bfs", "BFS":
-		return BFS(), true
-	case "sssp", "SSSP":
-		return SSSP(), true
-	case "pr", "PR", "pagerank":
-		return PR(), true
-	case "ppr", "PPR":
-		return PPR(), true
-	case "cf", "CF":
-		return CF(), true
-	}
-	return Semiring{}, false
-}

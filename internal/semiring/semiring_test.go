@@ -7,17 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"spmv", "bfs", "sssp", "pr", "cf", "SpMV", "BFS", "SSSP", "PR", "CF", "pagerank"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) failed", name)
-		}
-	}
-	if _, ok := ByName("dijkstra"); ok {
-		t.Error("ByName accepted unknown algorithm")
-	}
-}
-
 func TestSpMVRing(t *testing.T) {
 	r := SpMV()
 	if got := r.MatOp(2, 3, Ctx{}); got != 6 {

@@ -131,7 +131,7 @@ func TestFusedSubmitFlow(t *testing.T) {
 
 // TestBatchLoneJobIsSolo: with batching on, a job nobody joins runs as
 // a group of one — not marked fused, counted under mode="solo", and
-// (being the only lane) its simulated memory stats are observed.
+// (being the only lane) its report keeps its simulated memory stats.
 func TestBatchLoneJobIsSolo(t *testing.T) {
 	svc, ts := newTestService(t, Config{
 		Workers: 2, QueueDepth: 8,
@@ -140,7 +140,7 @@ func TestBatchLoneJobIsSolo(t *testing.T) {
 	gid := registerGraph(t, ts.URL, 5)
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", JobRequest{
-		GraphID: gid, Algo: "pr", Iterations: 3,
+		GraphID: gid, Algo: "pr", Iterations: 3, IncludeTrace: true,
 	}, &st); code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
@@ -153,8 +153,9 @@ func TestBatchLoneJobIsSolo(t *testing.T) {
 	if !strings.Contains(text, `cosparsed_job_seconds_count{algo="pr",backend="sim",mode="solo"} 1`) {
 		t.Fatalf("mode=solo job_seconds series did not advance:\n%s", text)
 	}
-	if svc.m.SimHBMReadLines.Load() == 0 {
-		t.Fatal("sim HBM counters did not advance for a one-lane group")
+	if st.Result == nil || st.Result.Report == nil || st.Result.Report.Memory == nil ||
+		st.Result.Report.Memory.HBMReadLines == 0 {
+		t.Fatalf("one-lane group's report lost its memory stats: %+v", st.Result)
 	}
 }
 

@@ -80,38 +80,24 @@ func (h *Histogram) Count() int64 {
 }
 
 // write renders the histogram in Prometheus text format under name
-// with one fixed label pair.
-func (h *Histogram) write(w io.Writer, name, labelKey, labelVal string) {
-	h.writeLabeled(w, name, fmt.Sprintf("%s=%q", labelKey, labelVal))
-}
-
-// writeLabeled renders the histogram with a pre-formatted label list
-// (`k1="v1",k2="v2"`). A scrape racing concurrent Observes sees each
-// counter atomically; buckets may trail the total by in-flight
-// observations, which Prometheus tolerates between scrapes.
-func (h *Histogram) writeLabeled(w io.Writer, name, labels string) {
+// with a pre-formatted label list (`k1="v1",k2="v2"`, or "" for none).
+// A scrape racing concurrent Observes sees each counter atomically;
+// buckets may trail the total by in-flight observations, which
+// Prometheus tolerates between scrapes.
+func (h *Histogram) write(w io.Writer, name, labels string) {
+	sep, set := "", ""
+	if labels != "" {
+		sep, set = labels+",", "{"+labels+"}"
+	}
 	cum := int64(0)
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, labels, formatBound(b), cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, formatBound(b), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, math.Float64frombits(h.sumBits.Load()))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
-}
-
-// writeBare renders the histogram without labels.
-func (h *Histogram) writeBare(w io.Writer, name string) {
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, math.Float64frombits(h.sumBits.Load()))
-	fmt.Fprintf(w, "%s_count %d\n", name, cum)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, sep, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, math.Float64frombits(h.sumBits.Load()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, cum)
 }
 
 func formatBound(b float64) string {
@@ -172,7 +158,6 @@ type Metrics struct {
 
 	// Graph registry.
 	GraphsRegistered atomic.Int64 // gauge: graphs currently held
-	GraphsCreated    atomic.Int64 // counter: registrations ever accepted
 
 	// Engine cache.
 	EngineCacheHits      atomic.Int64
@@ -181,7 +166,6 @@ type Metrics struct {
 	EngineCacheSize      atomic.Int64 // gauge
 
 	// HTTP plane.
-	HTTPRequests atomic.Int64
 	HTTPInFlight atomic.Int64 // gauge: requests currently being served
 
 	// Durability (WAL journal + checkpoints; all zero when the daemon
@@ -206,16 +190,6 @@ type Metrics struct {
 	// QueueDelay tracks dequeue sojourn — the signal behind the
 	// CoDel-style shedding controller (cosparsed_queue_delay_seconds).
 	QueueDelay *Histogram
-
-	// Simulated memory-system totals accumulated over finished jobs,
-	// split by direction (reads are demand/stream fetches, writes are
-	// dirty-line writebacks — see internal/sim).
-	SimHBMReadLines     atomic.Int64
-	SimHBMWriteLines    atomic.Int64
-	SimHBMReadQueued    atomic.Int64 // cumulative channel queueing cycles, read side
-	SimHBMWriteQueued   atomic.Int64 // cumulative channel queueing cycles, write side
-	SimStallCycles      atomic.Int64
-	SimReconfigurations atomic.Int64
 
 	// Histogram families are read-mostly maps: the steady state takes
 	// one RLock per observation to resolve the series, then observes
@@ -360,17 +334,6 @@ func (m *Metrics) ObserveBatch(lanes int) {
 	m.BatchOccupancy.Observe(float64(lanes))
 }
 
-// ObserveSim folds one finished job's simulated memory-system counters
-// into the daemon totals.
-func (m *Metrics) ObserveSim(readLines, writeLines, readQueued, writeQueued, stall, reconfig int64) {
-	m.SimHBMReadLines.Add(readLines)
-	m.SimHBMWriteLines.Add(writeLines)
-	m.SimHBMReadQueued.Add(readQueued)
-	m.SimHBMWriteQueued.Add(writeQueued)
-	m.SimStallCycles.Add(stall)
-	m.SimReconfigurations.Add(reconfig)
-}
-
 // WritePrometheus renders every metric in Prometheus text exposition
 // format, in deterministic order. The histogram maps are snapshotted
 // under one lock acquisition; rendering then reads only atomics.
@@ -403,12 +366,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "cosparsed_graph_bytes{format=\"csr\"} %d\n", m.GraphBytesCSR.Load())
 	fmt.Fprintf(w, "cosparsed_graph_bytes{format=\"dvcsr\"} %d\n", m.GraphBytesDVCSR.Load())
 	gauge("cosparsed_graphs_registered", "Graphs currently held in the registry.", m.GraphsRegistered.Load())
-	counter("cosparsed_graphs_created_total", "Graph registrations ever accepted.", m.GraphsCreated.Load())
 	counter("cosparsed_engine_cache_hits_total", "Prepared-engine cache hits.", m.EngineCacheHits.Load())
 	counter("cosparsed_engine_cache_misses_total", "Prepared-engine cache misses (engine built).", m.EngineCacheMisses.Load())
 	counter("cosparsed_engine_cache_evictions_total", "Prepared engines evicted from the LRU cache.", m.EngineCacheEvictions.Load())
 	gauge("cosparsed_engine_cache_size", "Prepared engines currently cached.", m.EngineCacheSize.Load())
-	counter("cosparsed_http_requests_total", "HTTP requests served.", m.HTTPRequests.Load())
 	gauge("cosparsed_http_in_flight", "HTTP requests currently being served.", m.HTTPInFlight.Load())
 	counter("cosparsed_journal_bytes_total", "Bytes committed to the durability journal (framed records, fsynced).", m.JournalBytes.Load())
 	counter("cosparsed_checkpoints_written_total", "Checkpoint snapshots persisted for running jobs.", m.CheckpointsWritten.Load())
@@ -417,12 +378,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "cosparsed_jobs_recovered_total{outcome=\"resumed\"} %d\n", m.JobsRecoveredResumed.Load())
 	fmt.Fprintf(w, "cosparsed_jobs_recovered_total{outcome=\"restarted\"} %d\n", m.JobsRecoveredRestarted.Load())
 	fmt.Fprintf(w, "cosparsed_jobs_recovered_total{outcome=\"failed\"} %d\n", m.JobsRecoveredFailed.Load())
-	counter("cosparsed_sim_hbm_read_lines_total", "Simulated HBM lines read (demand + stream fetches) across finished jobs.", m.SimHBMReadLines.Load())
-	counter("cosparsed_sim_hbm_write_lines_total", "Simulated HBM lines written (dirty-line writebacks) across finished jobs.", m.SimHBMWriteLines.Load())
-	counter("cosparsed_sim_hbm_read_queued_cycles_total", "Simulated HBM channel queueing cycles on the read side across finished jobs.", m.SimHBMReadQueued.Load())
-	counter("cosparsed_sim_hbm_write_queued_cycles_total", "Simulated HBM channel queueing cycles on the write side across finished jobs.", m.SimHBMWriteQueued.Load())
-	counter("cosparsed_sim_stall_cycles_total", "Simulated PE memory-stall cycles across finished jobs.", m.SimStallCycles.Load())
-	counter("cosparsed_sim_reconfigurations_total", "Hardware/software reconfigurations performed across finished jobs.", m.SimReconfigurations.Load())
 	if m.Repl != nil {
 		gauge("cosparsed_repl_state", "Replication state (0=off 1=idle 2=syncing 3=streaming 4=disconnected 5=rejected).", m.Repl.State.Load())
 		gauge("cosparsed_repl_lag_records", "Journal records the replication peer has not acknowledged.", m.Repl.LagRecords.Load())
@@ -487,26 +442,26 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	if len(jobKeys) > 0 {
 		fmt.Fprintf(w, "# HELP cosparsed_job_cycles Simulated cycles per finished job.\n# TYPE cosparsed_job_cycles histogram\n")
 		for _, k := range jobKeys {
-			jobs[k].cycles.writeLabeled(w, "cosparsed_job_cycles", jobLabels(k))
+			jobs[k].cycles.write(w, "cosparsed_job_cycles", jobLabels(k))
 		}
 		fmt.Fprintf(w, "# HELP cosparsed_job_seconds Wall-clock seconds per finished job.\n# TYPE cosparsed_job_seconds histogram\n")
 		for _, k := range jobKeys {
-			jobs[k].seconds.writeLabeled(w, "cosparsed_job_seconds", jobLabels(k))
+			jobs[k].seconds.write(w, "cosparsed_job_seconds", jobLabels(k))
 		}
 	}
 	if m.QueueDelay != nil && m.QueueDelay.Count() > 0 {
 		fmt.Fprintf(w, "# HELP cosparsed_queue_delay_seconds Dequeue sojourn: how long each job waited in the queue.\n# TYPE cosparsed_queue_delay_seconds histogram\n")
-		m.QueueDelay.writeBare(w, "cosparsed_queue_delay_seconds")
+		m.QueueDelay.write(w, "cosparsed_queue_delay_seconds", "")
 	}
 	if m.BatchOccupancy != nil && m.BatchOccupancy.Count() > 0 {
 		fmt.Fprintf(w, "# HELP cosparsed_batch_occupancy Lanes per fused batch run (jobs coalesced by one gather window).\n# TYPE cosparsed_batch_occupancy histogram\n")
-		m.BatchOccupancy.writeBare(w, "cosparsed_batch_occupancy")
+		m.BatchOccupancy.write(w, "cosparsed_batch_occupancy", "")
 	}
 	if len(httpKeys) > 0 {
 		fmt.Fprintf(w, "# HELP cosparsed_http_request_seconds HTTP request latency by route pattern and status code.\n# TYPE cosparsed_http_request_seconds histogram\n")
 		for _, k := range httpKeys {
 			hh := httpSer[k]
-			hh.latency.writeLabeled(w, "cosparsed_http_request_seconds",
+			hh.latency.write(w, "cosparsed_http_request_seconds",
 				fmt.Sprintf("route=%q,code=%q", hh.route, hh.status))
 		}
 	}

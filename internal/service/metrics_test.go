@@ -11,7 +11,7 @@ func TestHistogramBuckets(t *testing.T) {
 		h.Observe(v)
 	}
 	var sb strings.Builder
-	h.write(&sb, "x", "k", "v")
+	h.write(&sb, "x", `k="v"`)
 	got := sb.String()
 	want := `x_bucket{k="v",le="1"} 2
 x_bucket{k="v",le="10"} 3
@@ -22,6 +22,11 @@ x_count{k="v"} 5
 `
 	if got != want {
 		t.Fatalf("histogram render:\n got %q\nwant %q", got, want)
+	}
+	sb.Reset()
+	h.write(&sb, "x", "")
+	if got, want := sb.String(), strings.NewReplacer(`k="v",`, "", `{k="v"}`, "").Replace(want); got != want {
+		t.Fatalf("unlabelled histogram render:\n got %q\nwant %q", got, want)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())

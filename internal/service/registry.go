@@ -351,7 +351,6 @@ func (r *Registry) Register(spec GraphSpec) (*GraphEntry, error) {
 	r.usedByFormat[g.Format()] += real
 	r.publishBytesLocked()
 	r.m.GraphsRegistered.Store(int64(len(r.graphs)))
-	r.m.GraphsCreated.Add(1)
 	return e, nil
 }
 
@@ -387,7 +386,6 @@ func (r *Registry) Restore(id string, spec GraphSpec) error {
 	r.usedByFormat[g.Format()] += real
 	r.publishBytesLocked()
 	r.m.GraphsRegistered.Store(int64(len(r.graphs)))
-	r.m.GraphsCreated.Add(1)
 	return nil
 }
 

@@ -72,8 +72,9 @@ type Config struct {
 	// logs its full per-iteration decision trace (0 disables).
 	SlowJob time.Duration
 	// TraceSink, when non-nil, receives one JSON line per finished job
-	// (including partial runs) with the job's iteration trace — the
-	// daemon-side form of the CLI's -trace flag. Writes are serialized.
+	// (including partial runs) with the job's iteration trace, in the
+	// JobTrace form GET /v1/jobs/{id}/trace serves. Writes are
+	// serialized.
 	TraceSink io.Writer
 	// DataDir, when non-empty, enables durability: a WAL journal of
 	// graph and job lifecycle transitions plus periodic checkpoint
@@ -524,7 +525,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // logging is the structured request-log middleware.
 func (s *Service) logging(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.m.HTTPRequests.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
 		t0 := time.Now()
 		next.ServeHTTP(sw, r)
@@ -940,20 +940,6 @@ func (s *Service) runGroup(jobs []*Job) ([]*JobResult, []error) {
 			res.Report = rep
 		}
 		s.m.ObserveJob(j.algo.String(), j.backend.String(), mode, rep.TotalCycles, wall.Seconds())
-		// Memory-system stats of a shared kernel pass describe the whole
-		// group, so they are attributable — and observed — only when the
-		// group is one lane.
-		if mem := rep.Memory; mem != nil && !fused {
-			reconfigs := int64(0)
-			for _, it := range rep.Iterations {
-				if it.Reconfigured {
-					reconfigs++
-				}
-			}
-			s.m.ObserveSim(mem.HBMReadLines, mem.HBMWriteLines,
-				mem.HBMReadQueuedCycles, mem.HBMWriteQueuedCycles,
-				mem.StallCycles, reconfigs)
-		}
 		if s.cfg.SlowJob > 0 && wall >= s.cfg.SlowJob {
 			s.log.Warn("slow job",
 				slog.String("job", j.id),
@@ -1066,8 +1052,8 @@ func decisionTrace(rep *cosparse.Report) string {
 	return sb.String()
 }
 
-// sinkTrace appends the job's trace to the configured sink as one JSON
-// line (JSONL): the daemon-side equivalent of the CLI's -trace flag.
+// sinkTrace appends the job's JobTrace to the configured sink as one
+// JSON line (JSONL).
 // Called from the worker before the scheduler's terminal transition, so
 // the run's outcome is patched in from err.
 func (s *Service) sinkTrace(j *Job, err error) {

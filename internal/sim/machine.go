@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Arena is a bump allocator for the simulated physical address space.
 // Kernels allocate one region per data structure (matrix arrays,
 // vectors, heaps, staging buffers) so that the cache and channel
@@ -134,16 +132,6 @@ func (s Stats) L2HitRate() float64 {
 		return float64(s.L2Hits) / float64(t)
 	}
 	return 0
-}
-
-// HBMBandwidthGBs returns the achieved main-memory bandwidth over the
-// run in GB/s (at the 1 GHz clock).
-func (s Stats) HBMBandwidthGBs(blockBytes int) float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	bytes := float64(s.HBMLines) * float64(blockBytes)
-	return bytes / (float64(s.Cycles) / ClockHz) / 1e9
 }
 
 // Add accumulates other into s (used by the runtime to total iterations).
@@ -674,13 +662,4 @@ func (m *Machine) Run(prog Program) Result {
 		res.Balance = float64(endSum) / float64(len(procs)) / float64(makespan)
 	}
 	return res
-}
-
-// Describe returns a human-readable summary of the machine, used by the
-// experiment harness to echo Table II.
-func (m *Machine) Describe() string {
-	c := m.cfg
-	return fmt.Sprintf("%s %s: L1 %d cache banks + %d SPM banks/tile (%d B each), L2 %d B/tile, HBM %d channels",
-		c.Geometry, c.HW, c.L1CacheBanksPerTile(), c.SPMBanksPerTile(), c.Params.L1BankBytes,
-		c.L2TileBytes(), c.Params.HBMChannels)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -536,14 +535,6 @@ func TestPowerIsPlausible(t *testing.T) {
 	}
 }
 
-func TestDescribeMentionsGeometry(t *testing.T) {
-	m := MustMachine(cfg2x4(SCS))
-	d := m.Describe()
-	if !strings.Contains(d, "2x4") || !strings.Contains(d, "SCS") {
-		t.Fatalf("Describe() = %q", d)
-	}
-}
-
 func TestRunPanicsWithoutPE(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -567,9 +558,6 @@ func TestHitRatesAndBandwidth(t *testing.T) {
 	s := res.Stats
 	if r := s.L1HitRate(); r <= 0.5 || r > 1 {
 		t.Fatalf("L1 hit rate %.3f for a resident working set", r)
-	}
-	if bw := s.HBMBandwidthGBs(64); bw <= 0 {
-		t.Fatalf("bandwidth %g", bw)
 	}
 	if (Stats{}).L1HitRate() != 0 || (Stats{}).L2HitRate() != 0 {
 		t.Fatal("empty stats should have zero hit rates")

@@ -1,9 +1,7 @@
 package cosparse
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -13,61 +11,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// WriteTraceJSON serializes just the per-iteration decision trace plus
-// the fields needed to interpret it (algorithm, system, totals,
-// truncation counters) — the compact form the `-trace <file>` flags and
-// the service's trace endpoint emit for offline analysis.
-func (r *Report) WriteTraceJSON(w io.Writer) error {
-	iters := r.TotalIterations
-	if iters == 0 {
-		iters = len(r.Iterations)
-	}
-	t := struct {
-		Algorithm       string
-		System          string
-		Backend         string `json:",omitempty"`
-		TotalIterations int
-		TraceDropped    int `json:",omitempty"`
-		TotalCycles     int64
-		Iterations      []IterationStat
-	}{
-		Algorithm:       r.Algorithm,
-		System:          r.System.String(),
-		Backend:         r.Backend,
-		TotalIterations: iters,
-		TraceDropped:    r.TraceDropped,
-		TotalCycles:     r.TotalCycles,
-		Iterations:      r.Iterations,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// WriteCSV emits one row per iteration:
-// iter,frontier,density,software,hardware,reconfigured,cycles,energy_j.
-func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"iter", "frontier", "density", "software", "hardware", "reconfigured", "cycles", "energy_j"}); err != nil {
-		return err
-	}
-	for _, it := range r.Iterations {
-		rec := []string{
-			fmt.Sprintf("%d", it.Iter),
-			fmt.Sprintf("%d", it.FrontierSize),
-			fmt.Sprintf("%g", it.Density),
-			it.Software,
-			it.Hardware,
-			fmt.Sprintf("%t", it.Reconfigured),
-			fmt.Sprintf("%d", it.Cycles),
-			fmt.Sprintf("%g", it.EnergyJ),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,16 +1,15 @@
 package cosparse
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
 // goldenReport is a hand-built report with every field populated, for
-// byte-exact format tests: the cosparsed service hands WriteJSON/
-// WriteCSV bytes to clients, so field names, order, and number
-// formatting are API surface.
+// byte-exact format tests: cmd/cosparse -json writes these bytes, and the
+// service's include_trace status embeds the same Report encoding, so
+// field names, order, and number formatting are API surface.
 func goldenReport() *Report {
 	return &Report{
 		Algorithm: "SSSP",
@@ -70,19 +69,6 @@ func TestReportJSONGolden(t *testing.T) {
 	}
 }
 
-func TestReportCSVGolden(t *testing.T) {
-	var sb strings.Builder
-	if err := goldenReport().WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "iter,frontier,density,software,hardware,reconfigured,cycles,energy_j\n" +
-		"0,1,0.001,OP,PC,false,1200,0.25\n" +
-		"1,500,0.5,IP,SCS,true,34000,1.5\n"
-	if got := sb.String(); got != want {
-		t.Fatalf("WriteCSV drifted from the golden output:\n got: %q\nwant: %q", got, want)
-	}
-}
-
 func TestReportExportDeterministic(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
@@ -99,17 +85,6 @@ func TestReportExportDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("two WriteJSON calls on the same report differ")
-	}
-	a.Reset()
-	b.Reset()
-	if err := rep.WriteCSV(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("two WriteCSV calls on the same report differ")
 	}
 }
 
@@ -131,33 +106,5 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if back.Algorithm != rep.Algorithm || back.TotalCycles != rep.TotalCycles ||
 		len(back.Iterations) != len(rep.Iterations) {
 		t.Fatalf("JSON round trip lost data: %+v", back)
-	}
-}
-
-func TestReportCSV(t *testing.T) {
-	g := testGraph(t)
-	eng := testEngine(t, g)
-	_, rep, err := eng.SSSP(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := rep.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != len(rep.Iterations)+1 {
-		t.Fatalf("CSV rows %d, want %d", len(records), len(rep.Iterations)+1)
-	}
-	if records[0][0] != "iter" || records[0][6] != "cycles" {
-		t.Fatalf("CSV header wrong: %v", records[0])
-	}
-	for i, rec := range records[1:] {
-		if rec[3] != rep.Iterations[i].Software || rec[4] != rep.Iterations[i].Hardware {
-			t.Fatalf("row %d config mismatch: %v", i, rec)
-		}
 	}
 }
