@@ -80,8 +80,10 @@ func TestEngineContextCancellation(t *testing.T) {
 		t.Fatalf("expected empty partial report, got %+v", rep)
 	}
 
-	// An uncancelled context matches the plain API exactly.
-	pr1, rep1, err := eng.PageRank(5, 0.15)
+	// A live context that never fires changes nothing.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	pr1, rep1, err := eng.PageRankContext(live, 5, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package cosparse
 // backends to the independent baseline CSR kernel.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,11 +63,11 @@ func checkReports(t *testing.T, simRep, natRep *Report) {
 
 func TestBackendEquivalenceBFS(t *testing.T) {
 	simEng, natEng := backendPair(t)
-	sres, srep, err := simEng.BFS(0)
+	sres, srep, err := simEng.BFSContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nres, nrep, err := natEng.BFS(0)
+	nres, nrep, err := natEng.BFSContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestBackendEquivalenceBFS(t *testing.T) {
 
 func TestBackendEquivalenceSSSP(t *testing.T) {
 	simEng, natEng := backendPair(t)
-	sdist, srep, err := simEng.SSSP(0)
+	sdist, srep, err := simEng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndist, nrep, err := natEng.SSSP(0)
+	ndist, nrep, err := natEng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestBackendEquivalenceSSSP(t *testing.T) {
 
 func TestBackendEquivalencePageRank(t *testing.T) {
 	simEng, natEng := backendPair(t)
-	spr, srep, err := simEng.PageRank(10, 0.15)
+	spr, srep, err := simEng.PageRankContext(context.Background(), 10, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	npr, nrep, err := natEng.PageRank(10, 0.15)
+	npr, nrep, err := natEng.PageRankContext(context.Background(), 10, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestBackendEquivalencePageRank(t *testing.T) {
 
 func TestBackendEquivalenceCF(t *testing.T) {
 	simEng, natEng := backendPair(t)
-	scf, srep, err := simEng.CF(5, 0.05, 0.01)
+	scf, srep, err := simEng.CFContext(context.Background(), 5, 0.05, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncf, nrep, err := natEng.CF(5, 0.05, 0.01)
+	ncf, nrep, err := natEng.CFContext(context.Background(), 5, 0.05, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +163,11 @@ func TestBackendEquivalenceForcedKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sdist, _, err := simEng.SSSP(0)
+			sdist, _, err := simEng.SSSPContext(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ndist, _, err := natEng.SSSP(0)
+			ndist, _, err := natEng.SSSPContext(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +194,7 @@ func TestBackendsMatchBaselineSpMV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := fw.SpMV(f.Clone())
+		got, _, err := fw.SpMV(context.Background(), f.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func TestBatchEquivalenceBFS(t *testing.T) {
 			if reps[i] == nil || reps[i].TotalIterations == 0 {
 				t.Fatalf("lane %d: missing per-lane report", i)
 			}
-			solo, _, err := eng.BFS(src)
+			solo, _, err := eng.BFSContext(context.Background(), src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestBatchEquivalenceSSSP(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatalf("lane %d: %v", i, errs[i])
 			}
-			solo, _, err := eng.SSSP(src)
+			solo, _, err := eng.SSSPContext(context.Background(), src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestBatchEquivalencePPR(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatalf("lane %d: %v", i, errs[i])
 			}
-			solo, _, err := eng.PersonalizedPageRank(src, 10, 0.15)
+			solo, _, err := eng.PersonalizedPageRankContext(context.Background(), src, 10, 0.15)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestBatchEquivalenceCancelledLane(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatalf("surviving lane %d: %v", i, errs[i])
 			}
-			solo, _, err := soloEng.PersonalizedPageRank(seeds[i], 10, 0.15)
+			solo, _, err := soloEng.PersonalizedPageRankContext(context.Background(), seeds[i], 10, 0.15)
 			if err != nil {
 				t.Fatal(err)
 			}

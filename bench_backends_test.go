@@ -11,6 +11,7 @@ package cosparse
 // for trend tracking.
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"runtime"
@@ -55,7 +56,7 @@ func TestBenchBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		if _, _, err := eng.PageRank(iters, alpha); err != nil {
+		if _, _, err := eng.PageRankContext(context.Background(), iters, alpha); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)

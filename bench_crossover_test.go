@@ -141,10 +141,10 @@ func TestBenchCrossoverFit(t *testing.T) {
 		}
 		job := func(i int, src int32) time.Duration {
 			t0 := time.Now()
-			if _, _, err := engines[i][0].BFS(src); err != nil {
+			if _, _, err := lane0(engines[i][0].BFSBatch(nil, []int32{src})); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := engines[i][1].SSSP(src); err != nil {
+			if _, _, err := lane0(engines[i][1].SSSPBatch(nil, []int32{src})); err != nil {
 				t.Fatal(err)
 			}
 			return time.Since(t0)

@@ -12,6 +12,7 @@ package cosparse
 // admit at least 1.5x more compressed graphs.
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -53,7 +54,7 @@ func TestBenchFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		pr, _, err := eng.PageRank(iters, alpha)
+		pr, _, err := eng.PageRankContext(context.Background(), iters, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package cosparse
 
 import (
+	"context"
 	goruntime "runtime"
 	"slices"
 	"testing"
@@ -145,11 +146,11 @@ func BenchmarkSimPaperJob(b *testing.B) {
 	var events int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, rb, err := eng.BFS(src)
+		_, rb, err := eng.BFSContext(context.Background(), src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, rp, err := eng.PageRank(2, 0.15)
+		_, rp, err := eng.PageRankContext(context.Background(), 2, 0.15)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,14 +201,14 @@ func BenchmarkEngineColdBuild(b *testing.B) {
 			run  func(*Engine) error
 		}{
 			{"pr+bfs", func(eng *Engine) error {
-				if _, _, err := eng.PageRank(1, 0.15); err != nil { // dense frontier: IP
+				if _, _, err := eng.PageRankContext(context.Background(), 1, 0.15); err != nil { // dense frontier: IP
 					return err
 				}
-				_, _, err := eng.BFS(0) // one-vertex frontier: OP first
+				_, _, err := eng.BFSContext(context.Background(), 0) // one-vertex frontier: OP first
 				return err
 			}},
 			{"bfs-only", func(eng *Engine) error {
-				_, _, err := eng.BFS(opOnly)
+				_, _, err := eng.BFSContext(context.Background(), opOnly)
 				return err
 			}},
 		} {
@@ -258,7 +259,7 @@ func BenchmarkSSSPFullRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := fw.SSSP(0); err != nil {
+		if _, _, err := lane0(fw.SSSPBatch(nil, []int32{0})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,7 +288,7 @@ func BenchmarkPublicAPIPageRank(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.PageRank(3, 0.15); err != nil {
+		if _, _, err := eng.PageRankContext(context.Background(), 3, 0.15); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +347,7 @@ func BenchmarkBetweenness(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Betweenness(0); err != nil {
+		if _, _, err := eng.BetweennessContext(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

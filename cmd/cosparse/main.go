@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -114,11 +115,12 @@ func main() {
 		fail(fmt.Errorf("-src %d out of range [0,%d)", s, g.NumVertices()))
 	}
 
+	ctx := context.Background()
 	var rep *cosparse.Report
 	switch a {
 	case cosparse.AlgoBFS:
 		var res *cosparse.BFSResult
-		res, rep, err = eng.BFS(s)
+		res, rep, err = eng.BFSContext(ctx, s)
 		if err == nil {
 			reached := 0
 			for _, l := range res.Level {
@@ -130,7 +132,7 @@ func main() {
 		}
 	case cosparse.AlgoSSSP:
 		var dist []float32
-		dist, rep, err = eng.SSSP(s)
+		dist, rep, err = eng.SSSPContext(ctx, s)
 		if err == nil {
 			sum, n := 0.0, 0
 			for _, d := range dist {
@@ -143,7 +145,7 @@ func main() {
 		}
 	case cosparse.AlgoPageRank:
 		var pr []float32
-		pr, rep, err = eng.PageRank(*iters, float32(*alpha))
+		pr, rep, err = eng.PageRankContext(ctx, *iters, float32(*alpha))
 		if err == nil {
 			best, bv := 0, float32(0)
 			for i, v := range pr {
@@ -154,7 +156,7 @@ func main() {
 			fmt.Printf("pagerank: top vertex %d with score %.5f\n", best, bv)
 		}
 	case cosparse.AlgoCF:
-		_, rep, err = eng.CF(*iters, float32(*beta), float32(*lambda))
+		_, rep, err = eng.CFContext(ctx, *iters, float32(*beta), float32(*lambda))
 		if err == nil {
 			fmt.Printf("cf: trained %d iterations\n", *iters)
 		}

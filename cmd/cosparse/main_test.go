@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -121,7 +122,7 @@ func TestWriteTo(t *testing.T) {
 	path := filepath.Join(dir, "out.json")
 	g, _ := cosparse.GenerateUniform(50, 200, cosparse.Unweighted, 1)
 	eng, _ := cosparse.New(g, cosparse.System{Tiles: 1, PEsPerTile: 2})
-	_, rep, err := eng.PageRank(2, 0.15)
+	_, rep, err := eng.PageRankContext(context.Background(), 2, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

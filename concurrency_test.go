@@ -1,6 +1,7 @@
 package cosparse
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -16,9 +17,9 @@ type concurrentRun struct {
 var concurrentRuns = []concurrentRun{
 	// Betweenness first: its backward sweep builds the engine's reversed
 	// graph on first use, so the copies below build it under contention.
-	{"BC", func(e *Engine) ([]float32, *Report, error) { return e.Betweenness(3) }},
+	{"BC", func(e *Engine) ([]float32, *Report, error) { return e.BetweennessContext(context.Background(), 3) }},
 	{"BFS", func(e *Engine) ([]float32, *Report, error) {
-		res, rep, err := e.BFS(0)
+		res, rep, err := e.BFSContext(context.Background(), 0)
 		if err != nil {
 			return nil, rep, err
 		}
@@ -28,12 +29,14 @@ var concurrentRuns = []concurrentRun{
 		}
 		return out, rep, nil
 	}},
-	{"SSSP", func(e *Engine) ([]float32, *Report, error) { return e.SSSP(1) }},
-	{"PR", func(e *Engine) ([]float32, *Report, error) { return e.PageRank(6, 0.15) }},
-	{"PPR", func(e *Engine) ([]float32, *Report, error) { return e.PersonalizedPageRank(5, 6, 0.15) }},
-	{"CF", func(e *Engine) ([]float32, *Report, error) { return e.CF(4, 0.01, 0.05) }},
+	{"SSSP", func(e *Engine) ([]float32, *Report, error) { return e.SSSPContext(context.Background(), 1) }},
+	{"PR", func(e *Engine) ([]float32, *Report, error) { return e.PageRankContext(context.Background(), 6, 0.15) }},
+	{"PPR", func(e *Engine) ([]float32, *Report, error) {
+		return e.PersonalizedPageRankContext(context.Background(), 5, 6, 0.15)
+	}},
+	{"CF", func(e *Engine) ([]float32, *Report, error) { return e.CFContext(context.Background(), 4, 0.01, 0.05) }},
 	{"SpMV", func(e *Engine) ([]float32, *Report, error) {
-		return e.SpMV([]int32{0, 7, 42, 99}, []float32{1, 0.5, 2, 0.25})
+		return e.SpMVContext(context.Background(), []int32{0, 7, 42, 99}, []float32{1, 0.5, 2, 0.25})
 	}},
 	{"CC", func(e *Engine) ([]float32, *Report, error) {
 		labels, rep, err := e.ConnectedComponents()

@@ -14,8 +14,14 @@
 //
 //	g, _ := cosparse.GeneratePowerLaw(100_000, 1_000_000, cosparse.Weighted, 42)
 //	eng, _ := cosparse.New(g, cosparse.System{Tiles: 16, PEsPerTile: 16})
-//	dist, rep, _ := eng.SSSP(0)
+//	dist, rep, _ := eng.SSSPContext(context.Background(), 0)
 //	fmt.Println(rep.Summary())
+//
+// Each algorithm has one context-taking entry, XContext, and a ctx
+// that ends stops the run between iterations. BFS, SSSP, PageRank,
+// personalized PageRank and CF also have an XBatch entry that runs k
+// jobs as one fused multi-vector pass; their XContext is a one-lane
+// call of it.
 //
 // All hardware is simulated deterministically (see internal/sim);
 // identical inputs produce identical cycle counts on any host.
@@ -610,16 +616,17 @@ type BFSResult struct {
 	Level  []int32
 }
 
-// The context-free entry points below are their Context forms under
-// context.Background() — see engine_context.go.
+// BFS, SSSP and PageRank are their Context forms under
+// context.Background(). They stay only for the benchmark harness
+// (benchmark/), which calls them until it moves to the Context forms;
+// everything else calls the Context forms in engine_context.go.
 
 // BFS runs breadth-first search from src.
 func (e *Engine) BFS(src int32) (*BFSResult, *Report, error) {
 	return e.BFSContext(context.Background(), src)
 }
 
-// SSSP runs single-source shortest paths from src over the stored edge
-// weights; unreachable vertices get +Inf.
+// SSSP runs single-source shortest paths from src.
 func (e *Engine) SSSP(src int32) ([]float32, *Report, error) {
 	return e.SSSPContext(context.Background(), src)
 }
@@ -627,28 +634,6 @@ func (e *Engine) SSSP(src int32) ([]float32, *Report, error) {
 // PageRank runs the damped power iteration for iters iterations.
 func (e *Engine) PageRank(iters int, alpha float32) ([]float32, *Report, error) {
 	return e.PageRankContext(context.Background(), iters, alpha)
-}
-
-// CF runs collaborative-filtering gradient descent (one latent factor
-// per vertex) with learning rate beta and regularization lambda.
-func (e *Engine) CF(iters int, beta, lambda float32) ([]float32, *Report, error) {
-	return e.CFContext(context.Background(), iters, beta, lambda)
-}
-
-// PersonalizedPageRank runs personalized PageRank (random walk with
-// restart) from the given seed vertex for iters iterations with
-// damping alpha: the returned vector is the seed's personalized rank
-// distribution. Batches of PPR jobs — one seed per user over one
-// shared graph — are the canonical multi-source fusion workload; see
-// PersonalizedPageRankBatch.
-func (e *Engine) PersonalizedPageRank(seed int32, iters int, alpha float32) ([]float32, *Report, error) {
-	return e.PersonalizedPageRankContext(context.Background(), seed, iters, alpha)
-}
-
-// SpMV computes one y = G.T·x for a sparse input vector given as
-// (indices, values) pairs, through the full reconfigurable path.
-func (e *Engine) SpMV(idx []int32, val []float32) ([]float32, *Report, error) {
-	return e.SpMVContext(context.Background(), idx, val)
 }
 
 // Decide exposes the decision tree: the configuration the engine would
@@ -676,15 +661,4 @@ func (g *Graph) Edges() []Edge {
 		out = append(out, Edge{Src: col, Dst: row, Weight: val})
 	})
 	return out
-}
-
-// Betweenness computes single-source betweenness centrality (Brandes'
-// dependency accumulation on the BFS DAG) as two level-synchronized
-// lanes of the ordinary iteration loop — a σ sweep forward and a δ
-// sweep over the reversed graph — a worked demonstration that
-// algorithms beyond the paper's four map onto the same reconfigurable
-// machinery. BC[v] is zero for
-// the source and for unreachable vertices.
-func (e *Engine) Betweenness(src int32) ([]float32, *Report, error) {
-	return e.BetweennessContext(context.Background(), src)
 }

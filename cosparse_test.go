@@ -1,6 +1,7 @@
 package cosparse
 
 import (
+	"context"
 	"math"
 	"slices"
 	"strings"
@@ -95,7 +96,7 @@ func TestGenerateRejectsBadSizes(t *testing.T) {
 func TestBFSEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	res, rep, err := eng.BFS(0)
+	res, rep, err := eng.BFSContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestBFSEndToEnd(t *testing.T) {
 func TestSSSPEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	dist, rep, err := eng.SSSP(0)
+	dist, rep, err := eng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestSSSPEndToEnd(t *testing.T) {
 		t.Fatalf("source distance %g", dist[0])
 	}
 	// BFS-reachable set must equal SSSP-reachable set.
-	bres, _, err := eng.BFS(0)
+	bres, _, err := eng.BFSContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSSSPEndToEnd(t *testing.T) {
 func TestPageRankEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	pr, rep, err := eng.PageRank(5, 0.15)
+	pr, rep, err := eng.PageRankContext(context.Background(), 5, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestPageRankEndToEnd(t *testing.T) {
 func TestCFEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	v, _, err := eng.CF(5, 0.05, 0.01)
+	v, _, err := eng.CFContext(context.Background(), 5, 0.05, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSpMVEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, _, err := eng.SpMV([]int32{0, 1}, []float32{1, 1})
+	y, _, err := eng.SpMVContext(context.Background(), []int32{0, 1}, []float32{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestSpMVEndToEnd(t *testing.T) {
 	if y[0] != 0 || y[1] != 2 || y[2] != 8 {
 		t.Fatalf("SpMV = %v, want [0 2 8]", y)
 	}
-	if _, _, err := eng.SpMV([]int32{9}, []float32{1}); err == nil {
+	if _, _, err := eng.SpMVContext(context.Background(), []int32{9}, []float32{1}); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
 }
@@ -209,7 +210,7 @@ func TestSpMVEndToEnd(t *testing.T) {
 func TestForcedConfigurationOptions(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g, WithSoftware(OuterProduct), WithHardware(ForcePS))
-	_, rep, err := eng.SSSP(0)
+	_, rep, err := eng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestDecideExposed(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	_, rep, err := eng.SSSP(0)
+	_, rep, err := eng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	run := func() int64 {
 		eng := testEngine(t, g)
-		_, rep, err := eng.BFS(0)
+		_, rep, err := eng.BFSContext(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +307,7 @@ func TestBetweennessEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, rep, err := eng.Betweenness(0)
+	bc, rep, err := eng.BetweennessContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestBetweennessEndToEnd(t *testing.T) {
 	if rep.Algorithm != "BC" || len(rep.Iterations) == 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	if _, _, err := eng.Betweenness(99); err == nil {
+	if _, _, err := eng.BetweennessContext(context.Background(), 99); err == nil {
 		t.Fatal("accepted bad source")
 	}
 }

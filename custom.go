@@ -152,9 +152,8 @@ func (e *Engine) Run(ops Operators, initial []float32, frontier []int32, maxIter
 		}
 	}
 
-	vals := make(matrix.Dense, len(initial))
-	copy(vals, initial)
-	return e.result(e.fw.RunCustom(ring, semiring.Ctx{}, vals, sv, maxIters))
+	vals, rep, err := e.fw.RunCustom(ring, semiring.Ctx{}, initial, sv, maxIters) // RunCustom copies initial
+	return vals, e.report(rep), err
 }
 
 // ConnectedComponents labels each vertex with the smallest vertex id

@@ -1,6 +1,7 @@
 package cosparse
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -168,7 +169,7 @@ func TestConnectedComponentsLargeAgreesWithBFS(t *testing.T) {
 	}
 	// Every vertex must share its label with all BFS-reachable vertices
 	// from that label's root.
-	res, _, err := eng.BFS(labels[0])
+	res, _, err := eng.BFSContext(context.Background(), labels[0])
 	if err != nil {
 		t.Fatal(err)
 	}

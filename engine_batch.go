@@ -5,10 +5,12 @@ import "context"
 // Batched entry points: k compatible jobs of the same algorithm run as
 // one fused multi-vector (SpMM) pass over the shared graph. Slot i of
 // every returned slice corresponds to input i; each lane's result is
-// bit-identical to the corresponding solo call, each lane gets its own
-// report, and a cancelled or failed lane (errs[i] non-nil, result nil)
-// does not disturb the others. ctxs may be shorter than the lane count
-// (or hold nils) — missing entries default to context.Background().
+// bit-identical to the same input run alone (the matching XContext
+// entry, a one-lane call), each lane gets its own report, and a
+// cancelled or failed lane (errs[i] non-nil, result nil) does not
+// disturb the others. ctxs may be shorter than the lane count (or hold
+// nils) — missing entries default to context.Background(). The
+// service's coalescer runs every job through these five entries.
 
 // BFSBatch runs one BFS lane per source as a fused run.
 func (e *Engine) BFSBatch(ctxs []context.Context, srcs []int32) ([]*BFSResult, []*Report, []error) {

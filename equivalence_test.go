@@ -30,7 +30,7 @@ func equivSetup(t *testing.T, seed uint64, mode gen.ValueMode) (*matrix.COO, *ru
 
 func TestBFSAgreesWithLigra(t *testing.T) {
 	_, fw, lg := equivSetup(t, 101, gen.Pattern)
-	res, _, err := fw.BFS(0)
+	res, _, err := lane0(fw.BFSBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBFSAgreesWithLigra(t *testing.T) {
 
 func TestSSSPAgreesWithLigra(t *testing.T) {
 	_, fw, lg := equivSetup(t, 102, gen.UniformWeight)
-	dist, _, err := fw.SSSP(0)
+	dist, _, err := lane0(fw.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSSSPAgreesWithLigra(t *testing.T) {
 
 func TestPageRankAgreesWithLigra(t *testing.T) {
 	_, fw, lg := equivSetup(t, 103, gen.Pattern)
-	pr, _, err := fw.PageRank(12, 0.15)
+	pr, _, err := lane0(fw.PageRankBatch(nil, 1, 12, 0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPageRankAgreesWithLigra(t *testing.T) {
 
 func TestCFAgreesWithLigra(t *testing.T) {
 	_, fw, lg := equivSetup(t, 104, gen.UniformWeight)
-	v, _, err := fw.CF(8, 0.05, 0.01)
+	v, _, err := lane0(fw.CFBatch(nil, 1, 8, 0.05, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCFAgreesWithLigra(t *testing.T) {
 // Bellman-Ford replay.
 func TestFrontierEvolutionMatchesReplay(t *testing.T) {
 	m, fw, _ := equivSetup(t, 105, gen.UniformWeight)
-	_, rep, err := fw.SSSP(0)
+	_, rep, err := lane0(fw.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cosparse_test
 
 import (
+	"context"
 	"fmt"
 
 	"cosparse"
@@ -8,14 +9,14 @@ import (
 
 // Build a tiny graph by hand and run one SpMV through the
 // reconfigurable path.
-func ExampleEngine_SpMV() {
+func ExampleEngine_SpMVContext() {
 	g, _ := cosparse.NewGraph(3, []cosparse.Edge{
 		{Src: 0, Dst: 1, Weight: 2},
 		{Src: 1, Dst: 2, Weight: 3},
 		{Src: 0, Dst: 2, Weight: 5},
 	})
 	eng, _ := cosparse.New(g, cosparse.System{Tiles: 1, PEsPerTile: 2})
-	y, _, _ := eng.SpMV([]int32{0, 1}, []float32{1, 1})
+	y, _, _ := eng.SpMVContext(context.Background(), []int32{0, 1}, []float32{1, 1})
 	fmt.Println(y)
 	// Output: [0 2 8]
 }
@@ -34,15 +35,15 @@ func ExampleEngine_Decide() {
 	// dense frontier: IP
 }
 
-// BFS returns parents and levels; unreachable vertices get -1.
-func ExampleEngine_BFS() {
+// BFSContext returns parents and levels; unreachable vertices get -1.
+func ExampleEngine_BFSContext() {
 	// A path 0 -> 1 -> 2 and an isolated vertex 3.
 	g, _ := cosparse.NewGraph(4, []cosparse.Edge{
 		{Src: 0, Dst: 1},
 		{Src: 1, Dst: 2},
 	})
 	eng, _ := cosparse.New(g, cosparse.System{Tiles: 1, PEsPerTile: 2})
-	res, _, _ := eng.BFS(0)
+	res, _, _ := eng.BFSContext(context.Background(), 0)
 	fmt.Println("levels:", res.Level)
 	// Output: levels: [0 1 2 -1]
 }

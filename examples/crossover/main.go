@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 				idx = append(idx, int32(v))
 				val = append(val, 1)
 			}
-			_, rep, err := eng.SpMV(idx, val)
+			_, rep, err := eng.SpMVContext(context.Background(), idx, val)
 			if err != nil {
 				log.Fatal(err)
 			}

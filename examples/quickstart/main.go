@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -28,7 +29,7 @@ func main() {
 	}
 
 	// Ten PageRank iterations with the standard damping factor.
-	ranks, rep, err := eng.PageRank(10, 0.15)
+	ranks, rep, err := eng.PageRankContext(context.Background(), 10, 0.15)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -58,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	factors, rep, err := eng.CF(30, 0.08, 0.002)
+	factors, rep, err := eng.CFContext(context.Background(), 30, 0.08, 0.002)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 		}
 	}
 
-	dist, rep, err := eng.SSSP(src)
+	dist, rep, err := eng.SSSPContext(context.Background(), src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, repPinned, err := pinned.SSSP(src)
+	_, repPinned, err := pinned.SSSPContext(context.Background(), src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package cosparse
 // same bytes.
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -63,7 +64,7 @@ type formatAlgo struct {
 func formatAlgos() []formatAlgo {
 	return []formatAlgo{
 		{"bfs", Unweighted, func(e *Engine) ([]float32, *Report, error) {
-			res, rep, err := e.BFS(0)
+			res, rep, err := e.BFSContext(context.Background(), 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -74,19 +75,19 @@ func formatAlgos() []formatAlgo {
 			return v, rep, nil
 		}},
 		{"sssp", Weighted, func(e *Engine) ([]float32, *Report, error) {
-			return e.SSSP(0)
+			return e.SSSPContext(context.Background(), 0)
 		}},
 		{"pagerank", Unweighted, func(e *Engine) ([]float32, *Report, error) {
-			return e.PageRank(10, 0.15)
+			return e.PageRankContext(context.Background(), 10, 0.15)
 		}},
 		{"ppr", Unweighted, func(e *Engine) ([]float32, *Report, error) {
-			return e.PersonalizedPageRank(3, 10, 0.15)
+			return e.PersonalizedPageRankContext(context.Background(), 3, 10, 0.15)
 		}},
 		{"cf", Weighted, func(e *Engine) ([]float32, *Report, error) {
-			return e.CF(5, 0.05, 0.01)
+			return e.CFContext(context.Background(), 5, 0.05, 0.01)
 		}},
 		{"bc", Unweighted, func(e *Engine) ([]float32, *Report, error) {
-			return e.Betweenness(0)
+			return e.BetweennessContext(context.Background(), 0)
 		}},
 	}
 }

@@ -82,16 +82,17 @@ func AutoVsStatic(s Scale) (*AutoVsStaticResult, *Table) {
 				if err != nil {
 					panic(err)
 				}
-				var rep *runtime.Report
+				var reps []*runtime.Report
+				var errs []error
 				if algo == "BFS" {
-					_, rep, err = fw.BFS(src)
+					_, reps, errs = fw.BFSBatch(nil, []int32{src})
 				} else {
-					_, rep, err = fw.SSSP(src)
+					_, reps, errs = fw.SSSPBatch(nil, []int32{src})
 				}
-				if err != nil {
-					panic(err)
+				if errs[0] != nil {
+					panic(errs[0])
 				}
-				return rep.TotalCycles
+				return reps[0].TotalCycles
 			}
 
 			row := AutoVsStaticRow{Algo: algo, Graph: graph, Static: map[string]int64{}}

@@ -1,13 +1,17 @@
 package bench
 
 import (
+	"context"
 	"os"
 	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"cosparse/internal/baseline"
+	"cosparse/internal/gen"
 	"cosparse/internal/kernels"
+	"cosparse/internal/runtime"
 	"cosparse/internal/sim"
 )
 
@@ -298,13 +302,20 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestCoSPARSEMatchesCSRBaseline cross-checks the runtime's SpMV result
+// against the baseline CSR kernel on the same mid-density frontier.
 func TestCoSPARSEMatchesCSRBaseline(t *testing.T) {
 	m := fig7MatrixOf(ScaleTiny, 0)
-	f := frontierFor(m.R)
-	got, want, err := CoSPARSECheckCSR(m, f)
+	f := gen.Frontier(m.R, 0.1, 77)
+	fw, err := runtime.New(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, _, err := fw.SpMV(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline.RunCSRSpMV(m.ToCSR(), f.ToDense(0))
 	for i := range want {
 		d := float64(got[i] - want[i])
 		if d > 1e-3 || d < -1e-3 {

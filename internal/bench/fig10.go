@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -81,31 +82,25 @@ func Fig10(s Scale) (*Fig10Result, *Table) {
 			}
 			lg := ligra.NewGraph(coo)
 
-			var rep *runtime.Report
+			var reps []*runtime.Report
+			var errs []error
 			var lres *ligra.Result
 			switch wl.Algo {
 			case "PR":
-				_, rep, err = fw.PageRank(fig10PRIters, fig10Alpha)
-				if err == nil {
-					lres, err = ligra.PageRank(lg, fig10PRIters, fig10Alpha, xeon)
-				}
+				_, reps, errs = fw.PageRankBatch(nil, 1, fig10PRIters, fig10Alpha)
+				lres, err = ligra.PageRank(lg, fig10PRIters, fig10Alpha, xeon)
 			case "CF":
-				_, rep, err = fw.CF(fig10CFIters, fig10Beta, fig10Lambda)
-				if err == nil {
-					lres, err = ligra.CF(lg, fig10CFIters, fig10Beta, fig10Lambda, xeon)
-				}
+				_, reps, errs = fw.CFBatch(nil, 1, fig10CFIters, fig10Beta, fig10Lambda)
+				lres, err = ligra.CF(lg, fig10CFIters, fig10Beta, fig10Lambda, xeon)
 			case "BFS":
-				_, rep, err = fw.BFS(src)
-				if err == nil {
-					lres, err = ligra.BFS(lg, src, xeon)
-				}
+				_, reps, errs = fw.BFSBatch(nil, []int32{src})
+				lres, err = ligra.BFS(lg, src, xeon)
 			case "SSSP":
-				_, rep, err = fw.SSSP(src)
-				if err == nil {
-					lres, err = ligra.SSSP(lg, src, xeon)
-				}
+				_, reps, errs = fw.SSSPBatch(nil, []int32{src})
+				lres, err = ligra.SSSP(lg, src, xeon)
 			}
-			if err != nil {
+			rep := reps[0]
+			if err = errors.Join(errs[0], err); err != nil {
 				panic(fmt.Sprintf("bench: Fig10 %s/%s: %v", wl.Algo, name, err))
 			}
 			pt := Fig10Point{

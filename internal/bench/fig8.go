@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"cosparse/internal/baseline"
 	"cosparse/internal/gen"
-	"cosparse/internal/matrix"
 	"cosparse/internal/runtime"
 	"cosparse/internal/sim"
 )
@@ -97,7 +97,7 @@ func Fig8(s Scale) (*Fig8Result, *Table) {
 
 		for _, d := range fig8Densities {
 			f := gen.Frontier(coo.C, d, 802)
-			_, rep, err := fw.SpMV(f)
+			_, rep, err := fw.SpMV(context.Background(), f)
 			if err != nil {
 				panic(err)
 			}
@@ -130,24 +130,4 @@ func Fig8(s Scale) (*Fig8Result, *Table) {
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf("%s stand-in downscale: 1/%d", name, res.Scales[name]))
 	}
 	return res, tbl
-}
-
-// CoSPARSECheckCSR cross-checks the runtime's SpMV result against the
-// baseline CSR kernel on the same input (used by tests).
-func CoSPARSECheckCSR(coo *matrix.COO, f *matrix.SparseVec) (matrix.Dense, matrix.Dense, error) {
-	fw, err := runtime.New(coo, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
-	if err != nil {
-		return nil, nil, err
-	}
-	got, _, err := fw.SpMV(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	want := baseline.RunCSRSpMV(coo.ToCSR(), f.ToDense(0))
-	return got, want, nil
-}
-
-// frontierFor builds a mid-density test frontier (used by tests).
-func frontierFor(n int) *matrix.SparseVec {
-	return gen.Frontier(n, 0.1, 77)
 }

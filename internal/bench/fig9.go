@@ -58,11 +58,11 @@ func Fig9(s Scale) (*Fig9Result, *Table) {
 		if err != nil {
 			panic(err)
 		}
-		_, rep, err := fw.SSSP(src)
-		if err != nil {
-			panic(err)
+		_, reps, errs := fw.SSSPBatch(nil, []int32{src})
+		if errs[0] != nil {
+			panic(errs[0])
 		}
-		return rep
+		return reps[0]
 	}
 
 	reports := make(map[string]*runtime.Report, len(fig9Configs))

@@ -21,7 +21,7 @@ import (
 func TestAutoSelect(t *testing.T) {
 	check := func(name string, m *matrix.COO, want matrix.Format) {
 		t.Helper()
-		if got := matrix.AutoSelect(m); got != want {
+		if got := matrix.AutoSelectStore(m); got != want {
 			t.Errorf("%s (%d×%d, %d nnz, %.2f× as dvcsr): selected %v, want %v", name, m.R, m.C, m.NNZ(),
 				float64(12*m.NNZ())/float64(matrix.EstimateDVCSRBytes(m)), got, want)
 		}

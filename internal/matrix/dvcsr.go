@@ -165,18 +165,13 @@ func EstimateDVCSRBytes(m *COO) int64 {
 // demands before picking a compressed format over the CSR baseline.
 const AutoSelectThreshold = 1.25
 
-// AutoSelect picks the storage format for a graph at registration
-// time. The decision is driven by the matrix's density and degree
-// skew through the gap distribution: delta-varint columns shrink with
-// small gaps and elide values for unit weights. The encoded size is
-// exact and computable in one cheap pass; DVCSR wins only when it
-// saves at least AutoSelectThreshold× over the baseline.
-func AutoSelect(m *COO) Format {
-	return AutoSelectStore(m)
-}
-
-// AutoSelectStore is AutoSelect over the format seam, so re-selection
-// works from either resident representation.
+// AutoSelectStore picks the storage format for a graph at registration
+// time, from either resident representation. The decision is driven by
+// the matrix's density and degree skew through the gap distribution:
+// delta-varint columns shrink with small gaps and elide values for
+// unit weights. The encoded size is exact and computable in one cheap
+// pass; DVCSR wins only when it saves at least AutoSelectThreshold×
+// over the baseline.
 func AutoSelectStore(st Store) Format {
 	var enc int64
 	switch s := st.(type) {

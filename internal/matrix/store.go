@@ -31,7 +31,7 @@ func (f Format) String() string {
 
 // ParseFormat parses a concrete storage-format name. The empty string
 // selects the CSR baseline. "auto" is not a concrete format; callers
-// that accept it (registration, CLIs) resolve it via AutoSelect first.
+// that accept it (registration, CLIs) resolve it via AutoSelectStore first.
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "csr":

@@ -15,7 +15,7 @@ import (
 func TestIterationAccountingComposes(t *testing.T) {
 	m := gen.PowerLaw(1200, 24000, 0.55, gen.UniformWeight, 80)
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
-	_, rep, err := f.SSSP(0)
+	_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestIterationAccountingComposes(t *testing.T) {
 func TestConversionChargedOnlyForIP(t *testing.T) {
 	m := gen.PowerLaw(1500, 30000, 0.55, gen.UniformWeight, 81)
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
-	_, rep, err := f.SSSP(0)
+	_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestConversionChargedOnlyForIP(t *testing.T) {
 func TestPRChargesNoConversion(t *testing.T) {
 	m := gen.Uniform(600, 6000, gen.Pattern, 82)
 	f := newFW(t, m, Options{})
-	_, rep, err := f.PageRank(4, 0.15)
+	_, rep, err := lane0(f.PageRankBatch(nil, 1, 4, 0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRunCustomDoesNotMutateInputs(t *testing.T) {
 func TestStatsAggregationMatchesIterations(t *testing.T) {
 	m := gen.PowerLaw(700, 10000, 0.5, gen.UniformWeight, 85)
 	f := newFW(t, m, Options{})
-	_, rep, err := f.SSSP(0)
+	_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPathologicalGraphs(t *testing.T) {
 	m := matrix.MustCOO(5, 5, elems)
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 1, PEsPerTile: 2}})
 
-	res, _, err := f.BFS(0)
+	res, _, err := lane0(f.BFSBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPathologicalGraphs(t *testing.T) {
 		t.Fatal("isolated vertices should be unreachable")
 	}
 
-	dist, _, err := f.SSSP(0)
+	dist, _, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,10 @@ func TestPathologicalGraphs(t *testing.T) {
 		t.Fatalf("dist[2] = %g, want 2", dist[2])
 	}
 
-	if _, _, err := f.PageRank(3, 0.15); err != nil {
+	if _, _, err := lane0(f.PageRankBatch(nil, 1, 3, 0.15)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.CF(3, 0.05, 0.01); err != nil {
+	if _, _, err := lane0(f.CFBatch(nil, 1, 3, 0.05, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,7 +214,7 @@ func TestPathologicalGraphs(t *testing.T) {
 func TestDeadEndSource(t *testing.T) {
 	m := matrix.MustCOO(4, 4, []matrix.Coord{{Row: 0, Col: 1, Val: 1}})
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 1, PEsPerTile: 2}})
-	dist, rep, err := f.SSSP(0) // vertex 0 has no outgoing edges
+	dist, rep, err := lane0(f.SSSPBatch(nil, []int32{0})) // vertex 0 has no outgoing edges
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestOnIterationHookObservesFrontiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := f.SSSP(0)
+	_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,24 +28,11 @@ func (r *BFSResult) setParents(vals matrix.Dense) {
 	}
 }
 
-// BFS runs breadth-first search from src using the Table I mapping:
-// frontier values carry vertex labels and destinations adopt the
-// minimum proposing label as their parent.
+// BFS runs one breadth-first search from src: a one-lane BFSBatch.
+// Its only caller is benchmark/probes.go; every other solo BFS calls
+// BFSBatch with one source.
 func (f *Framework) BFS(src int32) (*BFSResult, *Report, error) {
-	return f.BFSContext(context.Background(), src)
-}
-
-// BFSContext is BFS with per-iteration cancellation: a cancelled or
-// deadline-expired ctx stops the traversal between SpMV iterations,
-// returning ctx's error.
-func (f *Framework) BFSContext(ctx context.Context, src int32) (*BFSResult, *Report, error) {
-	l, res, err := f.bfsLane(ctx, src)
-	vals, rep, err := f.runSolo(l, err)
-	if err != nil {
-		return nil, rep, err
-	}
-	res.setParents(vals)
-	return res, rep, nil
+	return lane0(f.BFSBatch(nil, []int32{src}))
 }
 
 // bfsLane builds the BFS lane for src and the result its iteration
@@ -109,18 +96,9 @@ func levelStep(level []int32) stepFunc {
 	}
 }
 
-// SSSP runs single-source shortest paths (frontier-based Bellman–Ford,
-// the Table I min-plus mapping) from src over the stored edge weights.
-// Distances are +Inf for unreachable vertices.
-func (f *Framework) SSSP(src int32) (matrix.Dense, *Report, error) {
-	return f.SSSPContext(context.Background(), src)
-}
-
-// SSSPContext is SSSP with per-iteration cancellation.
-func (f *Framework) SSSPContext(ctx context.Context, src int32) (matrix.Dense, *Report, error) {
-	return f.runSolo(f.ssspLane(ctx, src))
-}
-
+// ssspLane builds one single-source shortest-paths lane from src:
+// frontier-based Bellman–Ford, the Table I min-plus mapping, over the
+// stored edge weights. Unreachable vertices keep +Inf.
 func (f *Framework) ssspLane(ctx context.Context, src int32) (*laneState, error) {
 	n := f.N()
 	if src < 0 || int(src) >= n {
@@ -136,17 +114,8 @@ func (f *Framework) ssspLane(ctx context.Context, src int32) (*laneState, error)
 	return f.newLane(ctx, "SSSP", ring, semiring.Ctx{}, vals, frontier, f.maxIters(), nil, nil), nil
 }
 
-// PageRank runs the damped power iteration of Table I for the given
-// number of iterations (the paper's PR uses dense vectors throughout).
-func (f *Framework) PageRank(iters int, alpha float32) (matrix.Dense, *Report, error) {
-	return f.PageRankContext(context.Background(), iters, alpha)
-}
-
-// PageRankContext is PageRank with per-iteration cancellation.
-func (f *Framework) PageRankContext(ctx context.Context, iters int, alpha float32) (matrix.Dense, *Report, error) {
-	return f.runSolo(f.prLane(ctx, iters, alpha))
-}
-
+// prLane builds one lane of the damped power iteration of Table I for
+// iters iterations (the paper's PR uses dense vectors throughout).
 func (f *Framework) prLane(ctx context.Context, iters int, alpha float32) (*laneState, error) {
 	if iters <= 0 {
 		return nil, fmt.Errorf("runtime: PageRank iterations must be positive, got %d", iters)
@@ -163,20 +132,10 @@ func uniformRanks(n int) matrix.Dense {
 	return vals
 }
 
-// PPR runs personalized PageRank from the given seed vertex: the rank
-// vector starts as e_seed and the teleport mass restarts at the seed
-// every iteration, so the result is the seed's random-walk-with-restart
-// distribution. A batch of PPR runs (one seed per user) over one shared
-// graph is the canonical multi-source fusion workload — see PPRBatch.
-func (f *Framework) PPR(src int32, iters int, alpha float32) (matrix.Dense, *Report, error) {
-	return f.PPRContext(context.Background(), src, iters, alpha)
-}
-
-// PPRContext is PPR with per-iteration cancellation.
-func (f *Framework) PPRContext(ctx context.Context, src int32, iters int, alpha float32) (matrix.Dense, *Report, error) {
-	return f.runSolo(f.pprLane(ctx, src, iters, alpha))
-}
-
+// pprLane builds one personalized-PageRank lane from seed src: the
+// rank vector starts as e_src and the teleport mass restarts at src
+// every iteration, so the result is src's random-walk-with-restart
+// distribution.
 func (f *Framework) pprLane(ctx context.Context, src int32, iters int, alpha float32) (*laneState, error) {
 	n := f.N()
 	if src < 0 || int(src) >= n {
@@ -190,18 +149,9 @@ func (f *Framework) pprLane(ctx context.Context, src int32, iters int, alpha flo
 	return f.newLane(ctx, "PPR", semiring.PPR(), semiring.Ctx{Alpha: alpha, Seed: src}, vals, nil, iters, nil, nil), nil
 }
 
-// CF runs collaborative-filtering gradient descent (one latent factor,
-// Table I) for the given number of iterations with learning rate beta
+// cfLane builds one collaborative-filtering gradient-descent lane (one
+// latent factor, Table I) for iters iterations with learning rate beta
 // and regularization lambda.
-func (f *Framework) CF(iters int, beta, lambda float32) (matrix.Dense, *Report, error) {
-	return f.CFContext(context.Background(), iters, beta, lambda)
-}
-
-// CFContext is CF with per-iteration cancellation.
-func (f *Framework) CFContext(ctx context.Context, iters int, beta, lambda float32) (matrix.Dense, *Report, error) {
-	return f.runSolo(f.cfLane(ctx, iters, beta, lambda))
-}
-
 func (f *Framework) cfLane(ctx context.Context, iters int, beta, lambda float32) (*laneState, error) {
 	if iters <= 0 {
 		return nil, fmt.Errorf("runtime: CF iterations must be positive, got %d", iters)
@@ -215,28 +165,25 @@ func (f *Framework) cfLane(ctx context.Context, iters int, beta, lambda float32)
 }
 
 // SpMV runs one plain (+,×) sparse matrix–vector product through the
-// full CoSPARSE path (decision tree, kernel, merge) and returns the
-// result along with a one-iteration report. This is the primitive the
-// paper's Fig. 8 measures.
-func (f *Framework) SpMV(frontier *matrix.SparseVec) (matrix.Dense, *Report, error) {
-	return f.SpMVContext(context.Background(), frontier)
-}
-
-// SpMVContext is SpMV with cancellation (checked once, before the
-// single iteration is issued).
-func (f *Framework) SpMVContext(ctx context.Context, frontier *matrix.SparseVec) (matrix.Dense, *Report, error) {
+// full CoSPARSE path (decision tree, kernel, merge) as a one-lane run
+// and returns the result along with a one-iteration report. ctx is
+// checked once, before the single iteration is issued. This is the
+// primitive the paper's Fig. 8 measures.
+func (f *Framework) SpMV(ctx context.Context, frontier *matrix.SparseVec) (matrix.Dense, *Report, error) {
 	if frontier.N != f.N() {
 		return nil, nil, fmt.Errorf("runtime: SpMV frontier length %d, graph has %d vertices", frontier.N, f.N())
 	}
-	vals := make(matrix.Dense, f.N())
-	return f.runSolo(f.newLane(ctx, "SpMV", semiring.SpMV(), semiring.Ctx{}, vals, frontier.Clone(), 1, nil, nil), nil)
+	return lane0(f.runBatch(1, func(int) (*laneState, error) {
+		return f.newLane(ctx, "SpMV", semiring.SpMV(), semiring.Ctx{}, make(matrix.Dense, f.N()), frontier.Clone(), 1, nil, nil), nil
+	}))
 }
 
 // RunCustom drives a user-defined algorithm (a custom Table I row)
-// through the full reconfigurable iteration loop: vals holds the
-// per-vertex state, frontier the initially active vertices (ignored for
-// DenseFrontier semirings, which keep every vertex active). It returns
-// the final values and the per-iteration report.
+// through the full reconfigurable iteration loop as a one-lane run:
+// vals holds the per-vertex state, frontier the initially active
+// vertices (ignored for DenseFrontier semirings, which keep every
+// vertex active). It returns the final values and the per-iteration
+// report.
 //
 // This is the extensibility point the paper describes in §III-D: "end
 // users only need to define the key computations to realize a graph
@@ -268,5 +215,7 @@ func (f *Framework) RunCustom(ring semiring.Semiring, sctx semiring.Ctx,
 	if name == "" {
 		name = "custom"
 	}
-	return f.runSolo(f.newLane(context.Background(), name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil)
+	return lane0(f.runBatch(1, func(int) (*laneState, error) {
+		return f.newLane(context.Background(), name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil
+	}))
 }

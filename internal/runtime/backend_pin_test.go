@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -46,7 +47,7 @@ var pinnedRuns = []pinnedRun{
 	{
 		name: "BFS",
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.BFS(0)
+			_, rep, err := lane0(f.BFSBatch(nil, []int32{0}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ var pinnedRuns = []pinnedRun{
 	{
 		name: "SSSP",
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.SSSP(0)
+			_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ var pinnedRuns = []pinnedRun{
 	{
 		name: "PR",
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.PageRank(5, 0.15)
+			_, rep, err := lane0(f.PageRankBatch(nil, 1, 5, 0.15))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +112,7 @@ var pinnedRuns = []pinnedRun{
 	{
 		name: "CF",
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.CF(3, 0.05, 0.01)
+			_, rep, err := lane0(f.CFBatch(nil, 1, 3, 0.05, 0.01))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +128,7 @@ var pinnedRuns = []pinnedRun{
 	{
 		name: "BC",
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.BC(0)
+			_, rep, err := f.BC(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +155,7 @@ var pinnedRuns = []pinnedRun{
 		name: "SSSP-forced-OP-PS",
 		sw:   ForceOP, hw: ForcePS,
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.SSSP(0)
+			_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,7 @@ var pinnedRuns = []pinnedRun{
 		name: "PR-forced-IP-SC",
 		sw:   ForceIP, hw: ForceSC,
 		run: func(t *testing.T, f *Framework) *Report {
-			_, rep, err := f.PageRank(3, 0.15)
+			_, rep, err := lane0(f.PageRankBatch(nil, 1, 3, 0.15))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -404,18 +404,6 @@ func laneCtx(ctxs []context.Context, i int) context.Context {
 	return context.Background()
 }
 
-// runSolo runs one lane alone — a solo run is a one-lane batch. It
-// takes a lane builder's (lane, error) pair so entry points can pass
-// the builder call straight through; a lane that stopped early returns
-// its partial values and report alongside the error.
-func (f *Framework) runSolo(l *laneState, err error) (matrix.Dense, *Report, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	f.runLanes([]*laneState{l})
-	return l.vals, l.rep, l.err
-}
-
 // runBatch builds lane i with mk, runs the lanes as one fused run and
 // returns each lane's values, report and error. A lane mk refuses
 // (errs[i] set, no report) or that stops early (errs[i] set, partial
@@ -441,11 +429,21 @@ func (f *Framework) runBatch(k int, mk func(i int) (*laneState, error)) ([]matri
 	return vals, reps, errs
 }
 
+// lane0 unpacks a one-lane run's slices: how a solo entry returns its
+// only lane.
+func lane0[T any](vals []T, reps []*Report, errs []error) (T, *Report, error) {
+	return vals[0], reps[0], errs[0]
+}
+
 // BFSBatch runs k breadth-first searches (one per source) as one fused
-// run. Slot i of the returned slices corresponds to srcs[i]; each
-// lane's result is bit-identical to BFSContext(ctxs[i], srcs[i]) run
-// alone, and lanes converge, fail and cancel independently (errs[i] is
-// non-nil only for lane i).
+// run, using the Table I mapping: frontier values carry vertex labels
+// and destinations adopt the minimum proposing label as their parent.
+// Slot i of the returned slices corresponds to srcs[i]; each lane's
+// result is bit-identical to lane i run alone (a one-lane call, which
+// is how every solo BFS runs), and lanes converge, fail and cancel
+// independently (errs[i] is non-nil only for lane i). A ctx is
+// consulted between iterations: a cancelled or expired one stops its
+// lane with ctx's error and the partial report.
 func (f *Framework) BFSBatch(ctxs []context.Context, srcs []int32) ([]*BFSResult, []*Report, []error) {
 	ress := make([]*BFSResult, len(srcs))
 	vals, reps, errs := f.runBatch(len(srcs), func(i int) (l *laneState, err error) {
@@ -464,7 +462,7 @@ func (f *Framework) BFSBatch(ctxs []context.Context, srcs []int32) ([]*BFSResult
 
 // SSSPBatch runs k single-source shortest-path computations as one
 // fused run; slot i corresponds to srcs[i] and is bit-identical to
-// SSSPContext(ctxs[i], srcs[i]) run alone.
+// lane i run alone.
 func (f *Framework) SSSPBatch(ctxs []context.Context, srcs []int32) ([]matrix.Dense, []*Report, []error) {
 	return f.runBatch(len(srcs), func(i int) (*laneState, error) {
 		return f.ssspLane(laneCtx(ctxs, i), srcs[i])
@@ -484,7 +482,7 @@ func (f *Framework) PageRankBatch(ctxs []context.Context, k, iters int, alpha fl
 // PPRBatch runs k personalized-PageRank lanes — one seed vertex per
 // lane — as one fused run: the canonical multi-source fusion workload
 // (k users' personalization vectors over one shared graph). Slot i is
-// bit-identical to PPRContext(ctxs[i], srcs[i], iters, alpha) alone.
+// bit-identical to lane i run alone.
 func (f *Framework) PPRBatch(ctxs []context.Context, srcs []int32, iters int, alpha float32) ([]matrix.Dense, []*Report, []error) {
 	return f.runBatch(len(srcs), func(i int) (*laneState, error) {
 		return f.pprLane(laneCtx(ctxs, i), srcs[i], iters, alpha)

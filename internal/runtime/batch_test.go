@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	goruntime "runtime"
 	"testing"
@@ -45,12 +46,22 @@ func sameVals(t *testing.T, what string, got, want matrix.Dense) {
 	}
 }
 
-// TestBatchOfOneIsSolo pins the one-lane accounting: a batch of one is
-// the solo run — same values, cycles, energy, Stats and trace — under
-// every IP hardware mode, SCS's scratchpad model included (the blocked
+// TestBatchOfOneIsSolo pins the one-lane accounting: a lane whose
+// companion drops out before its first round runs every round alone
+// and books exactly what the one-lane call (every solo run) books —
+// same values, cycles, energy, Stats and trace — under every IP
+// hardware mode, SCS's scratchpad model included (the blocked
 // multi-vector pass has none, so a lone lane must not go through it).
 func TestBatchOfOneIsSolo(t *testing.T) {
-	ctx := context.Background()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctxs := []context.Context{nil, dead} // lane 1 stops before its first round
+	dropped := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled lane err = %v", what, err)
+		}
+	}
 	for _, hw := range []struct {
 		name string
 		hw   HWChoice
@@ -58,41 +69,44 @@ func TestBatchOfOneIsSolo(t *testing.T) {
 		t.Run(hw.name, func(t *testing.T) {
 			f := batchTestFramework(t, hw.hw)
 
-			soloPR, soloRep, err := f.PageRankContext(ctx, 3, 0.15)
+			soloPR, soloRep, err := lane0(f.PageRankBatch(nil, 1, 3, 0.15))
 			if err != nil {
 				t.Fatal(err)
 			}
-			prs, reps, errs := f.PageRankBatch(nil, 1, 3, 0.15)
+			prs, reps, errs := f.PageRankBatch(ctxs, 2, 3, 0.15)
 			if errs[0] != nil {
 				t.Fatal(errs[0])
 			}
+			dropped(t, "PR", errs[1])
 			sameVals(t, "PR", prs[0], soloPR)
 			sameRun(t, "PR", reps[0], soloRep)
 			if soloRep.Stats.HBMLines == 0 {
 				t.Error("PR: solo report carries no memory Stats")
 			}
 
-			soloBFS, soloRep, err := f.BFSContext(ctx, 0)
+			soloBFS, soloRep, err := lane0(f.BFSBatch(nil, []int32{0}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			bfs, reps, errs := f.BFSBatch(nil, []int32{0})
+			bfs, reps, errs := f.BFSBatch(ctxs, []int32{0, 74})
 			if errs[0] != nil {
 				t.Fatal(errs[0])
 			}
+			dropped(t, "BFS", errs[1])
 			if !reflect.DeepEqual(bfs[0], soloBFS) {
 				t.Error("BFS: parents/levels differ from solo")
 			}
 			sameRun(t, "BFS", reps[0], soloRep)
 
-			soloDist, soloRep, err := f.SSSPContext(ctx, 0)
+			soloDist, soloRep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			dists, reps, errs := f.SSSPBatch(nil, []int32{0})
+			dists, reps, errs := f.SSSPBatch(ctxs, []int32{0, 74})
 			if errs[0] != nil {
 				t.Fatal(errs[0])
 			}
+			dropped(t, "SSSP", errs[1])
 			sameVals(t, "SSSP", dists[0], soloDist)
 			sameRun(t, "SSSP", reps[0], soloRep)
 		})
@@ -113,7 +127,7 @@ func TestDivergedLaneKeepsSoloAccounting(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		var err error
-		if _, solo[i], err = f.BFS(src); err != nil {
+		if _, solo[i], err = lane0(f.BFSBatch(nil, []int32{src})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +162,7 @@ func TestNativePageRankSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, _, err := f.PageRank(10, 0.15); err != nil {
+		if _, _, err := lane0(f.PageRankBatch(nil, 1, 10, 0.15)); err != nil {
 			t.Fatal(err)
 		}
 	}

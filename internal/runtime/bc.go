@@ -31,14 +31,9 @@ import (
 //
 // This is an extension beyond the paper's four algorithms — the kind of
 // addition §III-D advertises the framework makes easy (Ligra ships the
-// same algorithm).
-func (f *Framework) BC(src int32) (matrix.Dense, *Report, error) {
-	return f.BCContext(context.Background(), src)
-}
-
-// BCContext is BC with per-iteration cancellation: ctx is consulted
-// between every SpMV pass of both lanes.
-func (f *Framework) BCContext(ctx context.Context, src int32) (matrix.Dense, *Report, error) {
+// same algorithm). ctx is consulted between every SpMV pass of both
+// lanes.
+func (f *Framework) BC(ctx context.Context, src int32) (matrix.Dense, *Report, error) {
 	n := f.N()
 	if src < 0 || int(src) >= n {
 		return nil, nil, fmt.Errorf("runtime: BC source %d out of range [0,%d)", src, n)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -65,7 +66,7 @@ func TestBCMatchesBrandes(t *testing.T) {
 		for _, seed := range []uint64{201, 202, 203} {
 			m := gen.PowerLaw(250, 2200, 0.5, gen.Pattern, seed)
 			f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, Backend: be, traceCap: traceCap})
-			got, rep, err := f.BC(0)
+			got, rep, err := f.BC(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +115,7 @@ func TestBCTinyHandGraph(t *testing.T) {
 		{Row: 3, Col: 1, Val: 1}, {Row: 3, Col: 2, Val: 1},
 	})
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 1, PEsPerTile: 2}})
-	bc, _, err := f.BC(0)
+	bc, _, err := f.BC(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +131,10 @@ func TestBCTinyHandGraph(t *testing.T) {
 func TestBCInvalidSource(t *testing.T) {
 	m := gen.Uniform(20, 60, gen.Pattern, 204)
 	f := newFW(t, m, Options{})
-	if _, _, err := f.BC(-1); err == nil {
+	if _, _, err := f.BC(context.Background(), -1); err == nil {
 		t.Error("accepted negative source")
 	}
-	if _, _, err := f.BC(20); err == nil {
+	if _, _, err := f.BC(context.Background(), 20); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 }
@@ -145,7 +146,7 @@ func TestBCUnreachableVerticesZero(t *testing.T) {
 		{Row: 4, Col: 3, Val: 1}, {Row: 5, Col: 4, Val: 1},
 	})
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 1, PEsPerTile: 2}})
-	bc, _, err := f.BC(0)
+	bc, _, err := f.BC(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestBCValuesDigestPinned(t *testing.T) {
 	const want = "9d34865bb11c2ef1132f1e42a033569537a0d84c5603a8c0ed85359124424e57"
 	h := sha256.New()
 	digest := func(f *Framework) {
-		got, _, err := f.BC(0)
+		got, _, err := f.BC(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ type ckptRun struct {
 
 var ckptRuns = []ckptRun{
 	{"BFS", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
-		res, rep, err := f.BFSContext(ctx, 0)
+		res, rep, err := lane0(f.BFSBatch([]context.Context{ctx}, []int32{0}))
 		if err != nil {
 			t.Fatalf("BFS: %v", err)
 		}
@@ -34,28 +34,28 @@ var ckptRuns = []ckptRun{
 		return rep, fp
 	}},
 	{"SSSP", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
-		dist, rep, err := f.SSSPContext(ctx, 0)
+		dist, rep, err := lane0(f.SSSPBatch([]context.Context{ctx}, []int32{0}))
 		if err != nil {
 			t.Fatalf("SSSP: %v", err)
 		}
 		return rep, dist
 	}},
 	{"PR", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
-		pr, rep, err := f.PageRankContext(ctx, 10, 0.15)
+		pr, rep, err := lane0(f.PageRankBatch([]context.Context{ctx}, 1, 10, 0.15))
 		if err != nil {
 			t.Fatalf("PR: %v", err)
 		}
 		return rep, pr
 	}},
 	{"CF", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
-		lat, rep, err := f.CFContext(ctx, 8, 0.01, 0.05)
+		lat, rep, err := lane0(f.CFBatch([]context.Context{ctx}, 1, 8, 0.01, 0.05))
 		if err != nil {
 			t.Fatalf("CF: %v", err)
 		}
 		return rep, lat
 	}},
 	{"BC", func(t *testing.T, f *Framework, ctx context.Context) (*Report, []float32) {
-		bc, rep, err := f.BCContext(ctx, 0)
+		bc, rep, err := f.BC(ctx, 0)
 		if err != nil {
 			t.Fatalf("BC: %v", err)
 		}
@@ -191,7 +191,7 @@ func TestCheckpointResumeValidation(t *testing.T) {
 		Sink:  func(cp *Checkpoint) error { snaps = append(snaps, cp); return nil },
 	}
 	ctx := ContextWithCheckpoint(context.Background(), cfg)
-	if _, _, err := ckptFW(t, nil).PageRankContext(ctx, 6, 0.15); err != nil {
+	if _, _, err := lane0(ckptFW(t, nil).PageRankBatch([]context.Context{ctx}, 1, 6, 0.15)); err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) == 0 {
@@ -201,7 +201,7 @@ func TestCheckpointResumeValidation(t *testing.T) {
 
 	// Wrong algorithm.
 	rctx := ContextWithCheckpoint(context.Background(), &CheckpointConfig{Resume: cp})
-	if _, _, err := ckptFW(t, nil).SSSPContext(rctx, 0); err == nil ||
+	if _, _, err := lane0(ckptFW(t, nil).SSSPBatch([]context.Context{rctx}, []int32{0})); err == nil ||
 		!strings.Contains(err.Error(), "cannot resume") {
 		t.Errorf("SSSP accepted a PR checkpoint: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.PageRankContext(rctx, 6, 0.15); err == nil ||
+	if _, _, err := lane0(f.PageRankBatch([]context.Context{rctx}, 1, 6, 0.15)); err == nil ||
 		!strings.Contains(err.Error(), "vertices") {
 		t.Errorf("PR accepted a checkpoint for a different graph: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestCheckpointSinkErrorStopsRun(t *testing.T) {
 		Sink:  func(*Checkpoint) error { return context.DeadlineExceeded },
 	}
 	ctx := ContextWithCheckpoint(context.Background(), cfg)
-	_, rep, err := ckptFW(t, nil).PageRankContext(ctx, 10, 0.15)
+	_, rep, err := lane0(ckptFW(t, nil).PageRankBatch([]context.Context{ctx}, 1, 10, 0.15))
 	if err == nil || !strings.Contains(err.Error(), "checkpoint at iteration") {
 		t.Fatalf("sink error not surfaced: %v", err)
 	}

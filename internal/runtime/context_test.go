@@ -35,7 +35,7 @@ func TestCancelBetweenIterations(t *testing.T) {
 		}
 	})
 
-	_, rep, err := f.PageRankContext(ctx, 50, 0.15)
+	_, rep, err := lane0(f.PageRankBatch([]context.Context{ctx}, 1, 50, 0.15))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -50,7 +50,7 @@ func TestDeadlineAlreadyExpired(t *testing.T) {
 	f := testFramework(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, rep, err := f.SSSPContext(ctx, 0)
+	_, rep, err := lane0(f.SSSPBatch([]context.Context{ctx}, []int32{0}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -59,17 +59,21 @@ func TestDeadlineAlreadyExpired(t *testing.T) {
 	}
 }
 
-// TestContextVariantsMatchPlain checks the context entry points
-// produce identical results and cycle counts to the plain ones.
+// TestContextVariantsMatchPlain checks that a live context changes
+// nothing: a one-lane run under a cancellable context that never fires
+// produces identical results and cycle counts to one with no context
+// (nil ctxs, which default to Background).
 func TestContextVariantsMatchPlain(t *testing.T) {
 	f := testFramework(t, nil)
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	live := []context.Context{ctx}
 
-	plainDist, plainRep, err := f.SSSP(0)
+	plainDist, plainRep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxDist, ctxRep, err := f.SSSPContext(ctx, 0)
+	ctxDist, ctxRep, err := lane0(f.SSSPBatch(live, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +86,11 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 		}
 	}
 
-	bres, brep, err := f.BFSContext(ctx, 0)
+	bres, brep, err := lane0(f.BFSBatch(live, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres2, brep2, err := f.BFS(0)
+	bres2, brep2, err := lane0(f.BFSBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestBFSContextCancelPartial(t *testing.T) {
 			cancel()
 		}
 	})
-	_, rep, err := f.BFSContext(ctx, 0)
+	_, rep, err := lane0(f.BFSBatch([]context.Context{ctx}, []int32{0}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}

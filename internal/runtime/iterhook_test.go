@@ -29,7 +29,7 @@ func TestIterHookStopsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rep, err := f.PageRankContext(context.Background(), 50, 0.15)
+	_, rep, err := lane0(f.PageRankBatch([]context.Context{context.Background()}, 1, 50, 0.15))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
@@ -50,11 +50,11 @@ func TestIterHookNilIdentical(t *testing.T) {
 		return f
 	}
 	calls := 0
-	_, repA, err := build(nil).PageRank(5, 0.15)
+	_, repA, err := lane0(build(nil).PageRankBatch(nil, 1, 5, 0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repB, err := build(func(int) error { calls++; return nil }).PageRank(5, 0.15)
+	_, repB, err := lane0(build(func(int) error { calls++; return nil }).PageRankBatch(nil, 1, 5, 0.15))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestTraversalOracleNative(t *testing.T) {
 						if got := f.opPart.MinRingFast(&ssspRing); got != g.fast {
 							t.Fatalf("%s: SSSP on the min-ring kernels = %v, want %v", what, got, g.fast)
 						}
-						res, _, err := f.BFS(src)
+						res, _, err := lane0(f.BFSBatch(nil, []int32{src}))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -148,7 +148,7 @@ func TestTraversalOracleNative(t *testing.T) {
 									what, v, res.Level[v], res.Parent[v], level[v], parent[v])
 							}
 						}
-						got, _, err := f.SSSP(src)
+						got, _, err := lane0(f.SSSPBatch(nil, []int32{src}))
 						if err != nil {
 							t.Fatal(err)
 						}

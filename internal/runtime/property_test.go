@@ -20,7 +20,7 @@ func TestQuickBFSLevelsMatchReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, _, err := fw.BFS(src)
+		res, _, err := lane0(fw.BFSBatch(nil, []int32{src}))
 		if err != nil {
 			return false
 		}
@@ -47,11 +47,11 @@ func TestQuickSSSPBoundedByHops(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dist, _, err := fw.SSSP(0)
+		dist, _, err := lane0(fw.SSSPBatch(nil, []int32{0}))
 		if err != nil {
 			return false
 		}
-		bres, _, err := fw.BFS(0)
+		bres, _, err := lane0(fw.BFSBatch(nil, []int32{0}))
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -184,7 +185,7 @@ func TestNewRejectsNonSquare(t *testing.T) {
 func TestBFSMatchesReference(t *testing.T) {
 	m := gen.PowerLaw(300, 3000, 0.5, gen.Pattern, 5)
 	f := newFW(t, m, Options{})
-	res, rep, err := f.BFS(0)
+	res, rep, err := lane0(f.BFSBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestBFSMatchesReference(t *testing.T) {
 func TestSSSPMatchesReference(t *testing.T) {
 	m := gen.PowerLaw(250, 2500, 0.5, gen.UniformWeight, 6)
 	f := newFW(t, m, Options{})
-	dist, rep, err := f.SSSP(0)
+	dist, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestSSSPMatchesReference(t *testing.T) {
 func TestPageRankMatchesReference(t *testing.T) {
 	m := gen.PowerLaw(200, 2000, 0.5, gen.Pattern, 7)
 	f := newFW(t, m, Options{})
-	pr, rep, err := f.PageRank(10, 0.15)
+	pr, rep, err := lane0(f.PageRankBatch(nil, 1, 10, 0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestCFReducesError(t *testing.T) {
 		init[i] = 0.1 + 0.01*float32(i%17)
 	}
 	before := rmse(init)
-	v, _, err := f.CF(12, 0.05, 0.01)
+	v, _, err := lane0(f.CFBatch(nil, 1, 12, 0.05, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestSpMVThroughRuntime(t *testing.T) {
 	m := gen.Uniform(500, 5000, gen.UniformWeight, 9)
 	f := newFW(t, m, Options{})
 	fr := gen.Frontier(500, 0.3, 10)
-	out, rep, err := f.SpMV(fr)
+	out, rep, err := f.SpMV(context.Background(), fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestSSSPSwitchesConfigurations(t *testing.T) {
 	// in the middle (the paper's Fig. 9 trace).
 	m := gen.PowerLaw(3000, 60000, 0.55, gen.UniformWeight, 11)
 	f := newFW(t, m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
-	_, rep, err := f.SSSP(0)
+	_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestAutoNotSlowerThanWorstForced(t *testing.T) {
 	geo := sim.Geometry{Tiles: 2, PEsPerTile: 8}
 	run := func(sw SWChoice, hw HWChoice) int64 {
 		f := newFW(t, m, Options{Geometry: geo, SW: sw, HW: hw})
-		_, rep, err := f.SSSP(0)
+		_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +391,7 @@ func TestDeterministicReports(t *testing.T) {
 	m := gen.PowerLaw(400, 4000, 0.5, gen.UniformWeight, 13)
 	run := func() int64 {
 		f := newFW(t, m, Options{})
-		_, rep, err := f.SSSP(0)
+		_, rep, err := lane0(f.SSSPBatch(nil, []int32{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,19 +405,19 @@ func TestDeterministicReports(t *testing.T) {
 func TestBFSInvalidSource(t *testing.T) {
 	m := gen.Uniform(10, 30, gen.Pattern, 14)
 	f := newFW(t, m, Options{})
-	if _, _, err := f.BFS(-1); err == nil {
+	if _, _, err := lane0(f.BFSBatch(nil, []int32{-1})); err == nil {
 		t.Error("accepted negative source")
 	}
-	if _, _, err := f.BFS(10); err == nil {
+	if _, _, err := lane0(f.BFSBatch(nil, []int32{10})); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, _, err := f.SSSP(99); err == nil {
+	if _, _, err := lane0(f.SSSPBatch(nil, []int32{99})); err == nil {
 		t.Error("SSSP accepted out-of-range source")
 	}
-	if _, _, err := f.PageRank(0, 0.15); err == nil {
+	if _, _, err := lane0(f.PageRankBatch(nil, 1, 0, 0.15)); err == nil {
 		t.Error("PageRank accepted zero iterations")
 	}
-	if _, _, err := f.CF(-1, 0.1, 0.1); err == nil {
+	if _, _, err := lane0(f.CFBatch(nil, 1, -1, 0.1, 0.1)); err == nil {
 		t.Error("CF accepted negative iterations")
 	}
 }
@@ -453,13 +454,13 @@ func TestEngineDecodesStoreOnce(t *testing.T) {
 			if n := cs.emitted.Load(); n != 0 {
 				t.Fatalf("%s/%s: NewFromStore decoded %d elements", st.Format(), be.Name(), n)
 			}
-			if _, _, err := f.PageRank(2, 0.15); err != nil {
+			if _, _, err := lane0(f.PageRankBatch(nil, 1, 2, 0.15)); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := f.BFS(0); err != nil {
+			if _, _, err := lane0(f.BFSBatch(nil, []int32{0})); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := f.SSSP(0); err != nil {
+			if _, _, err := lane0(f.SSSPBatch(nil, []int32{0})); err != nil {
 				t.Fatal(err)
 			}
 			if n := cs.emitted.Load(); n != int64(m.NNZ()) {
@@ -502,15 +503,15 @@ func TestNativeEngineCutsTilesLazily(t *testing.T) {
 	}
 	traverse := func(f *Framework) (parents []int32, dist, ranks matrix.Dense) {
 		t.Helper()
-		bfs, brep, err := f.BFS(src)
+		bfs, brep, err := lane0(f.BFSBatch(nil, []int32{src}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, srep, err := f.SSSP(src)
+		dist, srep, err := lane0(f.SSSPBatch(nil, []int32{src}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ranks, _, err = f.PageRank(3, 0.15); err != nil {
+		if ranks, _, err = lane0(f.PageRankBatch(nil, 1, 3, 0.15)); err != nil {
 			t.Fatal(err)
 		}
 		ranOP("BFS", brep)
@@ -532,7 +533,7 @@ func TestNativeEngineCutsTilesLazily(t *testing.T) {
 	for k := range f.Val {
 		f.Val[k] = float32(k) + 0.5
 	}
-	spmv, rep, err := native.SpMV(f)
+	spmv, rep, err := native.SpMV(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +541,7 @@ func TestNativeEngineCutsTilesLazily(t *testing.T) {
 	if native.opPart.ColPtr == nil {
 		t.Fatal("a native SpMV OP iteration left the tiles uncut")
 	}
-	want, _, err := newFW(t, m, Options{Backend: exec.Sim()}).SpMV(f)
+	want, _, err := newFW(t, m, Options{Backend: exec.Sim()}).SpMV(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +575,7 @@ func TestNativeEngineCutsTilesLazily(t *testing.T) {
 
 	small := gen.PowerLaw(300, 3000, 0.6, gen.UniformWeight, 29)
 	simulated := newFW(t, small, Options{Backend: exec.Sim()})
-	_, rep, err = simulated.BFS(0)
+	_, rep, err = lane0(simulated.BFSBatch(nil, []int32{0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestTraceCapBoundsReportWithExactTotals(t *testing.T) {
 	m := gen.Uniform(1000, 10000, gen.Pattern, 4)
 	run := func(cap int) *Report {
 		f := newFW(t, m, Options{traceCap: cap})
-		_, rep, err := f.PageRank(20, 0.15)
+		_, rep, err := lane0(f.PageRankBatch(nil, 1, 20, 0.15))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,11 +58,14 @@ func TestNativeBackendJob(t *testing.T) {
 	text := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
 		`cosparsed_job_cycles_count{algo="pr",backend="sim",mode="solo"} 1`,
-		`cosparsed_job_cycles_count{algo="pr",backend="native",mode="solo"} 1`,
+		`cosparsed_job_seconds_count{algo="pr",backend="native",mode="solo"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, `cosparsed_job_cycles_count{algo="pr",backend="native"`) {
+		t.Error("metrics carry a cycles series for the native job, which simulates none")
 	}
 
 	// Unknown backends are rejected at validation time.

@@ -123,7 +123,7 @@ func TestFusedSubmitFlow(t *testing.T) {
 	if !strings.Contains(text, "cosparsed_batch_occupancy_count 1") {
 		t.Fatalf("missing batch occupancy observation:\n%s", text)
 	}
-	want := fmt.Sprintf(`cosparsed_job_cycles_count{algo="bfs",backend="native",mode="fused"} %d`, len(sources))
+	want := fmt.Sprintf(`cosparsed_job_seconds_count{algo="bfs",backend="native",mode="fused"} %d`, len(sources))
 	if !strings.Contains(text, want) {
 		t.Fatalf("missing %s in:\n%s", want, text)
 	}

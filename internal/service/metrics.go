@@ -106,6 +106,7 @@ func formatBound(b float64) string {
 
 // jobHists pairs the two per-algorithm histograms so ObserveJob
 // resolves both with a single map lookup under a single (read) lock.
+// cycles is nil on a native series: native jobs simulate nothing.
 type jobHists struct {
 	cycles  *Histogram
 	seconds *Histogram
@@ -280,12 +281,13 @@ func (m *Metrics) TenantQueuedAdd(name string, d int64) {
 	}
 }
 
-// ObserveJob records one finished job's simulated cycle count and
-// wall-clock duration under its algorithm name, execution backend
-// (native jobs report zero cycles but real wall time, so the series
-// must not blend) and execution mode ("solo" for a dedicated run,
-// "fused" for a lane of a coalesced batch). One read-lock acquisition
-// resolves both histograms; the observations themselves are lock-free.
+// ObserveJob records one finished job's wall-clock duration and, for a
+// simulated job, its simulated cycle count, under its algorithm name,
+// execution backend and execution mode ("solo" for a dedicated run,
+// "fused" for a lane of a coalesced batch). A native job simulates
+// nothing, so its cycles are not observed and its series has no
+// cycles histogram. One read-lock acquisition resolves both
+// histograms; the observations themselves are lock-free.
 func (m *Metrics) ObserveJob(algo, backend, mode string, cycles int64, wallSeconds float64) {
 	if backend == "" {
 		backend = "sim"
@@ -301,12 +303,17 @@ func (m *Metrics) ObserveJob(algo, backend, mode string, cycles int64, wallSecon
 		m.mu.Lock()
 		jh, ok = m.jobs[key]
 		if !ok {
-			jh = &jobHists{cycles: NewHistogram(CycleBuckets), seconds: NewHistogram(SecondsBuckets)}
+			jh = &jobHists{seconds: NewHistogram(SecondsBuckets)}
+			if backend == "sim" {
+				jh.cycles = NewHistogram(CycleBuckets)
+			}
 			m.jobs[key] = jh
 		}
 		m.mu.Unlock()
 	}
-	jh.cycles.Observe(float64(cycles))
+	if jh.cycles != nil {
+		jh.cycles.Observe(float64(cycles))
+	}
 	jh.seconds.Observe(wallSeconds)
 }
 
@@ -439,11 +446,15 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		backend, mode, _ := strings.Cut(rest, "\x00")
 		return fmt.Sprintf("algo=%q,backend=%q,mode=%q", algo, backend, mode)
 	}
-	if len(jobKeys) > 0 {
-		fmt.Fprintf(w, "# HELP cosparsed_job_cycles Simulated cycles per finished job.\n# TYPE cosparsed_job_cycles histogram\n")
-		for _, k := range jobKeys {
+	cyclesHead := "# HELP cosparsed_job_cycles Simulated cycles per finished simulated job.\n# TYPE cosparsed_job_cycles histogram\n"
+	for _, k := range jobKeys {
+		if jobs[k].cycles != nil { // native series have none
+			fmt.Fprint(w, cyclesHead)
+			cyclesHead = ""
 			jobs[k].cycles.write(w, "cosparsed_job_cycles", jobLabels(k))
 		}
+	}
+	if len(jobKeys) > 0 {
 		fmt.Fprintf(w, "# HELP cosparsed_job_seconds Wall-clock seconds per finished job.\n# TYPE cosparsed_job_seconds histogram\n")
 		for _, k := range jobKeys {
 			jobs[k].seconds.write(w, "cosparsed_job_seconds", jobLabels(k))

@@ -37,7 +37,7 @@ func TestWritePrometheusDeterministicOrder(t *testing.T) {
 	m := NewMetrics()
 	m.JobsDone.Add(2)
 	m.ObserveJob("pr", "sim", "solo", 5e6, 0.02)
-	m.ObserveJob("bfs", "native", "solo", 2e5, 0.004)
+	m.ObserveJob("bfs", "native", "solo", 0, 0.004) // native jobs simulate no cycles
 
 	var a, b strings.Builder
 	m.WritePrometheus(&a)
@@ -47,8 +47,8 @@ func TestWritePrometheusDeterministicOrder(t *testing.T) {
 	}
 	text := a.String()
 	// Histogram algorithms render in sorted order.
-	bfs := strings.Index(text, `cosparsed_job_cycles_bucket{algo="bfs",backend="native",mode="solo"`)
-	pr := strings.Index(text, `cosparsed_job_cycles_bucket{algo="pr",backend="sim",mode="solo"`)
+	bfs := strings.Index(text, `cosparsed_job_seconds_bucket{algo="bfs",backend="native",mode="solo"`)
+	pr := strings.Index(text, `cosparsed_job_seconds_bucket{algo="pr",backend="sim",mode="solo"`)
 	if bfs < 0 || pr < 0 || bfs > pr {
 		t.Fatalf("histogram ordering wrong: bfs@%d pr@%d", bfs, pr)
 	}
@@ -62,5 +62,8 @@ func TestWritePrometheusDeterministicOrder(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q", want)
 		}
+	}
+	if strings.Contains(text, `cosparsed_job_cycles_count{algo="bfs",backend="native"`) {
+		t.Error("rendered a cycles series for a native job")
 	}
 }

@@ -212,11 +212,6 @@ func (c Config) SPMWordsPerPE() int {
 	return c.Params.L1BankBytes / c.Params.WordBytes
 }
 
-// L2TileBytes returns the L2 capacity associated with one tile.
-func (c Config) L2TileBytes() int {
-	return c.Geometry.PEsPerTile * c.Params.L2BankBytes
-}
-
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {

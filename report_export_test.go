@@ -1,6 +1,7 @@
 package cosparse
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -72,7 +73,7 @@ func TestReportJSONGolden(t *testing.T) {
 func TestReportExportDeterministic(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	_, rep, err := eng.SSSP(0)
+	_, rep, err := eng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestReportExportDeterministic(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	eng := testEngine(t, g)
-	_, rep, err := eng.SSSP(0)
+	_, rep, err := eng.SSSPContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

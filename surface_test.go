@@ -2,6 +2,7 @@ package cosparse
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"os"
@@ -11,24 +12,30 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestOperatingSurfaceDocumented checks README's "Operating surface"
 // tables against the code: every flag cmd/cosparsed defines and every
-// metric family internal/service renders has a row, and every row
-// names a flag or family that still exists. A flag or family nobody
-// can say the purpose of otherwise ships unnoticed.
+// metric family internal/service renders has a row, every row names a
+// flag or family that still exists, and every flag row's Default is
+// the flag's real default as flag prints it (its first backquoted
+// value, or "empty" for an empty string). A flag or family nobody can
+// say the purpose of, or a default changed in code only, otherwise
+// ships unnoticed.
 func TestOperatingSurfaceDocumented(t *testing.T) {
 	have := map[string]bool{}
-	for _, name := range daemonFlags(t, filepath.Join("cmd", "cosparsed", "main.go")) {
+	defaults := map[string]string{}
+	for name, def := range daemonFlags(t, filepath.Join("cmd", "cosparsed", "main.go")) {
 		have["-"+name] = true
+		defaults["-"+name] = def
 	}
 	for _, name := range metricFamilies(t, filepath.Join("internal", "service")) {
 		have[name] = true
 	}
 	rows := surfaceRows(t, "README.md")
 	for _, name := range sortedKeys(have) {
-		if !rows[name] {
+		if _, ok := rows[name]; !ok {
 			t.Errorf("README Operating surface has no row for %s", name)
 		}
 	}
@@ -37,15 +44,35 @@ func TestOperatingSurfaceDocumented(t *testing.T) {
 			t.Errorf("README Operating surface row %s names no flag or metric family in the code", name)
 		}
 	}
+	cellValue := regexp.MustCompile("^`([^`]*)`")
+	for _, name := range sortedKeys(have) {
+		def, isFlag := defaults[name]
+		cell, ok := rows[name]
+		if !isFlag || !ok {
+			continue
+		}
+		got := ""
+		if m := cellValue.FindStringSubmatch(cell); m != nil {
+			got = m[1]
+		} else if !strings.HasPrefix(cell, "empty") {
+			t.Errorf("README row %s: Default %q is neither a backquoted value nor \"empty\"", name, cell)
+			continue
+		}
+		if got != def {
+			t.Errorf("README row %s: Default %q, but the flag's default is %q", name, got, def)
+		}
+	}
 }
 
-// daemonFlags returns the names of the flag.X("name", …) calls in path.
-func daemonFlags(t *testing.T, path string) []string {
+// daemonFlags returns the flag.X("name", default, …) calls in path,
+// each name mapped to its default as flag prints it (the Flag's
+// DefValue).
+func daemonFlags(t *testing.T, path string) map[string]string {
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	flags := map[string]string{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
@@ -58,15 +85,57 @@ func daemonFlags(t *testing.T, path string) []string {
 		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
 			return true
 		}
-		if name, ok := stringLit(call.Args[0]); ok {
-			names = append(names, name)
+		name, ok := stringLit(call.Args[0])
+		if !ok || len(call.Args) < 2 {
+			return true
+		}
+		v := constValue(t, call.Args[1])
+		switch sel.Sel.Name {
+		case "Duration":
+			ns, _ := constant.Int64Val(v)
+			flags[name] = time.Duration(ns).String()
+		case "String":
+			flags[name] = constant.StringVal(v)
+		default:
+			flags[name] = v.ExactString()
 		}
 		return true
 	})
-	if len(names) == 0 {
+	if len(flags) == 0 {
 		t.Fatalf("found no flag definitions in %s", path)
 	}
-	return names
+	return flags
+}
+
+// constValue evaluates a flag default written as a constant
+// expression: literals, true/false, time units and the arithmetic
+// between them.
+func constValue(t *testing.T, e ast.Expr) constant.Value {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return constant.MakeFromLiteral(e.Value, e.Kind, 0)
+	case *ast.ParenExpr:
+		return constValue(t, e.X)
+	case *ast.Ident:
+		if e.Name == "true" || e.Name == "false" {
+			return constant.MakeBool(e.Name == "true")
+		}
+	case *ast.SelectorExpr:
+		units := map[string]time.Duration{"Nanosecond": time.Nanosecond, "Microsecond": time.Microsecond,
+			"Millisecond": time.Millisecond, "Second": time.Second, "Minute": time.Minute, "Hour": time.Hour}
+		if pkg, ok := e.X.(*ast.Ident); ok && pkg.Name == "time" && units[e.Sel.Name] != 0 {
+			return constant.MakeInt64(int64(units[e.Sel.Name]))
+		}
+	case *ast.BinaryExpr:
+		x, y := constValue(t, e.X), constValue(t, e.Y)
+		if e.Op == token.SHL || e.Op == token.SHR {
+			n, _ := constant.Uint64Val(y)
+			return constant.Shift(x, e.Op, uint(n))
+		}
+		return constant.BinaryOp(x, e.Op, y)
+	}
+	t.Fatalf("flag default %T is not a constant expression this test evaluates", e)
+	return nil
 }
 
 // familyName is the metric name at the start of a rendered series line.
@@ -103,9 +172,10 @@ func metricFamilies(t *testing.T, dir string) []string {
 	return sortedKeys(seen)
 }
 
-// surfaceRows returns the backquoted name in the first cell of every
-// table row under README's "### Operating surface" heading.
-func surfaceRows(t *testing.T, path string) map[string]bool {
+// surfaceRows maps the backquoted name in the first cell of every table
+// row under README's "### Operating surface" heading to the row's
+// second cell (a flag's Default, a family's Type).
+func surfaceRows(t *testing.T, path string) map[string]string {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +187,11 @@ func surfaceRows(t *testing.T, path string) map[string]bool {
 	if end := strings.Index(section, "\n#"); end >= 0 {
 		section = section[:end]
 	}
-	cell := regexp.MustCompile("^\\| `([^`]+)` \\|")
-	rows := map[string]bool{}
+	cell := regexp.MustCompile("^\\| `([^`]+)` \\| ([^|]*) \\|")
+	rows := map[string]string{}
 	for _, line := range strings.Split(section, "\n") {
 		if m := cell.FindStringSubmatch(line); m != nil {
-			rows[m[1]] = true
+			rows[m[1]] = m[2]
 		}
 	}
 	return rows
@@ -136,7 +206,7 @@ func stringLit(n ast.Node) (string, bool) {
 	return s, err == nil
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
