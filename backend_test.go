@@ -187,7 +187,7 @@ func TestBackendsMatchBaselineSpMV(t *testing.T) {
 	f := gen.Frontier(1000, 0.2, 24)
 	want := baseline.RunCSRSpMV(m.ToCSR(), f.ToDense(0))
 	for _, be := range []exec.Backend{exec.Sim(), exec.Native()} {
-		fw, err := runtime.New(m, runtime.Options{
+		fw, err := runtime.NewFromStore(m, runtime.Options{
 			Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8},
 			Backend:  be,
 		})

@@ -132,7 +132,7 @@ func TestBenchCrossoverFit(t *testing.T) {
 			pol.NativeMinCrossover = c
 			opts := runtime.Options{Geometry: geom, Backend: exec.Native(), Policy: pol}
 			for j, m := range []*matrix.COO{g.pattern, g.weights} {
-				f, err := runtime.New(m, opts)
+				f, err := runtime.NewFromStore(m, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -255,7 +255,7 @@ func BenchmarkSSSPFullRun(b *testing.B) {
 	m := gen.PowerLaw(3000, 60000, 0.55, gen.UniformWeight, 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fw, err := runtime.New(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
+		fw, err := runtime.NewFromStore(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
 		if err != nil {
 			b.Fatal(err)
 		}

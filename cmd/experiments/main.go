@@ -18,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -27,7 +26,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure/table to regenerate: 4..10, table1..table3, or all")
+	fig := flag.String("fig", "all", "which figure/table to regenerate: 4..10, table1..table3, calibrate, scaling, reconfig, or all")
 	scaleName := flag.String("scale", "small", "workload scale: tiny, small, full")
 	out := flag.String("out", "", "write output to this file instead of stdout")
 	format := flag.String("format", "text", "output format: text, json")
@@ -50,15 +49,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var w io.Writer = os.Stdout
+	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = f
 	}
 
 	runners := map[string]func(bench.Scale) *bench.Table{
@@ -94,7 +92,7 @@ func main() {
 	for _, name := range want {
 		run, ok := runners[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want %s or all)\n",
+			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want %s, calibrate, scaling, reconfig or all)\n",
 				name, strings.Join(order, ", "))
 			os.Exit(2)
 		}
@@ -104,6 +102,12 @@ func main() {
 		if *format == "text" {
 			tbl.Fprint(w)
 		} else if err := tbl.WriteJSON(w); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

@@ -39,7 +39,7 @@ var concurrentRuns = []concurrentRun{
 		return e.SpMVContext(context.Background(), []int32{0, 7, 42, 99}, []float32{1, 0.5, 2, 0.25})
 	}},
 	{"CC", func(e *Engine) ([]float32, *Report, error) {
-		labels, rep, err := e.ConnectedComponents()
+		labels, rep, err := e.ConnectedComponentsContext(context.Background())
 		out := make([]float32, len(labels))
 		for v, l := range labels {
 			out[v] = float32(l)

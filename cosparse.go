@@ -212,7 +212,7 @@ func LoadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 // row by row from the resident store — no uncompressed copy of a
 // compressed graph is ever materialized.
 func (g *Graph) WriteEdgeList(w io.Writer, header string) error {
-	return gen.WriteEdgeListStore(w, g.st, header)
+	return gen.WriteEdgeList(w, g.st, header)
 }
 
 // GenerateUniform creates an n-vertex graph with ~edges uniformly
@@ -563,24 +563,29 @@ func (e *Engine) report(rep *runtime.Report) *Report {
 	if e.simulated {
 		// The native backend runs no memory model; only simulated runs
 		// carry a meaningful breakdown.
-		b := rep.Stats.MemoryBreakdown()
-		out.Memory = &MemoryStats{
-			L1HitRate:            b.L1HitRate,
-			L2HitRate:            b.L2HitRate,
-			HBMReadLines:         b.HBMReadLines,
-			HBMWriteLines:        b.HBMWriteLines,
-			HBMReadQueuedCycles:  b.HBMReadQueued,
-			HBMWriteQueuedCycles: b.HBMWriteQueued,
-			AvgReadQueueCycles:   b.AvgReadQueueCycles,
-			AvgWriteQueueCycles:  b.AvgWriteQueueCycles,
-			Loads:                b.Loads,
-			Stores:               b.Stores,
-			StreamLoads:          b.StreamLoads,
-			Prefetches:           b.Prefetches,
-			Writebacks:           b.Writebacks,
-			StallCycles:          b.StallCycles,
-			ReconfigCycles:       b.ReconfigCycles,
+		s := rep.Stats
+		m := &MemoryStats{
+			L1HitRate:            s.L1HitRate(),
+			L2HitRate:            s.L2HitRate(),
+			HBMReadLines:         s.HBMLines,
+			HBMWriteLines:        s.HBMWriteLines,
+			HBMReadQueuedCycles:  s.HBMQueued,
+			HBMWriteQueuedCycles: s.HBMWriteQueued,
+			Loads:                s.Loads,
+			Stores:               s.Stores,
+			StreamLoads:          s.StreamLoads,
+			Prefetches:           s.Prefetches,
+			Writebacks:           s.Writebacks,
+			StallCycles:          s.StallCycles,
+			ReconfigCycles:       s.ReconfigCycles,
 		}
+		if s.HBMLines > 0 {
+			m.AvgReadQueueCycles = float64(s.HBMQueued) / float64(s.HBMLines)
+		}
+		if s.HBMWriteLines > 0 {
+			m.AvgWriteQueueCycles = float64(s.HBMWriteQueued) / float64(s.HBMWriteLines)
+		}
+		out.Memory = m
 	}
 	for _, it := range rep.Iters {
 		sw := "OP"

@@ -249,6 +249,36 @@ func TestReportRendering(t *testing.T) {
 	if !strings.Contains(tr, "iter") || len(strings.Split(tr, "\n")) < len(rep.Iterations) {
 		t.Fatalf("Trace malformed:\n%s", tr)
 	}
+
+	// The memory rollup agrees with the per-iteration trace it sums.
+	m := rep.Memory
+	if m == nil || rep.TraceDropped != 0 {
+		t.Fatalf("simulated report: Memory %v, %d iterations dropped", m, rep.TraceDropped)
+	}
+	var lines int64
+	for _, it := range rep.Iterations {
+		lines += it.HBMLines
+	}
+	if m.HBMReadLines != lines {
+		t.Errorf("Memory.HBMReadLines %d, iterations sum to %d", m.HBMReadLines, lines)
+	}
+	if m.HBMWriteLines == 0 || m.AvgWriteQueueCycles != float64(m.HBMWriteQueuedCycles)/float64(m.HBMWriteLines) {
+		t.Errorf("AvgWriteQueueCycles %v from %d cycles over %d lines",
+			m.AvgWriteQueueCycles, m.HBMWriteQueuedCycles, m.HBMWriteLines)
+	}
+	for _, r := range []float64{m.L1HitRate, m.L2HitRate} {
+		if r < 0 || r > 1 {
+			t.Errorf("hit rate %v outside [0, 1]", r)
+		}
+	}
+
+	_, nrep, err := testEngine(t, g, WithBackend(NativeBackend)).SSSPContext(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nrep.Memory != nil {
+		t.Errorf("native report carries Memory %+v", nrep.Memory)
+	}
 }
 
 func TestDeterministicEndToEnd(t *testing.T) {

@@ -1,6 +1,7 @@
 package cosparse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -78,12 +79,13 @@ type EdgeCtx struct {
 	SrcDeg int32   // source out-degree (if UsesSrcDegree)
 }
 
-// Run executes the custom algorithm. initial is the per-vertex starting
-// state (length NumVertices); frontier lists the initially active
-// vertices (their values are read from initial; ignored when
+// RunContext executes the custom algorithm under ctx, like the other
+// Context entry points (engine_context.go). initial is the per-vertex
+// starting state (length NumVertices); frontier lists the initially
+// active vertices (their values are read from initial; ignored when
 // DenseFrontier). maxIters bounds the loop (0 = a |V|-proportional
 // safety bound; DenseFrontier algorithms should set it explicitly).
-func (e *Engine) Run(ops Operators, initial []float32, frontier []int32, maxIters int) ([]float32, *Report, error) {
+func (e *Engine) RunContext(ctx context.Context, ops Operators, initial []float32, frontier []int32, maxIters int) ([]float32, *Report, error) {
 	if ops.MatrixOp == nil || ops.Reduce == nil {
 		return nil, nil, fmt.Errorf("cosparse: Operators require MatrixOp and Reduce")
 	}
@@ -152,15 +154,15 @@ func (e *Engine) Run(ops Operators, initial []float32, frontier []int32, maxIter
 		}
 	}
 
-	vals, rep, err := e.fw.RunCustom(ring, semiring.Ctx{}, initial, sv, maxIters) // RunCustom copies initial
+	vals, rep, err := e.fw.RunCustom(ctx, ring, semiring.Ctx{}, initial, sv, maxIters) // RunCustom copies initial
 	return vals, e.report(rep), err
 }
 
-// ConnectedComponents labels each vertex with the smallest vertex id
-// reachable from it along undirected paths (call on a symmetrized
-// graph), implemented as min-label propagation through the custom
-// operator path — a worked example of Run.
-func (e *Engine) ConnectedComponents() ([]int32, *Report, error) {
+// ConnectedComponentsContext labels each vertex with the smallest
+// vertex id reachable from it along undirected paths (call on a
+// symmetrized graph), implemented as min-label propagation through the
+// custom operator path — a worked example of RunContext.
+func (e *Engine) ConnectedComponentsContext(ctx context.Context) ([]int32, *Report, error) {
 	n := e.fw.N()
 	initial := make([]float32, n)
 	frontier := make([]int32, n)
@@ -180,9 +182,9 @@ func (e *Engine) ConnectedComponents() ([]int32, *Report, error) {
 		},
 		Improving: func(next, cur float32) bool { return next < cur },
 	}
-	vals, rep, err := e.Run(ops, initial, frontier, 0)
+	vals, rep, err := e.RunContext(ctx, ops, initial, frontier, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, rep, err
 	}
 	labels := make([]int32, n)
 	for i, v := range vals {

@@ -2,6 +2,7 @@ package cosparse
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -75,7 +76,7 @@ func TestCustomWidestPath(t *testing.T) {
 		},
 		Improving: func(next, cur float32) bool { return next > cur },
 	}
-	got, rep, err := eng.Run(ops, initial, []int32{src}, 0)
+	got, rep, err := eng.RunContext(context.Background(), ops, initial, []int32{src}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestConnectedComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, _, err := eng.ConnectedComponents()
+	labels, _, err := eng.ConnectedComponentsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +142,44 @@ func TestConnectedComponents(t *testing.T) {
 	for v := range want {
 		if labels[v] != want[v] {
 			t.Fatalf("labels = %v, want %v", labels, want)
+		}
+	}
+}
+
+// TestConnectedComponentsContextCancel: a CC run stops at the first
+// iteration boundary after its context is cancelled. The hook cancels
+// at iteration index 1, after that iteration's context check, so the
+// second iteration still runs and the check before the third stops the
+// run with the wrapped context error and a 2-iteration partial report.
+func TestConnectedComponentsContextCancel(t *testing.T) {
+	// A symmetrized 12-vertex path: min-label propagation needs 11
+	// iterations to reach the far end.
+	var edges []Edge
+	for v := int32(0); v < 11; v++ {
+		edges = append(edges, Edge{Src: v, Dst: v + 1}, Edge{Src: v + 1, Dst: v})
+	}
+	g, err := NewGraph(12, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{SimBackend, NativeBackend} {
+		ctx, cancel := context.WithCancel(context.Background())
+		eng := testEngine(t, g, WithBackend(b), WithIterationHook(func(iter int) error {
+			if iter == 1 {
+				cancel()
+			}
+			return nil
+		}))
+		labels, rep, err := eng.ConnectedComponentsContext(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s backend: err = %v, want wrapped context.Canceled", b, err)
+		}
+		if labels != nil {
+			t.Errorf("%s backend: a cancelled run returned labels", b)
+		}
+		if rep == nil || len(rep.Iterations) != 2 || rep.TotalIterations != 2 {
+			t.Fatalf("%s backend: partial report %+v, want 2 iterations", b, rep)
 		}
 	}
 }
@@ -163,7 +202,7 @@ func TestConnectedComponentsLargeAgreesWithBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, _, err := eng.ConnectedComponents()
+	labels, _, err := eng.ConnectedComponentsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +234,7 @@ func TestCustomValidation(t *testing.T) {
 	eng := testEngine(t, g)
 	vals := make([]float32, g.NumVertices())
 
-	if _, _, err := eng.Run(Operators{}, vals, nil, 0); err == nil {
+	if _, _, err := eng.RunContext(context.Background(), Operators{}, vals, nil, 0); err == nil {
 		t.Error("accepted empty operators")
 	}
 	ops := Operators{
@@ -203,17 +242,17 @@ func TestCustomValidation(t *testing.T) {
 		Reduce:    func(a, b float32) float32 { return a + b },
 		Improving: func(a, b float32) bool { return a != b },
 	}
-	if _, _, err := eng.Run(ops, vals[:3], []int32{0}, 0); err == nil {
+	if _, _, err := eng.RunContext(context.Background(), ops, vals[:3], []int32{0}, 0); err == nil {
 		t.Error("accepted short value vector")
 	}
-	if _, _, err := eng.Run(ops, vals, []int32{-4}, 0); err == nil {
+	if _, _, err := eng.RunContext(context.Background(), ops, vals, []int32{-4}, 0); err == nil {
 		t.Error("accepted out-of-range frontier vertex")
 	}
 	noImprove := Operators{
 		MatrixOp: ops.MatrixOp,
 		Reduce:   ops.Reduce,
 	}
-	if _, _, err := eng.Run(noImprove, vals, []int32{0}, 0); err == nil {
+	if _, _, err := eng.RunContext(context.Background(), noImprove, vals, []int32{0}, 0); err == nil {
 		t.Error("accepted sparse-frontier operators without Improving")
 	}
 }
@@ -235,7 +274,7 @@ func TestCustomVectorOpApplied(t *testing.T) {
 		VectorOp:      func(updated, old float32) float32 { return 7 },
 	}
 	for _, b := range []Backend{SimBackend, NativeBackend} {
-		out, _, err := testEngine(t, g, WithBackend(b)).Run(ops, vals, nil, 1)
+		out, _, err := testEngine(t, g, WithBackend(b)).RunContext(context.Background(), ops, vals, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +299,7 @@ func TestCustomDenseFrontierFixedIterations(t *testing.T) {
 		MatrixOp:      func(e EdgeCtx) float32 { return e.SrcVal },
 		Reduce:        func(a, b float32) float32 { return a + b },
 	}
-	out, rep, err := eng.Run(ops, vals, nil, 3)
+	out, rep, err := eng.RunContext(context.Background(), ops, vals, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func equivSetup(t *testing.T, seed uint64, mode gen.ValueMode) (*matrix.COO, *runtime.Framework, *ligra.Graph) {
 	t.Helper()
 	m := gen.PowerLaw(800, 12000, 0.55, mode, seed)
-	fw, err := runtime.New(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
+	fw, err := runtime.NewFromStore(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

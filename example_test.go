@@ -68,7 +68,7 @@ func ExampleOperators() {
 	}
 	initial := make([]float32, 4)
 	initial[0] = 1
-	vals, _, _ := eng.Run(ops, initial, []int32{0}, 0)
+	vals, _, _ := eng.RunContext(context.Background(), ops, initial, []int32{0}, 0)
 
 	reached := 0
 	for _, v := range vals {

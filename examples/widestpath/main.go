@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -50,7 +51,7 @@ func main() {
 		Improving: func(next, cur float32) bool { return next > cur },
 	}
 
-	cap_, rep, err := eng.Run(ops, initial, []int32{src}, 0)
+	cap_, rep, err := eng.RunContext(context.Background(), ops, initial, []int32{src}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func AutoVsStatic(s Scale) (*AutoVsStaticResult, *Table) {
 
 		for _, algo := range []string{"BFS", "SSSP"} {
 			runOne := func(sw runtime.SWChoice, hw runtime.HWChoice) int64 {
-				fw, err := runtime.New(coo, runtime.Options{Geometry: fig8Geometry, SW: sw, HW: hw, Params: s.Params()})
+				fw, err := runtime.NewFromStore(coo, runtime.Options{Geometry: fig8Geometry, SW: sw, HW: hw, Params: s.Params()})
 				if err != nil {
 					panic(err)
 				}

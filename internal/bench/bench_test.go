@@ -307,7 +307,7 @@ func TestFig10Shape(t *testing.T) {
 func TestCoSPARSEMatchesCSRBaseline(t *testing.T) {
 	m := fig7MatrixOf(ScaleTiny, 0)
 	f := gen.Frontier(m.R, 0.1, 77)
-	fw, err := runtime.New(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
+	fw, err := runtime.NewFromStore(m, runtime.Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

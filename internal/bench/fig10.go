@@ -76,7 +76,7 @@ func Fig10(s Scale) (*Fig10Result, *Table) {
 			coo := spec.Build(factor, gen.UniformWeight, 1001)
 			src := maxDegreeVertex(coo)
 
-			fw, err := runtime.New(coo, runtime.Options{Geometry: fig8Geometry, Params: s.Params()})
+			fw, err := runtime.NewFromStore(coo, runtime.Options{Geometry: fig8Geometry, Params: s.Params()})
 			if err != nil {
 				panic(err)
 			}

@@ -89,7 +89,7 @@ func Fig8(s Scale) (*Fig8Result, *Table) {
 		factor := spec.ScaleForBudget(s.EdgeBudget())
 		res.Scales[name] = factor
 		coo := spec.Build(factor, gen.UniformWeight, 801)
-		fw, err := runtime.New(coo, runtime.Options{Geometry: fig8Geometry, Params: s.Params()})
+		fw, err := runtime.NewFromStore(coo, runtime.Options{Geometry: fig8Geometry, Params: s.Params()})
 		if err != nil {
 			panic(err)
 		}

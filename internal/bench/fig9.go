@@ -54,7 +54,7 @@ func Fig9(s Scale) (*Fig9Result, *Table) {
 	src := maxDegreeVertex(coo)
 
 	runOne := func(sw runtime.SWChoice, hw runtime.HWChoice) *runtime.Report {
-		fw, err := runtime.New(coo, runtime.Options{Geometry: fig8Geometry, SW: sw, HW: hw, Params: s.Params()})
+		fw, err := runtime.NewFromStore(coo, runtime.Options{Geometry: fig8Geometry, SW: sw, HW: hw, Params: s.Params()})
 		if err != nil {
 			panic(err)
 		}

@@ -55,12 +55,6 @@ func Uniform(n, nnz int, mode ValueMode, seed uint64) *matrix.COO {
 	return matrix.MustCOO(n, n, elems)
 }
 
-// UniformDensity generates an n×n uniform matrix at the given density.
-func UniformDensity(n int, density float64, mode ValueMode, seed uint64) *matrix.COO {
-	nnz := int(math.Round(density * float64(n) * float64(n)))
-	return Uniform(n, nnz, mode, seed)
-}
-
 // PowerLaw generates an n×n matrix with approximately nnz elements
 // whose row and column marginals follow a Zipf-like power law with the
 // given exponent (the Chung–Lu model): vertex i receives expected
@@ -79,45 +73,6 @@ func PowerLaw(n, nnz int, exponent float64, mode ValueMode, seed uint64) *matrix
 		}
 	}
 	return matrix.MustCOO(n, n, elems)
-}
-
-// PowerLawClustered is PowerLaw with hubs at adjacent low vertex ids —
-// the id/degree correlation of preferential-attachment generators
-// (e.g. NetworkX's barabasi_albert_graph, where early vertices become
-// the hubs). This is the adversarial layout for naive equal-row-range
-// partitioning and the input family of the paper's Fig. 7 balancing
-// study.
-func PowerLawClustered(n, nnz int, exponent float64, mode ValueMode, seed uint64) *matrix.COO {
-	r := rng.New(seed)
-	cdf := zipfCDFOrdered(n, exponent)
-	elems := make([]matrix.Coord, nnz)
-	for i := range elems {
-		elems[i] = matrix.Coord{
-			Row: sampleCDF(cdf, r),
-			Col: sampleCDF(cdf, r),
-			Val: value(r, mode),
-		}
-	}
-	return matrix.MustCOO(n, n, elems)
-}
-
-// zipfCDFOrdered is zipfCDF without the hub-scattering permutation:
-// vertex 0 is the biggest hub.
-func zipfCDFOrdered(n int, s float64) []float64 {
-	w := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		w[i] = math.Pow(float64(i+1), -s)
-		total += w[i]
-	}
-	cdf := make([]float64, n)
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += w[i] / total
-		cdf[i] = acc
-	}
-	cdf[n-1] = 1
-	return cdf
 }
 
 // zipfCDF builds the cumulative distribution of P(i) ∝ (i+1)^-s over a

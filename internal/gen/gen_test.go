@@ -28,14 +28,6 @@ func TestUniformShape(t *testing.T) {
 	}
 }
 
-func TestUniformDensity(t *testing.T) {
-	m := UniformDensity(500, 0.01, Pattern, 2)
-	want := 0.01 * 500 * 500
-	if math.Abs(float64(m.NNZ())-want) > want*0.05 {
-		t.Fatalf("NNZ = %d, want ≈%g", m.NNZ(), want)
-	}
-}
-
 func TestUniformDeterminism(t *testing.T) {
 	a := Uniform(300, 2000, UniformWeight, 7)
 	b := Uniform(300, 2000, UniformWeight, 7)
@@ -266,33 +258,5 @@ func TestQuickFrontierValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPowerLawClusteredHubsAtLowIDs(t *testing.T) {
-	n, nnz := 2000, 20000
-	m := PowerLawClustered(n, nnz, 0.6, Pattern, 40)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The first 5% of rows must hold a disproportionate share of the
-	// elements (hubs are clustered at low ids)...
-	cnt := m.RowNNZ()
-	head := 0
-	for i := 0; i < n/20; i++ {
-		head += int(cnt[i])
-	}
-	if head < m.NNZ()/5 {
-		t.Fatalf("first 5%% of rows hold only %d/%d elements", head, m.NNZ())
-	}
-	// ...unlike the permuted variant, whose prefix share is ~5%.
-	p := PowerLaw(n, nnz, 0.6, Pattern, 40)
-	pcnt := p.RowNNZ()
-	phead := 0
-	for i := 0; i < n/20; i++ {
-		phead += int(pcnt[i])
-	}
-	if phead >= head/2 {
-		t.Fatalf("permuted variant is as clustered as the ordered one (%d vs %d)", phead, head)
 	}
 }

@@ -89,31 +89,10 @@ func ReadEdgeList(r io.Reader, undirected bool) (*matrix.COO, error) {
 
 // WriteEdgeList emits the matrix as a SNAP-style edge list, inverting
 // the transposed-adjacency convention of ReadEdgeList so that
-// WriteEdgeList∘ReadEdgeList round-trips a directed graph.
-func WriteEdgeList(w io.Writer, m *matrix.COO, header string) error {
-	bw := bufio.NewWriter(w)
-	if header != "" {
-		if _, err := fmt.Fprintf(bw, "# %s\n", header); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(bw, "# vertices: %d edges: %d\n", m.R, m.NNZ()); err != nil {
-		return err
-	}
-	for k := range m.Val {
-		// Row is destination, Col is source.
-		if _, err := fmt.Fprintf(bw, "%d\t%d\t%g\n", m.Col[k], m.Row[k], m.Val[k]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteEdgeListStore is WriteEdgeList over the storage seam: it streams
-// rows straight out of the resident store, so writing a compressed
-// graph never materializes an uncompressed copy. Output is byte-
-// identical to WriteEdgeList of the store's COO decoding.
-func WriteEdgeListStore(w io.Writer, st matrix.Store, header string) error {
+// WriteEdgeList∘ReadEdgeList round-trips a directed graph. It streams
+// rows straight out of the store, so writing a compressed graph never
+// materializes an uncompressed copy.
+func WriteEdgeList(w io.Writer, st matrix.Store, header string) error {
 	bw := bufio.NewWriter(w)
 	if header != "" {
 		if _, err := fmt.Fprintf(bw, "# %s\n", header); err != nil {

@@ -130,11 +130,10 @@ func TestOPPartitionBalance(t *testing.T) {
 	bal := NewOPPartition(m, 8, BalanceNNZ)
 	naive := NewOPPartition(m, 8, BalanceRows)
 	maxOf := func(p *OPPartition) int {
+		p.Materialize()
 		mx := 0
-		for t := 0; t < p.Tiles; t++ {
-			if n := p.NNZOfTile(t); n > mx {
-				mx = n
-			}
+		for _, val := range p.Val {
+			mx = max(mx, len(val))
 		}
 		return mx
 	}

@@ -524,12 +524,6 @@ func (p *OPPartition) Validate(m *matrix.CSC) error {
 	return nil
 }
 
-// NNZOfTile returns the elements assigned to one tile.
-func (p *OPPartition) NNZOfTile(t int) int {
-	p.Materialize()
-	return len(p.Val[t])
-}
-
 // splitEven splits n items into `parts` contiguous chunks whose sizes
 // differ by at most one; returns parts+1 boundaries. This is the LCP's
 // dynamic distribution of frontier nonzeros to PEs.

@@ -339,16 +339,6 @@ func sortInt32(a []int32) {
 	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }
 
-// VertexMap applies fn to every active vertex (Ligra's vertexMap),
-// counting one scan pass.
-func VertexMap(f *Frontier, fn func(v int32), c *Counts) {
-	for _, v := range f.Members() {
-		fn(v)
-	}
-	c.VertexScans += int64(f.Size())
-	c.Iterations++
-}
-
 // String describes a frontier for debugging.
 func (f *Frontier) String() string {
 	kind := "sparse"

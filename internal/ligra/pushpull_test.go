@@ -125,16 +125,3 @@ func TestBFSLevelsViaFrontierCount(t *testing.T) {
 		t.Fatalf("leaf BFS took %d rounds, want 3", leaf.Iters)
 	}
 }
-
-func TestVertexMapCounts(t *testing.T) {
-	f := NewSparseFrontier(10, []int32{1, 3, 5})
-	var c Counts
-	sum := int32(0)
-	VertexMap(f, func(v int32) { sum += v }, &c)
-	if sum != 9 {
-		t.Fatalf("VertexMap visited wrong vertices (sum %d)", sum)
-	}
-	if c.VertexScans != 3 || c.Iterations != 1 {
-		t.Fatalf("counts %+v", c)
-	}
-}

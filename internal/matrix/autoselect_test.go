@@ -51,7 +51,7 @@ func TestAutoSelect(t *testing.T) {
 	} {
 		bothModes(name, gen.PowerLaw(size[0], size[1], 0.55, gen.Pattern, 42))
 	}
-	check("uniform 39% dense", gen.UniformDensity(2048, 0.39, gen.Pattern, 53), matrix.FormatDVCSR)
+	check("uniform 39% dense", gen.Uniform(2048, 1635779, gen.Pattern, 53), matrix.FormatDVCSR)
 	check("wide and weighted", matrix.MustCOO(4, 1<<30, []matrix.Coord{
 		{Row: 0, Col: 1 << 29, Val: 0.5}, {Row: 1, Col: 1<<29 + 7, Val: 0.25},
 		{Row: 2, Col: 1 << 28, Val: 0.125}, {Row: 3, Col: 1<<30 - 1, Val: 0.75},

@@ -65,14 +65,11 @@ func EncodeDVCCSC(st Store) (*DVCCSC, error) {
 		Ptr:       make([]int32, c+1),
 		ChunkCols: DefaultChunkRows,
 	}
-	prev := getInt32Scratch(c)
+	prev := make([]int32, c)
 	for j := range prev {
 		prev[j] = -1
 	}
-	bytesAt := getInt64Scratch(c + 1)
-	for j := range bytesAt {
-		bytesAt[j] = 0
-	}
+	bytesAt := make([]int64, c+1)
 	weighted := false
 	var encErr error
 	st.DecodeRows(0, int32(r), func(row, col int32, val float32) {
@@ -95,8 +92,6 @@ func EncodeDVCCSC(st Store) (*DVCCSC, error) {
 		}
 	})
 	if encErr != nil {
-		putInt32Scratch(prev)
-		putInt64Scratch(bytesAt)
 		return nil, encErr
 	}
 	for j := 0; j < c; j++ {
@@ -115,7 +110,7 @@ func EncodeDVCCSC(st Store) (*DVCCSC, error) {
 	}
 	// Placement pass: bytesAt and a copy of the element prefix become
 	// per-column write cursors.
-	vcur := getInt32Scratch(c)
+	vcur := make([]int32, c)
 	copy(vcur, d.Ptr[:c])
 	for j := range prev {
 		prev[j] = -1
@@ -137,9 +132,6 @@ func EncodeDVCCSC(st Store) (*DVCCSC, error) {
 			vcur[col]++
 		}
 	})
-	putInt32Scratch(prev)
-	putInt32Scratch(vcur)
-	putInt64Scratch(bytesAt)
 	return d, nil
 }
 

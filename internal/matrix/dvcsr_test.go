@@ -216,24 +216,3 @@ func TestStoreHelpersAgreeAcrossFormats(t *testing.T) {
 		}
 	}
 }
-
-func TestParseFormat(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Format
-		err  bool
-	}{
-		{"", FormatCSR, false},
-		{"csr", FormatCSR, false},
-		{" DVCSR ", FormatDVCSR, false},
-		{"zstd", FormatCSR, true},
-	} {
-		got, err := ParseFormat(tc.in)
-		if (err != nil) != tc.err {
-			t.Errorf("ParseFormat(%q) error = %v, want error %t", tc.in, err, tc.err)
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParseFormat(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}

@@ -304,16 +304,3 @@ func (m *COO) RowNNZ() []int32 {
 	}
 	return cnt
 }
-
-// Transpose returns the transposed matrix in COO form.
-func (m *COO) Transpose() *COO {
-	elems := make([]Coord, m.NNZ())
-	for k := range m.Val {
-		elems[k] = Coord{Row: m.Col[k], Col: m.Row[k], Val: m.Val[k]}
-	}
-	out, err := NewCOO(m.C, m.R, elems)
-	if err != nil {
-		panic(err) // impossible: coordinates come from a valid COO
-	}
-	return out
-}

@@ -111,7 +111,7 @@ func TestTransposeInvolution(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rows, cols := 1+r.Intn(30), 1+r.Intn(30)
 		m := MustCOO(rows, cols, randomCoords(r, rows, cols, r.Intn(100)))
-		tt := m.Transpose().Transpose()
+		tt := TransposeOf(TransposeOf(m))
 		assertEqualCOO(t, m, tt)
 	}
 }

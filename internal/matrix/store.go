@@ -1,11 +1,5 @@
 package matrix
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-)
-
 // Format names a resident storage layout for a graph's matrix — the
 // format seam behind which the engine consumes whatever layout the
 // registration-time selector picked.
@@ -27,19 +21,6 @@ func (f Format) String() string {
 		return "dvcsr"
 	}
 	return "csr"
-}
-
-// ParseFormat parses a concrete storage-format name. The empty string
-// selects the CSR baseline. "auto" is not a concrete format; callers
-// that accept it (registration, CLIs) resolve it via AutoSelectStore first.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "csr":
-		return FormatCSR, nil
-	case "dvcsr":
-		return FormatDVCSR, nil
-	}
-	return 0, fmt.Errorf("matrix: unknown format %q (want \"csr\" or \"dvcsr\")", s)
 }
 
 // Store is the format seam: the resident storage of one sparse matrix,
@@ -160,7 +141,7 @@ func CSCOf(st Store) *CSC {
 	for j := 0; j < c; j++ {
 		out.ColPtr[j+1] += out.ColPtr[j]
 	}
-	next := getInt32Scratch(c)
+	next := make([]int32, c)
 	copy(next, out.ColPtr[:c])
 	st.DecodeRows(0, int32(r), func(row, col int32, val float32) {
 		p := next[col]
@@ -168,7 +149,6 @@ func CSCOf(st Store) *CSC {
 		out.Val[p] = val
 		next[col] = p + 1
 	})
-	putInt32Scratch(next)
 	return out
 }
 
@@ -176,12 +156,8 @@ func CSCOf(st Store) *CSC {
 // streaming two decode passes (count, place) instead of materializing
 // the source as COO first — the counting placement is stable and the
 // row-major decode order makes transposed rows come out column-sorted,
-// so the result is bit-identical to ToCOO().Transpose() at roughly a
-// third of the peak memory for compressed stores.
+// so the result is canonical without a sort.
 func TransposeOf(st Store) *COO {
-	if m, ok := st.(*COO); ok {
-		return m.Transpose()
-	}
 	r, c := st.Dims()
 	nnz := st.NNZ()
 	out := &COO{
@@ -191,15 +167,15 @@ func TransposeOf(st Store) *COO {
 		Col: make([]int32, nnz),
 		Val: make([]float32, nnz),
 	}
-	ptr := make([]int32, c+1)
+	// After the counting pass and its prefix sum, next[j] is the slot
+	// of transposed row j's next element.
+	next := make([]int32, c+1)
 	st.DecodeRows(0, int32(r), func(_, col int32, _ float32) {
-		ptr[col+1]++
+		next[col+1]++
 	})
 	for j := 0; j < c; j++ {
-		ptr[j+1] += ptr[j]
+		next[j+1] += next[j]
 	}
-	next := getInt32Scratch(c)
-	copy(next, ptr[:c])
 	st.DecodeRows(0, int32(r), func(row, col int32, val float32) {
 		p := next[col]
 		out.Row[p] = col
@@ -207,43 +183,5 @@ func TransposeOf(st Store) *COO {
 		out.Val[p] = val
 		next[col] = p + 1
 	})
-	putInt32Scratch(next)
 	return out
-}
-
-// int32Scratch and int64Scratch pool the per-column fill cursors the
-// conversion paths (CSCOf, ToCSC, TransposeOf, EncodeDVCCSC) burn
-// through: these run on the engine-build retry path under memory
-// pressure, where a fresh O(C) allocation per attempt is exactly the
-// wrong time to allocate. Callers must overwrite the returned slice
-// before reading it — pooled contents are stale.
-var (
-	int32Scratch sync.Pool
-	int64Scratch sync.Pool
-)
-
-func getInt32Scratch(n int) []int32 {
-	if p, _ := int32Scratch.Get().(*[]int32); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int32, n)
-}
-
-func putInt32Scratch(s []int32) {
-	if cap(s) > 0 {
-		int32Scratch.Put(&s)
-	}
-}
-
-func getInt64Scratch(n int) []int64 {
-	if p, _ := int64Scratch.Get().(*[]int64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int64, n)
-}
-
-func putInt64Scratch(s []int64) {
-	if cap(s) > 0 {
-		int64Scratch.Put(&s)
-	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 
 	"cosparse/internal/gen"
@@ -95,22 +96,22 @@ func TestRunCustomValidation(t *testing.T) {
 	ring := semiring.SpMV()
 	vals := make(matrix.Dense, 100)
 
-	if _, _, err := f.RunCustom(ring, semiring.Ctx{}, vals[:5], nil, 1); err == nil {
+	if _, _, err := f.RunCustom(context.Background(), ring, semiring.Ctx{}, vals[:5], nil, 1); err == nil {
 		t.Error("accepted short values")
 	}
-	if _, _, err := f.RunCustom(semiring.Semiring{}, semiring.Ctx{}, vals, nil, 1); err == nil {
+	if _, _, err := f.RunCustom(context.Background(), semiring.Semiring{}, semiring.Ctx{}, vals, nil, 1); err == nil {
 		t.Error("accepted empty semiring")
 	}
-	if _, _, err := f.RunCustom(ring, semiring.Ctx{}, vals, nil, 1); err == nil {
+	if _, _, err := f.RunCustom(context.Background(), ring, semiring.Ctx{}, vals, nil, 1); err == nil {
 		t.Error("accepted sparse-frontier run without frontier")
 	}
 	bad := &matrix.SparseVec{N: 50, Idx: []int32{1}, Val: []float32{1}}
-	if _, _, err := f.RunCustom(ring, semiring.Ctx{}, vals, bad, 1); err == nil {
+	if _, _, err := f.RunCustom(context.Background(), ring, semiring.Ctx{}, vals, bad, 1); err == nil {
 		t.Error("accepted mismatched frontier length")
 	}
 
 	fr := &matrix.SparseVec{N: 100, Idx: []int32{3}, Val: []float32{2}}
-	out, rep, err := f.RunCustom(ring, semiring.Ctx{}, vals, fr, 1)
+	out, rep, err := f.RunCustom(context.Background(), ring, semiring.Ctx{}, vals, fr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestRunCustomDoesNotMutateInputs(t *testing.T) {
 	valsCopy := vals.Clone()
 	fr := &matrix.SparseVec{N: 80, Idx: []int32{0}, Val: []float32{0}}
 
-	if _, _, err := f.RunCustom(ring, semiring.Ctx{}, vals, fr, 0); err != nil {
+	if _, _, err := f.RunCustom(context.Background(), ring, semiring.Ctx{}, vals, fr, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
@@ -241,7 +242,7 @@ func TestOnIterationHookObservesFrontiers(t *testing.T) {
 			}
 		},
 	}
-	f, err := New(m, opts)
+	f, err := NewFromStore(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

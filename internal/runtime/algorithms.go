@@ -179,16 +179,16 @@ func (f *Framework) SpMV(ctx context.Context, frontier *matrix.SparseVec) (matri
 }
 
 // RunCustom drives a user-defined algorithm (a custom Table I row)
-// through the full reconfigurable iteration loop as a one-lane run:
-// vals holds the per-vertex state, frontier the initially active
-// vertices (ignored for DenseFrontier semirings, which keep every
-// vertex active). It returns the final values and the per-iteration
-// report.
+// through the full reconfigurable iteration loop as a one-lane run
+// under ctx: vals holds the per-vertex state, frontier the initially
+// active vertices (ignored for DenseFrontier semirings, which keep
+// every vertex active). It returns the final values and the
+// per-iteration report.
 //
 // This is the extensibility point the paper describes in §III-D: "end
 // users only need to define the key computations to realize a graph
 // algorithm".
-func (f *Framework) RunCustom(ring semiring.Semiring, sctx semiring.Ctx,
+func (f *Framework) RunCustom(ctx context.Context, ring semiring.Semiring, sctx semiring.Ctx,
 	vals matrix.Dense, frontier *matrix.SparseVec, maxIters int) (matrix.Dense, *Report, error) {
 	if len(vals) != f.N() {
 		return nil, nil, fmt.Errorf("runtime: RunCustom values length %d, graph has %d vertices", len(vals), f.N())
@@ -216,6 +216,6 @@ func (f *Framework) RunCustom(ring semiring.Semiring, sctx semiring.Ctx,
 		name = "custom"
 	}
 	return lane0(f.runBatch(1, func(int) (*laneState, error) {
-		return f.newLane(context.Background(), name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil
+		return f.newLane(ctx, name, ring, sctx, vals.Clone(), frontier, maxIters, nil, nil), nil
 	}))
 }

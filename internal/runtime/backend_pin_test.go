@@ -252,7 +252,7 @@ func TestSimBackendTimingsPinned(t *testing.T) {
 			pr := pr
 			t.Run(backend.label+"/"+pr.name, func(t *testing.T) {
 				m := gen.PowerLaw(3000, 30000, 0.55, gen.UniformWeight, 7)
-				f, err := New(m, Options{
+				f, err := NewFromStore(m, Options{
 					Geometry: sim.Geometry{Tiles: 4, PEsPerTile: 4},
 					SW:       pr.sw,
 					HW:       pr.hw,

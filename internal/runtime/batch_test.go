@@ -16,7 +16,7 @@ import (
 func batchTestFramework(t *testing.T, hw HWChoice) *Framework {
 	t.Helper()
 	m := gen.PowerLaw(1200, 12000, 0.55, gen.UniformWeight, 7)
-	f, err := New(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: 4}, HW: hw})
+	f, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: 4}, HW: hw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDivergedLaneKeepsSoloAccounting(t *testing.T) {
 func TestNativePageRankSteadyStateAllocs(t *testing.T) {
 	const n = 1 << 16
 	m := gen.PowerLaw(n, 4*n, 0.55, gen.Pattern, 5)
-	f, err := New(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: 4}, Backend: exec.Native()})
+	f, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: 4}, Backend: exec.Native()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,6 @@ func cloneSparse(v *matrix.SparseVec) *matrix.SparseVec {
 type ckpEnc struct{ b []byte }
 
 func (e *ckpEnc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *ckpEnc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 func (e *ckpEnc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *ckpEnc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *ckpEnc) i32(v int32)  { e.u32(uint32(v)) }
@@ -301,13 +300,6 @@ func (d *ckpDec) u8() uint8 {
 		return 0
 	}
 	return s[0]
-}
-func (d *ckpDec) u16() uint16 {
-	s := d.take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(s)
 }
 func (d *ckpDec) u32() uint32 {
 	s := d.take(4)

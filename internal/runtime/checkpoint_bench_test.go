@@ -36,7 +36,7 @@ func TestBenchCheckpointOverhead(t *testing.T) {
 	)
 	m := gen.PowerLaw(n, edges, 0.55, gen.UniformWeight, 16)
 	newFW := func() *Framework {
-		f, err := New(m, Options{
+		f, err := NewFromStore(m, Options{
 			Geometry: sim.Geometry{Tiles: 16, PEsPerTile: 16},
 			Backend:  exec.Native(),
 		})

@@ -66,7 +66,7 @@ var ckptRuns = []ckptRun{
 func ckptFW(t *testing.T, be exec.Backend) *Framework {
 	t.Helper()
 	m := gen.PowerLaw(400, 3200, 0.55, gen.UniformWeight, 11)
-	f, err := New(m, Options{
+	f, err := NewFromStore(m, Options{
 		Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4},
 		Backend:  be,
 	})
@@ -208,7 +208,7 @@ func TestCheckpointResumeValidation(t *testing.T) {
 
 	// Wrong vertex count.
 	small := gen.PowerLaw(50, 300, 0.55, gen.UniformWeight, 3)
-	f, err := New(small, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
+	f, err := NewFromStore(small, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

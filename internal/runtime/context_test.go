@@ -13,7 +13,7 @@ import (
 func testFramework(t *testing.T, onIter func(IterStat, *matrix.SparseVec)) *Framework {
 	t.Helper()
 	m := gen.PowerLaw(400, 2000, 0.55, gen.Pattern, 7)
-	f, err := New(m, Options{
+	f, err := NewFromStore(m, Options{
 		Geometry:    sim.Geometry{Tiles: 2, PEsPerTile: 4},
 		OnIteration: onIter,
 	})

@@ -16,7 +16,7 @@ func TestIterHookStopsRun(t *testing.T) {
 	boom := errors.New("injected")
 	const stopAt = 2
 	m := gen.PowerLaw(400, 2000, 0.55, gen.Pattern, 7)
-	f, err := New(m, Options{
+	f, err := NewFromStore(m, Options{
 		Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4},
 		IterHook: func(iter int) error {
 			if iter == stopAt {
@@ -43,7 +43,7 @@ func TestIterHookStopsRun(t *testing.T) {
 func TestIterHookNilIdentical(t *testing.T) {
 	build := func(hook func(int) error) *Framework {
 		m := gen.PowerLaw(400, 2000, 0.55, gen.Pattern, 7)
-		f, err := New(m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, IterHook: hook})
+		f, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}, IterHook: hook})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestQuickBFSLevelsMatchReference(t *testing.T) {
 		n := 20 + int(n16%300)
 		m := gen.PowerLaw(n, 5*n, 0.5, gen.Pattern, seed)
 		src := int32(int(srcSel) % n)
-		fw, err := New(m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
+		fw, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
 		if err != nil {
 			return false
 		}
@@ -43,7 +43,7 @@ func TestQuickSSSPBoundedByHops(t *testing.T) {
 	f := func(seed uint64, n16 uint16) bool {
 		n := 20 + int(n16%200)
 		m := gen.PowerLaw(n, 4*n, 0.5, gen.UniformWeight, seed)
-		fw, err := New(m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
+		fw, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 2, PEsPerTile: 4}})
 		if err != nil {
 			return false
 		}
@@ -82,7 +82,7 @@ func TestQuickSSSPBoundedByHops(t *testing.T) {
 func TestQuickDecisionMonotone(t *testing.T) {
 	m := gen.Uniform(50000, 400000, gen.Pattern, 90)
 	for _, p := range []int{4, 8, 16, 32} {
-		f, err := New(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: p}})
+		f, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 4, PEsPerTile: p}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -206,18 +206,14 @@ type Framework struct {
 // baseline whatever f's format.
 func (f *Framework) reversed() (*Framework, error) {
 	f.revOnce.Do(func() {
-		f.rev, f.revErr = New(matrix.TransposeOf(f.st), f.opts)
+		f.rev, f.revErr = NewFromStore(matrix.TransposeOf(f.st), f.opts)
 	})
 	return f.rev, f.revErr
 }
 
-// New builds a Framework for the transposed adjacency matrix m
-// (element (dst, src) = edge src→dst).
-func New(m *matrix.COO, opts Options) (*Framework, error) {
-	return NewFromStore(m, opts)
-}
-
-// NewFromStore builds a Framework over any resident matrix store. It
+// NewFromStore builds a Framework over any resident matrix store
+// holding the transposed adjacency matrix (element (dst, src) = edge
+// src→dst). It
 // decodes nothing: the IP partition decodes its per-PE row chunks
 // through the Store seam on first use, into the exact layout the COO
 // baseline produces, and the degrees and OP tiles come from that one

@@ -19,7 +19,7 @@ func newFW(t *testing.T, m *matrix.COO, opts Options) *Framework {
 	if opts.Geometry == (sim.Geometry{}) {
 		opts.Geometry = sim.Geometry{Tiles: 2, PEsPerTile: 4}
 	}
-	f, err := New(m, opts)
+	f, err := NewFromStore(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestForcedChoicesRespected(t *testing.T) {
 
 func TestNewRejectsNonSquare(t *testing.T) {
 	m := matrix.MustCOO(3, 4, nil)
-	if _, err := New(m, Options{Geometry: sim.Geometry{Tiles: 1, PEsPerTile: 1}}); err == nil {
+	if _, err := NewFromStore(m, Options{Geometry: sim.Geometry{Tiles: 1, PEsPerTile: 1}}); err == nil {
 		t.Fatal("accepted non-square adjacency")
 	}
 }
@@ -435,7 +435,7 @@ func (c *countingStore) DecodeRows(lo, hi int32, emit func(row, col int32, val f
 	})
 }
 
-// An engine decodes its store once: New decodes nothing, and the
+// An engine decodes its store once: NewFromStore decodes nothing, and the
 // degrees PageRank reads and the OP tiles BFS and SSSP push through
 // come from the IP partition's one materialisation.
 func TestEngineDecodesStoreOnce(t *testing.T) {
@@ -562,7 +562,7 @@ func TestNativeEngineCutsTilesLazily(t *testing.T) {
 		start[i] = custom.Identity
 	}
 	start[src] = 0
-	got, rep, err := fresh.RunCustom(custom, semiring.Ctx{}, start,
+	got, rep, err := fresh.RunCustom(context.Background(), custom, semiring.Ctx{}, start,
 		&matrix.SparseVec{N: m.C, Idx: []int32{src}, Val: []float32{0}}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -254,16 +254,6 @@ func (j *Job) markFused(lanes int) {
 	j.mu.Unlock()
 }
 
-// mode returns the metrics execution-mode label.
-func (j *Job) mode() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.fused {
-		return "fused"
-	}
-	return "solo"
-}
-
 // markResumed records that the run restored a persisted checkpoint.
 func (j *Job) markResumed() {
 	j.mu.Lock()

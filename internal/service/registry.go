@@ -233,20 +233,9 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry bounded to maxGraphs registered graphs
-// and maxEngines cached engines, with per-graph size ceilings.
+// and maxEngines cached engines, with per-graph size ceilings. Every
+// bound must be positive; Config.withDefaults supplies the daemon's.
 func NewRegistry(maxGraphs, maxEngines, maxVertices, maxEdges int, m *Metrics) *Registry {
-	if maxGraphs <= 0 {
-		maxGraphs = 64
-	}
-	if maxEngines <= 0 {
-		maxEngines = 8
-	}
-	if maxVertices <= 0 {
-		maxVertices = 1 << 22
-	}
-	if maxEdges <= 0 {
-		maxEdges = 1 << 26
-	}
 	if m == nil {
 		m = NewMetrics()
 	}
@@ -337,20 +326,11 @@ func (r *Registry) Register(spec GraphSpec) (*GraphEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(r.graphs) >= r.maxGraphs {
-		return nil, fmt.Errorf("registry full: %d graphs registered (limit %d); delete one first", len(r.graphs), r.maxGraphs)
-	}
-	real := GraphBytes(g)
-	if err := r.admitLocked(real); err != nil {
+	e, err := r.insertLocked(fmt.Sprintf("g%d", r.nextID+1), spec, g)
+	if err != nil {
 		return nil, err
 	}
 	r.nextID++
-	e := &GraphEntry{ID: fmt.Sprintf("g%d", r.nextID), Spec: spec, Graph: g, bytes: real}
-	r.graphs[e.ID] = e
-	r.usedBytes += real
-	r.usedByFormat[g.Format()] += real
-	r.publishBytesLocked()
-	r.m.GraphsRegistered.Store(int64(len(r.graphs)))
 	return e, nil
 }
 
@@ -369,16 +349,25 @@ func (r *Registry) Restore(id string, spec GraphSpec) error {
 	if _, dup := r.graphs[id]; dup {
 		return fmt.Errorf("graph %s already restored", id)
 	}
-	if len(r.graphs) >= r.maxGraphs {
-		return fmt.Errorf("registry full restoring %s (limit %d)", id, r.maxGraphs)
-	}
-	real := GraphBytes(g)
-	if err := r.admitLocked(real); err != nil {
+	if _, err := r.insertLocked(id, spec, g); err != nil {
 		return fmt.Errorf("restore graph %s: %w", id, err)
 	}
 	var n int
 	if _, err := fmt.Sscanf(id, "g%d", &n); err == nil && n > r.nextID {
 		r.nextID = n
+	}
+	return nil
+}
+
+// insertLocked stores g under id once the registry bound and the
+// memory budget admit it, charging its measured bytes.
+func (r *Registry) insertLocked(id string, spec GraphSpec, g *cosparse.Graph) (*GraphEntry, error) {
+	if len(r.graphs) >= r.maxGraphs {
+		return nil, fmt.Errorf("registry full: %d graphs registered (limit %d); delete one first", len(r.graphs), r.maxGraphs)
+	}
+	real := GraphBytes(g)
+	if err := r.admitLocked(real); err != nil {
+		return nil, err
 	}
 	e := &GraphEntry{ID: id, Spec: spec, Graph: g, bytes: real}
 	r.graphs[id] = e
@@ -386,7 +375,7 @@ func (r *Registry) Restore(id string, spec GraphSpec) error {
 	r.usedByFormat[g.Format()] += real
 	r.publishBytesLocked()
 	r.m.GraphsRegistered.Store(int64(len(r.graphs)))
-	return nil
+	return e, nil
 }
 
 // Get returns the entry for id, or nil.

@@ -254,9 +254,6 @@ func (p *Proc) GlobalPE() int { return p.tile*p.m.cfg.Geometry.PEsPerTile + p.pe
 // Now returns the processor's local clock in cycles.
 func (p *Proc) Now() int64 { return p.time }
 
-// Machine returns the machine this processor belongs to.
-func (p *Proc) Machine() *Machine { return p.m }
-
 // Compute charges n single-cycle ALU/FPU operations (the PEs are
 // 1-issue in-order cores, so arithmetic is one op per cycle).
 func (p *Proc) Compute(n int) {

@@ -63,10 +63,6 @@ func (h HWConfig) L1Shared() bool { return h == SC || h == SCS }
 // L2Shared reports whether L2 banks are pooled across tiles.
 func (h HWConfig) L2Shared() bool { return h == SC || h == SCS }
 
-// HasSPM reports whether the configuration carves out scratchpad
-// storage at L1.
-func (h HWConfig) HasSPM() bool { return h == SCS || h == PS }
-
 // Geometry is the machine size, written A×B in the paper: A tiles with
 // B PEs per tile.
 type Geometry struct {

@@ -72,11 +72,3 @@ func EnergyBreakdown(cfg Config, s Stats) Breakdown {
 func Energy(cfg Config, s Stats) float64 {
 	return EnergyBreakdown(cfg, s).Total()
 }
-
-// Power returns the average power in watts of a run.
-func Power(cfg Config, s Stats) float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return Energy(cfg, s) / (float64(s.Cycles) / ClockHz)
-}

@@ -34,16 +34,16 @@ func TestConfigValidate(t *testing.T) {
 func TestHWConfigProperties(t *testing.T) {
 	cases := []struct {
 		hw               HWConfig
-		l1s, l2s, spm    bool
+		l1s, l2s         bool
 		cacheBanks, spmB int // per tile for 4 PEs/tile
 	}{
-		{SC, true, true, false, 4, 0},
-		{SCS, true, true, true, 2, 2},
-		{PC, false, false, false, 4, 0},
-		{PS, false, false, true, 0, 4},
+		{SC, true, true, 4, 0},
+		{SCS, true, true, 2, 2},
+		{PC, false, false, 4, 0},
+		{PS, false, false, 0, 4},
 	}
 	for _, c := range cases {
-		if c.hw.L1Shared() != c.l1s || c.hw.L2Shared() != c.l2s || c.hw.HasSPM() != c.spm {
+		if c.hw.L1Shared() != c.l1s || c.hw.L2Shared() != c.l2s {
 			t.Errorf("%v: sharing flags wrong", c.hw)
 		}
 		cfg := cfg2x4(c.hw)
@@ -294,20 +294,6 @@ func TestDirtyEvictionsReportWriteLines(t *testing.T) {
 	if s.HBMLines == 0 {
 		t.Fatal("no HBM read lines reported")
 	}
-	b := s.MemoryBreakdown()
-	if b.HBMReadLines != s.HBMLines || b.HBMWriteLines != s.HBMWriteLines {
-		t.Fatalf("breakdown lines %d/%d disagree with stats %d/%d",
-			b.HBMReadLines, b.HBMWriteLines, s.HBMLines, s.HBMWriteLines)
-	}
-	if b.HBMWriteQueued != s.HBMWriteQueued || b.HBMReadQueued != s.HBMQueued {
-		t.Fatal("breakdown queued cycles disagree with stats")
-	}
-	if s.HBMWriteLines > 0 && b.AvgWriteQueueCycles != float64(s.HBMWriteQueued)/float64(s.HBMWriteLines) {
-		t.Fatal("breakdown average write queue delay miscomputed")
-	}
-	if b.Writebacks != s.Writebacks || b.Stores != s.Stores {
-		t.Fatal("breakdown writeback/store counters disagree with stats")
-	}
 }
 
 func TestArenaNonOverlapping(t *testing.T) {
@@ -529,7 +515,7 @@ func TestPowerIsPlausible(t *testing.T) {
 			p.Compute(2)
 		}
 	}})
-	w := Power(cfg, res.Stats)
+	w := Energy(cfg, res.Stats) / (float64(res.Stats.Cycles) / ClockHz)
 	if w <= 0 || w > 5 {
 		t.Fatalf("power = %g W, want (0, 5)", w)
 	}
