@@ -33,9 +33,10 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # one, or a lane whose decision diverged in a fused round) books
 # exactly what a solo run books — and the native pull kernels: each
 # hand-specialised Table I loop bit-identical to the closure loop it
-# replaces, dispatched on the ring's Kind, both of PageRank's segment
-# walks (run by run, and branch-free) bit-identical to it on short-run,
-# long-run, hub and one-element segments, with the lane-owned scratch
+# replaces, dispatched on the ring's Kind, PageRank's walk over its run
+# buckets bit-identical to it on short-run, long-run, hub and
+# one-element segments, the buckets cut once under eight racing first
+# PR/PPR calls, with the lane-owned scratch
 # keeping steady-state PageRank under 1 MB of allocation — and the
 # partition builds: every OP tile cut from the row store equal to the
 # column store filtered by row range, both layouts independent of
@@ -71,7 +72,7 @@ race: regress chaos chaos-restart chaos-failover fuzz bench-backends bench-batch
 # vs static) at ScaleTiny, which plain `go test` runs at the smallest
 # scale whose shapes still hold.
 regress:
-	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesIndependentOfPEsAndVBlocks|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode|TestNativePRWalksAgree' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestNativeIPSpecialisedMatchesClosure|TestNativeIPDispatchIsOnKindNotName|TestNativeOPMinRingsMatchRunOP|TestNativeIPMinRingsMatchGenericPass|TestNativeMinMergesMatchGeneric|TestParallelChunksTilesRange|TestOPTilesFromRowsMatchColumnStream|TestPartitionsIndependentOfGOMAXPROCS|TestMaterializeConcurrent|TestOPTilesIndependentOfPEsAndVBlocks|TestCutFromIPConcurrent|TestNativePushMergeMatchesOPScatterMerge|TestColumnIndexFromIPMatchesStoreDecode|TestNativePRWalksAgree|TestBucketsCutOnceConcurrent' ./internal/kernels
 	$(GO) test -race -count=20 -run 'TestDeterministicAcrossRuns' ./internal/ligra
 	$(GO) test -race -count=1 -run 'TestLoadStreamRetirementBoundsReadyMap|TestLoadStreamTimingsUnchangedByRetirementFix|TestHBMWriteAccounting|TestDirtyEvictionsReportWriteLines|TestSchedulerTimingsPinned|TestKernelPanic' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestObserveJobConcurrentExact|TestWritePrometheusDuringObservations|TestTraceEndpointMatchesReport|TestHTTPLatencyHistograms|TestSameEngineJobsRunConcurrently' ./internal/service
@@ -126,8 +127,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-kernels runs the native kernels' layer benchmarks on the
-# scale-16 power-law graph: one IP pass per Table I row and the closure
-# fallback (ns/edge), eight fused PPR lanes (ns/edge/lane), one whole
+# scale-16 power-law graph: the IP layouts' one-off builds (materialize,
+# and the PageRank run buckets cut from it; ms/build), one IP pass per
+# Table I row and the closure fallback (ns/edge), eight fused PPR lanes
+# (ns/edge/lane), one whole
 # BFS and SSSP iteration each way swept over frontier density — pull
 # plus dense merge against the fused push-merge
 # (BenchmarkNativeTraverse, ns/edge and ns/op) — the dense merge for PR, BFS and SSSP (ns/vertex)

@@ -99,9 +99,13 @@ func main() {
 		start := time.Now()
 		tbl := run(scale)
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf("regenerated in %v", time.Since(start).Round(time.Millisecond)))
+		var err error
 		if *format == "text" {
-			tbl.Fprint(w)
-		} else if err := tbl.WriteJSON(w); err != nil {
+			err = tbl.Fprint(w)
+		} else {
+			err = tbl.WriteJSON(w)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

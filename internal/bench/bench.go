@@ -119,8 +119,16 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Fprint renders the table with aligned columns.
-func (t *Table) Fprint(w io.Writer) {
+// Fprint writes the rendered table (see String) to w in one write and
+// returns that write's error.
+func (t *Table) Fprint(w io.Writer) error {
+	_, err := io.WriteString(w, t.String())
+	return err
+}
+
+// String renders the table with aligned columns.
+func (t *Table) String() string {
+	w := new(strings.Builder)
 	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
@@ -156,13 +164,7 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var sb strings.Builder
-	t.Fprint(&sb)
-	return sb.String()
+	return w.String()
 }
 
 func pad(s string, w int) string {

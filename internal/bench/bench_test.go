@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"os"
 	goruntime "runtime"
 	"strings"
@@ -55,6 +56,35 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// failAfter accepts n bytes, then fails.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errors.New("device full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// Fprint must report a writer that fails, wherever in the table it
+// runs out of room.
+func TestTableFprintReportsWriteError(t *testing.T) {
+	tbl := &Table{Title: "T", Header: []string{"a", "bb"}, Notes: []string{"n"}}
+	tbl.AddRow("1", "2")
+	full := len(tbl.String())
+	for _, n := range []int{0, 5, full - 1} {
+		if err := tbl.Fprint(&failAfter{n: n}); err == nil || err.Error() != "device full" {
+			t.Fatalf("writer failing after %d of %d bytes: Fprint = %v, want the write error", n, full, err)
+		}
+	}
+	if err := tbl.Fprint(&failAfter{n: full}); err != nil {
+		t.Fatalf("writer with room for the whole table: Fprint = %v", err)
 	}
 }
 

@@ -1,13 +1,14 @@
 package kernels
 
 // Layer benchmarks for the native backend's kernels (`make
-// bench-kernels`): one IP pass per Table I row, the closure fallback,
-// eight fused lanes, a density sweep of both dataflows for the min
-// rings, the dense merge for PR and both min rings and SpMV's scatter
-// merge, all on the scale-16 power-law graph the backend comparison
-// uses (PR also on the scale-13 one-vblock graph, whose row runs are
-// long), reported per edge (per vertex for the dense merge, per
-// contribution element for the scatter merge).
+// bench-kernels`): the IP layouts' builds, one IP pass per Table I
+// row, the closure fallback, eight fused lanes, a density sweep of both
+// dataflows for the min rings, the dense merge for PR and both min
+// rings and SpMV's scatter merge, all on the scale-16 power-law graph
+// the backend comparison uses (PR also on the scale-13 one-vblock
+// graph, whose row runs are long), reported per edge (per vertex for
+// the dense merge, per contribution element for the scatter merge, per
+// build for the layouts).
 
 import (
 	"fmt"
@@ -87,6 +88,34 @@ func BenchmarkNativeIP(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.m.NNZ()), "ns/edge")
 		})
 	}
+}
+
+// BenchmarkNativeBuild times the native IP layouts' one-off cuts on a
+// fresh partition of the bench graph each repetition: materialize (the
+// store decoded into the vblock-bucketed IP arrays) and the PageRank
+// pull's run buckets cut from those arrays (materialised outside the
+// timer), in ms per build.
+func BenchmarkNativeBuild(b *testing.B) {
+	g := newBenchGraph(b)
+	fresh := func() *IPPartition {
+		return NewIPPartition(g.m, g.part.NumPEs, g.part.VBlockWords, BalanceNNZ)
+	}
+	b.Run("materialize", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh().Materialize()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/build")
+	})
+	b.Run("buckets", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			part := fresh()
+			part.Materialize()
+			b.StartTimer()
+			part.buckets()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/build")
+	})
 }
 
 func BenchmarkNativeIPMulti8(b *testing.B) {

@@ -28,15 +28,17 @@ func bitsOf(x []float32) []uint32 {
 
 // Host-side SpMV kernels, the native backend's one body per dataflow:
 // a solo run is a one-lane call. The IP side runs one hand-specialised
-// probe-free loop per built-in Table I row (nativeIPPELanes; PageRank's
-// picks one of two walks per vblock segment by its run lengths, see
-// ipPR), with the semiring closures as the fallback for custom rings,
-// and keeps each PE's COO share cache-resident across lanes. The OP
-// side has one path per ring class: the min rings' iterations run as
-// one fused CAS-min push over the whole-graph column index that is its
-// own merge (NativePushMerge), and every other lane runs the shared
-// pass bodies with NopProbe over the tiles, lanes sequential per tile
-// (NativeOPMulti), then NativeScatterMerge. Every lane's result is
+// probe-free loop per built-in Table I row (nativeIPPELanes), with the
+// semiring closures as the fallback for custom rings, and keeps each
+// PE's COO share cache-resident across lanes; PageRank's lanes walk the
+// partition's run buckets instead, each segment's runs grouped by
+// length and folded as straight-line code, vblock by vblock across a
+// worker's PEs (prWalk). The OP side has one path per ring class: the
+// min rings' iterations run as one fused CAS-min push over the
+// whole-graph column index that is its own merge (NativePushMerge),
+// and every other lane runs the shared pass bodies with NopProbe over
+// the tiles, lanes sequential per tile (NativeOPMulti), then
+// NativeScatterMerge. Every lane's result is
 // bit-identical to the simulator's and independent of how many lanes
 // ride along: the sum rings replay the simulated passes' float
 // operation order exactly, and the min-ring forms run only where min
@@ -69,6 +71,7 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 	outs := make([]matrix.Dense, k)
 	srcs := make([]matrix.Dense, k) // what each lane's edge loop gathers from
 	hoist := false
+	var pr []int // the PR/PPR lanes, walked by prWalk
 	for l := range ops {
 		s := ops[l].Scratch
 		if s == nil {
@@ -76,11 +79,17 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 		}
 		outs[l] = grow(&s.out, part.R)
 		srcs[l] = xs[l]
-		switch ops[l].Ring.Kind {
+		switch kind := ops[l].Ring.Kind; kind {
 		case semiring.KindPR, semiring.KindBFS:
 			srcs[l] = grow(&s.y, part.C)
 			hoist = true
+			if kind == semiring.KindPR {
+				pr = append(pr, l)
+			}
 		}
+	}
+	if len(pr) > 0 {
+		part.buckets() // cut here, not inside a PE's worker
 	}
 	if hoist {
 		// PR/PPR's and BFS's Matrix_Op read only the source: apply it
@@ -115,6 +124,9 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 		for pe := int(lo); pe < int(hi); pe++ {
 			nativeIPPELanes(part, pe, srcs, outs, ops)
 		}
+		if len(pr) > 0 {
+			prWalk(part, lo, hi, pr, srcs, outs)
+		}
 	})
 	return outs
 }
@@ -127,15 +139,15 @@ func NativeIPMulti(part *IPPartition, xs []matrix.Dense, ops []Operand) []matrix
 // simulated pass's per-lane sequence (ipBlockPEPass): per segment the
 // first contribution of a row seeds acc, later ones reduce into it, and
 // out[row] = Reduce(out[row], acc) on row change and segment end;
-// sparse-frontier rings skip identity-valued sources. PageRank's
-// branch-free walk stores out[row] + acc after every element instead,
-// which ends each run on the same bits (see ipPR). So every float32
-// rounding step matches the simulated pass and results stay bit-identical across
-// backends and lane counts. The min-ring loops reach the same bits with
-// neither the skip nor the segments: one min per edge over the PE's
-// whole element range, in any order (see ipBFS, ipSSSP); SSSP on a
-// graph outside minPlusSafe takes the closure loop. The PE first
-// resets its own output rows to the identity.
+// sparse-frontier rings skip identity-valued sources. So every float32
+// rounding step matches the simulated pass and results stay
+// bit-identical across backends and lane counts. PageRank's lanes are
+// left to prWalk, which folds each run the same way from the run
+// buckets. The min-ring loops reach the same bits with neither the skip nor the
+// segments: one min per edge over the PE's whole element range, in any
+// order (see ipBFS, ipSSSP); SSSP on a graph outside minPlusSafe takes
+// the closure loop. The PE first resets its own output rows to the
+// identity, for every lane.
 func nativeIPPELanes(part *IPPartition, pe int, srcs, outs []matrix.Dense, ops []Operand) {
 	segs := part.Segs[pe]
 	for l := range ops {
@@ -157,7 +169,7 @@ func nativeIPPELanes(part *IPPartition, pe int, srcs, outs []matrix.Dense, ops [
 				ipClosures(part, segs, x, out, op)
 			}
 		case semiring.KindPR:
-			ipPR(part, segs, x, out)
+			// Walked vblock by vblock across the PEs, see prWalk.
 		case semiring.KindCF:
 			ipCF(part, segs, x, out, op.Prev, op.Ctx.Lambda)
 		default:
@@ -270,66 +282,99 @@ func ipSSSP(part *IPPartition, pe int, x, out, prev matrix.Dense) {
 	}
 }
 
-// ipPR: y holds V_src/deg(src) from the per-source pre-pass, so the
-// edge loop is a gather and an add; the matrix values are not read.
-// Nothing is skipped, so every row run flushes, and each segment takes
-// one of two walks that store the same bits: prRunWalk where its runs
-// are long, prSelectWalk where they are short. Rows ascend within a
-// segment (Validate checks it), so its element count over the rows it
-// spans is a lower bound on its mean run length, read from two loads.
-func ipPR(part *IPPartition, segs []Seg, y, out matrix.Dense) {
-	for _, seg := range segs {
-		rows, cols := part.Row[seg.Lo:seg.Hi], part.Col[seg.Lo:seg.Hi]
-		if len(rows) >= prLongRun*int(rows[len(rows)-1]-rows[0]+1) {
-			prRunWalk(rows, cols, y, out)
-		} else {
-			prSelectWalk(rows, cols, y, out)
+// prWalk walks the PR/PPR lanes (lanes, indexes into ys and outs) over
+// the PEs [lo, hi) on the partition's run buckets (see prWalkCols).
+func prWalk(part *IPPartition, lo, hi int32, lanes []int, ys, outs []matrix.Dense) {
+	b := part.buckets()
+	if b.col32 != nil {
+		prWalkCols(part, b, b.col32, lo, hi, lanes, ys, outs)
+	} else {
+		prWalkCols(part, b, b.col16, lo, hi, lanes, ys, outs)
+	}
+}
+
+// prWalkCols walks the PEs prBlock at a time, vblock by vblock: every
+// PE's segment in one vblock, then the next, so the vblock's slice of
+// each lane's y stays in cache across the block. A row lives in one PE,
+// so it still meets its segments in vblock order, and each segment is
+// folded by prSegWalk. y holds V_src/deg(src) from the per-source
+// pre-pass, so the edge loop is a gather and an add; the matrix values
+// are not read, and nothing is skipped, so every row run flushes.
+func prWalkCols[C runCol](part *IPPartition, b *runBuckets, col []C, lo, hi int32, lanes []int, ys, outs []matrix.Dense) {
+	for blo := lo; blo < hi; blo += prBlock {
+		bhi := min(blo+prBlock, hi)
+		var next [prBlock]int32 // each PE's next segment
+		for vb := int32(0); vb < int32(part.NumVBlocks); vb++ {
+			base := part.vblockBase(vb)
+			for pe := blo; pe < bhi; pe++ {
+				segs, si := part.Segs[pe], next[pe-blo]
+				if int(si) == len(segs) || segs[si].VB != vb {
+					continue
+				}
+				next[pe-blo]++
+				pb, seg := &b.pe[pe], segs[si]
+				rs := &pb.seg[si]
+				c := col[seg.Lo:seg.Hi]
+				rows, long := pb.row[rs.run:], pb.long[rs.long:]
+				for _, l := range lanes {
+					prSegWalk(&rs.n, rows, long, c, ys[l][base:], outs[l])
+				}
+			}
 		}
 	}
 }
 
-// prLongRun is the elements per spanned row from which a segment's
-// runs count as long. Below it prRunWalk mispredicts its run exit about
-// once a run; from it on, prSelectWalk's chain through out[row] (each
-// element's load of it forwards from the previous element's store)
-// costs more than the exits do. BenchmarkNativeIP's pr segments hold
-// 1–3 elements per spanned row and its pr-longruns ones 10 or more; on
-// a 2^15-vertex graph between them the crossover lay between 4 and 6.
-const prLongRun = 4
+// prBlock is how many PEs prWalkCols walks vblock by vblock together:
+// a worker's whole share of a 16×16 machine's PEs on two cores, its
+// cursors one small array on the stack.
+const prBlock = 128
 
-// prRunWalk walks one segment run by run: the first contribution of a
-// row seeds acc, later ones add into it, and the run ends with
-// out[row] += acc.
-func prRunWalk(rows, cols []int32, y, out matrix.Dense) {
-	for e := 0; e < len(cols); {
-		row, acc := rows[e], y[cols[e]]
-		for e++; e < len(cols) && rows[e] == row; e++ {
-			acc = acc + y[cols[e]]
+// prSegWalk folds one segment's buckets into out: each length group as
+// straight-line left folds — out[r] = out[r] + ((y[c0] + y[c1]) +
+// y[c2]) for a run of three — and each long run as one loop, the
+// closure loop's fold of every run with neither a branch on the row
+// nor a store chain through out[row]. rows and long start at the
+// segment's first run and first long run, y at its vblock's first
+// column.
+func prSegWalk[C runCol](n *[5]int32, rows, long []int32, c []C, y, out matrix.Dense) {
+	r := rows[:n[0]]
+	for i, row := range r {
+		out[row] = out[row] + y[c[i]]
+	}
+	c, rows = c[len(r):], rows[len(r):]
+	r = rows[:n[1]]
+	for i, row := range r {
+		e := (*[2]C)(c[2*i:])
+		out[row] = out[row] + (y[e[0]] + y[e[1]])
+	}
+	c, rows = c[2*len(r):], rows[len(r):]
+	r = rows[:n[2]]
+	for i, row := range r {
+		e := (*[3]C)(c[3*i:])
+		out[row] = out[row] + ((y[e[0]] + y[e[1]]) + y[e[2]])
+	}
+	c, rows = c[3*len(r):], rows[len(r):]
+	r = rows[:n[3]]
+	for i, row := range r {
+		e := (*[4]C)(c[4*i:])
+		out[row] = out[row] + (((y[e[0]] + y[e[1]]) + y[e[2]]) + y[e[3]])
+	}
+	c, rows = c[4*len(r):], rows[len(r):]
+	prLongRuns(rows[:n[4]], long, c, y, out)
+}
+
+// prLongRuns folds the long runs, one loop a run: run i is row rows[i],
+// its long[i] columns next in c.
+func prLongRuns[C runCol](rows, long []int32, c []C, y, out matrix.Dense) {
+	at := 0
+	for i, row := range rows {
+		end := at + int(long[i])
+		acc := y[c[at]]
+		for k := at + 1; k < end; k++ {
+			acc = acc + y[c[k]]
 		}
+		at = end
 		out[row] = out[row] + acc
-	}
-}
-
-// prSelectWalk walks one segment with no branch on the row: every
-// element selects whether it starts a run or extends one, and stores
-// base + acc, where base is out[row] as the run found it. Each row is
-// one run within a segment, so a run's last store is the very
-// base + acc prRunWalk's flush computes. The selects act on the bits,
-// which Go compiles to conditional moves, as it does not for floats.
-func prSelectWalk(rows, cols []int32, y, out matrix.Dense) {
-	ob := bitsOf(out)
-	cur := int32(-1)
-	var acc float32
-	var base uint32
-	rows = rows[:len(cols)]
-	for e, col := range cols {
-		row, v := rows[e], y[col]
-		a, b, sum := math.Float32bits(v), ob[row], math.Float32bits(acc+v)
-		if row == cur {
-			a, b = sum, base
-		}
-		acc, base, cur = math.Float32frombits(a), b, row
-		out[row] = math.Float32frombits(base) + acc
 	}
 }
 

@@ -162,16 +162,17 @@ func TestNativeIPDispatchIsOnKindNotName(t *testing.T) {
 	t.Fatal("a custom ring named PR produced PageRank's contributions: dispatch is on the name")
 }
 
-// TestNativePRWalksAgree pins both of ipPR's segment walks, whatever
-// the per-segment choice would pick: prRunWalk and prSelectWalk each
-// run over every segment of every PE, and NativeIPMulti itself on a
-// fused PR/PPR/PR call, all held to the closure loop's bits. Each
-// layout checks the shape it is there for: short runs (the
-// 2^16-vertex power-law graph at the SCS vblock width), long runs (the
-// svc-ppr-open shape: 8 192 vertices, 131 072 edges, one vblock), hub
-// rows that fill every vblock and own their PEs, so consecutive
-// segments hold the same row, and one-element segments. Every fifth
-// source has out-degree zero.
+// TestNativePRWalksAgree pins the PageRank pull's bucket walk to the
+// closure loop's bits: prWalk over every PE, and NativeIPMulti on
+// a fused PR/PPR/PR call, with Validate holding the buckets to the IP
+// arrays. Each layout checks the group it is there for: short runs,
+// every one of the four straight-line groups (the 2^16-vertex power-law
+// graph at the SCS vblock width), long runs (the svc-ppr-open shape:
+// 8 192 vertices, 131 072 edges, one vblock), hub rows that fill every
+// vblock and own their PEs, so consecutive segments hold the same row,
+// one-element segments, and one vblock too wide for 16-bit columns
+// (2^17 columns, no vertical blocking), the one layout whose buckets
+// keep 32-bit ones. Every fifth source has out-degree zero.
 func TestNativePRWalksAgree(t *testing.T) {
 	scs := cfg(16, 16, sim.SCS)
 	const hubN = 512
@@ -190,7 +191,12 @@ func TestNativePRWalksAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type shape struct{ runWalks, selectWalks, oneElemSegs, oneRowPEs int }
+	// elems counts the elements each group holds: L = 1..4, then long.
+	type shape struct {
+		elems                  [5]int
+		oneElemSegs, oneRowPEs int
+		wide                   bool // 32-bit bucket columns
+	}
 	layouts := []struct {
 		name        string
 		m           *matrix.COO
@@ -198,16 +204,28 @@ func TestNativePRWalksAgree(t *testing.T) {
 		covers      func(shape) bool
 	}{
 		{"powerlaw2^16/scs", gen.PowerLaw(1<<16, 16<<16, 0.55, gen.UniformWeight, 16), scs.Geometry.TotalPEs(), scs.SPMWordsPerTile(),
-			func(s shape) bool { return s.selectWalks > 100*s.runWalks }},
+			func(s shape) bool {
+				short := 0
+				for _, e := range s.elems[:4] {
+					if e < 1000 {
+						return false
+					}
+					short += e
+				}
+				return short > s.elems[4] && !s.wide
+			}},
 		{"powerlaw2^13/onevblock", gen.PowerLaw(1<<13, 16<<13, 0.55, gen.UniformWeight, 16), scs.Geometry.TotalPEs(), scs.SPMWordsPerTile(),
-			func(s shape) bool { return s.runWalks > 0 && s.selectWalks == 0 }},
-		{"hubs/vblock64", hub, 16, 64, func(s shape) bool { return s.oneRowPEs >= 2 }},
+			func(s shape) bool { return s.elems[4] > 4*(s.elems[0]+s.elems[1]+s.elems[2]+s.elems[3]) }},
+		{"hubs/vblock64", hub, 16, 64, func(s shape) bool { return s.oneRowPEs >= 2 && s.elems[4] > 0 }},
 		{"uniform/oneElementSegs", gen.Uniform(256, 300, gen.UniformWeight, 5), 64, 4, func(s shape) bool { return s.oneElemSegs > 100 }},
+		{"uniform2^17/novblocks", gen.Uniform(1<<17, 1<<18, gen.UniformWeight, 7), 16, 0, func(s shape) bool { return s.wide }},
 	}
 	for _, lay := range layouts {
 		m := lay.m
 		part := NewIPPartition(m, lay.pes, lay.vblock, BalanceNNZ)
-		part.Materialize()
+		if err := part.Validate(m); err != nil {
+			t.Fatalf("%s: %v", lay.name, err)
+		}
 		deg := m.OutDegrees()
 		for v := 0; v < len(deg); v += 5 {
 			deg[v] = 0
@@ -223,7 +241,7 @@ func TestNativePRWalksAgree(t *testing.T) {
 			return Operand{Ring: ring, Deg: deg, Ctx: semiring.Ctx{Alpha: 0.15, Seed: 2}, Scratch: new(Scratch)}
 		}
 
-		// Each walk on every segment, against the closure loop.
+		// The walk on every PE, against the closure loop.
 		x := frontier(1)
 		y := make(matrix.Dense, m.C)
 		for v, d := range deg {
@@ -232,21 +250,19 @@ func TestNativePRWalksAgree(t *testing.T) {
 			}
 		}
 		op := operand(semiring.PR())
-		want := make(matrix.Dense, m.R)
-		byRuns, bySelects := make(matrix.Dense, m.R), make(matrix.Dense, m.R)
-		var sh shape
-		for _, segs := range part.Segs {
+		want, got := make(matrix.Dense, m.R), make(matrix.Dense, m.R)
+		b := part.buckets()
+		sh := shape{wide: b.col32 != nil}
+		prWalk(part, 0, int32(part.NumPEs), []int{0}, []matrix.Dense{y}, []matrix.Dense{got})
+		for pe, segs := range part.Segs {
 			ipClosures(part, segs, x, want, &op)
-			for _, seg := range segs {
-				rows, cols := part.Row[seg.Lo:seg.Hi], part.Col[seg.Lo:seg.Hi]
-				prRunWalk(rows, cols, y, byRuns)
-				prSelectWalk(rows, cols, y, bySelects)
-				if len(rows) >= prLongRun*int(rows[len(rows)-1]-rows[0]+1) {
-					sh.runWalks++
-				} else {
-					sh.selectWalks++
+			for si, seg := range segs {
+				n := b.pe[pe].seg[si].n
+				for g := range 4 {
+					sh.elems[g] += (g + 1) * int(n[g])
 				}
-				if len(rows) == 1 {
+				sh.elems[4] += int(seg.Hi-seg.Lo) - int(n[0]+2*n[1]+3*n[2]+4*n[3])
+				if seg.Hi-seg.Lo == 1 {
 					sh.oneElemSegs++
 				}
 			}
@@ -257,16 +273,15 @@ func TestNativePRWalksAgree(t *testing.T) {
 		if !lay.covers(sh) {
 			t.Fatalf("%s: layout lost its shape: %+v", lay.name, sh)
 		}
-		sameBits(t, lay.name+" prRunWalk", byRuns, want)
-		sameBits(t, lay.name+" prSelectWalk", bySelects, want)
+		sameBits(t, lay.name+" prWalk", got, want)
 
-		// The choice, in a fused call mixing PR and PPR.
+		// A fused call mixing PR and PPR.
 		xs := []matrix.Dense{frontier(1), frontier(2), frontier(3)}
 		ops := []Operand{operand(semiring.PR()), operand(semiring.PPR()), operand(semiring.PR())}
-		got := NativeIPMulti(part, xs, ops)
+		gots := NativeIPMulti(part, xs, ops)
 		wants := NativeIPMulti(part, xs, untagged(ops))
 		for l := range ops {
-			sameBits(t, fmt.Sprintf("%s fused lane %d (%s)", lay.name, l, ops[l].Ring.Name), got[l], wants[l])
+			sameBits(t, fmt.Sprintf("%s fused lane %d (%s)", lay.name, l, ops[l].Ring.Name), gots[l], wants[l])
 		}
 	}
 }

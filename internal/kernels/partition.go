@@ -112,6 +112,223 @@ type IPPartition struct {
 	mat         sync.Once
 	deg         []int32 // set by materialize; see OutDegrees
 	minPlusSafe bool    // set by materialize; see minPlusSafe
+
+	runs   runBuckets // cut by buckets on the first PageRank pull
+	bucket sync.Once
+}
+
+// runBuckets is the native PageRank pull's layout: the IP elements
+// with each vblock segment's row runs grouped by length — 1, 2, 3, 4,
+// then the longer ones — so that each group is walked as straight-line
+// left folds with no branch on the row (see prSegWalk). A row is one
+// run per segment (Validate checks that rows ascend), so regrouping a
+// segment's runs moves no float operation of any row.
+type runBuckets struct {
+	// The IP columns regrouped within each segment, which keeps its
+	// [Lo, Hi) range: the L=1 group's columns, then L=2's, L=3's, L=4's
+	// and the long runs', each group in run order. A column is stored as
+	// its offset in the segment's vblock: in 16 bits (col16) where every
+	// vblock is at most 1<<16 columns wide (the default 16×16 machine's
+	// are 8 192), else in 32 (col32). The other slice is nil.
+	col16 []uint16
+	col32 []int32
+	pe    []peBuckets
+}
+
+// runCol is a bucket column's type.
+type runCol interface{ uint16 | int32 }
+
+// peBuckets is one PE's share of the run buckets.
+type peBuckets struct {
+	seg  []runSeg // parallel to the PE's Segs
+	row  []int32  // one row id per run, segment by segment, group by group
+	long []int32  // the length of each long run, in run order; row and long share one allocation
+}
+
+// runSeg is one segment's buckets.
+type runSeg struct {
+	n         [5]int32 // runs of length 1, 2, 3, 4 and longer
+	run, long int32    // the segment's first run in row and first long run in long
+}
+
+// longRun is the length from which a run leaves the straight-line
+// groups for the long group.
+const longRun = 5
+
+// buckets returns the PageRank pull's run buckets, cutting them from
+// the materialised IP arrays if that has not happened yet; safe for
+// concurrent use. Only a PR or PPR lane (and Validate) reaches it, so
+// an engine that never runs them holds nothing extra.
+func (p *IPPartition) buckets() *runBuckets {
+	p.bucket.Do(p.cutBuckets)
+	return &p.runs
+}
+
+// vblockBase is the first column of vblock vb.
+func (p *IPPartition) vblockBase(vb int32) int32 { return vb * int32(p.VBlockWords) }
+
+// cutBuckets cuts the run buckets with the narrowest columns the
+// vblock width allows (see cutRuns).
+func (p *IPPartition) cutBuckets() {
+	p.Materialize()
+	width := p.VBlockWords
+	if width <= 0 {
+		width = p.C
+	}
+	if width <= 1<<16 {
+		p.runs.col16 = make([]uint16, len(p.Col))
+		cutRuns(p, p.runs.col16)
+	} else {
+		p.runs.col32 = make([]int32, len(p.Col))
+		cutRuns(p, p.runs.col32)
+	}
+}
+
+// cutRuns builds the buckets into col one PE at a time, in parallel.
+// For each segment, a branch-free pass over its rows finds the run
+// starts, and one pass over the runs files each start under its group,
+// the PE's segments one after another; the group counts then size the
+// PE's arrays, and each group's runs are copied out in turn, a fixed
+// number of columns a run. The scratch is sized by the PE and stays in
+// cache.
+func cutRuns[C runCol](p *IPPartition, col []C) {
+	b := &p.runs
+	b.pe = make([]peBuckets, p.NumPEs)
+	parallelFor(p.NumPEs, func(lo, hi int32) {
+		var starts []int32
+		var groups runGroups
+		for pe := lo; pe < hi; pe++ {
+			segs := p.Segs[pe]
+			peLo, peHi := p.PEPtr[pe], p.PEPtr[pe+1]
+			n := int(peHi - peLo)
+			rows := p.Row[peLo:peHi]
+			starts = slices.Grow(starts[:0], n+1)[:n+1]
+			groups.reset(n)
+			pb := &b.pe[pe]
+			pb.seg = make([]runSeg, len(segs))
+			for si, s := range segs {
+				rs := &pb.seg[si]
+				rs.run, rs.long = groups.runs(), groups.k[longRun-1]
+				before := groups.k
+				groups.file(starts[:runStarts(rows[s.Lo-peLo:s.Hi-peLo], s.Lo-peLo, starts)+1])
+				for g := range rs.n {
+					rs.n[g] = groups.k[g] - before[g]
+				}
+			}
+			nRuns, nLong := groups.runs(), groups.k[longRun-1]
+			buf := make([]int32, nRuns+nLong)
+			pb.row, pb.long = buf[:nRuns], buf[nRuns:]
+			copy(pb.long, groups.long)
+			groups.k = [5]int32{}
+			for si, s := range segs {
+				emitRuns(&groups, &pb.seg[si].n, rows, p.Col[peLo:peHi], p.vblockBase(s.VB), col[s.Lo:s.Hi], pb.row[pb.seg[si].run:])
+			}
+		}
+	})
+}
+
+// runGroups is cutRuns' per-worker scratch for one PE: the start of
+// every run, as an offset into the PE's elements, filed under its group
+// — the PE's segments one after another within each group — and each
+// long run's length.
+type runGroups struct {
+	start [5][]int32
+	long  []int32
+	k     [5]int32 // runs filed (then emitted) per group
+}
+
+// reset sizes the scratch for a PE of n elements: a group of runs of L
+// or more elements holds at most n/L of them, and long one spare word.
+func (r *runGroups) reset(n int) {
+	for g := range r.start {
+		r.start[g] = slices.Grow(r.start[g][:0], n/(g+1))[:n/(g+1)]
+	}
+	r.long = slices.Grow(r.long[:0], n/longRun+1)[:n/longRun+1]
+	r.k = [5]int32{}
+}
+
+func (r *runGroups) runs() int32 { return r.k[0] + r.k[1] + r.k[2] + r.k[3] + r.k[4] }
+
+// file files one segment's runs, from their starts st (its end last).
+// Every run's length goes to the next long slot, which only a long run
+// keeps, so nothing branches on the group.
+func (r *runGroups) file(st []int32) {
+	k, start, long := r.k, &r.start, r.long
+	for i := 1; i < len(st); i++ {
+		a, l := st[i-1], st[i]-st[i-1]
+		g := min(l, longRun) - 1
+		start[g][k[g]] = a
+		long[k[longRun-1]] = l
+		k[g]++
+	}
+	r.k = k
+}
+
+// emitRuns copies out one segment's runs, group by group, from the
+// next n[g] starts of each group: each run's columns, less base (the
+// segment's vblock's first column), to col, which starts at the
+// segment's first element, and its row id to row, which starts at the
+// segment's first run.
+func emitRuns[C runCol](r *runGroups, n *[5]int32, rowOf, colOf []int32, base int32, col []C, row []int32) {
+	d, q := 0, 0
+	next := func(g int) []int32 {
+		s := r.start[g][r.k[g] : r.k[g]+n[g]]
+		r.k[g] += n[g]
+		return s
+	}
+	for _, a := range next(0) {
+		col[d], row[q] = C(colOf[a]-base), rowOf[a]
+		d, q = d+1, q+1
+	}
+	for _, a := range next(1) {
+		s, t := (*[2]int32)(colOf[a:]), (*[2]C)(col[d:])
+		t[0], t[1] = C(s[0]-base), C(s[1]-base)
+		row[q] = rowOf[a]
+		d, q = d+2, q+1
+	}
+	for _, a := range next(2) {
+		s, t := (*[3]int32)(colOf[a:]), (*[3]C)(col[d:])
+		t[0], t[1], t[2] = C(s[0]-base), C(s[1]-base), C(s[2]-base)
+		row[q] = rowOf[a]
+		d, q = d+3, q+1
+	}
+	for _, a := range next(3) {
+		s, t := (*[4]int32)(colOf[a:]), (*[4]C)(col[d:])
+		t[0], t[1], t[2], t[3] = C(s[0]-base), C(s[1]-base), C(s[2]-base), C(s[3]-base)
+		row[q] = rowOf[a]
+		d, q = d+4, q+1
+	}
+	long := r.long[r.k[longRun-1]:]
+	for i, a := range next(longRun - 1) {
+		l := int(long[i])
+		for j, c := range colOf[a : int(a)+l] {
+			col[d+j] = C(c - base)
+		}
+		row[q] = rowOf[a]
+		d, q = d+l, q+1
+	}
+}
+
+// runStarts writes the run starts of a segment's rows, which begin at
+// the PE's element lo, to st, then the segment's end, and returns the number of
+// runs. st holds len(rows)+1 words. Run detection is branch-free.
+func runStarts(rows []int32, lo int32, st []int32) int {
+	st = st[:len(rows)+1]
+	st[0] = lo
+	runs := 1
+	for k := 1; k < len(rows); k++ {
+		st[runs] = lo + int32(k)
+		runs += changed(rows[k], rows[k-1])
+	}
+	st[runs] = lo + int32(len(rows))
+	return runs
+}
+
+// changed is 1 if a != b, else 0, with no branch: a^b is nonzero
+// exactly when they differ, and so then has the sign bit of x|−x.
+func changed(a, b int32) int {
+	d := a ^ b
+	return int(uint32(d|-d) >> 31)
 }
 
 // NewIPPartition builds the IP layout for a machine with totalPEs
@@ -251,9 +468,10 @@ func (p *IPPartition) OutDegrees() []int32 {
 
 // Validate checks the partition invariants: every source element
 // appears exactly once, segments are disjoint and vblock-local, rows
-// ascend within each segment (the simulator's row runs and both of
-// ipPR's walks take each row to be one run there), and rows do not
-// cross PE boundaries.
+// ascend within each segment (the simulator's row runs and the run
+// buckets take each row to be one run there), and rows do not cross PE
+// boundaries. It then cuts the run buckets, if that has not happened
+// yet, and checks them (see validateBuckets).
 func (p *IPPartition) Validate(m *matrix.COO) error {
 	p.Materialize()
 	if len(p.Val) != m.NNZ() {
@@ -293,7 +511,90 @@ func (p *IPPartition) Validate(m *matrix.COO) error {
 			}
 		}
 	}
+	return p.validateBuckets()
+}
+
+// validateBuckets checks the run buckets against the IP arrays: each
+// segment's counts and long runs use up exactly its elements and its
+// share of the PE's arrays, group L holds runs of exactly L elements
+// and the long group runs of more than 4, no row has two runs in one
+// segment, and each run's columns are its row's elements in that
+// segment, in order — so the bucket columns are a permutation of the
+// segment's elements that keeps every row's fold.
+func (p *IPPartition) validateBuckets() error {
+	b := p.buckets()
+	if len(b.col16)+len(b.col32) != len(p.Col) {
+		return fmt.Errorf("kernels: run buckets hold %d+%d columns for %d elements", len(b.col16), len(b.col32), len(p.Col))
+	}
+	for pe, segs := range p.Segs {
+		pb := b.pe[pe]
+		if len(pb.seg) != len(segs) {
+			return fmt.Errorf("kernels: PE %d has buckets for %d of its %d segments", pe, len(pb.seg), len(segs))
+		}
+		var run, long int32
+		for si, s := range segs {
+			rs := pb.seg[si]
+			n := rs.n
+			if rs.run != run || rs.long != long || run+n[0]+n[1]+n[2]+n[3]+n[4] > int32(len(pb.row)) || long+n[4] > int32(len(pb.long)) {
+				return fmt.Errorf("kernels: PE %d vblock %d buckets %+v do not follow on at run %d, long run %d", pe, s.VB, rs, run, long)
+			}
+			at := s.Lo
+			seen := make(map[int32]bool)
+			for g, runs := range n {
+				for range runs {
+					row, l := pb.row[run], int32(g+1)
+					run++
+					if g == longRun-1 {
+						if l = pb.long[long]; l < longRun {
+							return fmt.Errorf("kernels: PE %d vblock %d long run of row %d holds %d elements", pe, s.VB, row, l)
+						}
+						long++
+					}
+					if seen[row] {
+						return fmt.Errorf("kernels: PE %d vblock %d row %d has two runs", pe, s.VB, row)
+					}
+					seen[row] = true
+					if at+l > s.Hi {
+						return fmt.Errorf("kernels: PE %d vblock %d buckets hold more than its %d elements", pe, s.VB, s.Hi-s.Lo)
+					}
+					first, _ := slices.BinarySearch(p.Row[s.Lo:s.Hi], row)
+					lo, hi := s.Lo+int32(first), s.Lo+int32(first)
+					for hi < s.Hi && p.Row[hi] == row {
+						hi++
+					}
+					if got := b.columns(at, at+l, p.vblockBase(s.VB)); !slices.Equal(got, p.Col[lo:hi]) {
+						return fmt.Errorf("kernels: PE %d vblock %d row %d run in group %d holds columns %v, want %v",
+							pe, s.VB, row, g+1, got, p.Col[lo:hi])
+					}
+					at += l
+				}
+			}
+			if at != s.Hi {
+				return fmt.Errorf("kernels: PE %d vblock %d buckets hold %d of its %d elements", pe, s.VB, at-s.Lo, s.Hi-s.Lo)
+			}
+		}
+		if run != int32(len(pb.row)) || long != int32(len(pb.long)) {
+			return fmt.Errorf("kernels: PE %d segments use %d of its %d runs and %d of its %d long runs", pe, run, len(pb.row), long, len(pb.long))
+		}
+	}
 	return nil
+}
+
+// columns returns the bucket columns [lo, hi) of a segment whose
+// vblock starts at column base, as graph columns.
+func (b *runBuckets) columns(lo, hi, base int32) []int32 {
+	if b.col32 != nil {
+		return widen(b.col32[lo:hi], base)
+	}
+	return widen(b.col16[lo:hi], base)
+}
+
+func widen[C runCol](cs []C, base int32) []int32 {
+	out := make([]int32, len(cs))
+	for i, c := range cs {
+		out[i] = int32(c) + base
+	}
+	return out
 }
 
 // NNZOfPE returns the number of elements assigned to a PE, the quantity

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cosparse/internal/gen"
 	"cosparse/internal/matrix"
@@ -140,6 +141,55 @@ func TestMaterializeConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// The first PageRank lanes on a shared partition race to cut its run
+// buckets: the cut must happen once, and every racer, PR or PPR, must
+// get the bits a lone call on a partition of its own gets.
+func TestBucketsCutOnceConcurrent(t *testing.T) {
+	m := gen.PowerLaw(400, 5000, 0.6, gen.UniformWeight, 24)
+	dv, err := matrix.EncodeDVCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg := m.OutDegrees()
+	x := gen.Frontier(m.C, 1, 26).ToDense(0)
+	operand := func(g int) Operand {
+		ring := semiring.PR()
+		if g%2 == 1 {
+			ring = semiring.PPR()
+		}
+		return Operand{Ring: ring, Deg: deg, Ctx: semiring.Ctx{Alpha: 0.15, Seed: 3}}
+	}
+	var want [2]matrix.Dense
+	for g := range want {
+		want[g] = NativeIPMulti(NewIPPartition(m, 16, 64, BalanceNNZ), []matrix.Dense{x}, []Operand{operand(g)})[0]
+	}
+
+	ip := NewIPPartition(dv, 16, 64, BalanceNNZ)
+	const racers = 8
+	cut := make([]*peBuckets, racers)
+	var wg sync.WaitGroup
+	for g := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := NativeIPMulti(ip, []matrix.Dense{x}, []Operand{operand(g)})[0]
+			if !slices.Equal(bitsOf(got), bitsOf(want[g%2])) {
+				t.Errorf("racer %d: PageRank contributions differ from a lone call's", g)
+			}
+			cut[g] = unsafe.SliceData(ip.buckets().pe)
+		}()
+	}
+	wg.Wait()
+	for g, c := range cut {
+		if c != unsafe.SliceData(ip.runs.pe) {
+			t.Fatalf("racer %d saw run buckets the partition no longer holds: cut more than once", g)
+		}
+	}
+	if err := ip.Validate(m); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // cutTestGraphs are TestOPTilesFromRowsMatchColumnStream's graphs plus
